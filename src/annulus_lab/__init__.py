@@ -1,5 +1,6 @@
 """Numerical toolkit for operators having an annulus as spectral set."""
 
+from ._version import __version__
 from .ar_unitary import (
     ArUnitaryDecomposition,
     decompose,
@@ -71,5 +72,3 @@ from .rational import (
     rational_to_json,
     validate,
 )
-
-__version__ = "0.1.0"

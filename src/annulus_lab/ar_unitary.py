@@ -60,7 +60,8 @@ class ArUnitaryDecomposition:
     subspaces; ``u1 = basis1* N basis1`` and ``u2 = basis2* N basis2 / r`` are
     the compressed unitaries in the stored orthonormal bases.  ``residual``
     aggregates every invariant defect, including the disagreement with the
-    resolvent-integral projector.
+    resolvent-integral projector, computed with ``contour_nodes`` trapezoid
+    nodes per circle.
     """
 
     p1: np.ndarray
@@ -70,6 +71,7 @@ class ArUnitaryDecomposition:
     basis1: np.ndarray
     basis2: np.ndarray
     residual: float
+    contour_nodes: int
 
 
 def decompose(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> ArUnitaryDecomposition:
@@ -106,7 +108,7 @@ def decompose(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> ArUnitaryDecompos
         )
     # independent route: resolvent integral around the outer circle; the
     # trapezoid rate degrades with the shrinking gap, so nodes scale with it
-    nodes = int(min(1 << 17, max(512, np.ceil(64.0 * (1.0 + r) / (1.0 - r)))))
+    nodes = calculus.clamp_nodes(64.0 * (1.0 + r) / (1.0 - r))
     spec = calculus.ContourSpec(delta=0.25 * (1.0 - r), nodes=nodes)
     p1_contour = calculus.riesz_projection(m, calculus.SpectralPart.OUTER, spec, r, tols)
     defects.append(linalg.operator_norm(p1 - p1_contour))
@@ -118,6 +120,7 @@ def decompose(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> ArUnitaryDecompos
         basis1=basis1,
         basis2=basis2,
         residual=float(max(defects)),
+        contour_nodes=nodes,
     )
 
 

@@ -131,7 +131,12 @@ def laurent_remainder_bound(
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Two-circle integration cycle: radii ``1 + delta`` and ``r - delta``."""
+    """Two-circle integration cycle: radii ``1 + delta`` and ``r - delta``.
+
+    ``nodes`` trapezoid nodes sit on each circle (see :func:`default_contour`
+    for the rule that picks them); the resolvents at the nodes are evaluated
+    as stacked batches, so the cost grows linearly in ``nodes``.
+    """
 
     delta: float
     nodes: int = 512
@@ -143,16 +148,42 @@ class ContourSpec:
             raise ValueError("need at least 16 quadrature nodes per circle")
 
 
+# Node clamp shared by default_contour and ar_unitary.decompose, and the
+# trapezoid error that default_contour's node rule aims for.
+_MIN_NODES = 512
+_MAX_NODES = 1 << 17
+_NODE_TARGET = 1e-16
+
+# Byte budget of one stacked batch of resolvents in _circle_integral; bounds
+# the memory of a quadrature whatever its node count.
+_CHUNK_BYTES = 1 << 20
+
+
+def clamp_nodes(needed: float) -> int:
+    """Round a wanted node count up and clamp it to ``[512, 1 << 17]``."""
+    return int(min(_MAX_NODES, max(_MIN_NODES, np.ceil(needed))))
+
+
 def default_contour(
-    f: AnnulusRational | None, t, r: float, nodes: int = 512
+    f: AnnulusRational | None, t, r: float, nodes: int | None = None
 ) -> ContourSpec:
-    """Margin rule: half the least clearance among poles and spectrum."""
+    """Contour with a margin rule for ``delta`` and a rate rule for ``nodes``.
+
+    ``delta`` is half the least clearance among poles and spectrum.  When
+    ``nodes`` is not given it follows the geometric rate ``rho`` of the
+    trapezoid rule on the two circles, the largest of ``max|lambda|/(1+delta)``,
+    ``(r-delta)/min|lambda|``, ``(1+delta)/min|q1 root|`` and
+    ``max|q2 root|/(r-delta)``: ``nodes = ceil(log(1e-16) / log(rho))``,
+    clamped to ``[512, 1 << 17]``.  Well-separated spectra keep 512 nodes; an
+    eigenvalue or pole close to a circle gets more.
+    """
     gaps = [0.5 * (1.0 - r)]
     if f is not None:
         if f.q1_roots:
             gaps.append(min(abs(a) for a in f.q1_roots) - 1.0)
         if f.q2_roots:
             gaps.append(r - max(abs(b) for b in f.q2_roots))
+    mods = np.empty(0)
     if t is not None:
         mods = np.abs(linalg.spectrum(t))
         inside = mods[(mods > r) & (mods < 1.0)]
@@ -160,21 +191,49 @@ def default_contour(
         gaps.append(float(np.min(inside - r)) if inside.size else 0.5 * (1.0 - r))
     delta = 0.5 * min(g for g in gaps if g > 0) if any(g > 0 for g in gaps) else 0.25 * (1.0 - r)
     delta = min(delta, 0.45 * r, 0.5 * (1.0 - r))
+    if nodes is None:
+        outer, inner = 1.0 + delta, r - delta
+        tiny = np.finfo(float).tiny
+        rates = []
+        if mods.size:
+            rates.append(mods.max() / outer)
+            rates.append(inner / max(mods.min(), tiny))
+        if f is not None and f.q1_roots:
+            rates.append(outer / min(abs(a) for a in f.q1_roots))
+        if f is not None and f.q2_roots:
+            rates.append(max(abs(b) for b in f.q2_roots) / inner)
+        rho = max(rates, default=0.0)
+        nodes = clamp_nodes(
+            np.inf if rho >= 1.0 else np.log(_NODE_TARGET) / np.log(max(rho, tiny))
+        )
     return ContourSpec(delta=delta, nodes=nodes)
 
 
-def _circle_integral(integrand, radius: float, nodes: int) -> np.ndarray:
-    """Trapezoid rule for ``(1/2 pi i) * closed integral`` over ``|w| = radius``.
+def _circle_integral(
+    m: np.ndarray,
+    radius: float,
+    nodes: int,
+    tols: Tolerances,
+    f: AnnulusRational | None = None,
+) -> np.ndarray:
+    """Trapezoid rule for ``(1/2 pi i) * closed integral of f(w) (wI - T)^-1 dw``.
 
-    ``integrand(w)`` must return a matrix; nodes are accumulated in index
-    order so the reduction is deterministic.
+    The circle is ``|w| = radius`` and ``f`` defaults to 1.  Nodes are taken
+    in chunks whose stacked resolvents fit ``_CHUNK_BYTES``: each chunk gets
+    one :func:`linalg.resolvents` call, one vectorized evaluation of ``f``
+    (with its :class:`PoleHit` check) and one weighted contraction.  Chunks
+    depend only on ``n`` and ``nodes`` and are accumulated in index order, so
+    the reduction is deterministic.
     """
+    n = m.shape[0]
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
     ws = radius * np.exp(1j * theta)
-    acc = None
-    for w in ws:
-        term = integrand(w) * w
-        acc = term if acc is None else acc + term
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    acc = np.zeros((n, n), dtype=complex)
+    for start in range(0, nodes, step):
+        w = ws[start : start + step]
+        weights = w if f is None else w * rational.evaluate(f, w)
+        acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols))
     return acc / nodes
 
 
@@ -205,13 +264,8 @@ def eval_contour(
     margin = 1e-10
     if np.any(mods >= outer - margin) or np.any(mods <= inner + margin):
         raise SpectrumOnContour("spectrum touches or escapes the contour")
-    eye = np.eye(m.shape[0])
-
-    def resolvent_term(w):
-        return complex(rational.evaluate(f, w)) * linalg.solve(w * eye - m, eye, tols)
-
-    return _circle_integral(resolvent_term, outer, spec.nodes) - _circle_integral(
-        resolvent_term, inner, spec.nodes
+    return _circle_integral(m, outer, spec.nodes, tols, f) - _circle_integral(
+        m, inner, spec.nodes, tols, f
     )
 
 
@@ -240,15 +294,10 @@ def riesz_projection(
         raise NoSpectralGap(f"eigenvalue modulus within delta of the split radius {mid}")
     if np.any(mods >= 1.0 + spec.delta - 1e-12) or np.any(mods <= r - spec.delta + 1e-12):
         raise NoSpectralGap("spectrum escapes the two-circle region")
-    eye = np.eye(m.shape[0])
-
-    def resolvent(w):
-        return linalg.solve(w * eye - m, eye, tols)
-
     if part is SpectralPart.OUTER:
-        return _circle_integral(resolvent, 1.0 + spec.delta, spec.nodes) - _circle_integral(
-            resolvent, mid, spec.nodes
+        return _circle_integral(m, 1.0 + spec.delta, spec.nodes, tols) - _circle_integral(
+            m, mid, spec.nodes, tols
         )
-    return _circle_integral(resolvent, mid, spec.nodes) - _circle_integral(
-        resolvent, r - spec.delta, spec.nodes
+    return _circle_integral(m, mid, spec.nodes, tols) - _circle_integral(
+        m, r - spec.delta, spec.nodes, tols
     )

@@ -18,11 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import calculus, linalg, rational
+from ._version import __version__
 from .errors import NoConvergence, NotInvertible, Singular
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
-
-TOOLKIT_VERSION = "0.1.0"
 
 
 def example_matrix(r: float) -> np.ndarray:
@@ -113,7 +112,7 @@ class CertificationReport:
             "max_ratio": self.max_ratio,
             "witness": None if self.witness is None else rational.rational_to_json(self.witness),
             "seed": self.seed,
-            "version": TOOLKIT_VERSION,
+            "version": __version__,
         }
 
 

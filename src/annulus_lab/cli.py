@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ar_unitary, calculus, certify, dilation, linalg, rational
+from ._version import __version__
 from .errors import AnnulusLabError
 from .linalg import Tolerances
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,7 +87,7 @@ def _json_default(obj):
 def _emit(report: dict, config: JobConfig) -> None:
     envelope = {
         "command": config.command,
-        "version": VERSION,
+        "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "threads": _threads_cap(),
         "result": report,
@@ -129,6 +128,7 @@ def _cmd_decompose(config: JobConfig) -> int:
         "residual": dec.residual,
         "dim_outer": int(dec.basis1.shape[1]),
         "dim_inner": int(dec.basis2.shape[1]),
+        "contour_nodes": dec.contour_nodes,
     }
     _emit(payload, config)
     return EXIT_OK if dec.residual <= 1e-8 else EXIT_REFUTED

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus, linalg, rational
+from ._version import __version__
 from .errors import (
     BudgetExceeded,
     NotCommuting,
@@ -41,8 +42,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
-
-TOOLKIT_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +467,7 @@ def save_model(model: ModelTriple, directory: str, seed: int | None = None) -> N
         "M": model.m,
         "tail_report": None,
         "seed": seed,
-        "version": TOOLKIT_VERSION,
+        "version": __version__,
     }
     with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True)

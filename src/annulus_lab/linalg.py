@@ -137,10 +137,39 @@ def solve(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     mb = as_matrix(b)
     if mb.shape[0] != ma.shape[0]:
         raise DimensionMismatch(f"A is {ma.shape}, B is {mb.shape}")
-    svals = np.linalg.svd(ma, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] <= tols.rank_tol * svals[0]:
+    if _ill_conditioned(np.linalg.svd(ma, compute_uv=False), tols):
         raise Singular(f"condition estimate exceeds {1.0 / tols.rank_tol:.1e}")
     return sla.solve(ma, mb)
+
+
+def _ill_conditioned(svals: np.ndarray, tols: Tolerances):
+    """Conditioning rule of :func:`solve`, per matrix.
+
+    ``svals`` holds descending singular values along its last axis; a matrix
+    fails when its smallest singular value is at most ``rank_tol`` times its
+    largest (the zero matrix included).  One matrix gives a scalar.
+    """
+    return svals.T[-1] <= tols.rank_tol * svals.T[0]
+
+
+def resolvents(a, ws, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Stack of resolvents ``(w_k I - A)^{-1}``, shape ``(len(ws), n, n)``.
+
+    Every shifted matrix passes the conditioning rule of :func:`solve` in one
+    batched singular-value call, and the stack is inverted in one batched
+    LAPACK call; :class:`Singular` is raised if any point fails the rule.
+    """
+    m = as_matrix(a)
+    _require_square(m)
+    ws = np.asarray(ws, dtype=complex)
+    shifted = ws[:, np.newaxis, np.newaxis] * np.eye(m.shape[0]) - m
+    failed = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+    if failed.any():
+        raise Singular(
+            f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
+            f"at {int(failed.sum())} of {failed.size} points"
+        )
+    return np.linalg.inv(shifted)
 
 
 def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

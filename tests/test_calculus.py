@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import linalg
+from annulus_lab import calculus, linalg, rational
+from annulus_lab.ar_unitary import decompose, make_ar_unitary
 from annulus_lab.calculus import (
     ContourSpec,
     SpectralPart,
@@ -16,6 +19,7 @@ from annulus_lab.calculus import (
 from annulus_lab.certify import example_matrix
 from annulus_lab.errors import (
     NoSpectralGap,
+    PoleHit,
     PoleInsideContour,
     SeriesDivergent,
     Singular,
@@ -23,7 +27,7 @@ from annulus_lab.errors import (
 )
 from annulus_lab.linalg import operator_norm, random_unitary
 from annulus_lab.rational import AnnulusRational, laurent_order_for, multiply
-from conftest import open_annulus_normal, random_function
+from conftest import normal_with_moduli, open_annulus_normal, random_function
 
 
 class TestEvalDirect:
@@ -199,3 +203,77 @@ class TestDefaultContour:
             assert 1.0 + spec.delta < min(abs(a) for a in f.q1_roots)
         if f.q2_roots:
             assert 0.5 - spec.delta > max(abs(b) for b in f.q2_roots)
+
+
+def _reference_circle(t, radius, nodes, f=None):
+    """Per-node trapezoid loop: one solve (and one scalar f) per node."""
+    eye = np.eye(t.shape[0])
+    acc = np.zeros_like(eye, dtype=complex)
+    for k in range(nodes):
+        w = radius * np.exp(2j * np.pi * (k + 0.5) / nodes)
+        fw = 1.0 if f is None else rational.evaluate(f, w)
+        acc += fw * w * np.linalg.solve(w * eye - t, eye)
+    return acc / nodes
+
+
+class TestBatchedQuadrature:
+    NODES = 512
+
+    def test_chunk_boundary_is_crossed(self):
+        # n = 12 splits each circle into two chunks
+        assert self.NODES > calculus._CHUNK_BYTES // (16 * 12 * 12)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_eval_contour_matches_per_node_loop(self, n):
+        t = open_annulus_normal(n, 0.5, 60 + n)
+        f = random_function(0.5, 70 + n)
+        spec = ContourSpec(delta=0.02, nodes=self.NODES)
+        got = eval_contour(f, t, spec)
+        ref = _reference_circle(t, 1.0 + spec.delta, spec.nodes, f) - _reference_circle(
+            t, 0.5 - spec.delta, spec.nodes, f
+        )
+        assert operator_norm(got - ref) <= 1e-13 * operator_norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_riesz_projection_matches_per_node_loop(self, n):
+        r, delta = 0.5, 0.05
+        rng = np.random.default_rng(n)
+        moduli = np.where(np.arange(n) % 2 == 0, 0.9, 0.55) + 0.05 * rng.random(n)
+        t, _ = normal_with_moduli(moduli, 80 + n)
+        spec = ContourSpec(delta=delta, nodes=self.NODES)
+        mid = 0.5 * (1.0 + r)
+        outer = _reference_circle(t, 1.0 + delta, self.NODES)
+        middle = _reference_circle(t, mid, self.NODES)
+        inner = _reference_circle(t, r - delta, self.NODES)
+        for part, ref in ((SpectralPart.OUTER, outer - middle), (SpectralPart.INNER, middle - inner)):
+            got = riesz_projection(t, part, spec, r)
+            assert operator_norm(got - ref) <= 1e-13 * max(operator_norm(ref), 1.0)
+
+    def test_resolvents_raise_singular_on_an_eigenvalue(self):
+        t = np.diag([0.6, 0.8j])
+        assert linalg.resolvents(t, [0.3, -0.9]).shape == (2, 2, 2)
+        with pytest.raises(Singular):
+            linalg.resolvents(t, [0.3, 0.8j, -0.9])
+
+    def test_pole_on_a_node_raises_pole_hit(self):
+        nodes = 64
+        w3 = 1.1 * np.exp(2j * np.pi * 3.5 / nodes)
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(w3,))
+        with pytest.raises(PoleHit):
+            calculus._circle_integral(np.diag([0.7, 0.8]), 1.1, nodes, linalg.DEFAULT_TOLS, f)
+
+    def test_decompose_near_one_stays_in_fixed_memory(self):
+        r = 0.999
+        u1, u2 = random_unitary(2, 1), random_unitary(1, 2)
+        q = random_unitary(3, 3)
+        m = q @ make_ar_unitary(u1, u2, r) @ q.conj().T
+        tracemalloc.start()
+        try:
+            dec = decompose(m, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dec.contour_nodes == 127936
+        assert dec.residual <= 1e-8
+        # the node vector alone is 2 MB; an unchunked stack would be 18 MB
+        assert peak <= 12 * 2**20

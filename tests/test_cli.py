@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from annulus_lab import cli
+from annulus_lab.calculus import default_contour
 from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.linalg import matrix_to_json, random_unitary
 from annulus_lab.rational import AnnulusRational, rational_to_json
@@ -55,6 +56,7 @@ class TestDecomposeCommand:
         assert code == cli.EXIT_OK
         result = read_report(out)["result"]
         assert result["dim_outer"] == 4 and result["dim_inner"] == 0
+        assert result["contour_nodes"] == 512
 
 
 class TestModelVerifyCommand:
@@ -139,6 +141,32 @@ class TestSelftestCommand:
         assert cli.main(["selftest", "--seed", "5", "--out", str(out)]) == cli.EXIT_OK
         result = read_report(out)["result"]
         assert result["all_ok"] and len(result["cases"]) >= 8
+
+    @pytest.mark.parametrize("seed", ["244", "285"])
+    def test_seeds_with_eigenvalues_near_a_circle(self, tmp_path, seed):
+        # an eigenvalue within ~0.01 of a circle needs more than 512 nodes
+        out = tmp_path / "report.json"
+        assert cli.main(["selftest", "--seed", seed, "--out", str(out)]) == cli.EXIT_OK
+        assert read_report(out)["result"]["all_ok"]
+
+
+class TestDefaultContourNodes:
+    F = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(2.0 + 0.3j,), q2_roots=(0.2,))
+
+    def test_nodes_grow_as_an_eigenvalue_nears_a_circle(self):
+        nodes = [
+            default_contour(self.F, np.diag([0.7, 1.0 - gap]), 0.5).nodes
+            for gap in (0.2, 0.01, 0.002)
+        ]
+        assert nodes[0] == 512 < nodes[1] < nodes[2]
+
+    def test_well_separated_spectrum_keeps_512(self):
+        t = np.diag([0.7, 0.75j, -0.8])
+        assert default_contour(self.F, t, 0.5).nodes == 512
+        assert default_contour(None, t, 0.5).nodes == 512
+
+    def test_explicit_nodes_kept(self):
+        assert default_contour(self.F, np.diag([0.7, 0.999]), 0.5, nodes=512).nodes == 512
 
 
 class TestDefaultBudget:
