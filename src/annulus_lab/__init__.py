@@ -15,6 +15,7 @@ from .calculus import (
     eval_contour,
     eval_direct,
     eval_laurent,
+    factored_norms,
     laurent_remainder_bound,
     riesz_projection,
 )
@@ -40,6 +41,7 @@ from .dilation import (
     ando_pair,
     build_model,
     egervary_dilation,
+    moment_table,
     save_model,
     single_carrier_residual,
     verify_model,
@@ -64,6 +66,7 @@ from .rational import (
     LaurentSeries,
     boundary_sup_norm,
     evaluate,
+    factored_stack,
     involute,
     laurent_expand,
     laurent_order_for,

@@ -32,15 +32,59 @@ from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
 
 
+def _polyval_stack(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Horner evaluation at ``m`` of each row of ascending coefficients ``p``."""
+    n = m.shape[0]
+    eye = np.eye(n)
+    out = np.zeros((p.shape[0], n, n), dtype=complex)
+    for c in p.T[::-1]:
+        out = out @ m
+        out += c[:, np.newaxis, np.newaxis] * eye
+    return out
+
+
 def polyval_matrix(coeffs, t: np.ndarray) -> np.ndarray:
     """Horner evaluation of an ascending-coefficient polynomial at a matrix."""
-    m = linalg.as_matrix(t)
+    p = np.asarray(tuple(coeffs), dtype=complex)[np.newaxis]
+    return _polyval_stack(p, linalg.as_matrix(t))[0]
+
+
+def _factored_chunks(stack: rational.FactoredStack, m: np.ndarray, tols: Tolerances):
+    """Yield ``f_i(T)`` for the rows of ``stack`` as ``(k, n, n)`` chunks.
+
+    Chunks hold about ``_CHUNK_BYTES`` of matrices.  Each gets one batched
+    Horner pass for ``p_i(T) / scale_i`` and, per root slot, one batched
+    conditioning check with :func:`linalg.solve`'s rule and one batched
+    solve for the rows with a root in that slot.  A row whose root lies
+    within ``rank_tol * max(1, |root|)`` of the spectrum, or fails the check,
+    raises :class:`Singular` naming that root: the first such row in stack
+    order, and within it a touching root before a failing one, each in slot
+    order.
+    """
     n = m.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for c in reversed(tuple(coeffs)):
-        out = out @ m
-        out += c * np.eye(n)
-    return out
+    eye = np.eye(n)
+    lams = linalg.spectrum(m)
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    for start in range(0, stack.p.shape[0], step):
+        rows = slice(start, start + step)
+        roots, mask = stack.roots[rows], stack.mask[rows]
+        gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
+        touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
+        failed = np.zeros_like(mask)
+        out = _polyval_stack(stack.p[rows], m) / stack.scale[rows, np.newaxis, np.newaxis]
+        for j in range(roots.shape[1]):
+            idx = np.flatnonzero(mask[:, j])
+            shifted = m - roots[idx, j, np.newaxis, np.newaxis] * eye
+            bad = linalg._ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+            failed[idx[bad], j] = True
+            ok = idx[~bad]
+            out[ok] = np.linalg.solve(shifted[~bad], out[ok])
+        hit = touch | failed
+        if hit.any():
+            i = int(np.argmax(hit.any(axis=1)))
+            slots = touch[i] if touch[i].any() else failed[i]
+            raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+        yield out
 
 
 def eval_direct(
@@ -48,26 +92,29 @@ def eval_direct(
 ) -> np.ndarray:
     """Evaluate ``f`` at ``T`` through the factored representation.
 
-    Each linear denominator factor is inverted by a solve; the factors
-    commute, so the ordering is immaterial up to roundoff.
+    The one-function case of :func:`factored_norms`' stacked evaluation:
+    ``p(T) / scale`` by Horner, then one solve per linear denominator factor
+    (``q1`` roots first), each behind :func:`linalg.solve`'s conditioning
+    rule.  :class:`Singular` names the first root within
+    ``rank_tol * max(1, |root|)`` of the spectrum, else the first that fails
+    the rule.
     """
-    rational.validate(f)
     m = linalg.as_matrix(t)
-    n = m.shape[0]
-    roots = f.q1_roots + f.q2_roots
-    if roots:
-        lams = linalg.spectrum(m)
-        for root in roots:
-            if np.min(np.abs(lams - root)) <= tols.rank_tol * max(1.0, abs(root)):
-                raise Singular(f"spectrum touches denominator root {root}")
-    out = polyval_matrix(f.p_coeffs, m) / f.scale
-    eye = np.eye(n)
-    for root in roots:
-        try:
-            out = linalg.solve(m - root * eye, out, tols)
-        except Singular as exc:
-            raise Singular(f"spectrum touches denominator root {root}") from exc
-    return out
+    return next(_factored_chunks(rational.factored_stack([f]), m, tols))[0]
+
+
+def factored_norms(
+    stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS
+) -> np.ndarray:
+    """Operator norms ``||f_i(T)||`` for every row of a factored stack.
+
+    Evaluates as :func:`eval_direct` does, a chunk of about 1 MB of stacked
+    matrices at a time, with one batched spectral norm per chunk; memory
+    stays bounded whatever the number of rows.
+    """
+    m = linalg.as_matrix(t)
+    norms = [np.linalg.norm(out, 2, axis=(1, 2)) for out in _factored_chunks(stack, m, tols)]
+    return np.concatenate(norms) if norms else np.zeros(0)
 
 
 def eval_laurent(

@@ -12,7 +12,7 @@ disk is already a minimal spectral set.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -89,6 +89,8 @@ class CertificationReport:
     ``max_ratio`` is the largest observed ``||f(T)|| / sup|f|`` against the
     sampled lower bound of the sup norm; a ``Refuted`` verdict always carries
     a witness function whose confirmed ratio exceeds ``1 + verify_tol``.
+    ``stress_route`` records how ``||f(T)||`` was evaluated: ``"spectral"``
+    for numerically normal ``T``, ``"factored"`` otherwise.
     """
 
     verdict: Verdict
@@ -100,6 +102,7 @@ class CertificationReport:
     max_ratio: float
     witness: AnnulusRational | None
     seed: int
+    stress_route: str
 
     def to_json(self) -> dict:
         return {
@@ -112,6 +115,7 @@ class CertificationReport:
             "max_ratio": self.max_ratio,
             "witness": None if self.witness is None else rational.rational_to_json(self.witness),
             "seed": self.seed,
+            "stress_route": self.stress_route,
             "version": __version__,
         }
 
@@ -170,28 +174,11 @@ def _pole_refined_sup(f: AnnulusRational, base_nodes: int = 4096, local_nodes: i
 
 @dataclass(frozen=True)
 class _Battery:
-    """Test-function battery with sup bounds and padded evaluation stacks."""
+    """Test-function battery with sup bounds and its padded factored stack."""
 
     functions: tuple
     sups: np.ndarray
-    p_pad: np.ndarray
-    roots_pad: np.ndarray
-    roots_mask: np.ndarray
-    scale: np.ndarray
-
-    def eval_abs(self, points: np.ndarray) -> np.ndarray:
-        """``|f_i(z_j)|`` for the whole battery at once, shape (n_f, n_z)."""
-        z = points[np.newaxis, :]
-        num = np.zeros((self.p_pad.shape[0], points.size), dtype=complex)
-        for k in range(self.p_pad.shape[1] - 1, -1, -1):
-            num = num * z + self.p_pad[:, k : k + 1]
-        den = np.repeat(self.scale[:, np.newaxis], points.size, axis=1)
-        for k in range(self.roots_pad.shape[1]):
-            factor = np.where(
-                self.roots_mask[:, k : k + 1], z - self.roots_pad[:, k : k + 1], 1.0
-            )
-            den = den * factor
-        return np.abs(num / den)
+    stack: rational.FactoredStack
 
 
 @lru_cache(maxsize=8)
@@ -207,44 +194,14 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
         AnnulusRational(r=r, p_coeffs=(0.0, 1.0)),
         AnnulusRational(r=r, p_coeffs=(r,), q2_roots=(0.0,)),
     ]
-    functions = []
-    sups = []
-    for i in range(trials):
-        if i < len(probes):
-            f = probes[i]
-        else:
-            f = sample_test_function(r, linalg.seeded_rng(seed, 17, i))
-        functions.append(f)
-        sups.append(max(rational.boundary_sup_norm(f, 1024), _pole_refined_sup(f)))
-    if not functions:
-        empty = np.zeros((0, 1))
-        return _Battery(
-            functions=(),
-            sups=np.zeros(0),
-            p_pad=empty.astype(complex),
-            roots_pad=empty.astype(complex),
-            roots_mask=empty.astype(bool),
-            scale=np.zeros(0, dtype=complex),
-        )
-    max_p = max(len(f.p_coeffs) for f in functions)
-    max_roots = max(len(f.q1_roots) + len(f.q2_roots) for f in functions)
-    p_pad = np.zeros((trials, max_p), dtype=complex)
-    roots_pad = np.zeros((trials, max(max_roots, 1)), dtype=complex)
-    roots_mask = np.zeros((trials, max(max_roots, 1)), dtype=bool)
-    scale = np.empty(trials, dtype=complex)
-    for i, f in enumerate(functions):
-        p_pad[i, : len(f.p_coeffs)] = f.p_coeffs
-        roots = f.q1_roots + f.q2_roots
-        roots_pad[i, : len(roots)] = roots
-        roots_mask[i, : len(roots)] = True
-        scale[i] = f.scale
+    functions = tuple(
+        probes[i] if i < len(probes) else sample_test_function(r, linalg.seeded_rng(seed, 17, i))
+        for i in range(trials)
+    )
     return _Battery(
-        functions=tuple(functions),
-        sups=np.array(sups),
-        p_pad=p_pad,
-        roots_pad=roots_pad,
-        roots_mask=roots_mask,
-        scale=scale,
+        functions=functions,
+        sups=np.array([_pole_refined_sup(f) for f in functions]),
+        stack=rational.factored_stack(functions),
     )
 
 
@@ -269,9 +226,15 @@ def vonneumann_stress(
     refinement and by ``|f|`` at the spectrum projected into the annulus
     (interior values never exceed the boundary sup).  A candidate violation is
     re-checked against a denser sampling before it is accepted as a witness,
-    so ``Refuted`` reports replay deterministically.  For numerically normal
-    input the operator norm is evaluated spectrally, which agrees with the
-    factored evaluation to roundoff.
+    so ``Refuted`` reports replay deterministically.
+
+    For numerically normal input the operator norm is evaluated spectrally,
+    as ``max |f|`` over the eigenvalues, which agrees with the factored
+    evaluation to roundoff.  Otherwise the whole battery goes through one
+    stacked factored evaluation (:func:`calculus.factored_norms`) in chunks
+    of about 1 MB; it raises :class:`Singular` as :func:`calculus.eval_direct`
+    would on the first function, in battery order, with a root on the
+    spectrum.  Candidate witnesses then get the dense sup re-check.
     """
     m = linalg.as_matrix(t)
     norm_t = linalg.operator_norm(m)
@@ -284,16 +247,11 @@ def vonneumann_stress(
     probes = _clamp_to_annulus(lams, r)
 
     battery = _stress_battery(r, int(trials), int(seed))
-    denoms = np.maximum(battery.sups, battery.eval_abs(probes).max(axis=1))
+    denoms = np.maximum(battery.sups, battery.stack.abs_at(probes).max(axis=1))
     if is_normal:
-        nums = battery.eval_abs(lams).max(axis=1)
+        nums = battery.stack.abs_at(lams).max(axis=1)
     else:
-        nums = np.array(
-            [
-                linalg.operator_norm(calculus.eval_direct(f, m, tols))
-                for f in battery.functions
-            ]
-        )
+        nums = calculus.factored_norms(battery.stack, m, tols)
     ratios = nums / denoms
     max_ratio = 0.0
     witness = None
@@ -320,6 +278,7 @@ def vonneumann_stress(
         max_ratio=max_ratio,
         witness=witness,
         seed=int(seed),
+        stress_route="spectral" if is_normal else "factored",
     )
 
 
@@ -407,17 +366,7 @@ def full_certification(
     }
     report = vonneumann_stress(m, r, trials, seed, tols)
     if report.verdict is not Verdict.REFUTED and details["williams"] == WilliamsVerdict.MINIMAL_DISK_REFUTATION.value:
-        report = CertificationReport(
-            verdict=Verdict.WILLIAMS_REFUTED,
-            r=report.r,
-            norm_t=report.norm_t,
-            norm_rtinv=report.norm_rtinv,
-            spectrum_ok=report.spectrum_ok,
-            trials=report.trials,
-            max_ratio=report.max_ratio,
-            witness=None,
-            seed=report.seed,
-        )
+        report = replace(report, verdict=Verdict.WILLIAMS_REFUTED, witness=None)
     return report, details
 
 

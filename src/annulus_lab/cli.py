@@ -138,28 +138,7 @@ def _cmd_dilate(config: JobConfig) -> int:
     t = _load_matrix(config.matrix_path)
     model = dilation.build_model(t, config.r, config.budget, config.tols)
     pair = model.pair
-    h = pair.dim_h
-    inv = linalg.inverse(t, config.tols)
-    table = []
-    x1, x2 = pair.embed.copy(), pair.embed.copy()
-    pow_pos = np.eye(h, dtype=complex)
-    pow_neg = np.eye(h, dtype=complex)
-    for j in range(config.budget + 1):
-        table.append(
-            {
-                "degree": j,
-                "forward_residual": float(
-                    linalg.operator_norm(pair.embed.conj().T @ x1 - pow_pos)
-                ),
-                "inverse_residual": float(
-                    linalg.operator_norm(
-                        config.r ** (-j) * (pair.embed.conj().T @ x2) - pow_neg
-                    )
-                ),
-            }
-        )
-        x1, x2 = pair.apply_v1(x1), pair.apply_v2(x2)
-        pow_pos, pow_neg = pow_pos @ t, pow_neg @ inv
+    table = dilation.moment_table(model, t, config.budget, config.tols)
     moment_residual = max(max(row["forward_residual"], row["inverse_residual"]) for row in table)
     payload = {
         "dim_H": pair.dim_h,

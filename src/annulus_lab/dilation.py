@@ -390,8 +390,12 @@ def _flip_route_inner(pair: AndoPair, coeffs, e: np.ndarray) -> np.ndarray:
     return lower + upper
 
 
-def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Max moment residual over ``0 <= j <= j_max`` for both power directions."""
+def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
+    """Moment residuals per degree ``0 <= j <= j_max``, both power directions.
+
+    Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
+    ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.
+    """
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
     m = linalg.as_matrix(t)
@@ -402,17 +406,31 @@ def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT
     x2 = e.copy()
     pow_pos = np.eye(h, dtype=complex)
     pow_neg = np.eye(h, dtype=complex)
-    worst = 0.0
+    table = []
     for j in range(j_max + 1):
-        res1 = linalg.operator_norm(e.conj().T @ x1 - pow_pos)
-        res2 = linalg.operator_norm(model.r ** (-j) * (e.conj().T @ x2) - pow_neg)
-        worst = max(worst, res1, res2)
+        table.append(
+            {
+                "degree": j,
+                "forward_residual": linalg.operator_norm(e.conj().T @ x1 - pow_pos),
+                "inverse_residual": linalg.operator_norm(
+                    model.r ** (-j) * (e.conj().T @ x2) - pow_neg
+                ),
+            }
+        )
         if j < j_max:
             x1 = model.pair.apply_v1(x1)
             x2 = model.pair.apply_v2(x2)
             pow_pos = pow_pos @ m
             pow_neg = pow_neg @ inv
-    return worst
+    return table
+
+
+def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> float:
+    """Max moment residual over ``0 <= j <= j_max`` for both power directions."""
+    return max(
+        max(row["forward_residual"], row["inverse_residual"])
+        for row in moment_table(model, t, j_max, tols)
+    )
 
 
 # ---------------------------------------------------------------------------

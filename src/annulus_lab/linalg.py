@@ -139,7 +139,7 @@ def solve(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         raise DimensionMismatch(f"A is {ma.shape}, B is {mb.shape}")
     if _ill_conditioned(np.linalg.svd(ma, compute_uv=False), tols):
         raise Singular(f"condition estimate exceeds {1.0 / tols.rank_tol:.1e}")
-    return sla.solve(ma, mb)
+    return np.linalg.solve(ma, mb)
 
 
 def _ill_conditioned(svals: np.ndarray, tols: Tolerances):

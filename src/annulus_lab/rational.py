@@ -92,6 +92,51 @@ def evaluate(f: AnnulusRational, z):
     return out
 
 
+@dataclass(frozen=True)
+class FactoredStack:
+    """Factored forms of a sequence of rationals, one zero-padded row each.
+
+    Row ``i`` holds the ascending numerator coefficients ``p[i]``, the
+    ``q1_roots`` then the ``q2_roots`` in ``roots[i]`` with ``mask[i]``
+    marking the occupied slots, and the constant ``scale[i]``.
+    """
+
+    p: np.ndarray
+    roots: np.ndarray
+    mask: np.ndarray
+    scale: np.ndarray
+
+    def abs_at(self, points: np.ndarray) -> np.ndarray:
+        """``|f_i(z_j)|`` for every row at once, shape ``(rows, len(points))``."""
+        z = points[np.newaxis, :]
+        num = np.zeros((self.p.shape[0], points.size), dtype=complex)
+        for k in range(self.p.shape[1] - 1, -1, -1):
+            num = num * z + self.p[:, k : k + 1]
+        den = np.repeat(self.scale[:, np.newaxis], points.size, axis=1)
+        for k in range(self.roots.shape[1]):
+            den = den * np.where(self.mask[:, k : k + 1], z - self.roots[:, k : k + 1], 1.0)
+        return np.abs(num / den)
+
+
+def factored_stack(functions) -> FactoredStack:
+    """Validate each function and pad the factored forms into one stack."""
+    functions = tuple(functions)
+    for f in functions:
+        validate(f)
+    width_p = max((len(f.p_coeffs) for f in functions), default=1)
+    width_r = max((len(f.q1_roots) + len(f.q2_roots) for f in functions), default=0)
+    p = np.zeros((len(functions), width_p), dtype=complex)
+    roots = np.zeros((len(functions), width_r), dtype=complex)
+    mask = np.zeros((len(functions), width_r), dtype=bool)
+    for i, f in enumerate(functions):
+        p[i, : len(f.p_coeffs)] = f.p_coeffs
+        row = f.q1_roots + f.q2_roots
+        roots[i, : len(row)] = row
+        mask[i, : len(row)] = True
+    scale = np.array([f.scale for f in functions], dtype=complex)
+    return FactoredStack(p=p, roots=roots, mask=mask, scale=scale)
+
+
 def multiply(f: AnnulusRational, g: AnnulusRational) -> AnnulusRational:
     """Product of two rational functions on the same annulus, in factored form."""
     if f.r != g.r:

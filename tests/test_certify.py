@@ -1,8 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus, linalg
+from annulus_lab import calculus, linalg, rational
 from annulus_lab.certify import (
     Verdict,
     WilliamsVerdict,
@@ -17,9 +20,10 @@ from annulus_lab.certify import (
     vonneumann_stress,
     williams_verdict,
     windowed_matrix,
+    _pole_refined_sup,
     _stress_battery,
 )
-from annulus_lab.errors import NotInvertible
+from annulus_lab.errors import NotInvertible, Singular
 from annulus_lab.linalg import operator_norm, random_unitary
 from annulus_lab.rational import evaluate, rational_from_json
 
@@ -155,6 +159,91 @@ class TestVonNeumannStress:
         assert payload["verdict"] == "Refuted"
         g = rational_from_json(payload["witness"])
         assert g.r == 0.25
+
+    def test_stress_route_records_the_normality_decision(self):
+        assert vonneumann_stress(random_unitary(3, 1), 0.5, 20, 1).stress_route == "spectral"
+        rep = vonneumann_stress(example_matrix(0.25), 0.25, 20, 1)
+        assert rep.stress_route == "factored"
+        assert rep.to_json()["stress_route"] == "factored"
+
+    def test_battery_sups_keep_the_coarse_sampling_maximum(self):
+        # the 1024 coarse nodes are a subset of _pole_refined_sup's 4096
+        battery = _stress_battery(0.5, 500, 4)
+        coarse = [
+            max(rational.boundary_sup_norm(f, 1024), _pole_refined_sup(f))
+            for f in battery.functions
+        ]
+        assert battery.sups.tolist() == coarse
+
+
+def _reference_direct(f, t):
+    """Per-function factored evaluation: Horner, then one solve per root."""
+    n = t.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    for c in reversed(f.p_coeffs):
+        out = out @ t + c * np.eye(n)
+    out = out / f.scale
+    for root in f.q1_roots + f.q2_roots:
+        out = np.linalg.solve(t - root * np.eye(n), out)
+    return out
+
+
+class TestStackedFactoredEvaluation:
+    TRIALS = 2000
+
+    @pytest.mark.parametrize(
+        "t",
+        [example_matrix(0.5)] + [windowed_matrix(n, 0.5, 30 + n) for n in (2, 3, 5, 9)],
+        ids=["shear", "n2", "n3", "n5", "n9"],
+    )
+    def test_matches_per_function_loop(self, t):
+        battery = _stress_battery(0.5, self.TRIALS, 1)
+        got = calculus.factored_norms(battery.stack, t)
+        ref = np.array([operator_norm(_reference_direct(f, t)) for f in battery.functions])
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    def test_chunk_boundary_is_crossed(self):
+        # n = 9 splits the 2000-function battery into two chunks
+        assert calculus._CHUNK_BYTES // (16 * 9 * 9) < self.TRIALS
+
+    def test_eigenvalue_on_a_root_raises_singular_naming_it(self):
+        battery = _stress_battery(0.5, self.TRIALS, 1)
+        with_roots = [f for f in battery.functions[2:] if f.q1_roots and f.q2_roots]
+        first, later = with_roots[0], with_roots[1]
+        # eigenvalues on a root of a later function and on the last root of an
+        # earlier one: the earlier function, in battery order, is named
+        root = first.q2_roots[-1]
+        t = np.array([[later.q1_roots[0], 0.3], [0.0, root]], dtype=complex)
+        with pytest.raises(Singular, match=re.escape(str(root))):
+            vonneumann_stress(t, 0.5, self.TRIALS, 1)
+        with pytest.raises(Singular, match=re.escape(str(root))):
+            calculus.eval_direct(first, t)
+
+    def test_fixed_memory_at_n40(self):
+        t = windowed_matrix(40, 0.5, 3)
+        battery = _stress_battery(0.5, self.TRIALS, 1)
+        tracemalloc.start()
+        try:
+            calculus.factored_norms(battery.stack, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an unchunked stack of 2000 40x40 complex matrices takes 51 MB;
+        # the chunked evaluation peaks near 6 MiB
+        assert peak <= 12 * 2**20
+
+    def test_non_normal_stress_makes_no_per_function_call(self, monkeypatch):
+        calls = []
+        original = calculus.eval_direct
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "eval_direct", counting)
+        rep = vonneumann_stress(windowed_matrix(3, 0.5, 8), 0.5, self.TRIALS, 1)
+        assert rep.stress_route == "factored"
+        assert calls == []
 
 
 class TestCnnSplit:

@@ -37,6 +37,7 @@ class TestCertifyCommand:
         assert result["verdict"] in ("Refuted", "WilliamsRefuted")
         assert result["checks"]["williams"] == "MinimalDiskRefutation"
         assert result["checks"]["norm_window"] is True
+        assert result["stress_route"] == "factored"
 
     def test_unitary_passes(self, tmp_path):
         mat = write_matrix(tmp_path / "u.json", random_unitary(3, 4))
@@ -45,7 +46,9 @@ class TestCertifyCommand:
             ["certify", "--r", "0.5", "--matrix", mat, "--trials", "200", "--seed", "2", "--out", str(out)]
         )
         assert code == cli.EXIT_OK
-        assert read_report(out)["result"]["verdict"] == "PassedStress"
+        result = read_report(out)["result"]
+        assert result["verdict"] == "PassedStress"
+        assert result["stress_route"] == "spectral"
 
 
 class TestDecomposeCommand:

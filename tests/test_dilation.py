@@ -11,6 +11,7 @@ from annulus_lab.dilation import (
     ando_pair,
     build_model,
     egervary_dilation,
+    moment_table,
     save_model,
     single_carrier_residual,
     verify_model,
@@ -279,6 +280,17 @@ class TestVerifyMoments:
         model = build_model(t, 0.5, 3)
         with pytest.raises(BudgetExceeded):
             verify_moments(model, t, 4)
+
+    def test_table_has_one_row_per_degree_and_verify_takes_its_max(self):
+        t = windowed_matrix(3, 0.5, 19)
+        model = build_model(t, 0.5, 6)
+        table = moment_table(model, t, 6)
+        assert [row["degree"] for row in table] == list(range(7))
+        worst = max(max(row["forward_residual"], row["inverse_residual"]) for row in table)
+        assert verify_moments(model, t, 6) == worst
+        assert table[0]["forward_residual"] <= 1e-14
+        with pytest.raises(BudgetExceeded):
+            moment_table(model, t, 7)
 
 
 class TestSingleCarrier:
