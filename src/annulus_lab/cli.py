@@ -162,10 +162,12 @@ def _cmd_model_verify(config: JobConfig) -> int:
     t = _load_matrix(config.matrix_path)
     functions = [_load_function(path) for path in config.function_paths]
     budget = config.budget
+    budget_capped = False
     if budget is None:
         # default rule: twice the order certifying 1e-10 for the hardest
         # requested function, capped at 24
         budget = max(dilation.default_budget(f) for f in functions)
+        budget_capped = budget >= dilation.BUDGET_CAP
     model = dilation.build_model(t, config.r, budget, config.tols)
     rows = []
     ok = True
@@ -181,10 +183,11 @@ def _cmd_model_verify(config: JobConfig) -> int:
                 "q1_tail": report["q1_tail"],
                 "q2_tail": report["q2_tail"],
                 "bound": report["bound"],
+                "cluster_warning": report["cluster_warning"],
                 "passed": passed,
             }
         )
-    payload = {"d": budget, "functions": rows}
+    payload = {"d": budget, "budget_capped": budget_capped, "functions": rows}
     _emit(payload, config)
     return EXIT_OK if ok else EXIT_REFUTED
 

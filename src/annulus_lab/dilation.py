@@ -19,6 +19,12 @@ diagonal in the dilation of ``T`` and of ``r T^{-1}`` (the second kept in
 inverse form, never inverted), ``F`` swaps the two summands, and ``V`` embeds
 ``H`` into the first.  Negative powers are realized as the convergent series
 ``sum q_m r^{-m} V2^m`` whose truncation error is certified per function.
+
+No dense carrier is built on the verification path.  The pair keeps ``G``,
+the defects and the two contractions; its applies act only on the leading
+blocks a vector occupies, so a power chain started on ``H`` grows by one block
+per step and a model costs ``O(h^2 d)`` memory.  The dense ``V1``, ``V2`` and
+``(N, F, V)`` are assembled when read, for :func:`save_model` and the tests.
 """
 
 from __future__ import annotations
@@ -120,14 +126,15 @@ def _fixup_unitary(t1, t2, d1, d2, tols: Tolerances) -> np.ndarray:
 class AndoPair:
     """Truncated commuting dilation pair on ``K0 = H + (H^4)^M``.
 
-    ``v1``/``v2`` are dense; the ``apply_*`` methods use the staircase
-    structure instead and are much cheaper for tall chains.  Isometry holds on
+    The pair is held in structured form: the fix-up unitary ``g``, the
+    defects ``d1``/``d2`` and the contractions themselves.  ``V1 = S1 Ghat``
+    and ``V2 = Ghat* S2``, with ``S_i`` the staircases and ``Ghat`` the
+    block-diagonal lift of ``g``, act through the ``apply_*`` methods; the
+    dense ``v1``/``v2`` are assembled only when read.  Isometry holds on
     vectors supported in blocks ``0..M-1``, commutation on ``0..M-2``, and the
     compressed moments are exact for every word in the pair.
     """
 
-    v1: np.ndarray = field(repr=False)
-    v2: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
@@ -152,39 +159,89 @@ class AndoPair:
             return slice(0, h)
         return slice(h + (b - 1) * 4 * h, h + b * 4 * h)
 
+    def _cell_end(self, s: int) -> int:
+        """Row ``s`` rounded up to the end of its block, capped at ``dim``."""
+        h = self.dim_h
+        cells = -(-max(s - h, 0) // (4 * h))
+        return min(h + 4 * h * cells, self.dim)
+
+    # The private applies take and return the leading rows a column stack
+    # occupies; every row past them is zero.  ``V1`` maps rows ``[0, s)`` into
+    # ``[0, cell_end(s) + 2h)`` and ``V2`` into ``[0, cell_end(s + 2h))``, so a
+    # power chain started on ``H`` touches one more block per step.
+
     def _stair(self, t, defect, x: np.ndarray) -> np.ndarray:
         h = self.dim_h
-        out = np.zeros_like(x)
+        out = np.zeros((min(x.shape[0] + 2 * h, self.dim), x.shape[1]), dtype=complex)
         out[:h] = t @ x[:h]
         out[h : 2 * h] = defect @ x[:h]
-        out[3 * h :] = x[h : -2 * h]
+        out[3 * h :] = x[h : out.shape[0] - 2 * h]
         return out
 
     def _ghat(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         h = self.dim_h
         gg = self.g.conj().T if adjoint else self.g
-        out = x.copy()
-        blocks = x[h:].reshape(self.m, 4 * h, x.shape[1])
-        out[h:] = np.matmul(gg, blocks).reshape(4 * self.m * h, x.shape[1])
+        out = np.zeros((self._cell_end(x.shape[0]), x.shape[1]), dtype=complex)
+        out[: x.shape[0]] = x
+        blocks = out[h:].reshape(-1, 4 * h, x.shape[1])
+        out[h:] = np.matmul(gg, blocks).reshape(-1, x.shape[1])
         return out
+
+    def _v1(self, x: np.ndarray) -> np.ndarray:
+        return self._stair(self.t1, self.d1, self._ghat(x))
+
+    def _v2(self, x: np.ndarray) -> np.ndarray:
+        return self._ghat(self._stair(self.t2, self.d2, x), adjoint=True)
 
     def apply_v1(self, x) -> np.ndarray:
         """Structured product ``V1 @ x`` for column stacks."""
-        xx = np.asarray(x, dtype=complex)
-        flat = xx.ndim == 1
-        if flat:
-            xx = xx.reshape(-1, 1)
-        out = self._stair(self.t1, self.d1, self._ghat(xx))
-        return out[:, 0] if flat else out
+        return _apply_full(self._v1, x)
 
     def apply_v2(self, x) -> np.ndarray:
         """Structured product ``V2 @ x`` for column stacks."""
-        xx = np.asarray(x, dtype=complex)
-        flat = xx.ndim == 1
-        if flat:
-            xx = xx.reshape(-1, 1)
-        out = self._ghat(self._stair(self.t2, self.d2, xx), adjoint=True)
-        return out[:, 0] if flat else out
+        return _apply_full(self._v2, x)
+
+    def _ghat_matrix(self) -> np.ndarray:
+        h = self.dim_h
+        ghat = np.eye(self.dim, dtype=complex)
+        for b in range(self.m):
+            i = h + b * 4 * h
+            ghat[i : i + 4 * h, i : i + 4 * h] = self.g
+        return ghat
+
+    @cached_property
+    def v1(self) -> np.ndarray:
+        """Dense ``V1 = S1 Ghat``, assembled row-wise: the H row applies T1,
+        the first cell receives D1, and every later cell copies the previous
+        Ghat row block."""
+        h, n_dim = self.dim_h, self.dim
+        v1 = np.zeros((n_dim, n_dim), dtype=complex)
+        v1[0:h, 0:h] = self.t1
+        v1[h : 2 * h, 0:h] = self.d1
+        v1[3 * h :, :] = self._ghat_matrix()[h : n_dim - 2 * h, :]
+        return v1
+
+    @cached_property
+    def v2(self) -> np.ndarray:
+        """Dense ``V2 = Ghat* S2``, assembled column-wise."""
+        h, n_dim = self.dim_h, self.dim
+        v2 = np.zeros((n_dim, n_dim), dtype=complex)
+        v2[0:h, 0:h] = self.t2
+        first = np.zeros((4 * h, h), dtype=complex)
+        first[0:h] = self.d2
+        v2[h : 5 * h, 0:h] = self.g.conj().T @ first
+        v2[:, h : n_dim - 2 * h] = self._ghat_matrix().conj().T[:, 3 * h :]
+        return v2
+
+
+def _apply_full(apply_op, x) -> np.ndarray:
+    """Run a private apply on a full-length vector or column stack."""
+    xx = np.asarray(x, dtype=complex)
+    flat = xx.ndim == 1
+    if flat:
+        xx = xx.reshape(-1, 1)
+    out = apply_op(xx)
+    return out[:, 0] if flat else out
 
 
 def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair:
@@ -206,33 +263,9 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     d1 = linalg.sqrtm_psd(eye - m1.conj().T @ m1, tols)
     d2 = linalg.sqrtm_psd(eye - m2.conj().T @ m2, tols)
     g = _fixup_unitary(m1, m2, d1, d2, tols)
-
-    n_dim = h * (4 * m_depth + 1)
-    ghat = np.eye(n_dim, dtype=complex)
-    for b in range(m_depth):
-        i = h + b * 4 * h
-        ghat[i : i + 4 * h, i : i + 4 * h] = g
-
-    # V1 = S1 Ghat assembled row-wise: the H row applies T1, the first cell
-    # receives D1, and every later cell copies the previous Ghat row block.
-    v1 = np.zeros((n_dim, n_dim), dtype=complex)
-    v1[0:h, 0:h] = m1
-    v1[h : 2 * h, 0:h] = d1
-    v1[3 * h :, :] = ghat[h : n_dim - 2 * h, :]
-
-    # V2 = Ghat* S2 assembled column-wise.
-    v2 = np.zeros((n_dim, n_dim), dtype=complex)
-    v2[0:h, 0:h] = m2
-    first = np.zeros((4 * h, h), dtype=complex)
-    first[0:h] = d2
-    v2[h : 5 * h, 0:h] = g.conj().T @ first
-    v2[:, h : n_dim - 2 * h] = ghat.conj().T[:, 3 * h :]
-
-    embed = np.zeros((n_dim, h), dtype=complex)
+    embed = np.zeros((h * (4 * m_depth + 1), h), dtype=complex)
     embed[0:h] = eye
-    return AndoPair(
-        v1=v1, v2=v2, g=g, d1=d1, d2=d2, embed=embed, t1=m1, t2=m2, m=m_depth, d=m_depth - 1
-    )
+    return AndoPair(g=g, d1=d1, d2=d2, embed=embed, t1=m1, t2=m2, m=m_depth, d=m_depth - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +280,9 @@ class ModelTriple:
     ``N`` is block diagonal in the two carriers (second block stored in
     inverse form: its positive powers scaled by ``r^{-n}`` realize negative
     powers of ``T``), ``F`` swaps the two summands, ``V`` embeds ``H`` into
-    the first.  Matrices are assembled lazily; the verifier works through the
-    structured applies of the underlying pair.
+    the first.  The dense ``n_matrix``, ``f_matrix`` and ``v_matrix`` are
+    assembled only when read (by :func:`save_model` and the tests); the
+    verifier works through the structured applies of the underlying pair.
     """
 
     pair: AndoPair
@@ -283,25 +317,37 @@ class ModelTriple:
         return v
 
     def tail_report(self, f: AnnulusRational) -> dict:
-        """Certified truncation bounds for verifying ``f`` at budget ``d``."""
-        u, ut, b, bt = _factor_series(f, self.d)
+        """Certified truncation bounds for verifying ``f`` at budget ``d``.
+
+        ``cluster_warning`` is set when either factor series separated
+        clustered roots to compute its tail.
+        """
+        s1, s2 = _factor_series(f, self.d)
+        ut, bt = s1.tail_pos, s2.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
-        sa = float(np.sum(np.abs(u)))
-        sb = float(np.sum(rational.inner_weights(b, self.r)))
+        sa = float(np.sum(np.abs(s1.factor_pos)))
+        sb = float(np.sum(rational.inner_weights(s2.factor_neg, self.r)))
         bound = cp * (ut * (sb + bt) + sa * bt + ut * bt)
-        return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
+        return {
+            "q1_tail": ut,
+            "q2_tail": bt,
+            "bound": bound,
+            "cluster_warning": s1.cluster_warning or s2.cluster_warning,
+        }
 
 
-def _factor_series(f: AnnulusRational, order: int) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """Series of ``1/(scale q1)`` and of ``1/q2`` with their certified tails."""
+def _factor_series(f: AnnulusRational, order: int) -> tuple[rational.LaurentSeries, ...]:
+    """Laurent series of ``1/(scale q1)`` and of ``1/q2``: the first carries
+    the outer factor in ``factor_pos``, the second the inner in ``factor_neg``."""
     g1 = AnnulusRational(r=f.r, p_coeffs=(1.0,), q1_roots=f.q1_roots, scale=f.scale)
-    s1 = rational.laurent_expand(g1, order)
     g2 = AnnulusRational(r=f.r, p_coeffs=(1.0,), q2_roots=f.q2_roots, scale=1.0)
-    s2 = rational.laurent_expand(g2, order)
-    return s1.factor_pos, s1.tail_pos, s2.factor_neg, s2.tail_neg
+    return rational.laurent_expand(g1, order), rational.laurent_expand(g2, order)
 
 
-def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = 24) -> int:
+BUDGET_CAP = 24
+
+
+def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP) -> int:
     """Default degree budget for verifying ``f``: twice the truncation order
     that certifies ``tol``, capped.  A capped budget may leave the certified
     bound above ``tol``; the verifier's budget gate reports that case."""
@@ -323,14 +369,27 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
 
 
 def _series_apply(apply_op, coeffs, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_k coeffs[k] Op^k`` on a column stack, chaining powers."""
+    """Evaluate ``sum_k coeffs[k] Op^k`` on a column stack, chaining powers.
+
+    ``x`` and the result hold only the leading rows they occupy, as the
+    private applies of :class:`AndoPair` take and return them.
+    """
     acc = coeffs[0] * x
     cur = x
     for c in coeffs[1:]:
         cur = apply_op(cur)
         if c != 0:
-            acc = acc + c * cur
+            acc = _pad_rows(acc, cur.shape[0]) + c * cur
     return acc
+
+
+def _pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
+    """``x`` extended by zero rows to ``rows`` rows."""
+    if x.shape[0] == rows:
+        return x
+    out = np.zeros((rows, x.shape[1]), dtype=complex)
+    out[: x.shape[0]] = x
+    return out
 
 
 def verify_model(
@@ -344,11 +403,14 @@ def verify_model(
 
     The right-hand side follows the series route on the carriers: the inner
     factor as ``sum_m q_m r^{-m} V2^m``, the outer factor and numerator as
-    series/polynomial in ``V1``.  The flip route is cross-checked structurally
-    on the way (applying the inner series via ``F . F`` conjugation must give
-    bit-identical columns).  With ``budget_tol`` set, a certified truncation
-    bound above it raises :class:`BudgetExceeded` instead of returning a
-    residual that cannot meet the request.
+    series/polynomial in ``V1``.  ``F N F`` acts on the first summand as
+    ``V2``, so ``q2(FNF)^-1 V h`` is the ``V2`` series applied to ``h``; the
+    tests check this route against the dense ``F``, ``N`` and ``V``.  The
+    power chains start on ``H`` and touch only the blocks they occupy,
+    ``2d + deg p`` structured applies in all.  With
+    ``budget_tol`` set, a certified truncation bound above it raises
+    :class:`BudgetExceeded` instead of returning a residual that cannot meet
+    the request.
     """
     rational.validate(f)
     m = linalg.as_matrix(t)
@@ -359,35 +421,20 @@ def verify_model(
             raise BudgetExceeded(
                 f"certified bound {report['bound']:.3e} exceeds {budget_tol:.1e}; raise d"
             )
-    u, _, b, _ = _factor_series(f, model.d)
+    s1, s2 = _factor_series(f, model.d)
     rweights = model.r ** (-np.arange(model.d + 1, dtype=float))
     e = pair.embed
-    y = _series_apply(pair.apply_v2, b * rweights, e)
-    # flip identity: routing the same series through F q2(N)^-1 F touches the
-    # identical carrier computation, so the columns must agree exactly
-    y_flip = _flip_route_inner(pair, b * rweights, e)
-    if not np.array_equal(y, y_flip):
-        raise AssertionError("flip-route inner factor deviated from the direct route")
-    z = _series_apply(pair.apply_v1, u, y)
-    w = _series_apply(pair.apply_v1, np.array(f.p_coeffs, dtype=complex), z)
-    rhs = e.conj().T @ w
+    y = _series_apply(pair._v2, s2.factor_neg * rweights, e[: pair.dim_h])
+    z = _series_apply(pair._v1, s1.factor_pos, y)
+    w = _series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)
+    rhs = _compress(e, w)
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
 
 
-def _flip_route_inner(pair: AndoPair, coeffs, e: np.ndarray) -> np.ndarray:
-    """Inner series via ``F (series in N) F`` on the stacked space.
-
-    ``F`` swaps the two summands, so the series lands on the ``V2`` carrier
-    for vectors embedded in the first summand; on the second summand (probed
-    here with zeros) it would land on ``V1``.
-    """
-    top = np.zeros_like(e)
-    # F V h = (0, h); series-in-N acts blockwise: V1-block on top, V2 below
-    lower = _series_apply(pair.apply_v2, coeffs, e)
-    upper = _series_apply(pair.apply_v1, coeffs, top)
-    # F brings the second summand back to the first
-    return lower + upper
+def _compress(e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``V* x`` for a column stack holding only its leading occupied rows."""
+    return e[: x.shape[0]].conj().T @ x
 
 
 def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
@@ -401,9 +448,9 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     m = linalg.as_matrix(t)
     h = m.shape[0]
     inv = linalg.inverse(m, tols)
-    e = model.pair.embed
-    x1 = e.copy()
-    x2 = e.copy()
+    pair = model.pair
+    e = pair.embed
+    x1 = x2 = e[:h]
     pow_pos = np.eye(h, dtype=complex)
     pow_neg = np.eye(h, dtype=complex)
     table = []
@@ -411,15 +458,15 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
         table.append(
             {
                 "degree": j,
-                "forward_residual": linalg.operator_norm(e.conj().T @ x1 - pow_pos),
+                "forward_residual": linalg.operator_norm(_compress(e, x1) - pow_pos),
                 "inverse_residual": linalg.operator_norm(
-                    model.r ** (-j) * (e.conj().T @ x2) - pow_neg
+                    model.r ** (-j) * _compress(e, x2) - pow_neg
                 ),
             }
         )
         if j < j_max:
-            x1 = model.pair.apply_v1(x1)
-            x2 = model.pair.apply_v2(x2)
+            x1 = pair._v1(x1)
+            x2 = pair._v2(x2)
             pow_pos = pow_pos @ m
             pow_neg = pow_neg @ inv
     return table
@@ -483,7 +530,6 @@ def save_model(model: ModelTriple, directory: str, seed: int | None = None) -> N
         "r": model.r,
         "d": model.d,
         "M": model.m,
-        "tail_report": None,
         "seed": seed,
         "version": __version__,
     }

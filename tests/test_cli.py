@@ -74,8 +74,27 @@ class TestModelVerifyCommand:
             ["model-verify", "--r", "0.5", "--matrix", mat, "--f", fn, "--d", "16", "--out", str(out)]
         )
         assert code == cli.EXIT_OK
-        row = read_report(out)["result"]["functions"][0]
+        result = read_report(out)["result"]
+        row = result["functions"][0]
         assert row["passed"] and row["residual"] <= row["bound"] + 1e-8
+        assert row["cluster_warning"] is False
+        assert result["budget_capped"] is False
+
+    def test_reports_clustered_roots_and_a_capped_budget(self, tmp_path):
+        mat = write_matrix(tmp_path / "t.json", windowed_matrix(2, 0.5, 8))
+        clustered = write_function(
+            tmp_path / "clustered.json",
+            AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0, 3.0), q2_roots=(0.1,)),
+        )
+        slow = write_function(
+            tmp_path / "slow.json", AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,))
+        )
+        out = tmp_path / "report.json"
+        args = ["model-verify", "--r", "0.5", "--matrix", mat, "--f", clustered, "--f", slow]
+        cli.main(args + ["--out", str(out)])
+        result = read_report(out)["result"]
+        assert result["d"] == 24 and result["budget_capped"] is True
+        assert [row["cluster_warning"] for row in result["functions"]] == [True, False]
 
 
 class TestDilateCommand:

@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab.calculus import polyval_matrix
+from annulus_lab.calculus import eval_direct, polyval_matrix
 from annulus_lab.certify import windowed_matrix
 from annulus_lab.dilation import (
+    AndoPair,
     ando_pair,
     build_model,
     egervary_dilation,
@@ -24,7 +27,7 @@ from annulus_lab.errors import (
     NotContractions,
 )
 from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
-from annulus_lab.rational import AnnulusRational
+from annulus_lab.rational import AnnulusRational, laurent_expand
 from conftest import commuting_contraction_pair, random_function
 
 
@@ -135,6 +138,24 @@ class TestAndoPair:
         x = rng.standard_normal((pair.dim, 3)) + 1j * rng.standard_normal((pair.dim, 3))
         assert_allclose(pair.v1 @ x, pair.apply_v1(x), atol=1e-13)
         assert_allclose(pair.v2 @ x, pair.apply_v2(x), atol=1e-13)
+
+    def test_occupied_row_chains_match_full_length_applies(self):
+        # the private applies keep only the rows a power chain occupies: one
+        # more block per step from H, capped at dim, and no content is lost.
+        # A dense fix-up unitary fills every row of each cell it touches (the
+        # constructed one leaves the second and fourth H of each cell
+        # uncoupled, so chains from H never fill them).
+        t1, t2 = commuting_contraction_pair(3, 5)
+        h = 3
+        pair = dataclasses.replace(ando_pair(t1, t2, 4), g=random_unitary(4 * h, 6))
+        for step, apply_full in ((pair._v1, pair.apply_v1), (pair._v2, pair.apply_v2)):
+            lean, full = pair.embed[:h], pair.embed
+            for k in range(1, pair.m + 2):
+                lean, full = step(lean), apply_full(full)
+                assert lean.shape[0] <= min(h + 4 * h * k, pair.dim)
+                assert np.array_equal(full[lean.shape[0] :], np.zeros_like(full[lean.shape[0] :]))
+                assert np.array_equal(lean, full[: lean.shape[0]])
+            assert lean.shape[0] == pair.dim
 
     def test_fixup_unitary_intertwines_defect_families(self):
         t1, t2 = commuting_contraction_pair(3, 8)
@@ -258,6 +279,91 @@ class TestVerifyModel:
         assert default_budget(slow) == 24  # capped
 
 
+def _dense_model_rhs(model, f):
+    """``V* p(N) q1(N)^-1 q2(FNF)^-1 V`` from the dense ``N``, ``F``, ``V``,
+    with both factor inverses truncated at the model's budget."""
+    n_mat, f_mat, v_mat = model.n_matrix, model.f_matrix, model.v_matrix
+    fnf = f_mat @ n_mat @ f_mat
+    outer = laurent_expand(
+        AnnulusRational(r=f.r, p_coeffs=(1.0,), q1_roots=f.q1_roots, scale=f.scale), model.d
+    ).factor_pos
+    inner = laurent_expand(
+        AnnulusRational(r=f.r, p_coeffs=(1.0,), q2_roots=f.q2_roots), model.d
+    ).factor_neg
+    x = sum(
+        b * model.r ** (-k) * np.linalg.matrix_power(fnf, k) @ v_mat for k, b in enumerate(inner)
+    )
+    x = sum(u * np.linalg.matrix_power(n_mat, k) @ x for k, u in enumerate(outer))
+    x = polyval_matrix(f.p_coeffs, n_mat) @ x
+    return v_mat.conj().T @ x
+
+
+class TestFlipRoute:
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_structured_residual_matches_dense_model(self, h, d):
+        r = 0.6
+        t = windowed_matrix(h, r, 30 + h + d)
+        model = build_model(t, r, d)
+        f = AnnulusRational(
+            r=r, p_coeffs=(0.4, -0.3j, 0.2), q1_roots=(2.0 + 1.0j, -2.5), q2_roots=(0.2j, -0.15)
+        )
+        dense_rhs = _dense_model_rhs(model, f)
+        dense = float(np.max(np.linalg.norm(eval_direct(f, t) - dense_rhs, axis=0)))
+        assert abs(verify_model(model, t, f) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_flipped_powers_are_the_second_carrier_over_zeros(self, h, d):
+        t = windowed_matrix(h, 0.6, 40 + h + d)
+        model = build_model(t, 0.6, d)
+        pair = model.pair
+        fnf = model.f_matrix @ model.n_matrix @ model.f_matrix
+        dense, lean = model.v_matrix, pair.embed
+        for _ in range(d + 1):
+            assert_allclose(dense, np.vstack([lean, np.zeros_like(lean)]), rtol=0, atol=1e-12)
+            dense, lean = fnf @ dense, pair.apply_v2(lean)
+
+
+class TestLeanCarrier:
+    F = AnnulusRational(
+        r=0.7, p_coeffs=(0.5, 0.2j, -0.1), q1_roots=(2.0, -1.8j), q2_roots=(0.3, 0.25j)
+    )
+
+    def test_model_at_h20_d24_stays_in_small_memory(self):
+        # the dense V1, V2 and Ghat alone would take 196 MB here
+        t = windowed_matrix(20, 0.7, 3)
+        tracemalloc.start()
+        try:
+            model = build_model(t, 0.7, 24)
+            residual = verify_model(model, t, self.F)
+            moments = verify_moments(model, t, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert residual <= model.tail_report(self.F)["bound"] + 1e-8
+        assert moments <= 1e-10
+
+    def test_verify_model_makes_one_chain_per_factor(self, monkeypatch):
+        calls = []
+        for name in ("_v1", "_v2"):
+            original = getattr(AndoPair, name)
+
+            def counted(self, x, original=original, name=name):
+                calls.append(name)
+                return original(self, x)
+
+            monkeypatch.setattr(AndoPair, name, counted)
+        d = 8
+        t = windowed_matrix(3, 0.7, 4)
+        model = build_model(t, 0.7, d)
+        verify_model(model, t, self.F)
+        deg_p = len(self.F.p_coeffs) - 1
+        assert 0 < len(calls) <= 2 * d + deg_p
+        assert calls.count("_v2") == d
+
+
 class TestVerifyMoments:
     def test_degree_zero(self):
         t = windowed_matrix(2, 0.5, 16)
@@ -321,7 +427,8 @@ class TestSaveModel:
         model = build_model(t, 0.5, 3)
         save_model(model, str(tmp_path / "model"), seed=7)
         meta = json.loads((tmp_path / "model" / "meta.json").read_text())
-        assert meta["r"] == 0.5 and meta["d"] == 3 and meta["M"] == 4
+        assert set(meta) == {"r", "d", "M", "seed", "version"}
+        assert meta["r"] == 0.5 and meta["d"] == 3 and meta["M"] == 4 and meta["seed"] == 7
         from annulus_lab.linalg import matrix_from_json
 
         n_mat = matrix_from_json(json.loads((tmp_path / "model" / "N.json").read_text()))
