@@ -158,7 +158,7 @@ def laurent_remainder_bound(
 ) -> float:
     """Certified bound on ``||eval_laurent(f, T, order) - f(T)||``.
 
-    Uses the geometric tail model of the expansion inflated by the measured
+    Uses the tail models of the expansion inflated by the measured
     ``||T||`` and ``||r T^{-1}||``.
     """
     m = linalg.as_matrix(t)

@@ -183,7 +183,6 @@ def _cmd_model_verify(config: JobConfig) -> int:
                 "q1_tail": report["q1_tail"],
                 "q2_tail": report["q2_tail"],
                 "bound": report["bound"],
-                "cluster_warning": report["cluster_warning"],
                 "passed": passed,
             }
         )
@@ -207,10 +206,7 @@ def _cmd_laurent(config: JobConfig) -> int:
         "factor_neg": [[float(c.real), float(c.imag)] for c in series.factor_neg],
         "rho1": series.rho1,
         "rho2": series.rho2,
-        "C1": series.c1,
-        "C2": series.c2,
         "tail_bound": series.tail_bound,
-        "cluster_warning": series.cluster_warning,
     }
     _emit(payload, config)
     return EXIT_OK
@@ -422,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--seed", type=int, default=1)
-        for name in ("eig-tol", "norm-tol", "rank-tol", "verify-tol"):
+        for name in ("eig-tol", "rank-tol", "verify-tol"):
             p.add_argument(f"--{name}", type=float, default=None)
 
     p = sub.add_parser("certify", help="run the certification battery")
@@ -458,12 +454,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    base = Tolerances()
     tols = Tolerances(
-        eig_tol=getattr(args, "eig_tol", None) or base.eig_tol,
-        norm_tol=getattr(args, "norm_tol", None) or base.norm_tol,
-        rank_tol=getattr(args, "rank_tol", None) or base.rank_tol,
-        verify_tol=getattr(args, "verify_tol", None) or base.verify_tol,
+        **{
+            name: value
+            for name in ("eig_tol", "rank_tol", "verify_tol")
+            if (value := getattr(args, name, None)) is not None
+        }
     )
     return JobConfig(
         command=args.command,

@@ -317,23 +317,14 @@ class ModelTriple:
         return v
 
     def tail_report(self, f: AnnulusRational) -> dict:
-        """Certified truncation bounds for verifying ``f`` at budget ``d``.
-
-        ``cluster_warning`` is set when either factor series separated
-        clustered roots to compute its tail.
-        """
+        """Certified truncation bounds for verifying ``f`` at budget ``d``."""
         s1, s2 = _factor_series(f, self.d)
         ut, bt = s1.tail_pos, s2.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
         sa = float(np.sum(np.abs(s1.factor_pos)))
         sb = float(np.sum(rational.inner_weights(s2.factor_neg, self.r)))
         bound = cp * (ut * (sb + bt) + sa * bt + ut * bt)
-        return {
-            "q1_tail": ut,
-            "q2_tail": bt,
-            "bound": bound,
-            "cluster_warning": s1.cluster_warning or s2.cluster_warning,
-        }
+        return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
 
 
 def _factor_series(f: AnnulusRational, order: int) -> tuple[rational.LaurentSeries, ...]:
@@ -350,9 +341,16 @@ BUDGET_CAP = 24
 def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP) -> int:
     """Default degree budget for verifying ``f``: twice the truncation order
     that certifies ``tol``, capped.  A capped budget may leave the certified
-    bound above ``tol``; the verifier's budget gate reports that case."""
-    order = rational.laurent_order_for(f, tol)
-    return max(1, min(2 * order, cap))
+    bound above ``tol``; the verifier's budget gate reports that case.
+
+    No order search runs when the cap binds: if the bound at order
+    ``ceil(cap/2) - 1`` is above ``tol``, every order that certifies ``tol``
+    doubles to at least ``cap``.
+    """
+    half = -(-cap // 2)
+    if half < 2 or rational.laurent_expand(f, half - 1).tail_bound > tol:
+        return max(1, cap)
+    return max(1, min(2 * rational.laurent_order_for(f, tol), cap))
 
 
 def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTriple:
@@ -369,14 +367,17 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
 
 
 def _series_apply(apply_op, coeffs, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_k coeffs[k] Op^k`` on a column stack, chaining powers.
+    """Evaluate ``sum_k coeffs[k] Op^k`` on a column stack, chaining powers
+    up to the last nonzero coefficient.
 
     ``x`` and the result hold only the leading rows they occupy, as the
     private applies of :class:`AndoPair` take and return them.
     """
+    nonzero = np.flatnonzero(coeffs)
+    last = nonzero[-1] if nonzero.size else 0
     acc = coeffs[0] * x
     cur = x
-    for c in coeffs[1:]:
+    for c in coeffs[1 : last + 1]:
         cur = apply_op(cur)
         if c != 0:
             acc = _pad_rows(acc, cur.shape[0]) + c * cur
@@ -406,8 +407,9 @@ def verify_model(
     series/polynomial in ``V1``.  ``F N F`` acts on the first summand as
     ``V2``, so ``q2(FNF)^-1 V h`` is the ``V2`` series applied to ``h``; the
     tests check this route against the dense ``F``, ``N`` and ``V``.  The
-    power chains start on ``H`` and touch only the blocks they occupy,
-    ``2d + deg p`` structured applies in all.  With
+    power chains start on ``H``, touch only the blocks they occupy and stop
+    at each series' last nonzero coefficient, at most ``2d + deg p``
+    structured applies in all.  With
     ``budget_tol`` set, a certified truncation bound above it raises
     :class:`BudgetExceeded` instead of returning a residual that cannot meet
     the request.

@@ -29,12 +29,11 @@ class Tolerances:
     """Numerical thresholds shared across the toolkit (all dimensionless)."""
 
     eig_tol: float = 1e-10
-    norm_tol: float = 1e-12
     rank_tol: float = 1e-9
     verify_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eig_tol", "norm_tol", "rank_tol", "verify_tol"):
+        for name in ("eig_tol", "rank_tol", "verify_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

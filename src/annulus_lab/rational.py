@@ -9,8 +9,12 @@ with every ``alpha_j`` strictly outside the closed unit disk and every
 annulus such an ``f`` splits into an ascending series (the ``p/q1`` part,
 convergent on ``|z| <= 1``) times a descending series (the ``1/q2`` part,
 convergent on ``|z| >= r``); :func:`laurent_expand` produces both factor
-series, their truncated two-sided product, and certified geometric bounds on
-everything that was dropped.
+series, their truncated two-sided product, and certified bounds on everything
+that was dropped.  A factor's dropped tail is bounded by its exact
+coefficient moduli over a fixed margin past the order, and beyond that by a
+positive majorant series (``prod 1/(|alpha_j| - z)`` for the outer factor),
+whose log-concavity gives the rest in closed form.  Repeated roots need no
+special treatment.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import (
 )
 
 _POLE_TOL = 1e-14
-_CLUSTER_TOL = 1e-9
 
 
 def _as_ctuple(values) -> tuple:
@@ -71,6 +74,14 @@ def validate(f: AnnulusRational) -> None:
     for b in f.q2_roots:
         if abs(b) >= f.r:
             raise RootOutsideInnerDisk(f"inner-factor root {b} has |.| >= r = {f.r}")
+
+
+def _checked(f: AnnulusRational) -> None:
+    """:func:`validate`, with a root or radius violation raised as :class:`InvalidRational`."""
+    try:
+        validate(f)
+    except (BadRadius, RootInClosedDisk, RootOutsideInnerDisk) as exc:
+        raise InvalidRational(str(exc)) from exc
 
 
 def evaluate(f: AnnulusRational, z):
@@ -165,10 +176,7 @@ def involute(f: AnnulusRational) -> AnnulusRational:
     inner roots ``r/alpha`` and vice versa, with powers of ``z`` rebalanced
     between the numerator and extra roots at the origin.
     """
-    try:
-        validate(f)
-    except (BadRadius, RootInClosedDisk, RootOutsideInnerDisk) as exc:
-        raise InvalidRational(str(exc)) from exc
+    _checked(f)
     r = f.r
     p = _trim_trailing_zeros(np.array(f.p_coeffs))
     k = len(p) - 1
@@ -223,12 +231,24 @@ def boundary_sup_norm(f: AnnulusRational, nodes: int) -> float:
 # Laurent expansion with certified tails
 # ---------------------------------------------------------------------------
 
+# Past the truncation order, the tail bounds sum this many exactly computed
+# coefficient moduli before a positive majorant takes over.
+_MARGIN = 128
+
 
 def inner_weights(b: np.ndarray, r: float, growth: float = 1.0) -> np.ndarray:
     """``|b_m| (growth/r)^m`` computed in log space (no 0 * inf artifacts)."""
     m = np.arange(len(b), dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(np.log(np.abs(b)) + m * (np.log(growth) - np.log(r)))
+
+
+def _grown(mag, n, growth: float):
+    """``mag * growth**n``, in log space unless ``growth`` is 1."""
+    if growth == 1.0:
+        return mag
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(mag) + n * np.log(growth))
 
 
 def _poly_from_roots(roots) -> np.ndarray:
@@ -242,8 +262,7 @@ def _poly_from_roots(roots) -> np.ndarray:
 def _inverse_series(c: np.ndarray, m: int) -> np.ndarray:
     """First ``m+1`` ascending coefficients of ``1/poly`` (``c[0] != 0``).
 
-    The convolution recurrence is exact for repeated roots, unlike the
-    partial-fraction route used for the tail constants.
+    The convolution recurrence is exact for repeated roots.
     """
     u = np.zeros(m + 1, dtype=complex)
     u[0] = 1.0 / c[0]
@@ -256,84 +275,105 @@ def _inverse_series(c: np.ndarray, m: int) -> np.ndarray:
     return u
 
 
-def _declump(roots: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Separate root clusters by 1e-9 so simple-root residue formulas apply.
-
-    Returns the (possibly perturbed) roots and a flag saying whether any
-    perturbation happened.
-    """
-    out = np.array(roots, dtype=complex)
-    warned = False
-    for i in range(len(out)):
-        for j in range(i):
-            if abs(out[i] - out[j]) < _CLUSTER_TOL * max(1.0, abs(out[j])):
-                out[i] = out[j] + _CLUSTER_TOL * max(1.0, abs(out[j])) * np.exp(
-                    1j * (i + 1)
-                )
-                warned = True
-    return out, warned
-
-
-def _residues(numer: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Residues of ``numer(z) / prod(z - roots)`` at each (distinct) root."""
-    res = np.empty(len(roots), dtype=complex)
-    for j, root in enumerate(roots):
-        den = 1.0 + 0j
-        for k, other in enumerate(roots):
-            if k != j:
-                den *= root - other
-        res[j] = np.polyval(numer[::-1], root) / den
-    return res
-
-
 @dataclass(frozen=True)
 class _TailModel:
-    """Geometric majorants for everything dropped by a truncation.
+    """Certified bound on ``sum_{n > order} x_n growth^n`` for one factor.
 
-    ``pos_terms`` / ``neg_terms`` are (weight, rate) pairs: the modulus of the
-    ascending coefficient ``a_n`` is bounded by ``sum w * rate**(n+1)`` and
-    the inner-weighted coefficient ``|b_m| r^{-m}`` by ``sum w * rate**m``
-    (the inner rates already carry the ``1/r`` factor).  Coefficients inside
-    the exactly computed window but past the truncation order are stored in
-    ``*_dropped`` as (weighted magnitude, index); the geometric majorants only
-    take over beyond ``*_window_end``.
+    ``exact[n]`` holds the computed ``x_n``: the coefficient moduli of the
+    factor series, weighted by ``r^-n`` for the inner factor.  ``major[n]``
+    is a positive majorant ``M_n >= x_n``: a kernel with last nonzero entry
+    at ``lead`` convolved with ``rate^n base[n]``, where ``base`` holds the
+    coefficients of ``prod_j 1/(1 - kappa_j w)`` with ``0 < kappa_j <= 1``.
+    ``base`` is a convolution of geometric sequences, hence log-concave:
+    its term ratio never increases.  Each ``M_k`` is a positive combination
+    of ``rate^j base[j]`` over ``k - lead <= j <= k``, so
+    ``M_{k+1}/M_k <= rate base[n-lead+1]/base[n-lead]`` for every
+    ``k >= n >= lead``.  The bound sums ``x_n`` over ``_MARGIN`` terms past
+    the order and closes the rest with that ratio as a geometric series.
     """
 
-    r: float
-    pos_window_end: int
-    neg_window_end: int
-    pos_terms: tuple = ()
-    neg_terms: tuple = ()
-    pos_dropped: tuple = ()
-    neg_dropped: tuple = ()
+    exact: np.ndarray
+    major: np.ndarray
+    base: np.ndarray
+    rate: float
+    lead: int
 
-    def pos_tail(self, order: int, growth: float = 1.0) -> float:
-        """Bound on ``sum_{n > order} |a_n| growth^n``; requires rate*growth < 1."""
-        total = 0.0
-        for mag, n in self.pos_dropped:
-            if n > order:
-                total += mag * growth**n
-        start = max(order, self.pos_window_end)
-        for w, rate in self.pos_terms:
-            q = rate * growth
+    def tail(self, order: int, growth: float = 1.0) -> float:
+        """Bound on ``sum_{n > order} x_n growth^n``; ``inf`` once the
+        majorant's ratio times ``growth`` reaches 1."""
+        end = max(order, self.lead) + _MARGIN
+        window = np.arange(order + 1, end + 1)
+        total = float(np.sum(_grown(self.exact[order + 1 : end + 1], window, growth)))
+        if self.rate:
+            k = end - self.lead
+            q = growth * self.rate * self.base[k + 1] / self.base[k]
             if q >= 1.0:
                 return np.inf
-            total += w * rate * q ** (start + 1) / (1.0 - q)
+            total += float(_grown(self.major[end], end, growth)) * q / (1.0 - q)
         return total
 
-    def neg_tail(self, order: int, growth: float = 1.0) -> float:
-        """Bound on ``sum_{m > order} |b_m| r^{-m} growth^m``; rate*growth < 1."""
-        total = 0.0
-        for mag, m in self.neg_dropped:
-            if m > order:
-                total += mag * growth**m
-        start = max(order, self.neg_window_end)
-        for w, rate in self.neg_terms:
-            q = rate * growth
-            if q >= 1.0:
-                return np.inf
-            total += w * q ** (start + 1) / (1.0 - q)
-        return total
+
+def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
+    """Tail model with majorant ``kernel * (rate^n base[n])`` over ``len(exact)`` terms."""
+    length = len(exact)
+    base = np.zeros(length)
+    base[0] = 1.0
+    for kappa in kappas:
+        base = np.convolve(base, kappa ** np.arange(length))[:length]
+    major = np.convolve(kernel, rate ** np.arange(length) * base)[:length]
+    return _TailModel(exact=exact, major=major, base=base, rate=rate, lead=len(kernel) - 1)
+
+
+def _series_data(f: AnnulusRational, length: int):
+    """Both factor series of ``f`` and their tail models, ``length`` terms each.
+
+    Every entry depends only on the entries before it, so a longer call
+    extends a shorter one bit for bit.
+    """
+    r = f.r
+    p = _trim_trailing_zeros(np.array(f.p_coeffs))
+    alphas = np.array(f.q1_roots, dtype=complex)
+    betas_all = np.array(f.q2_roots, dtype=complex)
+    betas = betas_all[betas_all != 0]
+    n_roots2 = len(betas_all)
+
+    # ascending factor: p(z) / (scale * prod(z - alpha_j)); each coefficient
+    # of 1/prod(z - alpha_j) is bounded by that of prod 1/(|alpha_j| - z)
+    inv_outer = _inverse_series(_poly_from_roots(alphas), length - 1)
+    a = np.convolve(p, inv_outer)[:length] / f.scale
+    moduli = np.abs(alphas)
+    lo = moduli.min(initial=np.inf)
+    kernel = np.abs(p) * np.prod(1.0 / moduli) / abs(f.scale)
+    pos = _tail_model(np.abs(a), kernel, lo / moduli, 1.0 / lo)
+
+    # descending factor: 1/prod(z - beta_i) = sum_{m >= L} v_{m-L} z^{-m};
+    # the series of 1/prod(1 - beta w) in w has polynomial prod(1 - beta_i w),
+    # whose ascending coefficients equal poly_from_roots(1/beta) * prod(-beta)
+    inv_inner = _inverse_series(
+        _poly_from_roots([1.0 / b for b in betas]) * np.prod(-betas) if len(betas) else np.array([1.0 + 0j]),
+        length - 1,
+    )
+    b = np.zeros(length, dtype=complex)
+    b[n_roots2:] = inv_inner[: length - n_roots2]
+    # weighted majorant r^-L prod 1/(1 - (|beta_i|/r) w), shifted by L
+    moduli = np.abs(betas)
+    hi = moduli.max(initial=0.0)
+    kernel = np.zeros(n_roots2 + 1)
+    kernel[-1] = r ** (-n_roots2)
+    neg = _tail_model(inner_weights(b, r), kernel, moduli / hi, hi / r)
+    return a, b, pos, neg
+
+
+def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, float, float]:
+    """``(tail_pos, tail_neg, tail_bound)`` at ``order`` from the two models.
+
+    Reads only the first ``_length_for(f, order)`` terms of each model.
+    """
+    tail_pos = pos.tail(order)
+    tail_neg = neg.tail(order)
+    sa_cap = float(pos.exact[: order + 1].sum()) + tail_pos
+    sb_cap = float(neg.exact[: order + 1].sum()) + tail_neg
+    return tail_pos, tail_neg, tail_pos * sb_cap + sa_cap * tail_neg + tail_pos * tail_neg
 
 
 @dataclass(frozen=True)
@@ -344,9 +384,11 @@ class LaurentSeries:
     ``factor_pos`` holds the ascending coefficients of the outer factor
     (numerator and scale folded in), ``factor_neg`` the coefficients ``b_m``
     of the inner factor ``1/q2 = sum b_m z^{-m}`` (so ``(1, 0, 0, ...)`` when
-    the inner factor is trivial).  ``tail_bound`` certifies the sup-norm
-    remainder of the truncation on the closed annulus; ``C1, C2, rho1, rho2``
-    expose the partial-fraction constants behind the geometric rates.
+    the inner factor is trivial).  ``tail_pos`` and ``tail_neg`` bound what
+    each factor series drops, ``tail_bound`` the sup-norm remainder of the
+    truncated product on the closed annulus; all three hold for repeated
+    roots as they stand.  ``rho1, rho2`` are the geometric rates of the two
+    factors: the largest ``1/|alpha_j|`` and ``|beta_i|``.
     """
 
     r: float
@@ -356,13 +398,10 @@ class LaurentSeries:
     factor_neg: np.ndarray
     rho1: float
     rho2: float
-    c1: float
-    c2: float
     tail_pos: float
     tail_neg: float
     tail_bound: float
-    cluster_warning: bool = False
-    tail_model: _TailModel = field(repr=False, default=None)
+    tail_models: tuple = field(repr=False)
 
     def coefficient(self, j: int) -> complex:
         """Coefficient of ``z^j`` (zero outside the truncation window)."""
@@ -374,150 +413,86 @@ class LaurentSeries:
         """Certified bound on the dropped terms when the series is applied to
         an operator with ``||T|| <= norm_t`` and ``||r T^{-1}|| <= norm_rtinv``.
 
-        Returns ``inf`` when the inflated geometric rates reach 1.
+        Returns ``inf`` when the inflated majorant ratios reach 1.
         """
         s = max(1.0, float(norm_t))
         t = max(1.0, float(norm_rtinv))
         m = self.order
+        pos, neg = self.tail_models
         weights_pos = np.abs(self.factor_pos) * s ** np.arange(m + 1)
         weights_neg = inner_weights(self.factor_neg, self.r, growth=t)
-        tp = self.tail_model.pos_tail(m, s)
-        tn = self.tail_model.neg_tail(m, t)
+        tp = pos.tail(m, s)
+        tn = neg.tail(m, t)
         sa = float(weights_pos.sum()) + tp
         sb = float(weights_neg.sum()) + tn
         return tp * sb + sa * tn
 
 
+def _length_for(f: AnnulusRational, order: int) -> int:
+    """Terms of series data that the tail bounds at ``order`` read: the
+    margin past the order (or past a later kernel end) and one ratio term."""
+    lead = max(len(_trim_trailing_zeros(np.array(f.p_coeffs))) - 1, len(f.q2_roots))
+    return max(order, lead) + _MARGIN + 2
+
+
 def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
     """Expand ``f`` into factor series and their truncated two-sided product.
 
-    Coefficients come from exact convolution recurrences; the certified tail
-    constants use simple-root partial fractions (clustered roots are
-    separated by a 1e-9 perturbation and flagged).
+    Coefficients come from exact convolution recurrences.  Each factor's
+    dropped tail is bounded by its exact coefficient moduli over ``_MARGIN``
+    terms past the order, then by a positive majorant series in closed form.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
-    try:
-        validate(f)
-    except (BadRadius, RootInClosedDisk, RootOutsideInnerDisk) as exc:
-        raise InvalidRational(str(exc)) from exc
+    _checked(f)
     m = int(order)
-    r = f.r
-    p = _trim_trailing_zeros(np.array(f.p_coeffs))
-    alphas = np.array(f.q1_roots, dtype=complex)
-    betas_all = np.array(f.q2_roots, dtype=complex)
-    n_zero = int(np.sum(betas_all == 0))
-    betas = betas_all[betas_all != 0]
-    n_roots2 = len(betas_all)
-
-    # exact coefficient window: wide enough to hold the numerator image and
-    # the full inner-factor offset, so dropped-but-computed terms are exact
-    ext = max(m, len(p) - 1 + len(alphas), n_roots2 + 4, 8)
-
-    # ascending factor: p(z) / (scale * prod(z - alpha_j))
-    inv_outer = _inverse_series(_poly_from_roots(alphas), ext)
-    a_full = np.convolve(p, inv_outer)[: ext + 1] / f.scale
-    if len(a_full) < ext + 1:
-        a_full = np.pad(a_full, (0, ext + 1 - len(a_full)))
+    a_full, b_full, pos, neg = _series_data(f, _length_for(f, m))
+    tail_pos, tail_neg, tail_bound = _tail_bounds(pos, neg, m)
     a = a_full[: m + 1].copy()
-
-    # descending factor: 1/prod(z - beta_i) = sum_{m >= L} v_{m-L} z^{-m}
-    inv_inner = _inverse_series(
-        _poly_from_roots([1.0 / b for b in betas]) * np.prod(-betas) if len(betas) else np.array([1.0 + 0j]),
-        ext,
-    )
-    # note: prod(z - beta) = z^L' * prod(1 - beta/z); the series of
-    # 1/prod(1 - beta w) in w has polynomial prod(1 - beta_i w) whose
-    # ascending coefficients equal poly_from_roots(1/beta) * prod(-beta).
-    b_full = np.zeros(ext + n_roots2 + 1, dtype=complex)
-    b_full[n_roots2 : n_roots2 + ext + 1] = inv_inner
     b = b_full[: m + 1].copy()
-
-    warned = False
-    pos_terms = []
-    if len(alphas):
-        alphas_sep, w1 = _declump(alphas)
-        warned |= w1
-        _, rem = (
-            np.polydiv(p[::-1], _poly_from_roots(alphas_sep)[::-1])
-            if len(p) > len(alphas_sep)
-            else (np.zeros(1), p[::-1])
-        )
-        res1 = _residues(np.atleast_1d(rem)[::-1], alphas_sep)
-        for c_j, a_j in zip(res1, alphas_sep):
-            pos_terms.append((abs(c_j) / abs(f.scale), 1.0 / abs(a_j)))
-    neg_terms = []
-    if len(betas):
-        betas_sep, w2 = _declump(betas)
-        warned |= w2
-        res2 = _residues(np.array([1.0 + 0j]), betas_sep)
-        for d_i, b_i in zip(res2, betas_sep):
-            # full-index coefficient b_{m} = d_i beta^{m - n_zero - 1}
-            neg_terms.append((abs(d_i) / abs(b_i) ** (n_zero + 1), abs(b_i) / r))
-
-    pos_dropped = tuple(
-        (float(abs(a_full[n])), n) for n in range(m + 1, ext + 1) if a_full[n] != 0
-    )
-    neg_dropped = tuple(
-        (float(abs(b_full[j]) * r ** (-j)), j)
-        for j in range(m + 1, len(b_full))
-        if b_full[j] != 0
-    )
-    model = _TailModel(
-        r=r,
-        pos_window_end=ext,
-        neg_window_end=len(b_full) - 1,
-        pos_terms=tuple(pos_terms),
-        neg_terms=tuple(neg_terms),
-        pos_dropped=pos_dropped,
-        neg_dropped=neg_dropped,
-    )
-    tail_pos = model.pos_tail(m)
-    tail_neg = model.neg_tail(m)
-    wa = np.abs(a)
-    wb = inner_weights(b, r)
-    sa_cap = float(wa.sum()) + tail_pos
-    sb_cap = float(wb.sum()) + tail_neg
-    tail_bound = tail_pos * sb_cap + sa_cap * tail_neg + tail_pos * tail_neg
-
-    coeffs = np.convolve(a, b[::-1])
-    rho1 = float(1.0 / np.min(np.abs(alphas))) if len(alphas) else 0.0
-    rho2 = float(np.max(np.abs(betas_all))) if n_roots2 else 0.0
-    c1 = float(sum(w for w, _ in pos_terms))
-    c2 = float(sum(w for w, _ in neg_terms)) if len(betas) else 0.0
+    alphas = np.abs(np.array(f.q1_roots, dtype=complex))
+    betas = np.abs(np.array(f.q2_roots, dtype=complex))
     return LaurentSeries(
-        r=r,
+        r=f.r,
         order=m,
-        coeffs=coeffs,
+        coeffs=np.convolve(a, b[::-1]),
         factor_pos=a,
         factor_neg=b,
-        rho1=rho1,
-        rho2=rho2,
-        c1=c1,
-        c2=c2,
+        rho1=float(1.0 / alphas.min(initial=np.inf)),
+        rho2=float(betas.max(initial=0.0)),
         tail_pos=tail_pos,
         tail_neg=tail_neg,
         tail_bound=tail_bound,
-        cluster_warning=warned,
-        tail_model=model,
+        tail_models=(pos, neg),
     )
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
     """Smallest truncation order whose certified tail bound is at most ``tol``.
 
-    Doubling scan followed by binary refinement; the minimal order keeps the
-    bound within one geometric factor of ``tol``.
+    Doubling scan followed by binary refinement over series data built once
+    (and rebuilt twice as long when a probe reads past it); each probe's
+    bound equals ``laurent_expand(f, order).tail_bound`` bit for bit.
     """
+    _checked(f)
+    data = _series_data(f, _length_for(f, 8))
+
+    def bound(order: int) -> float:
+        nonlocal data
+        need = _length_for(f, order)
+        if len(data[0]) < need:
+            data = _series_data(f, max(need, 2 * len(data[0])))
+        return _tail_bounds(data[2], data[3], order)[2]
+
     hi = 8
-    while laurent_expand(f, hi).tail_bound > tol:
+    while bound(hi) > tol:
         hi *= 2
         if hi > cap:
             raise InvalidRational(f"tail bound does not reach {tol} within order {cap}")
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if laurent_expand(f, mid).tail_bound <= tol:
+        if bound(mid) <= tol:
             hi = mid
         else:
             lo = mid + 1

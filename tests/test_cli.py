@@ -77,7 +77,6 @@ class TestModelVerifyCommand:
         result = read_report(out)["result"]
         row = result["functions"][0]
         assert row["passed"] and row["residual"] <= row["bound"] + 1e-8
-        assert row["cluster_warning"] is False
         assert result["budget_capped"] is False
 
     def test_reports_clustered_roots_and_a_capped_budget(self, tmp_path):
@@ -94,7 +93,7 @@ class TestModelVerifyCommand:
         cli.main(args + ["--out", str(out)])
         result = read_report(out)["result"]
         assert result["d"] == 24 and result["budget_capped"] is True
-        assert [row["cluster_warning"] for row in result["functions"]] == [True, False]
+        assert [row["passed"] for row in result["functions"]] == [True, True]
 
 
 class TestDilateCommand:
@@ -145,6 +144,10 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]}))
         assert cli.main(["certify", "--r", "0.5", "--matrix", str(bad)]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--eig-tol", "--rank-tol", "--verify-tol"])
+    def test_zero_tolerance_is_usage_error(self, flag):
+        assert cli.main(["demo-example", flag, "0"]) == cli.EXIT_USAGE
 
 
 class TestDeterminism:

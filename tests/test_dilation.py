@@ -277,6 +277,13 @@ class TestVerifyModel:
         assert default_budget(f) == min(2 * laurent_order_for(f, 1e-10), 24)
         slow = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,))
         assert default_budget(slow) == 24  # capped
+        # the early exit at a binding cap agrees with the full search, for an
+        # odd and an even cap, over acceptance criterion 4's corpus
+        for seed in range(100):
+            f = random_function(0.5, 6000 + seed, max_roots=3)
+            order = laurent_order_for(f, 1e-10)
+            for cap in (23, 24):
+                assert default_budget(f, cap=cap) == min(2 * order, cap)
 
 
 def _dense_model_rhs(model, f):
@@ -362,6 +369,11 @@ class TestLeanCarrier:
         deg_p = len(self.F.p_coeffs) - 1
         assert 0 < len(calls) <= 2 * d + deg_p
         assert calls.count("_v2") == d
+        # a polynomial: both factor series are (1, 0, ..., 0), so only p's chain runs
+        calls.clear()
+        model = build_model(t, 0.7, 16)
+        verify_model(model, t, AnnulusRational(r=0.7, p_coeffs=(0.5, 0.2, 0.1)))
+        assert calls == ["_v1", "_v1"]
 
 
 class TestVerifyMoments:

@@ -32,7 +32,7 @@ EXAMPLE = np.array([[0.5, 0.75], [0.0, 0.5]], dtype=complex)  # norm-one shear, 
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert (t.eig_tol, t.norm_tol, t.rank_tol, t.verify_tol) == (1e-10, 1e-12, 1e-9, 1e-8)
+        assert (t.eig_tol, t.rank_tol, t.verify_tol) == (1e-10, 1e-9, 1e-8)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

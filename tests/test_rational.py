@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from annulus_lab import rational
 from annulus_lab.errors import (
     BadRadius,
     PoleHit,
@@ -119,23 +120,99 @@ class TestLaurentExpand:
         assert all(b1 >= b2 - 1e-16 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_tail_bound_within_structural_formula(self):
+        # partial fractions of the (simple-root) samples bound each dropped
+        # coefficient by sum_j |residue_j| rate_j^n; the certified bound may
+        # not exceed the resulting geometric lumps
+        m = 24
         for seed in range(20):
             f = random_function(0.5, 300 + seed, max_roots=3)
-            m = 24
             s = laurent_expand(f, m)
-            lump_pos = s.c1 * s.rho1 ** (m + 1) / (1 - s.rho1) if s.rho1 else 0.0
-            q = s.rho2 / s.r
-            lump_neg = s.c2 * q ** (m + 1) / (1 - q) if s.rho2 else 0.0
+            alphas, betas = np.array(f.q1_roots), np.array(f.q2_roots)
+            p = np.array(f.p_coeffs)[::-1]
+            lump_pos = sum(
+                abs(np.polyval(p, a) / np.prod([a - o for o in alphas if o != a]) / f.scale)
+                * abs(a) ** -(m + 2)
+                / (1 - 1 / abs(a))
+                for a in alphas
+            )
+            lump_neg = sum(
+                abs(1 / np.prod([b - o for o in betas if o != b]))
+                / abs(b)
+                * (abs(b) / s.r) ** (m + 1)
+                / (1 - abs(b) / s.r)
+                for b in betas
+            )
             sa = np.abs(s.factor_pos).sum() + lump_pos
             sb = (np.abs(s.factor_neg) * s.r ** -np.arange(m + 1.0)).sum() + lump_neg
             structural = lump_pos * sb + sa * lump_neg + lump_pos * lump_neg
-            assert s.tail_bound <= structural + 1e-15
+            assert s.tail_bound <= structural * (1 + 1e-9) + 1e-15
+
+    @pytest.mark.parametrize(
+        "f, order",
+        [
+            (AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.5, 1.5)), 64),
+            (AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,) * 3), 40),
+            (AnnulusRational(r=0.5, p_coeffs=(1.0,), q2_roots=(0.45, 0.45)), 40),
+        ],
+        ids=["double-outer-1.5", "triple-outer-1.05", "double-inner-0.45"],
+    )
+    def test_repeated_root_bound_is_rigorous_and_tight(self, f, order):
+        s = laurent_expand(f, order)
+        nodes = 4096
+        theta = 2 * np.pi * np.arange(nodes) / nodes
+        js = np.arange(-s.order, s.order + 1)
+        measured = scale = 0.0
+        for radius in (1.0, f.r):
+            z = radius * np.exp(1j * theta)
+            vals = evaluate(f, z)
+            approx = (z[:, np.newaxis] ** js[np.newaxis, :]) @ s.coeffs
+            measured = max(measured, float(np.abs(vals - approx).max()))
+            scale = max(scale, float(np.abs(vals).max()))
+        # allowance for roundoff in the measurement itself
+        assert measured <= s.tail_bound + 1e-12 * max(1.0, scale)
+        assert s.tail_bound <= 100 * measured
 
     def test_laurent_order_binary_refined(self):
-        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.1,))
-        m = laurent_order_for(f, 1e-10)
-        assert laurent_expand(f, m).tail_bound <= 1e-10
-        assert laurent_expand(f, m - 1).tail_bound > 1e-10
+        for f in (
+            AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.1,)),
+            # repeated roots, an inner-only factor, a polynomial of degree 5
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(1.5, 1.5), q2_roots=(0.2, 0.2)),
+            AnnulusRational(r=0.5, p_coeffs=(0.3,), q2_roots=(0.3, -0.2j, 0.0)),
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 0.0, 2.0, 0.0, 0.5, 0.25j)),
+        ):
+            m = laurent_order_for(f, 1e-10)
+            assert laurent_expand(f, m).tail_bound <= 1e-10
+            assert laurent_expand(f, m - 1).tail_bound > 1e-10
+
+    def test_order_search_makes_no_expansion(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            rational, "laurent_expand", lambda *args: calls.append(args) or laurent_expand(*args)
+        )
+        for seed in range(10):
+            rational.laurent_order_for(random_function(0.5, seed), 1e-10)
+        assert calls == []
+
+    def test_order_search_probes_equal_expansion_bounds(self, monkeypatch):
+        # includes a root near the circle, whose search outgrows its first
+        # series data and rebuilds it longer
+        probes = []
+        original = rational._tail_bounds
+        monkeypatch.setattr(
+            rational,
+            "_tail_bounds",
+            lambda pos, neg, order: probes.append((order, original(pos, neg, order)[2]))
+            or original(pos, neg, order),
+        )
+        functions = [random_function(0.5, seed) for seed in range(20)]
+        functions.append(AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.02, -1.1j)))
+        for f in functions:
+            probes.clear()
+            laurent_order_for(f, 1e-10)
+            searched = list(probes)
+            assert searched
+            for order, bound in searched:
+                assert laurent_expand(f, order).tail_bound == bound
 
 
 class TestBoundarySupNorm:
