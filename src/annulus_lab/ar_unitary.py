@@ -25,9 +25,7 @@ def is_ar_unitary(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
     m = linalg.as_matrix(n)
     if m.shape[0] != m.shape[1]:
         return False
-    norm = linalg.operator_norm(m)
-    comm = m.conj().T @ m - m @ m.conj().T
-    if linalg.operator_norm(comm) > tols.eig_tol * max(norm**2, np.finfo(float).tiny):
+    if not linalg.is_normal(m, tols):
         return False
     mods = np.abs(linalg.spectrum(m))
     near = np.minimum(np.abs(mods - 1.0), np.abs(mods - r))

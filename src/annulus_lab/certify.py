@@ -242,8 +242,7 @@ def vonneumann_stress(
     lams = linalg.spectrum(m)
     mods = np.abs(lams)
     spectrum_ok = bool(np.all(mods >= r - tols.verify_tol) and np.all(mods <= 1.0 + tols.verify_tol))
-    comm = m.conj().T @ m - m @ m.conj().T
-    is_normal = linalg.operator_norm(comm) <= tols.eig_tol * max(norm_t**2, np.finfo(float).tiny)
+    is_normal = linalg.is_normal(m, tols, norm_t)
     probes = _clamp_to_annulus(lams, r)
 
     battery = _stress_battery(r, int(trials), int(seed))

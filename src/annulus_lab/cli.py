@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -53,17 +52,6 @@ class JobConfig:
             raise ValueError("--order must be >= 1")
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("ANNULUS_LAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ANNULUS_LAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("ANNULUS_LAB_THREADS must be >= 1")
-    return cap
-
-
 def _load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         return linalg.matrix_from_json(json.load(fh))
@@ -89,7 +77,6 @@ def _emit(report: dict, config: JobConfig) -> None:
         "command": config.command,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "threads": _threads_cap(),
         "result": report,
     }
     text = json.dumps(envelope, sort_keys=True, indent=2, default=_json_default) + "\n"
@@ -131,7 +118,7 @@ def _cmd_decompose(config: JobConfig) -> int:
         "contour_nodes": dec.contour_nodes,
     }
     _emit(payload, config)
-    return EXIT_OK if dec.residual <= 1e-8 else EXIT_REFUTED
+    return EXIT_OK if dec.residual <= config.tols.verify_tol else EXIT_REFUTED
 
 
 def _cmd_dilate(config: JobConfig) -> int:
@@ -155,7 +142,7 @@ def _cmd_dilate(config: JobConfig) -> int:
         ),
     }
     _emit(payload, config)
-    return EXIT_OK if moment_residual <= 1e-8 else EXIT_REFUTED
+    return EXIT_OK if moment_residual <= config.tols.verify_tol else EXIT_REFUTED
 
 
 def _cmd_model_verify(config: JobConfig) -> int:
@@ -174,7 +161,7 @@ def _cmd_model_verify(config: JobConfig) -> int:
     for path, f in zip(config.function_paths, functions):
         report = model.tail_report(f)
         residual = dilation.verify_model(model, t, f, config.tols)
-        passed = residual <= report["bound"] + 1e-8
+        passed = residual <= report["bound"] + config.tols.verify_tol
         ok = ok and passed
         rows.append(
             {

@@ -2,17 +2,21 @@
 
 For a commuting pair of contractions ``(T1, T2)`` the classical staircase
 isometries insert the defect vectors ``D_i h`` into a fresh cell of a shift
-chain.  Those staircases do not commute; the fix-up unitary ``G`` on four
-copies of ``H`` intertwines the two insertion patterns
+chain.  Each cell holds two copies of ``H``; a staircase step moves content
+by one copy, so two steps move it by one cell.  Those staircases do not
+commute; the fix-up unitary ``G`` on ``H^2`` intertwines the two insertion
+patterns
 
-    (D1 T2 h, 0, D2 h, 0)  ->  (D2 T1 h, 0, D1 h, 0)
+    (D1 T2 h, D2 h)  ->  (D2 T1 h, D1 h)
 
 and conjugating one staircase by the block-diagonal lift of ``G`` makes the
 pair commute wherever the chain has room, since every product of two steps
-shifts content by exactly one ``G`` block.  Cutting the chain at ``M`` blocks
-keeps all of this exact on vectors supported away from the cut: isometry on
-blocks ``0..M-1``, commutation on blocks ``0..M-2``, and compressed moments
-``w(T1, T2)`` for every word.
+shifts content by exactly one ``G`` block.  (Ando's proof pads each cell with
+two more copies of ``H`` that only match the dimensions of infinite
+complements.)  Cutting the chain at ``M`` blocks keeps all of this exact on
+vectors supported away from the cut: isometry on blocks ``0..M-1``,
+commutation on blocks ``0..M-2``, and compressed moments ``w(T1, T2)`` for
+every word.
 
 The model for an invertible ``T`` stacks the two carriers: ``N`` is block
 diagonal in the dilation of ``T`` and of ``r T^{-1}`` (the second kept in
@@ -22,8 +26,8 @@ inverse form, never inverted), ``F`` swaps the two summands, and ``V`` embeds
 
 No dense carrier is built on the verification path.  The pair keeps ``G``,
 the defects and the two contractions; its applies act only on the leading
-blocks a vector occupies, so a power chain started on ``H`` grows by one block
-per step and a model costs ``O(h^2 d)`` memory.  The dense ``V1``, ``V2`` and
+blocks a vector occupies, so a power chain started on ``H`` grows by one copy
+of ``H`` per step and a model costs ``O(h^2 d)`` memory.  The dense ``V1``, ``V2`` and
 ``(N, F, V)`` are assembled when read, for :func:`save_model` and the tests.
 """
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,23 +99,18 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
 
 
 def _fixup_unitary(t1, t2, d1, d2, tols: Tolerances) -> np.ndarray:
-    """Unitary G on H^4 mapping (D1 T2 h, 0, D2 h, 0) to (D2 T1 h, 0, D1 h, 0).
+    """Unitary G on H^2 mapping (D1 T2 h, D2 h) to (D2 T1 h, D1 h).
 
     The two vector families have identical Gram matrices whenever ``T1`` and
     ``T2`` are commuting contractions, so mapping one orthonormalized frame
     onto the other and completing to a unitary realizes the intertwining.
     """
-    h = t1.shape[0]
-    a = np.zeros((4 * h, h), dtype=complex)
-    b = np.zeros((4 * h, h), dtype=complex)
-    a[0:h] = d1 @ t2
-    a[2 * h : 3 * h] = d2
-    b[0:h] = d2 @ t1
-    b[2 * h : 3 * h] = d1
+    a = np.vstack([d1 @ t2, d2])
+    b = np.vstack([d2 @ t1, d1])
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     rank = int(np.sum(s > tols.rank_tol * max(1.0, s[0] if s.size else 0.0)))
     if rank == 0:
-        return np.eye(4 * h, dtype=complex)
+        return np.eye(a.shape[0], dtype=complex)
     y = b @ vh.conj().T[:, :rank] / s[:rank][np.newaxis, :]
     # y is orthonormal up to roundoff (equal Grams); snap it before completing
     qy, ry = np.linalg.qr(y)
@@ -124,7 +123,7 @@ def _fixup_unitary(t1, t2, d1, d2, tols: Tolerances) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AndoPair:
-    """Truncated commuting dilation pair on ``K0 = H + (H^4)^M``.
+    """Truncated commuting dilation pair on ``K0 = H + (H^2)^M``.
 
     The pair is held in structured form: the fix-up unitary ``g``, the
     defects ``d1``/``d2`` and the contractions themselves.  ``V1 = S1 Ghat``
@@ -150,32 +149,32 @@ class AndoPair:
 
     @property
     def dim(self) -> int:
-        return self.dim_h * (4 * self.m + 1)
+        return self.dim_h * (2 * self.m + 1)
 
     def block_slice(self, b: int) -> slice:
-        """Index range of block ``b`` (block 0 is H, then M blocks of H^4)."""
+        """Index range of block ``b`` (block 0 is H, then M blocks of H^2)."""
         h = self.dim_h
         if b == 0:
             return slice(0, h)
-        return slice(h + (b - 1) * 4 * h, h + b * 4 * h)
+        return slice(h + (b - 1) * 2 * h, h + b * 2 * h)
 
     def _cell_end(self, s: int) -> int:
         """Row ``s`` rounded up to the end of its block, capped at ``dim``."""
         h = self.dim_h
-        cells = -(-max(s - h, 0) // (4 * h))
-        return min(h + 4 * h * cells, self.dim)
+        cells = -(-max(s - h, 0) // (2 * h))
+        return min(h + 2 * h * cells, self.dim)
 
     # The private applies take and return the leading rows a column stack
     # occupies; every row past them is zero.  ``V1`` maps rows ``[0, s)`` into
-    # ``[0, cell_end(s) + 2h)`` and ``V2`` into ``[0, cell_end(s + 2h))``, so a
-    # power chain started on ``H`` touches one more block per step.
+    # ``[0, cell_end(s) + h)`` and ``V2`` into ``[0, cell_end(s + h))``, so a
+    # power chain started on ``H`` fills one more copy of ``H`` per step.
 
     def _stair(self, t, defect, x: np.ndarray) -> np.ndarray:
         h = self.dim_h
-        out = np.zeros((min(x.shape[0] + 2 * h, self.dim), x.shape[1]), dtype=complex)
+        out = np.zeros((min(x.shape[0] + h, self.dim), x.shape[1]), dtype=complex)
         out[:h] = t @ x[:h]
         out[h : 2 * h] = defect @ x[:h]
-        out[3 * h :] = x[h : out.shape[0] - 2 * h]
+        out[2 * h :] = x[h : out.shape[0] - h]
         return out
 
     def _ghat(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -183,7 +182,7 @@ class AndoPair:
         gg = self.g.conj().T if adjoint else self.g
         out = np.zeros((self._cell_end(x.shape[0]), x.shape[1]), dtype=complex)
         out[: x.shape[0]] = x
-        blocks = out[h:].reshape(-1, 4 * h, x.shape[1])
+        blocks = out[h:].reshape(-1, 2 * h, x.shape[1])
         out[h:] = np.matmul(gg, blocks).reshape(-1, x.shape[1])
         return out
 
@@ -204,9 +203,7 @@ class AndoPair:
     def _ghat_matrix(self) -> np.ndarray:
         h = self.dim_h
         ghat = np.eye(self.dim, dtype=complex)
-        for b in range(self.m):
-            i = h + b * 4 * h
-            ghat[i : i + 4 * h, i : i + 4 * h] = self.g
+        ghat[h:, h:] = np.kron(np.eye(self.m), self.g)
         return ghat
 
     @cached_property
@@ -218,7 +215,7 @@ class AndoPair:
         v1 = np.zeros((n_dim, n_dim), dtype=complex)
         v1[0:h, 0:h] = self.t1
         v1[h : 2 * h, 0:h] = self.d1
-        v1[3 * h :, :] = self._ghat_matrix()[h : n_dim - 2 * h, :]
+        v1[2 * h :, :] = self._ghat_matrix()[h : n_dim - h, :]
         return v1
 
     @cached_property
@@ -227,10 +224,8 @@ class AndoPair:
         h, n_dim = self.dim_h, self.dim
         v2 = np.zeros((n_dim, n_dim), dtype=complex)
         v2[0:h, 0:h] = self.t2
-        first = np.zeros((4 * h, h), dtype=complex)
-        first[0:h] = self.d2
-        v2[h : 5 * h, 0:h] = self.g.conj().T @ first
-        v2[:, h : n_dim - 2 * h] = self._ghat_matrix().conj().T[:, 3 * h :]
+        v2[h : 3 * h, 0:h] = self.g.conj().T[:, :h] @ self.d2
+        v2[:, h : n_dim - h] = self._ghat_matrix().conj().T[:, 2 * h :]
         return v2
 
 
@@ -263,7 +258,7 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     d1 = linalg.sqrtm_psd(eye - m1.conj().T @ m1, tols)
     d2 = linalg.sqrtm_psd(eye - m2.conj().T @ m2, tols)
     g = _fixup_unitary(m1, m2, d1, d2, tols)
-    embed = np.zeros((h * (4 * m_depth + 1), h), dtype=complex)
+    embed = np.zeros((h * (2 * m_depth + 1), h), dtype=complex)
     embed[0:h] = eye
     return AndoPair(g=g, d1=d1, d2=d2, embed=embed, t1=m1, t2=m2, m=m_depth, d=m_depth - 1)
 
@@ -327,9 +322,12 @@ class ModelTriple:
         return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
 
 
+@lru_cache(maxsize=64)
 def _factor_series(f: AnnulusRational, order: int) -> tuple[rational.LaurentSeries, ...]:
     """Laurent series of ``1/(scale q1)`` and of ``1/q2``: the first carries
-    the outer factor in ``factor_pos``, the second the inner in ``factor_neg``."""
+    the outer factor in ``factor_pos``, the second the inner in ``factor_neg``.
+    Cached, since ``tail_report`` and ``verify_model`` both read them: callers
+    share the arrays and must not write to them."""
     g1 = AnnulusRational(r=f.r, p_coeffs=(1.0,), q1_roots=f.q1_roots, scale=f.scale)
     g2 = AnnulusRational(r=f.r, p_coeffs=(1.0,), q2_roots=f.q2_roots, scale=1.0)
     return rational.laurent_expand(g1, order), rational.laurent_expand(g2, order)

@@ -92,6 +92,15 @@ class EigDecomposition:
     residual: float
 
 
+def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None = None) -> bool:
+    """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``; ``norm`` is ``||A||``
+    when the caller has it already."""
+    if norm is None:
+        norm = operator_norm(m)
+    comm = m.conj().T @ m - m @ m.conj().T
+    return operator_norm(comm) <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
+
+
 def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
     """Eigendecomposition of a (numerically) normal matrix.
 
@@ -103,8 +112,8 @@ def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
     _require_square(m)
     n = m.shape[0]
     norm_a = operator_norm(m)
-    comm = m.conj().T @ m - m @ m.conj().T
-    if operator_norm(comm) > tols.eig_tol * max(norm_a**2, np.finfo(float).tiny):
+    if not is_normal(m, tols, norm_a):
+        comm = m.conj().T @ m - m @ m.conj().T
         raise NotNormal(
             f"commutator norm {operator_norm(comm):.3e} exceeds "
             f"{tols.eig_tol:.1e} * ||A||^2"

@@ -470,9 +470,10 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
     """Smallest truncation order whose certified tail bound is at most ``tol``.
 
-    Doubling scan followed by binary refinement over series data built once
-    (and rebuilt twice as long when a probe reads past it); each probe's
-    bound equals ``laurent_expand(f, order).tail_bound`` bit for bit.
+    Doubling scan from order 8 followed by binary refinement (from order 1
+    when 8 already passes) over series data built once (and rebuilt twice as
+    long when a probe reads past it); each probe's bound equals
+    ``laurent_expand(f, order).tail_bound`` bit for bit.
     """
     _checked(f)
     data = _series_data(f, _length_for(f, 8))
@@ -489,7 +490,7 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
         hi *= 2
         if hi > cap:
             raise InvalidRational(f"tail bound does not reach {tol} within order {cap}")
-    lo = max(1, hi // 2)
+    lo = 1 if hi == 8 else hi // 2
     while lo < hi:
         mid = (lo + hi) // 2
         if bound(mid) <= tol:

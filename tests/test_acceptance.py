@@ -213,7 +213,7 @@ def test_criterion_6_ando_degree_budget():
                 worst_word = max(
                     worst_word, operator_norm(pair.embed.conj().T @ x - ref)
                 )
-        budget = np.eye(pair.dim, dtype=complex)[:, : h * (4 * (pair.m - 1) + 1)]
+        budget = np.eye(pair.dim, dtype=complex)[:, : pair.block_slice(pair.m - 1).stop]
         comm = pair.apply_v1(pair.apply_v2(budget)) - pair.apply_v2(pair.apply_v1(budget))
         worst_comm = max(worst_comm, operator_norm(comm))
     assert worst_word <= 1e-10

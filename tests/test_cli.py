@@ -149,6 +149,14 @@ class TestExitCodes:
     def test_zero_tolerance_is_usage_error(self, flag):
         assert cli.main(["demo-example", flag, "0"]) == cli.EXIT_USAGE
 
+    def test_verify_tol_sets_the_decompose_verdict(self, tmp_path):
+        # the identity decomposes with a residual near 1e-15: within the
+        # default verify_tol, not within 1e-30
+        mat = write_matrix(tmp_path / "t.json", np.eye(4))
+        args = ["decompose", "--r", "0.5", "--matrix", mat, "--out", str(tmp_path / "r.json")]
+        assert cli.main(args) == cli.EXIT_OK
+        assert cli.main(args + ["--verify-tol", "1e-30"]) == cli.EXIT_REFUTED
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, tmp_path):
@@ -209,14 +217,3 @@ class TestDefaultBudget:
         assert result["functions"][0]["passed"]
 
 
-class TestThreadsEnv:
-    def test_invalid_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANNULUS_LAB_THREADS", "zero")
-        mat = write_matrix(tmp_path / "t.json", np.eye(2))
-        assert cli.main(["decompose", "--r", "0.5", "--matrix", mat]) == cli.EXIT_USAGE
-
-    def test_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANNULUS_LAB_THREADS", "4")
-        out = tmp_path / "report.json"
-        assert cli.main(["demo-example", "--r", "0.5", "--out", str(out)]) == cli.EXIT_OK
-        assert read_report(out)["threads"] == 4

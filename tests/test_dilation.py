@@ -111,16 +111,14 @@ class TestAndoPair:
     def test_commutator_vanishes_on_budget_blocks(self):
         t1, t2 = commuting_contraction_pair(3, 9)
         pair = ando_pair(t1, t2, 6)
-        h = 3
-        budget = np.eye(pair.dim, dtype=complex)[:, : h * (4 * (pair.m - 1) + 1)]
+        budget = np.eye(pair.dim, dtype=complex)[:, : pair.block_slice(pair.m - 1).stop]
         comm = pair.apply_v1(pair.apply_v2(budget)) - pair.apply_v2(pair.apply_v1(budget))
         assert operator_norm(comm) <= 1e-10
 
     def test_isometry_on_budget_blocks(self):
         t1, t2 = commuting_contraction_pair(2, 4)
         pair = ando_pair(t1, t2, 5)
-        h = 2
-        budget = np.eye(pair.dim, dtype=complex)[:, : h * (4 * (pair.m - 1) + 1)]
+        budget = np.eye(pair.dim, dtype=complex)[:, : pair.block_slice(pair.m - 1).stop]
         for image in (pair.apply_v1(budget), pair.apply_v2(budget)):
             gram = image.conj().T @ image
             assert operator_norm(gram - np.eye(budget.shape[1])) <= 1e-12
@@ -140,31 +138,44 @@ class TestAndoPair:
         assert_allclose(pair.v2 @ x, pair.apply_v2(x), atol=1e-13)
 
     def test_occupied_row_chains_match_full_length_applies(self):
-        # the private applies keep only the rows a power chain occupies: one
-        # more block per step from H, capped at dim, and no content is lost.
-        # A dense fix-up unitary fills every row of each cell it touches (the
-        # constructed one leaves the second and fourth H of each cell
-        # uncoupled, so chains from H never fill them).
+        # the private applies keep only the rows a power chain occupies: at
+        # most one more block per step from H, capped at dim, and no content
+        # is lost.  A dense fix-up unitary fills every row of each cell it
+        # touches.
         t1, t2 = commuting_contraction_pair(3, 5)
         h = 3
-        pair = dataclasses.replace(ando_pair(t1, t2, 4), g=random_unitary(4 * h, 6))
+        pair = dataclasses.replace(ando_pair(t1, t2, 4), g=random_unitary(2 * h, 6))
         for step, apply_full in ((pair._v1, pair.apply_v1), (pair._v2, pair.apply_v2)):
             lean, full = pair.embed[:h], pair.embed
             for k in range(1, pair.m + 2):
                 lean, full = step(lean), apply_full(full)
-                assert lean.shape[0] <= min(h + 4 * h * k, pair.dim)
+                assert lean.shape[0] <= min(pair.block_slice(k).stop, pair.dim)
                 assert np.array_equal(full[lean.shape[0] :], np.zeros_like(full[lean.shape[0] :]))
                 assert np.array_equal(lean, full[: lean.shape[0]])
             assert lean.shape[0] == pair.dim
 
+    def test_chains_from_h_fill_every_occupied_block(self):
+        # each cell holds only the two copies of H that the defects reach:
+        # no h-row block a chain occupies stays zero
+        for seed in range(3):
+            t1, t2 = commuting_contraction_pair(3, 60 + seed)
+            pair = ando_pair(t1, t2, 5)
+            for step in (pair._v1, pair._v2):
+                lean = pair.embed[:3]
+                for _ in range(pair.m + 1):
+                    lean = step(lean)
+                    norms = np.linalg.norm(lean.reshape(-1, 3 * lean.shape[1]), axis=1)
+                    assert np.all(norms > 1e-8)
+
     def test_fixup_unitary_intertwines_defect_families(self):
         t1, t2 = commuting_contraction_pair(3, 8)
         pair = ando_pair(t1, t2, 3)
-        assert operator_norm(pair.g.conj().T @ pair.g - np.eye(12)) <= 1e-12
+        assert pair.g.shape == (6, 6)
+        assert operator_norm(pair.g.conj().T @ pair.g - np.eye(6)) <= 1e-12
         rng = seeded_rng(44)
         h = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
-        u_vec = np.vstack([pair.d1 @ t2 @ h, np.zeros((3, 1)), pair.d2 @ h, np.zeros((3, 1))])
-        v_vec = np.vstack([pair.d2 @ t1 @ h, np.zeros((3, 1)), pair.d1 @ h, np.zeros((3, 1))])
+        u_vec = np.vstack([pair.d1 @ t2 @ h, pair.d2 @ h])
+        v_vec = np.vstack([pair.d2 @ t1 @ h, pair.d1 @ h])
         assert operator_norm(pair.g @ u_vec - v_vec) <= 1e-10 * max(1.0, operator_norm(u_vec))
 
     def test_rejects_non_commuting(self):
@@ -262,6 +273,21 @@ class TestVerifyModel:
             r_deep = verify_model(deep, t, f)
             assert abs(r_shallow - r_deep) <= shallow.tail_report(f)["bound"] + 1e-12
 
+    def test_factor_series_expanded_once_per_function(self, monkeypatch):
+        from annulus_lab import dilation, rational
+
+        calls = []
+        monkeypatch.setattr(
+            rational, "laurent_expand", lambda *args: calls.append(args) or laurent_expand(*args)
+        )
+        dilation._factor_series.cache_clear()
+        t = windowed_matrix(3, 0.7, 45)
+        model = build_model(t, 0.7, 8)
+        f = random_function(0.7, 955, max_roots=2, alpha_window=(3.2, 4.0), beta_window_div=(8.0, 4.0))
+        model.tail_report(f)
+        verify_model(model, t, f)
+        assert len(calls) == 2
+
     def test_budget_gate_raises(self):
         t = windowed_matrix(2, 0.5, 15)
         model = build_model(t, 0.5, 2)
@@ -338,7 +364,7 @@ class TestLeanCarrier:
     )
 
     def test_model_at_h20_d24_stays_in_small_memory(self):
-        # the dense V1, V2 and Ghat alone would take 196 MB here
+        # the dense V1, V2 and Ghat alone would take 50 MB here, each 16.6 MB
         t = windowed_matrix(20, 0.7, 3)
         tracemalloc.start()
         try:
@@ -348,7 +374,7 @@ class TestLeanCarrier:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 8 * 2**20
         assert residual <= model.tail_report(self.F)["bound"] + 1e-8
         assert moments <= 1e-10
 

@@ -23,6 +23,9 @@ from annulus_lab.rational import (
 )
 from conftest import random_function
 
+# bound 0 from order 2 on
+QUADRATIC = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.3, 0.2))
+
 
 class TestValidate:
     def test_accepts_classified_roots(self):
@@ -179,10 +182,13 @@ class TestLaurentExpand:
             AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(1.5, 1.5), q2_roots=(0.2, 0.2)),
             AnnulusRational(r=0.5, p_coeffs=(0.3,), q2_roots=(0.3, -0.2j, 0.0)),
             AnnulusRational(r=0.5, p_coeffs=(1.0, 0.0, 2.0, 0.0, 0.5, 0.25j)),
+            QUADRATIC,
         ):
             m = laurent_order_for(f, 1e-10)
             assert laurent_expand(f, m).tail_bound <= 1e-10
             assert laurent_expand(f, m - 1).tail_bound > 1e-10
+        # the search refines below its first probe when that probe passes
+        assert laurent_order_for(QUADRATIC, 1e-10) == 2
 
     def test_order_search_makes_no_expansion(self, monkeypatch):
         calls = []
