@@ -84,6 +84,12 @@ def _checked(f: AnnulusRational) -> None:
         raise InvalidRational(str(exc)) from exc
 
 
+def check_clearance(d, root) -> None:
+    """Raise :class:`PoleHit` if some offset ``d = z - root`` is within 1e-14 of 0."""
+    if np.any(np.abs(d) < _POLE_TOL):
+        raise PoleHit(f"evaluation point within {_POLE_TOL} of root {root}")
+
+
 def evaluate(f: AnnulusRational, z):
     """Evaluate ``f`` at a complex point (or array of points).
 
@@ -94,8 +100,7 @@ def evaluate(f: AnnulusRational, z):
     den = np.full_like(zz, f.scale)
     for root in f.q1_roots + f.q2_roots:
         d = zz - root
-        if np.any(np.abs(d) < _POLE_TOL):
-            raise PoleHit(f"evaluation point within {_POLE_TOL} of root {root}")
+        check_clearance(d, root)
         den = den * d
     out = num / den
     if np.isscalar(z) or np.ndim(z) == 0:
@@ -117,16 +122,33 @@ class FactoredStack:
     mask: np.ndarray
     scale: np.ndarray
 
+    def take(self, rows) -> "FactoredStack":
+        """The rows selected by ``rows`` (a slice or an index array)."""
+        return FactoredStack(p=self.p[rows], roots=self.roots[rows], mask=self.mask[rows], scale=self.scale[rows])
+
     def abs_at(self, points: np.ndarray) -> np.ndarray:
-        """``|f_i(z_j)|`` for every row at once, shape ``(rows, len(points))``."""
-        z = points[np.newaxis, :]
-        num = np.zeros((self.p.shape[0], points.size), dtype=complex)
+        """``|f_i(z)|`` at shared points (1-D) or at row ``i``'s own points
+        ``points[i]`` (2-D), shape ``(rows, points)``.
+
+        Row ``i`` equals ``np.abs(evaluate(f_i, z))`` bit for bit.  numpy's
+        complex multiply is not bitwise commutative (it uses FMA), so every
+        product keeps :func:`evaluate`'s operand order, and is formed in
+        place: ``den = den * np.where(...)`` lets numpy's temporary elision
+        compute ``where(...) * den`` once the temporary reaches 256 KiB.
+        """
+        z = points if points.ndim == 2 else points[np.newaxis, :]
+        shape = (self.p.shape[0], z.shape[1])
+        num = np.zeros(shape, dtype=complex)
         for k in range(self.p.shape[1] - 1, -1, -1):
-            num = num * z + self.p[:, k : k + 1]
-        den = np.repeat(self.scale[:, np.newaxis], points.size, axis=1)
+            np.multiply(num, z, out=num)
+            num += self.p[:, k : k + 1]
+        den = np.repeat(self.scale[:, np.newaxis], shape[1], axis=1)
         for k in range(self.roots.shape[1]):
-            den = den * np.where(self.mask[:, k : k + 1], z - self.roots[:, k : k + 1], 1.0)
-        return np.abs(num / den)
+            d = z - self.roots[:, k : k + 1]
+            if not self.mask[:, k].all():
+                d = np.where(self.mask[:, k : k + 1], d, 1.0)
+            np.multiply(den, d, out=den)
+        return np.abs(np.divide(num, den, out=num))
 
 
 def factored_stack(functions) -> FactoredStack:

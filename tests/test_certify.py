@@ -20,12 +20,15 @@ from annulus_lab.certify import (
     vonneumann_stress,
     williams_verdict,
     windowed_matrix,
+    sample_test_function,
+    _bernstein_bound,
     _pole_refined_sup,
+    _sampled_sups,
     _stress_battery,
 )
-from annulus_lab.errors import NotInvertible, Singular
-from annulus_lab.linalg import operator_norm, random_unitary
-from annulus_lab.rational import evaluate, rational_from_json
+from annulus_lab.errors import NotInvertible, PoleHit, Singular
+from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
+from annulus_lab.rational import AnnulusRational, evaluate, rational_from_json
 
 
 class TestSpectrumInAnnulus:
@@ -176,6 +179,127 @@ class TestVonNeumannStress:
         assert battery.sups.tolist() == coarse
 
 
+def _reference_sup(f, base_nodes=4096, local_nodes=512):
+    """Per-function sampled sup: every equispaced node, then the pole windows."""
+    sup = rational.boundary_sup_norm(f, base_nodes)
+    windows = []
+    for a in f.q1_roots:
+        dist = abs(a) - 1.0
+        if dist < 0.2:
+            windows.append((1.0, np.angle(a), min(32.0 * dist, np.pi / 4)))
+    for b in f.q2_roots:
+        dist = f.r - abs(b)
+        if 0 < dist < 0.2 * f.r:
+            windows.append((f.r, np.angle(b), min(32.0 * dist / f.r, np.pi / 4)))
+    for radius, theta0, half_width in windows:
+        theta = theta0 + np.linspace(-half_width, half_width, local_nodes)
+        vals = np.abs(evaluate(f, radius * np.exp(1j * theta)))
+        sup = max(sup, float(vals.max()))
+    return sup
+
+
+def _battery_functions(r, count, seed):
+    return [sample_test_function(r, seeded_rng(seed, 17, i)) for i in range(count)]
+
+
+def _adversarial_functions(r, count, seed):
+    """Roots at ``1 + 10^-k`` and ``r (1 - 10^-k)`` for k <= 6, a root at 0
+    in every seventh function, numerator degrees up to 8."""
+    rng = seeded_rng(seed, 5)
+    out = []
+    for i in range(count):
+        q1 = [(1 + 10.0 ** -rng.integers(1, 7)) * np.exp(2j * np.pi * rng.random()) for _ in range(rng.integers(0, 4))]
+        q2 = [r * (1 - 10.0 ** -rng.integers(1, 7)) * np.exp(2j * np.pi * rng.random()) for _ in range(rng.integers(0, 4))]
+        if i % 7 == 0:
+            q2.append(0j)
+        deg = 8 if i % 5 == 0 else int(rng.integers(0, 9))
+        p = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        out.append(AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=tuple(q1), q2_roots=tuple(q2)))
+    return out
+
+
+class TestSampledSups:
+    """The coarse pass plus Bernstein cells gives the full sampling's maxima."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_battery_matches_full_sampling(self, r):
+        battery = _stress_battery(r, 2000, 1)
+        ref = np.array([_reference_sup(f) for f in battery.functions])
+        assert np.array_equal(battery.sups, ref)
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_adversarial_matches_full_sampling(self, r):
+        functions = _adversarial_functions(r, 300, 3)
+        ref = np.array([_reference_sup(f) for f in functions])
+        assert np.array_equal(_sampled_sups(functions), ref)
+
+    def test_dense_recheck_matches_full_sampling(self):
+        functions = _battery_functions(0.5, 100, 2)
+        ref = np.array([_reference_sup(f, 1 << 15, 4096) for f in functions])
+        assert np.array_equal(_sampled_sups(functions, 1 << 15, 4096), ref)
+        assert _pole_refined_sup(functions[7], 1 << 15, 4096) == ref[7]
+
+    def test_cold_build_evaluates_few_nodes(self, monkeypatch):
+        evaluated = []
+        original = rational.FactoredStack.abs_at
+
+        def counting(stack, points):
+            evaluated.append(stack.p.shape[0] * (points.shape[-1]))
+            return original(stack, points)
+
+        monkeypatch.setattr(rational.FactoredStack, "abs_at", counting)
+        _stress_battery.__wrapped__(0.5, 2000, 5)
+        # full sampling evaluates 2 x 4096 nodes per function, windows aside
+        assert sum(evaluated) <= 0.3 * 2 * 4096 * 2000
+
+    def test_pole_hit_is_raised(self):
+        f = AnnulusRational(r=0.5, q1_roots=(1.0 + 1e-15,))
+        with pytest.raises(PoleHit):
+            _pole_refined_sup(f)
+
+    def test_pole_hit_names_the_first_function(self):
+        functions = _battery_functions(0.5, 6, 1)
+        second = AnnulusRational(r=0.5, p_coeffs=(1.0, 2.0), q1_roots=(3.0, -(1.0 + 1e-15)))
+        fifth = AnnulusRational(r=0.5, q2_roots=(0.5 * (1.0 - 1e-15),))
+        functions[1], functions[4] = second, fifth
+        with pytest.raises(PoleHit, match=re.escape(str(second.q1_roots[1]))):
+            _sampled_sups(functions)
+        with pytest.raises(PoleHit, match=re.escape(str(fifth.q2_roots[0]))):
+            _sampled_sups(functions[2:])
+
+
+class TestBernsteinBound:
+    NODES = 16384
+
+    @staticmethod
+    def _sides(f, rho, nodes):
+        """``|df/dθ|`` and ``B sampled_sup`` on the circle of radius ``rho``."""
+        z = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        roots = np.array(f.q1_roots + f.q2_roots, dtype=complex)
+        p = np.array(f.p_coeffs)
+        dp = np.polyval((p[1:] * np.arange(1, p.size))[::-1], z) if p.size > 1 else np.zeros_like(z)
+        den = f.scale * np.prod(z[:, np.newaxis] - roots, axis=1)
+        # f' = f (p'/p - sum 1/(z - a)), multiplied through by p
+        fprime = (dp - np.polyval(p[::-1], z) * np.sum(1.0 / (z[:, np.newaxis] - roots), axis=1)) / den
+        bound = _bernstein_bound(
+            roots[np.newaxis, :], len(f.q1_roots), max(p.size - 1 - roots.size, 0), rho, z[np.newaxis, :], 0.0
+        )[0]
+        return rho * np.abs(fprime), bound * np.abs(evaluate(f, z)).max()
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_holds_on_battery_functions(self, r):
+        for f in _battery_functions(r, 150, 4):
+            for rho in (1.0, r):
+                deriv, bound = self._sides(f, rho, self.NODES)
+                assert np.all(deriv <= bound * (1.0 + 1e-9))
+
+    def test_sharp_for_a_monomial(self):
+        f = AnnulusRational(r=0.5, p_coeffs=(0.0, 0.0, 0.0, 0.0, 1.0))
+        for rho in (1.0, 0.5):
+            deriv, bound = self._sides(f, rho, self.NODES)
+            assert_allclose(deriv / bound, 1.0, rtol=1e-8)
+
+
 def _reference_direct(f, t):
     """Per-function factored evaluation: Horner, then one solve per root."""
     n = t.shape[0]
@@ -201,6 +325,20 @@ class TestStackedFactoredEvaluation:
         got = calculus.factored_norms(battery.stack, t)
         ref = np.array([operator_norm(_reference_direct(f, t)) for f in battery.functions])
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    def test_abs_at_matches_evaluate_bit_for_bit(self):
+        battery = _stress_battery(0.5, self.TRIALS, 1)
+        ring = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        radii = np.linspace(0.5, 1.0, 100)
+        # stacks of 100 rows x 4096 points pass numpy's 256 KiB threshold for
+        # eliding temporaries
+        for lo in range(0, self.TRIALS, 100):
+            functions = battery.functions[lo : lo + 100]
+            stack = rational.factored_stack(functions)
+            ref = np.array([np.abs(evaluate(f, ring)) for f in functions])
+            assert np.array_equal(stack.abs_at(ring), ref)
+            ref = np.array([np.abs(evaluate(f, rho * ring)) for f, rho in zip(functions, radii)])
+            assert np.array_equal(stack.abs_at(radii[:, np.newaxis] * ring), ref)
 
     def test_chunk_boundary_is_crossed(self):
         # n = 9 splits the 2000-function battery into two chunks
