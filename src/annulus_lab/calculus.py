@@ -54,8 +54,10 @@ def _factored_chunks(stack: rational.FactoredStack, m: np.ndarray, tols: Toleran
 
     Chunks hold about ``_CHUNK_BYTES`` of matrices.  Each gets one batched
     Horner pass for ``p_i(T) / scale_i`` and, per root slot, one batched
-    conditioning check with :func:`linalg.solve`'s rule and one batched
-    solve for the rows with a root in that slot.  A row whose root lies
+    solve for the rows with a root in that slot, behind :func:`linalg.solve`'s
+    conditioning rule.  One :class:`linalg.ShiftConditioning` per matrix
+    decides the rule, with singular values only for roots its bound cannot
+    clear, so the verdicts are the rule's.  A row whose root lies
     within ``rank_tol * max(1, |root|)`` of the spectrum, or fails the check,
     raises :class:`Singular` naming that root: the first such row in stack
     order, and within it a touching root before a failing one, each in slot
@@ -64,18 +66,20 @@ def _factored_chunks(stack: rational.FactoredStack, m: np.ndarray, tols: Toleran
     n = m.shape[0]
     eye = np.eye(n)
     lams = linalg.spectrum(m)
+    rule = linalg.ShiftConditioning(m)
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     for start in range(0, stack.p.shape[0], step):
         rows = slice(start, start + step)
         roots, mask = stack.roots[rows], stack.mask[rows]
         gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
         touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
+        cleared = rule.cleared(roots, tols)
         failed = np.zeros_like(mask)
         out = _polyval_stack(stack.p[rows], m) / stack.scale[rows, np.newaxis, np.newaxis]
         for j in range(roots.shape[1]):
             idx = np.flatnonzero(mask[:, j])
             shifted = m - roots[idx, j, np.newaxis, np.newaxis] * eye
-            bad = linalg._ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+            bad = rule.ill_conditioned(shifted, cleared[idx, j], tols)
             failed[idx[bad], j] = True
             ok = idx[~bad]
             out[ok] = np.linalg.solve(shifted[~bad], out[ok])
@@ -110,7 +114,10 @@ def factored_norms(
 
     Evaluates as :func:`eval_direct` does, a chunk of about 1 MB of stacked
     matrices at a time, with one batched spectral norm per chunk; memory
-    stays bounded whatever the number of rows.
+    stays bounded whatever the number of rows.  The conditioning rule costs
+    one Schur form of ``T``, plus singular values of ``T - aI`` only for the
+    roots ``a`` that Henrici's bound leaves undecided (see
+    :class:`linalg.ShiftConditioning`).
     """
     m = linalg.as_matrix(t)
     norms = [np.linalg.norm(out, 2, axis=(1, 2)) for out in _factored_chunks(stack, m, tols)]
@@ -267,7 +274,9 @@ def _circle_integral(
 
     The circle is ``|w| = radius`` and ``f`` defaults to 1.  Nodes are taken
     in chunks whose stacked resolvents fit ``_CHUNK_BYTES``: each chunk gets
-    one :func:`linalg.resolvents` call, one vectorized evaluation of ``f``
+    one :func:`linalg.resolvents` call (one Schur form of ``T`` for the
+    conditioning rule, singular values only at nodes its bound leaves
+    undecided, one batched inverse), one vectorized evaluation of ``f``
     (with its :class:`PoleHit` check) and one weighted contraction.  Chunks
     depend only on ``n`` and ``nodes`` and are accumulated in index order, so
     the reduction is deterministic.

@@ -160,18 +160,135 @@ def _ill_conditioned(svals: np.ndarray, tols: Tolerances):
     return svals.T[-1] <= tols.rank_tol * svals.T[0]
 
 
+# Generous multiples of ``n * eps`` in ShiftConditioning: the backward error
+# of the computed Schur form, as a fraction of ``||T||_F``, and the rounding
+# of the bound itself, of the shifted matrices and of their singular values.
+_SCHUR_ERROR = 1024
+_ROUNDING = 64
+# Matrices whose largest entry lies outside [2^-900, 2^900], and shifts
+# beyond 2^100 times that entry, are left to the singular values.
+_SAFE_EXPONENT = 900
+_SAFE_SHIFT = 2.0**100
+_EPS = float(np.finfo(float).eps)
+# A call with fewer shifts takes their singular values: at n = 3 to 16 one
+# Schur form and one pass of the bound cost about as much as four to five
+# singular-value calls.  The Schur form is made on the first larger call.
+_FEW_SHIFTS = 8
+
+
+def _schur_triangle(m: np.ndarray) -> np.ndarray | None:
+    """Triangular factor of a complex Schur form of ``m``, or ``None``.
+
+    ``zgees`` balances by permutation only, which is exact, so the factor is
+    the exact Schur form of ``m + E`` with ``||E||_F`` of order
+    ``n eps ||m||_F``; ``eigvals`` also scales and has no such bound in
+    terms of ``m``.  The unitary factor is not formed.
+    """
+    tri, _, _, _, _, info = sla.lapack.zgees(lambda w: None, m, compute_v=0)
+    return tri if info == 0 else None
+
+
+class ShiftConditioning:
+    """:func:`solve`'s conditioning rule for shifts ``T - wI`` of one matrix.
+
+    A shift is cleared without a singular-value call when Henrici's bound
+    (Numer. Math. 4, 1962) proves ``sigma_min(T - wI)`` far enough above
+    ``rank_tol * sigma_max``.  With ``lambda_i`` and ``N`` the diagonal and
+    strict upper part of a Schur form of ``T + E``, ``g = min|lambda_i - w|``
+    and ``nu >= ||N||_F``,
+
+        sigma_min(T - wI) >= lo = 1 / sum_{k<n} nu^k / g^(k+1) - ||E||_F
+        sigma_max(T - wI) <= hi = ||T||_F + |w|,
+
+    and ``lo > (2 rank_tol + 64 n eps) hi`` leaves room for the rounding of
+    the shifted matrix and of its singular values, so the rule would find
+    that shift well conditioned too.  :meth:`cleared` applies the bound to
+    an array of shifts; :meth:`ill_conditioned` gives every other shift the
+    singular values as :func:`solve` does, so the verdicts are those of the
+    rule.  The bound is computed with ``T`` scaled by a power of two to a
+    largest entry in ``[1/2, 1)``, from a Schur form made on the first call
+    with at least ``_FEW_SHIFTS`` shifts.
+    """
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        self.formed = False
+
+    def _form(self):
+        self.formed = True
+        self.scale = None
+        m = self.m
+        exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        if abs(exponent) > _SAFE_EXPONENT:
+            return
+        scale = 2.0**-exponent
+        scaled = m * scale
+        tri = _schur_triangle(scaled)
+        if tri is None:
+            return
+        n = m.shape[0]
+        slack = _ROUNDING * n * _EPS
+        fro = float(np.linalg.norm(scaled)) * (1.0 + slack)
+        self.scale = scale
+        self.lams = tri.diagonal().copy()
+        # rounding allowances: nu, ||T||_F and hi are rounded up by
+        # (1 + slack), and the gap and the quotient gap / total down by
+        # (1 - slack) each
+        self.nu = float(np.linalg.norm(np.triu(tri, 1))) * (1.0 + slack) / (1.0 - slack)
+        self.keep = (1.0 - slack) ** 2
+        self.fro = fro
+        self.slack = slack
+        # n * tiny covers entries that scaling pushed below the normal range
+        self.error = _SCHUR_ERROR * n * _EPS * fro + n * np.finfo(float).tiny
+
+    def cleared(self, ws: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """Where the bound proves the shift ``ws[...]`` well conditioned;
+        nowhere for fewer than ``_FEW_SHIFTS`` shifts."""
+        if ws.size < _FEW_SHIFTS:
+            return np.zeros(ws.shape, dtype=bool)
+        if not self.formed:
+            self._form()
+        if self.scale is None:
+            return np.zeros(ws.shape, dtype=bool)
+        # A zero gap, an overflow or a non-finite shift gives a NaN or
+        # infinite term, and the comparisons then clear nothing.
+        with np.errstate(all="ignore"):
+            ws = ws * self.scale
+            dist = np.abs(ws)
+            gap = np.abs(ws[..., np.newaxis] - self.lams).min(axis=-1)
+            rho = self.nu / gap
+            total = 1.0
+            for _ in range(self.lams.size - 1):
+                total = 1.0 + rho * total
+            lo = gap * self.keep / total - self.error
+            theta = (2.0 * tols.rank_tol + self.slack) * (1.0 + self.slack)
+            return (dist < _SAFE_SHIFT) & (lo > theta * (self.fro + dist))
+
+    @staticmethod
+    def ill_conditioned(shifted: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """:func:`_ill_conditioned` for each matrix of the stack ``shifted``
+        of shifts ``+-(T - wI)``, with singular values taken only where
+        :meth:`cleared` did not clear ``w``."""
+        failed = ~cleared
+        if failed.any():
+            failed[failed] = _ill_conditioned(np.linalg.svd(shifted[failed], compute_uv=False), tols)
+        return failed
+
+
 def resolvents(a, ws, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Stack of resolvents ``(w_k I - A)^{-1}``, shape ``(len(ws), n, n)``.
 
-    Every shifted matrix passes the conditioning rule of :func:`solve` in one
-    batched singular-value call, and the stack is inverted in one batched
+    Every shifted matrix passes the conditioning rule of :func:`solve`,
+    decided by :class:`ShiftConditioning` (singular values only for the
+    points its bound cannot clear), and the stack is inverted in one batched
     LAPACK call; :class:`Singular` is raised if any point fails the rule.
     """
     m = as_matrix(a)
     _require_square(m)
     ws = np.asarray(ws, dtype=complex)
     shifted = ws[:, np.newaxis, np.newaxis] * np.eye(m.shape[0]) - m
-    failed = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+    rule = ShiftConditioning(m)
+    failed = rule.ill_conditioned(shifted, rule.cleared(ws, tols), tols)
     if failed.any():
         raise Singular(
             f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "

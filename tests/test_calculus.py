@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus, linalg, rational
+from annulus_lab import calculus, certify, linalg, rational
 from annulus_lab.ar_unitary import decompose, make_ar_unitary
 from annulus_lab.calculus import (
     ContourSpec,
@@ -16,7 +16,7 @@ from annulus_lab.calculus import (
     laurent_remainder_bound,
     riesz_projection,
 )
-from annulus_lab.certify import example_matrix
+from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.errors import (
     NoSpectralGap,
     PoleHit,
@@ -53,6 +53,15 @@ class TestEvalDirect:
         lhs = eval_direct(multiply(f, g), t)
         rhs = eval_direct(f, t) @ eval_direct(g, t)
         assert operator_norm(lhs - rhs) <= 1e-9 * max(1.0, operator_norm(lhs))
+
+    def test_far_root_on_a_non_normal_matrix_is_singular(self):
+        # gap 0.1 from the spectrum, yet sigma_min ~ 1e-8 against sigma_max ~ 1e6
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.3,))
+        with pytest.raises(Singular, match=r"^spectrum touches denominator root \(1\.3\+0j\)$"):
+            eval_direct(f, [[1.2, 1e6], [0.0, 1.2]])
+        # eight rows take the bound, which must leave this root to the SVD
+        with pytest.raises(Singular, match=r"^spectrum touches denominator root \(1\.3\+0j\)$"):
+            calculus.factored_norms(rational.factored_stack([f] * 8), [[1.2, 1e6], [0.0, 1.2]])
 
     def test_spectrum_touching_root(self):
         f = AnnulusRational(r=0.25, p_coeffs=(1.0,), q1_roots=(1.0 + 1e-12,))
@@ -277,3 +286,62 @@ class TestBatchedQuadrature:
         assert dec.residual <= 1e-8
         # the node vector alone is 2 MB; an unchunked stack would be 18 MB
         assert peak <= 12 * 2**20
+
+
+def _clear_nothing(self, ws, tols):
+    """The bound clears no shift: singular values of every shifted matrix."""
+    return np.zeros(ws.shape, dtype=bool)
+
+
+def _ar_unitary(r, seed):
+    q = random_unitary(3, seed)
+    return q @ make_ar_unitary(random_unitary(2, seed + 1), random_unitary(1, seed + 2), r) @ q.conj().T
+
+
+class TestShiftConditioningRoutes:
+    """The routes give the outputs of the rule applied through singular values
+    at every shift, bit for bit, and on these inputs take no singular values
+    of a shifted stack at all."""
+
+    @staticmethod
+    def _runs():
+        battery = certify._stress_battery(0.5, 2000, 1)
+        spec = ContourSpec(delta=0.02, nodes=512)
+        for n in (2, 3, 5, 9):
+            t = windowed_matrix(n, 0.5, 300 + n)
+            yield f"factored_norms-{n}", lambda t=t: calculus.factored_norms(battery.stack, t)
+        yield "factored_norms-shear", lambda: calculus.factored_norms(battery.stack, example_matrix(0.25))
+        for n in (1, 5, 12):
+            t, f = open_annulus_normal(n, 0.5, 60 + n), random_function(0.5, 70 + n)
+            yield f"eval_contour-{n}", lambda t=t, f=f: eval_contour(f, t, spec)
+            moduli = np.where(np.arange(n) % 2 == 0, 0.9, 0.55)
+            t = normal_with_moduli(moduli, 80 + n)[0]
+            yield f"riesz_projection-{n}", lambda t=t: riesz_projection(
+                t, SpectralPart.OUTER, ContourSpec(delta=0.05, nodes=512), 0.5
+            )
+
+        def split():
+            dec = decompose(_ar_unitary(0.8, 5), 0.8)
+            return np.stack([dec.p1, dec.p2, np.full((3, 3), dec.residual)])
+
+        yield "decompose-0.8", split
+
+    def test_bit_identical_to_singular_values_everywhere(self, monkeypatch):
+        got = {name: run() for name, run in self._runs()}
+        monkeypatch.setattr(linalg.ShiftConditioning, "cleared", _clear_nothing)
+        for name, run in self._runs():
+            assert np.array_equal(got[name], run()), name
+
+    def test_no_singular_values_of_a_shifted_stack(self, monkeypatch):
+        svd = np.linalg.svd
+        stacks = []
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3 and kwargs.get("compute_uv") is False:
+                stacks.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for name, run in self._runs():
+            run()
+            assert stacks == [], name

@@ -22,6 +22,7 @@ from annulus_lab.certify import (
     windowed_matrix,
     sample_test_function,
     _bernstein_bound,
+    _clamp_to_annulus,
     _pole_refined_sup,
     _sampled_sups,
     _stress_battery,
@@ -102,6 +103,21 @@ class TestVonNeumannStress:
             assert rep.verdict is Verdict.PASSED_STRESS
             assert rep.max_ratio <= 1.0 + 1e-10
             assert rep.spectrum_ok
+
+    def test_normal_route_makes_one_pass_over_the_battery(self, monkeypatch):
+        t = normal_annulus_matrix(4, 0.5, 3)
+        battery = _stress_battery(0.5, 2000, 1)
+        lams = linalg.spectrum(t)
+        probes = _clamp_to_annulus(lams, 0.5)
+        joined = battery.stack.abs_at(np.concatenate([probes, lams]))
+        # columns are independent: each half is bit for bit a separate pass
+        assert np.array_equal(joined[:, :4], battery.stack.abs_at(probes))
+        assert np.array_equal(joined[:, 4:], battery.stack.abs_at(lams))
+        passes = []
+        original = rational.FactoredStack.abs_at
+        monkeypatch.setattr(rational.FactoredStack, "abs_at", lambda s, z: passes.append(z) or original(s, z))
+        rep = vonneumann_stress(t, 0.5, 2000, 1)
+        assert rep.stress_route == "spectral" and len(passes) == 1
 
     def test_unitary_passes(self):
         rep = vonneumann_stress(random_unitary(4, 3), 0.5, 500, 2)

@@ -198,3 +198,131 @@ class TestJson:
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+
+def _svd_rule(shifted, tols):
+    """The conditioning rule on every shifted matrix: singular values first."""
+    return linalg._ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+
+
+def _shifted(t, ws):
+    return t - ws[:, np.newaxis, np.newaxis] * np.eye(t.shape[0])
+
+
+def _helper(t, ws, shifted, tols):
+    rule = linalg.ShiftConditioning(t)
+    return rule.ill_conditioned(shifted, rule.cleared(ws, tols), tols)
+
+
+def _jordan(n, lam):
+    return lam * np.eye(n, dtype=complex) + np.eye(n, k=1)
+
+
+def _hard_matrices():
+    q = random_unitary(6, 41)
+    u, w = random_unitary(4, 42), random_unitary(4, 43)
+    clustered = np.diag(0.6 + 1e-9 * np.arange(4)) + 1e-3 * np.eye(4, k=1)
+    return {
+        "shear_1e6": np.array([[1.2, 1e6], [0.0, 1.2]], dtype=complex),
+        "jordan_6": _jordan(6, 0.5j),
+        "jordan_6_rotated": q @ _jordan(6, 0.5 * np.exp(0.3j)) @ q.conj().T,
+        "cond_1e8": (u * np.logspace(0, -8, 4)) @ w.conj().T,
+        "clustered": u @ clustered @ u.conj().T,
+        "zero": np.zeros((3, 3), dtype=complex),
+    }
+
+
+def _hard_shifts(t):
+    """Shifts 10^-k (k = 1..12) from each eigenvalue in four directions, and
+    64 nodes on each of the circles |w| = 1.02, 0.75 and 0.48."""
+    lams = np.linalg.eigvals(t)
+    steps = 10.0 ** -np.arange(1, 13)[:, np.newaxis] * np.array([1, 1j, -1, -1j])
+    near = (lams[:, np.newaxis, np.newaxis] + steps).ravel()
+    nodes = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    circles = np.concatenate([radius * nodes for radius in (1.02, 0.75, 0.48)])
+    return np.concatenate([near, lams, circles])
+
+
+class TestShiftConditioning:
+    @pytest.mark.parametrize("rank_tol", [1e-9, 1e-15, 0.5, 1.5])
+    @pytest.mark.parametrize("name", sorted(_hard_matrices()))
+    def test_agrees_with_the_svd_rule(self, name, rank_tol):
+        t = _hard_matrices()[name]
+        tols = Tolerances(rank_tol=rank_tol)
+        ws = _hard_shifts(t)
+        shifted = _shifted(t, ws)
+        got = _helper(t, ws, shifted, tols)
+        assert np.array_equal(got, _svd_rule(shifted, tols))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-170, -100, -30, 30, 100, 150, 170])
+    def test_scaled_inputs_agree_without_warnings(self, k, monkeypatch):
+        svd = np.linalg.svd
+
+        def svd_counts(scale):
+            counts = []
+            for name, t in _hard_matrices().items():
+                ws, t = _hard_shifts(t) * scale, t * scale
+                shifted = _shifted(t, ws)
+                want = _svd_rule(shifted, DEFAULT_TOLS)
+                sizes = [0]
+                monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sizes.append(len(a)) or svd(a, **kw))
+                got = _helper(t, ws, shifted, DEFAULT_TOLS)
+                monkeypatch.undo()
+                assert np.array_equal(got, want), name
+                counts.append(sum(sizes))
+            return counts
+
+        # the bound works in units of the largest entry, so at every scale it
+        # clears the same shifts (the zero matrix has no such unit)
+        assert svd_counts(10.0**k)[:-1] == svd_counts(1.0)[:-1]
+        # the shear with the root 1.3 of the calculus example stays singular
+        t = np.array([[1.2, 1e6], [0.0, 1.2]]) * 10.0**k
+        ws = np.array([1.3]) * 10.0**k
+        assert _helper(t, ws, _shifted(t, ws), DEFAULT_TOLS)[0]
+
+    def test_few_shifts_take_singular_values_only(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_schur_triangle", None)
+        t = _hard_matrices()["cond_1e8"]
+        ws = _hard_shifts(t)[: linalg._FEW_SHIFTS - 1]
+        shifted = _shifted(t, ws)
+        assert np.array_equal(_helper(t, ws, shifted, DEFAULT_TOLS), _svd_rule(shifted, DEFAULT_TOLS))
+
+    def test_non_finite_and_huge_shifts_go_to_the_svd(self):
+        t = np.diag([0.5, 0.7]).astype(complex)
+        ws = np.array([0.2, 1e300, -1e300j, 2.0**101, 0.3, 0.4j, -0.3, 0.6])
+        shifted = _shifted(t, ws)
+        assert np.array_equal(_helper(t, ws, shifted, DEFAULT_TOLS), _svd_rule(shifted, DEFAULT_TOLS))
+        for bad in (np.inf, np.nan):
+            ws = np.array([0.2, bad, 0.3, 0.4j, -0.3, 0.6, 0.1, -0.1j])
+            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+                _helper(t, ws, _shifted(t, ws), DEFAULT_TOLS)
+
+    def test_schur_backward_error_is_accounted_for(self, monkeypatch):
+        # A Schur form within the stated backward error: exact for T + E with
+        # ||E||_F half the allowance.  Its eigenvalue moves off 1, so a bound
+        # without the allowance would clear the singular shift w = 1.
+        t = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        triangle = linalg._schur_triangle
+
+        def perturbed(m):
+            tri = triangle(m)
+            tri[0, 0] += 0.5 * linalg._SCHUR_ERROR * 3 * np.finfo(float).eps * np.linalg.norm(m)
+            return tri
+
+        monkeypatch.setattr(linalg, "_schur_triangle", perturbed)
+        tols = Tolerances(rank_tol=1e-15)
+        ws = 1.0 + np.array([0.0, 1e-14, -1e-14, 1e-13, 1e-12, 1e-3, 0.5j, 0.5])
+        shifted = _shifted(t, ws)
+        got = _helper(t, ws, shifted, tols)
+        assert np.array_equal(got, _svd_rule(shifted, tols))
+        assert got[0]
+
+    def test_resolvents_count_the_failing_points(self):
+        t = np.array([[1.2, 1e6], [0.0, 1.2]])
+        ws = np.array([1.3, 5e6, 1.2 + 1e-12, -3e6, 1.2, 2e7, -2e7, 4e6j])
+        failed = _svd_rule(ws[:, np.newaxis, np.newaxis] * np.eye(2) - t, DEFAULT_TOLS)
+        assert failed.sum() == 3
+        with pytest.raises(Singular, match=r"exceeds 1\.0e\+09 at 3 of 8 points$"):
+            linalg.resolvents(t, ws)
+        assert linalg.resolvents(t, ws[~failed]).shape == (5, 2, 2)
