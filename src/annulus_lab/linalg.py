@@ -161,19 +161,15 @@ def _ill_conditioned(svals: np.ndarray, tols: Tolerances):
 
 
 # Generous multiples of ``n * eps`` in ShiftConditioning: the backward error
-# of the computed Schur form, as a fraction of ``||T||_F``, and the rounding
-# of the bound itself, of the shifted matrices and of their singular values.
+# of the computed Schur form, as a fraction of ``||T||_F`` (an assumed
+# constant; see the class docstring), and the rounding of the bound itself,
+# of the shifted matrices and of their singular values.
 _SCHUR_ERROR = 1024
 _ROUNDING = 64
-# Matrices whose largest entry lies outside [2^-900, 2^900], and shifts
-# beyond 2^100 times that entry, are left to the singular values.
+# Matrices whose largest entry lies outside [2^-900, 2^900] are left to the
+# singular values.
 _SAFE_EXPONENT = 900
-_SAFE_SHIFT = 2.0**100
 _EPS = float(np.finfo(float).eps)
-# A call with fewer shifts takes their singular values: at n = 3 to 16 one
-# Schur form and one pass of the bound cost about as much as four to five
-# singular-value calls.  The Schur form is made on the first larger call.
-_FEW_SHIFTS = 8
 
 
 def _schur_triangle(m: np.ndarray) -> np.ndarray | None:
@@ -206,18 +202,20 @@ class ShiftConditioning:
     an array of shifts; :meth:`ill_conditioned` gives every other shift the
     singular values as :func:`solve` does, so the verdicts are those of the
     rule.  The bound is computed with ``T`` scaled by a power of two to a
-    largest entry in ``[1/2, 1)``, from a Schur form made on the first call
-    with at least ``_FEW_SHIFTS`` shifts.
+    largest entry in ``[1/2, 1)``.
+
+    The agreement with the rule rests on one assumption: that the Schur form
+    LAPACK ``zgees`` computes is exact for some ``T + E`` with
+    ``||E||_F <= 1024 n eps ||T||_F``.  The published results give
+    ``||E|| <= p(n) eps ||T||`` with ``p`` only called a modest function of
+    ``n`` (LAPACK Users' Guide, 3rd ed., sec. 4.8, error bounds for the
+    nonsymmetric eigenproblem; Golub and Van Loan, Matrix Computations,
+    4th ed., sec. 7.5.6, for the Hessenberg QR iteration), so ``1024 n`` is
+    a generous choice of ``p(n)``, not a derived one.
     """
 
     def __init__(self, m: np.ndarray):
-        self.m = m
-        self.formed = False
-
-    def _form(self):
-        self.formed = True
         self.scale = None
-        m = self.m
         exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
         if abs(exponent) > _SAFE_EXPONENT:
             return
@@ -242,12 +240,7 @@ class ShiftConditioning:
         self.error = _SCHUR_ERROR * n * _EPS * fro + n * np.finfo(float).tiny
 
     def cleared(self, ws: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """Where the bound proves the shift ``ws[...]`` well conditioned;
-        nowhere for fewer than ``_FEW_SHIFTS`` shifts."""
-        if ws.size < _FEW_SHIFTS:
-            return np.zeros(ws.shape, dtype=bool)
-        if not self.formed:
-            self._form()
+        """Where the bound proves the shift ``ws[...]`` well conditioned."""
         if self.scale is None:
             return np.zeros(ws.shape, dtype=bool)
         # A zero gap, an overflow or a non-finite shift gives a NaN or
@@ -262,7 +255,7 @@ class ShiftConditioning:
                 total = 1.0 + rho * total
             lo = gap * self.keep / total - self.error
             theta = (2.0 * tols.rank_tol + self.slack) * (1.0 + self.slack)
-            return (dist < _SAFE_SHIFT) & (lo > theta * (self.fro + dist))
+            return lo > theta * (self.fro + dist)
 
     @staticmethod
     def ill_conditioned(shifted: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
