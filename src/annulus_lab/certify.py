@@ -516,13 +516,16 @@ def williams_verdict(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> WilliamsVe
 
     For a completely non-normal matrix of norm one the closed unit disk is a
     minimal spectral set, so no strictly smaller compact (the closed annulus
-    in particular) can be one.
+    in particular) can be one.  The norm is tested first: the splitting runs
+    only at norm one, where it can refute.
     """
     m = linalg.as_matrix(t)
+    if m.shape[0] != m.shape[1]:
+        raise NoConvergence("cnn_split needs a square matrix")
+    if not abs(linalg.operator_norm(m) - 1.0) <= tols.verify_tol:
+        return WilliamsVerdict.NOT_APPLICABLE
     _, p_cnn = cnn_split(m, tols)
-    fully_cnn = linalg.operator_norm(p_cnn - np.eye(m.shape[0])) <= tols.verify_tol
-    norm_one = abs(linalg.operator_norm(m) - 1.0) <= tols.verify_tol
-    if fully_cnn and norm_one:
+    if linalg.operator_norm(p_cnn - np.eye(m.shape[0])) <= tols.verify_tol:
         return WilliamsVerdict.MINIMAL_DISK_REFUTATION
     return WilliamsVerdict.NOT_APPLICABLE
 
@@ -538,17 +541,20 @@ def full_certification(
 
     Returns the merged report (stress witness wins over the minimal-disk
     refutation, which wins over a pass) plus a dict of the individual checks.
+    The necessary conditions read ``||T||``, ``||r T^{-1}||`` and the
+    spectrum test from the stress report, which measures them once; each
+    entry equals what its predicate returns.
     """
     m = linalg.as_matrix(t)
-    passes_window, norm_t = norm_window(m, r, tols)
+    report = vonneumann_stress(m, r, trials, seed, tols)
+    tol = tols.verify_tol
     details = {
-        "spectrum_in_annulus": spectrum_in_annulus(m, r, tols),
-        "norm_window": passes_window,
-        "norm_T": norm_t,
-        "double_contraction": double_contraction_check(m, r, tols),
+        "spectrum_in_annulus": report.spectrum_ok,
+        "norm_window": r - tol <= report.norm_t <= 1.0 + tol,
+        "norm_T": report.norm_t,
+        "double_contraction": report.norm_t <= 1.0 + tol and report.norm_rtinv <= 1.0 + tol,
         "williams": williams_verdict(m, r, tols).value,
     }
-    report = vonneumann_stress(m, r, trials, seed, tols)
     if report.verdict is not Verdict.REFUTED and details["williams"] == WilliamsVerdict.MINIMAL_DISK_REFUTATION.value:
         report = replace(report, verdict=Verdict.WILLIAMS_REFUTED, witness=None)
     return report, details

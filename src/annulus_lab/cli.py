@@ -4,8 +4,9 @@ Every command reads JSON inputs, writes a JSON report (stdout or ``--out``)
 and communicates through exit codes: 0 for success/pass, 2 for a refutation
 or failed verification, 1 for usage or I/O errors.  All diagnostics go to
 stderr.  Reports are deterministic for fixed inputs apart from the
-``timestamp`` field; randomness flows from the single ``--seed`` flag through
-documented sub-stream splitting.
+``timestamp`` field.  Only ``certify`` and ``selftest`` draw random numbers,
+from their ``--seed`` through documented sub-stream splitting.  Each
+subcommand registers exactly the flags its handler reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +26,6 @@ from .linalg import Tolerances
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUTED = 2
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    r: float = 0.5
-    matrix_path: str | None = None
-    function_paths: tuple = ()
-    trials: int = 2000
-    seed: int = 1
-    budget: int | None = 16
-    order: int = 32
-    out_path: str | None = None
-    tols: Tolerances = Tolerances()
-
-    def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise ValueError("--r must lie strictly between 0 and 1")
-        if self.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("--d must be >= 1")
-        if self.order < 1:
-            raise ValueError("--order must be >= 1")
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -72,16 +48,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(report: dict, config: JobConfig) -> None:
+def _emit(report: dict, args: argparse.Namespace) -> None:
     envelope = {
-        "command": config.command,
+        "command": args.command,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "result": report,
     }
     text = json.dumps(envelope, sort_keys=True, indent=2, default=_json_default) + "\n"
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -92,21 +68,19 @@ def _emit(report: dict, config: JobConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_certify(config: JobConfig) -> int:
-    t = _load_matrix(config.matrix_path)
-    report, details = certify.full_certification(
-        t, config.r, config.trials, config.seed, config.tols
-    )
+def _cmd_certify(args: argparse.Namespace, tols: Tolerances) -> int:
+    t = _load_matrix(args.matrix)
+    report, details = certify.full_certification(t, args.r, args.trials, args.seed, tols)
     payload = report.to_json()
     payload["checks"] = details
-    _emit(payload, config)
+    _emit(payload, args)
     refuted = report.verdict in (certify.Verdict.REFUTED, certify.Verdict.WILLIAMS_REFUTED)
     return EXIT_REFUTED if refuted else EXIT_OK
 
 
-def _cmd_decompose(config: JobConfig) -> int:
-    t = _load_matrix(config.matrix_path)
-    dec = ar_unitary.decompose(t, config.r, config.tols)
+def _cmd_decompose(args: argparse.Namespace, tols: Tolerances) -> int:
+    t = _load_matrix(args.matrix)
+    dec = ar_unitary.decompose(t, args.r, tols)
     payload = {
         "P1": linalg.matrix_to_json(dec.p1),
         "P2": linalg.matrix_to_json(dec.p2),
@@ -117,15 +91,15 @@ def _cmd_decompose(config: JobConfig) -> int:
         "dim_inner": int(dec.basis2.shape[1]),
         "contour_nodes": dec.contour_nodes,
     }
-    _emit(payload, config)
-    return EXIT_OK if dec.residual <= config.tols.verify_tol else EXIT_REFUTED
+    _emit(payload, args)
+    return EXIT_OK if dec.residual <= tols.verify_tol else EXIT_REFUTED
 
 
-def _cmd_dilate(config: JobConfig) -> int:
-    t = _load_matrix(config.matrix_path)
-    model = dilation.build_model(t, config.r, config.budget, config.tols)
+def _cmd_dilate(args: argparse.Namespace, tols: Tolerances) -> int:
+    t = _load_matrix(args.matrix)
+    model = dilation.build_model(t, args.r, args.d, tols)
     pair = model.pair
-    table = dilation.moment_table(model, t, config.budget, config.tols)
+    table = dilation.moment_table(model, t, args.d, tols)
     moment_residual = max(max(row["forward_residual"], row["inverse_residual"]) for row in table)
     payload = {
         "dim_H": pair.dim_h,
@@ -134,34 +108,31 @@ def _cmd_dilate(config: JobConfig) -> int:
         "d": pair.d,
         "moment_residual": moment_residual,
         "moments": table,
-        "embed_isometry_defect": float(
-            linalg.operator_norm(pair.embed.conj().T @ pair.embed - np.eye(pair.dim_h))
-        ),
         "fixup_unitarity_defect": float(
             linalg.operator_norm(pair.g.conj().T @ pair.g - np.eye(pair.g.shape[0]))
         ),
     }
-    _emit(payload, config)
-    return EXIT_OK if moment_residual <= config.tols.verify_tol else EXIT_REFUTED
+    _emit(payload, args)
+    return EXIT_OK if moment_residual <= tols.verify_tol else EXIT_REFUTED
 
 
-def _cmd_model_verify(config: JobConfig) -> int:
-    t = _load_matrix(config.matrix_path)
-    functions = [_load_function(path) for path in config.function_paths]
-    budget = config.budget
+def _cmd_model_verify(args: argparse.Namespace, tols: Tolerances) -> int:
+    t = _load_matrix(args.matrix)
+    functions = [_load_function(path) for path in args.f]
+    budget = args.d
     budget_capped = False
     if budget is None:
         # default rule: twice the order certifying 1e-10 for the hardest
         # requested function, capped at 24
         budget = max(dilation.default_budget(f) for f in functions)
         budget_capped = budget >= dilation.BUDGET_CAP
-    model = dilation.build_model(t, config.r, budget, config.tols)
+    model = dilation.build_model(t, args.r, budget, tols)
     rows = []
     ok = True
-    for path, f in zip(config.function_paths, functions):
+    for path, f in zip(args.f, functions):
         report = model.tail_report(f)
-        residual = dilation.verify_model(model, t, f, config.tols)
-        passed = residual <= report["bound"] + config.tols.verify_tol
+        residual = dilation.verify_model(model, t, f, tols)
+        passed = residual <= report["bound"] + tols.verify_tol
         ok = ok and passed
         rows.append(
             {
@@ -174,13 +145,13 @@ def _cmd_model_verify(config: JobConfig) -> int:
             }
         )
     payload = {"d": budget, "budget_capped": budget_capped, "functions": rows}
-    _emit(payload, config)
+    _emit(payload, args)
     return EXIT_OK if ok else EXIT_REFUTED
 
 
-def _cmd_laurent(config: JobConfig) -> int:
-    f = _load_function(config.function_paths[0])
-    series = rational.laurent_expand(f, config.order)
+def _cmd_laurent(args: argparse.Namespace, tols: Tolerances) -> int:
+    f = _load_function(args.f)
+    series = rational.laurent_expand(f, args.order)
     js = np.arange(-series.order, series.order + 1)
     payload = {
         "r": series.r,
@@ -195,13 +166,13 @@ def _cmd_laurent(config: JobConfig) -> int:
         "rho2": series.rho2,
         "tail_bound": series.tail_bound,
     }
-    _emit(payload, config)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def _cmd_demo_example(config: JobConfig) -> int:
-    payload = demo_example(config.r, config.tols)
-    _emit(payload, config)
+def _cmd_demo_example(args: argparse.Namespace, tols: Tolerances) -> int:
+    payload = demo_example(args.r, tols)
+    _emit(payload, args)
     return EXIT_OK if payload["all_ok"] else EXIT_REFUTED
 
 
@@ -364,10 +335,10 @@ def _selftest_cases(seed: int, tols: Tolerances):
     ]
 
 
-def _cmd_selftest(config: JobConfig) -> int:
+def _cmd_selftest(args: argparse.Namespace, tols: Tolerances) -> int:
     results = []
     all_ok = True
-    for name, case in _selftest_cases(config.seed, config.tols):
+    for name, case in _selftest_cases(args.seed, tols):
         try:
             measure, limit = case()
             ok = bool(measure <= limit)
@@ -378,13 +349,39 @@ def _cmd_selftest(config: JobConfig) -> int:
         status = "pass" if ok else "FAIL"
         print(f"[selftest] {name}: {status} (measure={measure:.3e})", file=sys.stderr)
         results.append({"name": name, "measure": measure, "limit": limit, "ok": ok})
-    _emit({"cases": results, "all_ok": all_ok}, config)
+    _emit({"cases": results, "all_ok": all_ok}, args)
     return EXIT_OK if all_ok else EXIT_REFUTED
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _radius(text: str) -> float:
+    r = float(text)
+    if not (0.0 < r < 1.0):
+        raise argparse.ArgumentTypeError("must lie strictly between 0 and 1")
+    return r
+
+
+def _positive_int(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return k
+
+
+class _Once(argparse.Action):
+    """Store the value, refusing a second occurrence of the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "expected once")
+        setattr(namespace, self.dest, values)
+
+
+_TOLERANCES = ("eig_tol", "rank_tol", "verify_tol")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,72 +391,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=False, functions=False, r=True):
+    def command(name, summary, r=True, matrix=False, tolerances=True, seed=False):
+        # no abbreviations, so a flag a command lacks is never read as a longer one
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         if r:
-            p.add_argument("--r", type=float, default=0.5, help="inner radius in (0,1)")
+            p.add_argument("--r", type=_radius, default=0.5, help="inner radius in (0,1)")
         if matrix:
             p.add_argument("--matrix", required=True, help="matrix JSON path")
-        if functions:
-            p.add_argument(
-                "--f", action="append", default=[], help="rational function JSON path"
-            )
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--seed", type=int, default=1)
-        for name in ("eig-tol", "rank-tol", "verify-tol"):
-            p.add_argument(f"--{name}", type=float, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=1)
+        if tolerances:
+            for tol in _TOLERANCES:
+                p.add_argument("--" + tol.replace("_", "-"), type=float, default=None)
+        return p
 
-    p = sub.add_parser("certify", help="run the certification battery")
-    common(p, matrix=True)
-    p.add_argument("--trials", type=int, default=2000)
+    p = command("certify", "run the certification battery", matrix=True, seed=True)
+    p.add_argument("--trials", type=_positive_int, default=2000)
 
-    p = sub.add_parser("decompose", help="two-circle split of a boundary normal")
-    common(p, matrix=True)
+    command("decompose", "two-circle split of a boundary normal", matrix=True)
 
-    p = sub.add_parser("dilate", help="build the commuting dilation pair for (T, rT^-1)")
-    common(p, matrix=True)
-    p.add_argument("--d", type=int, default=16, help="degree budget")
+    p = command("dilate", "build the commuting dilation pair for (T, rT^-1)", matrix=True)
+    p.add_argument("--d", type=_positive_int, default=16, help="degree budget")
 
-    p = sub.add_parser("model-verify", help="verify the two-carrier model on functions")
-    common(p, matrix=True, functions=True)
+    p = command("model-verify", "verify the two-carrier model on functions", matrix=True)
+    p.add_argument("--f", action="append", required=True, help="rational function JSON path")
     p.add_argument(
         "--d",
-        type=int,
+        type=_positive_int,
         default=None,
         help="degree budget (default: twice the certified series order, capped at 24)",
     )
 
-    p = sub.add_parser("laurent", help="dump a certified Laurent expansion")
-    common(p, functions=True, r=False)
-    p.add_argument("--order", type=int, default=32)
+    p = command("laurent", "dump a certified Laurent expansion", r=False, tolerances=False)
+    p.add_argument("--f", action=_Once, required=True, help="rational function JSON path")
+    p.add_argument("--order", type=_positive_int, default=32)
 
-    p = sub.add_parser("demo-example", help="reproduce the norm-one shear example")
-    common(p)
-
-    p = sub.add_parser("selftest", help="run the invariant suite")
-    common(p)
+    command("demo-example", "reproduce the norm-one shear example")
+    command("selftest", "run the invariant suite", r=False, seed=True)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    tols = Tolerances(
-        **{
-            name: value
-            for name in ("eig_tol", "rank_tol", "verify_tol")
-            if (value := getattr(args, name, None)) is not None
-        }
-    )
-    return JobConfig(
-        command=args.command,
-        r=getattr(args, "r", 0.5),
-        matrix_path=getattr(args, "matrix", None),
-        function_paths=tuple(getattr(args, "f", []) or []),
-        trials=getattr(args, "trials", 2000),
-        seed=getattr(args, "seed", 1),
-        budget=getattr(args, "d", 16),
-        order=getattr(args, "order", 32),
-        out_path=getattr(args, "out", None),
-        tols=tols,
-    )
 
 
 _DISPATCH = {
@@ -480,14 +450,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        config = _config_from_args(args)
-        if config.command == "laurent" and not config.function_paths:
-            print("laurent requires at least one --f", file=sys.stderr)
-            return EXIT_USAGE
-        if config.command == "model-verify" and not config.function_paths:
-            print("model-verify requires at least one --f", file=sys.stderr)
-            return EXIT_USAGE
-        return _DISPATCH[config.command](config)
+        # only the tolerance flags that were given; Tolerances rejects a 0
+        given = {name: value for name in _TOLERANCES if (value := vars(args).get(name)) is not None}
+        return _DISPATCH[args.command](args, Tolerances(**given))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

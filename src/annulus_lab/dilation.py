@@ -317,7 +317,7 @@ class ModelTriple:
         ut, bt = s1.tail_pos, s2.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
         sa = float(np.sum(np.abs(s1.factor_pos)))
-        sb = float(np.sum(rational.inner_weights(s2.factor_neg, self.r)))
+        sb = float(np.sum(s2.tail_models[1].exact[: self.d + 1]))
         bound = cp * (ut * (sb + bt) + sa * bt + ut * bt)
         return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
 
@@ -339,7 +339,7 @@ BUDGET_CAP = 24
 def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP) -> int:
     """Default degree budget for verifying ``f``: twice the truncation order
     that certifies ``tol``, capped.  A capped budget may leave the certified
-    bound above ``tol``; the verifier's budget gate reports that case.
+    bound above ``tol``.
 
     No order search runs when the cap binds: if the bound at order
     ``ceil(cap/2) - 1`` is above ``tol``, every order that certifies ``tol``
@@ -396,7 +396,6 @@ def verify_model(
     t,
     f: AnnulusRational,
     tols: Tolerances = DEFAULT_TOLS,
-    budget_tol: float | None = None,
 ) -> float:
     """Residual ``max_h ||f(T) h - V* p(N) q1(N)^-1 q2(FNF)^-1 V h||``.
 
@@ -407,20 +406,11 @@ def verify_model(
     tests check this route against the dense ``F``, ``N`` and ``V``.  The
     power chains start on ``H``, touch only the blocks they occupy and stop
     at each series' last nonzero coefficient, at most ``2d + deg p``
-    structured applies in all.  With
-    ``budget_tol`` set, a certified truncation bound above it raises
-    :class:`BudgetExceeded` instead of returning a residual that cannot meet
-    the request.
+    structured applies in all.
     """
     rational.validate(f)
     m = linalg.as_matrix(t)
     pair = model.pair
-    if budget_tol is not None:
-        report = model.tail_report(f)
-        if report["bound"] > budget_tol:
-            raise BudgetExceeded(
-                f"certified bound {report['bound']:.3e} exceeds {budget_tol:.1e}; raise d"
-            )
     s1, s2 = _factor_series(f, model.d)
     rweights = model.r ** (-np.arange(model.d + 1, dtype=float))
     e = pair.embed

@@ -258,13 +258,6 @@ def boundary_sup_norm(f: AnnulusRational, nodes: int) -> float:
 _MARGIN = 128
 
 
-def inner_weights(b: np.ndarray, r: float, growth: float = 1.0) -> np.ndarray:
-    """``|b_m| (growth/r)^m`` computed in log space (no 0 * inf artifacts)."""
-    m = np.arange(len(b), dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(np.log(np.abs(b)) + m * (np.log(growth) - np.log(r)))
-
-
 def _grown(mag, n, growth: float):
     """``mag * growth**n``, in log space unless ``growth`` is 1."""
     if growth == 1.0:
@@ -368,21 +361,25 @@ def _series_data(f: AnnulusRational, length: int):
     kernel = np.abs(p) * np.prod(1.0 / moduli) / abs(f.scale)
     pos = _tail_model(np.abs(a), kernel, lo / moduli, 1.0 / lo)
 
-    # descending factor: 1/prod(z - beta_i) = sum_{m >= L} v_{m-L} z^{-m};
-    # the series of 1/prod(1 - beta w) in w has polynomial prod(1 - beta_i w),
-    # whose ascending coefficients equal poly_from_roots(1/beta) * prod(-beta)
+    # descending factor: 1/prod(z - beta_i) = z^-L sum_m c_m (r/z)^m, where c
+    # is the series of 1/prod(1 - (beta_i/r) w) in w; that polynomial's
+    # ascending coefficients equal poly_from_roots(r/beta) * prod(-beta/r).
+    # So b_{m+L} = c_m r^m, and the weights |b_{m+L}| r^-(m+L) = |c_m| r^-L
+    # stay representable where b_{m+L} underflows.
     inv_inner = _inverse_series(
-        _poly_from_roots([1.0 / b for b in betas]) * np.prod(-betas) if len(betas) else np.array([1.0 + 0j]),
-        length - 1,
+        _poly_from_roots([r / b for b in betas]) * np.prod(-betas / r) if len(betas) else np.array([1.0 + 0j]),
+        length - n_roots2 - 1,
     )
     b = np.zeros(length, dtype=complex)
-    b[n_roots2:] = inv_inner[: length - n_roots2]
+    b[n_roots2:] = inv_inner * r ** np.arange(length - n_roots2)
+    weights = np.zeros(length)
+    weights[n_roots2:] = np.abs(inv_inner) * r ** (-n_roots2)
     # weighted majorant r^-L prod 1/(1 - (|beta_i|/r) w), shifted by L
     moduli = np.abs(betas)
     hi = moduli.max(initial=0.0)
     kernel = np.zeros(n_roots2 + 1)
     kernel[-1] = r ** (-n_roots2)
-    neg = _tail_model(inner_weights(b, r), kernel, moduli / hi, hi / r)
+    neg = _tail_model(weights, kernel, moduli / hi, hi / r)
     return a, b, pos, neg
 
 
@@ -442,7 +439,7 @@ class LaurentSeries:
         m = self.order
         pos, neg = self.tail_models
         weights_pos = np.abs(self.factor_pos) * s ** np.arange(m + 1)
-        weights_neg = inner_weights(self.factor_neg, self.r, growth=t)
+        weights_neg = _grown(neg.exact[: m + 1], np.arange(m + 1), t)
         tp = pos.tail(m, s)
         tn = neg.tail(m, t)
         sa = float(weights_pos.sum()) + tp

@@ -27,7 +27,7 @@ from annulus_lab.certify import (
     _sampled_sups,
     _stress_battery,
 )
-from annulus_lab.errors import NotInvertible, PoleHit, Singular
+from annulus_lab.errors import NoConvergence, NotInvertible, PoleHit, Singular
 from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, evaluate, rational_from_json
 
@@ -450,6 +450,10 @@ class TestWilliams:
             is WilliamsVerdict.NOT_APPLICABLE
         )
 
+    def test_non_square_raises_before_the_norm_test(self):
+        with pytest.raises(NoConvergence):
+            williams_verdict(3.0 * np.ones((2, 3)), 0.5)
+
 
 class TestFullCertification:
     def test_separation_on_shear_example(self):
@@ -462,3 +466,32 @@ class TestFullCertification:
         report, details = full_certification(normal_annulus_matrix(4, 0.5, 5), 0.5, 300, 1)
         assert report.verdict is Verdict.PASSED_STRESS
         assert details["williams"] == "NotApplicable"
+
+    @pytest.mark.parametrize(
+        "t, r",
+        [
+            (example_matrix(0.25), 0.25),
+            (normal_annulus_matrix(4, 0.5, 5), 0.5),
+            (windowed_matrix(3, 0.5, 7), 0.5),
+            (1.5 * random_unitary(3, 2), 0.5),
+            (np.diag([0.1, 0.9]).astype(complex), 0.5),
+            (0.5 * example_matrix(0.81), 0.81),
+        ],
+        ids=["shear", "normal", "windowed", "norm-above-one", "spectrum-inside", "small-norm"],
+    )
+    def test_details_equal_the_predicates(self, t, r):
+        report, details = full_certification(t, r, 200, 1)
+        passes, norm_t = norm_window(t, r)
+        assert details == {
+            "spectrum_in_annulus": spectrum_in_annulus(t, r),
+            "norm_window": passes,
+            "norm_T": norm_t,
+            "double_contraction": double_contraction_check(t, r),
+            "williams": williams_verdict(t, r).value,
+        }
+        stress = vonneumann_stress(t, r, 200, 1)
+        assert (report.norm_t, report.norm_rtinv, report.max_ratio) == (
+            stress.norm_t,
+            stress.norm_rtinv,
+            stress.max_ratio,
+        )

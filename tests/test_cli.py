@@ -105,6 +105,8 @@ class TestDilateCommand:
         result = read_report(out)["result"]
         assert result["moment_residual"] <= 1e-10
         assert result["M"] == 9
+        assert "embed_isometry_defect" not in result
+        assert result["fixup_unitarity_defect"] <= 1e-10
 
 
 class TestLaurentCommand:
@@ -148,6 +150,64 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--eig-tol", "--rank-tol", "--verify-tol"])
     def test_zero_tolerance_is_usage_error(self, flag):
         assert cli.main(["demo-example", flag, "0"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("decompose", "--seed", "1"),
+            ("dilate", "--seed", "1"),
+            ("model-verify", "--seed", "1"),
+            ("laurent", "--seed", "1"),
+            ("demo-example", "--seed", "1"),
+            ("laurent", "--eig-tol", "1e-10"),
+            ("laurent", "--rank-tol", "1e-9"),
+            ("laurent", "--verify-tol", "1e-8"),
+            ("selftest", "--r", "0.5"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, command, flag, value):
+        # each command would otherwise run and exit 0 on these inputs
+        mat = write_matrix(tmp_path / "t.json", np.eye(2))
+        fn = write_function(tmp_path / "f.json", AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,)))
+        inputs = {
+            "decompose": ["--matrix", mat],
+            "dilate": ["--matrix", mat, "--d", "2"],
+            "model-verify": ["--matrix", mat, "--f", fn, "--d", "2"],
+            "laurent": ["--f", fn, "--order", "4"],
+            "demo-example": ["--r", "0.25"],
+            "selftest": [],
+        }[command]
+        args = [command, *inputs, "--out", str(tmp_path / "r.json")]
+        if command != "selftest":
+            assert cli.main(args) == cli.EXIT_OK
+        assert cli.main(args + [flag, value]) == cli.EXIT_USAGE
+
+    def test_laurent_takes_one_function(self, tmp_path):
+        fn = write_function(tmp_path / "f.json", AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,)))
+        out = str(tmp_path / "r.json")
+        assert cli.main(["laurent", "--f", fn, "--out", out]) == cli.EXIT_OK
+        assert cli.main(["laurent", "--f", fn, "--f", fn, "--out", out]) == cli.EXIT_USAGE
+
+    def test_missing_function_is_usage_error(self, tmp_path):
+        mat = write_matrix(tmp_path / "t.json", np.eye(2))
+        assert cli.main(["laurent", "--order", "4"]) == cli.EXIT_USAGE
+        assert cli.main(["model-verify", "--matrix", mat]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["demo-example", "--r", "0"],
+            ["demo-example", "--r", "nan"],
+            ["dilate", "--d", "0"],
+            ["certify", "--trials", "0"],
+            ["laurent", "--order", "0"],
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, args):
+        mat = write_matrix(tmp_path / "t.json", np.eye(2))
+        fn = write_function(tmp_path / "f.json", AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,)))
+        inputs = {"demo-example": [], "laurent": ["--f", fn]}.get(args[0], ["--matrix", mat])
+        assert cli.main(args + inputs) == cli.EXIT_USAGE
 
     def test_verify_tol_sets_the_decompose_verdict(self, tmp_path):
         # the identity decomposes with a residual near 1e-15: within the

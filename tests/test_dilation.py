@@ -288,13 +288,6 @@ class TestVerifyModel:
         verify_model(model, t, f)
         assert len(calls) == 2
 
-    def test_budget_gate_raises(self):
-        t = windowed_matrix(2, 0.5, 15)
-        model = build_model(t, 0.5, 2)
-        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q2_roots=(0.4,))
-        with pytest.raises(BudgetExceeded):
-            verify_model(model, t, f, budget_tol=1e-10)
-
     def test_default_budget_rule(self):
         from annulus_lab.dilation import default_budget
         from annulus_lab.rational import laurent_order_for

@@ -220,6 +220,27 @@ class TestLaurentExpand:
             for order, bound in searched:
                 assert laurent_expand(f, order).tail_bound == bound
 
+    @pytest.mark.parametrize("r, beta, order", [(1e-3, 9e-4, 200), (0.25, 0.2, 500)])
+    def test_bound_holds_once_inner_coefficients_underflow(self, r, beta, order):
+        # 1/(z - beta) drops sum_{k > m} beta^(k-1) z^-k, largest on |z| = r:
+        # (beta/r)^m / (r - beta); its coefficients underflow well before order m
+        exact = (beta / r) ** order / (r - beta)
+        bound = laurent_expand(AnnulusRational(r=r, q2_roots=(beta,)), order).tail_bound
+        assert bound >= exact * (1 - 1e-12)
+
+    def test_small_radius_order_certifies_the_exact_remainder(self):
+        # 1e4 * 0.9^m <= 1e-10 first at m = 306
+        assert laurent_order_for(AnnulusRational(r=1e-3, q2_roots=(9e-4,)), 1e-10) >= 306
+
+    def test_order_search_reaches_a_battery_function_at_small_radius(self):
+        from annulus_lab.certify import sample_test_function
+        from annulus_lab.linalg import seeded_rng
+
+        f = sample_test_function(0.25, seeded_rng(5, 17, 90))
+        m = laurent_order_for(f, 1e-10)
+        assert laurent_expand(f, m).tail_bound <= 1e-10
+        assert laurent_expand(f, 480).tail_bound <= laurent_expand(f, m).tail_bound
+
 
 class TestBoundarySupNorm:
     def test_identity_function(self):
