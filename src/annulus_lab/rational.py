@@ -19,6 +19,7 @@ special treatment.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,20 +275,59 @@ def _poly_from_roots(roots) -> np.ndarray:
     return c
 
 
-def _inverse_series(c: np.ndarray, m: int) -> np.ndarray:
+def _inverse_series(c: np.ndarray, m: int, head: np.ndarray | None = None) -> np.ndarray:
     """First ``m+1`` ascending coefficients of ``1/poly`` (``c[0] != 0``).
 
-    The convolution recurrence is exact for repeated roots.
+    The convolution recurrence is exact for repeated roots.  Each entry
+    depends only on ``c`` and the entries before it, so a run that continues
+    from ``head`` (a prefix of the same series) extends it bit for bit.
     """
     u = np.zeros(m + 1, dtype=complex)
     u[0] = 1.0 / c[0]
+    start = 1
+    if head is not None:
+        u[: len(head)] = head
+        start = len(head)
     deg = len(c) - 1
-    for n in range(1, m + 1):
+    for n in range(start, m + 1):
         acc = 0.0 + 0j
         for k in range(1, min(n, deg) + 1):
             acc += c[k] * u[n - k]
         u[n] = -acc / c[0]
     return u
+
+
+# Inverse-series prefixes kept by :func:`_inverse_prefix`, keyed by the
+# polynomial's coefficients, least recently used first.  Runs are rounded up
+# to whole blocks of _INVERSE_BLOCK terms and at least double a stored prefix
+# they extend, so nearby orders of one function share a run.
+_INVERSE_MEMO: OrderedDict = OrderedDict()
+_INVERSE_MEMO_SIZE = 16
+_INVERSE_BLOCK = 32
+
+
+def _inverse_prefix(c: np.ndarray, m: int) -> np.ndarray:
+    """:func:`_inverse_series` ``(c, m)``, read-only, from a bounded memo.
+
+    A function's denominator recurrences are asked for by
+    :func:`laurent_expand` and :func:`laurent_order_for` on ``f`` and on its
+    factors, at orders a few terms apart; each distinct polynomial runs
+    once while it stays among the ``_INVERSE_MEMO_SIZE`` most recent, and a
+    longer request extends the stored prefix.
+    """
+    key = c.tobytes()
+    u = _INVERSE_MEMO.pop(key, None)
+    if u is None or len(u) <= m:
+        blocks = -(-(m + 1) // _INVERSE_BLOCK) * _INVERSE_BLOCK
+        u = _inverse_series(c, max(blocks, 2 * len(u) if u is not None else 0) - 1, u)
+        u.setflags(write=False)
+    _INVERSE_MEMO[key] = u
+    if len(_INVERSE_MEMO) > _INVERSE_MEMO_SIZE:
+        _INVERSE_MEMO.popitem(last=False)
+    return u[: m + 1]
+
+
+_inverse_prefix.cache_clear = _INVERSE_MEMO.clear
 
 
 @dataclass(frozen=True)
@@ -354,7 +394,7 @@ def _series_data(f: AnnulusRational, length: int):
 
     # ascending factor: p(z) / (scale * prod(z - alpha_j)); each coefficient
     # of 1/prod(z - alpha_j) is bounded by that of prod 1/(|alpha_j| - z)
-    inv_outer = _inverse_series(_poly_from_roots(alphas), length - 1)
+    inv_outer = _inverse_prefix(_poly_from_roots(alphas), length - 1)
     a = np.convolve(p, inv_outer)[:length] / f.scale
     moduli = np.abs(alphas)
     lo = moduli.min(initial=np.inf)
@@ -366,7 +406,7 @@ def _series_data(f: AnnulusRational, length: int):
     # ascending coefficients equal poly_from_roots(r/beta) * prod(-beta/r).
     # So b_{m+L} = c_m r^m, and the weights |b_{m+L}| r^-(m+L) = |c_m| r^-L
     # stay representable where b_{m+L} underflows.
-    inv_inner = _inverse_series(
+    inv_inner = _inverse_prefix(
         _poly_from_roots([r / b for b in betas]) * np.prod(-betas / r) if len(betas) else np.array([1.0 + 0j]),
         length - n_roots2 - 1,
     )
@@ -490,9 +530,11 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
     """Smallest truncation order whose certified tail bound is at most ``tol``.
 
     Doubling scan from order 8 followed by binary refinement (from order 1
-    when 8 already passes) over series data built once (and rebuilt twice as
-    long when a probe reads past it); each probe's bound equals
-    ``laurent_expand(f, order).tail_bound`` bit for bit.
+    when 8 already passes) over series data rebuilt only when a probe reads
+    past it; the denominator recurrences behind it run once and are extended
+    (see :func:`_inverse_prefix`).  Each probe's bound equals
+    ``laurent_expand(f, order).tail_bound`` bit for bit.  A NaN bound counts
+    as not reaching ``tol``.
     """
     _checked(f)
     data = _series_data(f, _length_for(f, 8))
@@ -501,11 +543,11 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
         nonlocal data
         need = _length_for(f, order)
         if len(data[0]) < need:
-            data = _series_data(f, max(need, 2 * len(data[0])))
+            data = _series_data(f, need)
         return _tail_bounds(data[2], data[3], order)[2]
 
     hi = 8
-    while bound(hi) > tol:
+    while not bound(hi) <= tol:
         hi *= 2
         if hi > cap:
             raise InvalidRational(f"tail bound does not reach {tol} within order {cap}")

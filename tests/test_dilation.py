@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from annulus_lab import dilation, rational
 from annulus_lab.calculus import eval_direct, polyval_matrix
 from annulus_lab.certify import windowed_matrix
 from annulus_lab.dilation import (
@@ -393,6 +394,149 @@ class TestLeanCarrier:
         model = build_model(t, 0.7, 16)
         verify_model(model, t, AnnulusRational(r=0.7, p_coeffs=(0.5, 0.2, 0.1)))
         assert calls == ["_v1", "_v1"]
+
+
+def _reference_series_apply(apply_op, coeffs, x):
+    """``sum_k coeffs[k] Op^k x``, rebuilding the power chain on every call."""
+    nonzero = np.flatnonzero(coeffs)
+    last = nonzero[-1] if nonzero.size else 0
+    acc = coeffs[0] * x
+    cur = x
+    for c in coeffs[1 : last + 1]:
+        cur = apply_op(cur)
+        if c != 0:
+            pad = np.zeros((cur.shape[0] - acc.shape[0], acc.shape[1]), dtype=complex)
+            acc = np.vstack([acc, pad]) + c * cur
+    return acc
+
+
+def _reference_residual(model, t, f):
+    """:func:`verify_model` with per-call chains in place of the model's."""
+    pair, h = model.pair, model.pair.dim_h
+    s1, s2 = dilation._factor_series(f, model.d)
+    inner = s2.factor_neg * model.r ** (-np.arange(model.d + 1, dtype=float))
+    y = _reference_series_apply(pair._v2, inner, pair.embed[:h])
+    z = _reference_series_apply(pair._v1, s1.factor_pos, y)
+    w = _reference_series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)
+    rhs = pair.embed[: w.shape[0]].conj().T @ w
+    return float(np.max(np.linalg.norm(eval_direct(f, t) - rhs, axis=0)))
+
+
+def _reference_moment_rows(model, t, j_max):
+    """``(forward, inverse)`` moment residuals from per-call chains and one
+    :func:`operator_norm` per entry."""
+    pair, h = model.pair, model.pair.dim_h
+    e, inv = pair.embed, dilation.linalg.inverse(t)
+    x1 = x2 = e[:h]
+    pow_pos = pow_neg = np.eye(h, dtype=complex)
+    rows = []
+    for j in range(j_max + 1):
+        rows.append(
+            (
+                operator_norm(e[: x1.shape[0]].conj().T @ x1 - pow_pos),
+                operator_norm(model.r ** (-j) * (e[: x2.shape[0]].conj().T @ x2) - pow_neg),
+            )
+        )
+        x1, x2 = pair._v1(x1), pair._v2(x2)
+        pow_pos, pow_neg = pow_pos @ t, pow_neg @ inv
+    return rows
+
+
+class TestSharedInnerChain:
+    """The model keeps ``V2^k e`` for every function it verifies and for the
+    inverse moments; nothing it returns may differ from per-call chains."""
+
+    F = TestLeanCarrier.F
+
+    @staticmethod
+    def _counted_applies(monkeypatch):
+        calls = []
+        for name in ("_v1", "_v2"):
+            original = getattr(AndoPair, name)
+
+            def counted(self, x, original=original, name=name):
+                calls.append(name)
+                return original(self, x)
+
+            monkeypatch.setattr(AndoPair, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("h", [2, 3, 6])
+    @pytest.mark.parametrize(
+        "order", [("verify", "moments", "verify"), ("moments", "verify")], ids=["vmv", "mv"]
+    )
+    def test_outputs_equal_per_call_chains(self, h, order):
+        r, d = 0.7, 12
+        t = windowed_matrix(h, r, 90 + h)
+        model = build_model(t, r, d)
+        fs = [self.F] + [
+            random_function(r, 700 + 10 * h + k, max_roots=2, alpha_window=(2.0, 4.0), beta_window_div=(8.0, 2.0))
+            for k in range(3)
+        ]
+        residuals = [_reference_residual(model, t, f) for f in fs]
+        rows = _reference_moment_rows(model, t, d)
+        for step in order:
+            if step == "verify":
+                for f, expected in zip(fs, residuals):
+                    assert np.array_equal(verify_model(model, t, f), expected)
+            else:
+                # a shorter table first leaves the chain part-built
+                for j_max in (d // 2, d):
+                    table = moment_table(model, t, j_max)
+                    got = [(row["forward_residual"], row["inverse_residual"]) for row in table]
+                    assert np.array_equal(np.array(got), np.array(rows[: j_max + 1]))
+
+    def test_second_verification_makes_no_inner_apply(self, monkeypatch):
+        calls = self._counted_applies(monkeypatch)
+        t = windowed_matrix(3, 0.7, 4)
+        d = 10
+        model = build_model(t, 0.7, d)
+        verify_model(model, t, self.F)
+        assert calls.count("_v2") == d
+        calls.clear()
+        verify_model(model, t, self.F)
+        verify_model(model, t, AnnulusRational(r=0.7, p_coeffs=(1.0,), q2_roots=(0.1, -0.2j)))
+        verify_moments(model, t, d)
+        # F's outer series and numerator, then the forward moments; the
+        # inner-only function has no outer chain
+        assert calls == ["_v1"] * (d + len(self.F.p_coeffs) - 1 + d)
+
+    def test_chain_holds_h_squared_d_plus_one_squared_entries(self):
+        h, d = 3, 7
+        t = windowed_matrix(h, 0.7, 5)
+        model = build_model(t, 0.7, d)
+        powers = model.inner_powers(d)
+        assert [p.shape for p in powers] == [((2 * k + 1) * h, h) for k in range(d + 1)]
+        assert sum(p.size for p in powers) == h * h * (d + 1) ** 2
+        assert powers[0].base is powers[d].base
+
+    def test_each_denominator_recurrence_runs_once_per_function(self, monkeypatch):
+        runs = []
+        original = rational._inverse_series
+        monkeypatch.setattr(
+            rational, "_inverse_series", lambda c, *args: runs.append(c.tobytes()) or original(c, *args)
+        )
+        rational._inverse_prefix.cache_clear()
+        dilation._factor_series.cache_clear()
+        r = 0.7
+        fs = [
+            # order 10: the order search probes order 16, past its first data
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.3j), q1_roots=(8.0,), q2_roots=(0.04j,)),
+            AnnulusRational(r=r, p_coeffs=(0.5,), q1_roots=(1.6, -1.7j), q2_roots=(0.4,)),
+            AnnulusRational(r=r, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.3, -0.2j)),
+            self.F,
+        ]
+        # the benchmark's call pattern: every budget first, then each
+        # function's bound and residual
+        budgets = [dilation.default_budget(f) for f in fs]
+        assert min(budgets) < dilation.BUDGET_CAP == max(budgets)
+        t = windowed_matrix(3, r, 47)
+        model = build_model(t, r, max(budgets))
+        for f in fs:
+            model.tail_report(f)
+            verify_model(model, t, f)
+        # one q1 and one q2 polynomial per function, and the trivial one
+        assert len(runs) == len(set(runs)) == 2 * len(fs) + 1
 
 
 class TestVerifyMoments:

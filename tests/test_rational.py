@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from annulus_lab import rational
 from annulus_lab.errors import (
     BadRadius,
+    InvalidRational,
     PoleHit,
     RootInClosedDisk,
     RootOutsideInnerDisk,
@@ -219,6 +220,28 @@ class TestLaurentExpand:
             assert searched
             for order, bound in searched:
                 assert laurent_expand(f, order).tail_bound == bound
+
+    def test_nan_tail_bound_never_certifies(self, monkeypatch):
+        from annulus_lab import dilation
+
+        monkeypatch.setattr(rational, "_tail_bounds", lambda pos, neg, order: (np.nan,) * 3)
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,))
+        with pytest.raises(InvalidRational):
+            laurent_order_for(f, 1e-10)
+        assert dilation.default_budget(f) == dilation.BUDGET_CAP
+
+    def test_inverse_prefix_extends_a_run_bit_for_bit(self):
+        rational._inverse_prefix.cache_clear()
+        c = rational._poly_from_roots([1.5, 1.5, -2.0j])
+        short = rational._inverse_prefix(c, 10)
+        long = rational._inverse_prefix(c, 300)
+        assert np.array_equal(long, rational._inverse_series(c, 300))
+        assert np.array_equal(short, long[:11])
+        with pytest.raises(ValueError):
+            short[0] = 0.0  # shared with later callers
+        for k in range(2 * rational._INVERSE_MEMO_SIZE):
+            rational._inverse_prefix(rational._poly_from_roots([2.0 + k]), 5)
+        assert len(rational._INVERSE_MEMO) == rational._INVERSE_MEMO_SIZE
 
     @pytest.mark.parametrize("r, beta, order", [(1e-3, 9e-4, 200), (0.25, 0.2, 500)])
     def test_bound_holds_once_inner_coefficients_underflow(self, r, beta, order):
