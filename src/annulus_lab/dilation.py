@@ -462,7 +462,8 @@ def verify_model(
     """Residual ``max_h ||f(T) h - V* p(N) q1(N)^-1 q2(FNF)^-1 V h||``.
 
     The right-hand side follows the series route on the carriers: the inner
-    factor as ``sum_m q_m r^{-m} V2^m``, the outer factor and numerator as
+    factor as ``sum_m b_m r^{-m} V2^m`` (weights from
+    :attr:`rational.LaurentSeries.factor_neg_scaled`), the outer factor and numerator as
     series/polynomial in ``V1``.  ``F N F`` acts on the first summand as
     ``V2``, so ``q2(FNF)^-1 V h`` is the ``V2`` series applied to ``h``; the
     tests check this route against the dense ``F``, ``N`` and ``V``.  The
@@ -476,9 +477,8 @@ def verify_model(
     m = linalg.as_matrix(t)
     pair = model.pair
     s1, s2 = _factor_series(f, model.d)
-    rweights = model.r ** (-np.arange(model.d + 1, dtype=float))
     e = pair.embed
-    inner = s2.factor_neg * rweights
+    inner = s2.factor_neg_scaled
     y = _series_sum(inner, model.inner_powers(_last_nonzero(inner)))
     z = _series_apply(pair._v1, s1.factor_pos, y)
     w = _series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)

@@ -380,7 +380,8 @@ def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
 
 
 def _series_data(f: AnnulusRational, length: int):
-    """Both factor series of ``f`` and their tail models, ``length`` terms each.
+    """Both factor series of ``f``, the inner one also weighted by ``r^-m``,
+    and their tail models, ``length`` terms each.
 
     Every entry depends only on the entries before it, so a longer call
     extends a shorter one bit for bit.
@@ -404,14 +405,16 @@ def _series_data(f: AnnulusRational, length: int):
     # descending factor: 1/prod(z - beta_i) = z^-L sum_m c_m (r/z)^m, where c
     # is the series of 1/prod(1 - (beta_i/r) w) in w; that polynomial's
     # ascending coefficients equal poly_from_roots(r/beta) * prod(-beta/r).
-    # So b_{m+L} = c_m r^m, and the weights |b_{m+L}| r^-(m+L) = |c_m| r^-L
-    # stay representable where b_{m+L} underflows.
+    # So b_{m+L} = c_m r^m, and the weights b_{m+L} r^-(m+L) = c_m r^-L stay
+    # representable where b_{m+L} underflows and r^-(m+L) overflows.
     inv_inner = _inverse_prefix(
         _poly_from_roots([r / b for b in betas]) * np.prod(-betas / r) if len(betas) else np.array([1.0 + 0j]),
         length - n_roots2 - 1,
     )
     b = np.zeros(length, dtype=complex)
     b[n_roots2:] = inv_inner * r ** np.arange(length - n_roots2)
+    b_scaled = np.zeros(length, dtype=complex)
+    b_scaled[n_roots2:] = inv_inner * r ** (-n_roots2)
     weights = np.zeros(length)
     weights[n_roots2:] = np.abs(inv_inner) * r ** (-n_roots2)
     # weighted majorant r^-L prod 1/(1 - (|beta_i|/r) w), shifted by L
@@ -420,7 +423,7 @@ def _series_data(f: AnnulusRational, length: int):
     kernel = np.zeros(n_roots2 + 1)
     kernel[-1] = r ** (-n_roots2)
     neg = _tail_model(weights, kernel, moduli / hi, hi / r)
-    return a, b, pos, neg
+    return a, b, b_scaled, pos, neg
 
 
 def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, float, float]:
@@ -443,7 +446,9 @@ class LaurentSeries:
     ``factor_pos`` holds the ascending coefficients of the outer factor
     (numerator and scale folded in), ``factor_neg`` the coefficients ``b_m``
     of the inner factor ``1/q2 = sum b_m z^{-m}`` (so ``(1, 0, 0, ...)`` when
-    the inner factor is trivial).  ``tail_pos`` and ``tail_neg`` bound what
+    the inner factor is trivial), and ``factor_neg_scaled`` the weights
+    ``b_m r^-m`` of its series in ``r/z``, formed without ``r^-m``: they stay
+    finite and nonzero where ``b_m`` underflows and ``r^-m`` overflows.  ``tail_pos`` and ``tail_neg`` bound what
     each factor series drops, ``tail_bound`` the sup-norm remainder of the
     truncated product on the closed annulus; all three hold for repeated
     roots as they stand.  ``rho1, rho2`` are the geometric rates of the two
@@ -455,6 +460,7 @@ class LaurentSeries:
     coeffs: np.ndarray
     factor_pos: np.ndarray
     factor_neg: np.ndarray
+    factor_neg_scaled: np.ndarray
     rho1: float
     rho2: float
     tail_pos: float
@@ -505,7 +511,7 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
         raise ValueError("truncation order must be >= 1")
     _checked(f)
     m = int(order)
-    a_full, b_full, pos, neg = _series_data(f, _length_for(f, m))
+    a_full, b_full, b_scaled, pos, neg = _series_data(f, _length_for(f, m))
     tail_pos, tail_neg, tail_bound = _tail_bounds(pos, neg, m)
     a = a_full[: m + 1].copy()
     b = b_full[: m + 1].copy()
@@ -517,6 +523,7 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
         coeffs=np.convolve(a, b[::-1]),
         factor_pos=a,
         factor_neg=b,
+        factor_neg_scaled=b_scaled[: m + 1].copy(),
         rho1=float(1.0 / alphas.min(initial=np.inf)),
         rho2=float(betas.max(initial=0.0)),
         tail_pos=tail_pos,
@@ -544,7 +551,7 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
         need = _length_for(f, order)
         if len(data[0]) < need:
             data = _series_data(f, need)
-        return _tail_bounds(data[2], data[3], order)[2]
+        return _tail_bounds(data[-2], data[-1], order)[2]
 
     hi = 8
     while not bound(hi) <= tol:

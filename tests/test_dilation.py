@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ class TestVerifyModel:
             r_deep = verify_model(deep, t, f)
             assert abs(r_shallow - r_deep) <= shallow.tail_report(f)["bound"] + 1e-12
 
+    def test_inner_weights_stay_finite_at_a_small_radius(self):
+        # r^-m overflows from m = 155 on while b_m = 0.009^(m-1) underflows;
+        # their product 100 * 0.9^(m-1) does neither
+        t = windowed_matrix(2, 0.01, 3)
+        model = build_model(t, 0.01, 160)
+        f = AnnulusRational(r=0.01, p_coeffs=(1.0,), q2_roots=(0.009,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual = verify_model(model, t, f)
+        assert np.isfinite(residual)
+        assert residual <= model.tail_report(f)["bound"]
+
     def test_factor_series_expanded_once_per_function(self, monkeypatch):
         from annulus_lab import dilation, rational
 
@@ -414,8 +427,7 @@ def _reference_residual(model, t, f):
     """:func:`verify_model` with per-call chains in place of the model's."""
     pair, h = model.pair, model.pair.dim_h
     s1, s2 = dilation._factor_series(f, model.d)
-    inner = s2.factor_neg * model.r ** (-np.arange(model.d + 1, dtype=float))
-    y = _reference_series_apply(pair._v2, inner, pair.embed[:h])
+    y = _reference_series_apply(pair._v2, s2.factor_neg_scaled, pair.embed[:h])
     z = _reference_series_apply(pair._v1, s1.factor_pos, y)
     w = _reference_series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)
     rhs = pair.embed[: w.shape[0]].conj().T @ w
