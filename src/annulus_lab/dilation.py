@@ -498,7 +498,8 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
     ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The ``V2^j V`` are
     the model's inner chain (:meth:`ModelTriple.inner_powers`), and each
-    direction's norms are taken in one batched call.
+    direction's norms are taken in one batched call.  :class:`BudgetExceeded`
+    is raised when ``j_max`` exceeds ``d`` or ``r^-j_max`` overflows.
     """
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
@@ -507,6 +508,7 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     inv = linalg.inverse(m, tols)
     pair = model.pair
     e = pair.embed
+    rweights = _inverse_weights(model.r, j_max)
     forward = np.empty((j_max + 1, h, h), dtype=complex)
     inverse = np.empty_like(forward)
     pow_pos = np.eye(h, dtype=complex)
@@ -515,7 +517,7 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     chain = zip(model.inner_powers(j_max), _powers(pair._v1, e[:h]))
     for j, (x2, x1) in enumerate(chain):
         forward[j] = _compress(e, x1) - pow_pos
-        inverse[j] = model.r ** (-j) * _compress(e, x2) - pow_neg
+        inverse[j] = rweights[j] * _compress(e, x2) - pow_neg
         if j < j_max:
             pow_pos = pow_pos @ m
             pow_neg = pow_neg @ inv
@@ -524,6 +526,20 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
         {"degree": j, "forward_residual": float(fw), "inverse_residual": float(iv)}
         for j, (fw, iv) in enumerate(norms)
     ]
+
+
+def _inverse_weights(r: float, j_max: int) -> list:
+    """``r^-j`` for ``j = 0..j_max``; :class:`BudgetExceeded` names the first
+    degree whose weight overflows a double."""
+    weights = []
+    for j in range(j_max + 1):
+        try:
+            weights.append(r ** (-j))
+        except OverflowError:
+            raise BudgetExceeded(
+                f"r^-j overflows at degree {j} (r = {r}); inverse moments reach at most degree {j - 1}"
+            ) from None
+    return weights
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:

@@ -574,6 +574,14 @@ class TestVerifyMoments:
         with pytest.raises(BudgetExceeded):
             verify_moments(model, t, 4)
 
+    def test_overflowing_inverse_weight_is_a_typed_error(self):
+        # 0.01^-154 = 1e308 is the last power of 1/r below the largest double
+        t = windowed_matrix(2, 0.01, 3)
+        model = build_model(t, 0.01, 160)
+        with pytest.raises(BudgetExceeded, match="overflows at degree 155"):
+            verify_moments(model, t, 160)
+        assert len(moment_table(model, t, 154)) == 155
+
     def test_table_has_one_row_per_degree_and_verify_takes_its_max(self):
         t = windowed_matrix(3, 0.5, 19)
         model = build_model(t, 0.5, 6)
