@@ -269,15 +269,17 @@ def _circle_integral(
     nodes: int,
     tols: Tolerances,
     f: AnnulusRational | None = None,
+    rule: linalg.ShiftConditioning | None = None,
 ) -> np.ndarray:
     """Trapezoid rule for ``(1/2 pi i) * closed integral of f(w) (wI - T)^-1 dw``.
 
     The circle is ``|w| = radius`` and ``f`` defaults to 1.  Nodes are taken
     in chunks whose stacked resolvents fit ``_CHUNK_BYTES``: each chunk gets
-    one :func:`linalg.resolvents` call (one Schur form of ``T`` for the
-    conditioning rule, singular values only at nodes its bound leaves
-    undecided, one batched inverse), one vectorized evaluation of ``f``
-    (with its :class:`PoleHit` check) and one weighted contraction.  Chunks
+    one :func:`linalg.resolvents` call (one conditioning ``rule`` for ``T``,
+    the caller's if given, so a contour forms one Schur form; singular values
+    only at nodes its bound leaves undecided; one batched inverse), one
+    vectorized evaluation of ``f`` (with its :class:`PoleHit` check) and one
+    weighted contraction.  Chunks
     depend only on ``n`` and ``nodes`` and are accumulated in index order, so
     the reduction is deterministic.
     """
@@ -285,11 +287,13 @@ def _circle_integral(
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
     ws = radius * np.exp(1j * theta)
     step = max(1, _CHUNK_BYTES // (16 * n * n))
+    if rule is None:
+        rule = linalg.ShiftConditioning(m)
     acc = np.zeros((n, n), dtype=complex)
     for start in range(0, nodes, step):
         w = ws[start : start + step]
         weights = w if f is None else w * rational.evaluate(f, w)
-        acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols))
+        acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols, rule))
     return acc / nodes
 
 
@@ -320,8 +324,9 @@ def eval_contour(
     margin = 1e-10
     if np.any(mods >= outer - margin) or np.any(mods <= inner + margin):
         raise SpectrumOnContour("spectrum touches or escapes the contour")
-    return _circle_integral(m, outer, spec.nodes, tols, f) - _circle_integral(
-        m, inner, spec.nodes, tols, f
+    rule = linalg.ShiftConditioning(m)
+    return _circle_integral(m, outer, spec.nodes, tols, f, rule) - _circle_integral(
+        m, inner, spec.nodes, tols, f, rule
     )
 
 
@@ -350,10 +355,8 @@ def riesz_projection(
         raise NoSpectralGap(f"eigenvalue modulus within delta of the split radius {mid}")
     if np.any(mods >= 1.0 + spec.delta - 1e-12) or np.any(mods <= r - spec.delta + 1e-12):
         raise NoSpectralGap("spectrum escapes the two-circle region")
-    if part is SpectralPart.OUTER:
-        return _circle_integral(m, 1.0 + spec.delta, spec.nodes, tols) - _circle_integral(
-            m, mid, spec.nodes, tols
-        )
-    return _circle_integral(m, mid, spec.nodes, tols) - _circle_integral(
-        m, r - spec.delta, spec.nodes, tols
+    rule = linalg.ShiftConditioning(m)
+    outer, inner = (1.0 + spec.delta, mid) if part is SpectralPart.OUTER else (mid, r - spec.delta)
+    return _circle_integral(m, outer, spec.nodes, tols, rule=rule) - _circle_integral(
+        m, inner, spec.nodes, tols, rule=rule
     )

@@ -268,19 +268,24 @@ class ShiftConditioning:
         return failed
 
 
-def resolvents(a, ws, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def resolvents(
+    a, ws, tols: Tolerances = DEFAULT_TOLS, rule: ShiftConditioning | None = None
+) -> np.ndarray:
     """Stack of resolvents ``(w_k I - A)^{-1}``, shape ``(len(ws), n, n)``.
 
     Every shifted matrix passes the conditioning rule of :func:`solve`,
     decided by :class:`ShiftConditioning` (singular values only for the
     points its bound cannot clear), and the stack is inverted in one batched
     LAPACK call; :class:`Singular` is raised if any point fails the rule.
+    ``rule`` is ``ShiftConditioning(A)`` when a caller that asks for many
+    stacks of one matrix has formed it already.
     """
     m = as_matrix(a)
     _require_square(m)
     ws = np.asarray(ws, dtype=complex)
     shifted = ws[:, np.newaxis, np.newaxis] * np.eye(m.shape[0]) - m
-    rule = ShiftConditioning(m)
+    if rule is None:
+        rule = ShiftConditioning(m)
     failed = rule.ill_conditioned(shifted, rule.cleared(ws, tols), tols)
     if failed.any():
         raise Singular(

@@ -288,6 +288,22 @@ class TestBatchedQuadrature:
         assert peak <= 12 * 2**20
 
 
+    @pytest.mark.parametrize("route", ["decompose", "eval_contour"])
+    def test_one_schur_form_per_contour_call(self, monkeypatch, route):
+        calls = []
+        original = linalg._schur_triangle
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: calls.append(1) or original(m))
+        if route == "decompose":
+            # 127936 nodes a circle, 18 chunks each
+            r = 0.999
+            q = random_unitary(3, 3)
+            decompose(q @ make_ar_unitary(random_unitary(2, 1), random_unitary(1, 2), r) @ q.conj().T, r)
+        else:
+            t = windowed_matrix(3, 0.5, 8)
+            eval_contour(AnnulusRational(r=0.5, q1_roots=(2.0,)), t, ContourSpec(delta=0.05, nodes=1 << 16))
+        assert len(calls) == 1
+
+
 def _clear_nothing(self, ws, tols):
     """The bound clears no shift: singular values of every shifted matrix."""
     return np.zeros(ws.shape, dtype=bool)
