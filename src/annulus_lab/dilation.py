@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -294,7 +295,7 @@ class ModelTriple:
         return self.pair.m
 
     @cached_property
-    def _inner_chain(self) -> "_PowerChain":
+    def _inner_chain(self) -> _PowerChain:
         pair, h = self.pair, self.pair.dim_h
         rows = [h]
         for _ in range(self.d):
@@ -304,8 +305,7 @@ class ModelTriple:
     def inner_powers(self, k: int) -> list:
         """``V2^j e[:h]`` for ``j = 0..k <= d``, each on its leading occupied
         rows, built once per model: a power is computed the first time a
-        caller needs it and kept while the model lives.  Callers share the
-        arrays and must not write to them."""
+        caller needs it and kept, read-only, while the model lives."""
         return self._inner_chain.upto(k)
 
     @cached_property
@@ -390,22 +390,30 @@ class _PowerChain:
 
     ``rows[k]`` is the row count of power ``k``.  The buffer holds them all,
     but ``np.empty`` leaves its pages untouched until a power is written.
+    A lock keeps concurrent callers from storing a power twice.
     """
 
     def __init__(self, apply_op, x: np.ndarray, rows: list):
         self._apply = apply_op
+        self._lock = threading.Lock()
         cols = x.shape[1]
         ends = np.cumsum([0] + [n * cols for n in rows])
         buf = np.empty(ends[-1], dtype=complex)
         self._powers = [buf[a:b].reshape(n, cols) for a, b, n in zip(ends[:-1], ends[1:], rows)]
-        self._powers[0][...] = x
-        self._built = 1
+        self._built = 0
+        self._store(x)
+
+    def _store(self, value: np.ndarray) -> None:
+        power = self._powers[self._built]
+        power[...] = value
+        power.flags.writeable = False
+        self._built += 1
 
     def upto(self, k: int) -> list:
-        """Powers ``0..k``."""
-        while self._built <= k:
-            self._powers[self._built][...] = self._apply(self._powers[self._built - 1])
-            self._built += 1
+        """Powers ``0..k``, read-only."""
+        with self._lock:
+            while self._built <= k:
+                self._store(self._apply(self._powers[self._built - 1]))
         return self._powers[: k + 1]
 
 
@@ -436,12 +444,6 @@ def _series_sum(coeffs, powers) -> np.ndarray:
         elif c != 0:
             acc = _pad_rows(acc, cur.shape[0]) + c * cur
     return acc
-
-
-def _series_apply(apply_op, coeffs, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_k coeffs[k] Op^k`` on a column stack, chaining powers
-    up to the last nonzero coefficient."""
-    return _series_sum(coeffs, _powers(apply_op, x))
 
 
 def _pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
@@ -480,8 +482,8 @@ def verify_model(
     e = pair.embed
     inner = s2.factor_neg_scaled
     y = _series_sum(inner, model.inner_powers(_last_nonzero(inner)))
-    z = _series_apply(pair._v1, s1.factor_pos, y)
-    w = _series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)
+    z = _series_sum(s1.factor_pos, _powers(pair._v1, y))
+    w = _series_sum(np.array(f.p_coeffs, dtype=complex), _powers(pair._v1, z))
     rhs = _compress(e, w)
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0)))

@@ -327,6 +327,7 @@ def _inverse_prefix(c: np.ndarray, m: int) -> np.ndarray:
     return u[: m + 1]
 
 
+# so that whatever empties the library's function caches empties this one too
 _inverse_prefix.cache_clear = _INVERSE_MEMO.clear
 
 

@@ -521,6 +521,7 @@ class TestSharedInnerChain:
         assert [p.shape for p in powers] == [((2 * k + 1) * h, h) for k in range(d + 1)]
         assert sum(p.size for p in powers) == h * h * (d + 1) ** 2
         assert powers[0].base is powers[d].base
+        assert not any(p.flags.writeable for p in powers)
 
     def test_each_denominator_recurrence_runs_once_per_function(self, monkeypatch):
         runs = []
