@@ -279,9 +279,8 @@ def _circle_integral(
     the caller's if given, so a contour forms one Schur form; singular values
     only at nodes its bound leaves undecided; one batched inverse), one
     vectorized evaluation of ``f`` (with its :class:`PoleHit` check) and one
-    weighted contraction.  Chunks
-    depend only on ``n`` and ``nodes`` and are accumulated in index order, so
-    the reduction is deterministic.
+    weighted contraction.  Chunks depend only on ``n`` and ``nodes`` and are
+    accumulated in index order, so the reduction is deterministic.
     """
     n = m.shape[0]
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes

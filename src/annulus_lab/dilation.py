@@ -465,8 +465,8 @@ def verify_model(
 
     The right-hand side follows the series route on the carriers: the inner
     factor as ``sum_m b_m r^{-m} V2^m`` (weights from
-    :attr:`rational.LaurentSeries.factor_neg_scaled`), the outer factor and numerator as
-    series/polynomial in ``V1``.  ``F N F`` acts on the first summand as
+    :attr:`rational.LaurentSeries.factor_neg_scaled`), the outer factor and
+    numerator as series/polynomial in ``V1``.  ``F N F`` acts on the first summand as
     ``V2``, so ``q2(FNF)^-1 V h`` is the ``V2`` series applied to ``h``; the
     tests check this route against the dense ``F``, ``N`` and ``V``.  The
     power chains start on ``H``, touch only the blocks they occupy and stop

@@ -449,10 +449,10 @@ class LaurentSeries:
     of the inner factor ``1/q2 = sum b_m z^{-m}`` (so ``(1, 0, 0, ...)`` when
     the inner factor is trivial), and ``factor_neg_scaled`` the weights
     ``b_m r^-m`` of its series in ``r/z``, formed without ``r^-m``: they stay
-    finite and nonzero where ``b_m`` underflows and ``r^-m`` overflows.  ``tail_pos`` and ``tail_neg`` bound what
-    each factor series drops, ``tail_bound`` the sup-norm remainder of the
-    truncated product on the closed annulus; all three hold for repeated
-    roots as they stand.  ``rho1, rho2`` are the geometric rates of the two
+    finite and nonzero where ``b_m`` underflows and ``r^-m`` overflows.
+    ``tail_pos`` and ``tail_neg`` bound what each factor series drops,
+    ``tail_bound`` the sup-norm remainder of the truncated product on the
+    closed annulus; all three hold for repeated roots as they stand.  ``rho1, rho2`` are the geometric rates of the two
     factors: the largest ``1/|alpha_j|`` and ``|beta_i|``.
     """
 

@@ -287,7 +287,6 @@ class TestBatchedQuadrature:
         # the node vector alone is 2 MB; an unchunked stack would be 18 MB
         assert peak <= 12 * 2**20
 
-
     @pytest.mark.parametrize("route", ["decompose", "eval_contour"])
     def test_one_schur_form_per_contour_call(self, monkeypatch, route):
         calls = []
@@ -297,10 +296,11 @@ class TestBatchedQuadrature:
             # 127936 nodes a circle, 18 chunks each
             r = 0.999
             q = random_unitary(3, 3)
-            decompose(q @ make_ar_unitary(random_unitary(2, 1), random_unitary(1, 2), r) @ q.conj().T, r)
+            n = q @ make_ar_unitary(random_unitary(2, 1), random_unitary(1, 2), r) @ q.conj().T
+            decompose(n, r)
         else:
-            t = windowed_matrix(3, 0.5, 8)
-            eval_contour(AnnulusRational(r=0.5, q1_roots=(2.0,)), t, ContourSpec(delta=0.05, nodes=1 << 16))
+            f = AnnulusRational(r=0.5, q1_roots=(2.0,))
+            eval_contour(f, windowed_matrix(3, 0.5, 8), ContourSpec(delta=0.05, nodes=1 << 16))
         assert len(calls) == 1
 
 

@@ -28,7 +28,7 @@ from annulus_lab.errors import (
     NotContraction,
     NotContractions,
 )
-from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
+from annulus_lab.linalg import inverse, operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, laurent_expand
 from conftest import commuting_contraction_pair, random_function
 
@@ -438,7 +438,7 @@ def _reference_moment_rows(model, t, j_max):
     """``(forward, inverse)`` moment residuals from per-call chains and one
     :func:`operator_norm` per entry."""
     pair, h = model.pair, model.pair.dim_h
-    e, inv = pair.embed, dilation.linalg.inverse(t)
+    e, inv = pair.embed, inverse(t)
     x1 = x2 = e[:h]
     pow_pos = pow_neg = np.eye(h, dtype=complex)
     rows = []
@@ -482,7 +482,9 @@ class TestSharedInnerChain:
         t = windowed_matrix(h, r, 90 + h)
         model = build_model(t, r, d)
         fs = [self.F] + [
-            random_function(r, 700 + 10 * h + k, max_roots=2, alpha_window=(2.0, 4.0), beta_window_div=(8.0, 2.0))
+            random_function(
+                r, 700 + 10 * h + k, max_roots=2, alpha_window=(2.0, 4.0), beta_window_div=(8.0, 2.0)
+            )
             for k in range(3)
         ]
         residuals = [_reference_residual(model, t, f) for f in fs]
