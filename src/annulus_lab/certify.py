@@ -193,14 +193,14 @@ def _chunks(count: int, width: int):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _bernstein_bound(roots: np.ndarray, n_outer: int, excess: int, rho, z: np.ndarray, reach) -> np.ndarray:
+def _bernstein_bound(roots: np.ndarray, excess: int, rho, z: np.ndarray, reach) -> np.ndarray:
     """Bound on ``|df/dθ| / sup_{|w| = rho} |f|`` at the points ``w`` of the
     circle of radius ``rho`` within distance ``reach`` of ``z``, shape of ``z``.
 
     The rational Bernstein inequality of Borwein & Erdélyi (*Mathematika* 43,
     1996), rescaled to radius ``rho``: ``max(sum_{|a|>rho} (|a|^2-rho^2) /
     |a-w|^2 + excess, sum_{|a|<rho} (rho^2-|a|^2) / |a-w|^2)``.  Row ``i`` of
-    ``roots`` holds ``n_outer`` roots outside the circle, then those inside;
+    ``roots`` holds the roots of function ``i``, none on the circle;
     ``excess`` is the numerator degree above the root count (poles at
     infinity).  ``|a - w|`` is bounded below by ``|a - z| - reach`` and by
     ``||a| - rho|``, with slack for rounding.  ``rho`` and ``reach``
@@ -215,14 +215,13 @@ def _bernstein_bound(roots: np.ndarray, n_outer: int, excess: int, rho, z: np.nd
         dist = np.maximum(np.abs(z - roots[:, col][tail]) * (1.0 - 1e-12) - reach, gap * (1.0 - 1e-12))
         with np.errstate(divide="ignore"):
             term = gap * (mod + rho) / dist**2
-        if col < n_outer:
-            outer += term
-        else:
-            inner += term
+        outside = mod > rho
+        outer += np.where(outside, term, 0.0)
+        inner += np.where(outside, 0.0, term)
     return np.maximum(outer, inner) * (1.0 + 1e-9)
 
 
-def _candidate_cells(stack, n_outer: int, rho, z, v, floor, nodes: int) -> np.ndarray:
+def _candidate_cells(stack, rho, z, v, floor, nodes: int) -> np.ndarray:
     """Cells whose uncomputed nodes may reach ``floor``, shape of ``v``.
 
     ``v[i, c, j]`` is ``|f_i|`` at coarse node ``z[i, c, j]`` of circle ``c``
@@ -250,7 +249,7 @@ def _candidate_cells(stack, n_outer: int, rho, z, v, floor, nodes: int) -> np.nd
         # a block centred on coarse node c spans cells c - _BLOCK/2 .. c + _BLOCK/2 - 1
         blocks = z[:, :, _BLOCK // 2 :: _BLOCK]
         reach = ((_BLOCK + 1) * rho * h)[:, :, np.newaxis]
-        bern = _bernstein_bound(roots, n_outer, max(lp - 1 - nr, 0), rho[:, :, np.newaxis], blocks, reach)
+        bern = _bernstein_bound(roots, max(lp - 1 - nr, 0), rho[:, :, np.newaxis], blocks, reach)
         bern = np.repeat(bern, _BLOCK, axis=2)
         hb = h * bern.max(axis=2)
         ok = (
@@ -266,26 +265,24 @@ def _candidate_cells(stack, n_outer: int, rho, z, v, floor, nodes: int) -> np.nd
     return ~(ok[:, :, np.newaxis] & (top < floor[:, np.newaxis, np.newaxis]))
 
 
-def _group_sups(functions, window_rows, windows, ring: np.ndarray, local_nodes: int) -> np.ndarray:
-    """Sampled sups of functions sharing ``(len(p), #q1, #q2)``, with the pole
+def _group_sups(stack, radii, window_rows, windows, ring: np.ndarray, local_nodes: int) -> np.ndarray:
+    """Sampled sups of the rows of ``stack``, functions sharing
+    ``(len(p), #roots)`` on annuli of inner radii ``radii``, with the pole
     ``windows`` of rows ``window_rows``."""
-    stack = rational.factored_stack(functions)
-    n_outer = len(functions[0].q1_roots)
-    best = np.full(len(functions), -np.inf)
+    best = np.full(radii.size, -np.inf)
     window_rows = np.array(window_rows, dtype=int)
     for sl in _chunks(window_rows.size, local_nodes):
         vals = stack.take(window_rows[sl]).abs_at(_window_nodes(windows[sl], local_nodes))
         np.maximum.at(best, window_rows[sl], vals.max(axis=1))
     nodes = ring.size
     coarse = ring[::_COARSE]
-    radii = np.array([f.r for f in functions])
-    for sl in _chunks(len(functions), 2 * coarse.size):
+    for sl in _chunks(radii.size, 2 * coarse.size):
         rho = np.stack([np.ones(radii[sl].size), radii[sl]], axis=1)
         z = rho[:, :, np.newaxis] * coarse
         sub = stack.take(sl)
         v = sub.abs_at(z.reshape(z.shape[0], -1)).reshape(z.shape)
         best[sl] = np.maximum(best[sl], v.max(axis=(1, 2)))
-        row, circle, cell = np.nonzero(_candidate_cells(sub, n_outer, rho, z, v, best[sl], nodes))
+        row, circle, cell = np.nonzero(_candidate_cells(sub, rho, z, v, best[sl], nodes))
         # each candidate cell is one row: its other nodes and its function
         for part in _chunks(row.size, _CELL_OFFSETS.size + stack.p.shape[1] + stack.roots.shape[1]):
             fine = (cell[part, np.newaxis] * _COARSE + _CELL_OFFSETS) % nodes
@@ -305,19 +302,20 @@ def _sampled_sups(functions, base_nodes: int = 4096, local_nodes: int = 512) -> 
     excluded by proof instead of evaluated: every ``_COARSE``-th node is
     evaluated, and the rest of its cell only when a Bernstein bound on
     ``|df/dθ|`` cannot show the cell below the function's sampled maximum
-    (:func:`_candidate_cells`).  Functions sharing a shape go through
-    :meth:`rational.FactoredStack.abs_at` together in chunks of
+    (:func:`_candidate_cells`).  Functions sharing ``(len(p), #roots)`` go
+    through :meth:`rational.FactoredStack.abs_at` together in chunks of
     ``_SUP_CHUNK_BYTES``.  ``base_nodes`` must be a positive multiple of 64.
-    Raises :class:`PoleHit` as :func:`rational.evaluate` would, for the first
-    function in order with a node within 1e-14 of a root.
+    Every function is validated first; then :class:`PoleHit` is raised as
+    :func:`rational.evaluate` would, for the first function in order with a
+    node within 1e-14 of a root.
     """
     if base_nodes < 64 or base_nodes % (_COARSE * _BLOCK):
         raise ValueError(f"need a positive multiple of {_COARSE * _BLOCK} nodes per circle")
     theta = 2.0 * np.pi * np.arange(base_nodes) / base_nodes
     ring = np.exp(1j * theta)
+    stack = rational.factored_stack(functions)
     groups: dict = {}
     for i, f in enumerate(functions):
-        rational.validate(f)
         windows = _pole_windows(f)
         roots = f.q1_roots + f.q2_roots
         # a node z has ||z| - rho| <= 4u rho, so only a root this close to a
@@ -327,22 +325,22 @@ def _sampled_sups(functions, base_nodes: int = 4096, local_nodes: int = 512) -> 
             for zz in point_sets:
                 for root in roots:
                     rational.check_clearance(zz - root, root)
-        members, window_rows, group_windows = groups.setdefault(
-            (len(f.p_coeffs), len(f.q1_roots), len(f.q2_roots)), ([], [], [])
-        )
+        members, window_rows, group_windows = groups.setdefault((len(f.p_coeffs), len(roots)), ([], [], []))
         window_rows += [len(members)] * len(windows)
         group_windows += windows
         members.append(i)
+    radii = np.array([f.r for f in functions])
     sups = np.empty(len(functions))
-    for members, window_rows, windows in groups.values():
-        sups[members] = _group_sups([functions[i] for i in members], window_rows, windows, ring, local_nodes)
+    for (lp, nr), (members, window_rows, windows) in groups.items():
+        # the group's own widths: padding would add roots to the Bernstein bound
+        sub = rational.FactoredStack(
+            p=stack.p[members, :lp],
+            roots=stack.roots[members, :nr],
+            mask=stack.mask[members, :nr],
+            scale=stack.scale[members],
+        )
+        sups[members] = _group_sups(sub, radii[members], window_rows, windows, ring, local_nodes)
     return sups
-
-
-def _pole_refined_sup(f: AnnulusRational, base_nodes: int = 4096, local_nodes: int = 512) -> float:
-    """Sampled sup-norm lower bound with extra nodes clustered near poles:
-    the one-function case of :func:`_sampled_sups`."""
-    return float(_sampled_sups((f,), base_nodes, local_nodes)[0])
 
 
 @dataclass(frozen=True)

@@ -28,19 +28,18 @@ No dense carrier is built on the verification path.  The pair keeps ``G``,
 the defects and the two contractions; its applies act only on the leading
 blocks a vector occupies, so power ``k`` of a chain started on ``H`` occupies
 ``(2k + 1) h`` rows.  Every function verified on a model, and the inverse
-moments, read the same inner chain ``V2^k e``; the model builds it once, on
-demand, and keeps it while it lives.  That trades memory for time: the chain
-holds at most ``h^2 (d + 1)^2`` complex entries (2.6 MB at h = 16, d = 24),
-where chains rebuilt per call would need ``O(h^2 d)``.  The dense ``V1``,
-``V2`` and ``(N, F, V)`` are assembled when read, for :func:`save_model` and
-the tests.
+moments, read the same inner chain ``V2^k e``; the model builds it in one
+pass when first read and keeps it while it lives.  That trades memory for
+time: the chain holds ``h^2 (d + 1)^2`` complex entries (2.6 MB at h = 16,
+d = 24), where chains rebuilt per call would need ``O(h^2 d)``.  The dense
+``V1``, ``V2`` and ``(N, F, V)`` are assembled when read, for
+:func:`save_model` and the tests.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -49,7 +48,10 @@ import numpy as np
 from . import calculus, linalg, rational
 from ._version import __version__
 from .errors import (
+    BadRadius,
     BudgetExceeded,
+    DimensionMismatch,
+    InvalidRational,
     NotCommuting,
     NotContraction,
     NotContractions,
@@ -143,11 +145,15 @@ class AndoPair:
     g: np.ndarray = field(repr=False)
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
-    embed: np.ndarray = field(repr=False)
     t1: np.ndarray = field(repr=False)
     t2: np.ndarray = field(repr=False)
     m: int
-    d: int
+
+    @property
+    def d(self) -> int:
+        """Degree budget ``M - 1``: power ``k <= d`` of a chain started on
+        ``H`` stays off the last cell."""
+        return self.m - 1
 
     @property
     def dim_h(self) -> int:
@@ -156,6 +162,11 @@ class AndoPair:
     @property
     def dim(self) -> int:
         return self.dim_h * (2 * self.m + 1)
+
+    @cached_property
+    def embed(self) -> np.ndarray:
+        """The injection ``V`` of ``H`` as block 0 of ``K0``."""
+        return np.eye(self.dim, self.dim_h, dtype=complex)
 
     def block_slice(self, b: int) -> slice:
         """Index range of block ``b`` (block 0 is H, then M blocks of H^2)."""
@@ -264,9 +275,7 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     d1 = linalg.sqrtm_psd(eye - m1.conj().T @ m1, tols)
     d2 = linalg.sqrtm_psd(eye - m2.conj().T @ m2, tols)
     g = _fixup_unitary(m1, m2, d1, d2, tols)
-    embed = np.zeros((h * (2 * m_depth + 1), h), dtype=complex)
-    embed[0:h] = eye
-    return AndoPair(g=g, d1=d1, d2=d2, embed=embed, t1=m1, t2=m2, m=m_depth, d=m_depth - 1)
+    return AndoPair(g=g, d1=d1, d2=d2, t1=m1, t2=m2, m=m_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +297,30 @@ class ModelTriple:
 
     pair: AndoPair
     r: float
-    d: int
 
     @property
     def m(self) -> int:
         return self.pair.m
 
-    @cached_property
-    def _inner_chain(self) -> _PowerChain:
-        pair, h = self.pair, self.pair.dim_h
-        rows = [h]
-        for _ in range(self.d):
-            rows.append(pair._cell_end(min(rows[-1] + h, pair.dim)))
-        return _PowerChain(pair._v2, pair.embed[:h], rows)
+    @property
+    def d(self) -> int:
+        return self.pair.d
 
-    def inner_powers(self, k: int) -> list:
-        """``V2^j e[:h]`` for ``j = 0..k <= d``, each on its leading occupied
-        rows, built once per model: a power is computed the first time a
-        caller needs it and kept, read-only, while the model lives."""
-        return self._inner_chain.upto(k)
+    @cached_property
+    def inner_powers(self) -> tuple:
+        """``V2^k e[:h]`` for ``k = 0..d``, power ``k`` on its ``(2k + 1) h``
+        leading occupied rows.  Built in one pass when first read, into one
+        buffer of ``h^2 (d + 1)^2`` entries (power ``k`` starts at entry
+        ``k^2 h^2``), and kept read-only while the model lives."""
+        h, d = self.pair.dim_h, self.d
+        buf = np.empty((d + 1) ** 2 * h * h, dtype=complex)
+        powers = tuple(buf[k * k * h * h : (k + 1) ** 2 * h * h].reshape(-1, h) for k in range(d + 1))
+        powers[0][...] = np.eye(h)
+        for prev, cur in zip(powers, powers[1:]):
+            cur[...] = self.pair._v2(prev)
+        for power in powers:
+            power.flags.writeable = False
+        return powers
 
     @cached_property
     def n_matrix(self) -> np.ndarray:
@@ -326,14 +340,11 @@ class ModelTriple:
 
     @cached_property
     def v_matrix(self) -> np.ndarray:
-        k = self.pair.dim
-        v = np.zeros((2 * k, self.pair.dim_h), dtype=complex)
-        v[:k, :] = self.pair.embed
-        return v
+        return np.eye(2 * self.pair.dim, self.pair.dim_h, dtype=complex)
 
     def tail_report(self, f: AnnulusRational) -> dict:
         """Certified truncation bounds for verifying ``f`` at budget ``d``."""
-        s1, s2 = _factor_series(f, self.d)
+        s1, s2 = _model_series(self, f)
         ut, bt = s1.tail_pos, s2.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
         sa = float(np.sum(np.abs(s1.factor_pos)))
@@ -374,47 +385,32 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
 def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTriple:
     """Model for an invertible ``T`` with ``T`` and ``r T^{-1}`` contractions."""
     m = linalg.as_matrix(t)
+    if not 0.0 < r < 1.0:
+        raise BadRadius(f"inner radius must be in (0, 1), got {r}")
     if d < 1:
         raise ValueError("degree budget must be >= 1")
     try:
         t2 = r * linalg.inverse(m, tols)
     except Singular as exc:
         raise NotInvertible(str(exc)) from exc
-    pair = ando_pair(m, t2, m_depth=d + 1, tols=tols)
-    return ModelTriple(pair=pair, r=float(r), d=int(d))
+    pair = ando_pair(m, t2, m_depth=int(d) + 1, tols=tols)
+    return ModelTriple(pair=pair, r=float(r))
 
 
-class _PowerChain:
-    """Powers ``Op^k x`` of a private apply, computed in order on demand and
-    kept in one buffer.
+def _model_series(model: ModelTriple, f: AnnulusRational) -> tuple[rational.LaurentSeries, ...]:
+    """:func:`_factor_series` at the model's budget, for an ``f`` on its annulus."""
+    if f.r != model.r:
+        raise InvalidRational(f"mismatched radii {f.r} and {model.r}")
+    return _factor_series(f, model.d)
 
-    ``rows[k]`` is the row count of power ``k``.  The buffer holds them all,
-    but ``np.empty`` leaves its pages untouched until a power is written.
-    A lock keeps concurrent callers from storing a power twice.
-    """
 
-    def __init__(self, apply_op, x: np.ndarray, rows: list):
-        self._apply = apply_op
-        self._lock = threading.Lock()
-        cols = x.shape[1]
-        ends = np.cumsum([0] + [n * cols for n in rows])
-        buf = np.empty(ends[-1], dtype=complex)
-        self._powers = [buf[a:b].reshape(n, cols) for a, b, n in zip(ends[:-1], ends[1:], rows)]
-        self._built = 0
-        self._store(x)
-
-    def _store(self, value: np.ndarray) -> None:
-        power = self._powers[self._built]
-        power[...] = value
-        power.flags.writeable = False
-        self._built += 1
-
-    def upto(self, k: int) -> list:
-        """Powers ``0..k``, read-only."""
-        with self._lock:
-            while self._built <= k:
-                self._store(self._apply(self._powers[self._built - 1]))
-        return self._powers[: k + 1]
+def _operand(model: ModelTriple, t) -> np.ndarray:
+    """``T`` as a matrix, :class:`DimensionMismatch` unless it acts on ``H``."""
+    m = linalg.as_matrix(t)
+    h = model.pair.dim_h
+    if m.shape != (h, h):
+        raise DimensionMismatch(f"T is {m.shape}, the model acts on H of dimension {h}")
+    return m
 
 
 def _last_nonzero(coeffs) -> int:
@@ -471,27 +467,24 @@ def verify_model(
     tests check this route against the dense ``F``, ``N`` and ``V``.  The
     power chains start on ``H``, touch only the blocks they occupy and stop
     at each series' last nonzero coefficient.  The ``V2`` chain is the
-    model's (:meth:`ModelTriple.inner_powers`): only powers no earlier call
-    needed are applied, at most ``d`` over the model's life.  The two ``V1``
-    chains are this call's own, at most ``d + deg p`` applies.
+    model's (:attr:`ModelTriple.inner_powers`), read only when the inner
+    series goes past degree 0, so a polynomial applies no ``V2``.  The two
+    ``V1`` chains are this call's own, at most ``d + deg p`` applies.  ``V``
+    is the injection of ``H`` as block 0, so ``V* w`` is ``w[:h]``.
+    :class:`InvalidRational` is raised when ``f.r`` is not the model's
+    ``r``, :class:`DimensionMismatch` when ``T`` is not ``h x h``.
     """
     rational.validate(f)
-    m = linalg.as_matrix(t)
-    pair = model.pair
-    s1, s2 = _factor_series(f, model.d)
-    e = pair.embed
+    s1, s2 = _model_series(model, f)
+    m = _operand(model, t)
+    pair, h = model.pair, model.pair.dim_h
     inner = s2.factor_neg_scaled
-    y = _series_sum(inner, model.inner_powers(_last_nonzero(inner)))
+    chain = model.inner_powers if _last_nonzero(inner) else (np.eye(h, dtype=complex),)
+    y = _series_sum(inner, chain)
     z = _series_sum(s1.factor_pos, _powers(pair._v1, y))
     w = _series_sum(np.array(f.p_coeffs, dtype=complex), _powers(pair._v1, z))
-    rhs = _compress(e, w)
     lhs = calculus.eval_direct(f, m, tols)
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
-
-
-def _compress(e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``V* x`` for a column stack holding only its leading occupied rows."""
-    return e[: x.shape[0]].conj().T @ x
+    return float(np.max(np.linalg.norm(lhs - w[:h], axis=0)))
 
 
 def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
@@ -499,27 +492,29 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
 
     Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
     ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The ``V2^j V`` are
-    the model's inner chain (:meth:`ModelTriple.inner_powers`), and each
+    the model's inner chain (:attr:`ModelTriple.inner_powers`), and each
     direction's norms are taken in one batched call.  :class:`BudgetExceeded`
-    is raised when ``j_max`` exceeds ``d`` or ``r^-j_max`` overflows.
+    is raised when ``j_max`` exceeds ``d`` or ``r^-j_max`` overflows,
+    ``ValueError`` when ``j_max < 0`` and :class:`DimensionMismatch` when
+    ``T`` is not ``h x h``.
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
-    m = linalg.as_matrix(t)
+    m = _operand(model, t)
     h = m.shape[0]
     inv = linalg.inverse(m, tols)
-    pair = model.pair
-    e = pair.embed
     rweights = _inverse_weights(model.r, j_max)
     forward = np.empty((j_max + 1, h, h), dtype=complex)
     inverse = np.empty_like(forward)
     pow_pos = np.eye(h, dtype=complex)
     pow_neg = np.eye(h, dtype=complex)
     # the stored inner chain ends the zip before the forward chain applies again
-    chain = zip(model.inner_powers(j_max), _powers(pair._v1, e[:h]))
+    chain = zip(model.inner_powers[: j_max + 1], _powers(model.pair._v1, np.eye(h, dtype=complex)))
     for j, (x2, x1) in enumerate(chain):
-        forward[j] = _compress(e, x1) - pow_pos
-        inverse[j] = rweights[j] * _compress(e, x2) - pow_neg
+        forward[j] = x1[:h] - pow_pos
+        inverse[j] = rweights[j] * x2[:h] - pow_neg
         if j < j_max:
             pow_pos = pow_pos @ m
             pow_neg = pow_neg @ inv

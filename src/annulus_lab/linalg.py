@@ -391,11 +391,16 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
+    if not isinstance(data, list):
+        raise ValueError(f"malformed matrix object: data is {data!r}, expected a list")
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
     out = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = (float(part) for part in pair)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed matrix object: entry {i} is {pair!r}, expected [re, im]") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ValueError(f"non-finite entry at index {i}")
         out[i] = complex(re, im)

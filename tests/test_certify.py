@@ -23,7 +23,6 @@ from annulus_lab.certify import (
     sample_test_function,
     _bernstein_bound,
     _clamp_to_annulus,
-    _pole_refined_sup,
     _sampled_sups,
     _stress_battery,
 )
@@ -136,9 +135,7 @@ class TestVonNeumannStress:
         num = operator_norm(calculus.eval_direct(f, t))
         # the recorded ratio uses a sampled sup lower bound, so replaying with
         # any denser lower bound still certifies a violation
-        from annulus_lab.certify import _pole_refined_sup
-
-        denom = _pole_refined_sup(f, base_nodes=1 << 15, local_nodes=4096)
+        denom = _sampled_sups((f,), base_nodes=1 << 15, local_nodes=4096)[0]
         assert num / denom > 1.0 + 1e-8
 
     def test_deterministic_per_seed(self):
@@ -186,10 +183,10 @@ class TestVonNeumannStress:
         assert rep.to_json()["stress_route"] == "factored"
 
     def test_battery_sups_keep_the_coarse_sampling_maximum(self):
-        # the 1024 coarse nodes are a subset of _pole_refined_sup's 4096
+        # the 1024 coarse nodes are a subset of the 4096 _sampled_sups samples
         battery = _stress_battery(0.5, 500, 4)
         coarse = [
-            max(rational.boundary_sup_norm(f, 1024), _pole_refined_sup(f))
+            max(rational.boundary_sup_norm(f, 1024), _sampled_sups((f,))[0])
             for f in battery.functions
         ]
         assert battery.sups.tolist() == coarse
@@ -253,7 +250,7 @@ class TestSampledSups:
         functions = _battery_functions(0.5, 100, 2)
         ref = np.array([_reference_sup(f, 1 << 15, 4096) for f in functions])
         assert np.array_equal(_sampled_sups(functions, 1 << 15, 4096), ref)
-        assert _pole_refined_sup(functions[7], 1 << 15, 4096) == ref[7]
+        assert _sampled_sups((functions[7],), 1 << 15, 4096)[0] == ref[7]
 
     def test_cold_build_evaluates_few_nodes(self, monkeypatch):
         evaluated = []
@@ -271,7 +268,7 @@ class TestSampledSups:
     def test_pole_hit_is_raised(self):
         f = AnnulusRational(r=0.5, q1_roots=(1.0 + 1e-15,))
         with pytest.raises(PoleHit):
-            _pole_refined_sup(f)
+            _sampled_sups((f,))
 
     def test_pole_hit_names_the_first_function(self):
         functions = _battery_functions(0.5, 6, 1)
@@ -298,7 +295,7 @@ class TestBernsteinBound:
         # f' = f (p'/p - sum 1/(z - a)), multiplied through by p
         fprime = (dp - np.polyval(p[::-1], z) * np.sum(1.0 / (z[:, np.newaxis] - roots), axis=1)) / den
         bound = _bernstein_bound(
-            roots[np.newaxis, :], len(f.q1_roots), max(p.size - 1 - roots.size, 0), rho, z[np.newaxis, :], 0.0
+            roots[np.newaxis, :], max(p.size - 1 - roots.size, 0), rho, z[np.newaxis, :], 0.0
         )[0]
         return rho * np.abs(fprime), bound * np.abs(evaluate(f, z)).max()
 

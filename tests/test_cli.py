@@ -147,6 +147,22 @@ class TestExitCodes:
         bad.write_text(json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]}))
         assert cli.main(["certify", "--r", "0.5", "--matrix", str(bad)]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("data", [[[1]], [[None, 0]], 5, [5]], ids=["short", "null", "scalar", "bare-number"])
+    def test_malformed_matrix_entry_is_usage_error(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": 1, "cols": 1, "data": data}))
+        assert cli.main(["dilate", "--r", "0.5", "--matrix", str(bad)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: malformed matrix object")
+
+    def test_function_on_another_radius_is_usage_error(self, tmp_path, capsys):
+        mat = write_matrix(tmp_path / "t.json", windowed_matrix(3, 0.5, 7))
+        fn = write_function(
+            tmp_path / "f.json", AnnulusRational(r=0.3, p_coeffs=(1.0, 0.2), q1_roots=(3.0,), q2_roots=(0.1,))
+        )
+        args = ["model-verify", "--r", "0.5", "--matrix", mat, "--f", fn, "--out", str(tmp_path / "r.json")]
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert "InvalidRational: mismatched radii 0.3 and 0.5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--eig-tol", "--rank-tol", "--verify-tol"])
     def test_zero_tolerance_is_usage_error(self, flag):
         assert cli.main(["demo-example", flag, "0"]) == cli.EXIT_USAGE

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import json
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +25,10 @@ from annulus_lab.dilation import (
     verify_moments,
 )
 from annulus_lab.errors import (
+    BadRadius,
     BudgetExceeded,
+    DimensionMismatch,
+    InvalidRational,
     NotCommuting,
     NotContraction,
     NotContractions,
@@ -494,7 +499,7 @@ class TestSharedInnerChain:
                 for f, expected in zip(fs, residuals):
                     assert np.array_equal(verify_model(model, t, f), expected)
             else:
-                # a shorter table first leaves the chain part-built
+                # a shorter table reads a prefix of the chain
                 for j_max in (d // 2, d):
                     table = moment_table(model, t, j_max)
                     got = [(row["forward_residual"], row["inverse_residual"]) for row in table]
@@ -519,7 +524,7 @@ class TestSharedInnerChain:
         h, d = 3, 7
         t = windowed_matrix(h, 0.7, 5)
         model = build_model(t, 0.7, d)
-        powers = model.inner_powers(d)
+        powers = model.inner_powers
         assert [p.shape for p in powers] == [((2 * k + 1) * h, h) for k in range(d + 1)]
         assert sum(p.size for p in powers) == h * h * (d + 1) ** 2
         assert powers[0].base is powers[d].base
@@ -552,6 +557,81 @@ class TestSharedInnerChain:
             verify_model(model, t, f)
         # one q1 and one q2 polynomial per function, and the trivial one
         assert len(runs) == len(set(runs)) == 2 * len(fs) + 1
+
+
+class TestModelArguments:
+    """The model API rejects arguments it cannot give a meaningful answer for."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            AnnulusRational(r=0.3, p_coeffs=(1.0, 0.2), q1_roots=(3.0,), q2_roots=(0.1,)),
+            AnnulusRational(r=0.3, p_coeffs=(1.0, 0.2), q1_roots=(3.0,)),
+        ],
+        ids=["inner-roots", "no-inner-roots"],
+    )
+    def test_function_on_another_radius_is_rejected(self, f):
+        t = windowed_matrix(2, 0.5, 21)
+        model = build_model(t, 0.5, 6)
+        with pytest.raises(InvalidRational, match="mismatched radii"):
+            verify_model(model, t, f)
+        with pytest.raises(InvalidRational, match="mismatched radii"):
+            model.tail_report(f)
+
+    @pytest.mark.parametrize("r", [0.0, -0.5, 1.0, float("nan")])
+    def test_radius_outside_the_unit_interval_is_rejected(self, r):
+        with pytest.raises(BadRadius):
+            build_model(0.5 * np.eye(2), r, 4)
+
+    def test_negative_moment_degree_is_rejected(self):
+        t = windowed_matrix(2, 0.5, 22)
+        model = build_model(t, 0.5, 4)
+        with pytest.raises(ValueError, match="j_max must be >= 0"):
+            moment_table(model, t, -1)
+        with pytest.raises(ValueError, match="j_max must be >= 0"):
+            verify_moments(model, t, -1)
+
+    def test_matrix_of_another_size_is_rejected(self):
+        model = build_model(windowed_matrix(2, 0.5, 23), 0.5, 4)
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.1,))
+        for other in (windowed_matrix(3, 0.5, 24), np.ones((2, 3))):
+            with pytest.raises(DimensionMismatch):
+                verify_model(model, other, f)
+            with pytest.raises(DimensionMismatch):
+                moment_table(model, other, 2)
+
+
+class TestConcurrentUse:
+    def test_threads_on_one_fresh_model_match_a_sequential_run(self):
+        r, d, h = 0.7, 12, 4
+        t = windowed_matrix(h, r, 31)
+        fs = [TestLeanCarrier.F] + [
+            random_function(r, 720 + k, max_roots=2, alpha_window=(2.0, 4.0), beta_window_div=(8.0, 2.0))
+            for k in range(3)
+        ]
+
+        def run(model, moments_first=False):
+            def table():
+                rows = moment_table(model, t, d)
+                return np.array([(row["forward_residual"], row["inverse_residual"]) for row in rows])
+
+            first = table() if moments_first else None
+            residuals = np.array([verify_model(model, t, f) for f in fs])
+            return residuals, first if moments_first else table()
+
+        expected = run(build_model(t, r, d))
+        model = build_model(t, r, d)
+        start = threading.Barrier(4)
+
+        def worker(i):
+            start.wait()
+            # half the threads start with the moments: both callers build the chain
+            return run(model, moments_first=i % 2 == 1)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4)))
+        for residuals, rows in results:
+            assert np.array_equal(residuals, expected[0]) and np.array_equal(rows, expected[1])
 
 
 class TestVerifyMoments:

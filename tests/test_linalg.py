@@ -200,6 +200,11 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("data", [[[1]], [[None, 0]], 5, [5]], ids=["short", "null", "scalar", "bare-number"])
+    def test_rejects_malformed_entries(self, data):
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
 
 def _svd_rule(shifted, tols):
     """The conditioning rule on every shifted matrix: singular values first."""
