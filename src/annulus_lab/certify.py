@@ -3,7 +3,10 @@
 The necessary conditions (spectrum location, norm window, simultaneous
 contractivity of ``T`` and ``r T^{-1}``) are decidable; membership itself is
 not, so :func:`vonneumann_stress` samples random rational test functions and
-reports either a sound violation witness or survival of the battery.  The
+reports either a violation witness or survival of the battery.  A witness's
+ratio divides by a *sampled* sup of ``|f|``, a lower bound on the true sup,
+so a stress ``Refuted`` verdict is strong evidence but not a proof: it
+becomes one only once that denominator is an upper bound.  The
 normal / completely-non-normal splitting powers an independent refutation
 route for norm-one completely-non-normal matrices, for which the closed unit
 disk is already a minimal spectral set.
@@ -88,7 +91,9 @@ class CertificationReport:
 
     ``max_ratio`` is the largest observed ``||f(T)|| / sup|f|`` against the
     sampled lower bound of the sup norm; a ``Refuted`` verdict always carries
-    a witness function whose confirmed ratio exceeds ``1 + verify_tol``.
+    a witness function whose re-checked ratio exceeds ``1 + verify_tol``.
+    The re-check samples more densely but still from below, so the witness
+    is not a proof that the annulus fails to be a spectral set.
     ``stress_route`` records how ``||f(T)||`` was evaluated: ``"spectral"``
     for numerically normal ``T``, ``"factored"`` otherwise.
     """
@@ -393,8 +398,9 @@ def vonneumann_stress(
 ) -> CertificationReport:
     """Sample test functions and compare ``||f(T)||`` to the boundary sup.
 
-    The denominator of each ratio is a certified lower bound on the true sup
-    norm: the node-sampled boundary maximum, improved by pole-adaptive
+    The denominator of each ratio is a lower bound on the true sup norm,
+    which is the wrong direction for a proof of a violation: the
+    node-sampled boundary maximum, improved by pole-adaptive
     refinement and by ``|f|`` at the spectrum projected into the annulus
     (interior values never exceed the boundary sup).  The sampled maxima are
     those of 4096 equispaced nodes per circle plus 512 per pole window, found
@@ -402,7 +408,10 @@ def vonneumann_stress(
     cells between its nodes.  Candidate violations are re-checked together,
     through the same routine, against a denser sampling (``1 << 15`` nodes
     plus 4096 per window) before one is accepted as a witness, so
-    ``Refuted`` reports replay deterministically.
+    ``Refuted`` reports replay deterministically.  That re-check still
+    samples, so a witness is not a proof: on the 2000-function batteries
+    of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
+    refined sup by up to 3.0e-5 relative.
 
     For numerically normal input the operator norm is evaluated spectrally,
     as ``max |f|`` over the eigenvalues, which agrees with the factored

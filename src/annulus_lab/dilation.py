@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -344,24 +344,13 @@ class ModelTriple:
 
     def tail_report(self, f: AnnulusRational) -> dict:
         """Certified truncation bounds for verifying ``f`` at budget ``d``."""
-        s1, s2 = _model_series(self, f)
-        ut, bt = s1.tail_pos, s2.tail_neg
+        series = _model_series(self, f)
+        ut, bt = series.tail_pos, series.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
-        sa = float(np.sum(np.abs(s1.factor_pos)))
-        sb = float(np.sum(s2.tail_models[1].exact[: self.d + 1]))
+        sa = float(np.sum(np.abs(series.factor_pos)))
+        sb = float(np.sum(series.tail_models[1].exact[: self.d + 1]))
         bound = cp * (ut * (sb + bt) + sa * bt + ut * bt)
         return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
-
-
-@lru_cache(maxsize=64)
-def _factor_series(f: AnnulusRational, order: int) -> tuple[rational.LaurentSeries, ...]:
-    """Laurent series of ``1/(scale q1)`` and of ``1/q2``: the first carries
-    the outer factor in ``factor_pos``, the second the inner in ``factor_neg``.
-    Cached, since ``tail_report`` and ``verify_model`` both read them: callers
-    share the arrays and must not write to them."""
-    g1 = AnnulusRational(r=f.r, p_coeffs=(1.0,), q1_roots=f.q1_roots, scale=f.scale)
-    g2 = AnnulusRational(r=f.r, p_coeffs=(1.0,), q2_roots=f.q2_roots, scale=1.0)
-    return rational.laurent_expand(g1, order), rational.laurent_expand(g2, order)
 
 
 BUDGET_CAP = 24
@@ -397,11 +386,13 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
     return ModelTriple(pair=pair, r=float(r))
 
 
-def _model_series(model: ModelTriple, f: AnnulusRational) -> tuple[rational.LaurentSeries, ...]:
-    """:func:`_factor_series` at the model's budget, for an ``f`` on its annulus."""
+def _model_series(model: ModelTriple, f: AnnulusRational) -> rational.LaurentSeries:
+    """Laurent series of ``1/(scale q1 q2)`` at the model's budget, for an
+    ``f`` on its annulus.  Its outer factor series and tail are those of
+    ``1/(scale q1)``, its inner ones those of ``1/q2``."""
     if f.r != model.r:
         raise InvalidRational(f"mismatched radii {f.r} and {model.r}")
-    return _factor_series(f, model.d)
+    return rational.laurent_expand(replace(f, p_coeffs=(1.0,)), model.d)
 
 
 def _operand(model: ModelTriple, t) -> np.ndarray:
@@ -475,13 +466,13 @@ def verify_model(
     ``r``, :class:`DimensionMismatch` when ``T`` is not ``h x h``.
     """
     rational.validate(f)
-    s1, s2 = _model_series(model, f)
+    series = _model_series(model, f)
     m = _operand(model, t)
     pair, h = model.pair, model.pair.dim_h
-    inner = s2.factor_neg_scaled
+    inner = series.factor_neg_scaled
     chain = model.inner_powers if _last_nonzero(inner) else (np.eye(h, dtype=complex),)
     y = _series_sum(inner, chain)
-    z = _series_sum(s1.factor_pos, _powers(pair._v1, y))
+    z = _series_sum(series.factor_pos, _powers(pair._v1, y))
     w = _series_sum(np.array(f.p_coeffs, dtype=complex), _powers(pair._v1, z))
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - w[:h], axis=0)))

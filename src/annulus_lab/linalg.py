@@ -9,6 +9,7 @@ basis doubles as an orthonormal eigenbasis.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,11 +382,33 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def json_number(value, integral: bool = False):
+    """``value`` as a ``float`` if it is a JSON number, or as an ``int`` if
+    ``integral`` and it is a JSON integer (booleans are neither), else
+    ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{value!r} is not {'an integer' if integral else 'a number'}")
+    if integral:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} does not fit a double") from None
+
+
+def complex_from_pair(pair) -> complex:
+    """``complex(re, im)`` from a wire-format ``[re, im]`` pair of exactly two
+    numbers, else ``ValueError``."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"{pair!r} is not an [re, im] pair")
+    return complex(json_number(pair[0]), json_number(pair[1]))
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the matrix wire format, rejecting NaN/Inf and shape mismatches."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_number(obj["rows"], integral=True)
+        cols = json_number(obj["cols"], integral=True)
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
@@ -398,10 +421,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     out = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
         try:
-            re, im = (float(part) for part in pair)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed matrix object: entry {i} is {pair!r}, expected [re, im]") from exc
-        if not (np.isfinite(re) and np.isfinite(im)):
+            out[i] = complex_from_pair(pair)
+        except ValueError:
+            raise ValueError(f"malformed matrix object: entry {i} is {pair!r}, expected [re, im]") from None
+        if not np.isfinite(out[i]):
             raise ValueError(f"non-finite entry at index {i}")
-        out[i] = complex(re, im)
     return out.reshape(rows, cols)

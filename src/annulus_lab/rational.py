@@ -19,18 +19,21 @@ special treatment.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     BadRadius,
+    BudgetExceeded,
     InvalidRational,
     PoleHit,
     RootInClosedDisk,
     RootOutsideInnerDisk,
 )
+from .linalg import complex_from_pair, json_number
 
 _POLE_TOL = 1e-14
 
@@ -64,11 +67,15 @@ class AnnulusRational:
 
 
 def validate(f: AnnulusRational) -> None:
-    """Check the root-location invariants, raising on the first violation."""
+    """Check the root-location invariants and that every entry is finite,
+    raising on the first violation."""
     if not (0.0 < f.r < 1.0):
         raise BadRadius(f"inner radius must be in (0, 1), got {f.r}")
     if len(f.p_coeffs) == 0 or f.scale == 0:
         raise InvalidRational("numerator empty or scale is zero")
+    for v in f.p_coeffs + f.q1_roots + f.q2_roots + (f.scale,):
+        if not cmath.isfinite(v):
+            raise InvalidRational(f"non-finite coefficient, root or scale {v}")
     for a in f.q1_roots:
         if abs(a) <= 1.0:
             raise RootInClosedDisk(f"outer-factor root {a} has |.| <= 1")
@@ -275,60 +282,20 @@ def _poly_from_roots(roots) -> np.ndarray:
     return c
 
 
-def _inverse_series(c: np.ndarray, m: int, head: np.ndarray | None = None) -> np.ndarray:
+def _inverse_series(c: np.ndarray, m: int) -> np.ndarray:
     """First ``m+1`` ascending coefficients of ``1/poly`` (``c[0] != 0``).
 
-    The convolution recurrence is exact for repeated roots.  Each entry
-    depends only on ``c`` and the entries before it, so a run that continues
-    from ``head`` (a prefix of the same series) extends it bit for bit.
+    Forward substitution in the banded lower-triangular Toeplitz system whose
+    columns hold ``c``, in one LAPACK ``ztbtrs`` call: the convolution
+    recurrence, exact for repeated roots.  Each entry depends only on ``c``
+    and the entries before it, so a shorter run is a prefix of a longer one
+    bit for bit.
     """
-    u = np.zeros(m + 1, dtype=complex)
-    u[0] = 1.0 / c[0]
-    start = 1
-    if head is not None:
-        u[: len(head)] = head
-        start = len(head)
-    deg = len(c) - 1
-    for n in range(start, m + 1):
-        acc = 0.0 + 0j
-        for k in range(1, min(n, deg) + 1):
-            acc += c[k] * u[n - k]
-        u[n] = -acc / c[0]
-    return u
-
-
-# Inverse-series prefixes kept by :func:`_inverse_prefix`, keyed by the
-# polynomial's coefficients, least recently used first.  Runs are rounded up
-# to whole blocks of _INVERSE_BLOCK terms and at least double a stored prefix
-# they extend, so nearby orders of one function share a run.
-_INVERSE_MEMO: OrderedDict = OrderedDict()
-_INVERSE_MEMO_SIZE = 16
-_INVERSE_BLOCK = 32
-
-
-def _inverse_prefix(c: np.ndarray, m: int) -> np.ndarray:
-    """:func:`_inverse_series` ``(c, m)``, read-only, from a bounded memo.
-
-    A function's denominator recurrences are asked for by
-    :func:`laurent_expand` and :func:`laurent_order_for` on ``f`` and on its
-    factors, at orders a few terms apart; each distinct polynomial runs
-    once while it stays among the ``_INVERSE_MEMO_SIZE`` most recent, and a
-    longer request extends the stored prefix.
-    """
-    key = c.tobytes()
-    u = _INVERSE_MEMO.pop(key, None)
-    if u is None or len(u) <= m:
-        blocks = -(-(m + 1) // _INVERSE_BLOCK) * _INVERSE_BLOCK
-        u = _inverse_series(c, max(blocks, 2 * len(u) if u is not None else 0) - 1, u)
-        u.setflags(write=False)
-    _INVERSE_MEMO[key] = u
-    if len(_INVERSE_MEMO) > _INVERSE_MEMO_SIZE:
-        _INVERSE_MEMO.popitem(last=False)
-    return u[: m + 1]
-
-
-# so that whatever empties the library's function caches empties this one too
-_inverse_prefix.cache_clear = _INVERSE_MEMO.clear
+    band = np.repeat(np.asarray(c, dtype=complex)[:, np.newaxis], m + 1, axis=1)
+    rhs = np.zeros((m + 1, 1), dtype=complex)
+    rhs[0] = 1.0
+    u, _ = lapack.ztbtrs(band, rhs, uplo="L")
+    return u[:, 0]
 
 
 @dataclass(frozen=True)
@@ -396,7 +363,7 @@ def _series_data(f: AnnulusRational, length: int):
 
     # ascending factor: p(z) / (scale * prod(z - alpha_j)); each coefficient
     # of 1/prod(z - alpha_j) is bounded by that of prod 1/(|alpha_j| - z)
-    inv_outer = _inverse_prefix(_poly_from_roots(alphas), length - 1)
+    inv_outer = _inverse_series(_poly_from_roots(alphas), length - 1)
     a = np.convolve(p, inv_outer)[:length] / f.scale
     moduli = np.abs(alphas)
     lo = moduli.min(initial=np.inf)
@@ -408,7 +375,7 @@ def _series_data(f: AnnulusRational, length: int):
     # ascending coefficients equal poly_from_roots(r/beta) * prod(-beta/r).
     # So b_{m+L} = c_m r^m, and the weights b_{m+L} r^-(m+L) = c_m r^-L stay
     # representable where b_{m+L} underflows and r^-(m+L) overflows.
-    inv_inner = _inverse_prefix(
+    inv_inner = _inverse_series(
         _poly_from_roots([r / b for b in betas]) * np.prod(-betas / r) if len(betas) else np.array([1.0 + 0j]),
         length - n_roots2 - 1,
     )
@@ -539,10 +506,9 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
 
     Doubling scan from order 8 followed by binary refinement (from order 1
     when 8 already passes) over series data rebuilt only when a probe reads
-    past it; the denominator recurrences behind it run once and are extended
-    (see :func:`_inverse_prefix`).  Each probe's bound equals
-    ``laurent_expand(f, order).tail_bound`` bit for bit.  A NaN bound counts
-    as not reaching ``tol``.
+    past it.  Each probe's bound equals ``laurent_expand(f, order).tail_bound``
+    bit for bit.  A NaN bound counts as not reaching ``tol``;
+    :class:`BudgetExceeded` is raised when no order up to ``cap`` reaches it.
     """
     _checked(f)
     data = _series_data(f, _length_for(f, 8))
@@ -558,7 +524,7 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
     while not bound(hi) <= tol:
         hi *= 2
         if hi > cap:
-            raise InvalidRational(f"tail bound does not reach {tol} within order {cap}")
+            raise BudgetExceeded(f"tail bound does not reach {tol} within order {cap}")
     lo = 1 if hi == 8 else hi // 2
     while lo < hi:
         mid = (lo + hi) // 2
@@ -591,13 +557,13 @@ def rational_to_json(f: AnnulusRational) -> dict:
 def rational_from_json(obj: dict) -> AnnulusRational:
     try:
         f = AnnulusRational(
-            r=float(obj["r"]),
-            p_coeffs=tuple(complex(c[0], c[1]) for c in obj["p"]),
-            q1_roots=tuple(complex(c[0], c[1]) for c in obj.get("q1_roots", [])),
-            q2_roots=tuple(complex(c[0], c[1]) for c in obj.get("q2_roots", [])),
-            scale=complex(obj["scale"][0], obj["scale"][1]),
+            r=json_number(obj["r"]),
+            p_coeffs=tuple(map(complex_from_pair, obj["p"])),
+            q1_roots=tuple(map(complex_from_pair, obj.get("q1_roots", []))),
+            q2_roots=tuple(map(complex_from_pair, obj.get("q2_roots", []))),
+            scale=complex_from_pair(obj["scale"]),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed rational object: {exc}") from exc
     validate(f)
     return f

@@ -154,6 +154,34 @@ class TestExitCodes:
         assert cli.main(["dilate", "--r", "0.5", "--matrix", str(bad)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: malformed matrix object")
 
+    @pytest.mark.parametrize("rows", [2.5, "2", True], ids=["float", "string", "bool"])
+    def test_non_integer_matrix_dimension_is_usage_error(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": rows, "cols": 1, "data": [[1.0, 0.0]] * 2}))
+        assert cli.main(["dilate", "--r", "0.5", "--matrix", str(bad)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: malformed matrix object")
+
+    def test_malformed_function_pair_is_usage_error(self, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"r": 0.5, "p": [[1, 0, 99]], "scale": [1, 0]}))
+        assert cli.main(["laurent", "--f", str(fn), "--order", "1"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: malformed rational object")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("q1_roots", [[float("nan"), 0]]), ("p", [[float("nan"), 0]]), ("q2_roots", [[float("nan"), 0]]),
+         ("q1_roots", [[float("inf"), 0]])],
+        ids=["nan-q1", "nan-p", "nan-q2", "inf-q1"],
+    )
+    def test_non_finite_function_is_usage_error(self, tmp_path, capsys, key, value):
+        obj = {"r": 0.5, "p": [[1, 0]], "scale": [1, 0], key: value}
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps(obj))  # writes the NaN and Infinity tokens
+        assert cli.main(["laurent", "--f", str(fn), "--order", "1"]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err.startswith("error: InvalidRational")
+        assert "NaN" not in out
+
     def test_function_on_another_radius_is_usage_error(self, tmp_path, capsys):
         mat = write_matrix(tmp_path / "t.json", windowed_matrix(3, 0.5, 7))
         fn = write_function(

@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,20 +293,42 @@ class TestVerifyModel:
         assert np.isfinite(residual)
         assert residual <= model.tail_report(f)["bound"]
 
-    def test_factor_series_expanded_once_per_function(self, monkeypatch):
-        from annulus_lab import dilation, rational
-
+    def test_each_model_call_expands_one_series(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             rational, "laurent_expand", lambda *args: calls.append(args) or laurent_expand(*args)
         )
-        dilation._factor_series.cache_clear()
         t = windowed_matrix(3, 0.7, 45)
         model = build_model(t, 0.7, 8)
         f = random_function(0.7, 955, max_roots=2, alpha_window=(3.2, 4.0), beta_window_div=(8.0, 4.0))
         model.tail_report(f)
+        assert len(calls) == 1
         verify_model(model, t, f)
         assert len(calls) == 2
+        # the series of 1/(scale q1 q2), at the model's budget
+        assert calls[1] == (dataclasses.replace(f, p_coeffs=(1.0,)), model.d)
+
+    @pytest.mark.parametrize("d", [1, 5, 12, 24, 160])
+    def test_one_expansion_equals_the_factor_pair(self, d):
+        r = 0.7
+        fs = [random_function(r, 1300 + seed, max_roots=3, max_degree=5) for seed in range(12)]
+        fs += [
+            # deg p > #q2, no q1, no q2, neither, repeated and zero roots
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.2, -0.3j, 0.5), q1_roots=(2.0,), q2_roots=(0.1,)),
+            AnnulusRational(r=r, p_coeffs=(0.5, 1.0j), q2_roots=(0.3, -0.2j)),
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.0, 2.0), q1_roots=(1.5, -3.0j), scale=2.0 - 1.0j),
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.4), scale=0.5j),
+            AnnulusRational(r=r, p_coeffs=(1.0,), q1_roots=(1.2, 1.2), q2_roots=(0.5, 0.5, 0.0)),
+        ]
+        for f in fs:
+            one = dilation._model_series(SimpleNamespace(r=r, d=d), f)
+            outer, inner = _factor_pair(f, d)
+            assert np.array_equal(one.factor_pos, outer.factor_pos)
+            assert one.tail_pos == outer.tail_pos
+            assert np.array_equal(one.factor_neg, inner.factor_neg)
+            assert np.array_equal(one.factor_neg_scaled, inner.factor_neg_scaled)
+            assert one.tail_neg == inner.tail_neg
+            assert np.array_equal(one.tail_models[1].exact[: d + 1], inner.tail_models[1].exact[: d + 1])
 
     def test_default_budget_rule(self):
         from annulus_lab.dilation import default_budget
@@ -324,17 +347,22 @@ class TestVerifyModel:
                 assert default_budget(f, cap=cap) == min(2 * order, cap)
 
 
+def _factor_pair(f, d):
+    """Laurent series of ``1/(scale q1)`` and of ``1/q2`` at order ``d``,
+    each expanded on its own: the outer factor in the first series'
+    ``factor_pos``, the inner one in the second's ``factor_neg``."""
+    outer = laurent_expand(AnnulusRational(r=f.r, q1_roots=f.q1_roots, scale=f.scale), d)
+    inner = laurent_expand(AnnulusRational(r=f.r, q2_roots=f.q2_roots), d)
+    return outer, inner
+
+
 def _dense_model_rhs(model, f):
     """``V* p(N) q1(N)^-1 q2(FNF)^-1 V`` from the dense ``N``, ``F``, ``V``,
     with both factor inverses truncated at the model's budget."""
     n_mat, f_mat, v_mat = model.n_matrix, model.f_matrix, model.v_matrix
     fnf = f_mat @ n_mat @ f_mat
-    outer = laurent_expand(
-        AnnulusRational(r=f.r, p_coeffs=(1.0,), q1_roots=f.q1_roots, scale=f.scale), model.d
-    ).factor_pos
-    inner = laurent_expand(
-        AnnulusRational(r=f.r, p_coeffs=(1.0,), q2_roots=f.q2_roots), model.d
-    ).factor_neg
+    outer_series, inner_series = _factor_pair(f, model.d)
+    outer, inner = outer_series.factor_pos, inner_series.factor_neg
     x = sum(
         b * model.r ** (-k) * np.linalg.matrix_power(fnf, k) @ v_mat for k, b in enumerate(inner)
     )
@@ -429,9 +457,10 @@ def _reference_series_apply(apply_op, coeffs, x):
 
 
 def _reference_residual(model, t, f):
-    """:func:`verify_model` with per-call chains in place of the model's."""
+    """:func:`verify_model` with per-call chains in place of the model's,
+    and the two factor series expanded on their own."""
     pair, h = model.pair, model.pair.dim_h
-    s1, s2 = dilation._factor_series(f, model.d)
+    s1, s2 = _factor_pair(f, model.d)
     y = _reference_series_apply(pair._v2, s2.factor_neg_scaled, pair.embed[:h])
     z = _reference_series_apply(pair._v1, s1.factor_pos, y)
     w = _reference_series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)
@@ -529,34 +558,6 @@ class TestSharedInnerChain:
         assert sum(p.size for p in powers) == h * h * (d + 1) ** 2
         assert powers[0].base is powers[d].base
         assert not any(p.flags.writeable for p in powers)
-
-    def test_each_denominator_recurrence_runs_once_per_function(self, monkeypatch):
-        runs = []
-        original = rational._inverse_series
-        monkeypatch.setattr(
-            rational, "_inverse_series", lambda c, *args: runs.append(c.tobytes()) or original(c, *args)
-        )
-        rational._inverse_prefix.cache_clear()
-        dilation._factor_series.cache_clear()
-        r = 0.7
-        fs = [
-            # order 10: the order search probes order 16, past its first data
-            AnnulusRational(r=r, p_coeffs=(1.0, 0.3j), q1_roots=(8.0,), q2_roots=(0.04j,)),
-            AnnulusRational(r=r, p_coeffs=(0.5,), q1_roots=(1.6, -1.7j), q2_roots=(0.4,)),
-            AnnulusRational(r=r, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.3, -0.2j)),
-            self.F,
-        ]
-        # the benchmark's call pattern: every budget first, then each
-        # function's bound and residual
-        budgets = [dilation.default_budget(f) for f in fs]
-        assert min(budgets) < dilation.BUDGET_CAP == max(budgets)
-        t = windowed_matrix(3, r, 47)
-        model = build_model(t, r, max(budgets))
-        for f in fs:
-            model.tail_report(f)
-            verify_model(model, t, f)
-        # one q1 and one q2 polynomial per function, and the trivial one
-        assert len(runs) == len(set(runs)) == 2 * len(fs) + 1
 
 
 class TestModelArguments:

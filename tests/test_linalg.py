@@ -200,10 +200,22 @@ class TestJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
 
-    @pytest.mark.parametrize("data", [[[1]], [[None, 0]], 5, [5]], ids=["short", "null", "scalar", "bare-number"])
+    @pytest.mark.parametrize(
+        "data",
+        [[[1]], [[None, 0]], 5, [5], [[1.0, 0.0, 99.0]], [["1", 0]], [[True, 0]], [[10**400, 0]]],
+        ids=["short", "null", "scalar", "bare-number", "three", "string", "bool", "huge"],
+    )
     def test_rejects_malformed_entries(self, data):
         with pytest.raises(ValueError, match="malformed matrix object"):
             matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(2.5, 1), ("2", 1), (1, True), (1, None)], ids=["float", "string", "bool", "null"]
+    )
+    def test_rejects_non_integer_dimensions(self, rows, cols):
+        data = [[1.0, 0.0]] * 2
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            matrix_from_json({"rows": rows, "cols": cols, "data": data})
 
 
 def _svd_rule(shifted, tols):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from annulus_lab import rational
 from annulus_lab.errors import (
     BadRadius,
+    BudgetExceeded,
     InvalidRational,
     PoleHit,
     RootInClosedDisk,
@@ -28,6 +31,34 @@ from conftest import random_function
 QUADRATIC = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.3, 0.2))
 
 
+def _loop_inverse_series(c, m):
+    """The convolution recurrence ``u_n = -sum_k c_k u_{n-k} / c_0`` as a
+    plain loop: the reference for :func:`rational._inverse_series`."""
+    u = np.zeros(m + 1, dtype=complex)
+    u[0] = 1.0 / c[0]
+    deg = len(c) - 1
+    for n in range(1, m + 1):
+        acc = 0.0 + 0j
+        for k in range(1, min(n, deg) + 1):
+            acc += c[k] * u[n - k]
+        u[n] = -acc / c[0]
+    return u
+
+
+def _recurrence_polynomials(seed, count=8):
+    """``(c, m)`` pairs: monic polynomials of degree 1-8 from roots in
+    ``1.01 <= |alpha| <= 3`` (a second root repeated in every other one),
+    scaled, with run lengths up to 600."""
+    rng = np.random.default_rng(seed)
+    for deg in range(1, 9):
+        for k in range(count):
+            roots = list((1.01 + 2.0 * rng.random(deg)) * np.exp(2j * np.pi * rng.random(deg)))
+            if deg >= 2 and k % 2:
+                roots[1] = roots[0]
+            c = rational._poly_from_roots(roots) * (0.5 + rng.random())
+            yield c, int(rng.integers(1, 601))
+
+
 class TestValidate:
     def test_accepts_classified_roots(self):
         validate(AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.25,)))
@@ -43,6 +74,22 @@ class TestValidate:
     def test_bad_radius(self):
         with pytest.raises(BadRadius):
             validate(AnnulusRational(r=1.5, p_coeffs=(1.0,)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_coeffs", (1.0, complex(np.nan, 0.0))),
+            ("q1_roots", (complex(np.nan, 0.0),)),
+            ("q1_roots", (complex(np.inf, 0.0),)),
+            ("q2_roots", (complex(0.0, np.nan),)),
+            ("scale", complex(1.0, np.inf)),
+        ],
+        ids=["nan-p", "nan-q1", "inf-q1", "nan-q2", "inf-scale"],
+    )
+    def test_non_finite_entries_rejected(self, field, value):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.1,))
+        with pytest.raises(InvalidRational, match="non-finite"):
+            validate(dataclasses.replace(f, **{field: value}))
 
 
 class TestEvaluate:
@@ -226,22 +273,32 @@ class TestLaurentExpand:
 
         monkeypatch.setattr(rational, "_tail_bounds", lambda pos, neg, order: (np.nan,) * 3)
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,))
-        with pytest.raises(InvalidRational):
+        with pytest.raises(BudgetExceeded):
             laurent_order_for(f, 1e-10)
         assert dilation.default_budget(f) == dilation.BUDGET_CAP
 
-    def test_inverse_prefix_extends_a_run_bit_for_bit(self):
-        rational._inverse_prefix.cache_clear()
-        c = rational._poly_from_roots([1.5, 1.5, -2.0j])
-        short = rational._inverse_prefix(c, 10)
-        long = rational._inverse_prefix(c, 300)
-        assert np.array_equal(long, rational._inverse_series(c, 300))
-        assert np.array_equal(short, long[:11])
-        with pytest.raises(ValueError):
-            short[0] = 0.0  # shared with later callers
-        for k in range(2 * rational._INVERSE_MEMO_SIZE):
-            rational._inverse_prefix(rational._poly_from_roots([2.0 + k]), 5)
-        assert len(rational._INVERSE_MEMO) == rational._INVERSE_MEMO_SIZE
+    def test_order_past_the_cap_is_a_budget_error(self):
+        # 1/(z - 1.001) needs an order near 30000 for 1e-10; the search stops at 4096
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.001,))
+        with pytest.raises(BudgetExceeded, match="within order 4096"):
+            laurent_order_for(f, 1e-10)
+
+    def test_inverse_series_matches_the_loop(self):
+        # LAPACK subtracts the terms one by one where the loop sums them
+        # first, so the two round differently: by at most 4.2e-14 of the
+        # largest modulus so far on these runs
+        for c, m in _recurrence_polynomials(7):
+            ref = _loop_inverse_series(c, m)
+            got = rational._inverse_series(c, m)
+            assert got.shape == ref.shape
+            largest = np.maximum.accumulate(np.abs(ref))
+            assert np.all(np.abs(got - ref) <= 1e-12 * largest)
+
+    def test_inverse_series_shorter_run_is_a_prefix(self):
+        for c, m in _recurrence_polynomials(8):
+            full = rational._inverse_series(c, m)
+            for k in {0, 1, len(c) - 1, m // 3, m // 2, m - 1}:
+                assert np.array_equal(rational._inverse_series(c, k), full[: k + 1])
 
     @pytest.mark.parametrize("r, beta, order", [(1e-3, 9e-4, 200), (0.25, 0.2, 500)])
     def test_bound_holds_once_inner_coefficients_underflow(self, r, beta, order):
@@ -339,3 +396,21 @@ class TestJson:
         bad["q1_roots"] = [[0.5, 0.0]]
         with pytest.raises((ValueError, RootInClosedDisk)):
             rational_from_json(bad)
+
+    @pytest.mark.parametrize("key", ["p", "q1_roots", "q2_roots", "scale"])
+    @pytest.mark.parametrize(
+        "pair", [[1.0, 0.0, 99.0], [1.0], ["1.0", 0.0], [True, 0.0], [None, 0.0]],
+        ids=["three", "one", "string", "bool", "null"],
+    )
+    def test_rejects_malformed_pairs(self, key, pair):
+        obj = rational_to_json(AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,), q2_roots=(0.1,)))
+        obj[key] = pair if key == "scale" else [pair]
+        with pytest.raises(ValueError, match="malformed rational object"):
+            rational_from_json(obj)
+
+    @pytest.mark.parametrize("r", ["0.5", True, None, [0.5]], ids=["string", "bool", "null", "list"])
+    def test_rejects_a_radius_that_is_not_a_number(self, r):
+        obj = rational_to_json(AnnulusRational(r=0.5, p_coeffs=(1.0,)))
+        obj["r"] = r
+        with pytest.raises(ValueError, match="malformed rational object"):
+            rational_from_json(obj)
