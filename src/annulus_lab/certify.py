@@ -15,6 +15,7 @@ disk is already a minimal spectral set.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import calculus, linalg, rational
 from ._version import __version__
-from .errors import NoConvergence, NotInvertible, Singular
+from .errors import BadRadius, NoConvergence, NotInvertible, Singular
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
 
@@ -167,6 +168,11 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # traced peak of a cold battery build was 8.7 MiB, against 3.2 MiB with these
 # and 1.6 MiB for per-function sampling.
 _SUP_CHUNK_BYTES = 1 << 18
+# The battery's sampling: equispaced nodes per circle and nodes per pole window.
+_BASE_NODES = 4096
+_LOCAL_NODES = 512
+# Exact sups asked for at a time while the largest ratio is still being found.
+_REFINE_ROWS = 16
 
 
 def _pole_windows(f: AnnulusRational) -> list:
@@ -270,6 +276,19 @@ def _candidate_cells(stack, rho, z, v, floor, nodes: int) -> np.ndarray:
     return ~(ok[:, :, np.newaxis] & (top < floor[:, np.newaxis, np.newaxis]))
 
 
+def _coarse_values(stack, radii, coarse: np.ndarray):
+    """``|f_i|`` at the nodes ``coarse`` of both circles of each row of
+    ``stack`` (annuli of inner radii ``radii``), one chunk of
+    ``_SUP_CHUNK_BYTES`` at a time: yields the chunk's row slice, radii
+    ``rho`` (circle 0 is the unit circle), nodes ``z`` and values ``v``, each
+    of shape ``(rows, 2, coarse.size)`` but ``rho``."""
+    for sl in _chunks(radii.size, 2 * coarse.size):
+        rho = np.stack([np.ones(radii[sl].size), radii[sl]], axis=1)
+        z = rho[:, :, np.newaxis] * coarse
+        v = stack.take(sl).abs_at(z.reshape(z.shape[0], -1)).reshape(z.shape)
+        yield sl, rho, z, v
+
+
 def _group_sups(stack, radii, window_rows, windows, ring: np.ndarray, local_nodes: int) -> np.ndarray:
     """Sampled sups of the rows of ``stack``, functions sharing
     ``(len(p), #roots)`` on annuli of inner radii ``radii``, with the pole
@@ -280,12 +299,8 @@ def _group_sups(stack, radii, window_rows, windows, ring: np.ndarray, local_node
         vals = stack.take(window_rows[sl]).abs_at(_window_nodes(windows[sl], local_nodes))
         np.maximum.at(best, window_rows[sl], vals.max(axis=1))
     nodes = ring.size
-    coarse = ring[::_COARSE]
-    for sl in _chunks(radii.size, 2 * coarse.size):
-        rho = np.stack([np.ones(radii[sl].size), radii[sl]], axis=1)
-        z = rho[:, :, np.newaxis] * coarse
+    for sl, rho, z, v in _coarse_values(stack, radii, ring[::_COARSE]):
         sub = stack.take(sl)
-        v = sub.abs_at(z.reshape(z.shape[0], -1)).reshape(z.shape)
         best[sl] = np.maximum(best[sl], v.max(axis=(1, 2)))
         row, circle, cell = np.nonzero(_candidate_cells(sub, rho, z, v, best[sl], nodes))
         # each candidate cell is one row: its other nodes and its function
@@ -297,28 +312,21 @@ def _group_sups(stack, radii, window_rows, windows, ring: np.ndarray, local_node
     return best
 
 
-def _sampled_sups(functions, base_nodes: int = 4096, local_nodes: int = 512) -> np.ndarray:
-    """Sampled sup-norm lower bounds of ``functions``, with extra nodes
-    clustered near poles: for each, the max of ``|evaluate(f, z)|`` over
-    ``base_nodes`` equispaced nodes on each boundary circle and over
-    ``local_nodes`` in a window around each pole near a circle.
-
-    Every value is that max bit for bit, but most equispaced nodes are
-    excluded by proof instead of evaluated: every ``_COARSE``-th node is
-    evaluated, and the rest of its cell only when a Bernstein bound on
-    ``|df/dθ|`` cannot show the cell below the function's sampled maximum
-    (:func:`_candidate_cells`).  Functions sharing ``(len(p), #roots)`` go
-    through :meth:`rational.FactoredStack.abs_at` together in chunks of
-    ``_SUP_CHUNK_BYTES``.  ``base_nodes`` must be a positive multiple of 64.
-    Every function is validated first; then :class:`PoleHit` is raised as
-    :func:`rational.evaluate` would, for the first function in order with a
-    node within 1e-14 of a root.
-    """
+def _ring(base_nodes: int) -> np.ndarray:
+    """``base_nodes`` equispaced points of the unit circle, from 1."""
     if base_nodes < 64 or base_nodes % (_COARSE * _BLOCK):
         raise ValueError(f"need a positive multiple of {_COARSE * _BLOCK} nodes per circle")
-    theta = 2.0 * np.pi * np.arange(base_nodes) / base_nodes
-    ring = np.exp(1j * theta)
-    stack = rational.factored_stack(functions)
+    return np.exp(1j * (2.0 * np.pi * np.arange(base_nodes) / base_nodes))
+
+
+def _sup_groups(functions, stack, ring: np.ndarray, local_nodes: int) -> list:
+    """The ``(len(p), #roots)`` groups of ``functions``, validated into
+    ``stack``: ``(members, sub, window_rows, windows)`` per group, ``sub``
+    the members' rows of ``stack`` at the group's own widths (padding would
+    add roots to the Bernstein bound).  :class:`PoleHit` is raised first,
+    as :func:`rational.evaluate` would, for the first function in order with
+    a node (of ``ring`` on either circle, or of ``local_nodes`` per pole
+    window) within 1e-14 of a root."""
     groups: dict = {}
     for i, f in enumerate(functions):
         windows = _pole_windows(f)
@@ -334,38 +342,98 @@ def _sampled_sups(functions, base_nodes: int = 4096, local_nodes: int = 512) -> 
         window_rows += [len(members)] * len(windows)
         group_windows += windows
         members.append(i)
-    radii = np.array([f.r for f in functions])
-    sups = np.empty(len(functions))
+    out = []
     for (lp, nr), (members, window_rows, windows) in groups.items():
-        # the group's own widths: padding would add roots to the Bernstein bound
+        members = np.array(members)
         sub = rational.FactoredStack(
             p=stack.p[members, :lp],
             roots=stack.roots[members, :nr],
             mask=stack.mask[members, :nr],
             scale=stack.scale[members],
         )
+        out.append((members, sub, window_rows, windows))
+    return out
+
+
+def _sampled_sups(functions, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES) -> np.ndarray:
+    """Sampled sup-norm lower bounds of ``functions``, with extra nodes
+    clustered near poles: for each, the max of ``|evaluate(f, z)|`` over
+    ``base_nodes`` equispaced nodes on each boundary circle and over
+    ``local_nodes`` in a window around each pole near a circle.
+
+    Every value is that max bit for bit, but most equispaced nodes are
+    excluded by proof instead of evaluated: every ``_COARSE``-th node is
+    evaluated (:func:`_coarse_values`), and the rest of its cell only when
+    a Bernstein bound on ``|df/dθ|`` cannot show the cell below the
+    function's sampled maximum (:func:`_candidate_cells`).  Functions
+    sharing ``(len(p), #roots)`` go through
+    :meth:`rational.FactoredStack.abs_at` together in chunks of
+    ``_SUP_CHUNK_BYTES``, so each value depends on its function alone.
+    ``base_nodes`` must be a positive multiple of 64.  Every function is
+    validated first; then :class:`PoleHit` is raised as :func:`_sup_groups`
+    says.
+    """
+    ring = _ring(base_nodes)
+    radii = np.array([f.r for f in functions])
+    sups = np.empty(len(functions))
+    groups = _sup_groups(functions, rational.factored_stack(functions), ring, local_nodes)
+    for members, sub, window_rows, windows in groups:
         sups[members] = _group_sups(sub, radii[members], window_rows, windows, ring, local_nodes)
     return sups
 
 
-@dataclass(frozen=True)
 class _Battery:
-    """Test-function battery with sup bounds and its padded factored stack."""
+    """Test-function battery: the functions, their padded factored stack,
+    a cheap lower bound on each sampled sup, and a memo of exact sups.
 
-    functions: tuple
-    sups: np.ndarray
-    stack: rational.FactoredStack
+    ``lower[i]`` is the max of ``|f_i|`` at every ``_COARSE``-th node of
+    the ``_BASE_NODES`` per circle: the first pass of
+    :func:`_sampled_sups`, from the same ``abs_at`` calls, so
+    ``lower[i] <= _sampled_sups((f_i,))[0]`` bit for bit.
+    :meth:`exact_sups` computes the sups on demand and keeps them in
+    :attr:`memo`.  The memo only gains entries, each a deterministic value,
+    so which calls filled it never changes a result.  Readers take no lock:
+    :attr:`memo` is a read-only snapshot, replaced whole under ``_lock`` by a
+    copy holding the new entries, so a reader sees some earlier snapshot and
+    no update is lost.
+    """
+
+    def __init__(self, functions: tuple, stack: rational.FactoredStack, lower: np.ndarray):
+        self.functions = functions
+        self.stack = stack
+        self.lower = lower
+        self.lower.flags.writeable = False
+        memo = np.full(len(functions), np.nan)
+        memo.flags.writeable = False
+        self.memo = memo
+        self._lock = threading.Lock()
+
+    def exact_sups(self, rows: np.ndarray) -> np.ndarray:
+        """``_sampled_sups`` of the functions ``rows``, from the memo where
+        it holds them (NaN marks an entry not yet computed)."""
+        memo = self.memo
+        missing = rows[np.isnan(memo[rows])]
+        if missing.size:
+            found = _sampled_sups([self.functions[i] for i in missing])
+            with self._lock:
+                memo = self.memo.copy()
+                memo[missing] = found
+                memo.flags.writeable = False
+                self.memo = memo
+        return memo[rows]
 
 
 @lru_cache(maxsize=8)
 def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
-    """Deterministic battery of test functions with precomputed sup bounds.
+    """Deterministic battery of test functions with lower sup bounds.
 
     Trials 0 and 1 are the canonical probes ``z`` and ``r/z`` (they expose
     norm-window violations exactly); the rest follow the documented random
-    distribution.  The sups come from :func:`_sampled_sups`.  Cached so
-    repeated certifications against the same battery (e.g. a corpus sweep)
-    pay the sampling cost once.
+    distribution.  Every function is validated, and :class:`PoleHit` raised,
+    as :func:`_sampled_sups` would; the build then evaluates only the
+    coarse nodes, for :attr:`_Battery.lower`, and leaves the exact sups to
+    :meth:`_Battery.exact_sups`.  Cached so repeated certifications against
+    the same battery (e.g. a corpus sweep) share the draws and the memo.
     """
     probes = [
         AnnulusRational(r=r, p_coeffs=(0.0, 1.0)),
@@ -375,11 +443,64 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
         probes[i] if i < len(probes) else sample_test_function(r, linalg.seeded_rng(seed, 17, i))
         for i in range(trials)
     )
-    return _Battery(
-        functions=functions,
-        sups=_sampled_sups(functions),
-        stack=rational.factored_stack(functions),
-    )
+    stack = rational.factored_stack(functions)
+    ring = _ring(_BASE_NODES)
+    radii = np.array([f.r for f in functions])
+    lower = np.empty(trials)
+    for members, sub, _, _ in _sup_groups(functions, stack, ring, _LOCAL_NODES):
+        for sl, _, _, v in _coarse_values(sub, radii[members], ring[::_COARSE]):
+            lower[members[sl]] = v.max(axis=(1, 2))
+    return _Battery(functions, stack, lower)
+
+
+def _stress_ratios(nums, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
+    """``max_i nums_i / max(sup_i, probe_i)`` and the witness, asking for
+    as few exact sups ``sup_i`` as the comparisons allow.
+
+    ``lower <= sup`` elementwise; ``memo`` holds the sups already known (NaN
+    where not); ``sups(rows)`` returns the sups of ``rows`` and
+    ``dense(rows)`` a denser re-check of them.  With ``bound`` the memo
+    entry or else ``lower``, ``upper = nums / max(bound, probe)`` bounds each
+    ratio from above (division is monotone), in this order:
+
+    1. every unknown row with ``upper > 1 + tol``, or not finite, gets its
+       sup; the rows whose ratio then exceeds ``1 + tol`` are flagged and
+       re-checked by ``dense``, and the first still above it is the witness;
+    2. with ``best`` the largest ratio known, every unknown row with
+       ``upper >= best`` gets its sup (at most ``_REFINE_ROWS`` at a time,
+       the largest ``upper`` first), until none is left.
+
+    The re-check must come first: it can lower a flagged ratio below one
+    that step 2 would have pruned against.  An unknown row left at the end
+    has ``ratio <= upper < best``, so the result is that of computing every
+    sup.  When ``memo`` already holds what a call needs, it is a few passes
+    over the arrays, with no sort.
+    """
+    known = ~np.isnan(memo)
+    denoms = np.maximum(np.where(known, memo, lower), probe)
+    ratios = nums / denoms
+
+    def refine(rows):
+        denoms[rows] = np.maximum(sups(rows), probe[rows])
+        ratios[rows] = nums[rows] / denoms[rows]
+        known[rows] = True
+
+    refine(np.nonzero(~known & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol)))[0])
+    witness = None
+    flagged = np.nonzero(ratios > 1.0 + tol)[0]
+    if flagged.size:
+        for i, sup in zip(flagged, dense(flagged)):
+            ratios[i] = nums[i] / max(denoms[i], sup)
+            if witness is None and ratios[i] > 1.0 + tol:
+                witness = int(i)
+    while True:
+        rows = np.nonzero(~known & (ratios >= ratios[known].max(initial=-np.inf)))[0]
+        if not rows.size:
+            break
+        if rows.size > _REFINE_ROWS:
+            rows = rows[np.argpartition(ratios[rows], -_REFINE_ROWS)[-_REFINE_ROWS:]]
+        refine(rows)
+    return (float(ratios.max()) if ratios.size else 0.0), witness
 
 
 def _clamp_to_annulus(lams: np.ndarray, r: float) -> np.ndarray:
@@ -413,6 +534,14 @@ def vonneumann_stress(
     of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
     refined sup by up to 3.0e-5 relative.
 
+    Only the ratios that can matter get an exact sampled sup
+    (:func:`_stress_ratios`): the battery's coarse lower bounds bound every
+    ratio from above, and a function whose bound can neither exceed
+    ``1 + verify_tol`` nor reach the largest ratio found keeps it.  The
+    sups found go into the battery's memo (:meth:`_Battery.exact_sups`);
+    once it holds what a call needs, the call makes no sup work at all.  The
+    report is the one that every sup computed would give, bit for bit.
+
     For numerically normal input the operator norm is evaluated spectrally,
     as ``max |f|`` over the eigenvalues, which agrees with the factored
     evaluation to roundoff; one pass over the battery gives ``|f|`` at the
@@ -420,8 +549,14 @@ def vonneumann_stress(
     through one stacked factored evaluation (:func:`calculus.factored_norms`)
     in chunks of about 1 MB; it raises :class:`Singular` as
     :func:`calculus.eval_direct` would on the first function, in battery
-    order, with a root on the spectrum.  Candidate witnesses then get the dense sup re-check.
+    order, with a root on the spectrum.  :class:`BadRadius` is raised unless
+    ``0 < r < 1`` and ``ValueError`` for ``trials < 0``, before any other
+    work.
     """
+    if not (0.0 < r < 1.0):
+        raise BadRadius(f"inner radius must be in (0, 1), got {r}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     m = linalg.as_matrix(t)
     norm_t = linalg.operator_norm(m)
     norm_rtinv = linalg.operator_norm(involution(m, r, tols))
@@ -436,25 +571,23 @@ def vonneumann_stress(
         # one pass over the stack; its columns are independent, so each half
         # is bit for bit what a separate call gives
         vals = battery.stack.abs_at(np.concatenate([probes, lams]))
-        denoms = np.maximum(battery.sups, vals[:, : lams.size].max(axis=1))
+        at_probes = vals[:, : lams.size].max(axis=1)
         nums = vals[:, lams.size :].max(axis=1)
     else:
-        denoms = np.maximum(battery.sups, battery.stack.abs_at(probes).max(axis=1))
+        at_probes = battery.stack.abs_at(probes).max(axis=1)
         nums = calculus.factored_norms(battery.stack, m, tols)
-    ratios = nums / denoms
-    max_ratio = 0.0
-    witness = None
-    flagged = np.nonzero(ratios > 1.0 + tols.verify_tol)[0]
-    if flagged.size:
-        candidates = [battery.functions[i] for i in flagged]
-        dense = _sampled_sups(candidates, base_nodes=1 << 15, local_nodes=4096)
-        for i, f, sup in zip(flagged, candidates, dense):
-            ratios[i] = nums[i] / max(denoms[i], sup)
-            if witness is None and ratios[i] > 1.0 + tols.verify_tol:
-                witness = f
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
+    max_ratio, witness = _stress_ratios(
+        nums,
+        battery.lower,
+        at_probes,
+        battery.memo,
+        battery.exact_sups,
+        lambda rows: _sampled_sups([battery.functions[i] for i in rows], 1 << 15, 4096),
+        tols.verify_tol,
+    )
     if witness is not None:
         verdict = Verdict.REFUTED
+        witness = battery.functions[witness]
     elif trials > 0:
         verdict = Verdict.PASSED_STRESS
     else:

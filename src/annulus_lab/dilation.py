@@ -464,6 +464,11 @@ def verify_model(
     is the injection of ``H`` as block 0, so ``V* w`` is ``w[:h]``.
     :class:`InvalidRational` is raised when ``f.r`` is not the model's
     ``r``, :class:`DimensionMismatch` when ``T`` is not ``h x h``.
+
+    The residual cannot catch a broken carrier: ``P_H V_i = T_i P_H`` holds
+    for any fix-up unitary and any defects, so it reads only the rows of
+    ``H``, and replacing ``pair.g``, ``pair.d1`` and ``pair.d2`` by random
+    matrices leaves it bit-identical.
     """
     rational.validate(f)
     series = _model_series(model, f)
@@ -487,7 +492,9 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     direction's norms are taken in one batched call.  :class:`BudgetExceeded`
     is raised when ``j_max`` exceeds ``d`` or ``r^-j_max`` overflows,
     ``ValueError`` when ``j_max < 0`` and :class:`DimensionMismatch` when
-    ``T`` is not ``h x h``.
+    ``T`` is not ``h x h``.  As with :func:`verify_model`, the rows do not
+    change when the carrier's fix-up unitary and defects are replaced by
+    random matrices: the compressions read only the rows of ``H``.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")

@@ -1,11 +1,14 @@
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus, linalg, rational
+from annulus_lab import calculus, certify, linalg, rational
 from annulus_lab.certify import (
     Verdict,
     WilliamsVerdict,
@@ -25,8 +28,9 @@ from annulus_lab.certify import (
     _clamp_to_annulus,
     _sampled_sups,
     _stress_battery,
+    _stress_ratios,
 )
-from annulus_lab.errors import NoConvergence, NotInvertible, PoleHit, Singular
+from annulus_lab.errors import BadRadius, NoConvergence, NotInvertible, PoleHit, Singular
 from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, evaluate, rational_from_json
 
@@ -114,9 +118,12 @@ class TestVonNeumannStress:
         assert np.array_equal(joined[:, 4:], battery.stack.abs_at(lams))
         passes = []
         original = rational.FactoredStack.abs_at
-        monkeypatch.setattr(rational.FactoredStack, "abs_at", lambda s, z: passes.append(z) or original(s, z))
+        monkeypatch.setattr(rational.FactoredStack, "abs_at", lambda s, z: passes.append(s) or original(s, z))
         rep = vonneumann_stress(t, 0.5, 2000, 1)
-        assert rep.stress_route == "spectral" and len(passes) == 1
+        # sup refinement evaluates stacks of a few functions; the whole
+        # battery is evaluated once
+        assert rep.stress_route == "spectral"
+        assert sum(s is battery.stack for s in passes) == 1
 
     def test_unitary_passes(self):
         rep = vonneumann_stress(random_unitary(4, 3), 0.5, 500, 2)
@@ -183,13 +190,31 @@ class TestVonNeumannStress:
         assert rep.to_json()["stress_route"] == "factored"
 
     def test_battery_sups_keep_the_coarse_sampling_maximum(self):
-        # the 1024 coarse nodes are a subset of the 4096 _sampled_sups samples
-        battery = _stress_battery(0.5, 500, 4)
-        coarse = [
-            max(rational.boundary_sup_norm(f, 1024), _sampled_sups((f,))[0])
-            for f in battery.functions
-        ]
-        assert battery.sups.tolist() == coarse
+        battery = _stress_battery.__wrapped__(0.5, 500, 4)
+        # the lower bounds are every 8th of the 4096 nodes per circle
+        assert battery.lower.tolist() == [rational.boundary_sup_norm(f, 512) for f in battery.functions]
+        # the 1024 nodes per circle are a subset of the 4096 _sampled_sups samples
+        sups = battery.exact_sups(np.arange(500))
+        assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(battery.functions, sups)]
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_battery_lower_bounds_stay_below_the_sups(self, r, seed):
+        battery = _stress_battery.__wrapped__(r, 2000, seed)
+        assert np.all(battery.lower <= _sampled_sups(battery.functions))
+
+    @pytest.mark.parametrize("r", [float("nan"), 0.0, 1.0, -0.5])
+    def test_radius_outside_the_unit_interval_is_rejected(self, r, monkeypatch):
+        monkeypatch.setattr(linalg, "operator_norm", lambda *args: pytest.fail("norm taken"))
+        with pytest.raises(BadRadius):
+            vonneumann_stress(normal_annulus_matrix(3, 0.5, 1), r, 20, 1)
+        with pytest.raises(BadRadius):
+            full_certification(normal_annulus_matrix(3, 0.5, 1), r, 20, 1)
+
+    def test_negative_trials_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(linalg, "operator_norm", lambda *args: pytest.fail("norm taken"))
+        with pytest.raises(ValueError, match="trials"):
+            full_certification(normal_annulus_matrix(3, 0.5, 1), 0.5, -5, 1)
 
 
 def _reference_sup(f, base_nodes=4096, local_nodes=512):
@@ -236,9 +261,13 @@ class TestSampledSups:
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     def test_battery_matches_full_sampling(self, r):
-        battery = _stress_battery(r, 2000, 1)
+        battery = _stress_battery.__wrapped__(r, 2000, 1)
         ref = np.array([_reference_sup(f) for f in battery.functions])
-        assert np.array_equal(battery.sups, ref)
+        rows = np.arange(2000)
+        # half the memo first, then the rest around it
+        assert np.array_equal(battery.exact_sups(rows[::2]), ref[::2])
+        assert np.array_equal(battery.exact_sups(rows), ref)
+        assert np.array_equal(battery.memo, ref)
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     def test_adversarial_matches_full_sampling(self, r):
@@ -260,8 +289,9 @@ class TestSampledSups:
             evaluated.append(stack.p.shape[0] * (points.shape[-1]))
             return original(stack, points)
 
+        functions = _battery_functions(0.5, 2000, 5)
         monkeypatch.setattr(rational.FactoredStack, "abs_at", counting)
-        _stress_battery.__wrapped__(0.5, 2000, 5)
+        _sampled_sups(functions)
         # full sampling evaluates 2 x 4096 nodes per function, windows aside
         assert sum(evaluated) <= 0.3 * 2 * 4096 * 2000
 
@@ -279,6 +309,143 @@ class TestSampledSups:
             _sampled_sups(functions)
         with pytest.raises(PoleHit, match=re.escape(str(fifth.q2_roots[0]))):
             _sampled_sups(functions[2:])
+
+
+def _full_sup_ratios(nums, lower, probe, memo, sups, dense, tol):
+    """Reference for :func:`_stress_ratios`: every sup computed, then the
+    flagged ratios re-checked."""
+    denoms = np.maximum(sups(np.arange(nums.size)), probe)
+    ratios = nums / denoms
+    witness = None
+    flagged = np.nonzero(ratios > 1.0 + tol)[0]
+    if flagged.size:
+        for i, sup in zip(flagged, dense(flagged)):
+            ratios[i] = nums[i] / max(denoms[i], sup)
+            if witness is None and ratios[i] > 1.0 + tol:
+                witness = int(i)
+    return (float(ratios.max()) if ratios.size else 0.0), witness
+
+
+class TestStressRatios:
+    """Lazy refinement gives the ratios of every sup computed."""
+
+    @staticmethod
+    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol):
+        asked = []
+
+        def sups(rows):
+            assert np.all(np.isnan(memo[rows]))
+            asked.extend(rows.tolist())
+            return exact[rows]
+
+        got = _stress_ratios(nums, lower, probe, memo, sups, lambda rows: dense_sups[rows], tol)
+        assert len(asked) == len(set(asked))
+        return got, asked
+
+    @staticmethod
+    def _same(got, want):
+        assert got[1] == want[1]
+        assert got[0] == want[0] or (np.isnan(got[0]) and np.isnan(want[0]))
+
+    def test_matches_brute_force_on_random_arrays(self):
+        rng = seeded_rng(8, 1)
+        for trial in range(400):
+            n = int(rng.integers(0, 80))
+            # values on a grid of sixteenths, so ratios tie with bounds
+            exact = rng.integers(4, 40, n) / 16
+            lower = np.minimum(exact, rng.integers(1, 40, n) / 16)
+            probe = rng.integers(0, 40, n) / 16 * (rng.random(n) < 0.5)
+            nums = rng.integers(0, 44, n) / 16
+            if trial % 5 == 0 and n:
+                nums[rng.integers(0, n, 2)] = (np.nan, np.inf)[trial % 2]
+            memo = np.where(rng.random(n) < 0.3 * (trial % 3), exact, np.nan)
+            dense_sups = exact * rng.choice([1.0, 1.05, 3.0], n)
+            tol = (1e-8, 0.1)[trial % 2]
+            want = _full_sup_ratios(
+                nums, lower, probe, memo, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
+            )
+            got, _ = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol)
+            self._same(got, want)
+
+    def test_recheck_comes_before_pruning(self):
+        # row 0 is flagged at ratio 2 and re-checked down to 0.02; row 1,
+        # ratio 0.5 / 0.55, has upper bound 1 < 2 and must still be refined
+        nums, lower, probe = np.array([2.0, 0.5]), np.array([1.0, 0.5]), np.zeros(2)
+        exact, dense_sups = np.array([1.0, 0.55]), np.array([100.0, 0.55])
+        got, asked = self._lazy(nums, lower, probe, np.full(2, np.nan), exact, dense_sups, 1e-8)
+        assert got == (0.5 / 0.55, None) and sorted(asked) == [0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_nums_are_refined(self, bad):
+        nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
+        exact = np.array([1.0, 2.0, 1.5])
+        want = _full_sup_ratios(nums, lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
+        got, asked = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8)
+        self._same(got, want)
+        assert 1 in asked and 2 not in asked
+
+    def test_a_full_memo_asks_for_nothing(self):
+        nums, exact = np.array([0.5, 0.9, 1.2]), np.array([1.0, 1.0, 1.0])
+        got, asked = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 2 * exact, 1e-8)
+        assert got == (0.9, None) and asked == []
+
+
+_LAZY_CASES = {
+    "normal": normal_annulus_matrix(4, 0.5, 11),
+    "involution": involution(normal_annulus_matrix(4, 0.5, 12), 0.5),
+    "windowed": windowed_matrix(3, 0.5, 13),
+    "shear": example_matrix(0.5),
+}
+
+
+class TestLazyRefinement:
+    @pytest.mark.parametrize("kind", sorted(_LAZY_CASES))
+    def test_reports_equal_full_sups(self, kind, monkeypatch):
+        t = _LAZY_CASES[kind]
+        _stress_battery.cache_clear()
+        lazy = full_certification(t, 0.5, 2000, 1)
+        monkeypatch.setattr(certify, "_stress_ratios", _full_sup_ratios)
+        full = full_certification(t, 0.5, 2000, 1)
+        assert lazy[0].to_json() == full[0].to_json() and lazy[1] == full[1]
+
+    @pytest.mark.parametrize("kind", ["normal", "windowed"])
+    def test_cold_certify_refines_few_functions(self, kind):
+        _stress_battery.cache_clear()
+        vonneumann_stress(_LAZY_CASES[kind], 0.5, 2000, 1)
+        assert np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) < 100
+
+    def test_threads_on_one_cold_battery_match_a_sequential_run(self, monkeypatch):
+        kinds = sorted(_LAZY_CASES)
+        _stress_battery.cache_clear()
+        expected = [full_certification(_LAZY_CASES[k], 0.5, 2000, 2)[0].to_json() for k in kinds]
+        _stress_battery.cache_clear()
+        battery = _stress_battery(0.5, 2000, 2)
+        computed = []
+        original = certify._sampled_sups
+
+        def recording(functions, *args, **kwargs):
+            if not args and not kwargs:
+                computed.extend(battery.functions.index(f) for f in functions)
+            return original(functions, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "_sampled_sups", recording)
+        start = threading.Barrier(4)
+
+        def worker(kind):
+            start.wait()
+            return full_certification(_LAZY_CASES[kind], 0.5, 2000, 2)[0].to_json()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(worker, k) for k in kinds]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        # no lost update: every sup computed is in the memo
+        assert computed and not np.isnan(battery.memo[computed]).any()
 
 
 class TestBernsteinBound:

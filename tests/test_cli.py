@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from annulus_lab import cli
+from annulus_lab import certify, cli
 from annulus_lab.calculus import default_contour
 from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.linalg import matrix_to_json, random_unitary
@@ -270,6 +274,26 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out1)]) == cli.main(args + ["--out", str(out2)])
         strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
         assert strip(out1.read_text()) == strip(out2.read_text())
+
+    @pytest.mark.parametrize("kind", ["unitary", "windowed"])
+    def test_cold_warm_and_fresh_process_reports_identical(self, tmp_path, kind):
+        # the battery's memo of exact sups fills as certifications need it;
+        # what it already holds must never change a report
+        t = random_unitary(4, 8) if kind == "unitary" else windowed_matrix(3, 0.5, 8)
+        mat = write_matrix(tmp_path / "t.json", t)
+        outs = [tmp_path / f"r{k}.json" for k in range(3)]
+        args = ["certify", "--r", "0.5", "--matrix", mat, "--trials", "2000", "--seed", "4"]
+        certify._stress_battery.cache_clear()
+        codes = [cli.main(args + ["--out", str(out)]) for out in outs[:2]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "annulus_lab.cli", *args, "--out", str(outs[2])], env=env, timeout=300
+        )
+        assert codes == [fresh.returncode] * 2
+        strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
+        texts = [strip(out.read_text()) for out in outs]
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestSelftestCommand:

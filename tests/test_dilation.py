@@ -602,6 +602,34 @@ class TestModelArguments:
                 moment_table(model, other, 2)
 
 
+class TestBrokenCarrier:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="P_H V_i = T_i P_H for any fix-up unitary and defects, and the checks read only the rows of H",
+    )
+    @pytest.mark.parametrize("h", [3, 4, 16])
+    def test_checks_see_a_corrupted_carrier(self, h):
+        r, d = 0.7, 24
+        t = windowed_matrix(h, r, 80 + h)
+        model = build_model(t, r, d)
+        rng = seeded_rng(h, 81)
+        pair = model.pair
+        broken = dataclasses.replace(
+            model,
+            pair=dataclasses.replace(
+                pair,
+                g=5 * rng.standard_normal(pair.g.shape),
+                d1=rng.standard_normal(pair.d1.shape),
+                d2=rng.standard_normal(pair.d2.shape),
+            ),
+        )
+        fs = [random_function(r, 740 + k, max_roots=2, alpha_window=(2.0, 4.0)) for k in range(4)]
+        same = [verify_model(model, t, f) == verify_model(broken, t, f) for f in fs]
+        same.append(moment_table(model, t, d) == moment_table(broken, t, d))
+        assert not all(same)
+
+
 class TestConcurrentUse:
     def test_threads_on_one_fresh_model_match_a_sequential_run(self):
         r, d, h = 0.7, 12, 4
