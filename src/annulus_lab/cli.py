@@ -108,9 +108,7 @@ def _cmd_dilate(args: argparse.Namespace, tols: Tolerances) -> int:
         "d": pair.d,
         "moment_residual": moment_residual,
         "moments": table,
-        "fixup_unitarity_defect": float(
-            linalg.operator_norm(pair.g.conj().T @ pair.g - np.eye(pair.g.shape[0]))
-        ),
+        "fixup_unitarity_defect": pair.generator_defects["unitarity"],
     }
     _emit(payload, args)
     return EXIT_OK if moment_residual <= tols.verify_tol else EXIT_REFUTED

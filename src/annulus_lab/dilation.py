@@ -24,21 +24,20 @@ inverse form, never inverted), ``F`` swaps the two summands, and ``V`` embeds
 ``H`` into the first.  Negative powers are realized as the convergent series
 ``sum q_m r^{-m} V2^m`` whose truncation error is certified per function.
 
-No dense carrier is built on the verification path.  The pair keeps ``G``,
-the defects and the two contractions; its applies act only on the leading
-blocks a vector occupies, so power ``k`` of a chain started on ``H`` occupies
-``(2k + 1) h`` rows.  Every function verified on a model, and the inverse
-moments, read the same inner chain ``V2^k e``; the model builds it in one
-pass when first read and keeps it while it lives.  That trades memory for
-time: the chain holds ``h^2 (d + 1)^2`` complex entries (2.6 MB at h = 16,
-d = 24), where chains rebuilt per call would need ``O(h^2 d)``.  The dense
-``V1``, ``V2`` and ``(N, F, V)`` are assembled when read, for
+The verification path applies no carrier.  ``P_H V_i = T_i P_H`` by
+construction, so :func:`verify_model` and :func:`moment_table` form only the
+rows of ``H``, as ``h x h`` chains in ``T1`` and ``T2``.  Those rows cannot
+see the carrier, so both first check it in its generators
+(:attr:`AndoPair.generator_defects`), whose defects are what keeps ``V1``
+and ``V2`` from being commuting isometries on the budget blocks.  The
+structured applies and the dense ``V1``, ``V2`` and ``(N, F, V)`` remain for
 :func:`save_model` and the tests.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -53,6 +52,7 @@ from .errors import (
     DimensionMismatch,
     InvalidRational,
     NotCommuting,
+    NotIsometric,
     NotContraction,
     NotContractions,
     NotInvertible,
@@ -139,7 +139,8 @@ class AndoPair:
     block-diagonal lift of ``g``, act through the ``apply_*`` methods; the
     dense ``v1``/``v2`` are assembled only when read.  Isometry holds on
     vectors supported in blocks ``0..M-1``, commutation on ``0..M-2``, and the
-    compressed moments are exact for every word in the pair.
+    compressed moments are exact for every word in the pair.  How far the
+    first two hold is read off the generators, :attr:`generator_defects`.
     """
 
     g: np.ndarray = field(repr=False)
@@ -167,6 +168,27 @@ class AndoPair:
     def embed(self) -> np.ndarray:
         """The injection ``V`` of ``H`` as block 0 of ``K0``."""
         return np.eye(self.dim, self.dim_h, dtype=complex)
+
+    @cached_property
+    def generator_defects(self) -> dict:
+        """Operator norms of ``g* g - I`` (``unitarity``),
+        ``t_i* t_i + d_i* d_i - I`` (``isometry_i``), ``t1 t2 - t2 t1``
+        (``commutation``) and ``g [d1 t2; d2] - [d2 t1; d1]``
+        (``intertwining``), and the ``scale`` ``max(1, ||t1|| ||t2||)`` they
+        are judged at.  Their maximum bounds
+        the isometry and commutation defects of ``V1``, ``V2`` on the budget
+        blocks up to a small factor."""
+        norm = linalg.operator_norm
+        eye = np.eye(self.dim_h)
+        g, t1, t2, d1, d2 = self.g, self.t1, self.t2, self.d1, self.d2
+        return {
+            "unitarity": norm(g.conj().T @ g - np.eye(g.shape[0])),
+            "isometry_1": norm(t1.conj().T @ t1 + d1.conj().T @ d1 - eye),
+            "isometry_2": norm(t2.conj().T @ t2 + d2.conj().T @ d2 - eye),
+            "commutation": norm(t1 @ t2 - t2 @ t1),
+            "intertwining": norm(g @ np.vstack([d1 @ t2, d2]) - np.vstack([d2 @ t1, d1])),
+            "scale": max(1.0, norm(t1) * norm(t2)),
+        }
 
     def block_slice(self, b: int) -> slice:
         """Index range of block ``b`` (block 0 is H, then M blocks of H^2)."""
@@ -246,6 +268,27 @@ class AndoPair:
         return v2
 
 
+# In check order: a pair that does not commute is named so before the fix-up
+# unitary built on it fails to intertwine.
+_GENERATOR_ERRORS = (
+    ("unitarity", NotIsometric),
+    ("isometry_1", NotIsometric),
+    ("isometry_2", NotIsometric),
+    ("commutation", NotCommuting),
+    ("intertwining", NotCommuting),
+)
+
+
+def _check_generators(pair: AndoPair, tols: Tolerances) -> None:
+    """:class:`NotIsometric` or :class:`NotCommuting` for the first generator
+    defect above ``verify_tol`` at the pair's scale."""
+    defects = pair.generator_defects
+    limit = tols.verify_tol * defects["scale"]
+    for name, error in _GENERATOR_ERRORS:
+        if not defects[name] <= limit:
+            raise error(f"carrier {name} defect {defects[name]:.3g} exceeds {limit:.3g}")
+
+
 def _apply_full(apply_op, x) -> np.ndarray:
     """Run a private apply on a full-length vector or column stack."""
     xx = np.asarray(x, dtype=complex)
@@ -257,7 +300,9 @@ def _apply_full(apply_op, x) -> np.ndarray:
 
 
 def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair:
-    """Truncated commuting isometric dilation of a commuting contraction pair."""
+    """Truncated commuting isometric dilation of a commuting contraction pair;
+    its generators pass the check :func:`verify_model` makes, else
+    :class:`NotCommuting` or :class:`NotIsometric`."""
     m1 = linalg.as_matrix(t1)
     m2 = linalg.as_matrix(t2)
     if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
@@ -265,9 +310,6 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     if m_depth < 2:
         raise ValueError("block depth must be >= 2")
     h = m1.shape[0]
-    scale = max(1.0, linalg.operator_norm(m1) * linalg.operator_norm(m2))
-    if linalg.operator_norm(m1 @ m2 - m2 @ m1) > tols.verify_tol * scale:
-        raise NotCommuting("operators do not commute within tolerance")
     for name, mat in (("T1", m1), ("T2", m2)):
         if linalg.operator_norm(mat) > 1.0 + tols.verify_tol:
             raise NotContractions(f"{name} is not a contraction")
@@ -275,7 +317,9 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     d1 = linalg.sqrtm_psd(eye - m1.conj().T @ m1, tols)
     d2 = linalg.sqrtm_psd(eye - m2.conj().T @ m2, tols)
     g = _fixup_unitary(m1, m2, d1, d2, tols)
-    return AndoPair(g=g, d1=d1, d2=d2, t1=m1, t2=m2, m=m_depth)
+    pair = AndoPair(g=g, d1=d1, d2=d2, t1=m1, t2=m2, m=m_depth)
+    _check_generators(pair, tols)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +349,6 @@ class ModelTriple:
     @property
     def d(self) -> int:
         return self.pair.d
-
-    @cached_property
-    def inner_powers(self) -> tuple:
-        """``V2^k e[:h]`` for ``k = 0..d``, power ``k`` on its ``(2k + 1) h``
-        leading occupied rows.  Built in one pass when first read, into one
-        buffer of ``h^2 (d + 1)^2`` entries (power ``k`` starts at entry
-        ``k^2 h^2``), and kept read-only while the model lives."""
-        h, d = self.pair.dim_h, self.d
-        buf = np.empty((d + 1) ** 2 * h * h, dtype=complex)
-        powers = tuple(buf[k * k * h * h : (k + 1) ** 2 * h * h].reshape(-1, h) for k in range(d + 1))
-        powers[0][...] = np.eye(h)
-        for prev, cur in zip(powers, powers[1:]):
-            cur[...] = self.pair._v2(prev)
-        for power in powers:
-            power.flags.writeable = False
-        return powers
 
     @cached_property
     def n_matrix(self) -> np.ndarray:
@@ -363,8 +391,10 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
 
     No order search runs when the cap binds: if the bound at order
     ``ceil(cap/2) - 1`` is above ``tol`` (or NaN), every order that certifies
-    ``tol`` doubles to at least ``cap``.
+    ``tol`` doubles to at least ``cap``.  ``tol`` must be finite and > 0.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     half = -(-cap // 2)
     if half < 2 or not rational.laurent_expand(f, half - 1).tail_bound <= tol:
         return max(1, cap)
@@ -372,10 +402,13 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
 
 
 def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTriple:
-    """Model for an invertible ``T`` with ``T`` and ``r T^{-1}`` contractions."""
+    """Model for an invertible ``T`` with ``T`` and ``r T^{-1}`` contractions,
+    at a budget ``d`` that is an integer >= 1 (numpy's too, not a ``bool``)."""
     m = linalg.as_matrix(t)
     if not 0.0 < r < 1.0:
         raise BadRadius(f"inner radius must be in (0, 1), got {r}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise ValueError(f"degree budget must be an integer, got {d!r}")
     if d < 1:
         raise ValueError("degree budget must be >= 1")
     try:
@@ -404,42 +437,17 @@ def _operand(model: ModelTriple, t) -> np.ndarray:
     return m
 
 
-def _last_nonzero(coeffs) -> int:
+def _chain_sum(mat: np.ndarray, coeffs, x: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[k] mat^k x`` up to the last nonzero coefficient,
+    accumulated in order, one product with ``mat`` per power; zero terms
+    are skipped."""
     nonzero = np.flatnonzero(coeffs)
-    return int(nonzero[-1]) if nonzero.size else 0
-
-
-def _powers(apply_op, x: np.ndarray):
-    """``x, Op x, Op^2 x, ...``, each applied only when asked for."""
-    while True:
-        yield x
-        x = apply_op(x)
-
-
-def _series_sum(coeffs, powers) -> np.ndarray:
-    """``sum_k coeffs[k] powers[k]`` up to the last nonzero coefficient.
-
-    ``powers`` yields ``Op^k x`` on the leading rows each occupies, as the
-    private applies of :class:`AndoPair` return them; it is read no further
-    than that coefficient, so a lazy chain stops there.
-    """
-    last = _last_nonzero(coeffs)
-    acc = None
-    for c, cur in zip(coeffs[: last + 1], powers):
-        if acc is None:
-            acc = c * cur
-        elif c != 0:
-            acc = _pad_rows(acc, cur.shape[0]) + c * cur
+    acc = coeffs[0] * x
+    for c in coeffs[1 : nonzero[-1] + 1 if nonzero.size else 1]:
+        x = mat @ x
+        if c != 0:
+            acc = acc + c * x
     return acc
-
-
-def _pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
-    """``x`` extended by zero rows to ``rows`` rows."""
-    if x.shape[0] == rows:
-        return x
-    out = np.zeros((rows, x.shape[1]), dtype=complex)
-    out[: x.shape[0]] = x
-    return out
 
 
 def verify_model(
@@ -450,72 +458,63 @@ def verify_model(
 ) -> float:
     """Residual ``max_h ||f(T) h - V* p(N) q1(N)^-1 q2(FNF)^-1 V h||``.
 
-    The right-hand side follows the series route on the carriers: the inner
-    factor as ``sum_m b_m r^{-m} V2^m`` (weights from
-    :attr:`rational.LaurentSeries.factor_neg_scaled`), the outer factor and
-    numerator as series/polynomial in ``V1``.  ``F N F`` acts on the first summand as
-    ``V2``, so ``q2(FNF)^-1 V h`` is the ``V2`` series applied to ``h``; the
-    tests check this route against the dense ``F``, ``N`` and ``V``.  The
-    power chains start on ``H``, touch only the blocks they occupy and stop
-    at each series' last nonzero coefficient.  The ``V2`` chain is the
-    model's (:attr:`ModelTriple.inner_powers`), read only when the inner
-    series goes past degree 0, so a polynomial applies no ``V2``.  The two
-    ``V1`` chains are this call's own, at most ``d + deg p`` applies.  ``V``
-    is the injection of ``H`` as block 0, so ``V* w`` is ``w[:h]``.
-    :class:`InvalidRational` is raised when ``f.r`` is not the model's
-    ``r``, :class:`DimensionMismatch` when ``T`` is not ``h x h``.
-
-    The residual cannot catch a broken carrier: ``P_H V_i = T_i P_H`` holds
-    for any fix-up unitary and any defects, so it reads only the rows of
-    ``H``, and replacing ``pair.g``, ``pair.d1`` and ``pair.d2`` by random
-    matrices leaves it bit-identical.
+    The right-hand side follows the series route: the inner factor as
+    ``sum_m b_m r^{-m} V2^m`` (weights from
+    :attr:`rational.LaurentSeries.factor_neg_scaled`; ``F N F`` acts on the
+    first summand as ``V2``), the outer factor and numerator as
+    series/polynomial in ``V1``.  Since ``P_H V_i = T_i P_H``, only the rows
+    of ``H`` are formed: ``h x h`` chains in ``T2``, then ``T1``, one product
+    per power, each stopping at its series' last nonzero coefficient.  Those
+    rows cannot see the carrier, so the pair's
+    :attr:`AndoPair.generator_defects` are checked first:
+    :class:`NotIsometric` or :class:`NotCommuting` when one exceeds
+    ``verify_tol`` at the pair's scale.  :class:`InvalidRational` is raised
+    when ``f.r`` is not the model's ``r``, :class:`DimensionMismatch` when
+    ``T`` is not ``h x h``.
     """
     rational.validate(f)
     series = _model_series(model, f)
     m = _operand(model, t)
-    pair, h = model.pair, model.pair.dim_h
-    inner = series.factor_neg_scaled
-    chain = model.inner_powers if _last_nonzero(inner) else (np.eye(h, dtype=complex),)
-    y = _series_sum(inner, chain)
-    z = _series_sum(series.factor_pos, _powers(pair._v1, y))
-    w = _series_sum(np.array(f.p_coeffs, dtype=complex), _powers(pair._v1, z))
+    pair = model.pair
+    _check_generators(pair, tols)
+    y = _chain_sum(pair.t2, series.factor_neg_scaled, np.eye(m.shape[0], dtype=complex))
+    z = _chain_sum(pair.t1, series.factor_pos, y)
+    w = _chain_sum(pair.t1, np.array(f.p_coeffs, dtype=complex), z)
     lhs = calculus.eval_direct(f, m, tols)
-    return float(np.max(np.linalg.norm(lhs - w[:h], axis=0)))
+    return float(np.max(np.linalg.norm(lhs - w, axis=0)))
 
 
 def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
     """Moment residuals per degree ``0 <= j <= j_max``, both power directions.
 
     Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
-    ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The ``V2^j V`` are
-    the model's inner chain (:attr:`ModelTriple.inner_powers`), and each
-    direction's norms are taken in one batched call.  :class:`BudgetExceeded`
-    is raised when ``j_max`` exceeds ``d`` or ``r^-j_max`` overflows,
-    ``ValueError`` when ``j_max < 0`` and :class:`DimensionMismatch` when
-    ``T`` is not ``h x h``.  As with :func:`verify_model`, the rows do not
-    change when the carrier's fix-up unitary and defects are replaced by
-    random matrices: the compressions read only the rows of ``H``.
+    ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The compressions
+    ``T_i^j`` are left products, as in :func:`verify_model`, after the same
+    generator check; the powers of ``T`` and ``T^-1`` are right products.
+    Each direction's norms are taken in one batched call.
+    :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
+    ``r^-j_max`` overflows, ``ValueError`` when ``j_max < 0`` and
+    :class:`DimensionMismatch` when ``T`` is not ``h x h``.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
     m = _operand(model, t)
+    pair = model.pair
+    _check_generators(pair, tols)
     h = m.shape[0]
     inv = linalg.inverse(m, tols)
     rweights = _inverse_weights(model.r, j_max)
     forward = np.empty((j_max + 1, h, h), dtype=complex)
     inverse = np.empty_like(forward)
-    pow_pos = np.eye(h, dtype=complex)
-    pow_neg = np.eye(h, dtype=complex)
-    # the stored inner chain ends the zip before the forward chain applies again
-    chain = zip(model.inner_powers[: j_max + 1], _powers(model.pair._v1, np.eye(h, dtype=complex)))
-    for j, (x2, x1) in enumerate(chain):
-        forward[j] = x1[:h] - pow_pos
-        inverse[j] = rweights[j] * x2[:h] - pow_neg
+    x1 = x2 = pow_pos = pow_neg = np.eye(h, dtype=complex)
+    for j in range(j_max + 1):
+        forward[j] = x1 - pow_pos
+        inverse[j] = rweights[j] * x2 - pow_neg
         if j < j_max:
-            pow_pos = pow_pos @ m
-            pow_neg = pow_neg @ inv
+            x1, x2 = pair.t1 @ x1, pair.t2 @ x2
+            pow_pos, pow_neg = pow_pos @ m, pow_neg @ inv
     norms = zip(_operator_norms(forward), _operator_norms(inverse))
     return [
         {"degree": j, "forward_residual": float(fw), "inverse_residual": float(iv)}

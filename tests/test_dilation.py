@@ -33,6 +33,7 @@ from annulus_lab.errors import (
     NotCommuting,
     NotContraction,
     NotContractions,
+    NotIsometric,
 )
 from annulus_lab.linalg import inverse, operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, laurent_expand
@@ -189,7 +190,7 @@ class TestAndoPair:
     def test_rejects_non_commuting(self):
         a = np.array([[0.0, 0.5], [0.0, 0.0]])
         b = np.array([[0.0, 0.0], [0.5, 0.0]])
-        with pytest.raises(NotCommuting):
+        with pytest.raises(NotCommuting, match="carrier commutation defect"):
             ando_pair(a, b, 3)
 
     def test_rejects_expansive_pair(self):
@@ -418,29 +419,6 @@ class TestLeanCarrier:
         assert residual <= model.tail_report(self.F)["bound"] + 1e-8
         assert moments <= 1e-10
 
-    def test_verify_model_makes_one_chain_per_factor(self, monkeypatch):
-        calls = []
-        for name in ("_v1", "_v2"):
-            original = getattr(AndoPair, name)
-
-            def counted(self, x, original=original, name=name):
-                calls.append(name)
-                return original(self, x)
-
-            monkeypatch.setattr(AndoPair, name, counted)
-        d = 8
-        t = windowed_matrix(3, 0.7, 4)
-        model = build_model(t, 0.7, d)
-        verify_model(model, t, self.F)
-        deg_p = len(self.F.p_coeffs) - 1
-        assert 0 < len(calls) <= 2 * d + deg_p
-        assert calls.count("_v2") == d
-        # a polynomial: both factor series are (1, 0, ..., 0), so only p's chain runs
-        calls.clear()
-        model = build_model(t, 0.7, 16)
-        verify_model(model, t, AnnulusRational(r=0.7, p_coeffs=(0.5, 0.2, 0.1)))
-        assert calls == ["_v1", "_v1"]
-
 
 def _reference_series_apply(apply_op, coeffs, x):
     """``sum_k coeffs[k] Op^k x``, rebuilding the power chain on every call."""
@@ -457,8 +435,9 @@ def _reference_series_apply(apply_op, coeffs, x):
 
 
 def _reference_residual(model, t, f):
-    """:func:`verify_model` with per-call chains in place of the model's,
-    and the two factor series expanded on their own."""
+    """:func:`verify_model` on the carrier: power chains of the structured
+    ``V1``/``V2`` applies, compressed to ``H`` at the end, and the two factor
+    series expanded on their own."""
     pair, h = model.pair, model.pair.dim_h
     s1, s2 = _factor_pair(f, model.d)
     y = _reference_series_apply(pair._v2, s2.factor_neg_scaled, pair.embed[:h])
@@ -469,8 +448,8 @@ def _reference_residual(model, t, f):
 
 
 def _reference_moment_rows(model, t, j_max):
-    """``(forward, inverse)`` moment residuals from per-call chains and one
-    :func:`operator_norm` per entry."""
+    """``(forward, inverse)`` moment residuals from carrier power chains and
+    one :func:`operator_norm` per entry."""
     pair, h = model.pair, model.pair.dim_h
     e, inv = pair.embed, inverse(t)
     x1 = x2 = e[:h]
@@ -489,23 +468,10 @@ def _reference_moment_rows(model, t, j_max):
 
 
 class TestSharedInnerChain:
-    """The model keeps ``V2^k e`` for every function it verifies and for the
-    inverse moments; nothing it returns may differ from per-call chains."""
+    """One model serves every function it verifies and the moments, in any
+    order; nothing it returns may differ from per-call carrier chains."""
 
     F = TestLeanCarrier.F
-
-    @staticmethod
-    def _counted_applies(monkeypatch):
-        calls = []
-        for name in ("_v1", "_v2"):
-            original = getattr(AndoPair, name)
-
-            def counted(self, x, original=original, name=name):
-                calls.append(name)
-                return original(self, x)
-
-            monkeypatch.setattr(AndoPair, name, counted)
-        return calls
 
     @pytest.mark.parametrize("h", [2, 3, 6])
     @pytest.mark.parametrize(
@@ -534,30 +500,90 @@ class TestSharedInnerChain:
                     got = [(row["forward_residual"], row["inverse_residual"]) for row in table]
                     assert np.array_equal(np.array(got), np.array(rows[: j_max + 1]))
 
-    def test_second_verification_makes_no_inner_apply(self, monkeypatch):
-        calls = self._counted_applies(monkeypatch)
-        t = windowed_matrix(3, 0.7, 4)
+
+class TestRowsOfH:
+    """``verify_model`` and ``moment_table`` form only the rows of ``H``:
+    ``T1^k`` and ``T2^m`` in place of ``V1^k`` and ``V2^m``, with the carrier
+    checked through its generators."""
+
+    F = TestLeanCarrier.F
+
+    @staticmethod
+    def _operator(kind, h, r, seed):
+        if kind == "windowed":
+            return windowed_matrix(h, r, seed)
+        return random_unitary(h, seed) * (1.0 if kind == "unitary" else r)
+
+    def test_checks_make_no_carrier_apply(self, monkeypatch):
+        calls = []
+        for name in ("_v1", "_v2"):
+            monkeypatch.setattr(AndoPair, name, lambda self, x, name=name: calls.append(name))
         d = 10
+        t = windowed_matrix(3, 0.7, 4)
         model = build_model(t, 0.7, d)
-        verify_model(model, t, self.F)
-        assert calls.count("_v2") == d
-        calls.clear()
         verify_model(model, t, self.F)
         verify_model(model, t, AnnulusRational(r=0.7, p_coeffs=(1.0,), q2_roots=(0.1, -0.2j)))
-        verify_moments(model, t, d)
-        # F's outer series and numerator, then the forward moments; the
-        # inner-only function has no outer chain
-        assert calls == ["_v1"] * (d + len(self.F.p_coeffs) - 1 + d)
+        moment_table(model, t, d)
+        verify_moments(model, t, d // 2)
+        assert calls == []
 
-    def test_chain_holds_h_squared_d_plus_one_squared_entries(self):
-        h, d = 3, 7
-        t = windowed_matrix(h, 0.7, 5)
-        model = build_model(t, 0.7, d)
-        powers = model.inner_powers
-        assert [p.shape for p in powers] == [((2 * k + 1) * h, h) for k in range(d + 1)]
-        assert sum(p.size for p in powers) == h * h * (d + 1) ** 2
-        assert powers[0].base is powers[d].base
-        assert not any(p.flags.writeable for p in powers)
+    @pytest.mark.parametrize("kind", ["windowed", "unitary", "r-unitary"])
+    @pytest.mark.parametrize("d", [1, 12, 24, 122])
+    @pytest.mark.parametrize("h", [2, 3, 6, 16])
+    def test_outputs_equal_the_carrier_route(self, h, d, kind):
+        r = 0.7
+        t = self._operator(kind, h, r, 500 + 7 * h + d)
+        model = build_model(t, r, d)
+        fs = [self.F] + [
+            random_function(
+                r, 760 + h + d + k, max_roots=2, alpha_window=(2.0, 4.0), beta_window_div=(8.0, 2.0)
+            )
+            for k in range(2 if d * h < 1000 else 1)
+        ]
+        for f in fs:
+            assert np.array_equal(verify_model(model, t, f), _reference_residual(model, t, f))
+        got = [(row["forward_residual"], row["inverse_residual"]) for row in moment_table(model, t, d)]
+        assert np.array_equal(np.array(got), np.array(_reference_moment_rows(model, t, d)))
+
+    def test_model_at_h16_d122_stays_in_small_memory(self):
+        # the stored chain of V2^k e alone took 62 MB here
+        r, h, d = 0.7, 16, 122
+        t = windowed_matrix(h, r, 3)
+        fs = [self.F] + [random_function(r, 780 + k, max_roots=2, alpha_window=(2.0, 4.0)) for k in range(3)]
+        tracemalloc.start()
+        try:
+            model = build_model(t, r, d)
+            residuals = [verify_model(model, t, f) for f in fs]
+            moment_table(model, t, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        for f, residual in zip(fs, residuals):
+            assert residual <= model.tail_report(f)["bound"] + 1e-8
+
+    @pytest.mark.parametrize("part", ["g", "d1", "d2", "t1", "t2"])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+    def test_dense_defects_follow_the_generator_check(self, part, eps):
+        t1, t2 = commuting_contraction_pair(3, 12)
+        pair = ando_pair(t1, t2, 5)
+        rng = seeded_rng(13, len(part), int(-np.log10(eps)))
+        shape = getattr(pair, part).shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        bad = dataclasses.replace(pair, **{part: getattr(pair, part) + eps * noise / operator_norm(noise)})
+        check = max(value for name, value in bad.generator_defects.items() if name != "scale")
+        assert check >= eps / 10
+
+        def dense_defects(p):
+            budget = np.eye(p.dim, dtype=complex)[:, : p.block_slice(p.m - 1).stop]
+            isometry = max(
+                operator_norm(image.conj().T @ image - np.eye(budget.shape[1]))
+                for image in (p.v1 @ budget, p.v2 @ budget)
+            )
+            return isometry, operator_norm((p.v1 @ p.v2 - p.v2 @ p.v1) @ budget)
+
+        for moved, base in zip(dense_defects(bad), dense_defects(pair)):
+            assert abs(moved - base) <= 4 * check
 
 
 class TestModelArguments:
@@ -578,6 +604,21 @@ class TestModelArguments:
             verify_model(model, t, f)
         with pytest.raises(InvalidRational, match="mismatched radii"):
             model.tail_report(f)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, np.bool_(True), "4", 0, -2])
+    def test_budget_that_is_not_a_positive_integer_is_rejected(self, d):
+        with pytest.raises(ValueError, match="degree budget"):
+            build_model(0.5 * np.eye(2), 0.5, d)
+
+    @pytest.mark.parametrize("d", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_budget_is_accepted(self, d):
+        assert build_model(0.5 * np.eye(2), 0.5, d).d == 3
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_default_budget_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,))
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            dilation.default_budget(f, tol=tol)
 
     @pytest.mark.parametrize("r", [0.0, -0.5, 1.0, float("nan")])
     def test_radius_outside_the_unit_interval_is_rejected(self, r):
@@ -603,13 +644,10 @@ class TestModelArguments:
 
 
 class TestBrokenCarrier:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="P_H V_i = T_i P_H for any fix-up unitary and defects, and the checks read only the rows of H",
-    )
     @pytest.mark.parametrize("h", [3, 4, 16])
     def test_checks_see_a_corrupted_carrier(self, h):
+        # P_H V_i = T_i P_H for any fix-up unitary and defects, so the rows of
+        # H alone cannot see this; the generator check must
         r, d = 0.7, 24
         t = windowed_matrix(h, r, 80 + h)
         model = build_model(t, r, d)
@@ -624,10 +662,31 @@ class TestBrokenCarrier:
                 d2=rng.standard_normal(pair.d2.shape),
             ),
         )
-        fs = [random_function(r, 740 + k, max_roots=2, alpha_window=(2.0, 4.0)) for k in range(4)]
-        same = [verify_model(model, t, f) == verify_model(broken, t, f) for f in fs]
-        same.append(moment_table(model, t, d) == moment_table(broken, t, d))
-        assert not all(same)
+        f = random_function(r, 740, max_roots=2, alpha_window=(2.0, 4.0))
+        verify_model(model, t, f)
+        moment_table(model, t, d)
+        with pytest.raises(NotIsometric, match="carrier unitarity defect"):
+            verify_model(broken, t, f)
+        with pytest.raises(NotIsometric, match="carrier unitarity defect"):
+            moment_table(broken, t, d)
+
+    @pytest.mark.parametrize(
+        "part, error, name",
+        [("d1", NotIsometric, "isometry_1"), ("d2", NotIsometric, "isometry_2"), ("g", NotCommuting, "intertwining")],
+    )
+    def test_each_generator_defect_raises_its_error(self, part, error, name):
+        # scaled defects break one staircase's isometry; a rotated fix-up
+        # unitary stays unitary but no longer intertwines
+        r, d = 0.7, 6
+        t = windowed_matrix(3, r, 83)
+        model = build_model(t, r, d)
+        pair = model.pair
+        value = pair.g @ random_unitary(6, 84) if part == "g" else 0.9 * getattr(pair, part)
+        broken = dataclasses.replace(model, pair=dataclasses.replace(pair, **{part: value}))
+        with pytest.raises(error, match=f"carrier {name} defect"):
+            verify_model(broken, t, TestLeanCarrier.F)
+        with pytest.raises(error, match=f"carrier {name} defect"):
+            moment_table(broken, t, d)
 
 
 class TestConcurrentUse:
@@ -654,7 +713,7 @@ class TestConcurrentUse:
 
         def worker(i):
             start.wait()
-            # half the threads start with the moments: both callers build the chain
+            # half the threads start with the moments
             return run(model, moments_first=i % 2 == 1)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
