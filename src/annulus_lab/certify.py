@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,31 +126,97 @@ class CertificationReport:
         }
 
 
+def _draw(rngs) -> tuple:
+    """The variates of one test function per generator of the iterable
+    ``rngs``, in the order the distribution draws them: the root counts
+    ``k1`` and ``k2``, a (modulus, argument) pair of uniforms per root, outer
+    roots first, the numerator degree, then the real and imaginary parts of
+    the coefficients, redrawn while every one is zero.
+
+    Returns ``counts`` (rows of ``(k1, k2, deg + 1)``) and the uniforms,
+    real parts and imaginary parts of all rows, each flat in row order.
+    """
+    counts, uniforms, real, imag = [], [], [], []
+    for rng in rngs:
+        k1 = int(rng.integers(0, 5))
+        k2 = int(rng.integers(0, 5))
+        uniforms.append(rng.random(2 * (k1 + k2)))
+        deg = int(rng.integers(0, 5))
+        while True:
+            re, im = rng.standard_normal(deg + 1), rng.standard_normal(deg + 1)
+            # (re + 1j im) / sqrt(2) has a nonzero entry iff re or im has one
+            if re.any() or im.any():
+                break
+        counts.append((k1, k2, deg + 1))
+        real.append(re)
+        imag.append(im)
+    flat = (np.concatenate(parts) if parts else np.empty(0) for parts in (uniforms, real, imag))
+    return (np.array(counts, dtype=int).reshape(-1, 3), *flat)
+
+
+def _slots(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of each entry of rows holding ``width[i]`` entries
+    each, packed flat in row order."""
+    row = np.repeat(np.arange(width.size), width)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+
+
+def _transform(r: float, counts: np.ndarray, uniforms, real, imag) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator coefficients and roots of :func:`_draw`'s rows, each flat in
+    row order: outer moduli ``exp((1 - u) ln 4)``, inner moduli
+    ``r exp(-(1 - u) ln 4)``, arguments ``2 pi v``, coefficients
+    ``(re + 1j im) / sqrt(2)``."""
+    k1 = counts[:, 0]
+    row, slot = _slots(k1 + counts[:, 1])
+    ln4 = np.log(4.0)
+    mod_u, arg_u = uniforms[0::2], uniforms[1::2]
+    mods = np.where(slot < k1[row], np.exp((1.0 - mod_u) * ln4), r * np.exp(-(1.0 - mod_u) * ln4))
+    return (real + 1j * imag) / np.sqrt(2.0), mods * np.exp(2j * np.pi * arg_u)
+
+
+def _pack(counts: np.ndarray, p: np.ndarray, roots: np.ndarray) -> rational.FactoredStack:
+    """The rows ``(k1, k2, len(p))`` of ``counts``, with their flat
+    coefficients and roots, as one zero-padded :class:`rational.FactoredStack`:
+    the stack :func:`rational.factored_stack` makes of the same functions."""
+    lp, k = counts[:, 2], counts[:, 0] + counts[:, 1]
+    n, width = counts.shape[0], k.max(initial=0)
+    stack = rational.FactoredStack(
+        p=np.zeros((n, lp.max(initial=1)), dtype=complex),
+        roots=np.zeros((n, width), dtype=complex),
+        mask=np.zeros((n, width), dtype=bool),
+        scale=np.ones(n, dtype=complex),
+    )
+    stack.p[_slots(lp)] = p
+    at = _slots(k)
+    stack.roots[at] = roots
+    stack.mask[at] = True
+    return stack
+
+
+def _row_function(r: float, stack: rational.FactoredStack, counts: np.ndarray, i: int) -> AnnulusRational:
+    """Row ``i`` of a stack packed by :func:`_pack`, as an :class:`AnnulusRational`."""
+    k1, k2, lp = counts[i]
+    return AnnulusRational(
+        r=r,
+        p_coeffs=tuple(stack.p[i, :lp]),
+        q1_roots=tuple(stack.roots[i, :k1]),
+        q2_roots=tuple(stack.roots[i, k1 : k1 + k2]),
+    )
+
+
 def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     """One random test function for the stress battery.
 
     Distribution (fixed so reports are reproducible): root counts uniform on
     {0..4} per denominator factor; outer root moduli log-uniform on (1, 4],
     inner moduli log-uniform on [r/4, r); arguments uniform; numerator degree
-    uniform on {0..4} with unit complex Gaussian coefficients; scale 1.
+    uniform on {0..4} with unit complex Gaussian coefficients; scale 1.  It
+    is the one-row case of the battery's draw (:func:`_draw`,
+    :func:`_transform`, :func:`_pack`), so the battery's functions are
+    those this returns for the generators ``linalg.seeded_rng(seed, 17, i)``.
     """
-    k1 = int(rng.integers(0, 5))
-    k2 = int(rng.integers(0, 5))
-    ln4 = np.log(4.0)
-    q1 = []
-    for _ in range(k1):
-        mod = float(np.exp((1.0 - rng.random()) * ln4))
-        q1.append(mod * np.exp(2j * np.pi * rng.random()))
-    q2 = []
-    for _ in range(k2):
-        mod = float(r * np.exp(-(1.0 - rng.random()) * ln4))
-        q2.append(mod * np.exp(2j * np.pi * rng.random()))
-    deg = int(rng.integers(0, 5))
-    while True:
-        p = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.sqrt(2.0)
-        if np.any(p != 0):
-            break
-    return AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=tuple(q1), q2_roots=tuple(q2))
+    counts, *variates = _draw([rng])
+    return _row_function(r, _pack(counts, *_transform(r, counts, *variates)), counts, 0)
 
 
 # Every _COARSE-th equispaced boundary node is evaluated outright; the other
@@ -319,6 +385,21 @@ def _ring(base_nodes: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(base_nodes) / base_nodes))
 
 
+# A node z has ||z| - rho| <= 4u rho, so only a root this close to a circle
+# can come within 1e-14 of one.
+_NEAR_CIRCLE = 1e-12
+
+
+def _check_poles(f: AnnulusRational, windows, ring: np.ndarray, local_nodes: int) -> None:
+    """:class:`PoleHit` if a node of ``ring`` on either circle of ``f``, or of
+    ``local_nodes`` in one of its pole ``windows``, is within 1e-14 of a
+    root, as :func:`rational.evaluate` would raise it."""
+    point_sets = [ring, f.r * ring] + (list(_window_nodes(windows, local_nodes)) if windows else [])
+    for zz in point_sets:
+        for root in f.q1_roots + f.q2_roots:
+            rational.check_clearance(zz - root, root)
+
+
 def _sup_groups(functions, stack, ring: np.ndarray, local_nodes: int) -> list:
     """The ``(len(p), #roots)`` groups of ``functions``, validated into
     ``stack``: ``(members, sub, window_rows, windows)`` per group, ``sub``
@@ -331,13 +412,8 @@ def _sup_groups(functions, stack, ring: np.ndarray, local_nodes: int) -> list:
     for i, f in enumerate(functions):
         windows = _pole_windows(f)
         roots = f.q1_roots + f.q2_roots
-        # a node z has ||z| - rho| <= 4u rho, so only a root this close to a
-        # circle can come within 1e-14 of one
-        if any(abs(abs(a) - rho) <= 1e-12 for a in roots for rho in (1.0, f.r)):
-            point_sets = [ring, f.r * ring] + (list(_window_nodes(windows, local_nodes)) if windows else [])
-            for zz in point_sets:
-                for root in roots:
-                    rational.check_clearance(zz - root, root)
+        if any(abs(abs(a) - rho) <= _NEAR_CIRCLE for a in roots for rho in (1.0, f.r)):
+            _check_poles(f, windows, ring, local_nodes)
         members, window_rows, group_windows = groups.setdefault((len(f.p_coeffs), len(roots)), ([], [], []))
         window_rows += [len(members)] * len(windows)
         group_windows += windows
@@ -383,13 +459,16 @@ def _sampled_sups(functions, base_nodes: int = _BASE_NODES, local_nodes: int = _
 
 
 class _Battery:
-    """Test-function battery: the functions, their padded factored stack,
-    a cheap lower bound on each sampled sup, and a memo of exact sups.
+    """Test-function battery as arrays: the padded factored stack, each
+    row's ``(k1, k2, len(p))``, a cheap lower bound on each sampled sup, and
+    a memo of exact sups.
 
-    ``lower[i]`` is the max of ``|f_i|`` at every ``_COARSE``-th node of
-    the ``_BASE_NODES`` per circle: the first pass of
-    :func:`_sampled_sups`, from the same ``abs_at`` calls, so
-    ``lower[i] <= _sampled_sups((f_i,))[0]`` bit for bit.
+    Row ``i`` is the function :meth:`function` builds on demand (the
+    refined rows and the witness); :attr:`functions` builds them all, once.
+    ``lower[i]`` is the max of ``|f_i|`` at every ``_LOWER_STRIDE``-th node
+    of the ``_BASE_NODES`` per circle.  :func:`_sampled_sups` evaluates
+    those nodes too, and ``abs_at`` is :func:`rational.evaluate` bit for
+    bit, so ``lower[i] <= _sampled_sups((f_i,))[0]`` exactly.
     :meth:`exact_sups` computes the sups on demand and keeps them in
     :attr:`memo`.  The memo only gains entries, each a deterministic value,
     so which calls filled it never changes a result.  Readers take no lock:
@@ -398,15 +477,25 @@ class _Battery:
     no update is lost.
     """
 
-    def __init__(self, functions: tuple, stack: rational.FactoredStack, lower: np.ndarray):
-        self.functions = functions
+    def __init__(self, r: float, stack: rational.FactoredStack, counts: np.ndarray, lower: np.ndarray):
+        self.r = r
         self.stack = stack
+        self.counts = counts
         self.lower = lower
         self.lower.flags.writeable = False
-        memo = np.full(len(functions), np.nan)
+        memo = np.full(lower.size, np.nan)
         memo.flags.writeable = False
         self.memo = memo
         self._lock = threading.Lock()
+
+    def function(self, i: int) -> AnnulusRational:
+        """Row ``i`` as an :class:`AnnulusRational`."""
+        return _row_function(self.r, self.stack, self.counts, i)
+
+    @cached_property
+    def functions(self) -> tuple:
+        """Every row as an :class:`AnnulusRational`, in battery order."""
+        return tuple(self.function(i) for i in range(self.lower.size))
 
     def exact_sups(self, rows: np.ndarray) -> np.ndarray:
         """``_sampled_sups`` of the functions ``rows``, from the memo where
@@ -414,7 +503,7 @@ class _Battery:
         memo = self.memo
         missing = rows[np.isnan(memo[rows])]
         if missing.size:
-            found = _sampled_sups([self.functions[i] for i in missing])
+            found = _sampled_sups([self.function(i) for i in missing])
             with self._lock:
                 memo = self.memo.copy()
                 memo[missing] = found
@@ -423,34 +512,71 @@ class _Battery:
         return memo[rows]
 
 
+# The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
+# per circle, 64 nodes: a subset of the coarse nodes every sampled sup
+# evaluates.  A lower bound only prunes, so the stride changes no report.
+_LOWER_STRIDE = 64
+# The canonical probes z and r/z as (k1, k2, len(p)) rows; packed flat, their
+# coefficients are (0, 1, r) and their one root is 0.
+_PROBE_COUNTS = np.array([[0, 0, 2], [0, 1, 1]])
+
+
+def _check_rows(r: float, stack: rational.FactoredStack, counts: np.ndarray, ring: np.ndarray) -> None:
+    """Raise for the rows of a stack packed by :func:`_pack` what
+    :func:`rational.factored_stack`, then :func:`_sup_groups` with ``ring``,
+    would raise for their functions: the first error of
+    :func:`rational.validate` in row order, then :class:`PoleHit` for the
+    first row with a node on a root.
+
+    The radius and root-location comparisons of ``validate`` run on the
+    whole stack (a draw on an annulus is finite, and its numerator and scale
+    are never empty or zero); ``validate`` itself runs only on the rows they
+    flag, and the pole check only on rows with a root within
+    ``_NEAR_CIRCLE`` of a circle.
+    """
+    mods = np.abs(stack.roots)
+    outer = np.arange(mods.shape[1]) < counts[:, :1]
+    bad = (stack.mask & outer & (mods <= 1.0)).any(axis=1) | (stack.mask & ~outer & (mods >= r)).any(axis=1)
+    if not 0.0 < r < 1.0:
+        bad[:] = True
+    for i in np.flatnonzero(bad):
+        rational.validate(_row_function(r, stack, counts, i))
+    near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - r) <= _NEAR_CIRCLE))
+    for i in np.flatnonzero(near.any(axis=1)):
+        f = _row_function(r, stack, counts, i)
+        _check_poles(f, _pole_windows(f), ring, _LOCAL_NODES)
+
+
 @lru_cache(maxsize=8)
 def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     """Deterministic battery of test functions with lower sup bounds.
 
     Trials 0 and 1 are the canonical probes ``z`` and ``r/z`` (they expose
-    norm-window violations exactly); the rest follow the documented random
-    distribution.  Every function is validated, and :class:`PoleHit` raised,
-    as :func:`_sampled_sups` would; the build then evaluates only the
-    coarse nodes, for :attr:`_Battery.lower`, and leaves the exact sups to
+    norm-window violations exactly); trial ``i >= 2`` is
+    ``sample_test_function(r, linalg.seeded_rng(seed, 17, i))``.  Each
+    generator makes its own draws (:func:`_draw`); the variates of all rows
+    are transformed in one vectorized pass and written straight into the
+    padded stack (:func:`_transform`, :func:`_pack`), so no
+    :class:`AnnulusRational` is built here.  Every row is validated, and
+    :class:`PoleHit` raised, as :func:`_sampled_sups` would
+    (:func:`_check_rows`); the build then evaluates 64 nodes per circle of
+    the whole stack, for :attr:`_Battery.lower`, and leaves the exact sups to
     :meth:`_Battery.exact_sups`.  Cached so repeated certifications against
     the same battery (e.g. a corpus sweep) share the draws and the memo.
     """
-    probes = [
-        AnnulusRational(r=r, p_coeffs=(0.0, 1.0)),
-        AnnulusRational(r=r, p_coeffs=(r,), q2_roots=(0.0,)),
-    ]
-    functions = tuple(
-        probes[i] if i < len(probes) else sample_test_function(r, linalg.seeded_rng(seed, 17, i))
-        for i in range(trials)
-    )
-    stack = rational.factored_stack(functions)
+    probes = min(trials, len(_PROBE_COUNTS))
+    counts, *variates = _draw(linalg.seeded_rng(seed, 17, i) for i in range(probes, trials))
+    p, roots = _transform(r, counts, *variates)
+    counts = np.concatenate([_PROBE_COUNTS[:probes], counts])
+    p = np.concatenate([np.array([0.0, 1.0, r], dtype=complex)[: counts[:probes, 2].sum()], p])
+    roots = np.concatenate([np.zeros(counts[:probes, 1].sum(), dtype=complex), roots])
+    stack = _pack(counts, p, roots)
     ring = _ring(_BASE_NODES)
-    radii = np.array([f.r for f in functions])
+    _check_rows(r, stack, counts, ring)
     lower = np.empty(trials)
-    for members, sub, _, _ in _sup_groups(functions, stack, ring, _LOCAL_NODES):
-        for sl, _, _, v in _coarse_values(sub, radii[members], ring[::_COARSE]):
-            lower[members[sl]] = v.max(axis=(1, 2))
-    return _Battery(functions, stack, lower)
+    for sl, _, _, v in _coarse_values(stack, np.full(trials, float(r)), ring[::_LOWER_STRIDE]):
+        lower[sl] = v.max(axis=(1, 2))
+    return _Battery(float(r), stack, counts, lower)
 
 
 def _stress_ratios(nums, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
@@ -582,12 +708,12 @@ def vonneumann_stress(
         at_probes,
         battery.memo,
         battery.exact_sups,
-        lambda rows: _sampled_sups([battery.functions[i] for i in rows], 1 << 15, 4096),
+        lambda rows: _sampled_sups([battery.function(i) for i in rows], 1 << 15, 4096),
         tols.verify_tol,
     )
     if witness is not None:
         verdict = Verdict.REFUTED
-        witness = battery.functions[witness]
+        witness = battery.function(witness)
     elif trials > 0:
         verdict = Verdict.PASSED_STRESS
     else:

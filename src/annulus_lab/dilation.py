@@ -86,8 +86,8 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
     gram_defect = linalg.operator_norm(np.eye(h) - m.conj().T @ m)
     if gram_defect <= tols.rank_tol:
         return m.copy(), np.eye(h, dtype=complex)
-    d_t = linalg.sqrtm_psd(np.eye(h) - m.conj().T @ m, tols)
-    d_tstar = linalg.sqrtm_psd(np.eye(h) - m @ m.conj().T, tols)
+    d_t = _defect(np.eye(h) - m.conj().T @ m, "T", NotContraction, tols)
+    d_tstar = _defect(np.eye(h) - m @ m.conj().T, "T*", NotContraction, tols)
     n_blocks = d + 1
     u = np.zeros((n_blocks * h, n_blocks * h), dtype=complex)
     u[0:h, 0:h] = m
@@ -99,6 +99,21 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
     embed = np.zeros((n_blocks * h, h), dtype=complex)
     embed[0:h] = np.eye(h)
     return u, embed
+
+
+def _defect(c: np.ndarray, name: str, error: type, tols: Tolerances) -> np.ndarray:
+    """Defect operator ``c^(1/2)``, ``c = I - X* X``, of an ``X`` (named
+    ``name``) accepted as a contraction, ``||X|| <= 1 + verify_tol``.
+
+    Such a ``c`` can have eigenvalues down to about ``-2 verify_tol``.
+    :func:`linalg.sqrtm_psd` clamps those down to ``-verify_tol`` to zero,
+    which leaves ``X* X + D^2 - I`` within ``verify_tol``; below that no
+    defect operator does, and ``error`` is raised.
+    """
+    try:
+        return linalg.sqrtm_psd(c, tols)
+    except ValueError as exc:
+        raise error(f"{name} is not a contraction within verify_tol: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +329,8 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
         if linalg.operator_norm(mat) > 1.0 + tols.verify_tol:
             raise NotContractions(f"{name} is not a contraction")
     eye = np.eye(h)
-    d1 = linalg.sqrtm_psd(eye - m1.conj().T @ m1, tols)
-    d2 = linalg.sqrtm_psd(eye - m2.conj().T @ m2, tols)
+    d1 = _defect(eye - m1.conj().T @ m1, "T1", NotContractions, tols)
+    d2 = _defect(eye - m2.conj().T @ m2, "T2", NotContractions, tols)
     g = _fixup_unitary(m1, m2, d1, d2, tols)
     pair = AndoPair(g=g, d1=d1, d2=d2, t1=m1, t2=m2, m=m_depth)
     _check_generators(pair, tols)
@@ -396,7 +411,7 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     half = -(-cap // 2)
-    if half < 2 or not rational.laurent_expand(f, half - 1).tail_bound <= tol:
+    if half < 2 or not rational.laurent_tail_bound(f, half - 1) <= tol:
         return max(1, cap)
     return max(1, min(2 * rational.laurent_order_for(f, tol), cap))
 
@@ -423,9 +438,14 @@ def _model_series(model: ModelTriple, f: AnnulusRational) -> rational.LaurentSer
     """Laurent series of ``1/(scale q1 q2)`` at the model's budget, for an
     ``f`` on its annulus.  Its outer factor series and tail are those of
     ``1/(scale q1)``, its inner ones those of ``1/q2``."""
+    return rational.laurent_expand(_denominator(model, f), model.d)
+
+
+def _denominator(model: ModelTriple, f: AnnulusRational) -> AnnulusRational:
+    """``1/(scale q1 q2)`` for an ``f`` on the model's annulus."""
     if f.r != model.r:
         raise InvalidRational(f"mismatched radii {f.r} and {model.r}")
-    return rational.laurent_expand(replace(f, p_coeffs=(1.0,)), model.d)
+    return replace(f, p_coeffs=(1.0,))
 
 
 def _operand(model: ModelTriple, t) -> np.ndarray:
@@ -459,8 +479,8 @@ def verify_model(
     """Residual ``max_h ||f(T) h - V* p(N) q1(N)^-1 q2(FNF)^-1 V h||``.
 
     The right-hand side follows the series route: the inner factor as
-    ``sum_m b_m r^{-m} V2^m`` (weights from
-    :attr:`rational.LaurentSeries.factor_neg_scaled`; ``F N F`` acts on the
+    ``sum_m b_m r^{-m} V2^m`` (the first ``d + 1`` weights of
+    :func:`rational.factor_series`, no tail; ``F N F`` acts on the
     first summand as ``V2``), the outer factor and numerator as
     series/polynomial in ``V1``.  Since ``P_H V_i = T_i P_H``, only the rows
     of ``H`` are formed: ``h x h`` chains in ``T2``, then ``T1``, one product
@@ -473,12 +493,12 @@ def verify_model(
     ``T`` is not ``h x h``.
     """
     rational.validate(f)
-    series = _model_series(model, f)
+    factor_pos, _, factor_neg_scaled, _ = rational.factor_series(_denominator(model, f), model.d + 1)
     m = _operand(model, t)
     pair = model.pair
     _check_generators(pair, tols)
-    y = _chain_sum(pair.t2, series.factor_neg_scaled, np.eye(m.shape[0], dtype=complex))
-    z = _chain_sum(pair.t1, series.factor_pos, y)
+    y = _chain_sum(pair.t2, factor_neg_scaled, np.eye(m.shape[0], dtype=complex))
+    z = _chain_sum(pair.t1, factor_pos, y)
     w = _chain_sum(pair.t1, np.array(f.p_coeffs, dtype=complex), z)
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - w, axis=0)))
@@ -491,7 +511,12 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The compressions
     ``T_i^j`` are left products, as in :func:`verify_model`, after the same
     generator check; the powers of ``T`` and ``T^-1`` are right products.
-    Each direction's norms are taken in one batched call.
+    ``V* V_i^j V = T_i^j`` holds by construction, so a row tests only the
+    rounding of those two products of ``T`` powers (and of ``r^-j`` against
+    ``T2 = r T^-1``), never the carrier: that is checked by
+    :attr:`AndoPair.generator_defects`, whose failure raises here before
+    any row is formed.  Each direction's norms are taken in one batched
+    call.
     :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
     ``r^-j_max`` overflows, ``ValueError`` when ``j_max < 0`` and
     :class:`DimensionMismatch` when ``T`` is not ``h x h``.
@@ -545,7 +570,10 @@ def _operator_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Max moment residual over ``0 <= j <= j_max`` for both power directions."""
+    """Max moment residual over ``0 <= j <= j_max`` for both power directions.
+
+    As in :func:`moment_table`, the residual measures the rounding of
+    ``T`` powers; the carrier is tested by its generator check."""
     return max(
         max(row["forward_residual"], row["inverse_residual"])
         for row in moment_table(model, t, j_max, tols)

@@ -91,7 +91,7 @@ class NotContraction(AnnulusLabError):
     """Operator norm exceeds one beyond tolerance."""
 
 
-class NotContractions(AnnulusLabError):
+class NotContractions(NotContraction):
     """At least one operator of a pair is not a contraction."""
 
 

@@ -355,12 +355,15 @@ def unitary_completion(v, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 def sqrtm_psd(h, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues below ``rank_tol`` that rounded negative are clamped to zero.
+    Negative eigenvalues down to ``-verify_tol`` times the largest
+    eigenvalue modulus (at least 1) are clamped to zero: a matrix such as
+    ``I - T* T`` for a ``T`` accepted as a contraction within ``verify_tol``
+    reaches there.  ``ValueError`` below it.
     """
     m = as_matrix(h)
     _require_square(m)
     w, q = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if w.size and w[0] < -tols.rank_tol * max(1.0, abs(w[-1])):
+    if w.size and w[0] < -tols.verify_tol * max(1.0, abs(w[-1])):
         raise ValueError(f"matrix is not positive semidefinite: min eig {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (q * np.sqrt(w)[np.newaxis, :]) @ q.conj().T

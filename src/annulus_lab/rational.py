@@ -347,12 +347,15 @@ def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
     return _TailModel(exact=exact, major=major, base=base, rate=rate, lead=len(kernel) - 1)
 
 
-def _series_data(f: AnnulusRational, length: int):
-    """Both factor series of ``f``, the inner one also weighted by ``r^-m``,
-    and their tail models, ``length`` terms each.
+def factor_series(f: AnnulusRational, length: int) -> tuple:
+    """The first ``length`` coefficients of both factor series of ``f``:
+    ``(a, b, b_scaled, weights)``.
 
-    Every entry depends only on the entries before it, so a longer call
-    extends a shorter one bit for bit.
+    ``a`` is the ascending series of ``p / (scale q1)``, ``b`` the
+    coefficients ``b_m`` of ``1/q2 = sum b_m z^-m``, ``b_scaled`` the weights
+    ``b_m r^-m`` and ``weights`` their moduli, both formed without ``r^-m``
+    (see :class:`LaurentSeries`).  Every entry depends only on the entries
+    before it, so a longer call extends a shorter one bit for bit.
     """
     r = f.r
     p = _trim_trailing_zeros(np.array(f.p_coeffs))
@@ -360,37 +363,47 @@ def _series_data(f: AnnulusRational, length: int):
     betas_all = np.array(f.q2_roots, dtype=complex)
     betas = betas_all[betas_all != 0]
     n_roots2 = len(betas_all)
-
-    # ascending factor: p(z) / (scale * prod(z - alpha_j)); each coefficient
-    # of 1/prod(z - alpha_j) is bounded by that of prod 1/(|alpha_j| - z)
-    inv_outer = _inverse_series(_poly_from_roots(alphas), length - 1)
+    # np.convolve sums in another order when the series is not the longer
+    # operand, so it always is, as in every longer call
+    inv_outer = _inverse_series(_poly_from_roots(alphas), max(length, len(p) + 1) - 1)
     a = np.convolve(p, inv_outer)[:length] / f.scale
-    moduli = np.abs(alphas)
-    lo = moduli.min(initial=np.inf)
-    kernel = np.abs(p) * np.prod(1.0 / moduli) / abs(f.scale)
-    pos = _tail_model(np.abs(a), kernel, lo / moduli, 1.0 / lo)
-
-    # descending factor: 1/prod(z - beta_i) = z^-L sum_m c_m (r/z)^m, where c
-    # is the series of 1/prod(1 - (beta_i/r) w) in w; that polynomial's
-    # ascending coefficients equal poly_from_roots(r/beta) * prod(-beta/r).
-    # So b_{m+L} = c_m r^m, and the weights b_{m+L} r^-(m+L) = c_m r^-L stay
-    # representable where b_{m+L} underflows and r^-(m+L) overflows.
-    inv_inner = _inverse_series(
-        _poly_from_roots([r / b for b in betas]) * np.prod(-betas / r) if len(betas) else np.array([1.0 + 0j]),
-        length - n_roots2 - 1,
-    )
+    # 1/prod(z - beta_i) = z^-L sum_m c_m (r/z)^m, where c is the series of
+    # 1/prod(1 - (beta_i/r) w) in w; that polynomial's ascending coefficients
+    # equal poly_from_roots(r/beta) * prod(-beta/r).  So b_{m+L} = c_m r^m,
+    # and the weights b_{m+L} r^-(m+L) = c_m r^-L stay representable where
+    # b_{m+L} underflows and r^-(m+L) overflows.
     b = np.zeros(length, dtype=complex)
-    b[n_roots2:] = inv_inner * r ** np.arange(length - n_roots2)
     b_scaled = np.zeros(length, dtype=complex)
-    b_scaled[n_roots2:] = inv_inner * r ** (-n_roots2)
     weights = np.zeros(length)
-    weights[n_roots2:] = np.abs(inv_inner) * r ** (-n_roots2)
+    if length > n_roots2:
+        inv_inner = _inverse_series(
+            _poly_from_roots([r / beta for beta in betas]) * np.prod(-betas / r) if len(betas) else np.array([1.0 + 0j]),
+            length - n_roots2 - 1,
+        )
+        b[n_roots2:] = inv_inner * r ** np.arange(length - n_roots2)
+        b_scaled[n_roots2:] = inv_inner * r ** (-n_roots2)
+        weights[n_roots2:] = np.abs(inv_inner) * r ** (-n_roots2)
+    return a, b, b_scaled, weights
+
+
+def _series_data(f: AnnulusRational, length: int):
+    """:func:`factor_series` of ``f`` and the tail models of its two
+    factors, ``length`` terms each."""
+    a, b, b_scaled, weights = factor_series(f, length)
+    # each coefficient of 1/prod(z - alpha_j) is bounded by that of
+    # prod 1/(|alpha_j| - z)
+    moduli = np.abs(np.array(f.q1_roots, dtype=complex))
+    lo = moduli.min(initial=np.inf)
+    kernel = np.abs(_trim_trailing_zeros(np.array(f.p_coeffs))) * np.prod(1.0 / moduli) / abs(f.scale)
+    pos = _tail_model(np.abs(a), kernel, lo / moduli, 1.0 / lo)
     # weighted majorant r^-L prod 1/(1 - (|beta_i|/r) w), shifted by L
-    moduli = np.abs(betas)
+    betas = np.array(f.q2_roots, dtype=complex)
+    n_roots2 = len(betas)
+    moduli = np.abs(betas[betas != 0])
     hi = moduli.max(initial=0.0)
     kernel = np.zeros(n_roots2 + 1)
-    kernel[-1] = r ** (-n_roots2)
-    neg = _tail_model(weights, kernel, moduli / hi, hi / r)
+    kernel[-1] = f.r ** (-n_roots2)
+    neg = _tail_model(weights, kernel, moduli / hi, hi / f.r)
     return a, b, b_scaled, pos, neg
 
 
@@ -499,6 +512,16 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
         tail_bound=tail_bound,
         tail_models=(pos, neg),
     )
+
+
+def laurent_tail_bound(f: AnnulusRational, order: int) -> float:
+    """``laurent_expand(f, order).tail_bound`` bit for bit, from the tail
+    models alone: no truncated product is formed."""
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    _checked(f)
+    *_, pos, neg = _series_data(f, _length_for(f, int(order)))
+    return _tail_bounds(pos, neg, int(order))[2]
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:

@@ -30,7 +30,15 @@ from annulus_lab.certify import (
     _stress_battery,
     _stress_ratios,
 )
-from annulus_lab.errors import BadRadius, NoConvergence, NotInvertible, PoleHit, Singular
+from annulus_lab.errors import (
+    BadRadius,
+    NoConvergence,
+    NotInvertible,
+    PoleHit,
+    RootInClosedDisk,
+    RootOutsideInnerDisk,
+    Singular,
+)
 from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, evaluate, rational_from_json
 
@@ -191,8 +199,8 @@ class TestVonNeumannStress:
 
     def test_battery_sups_keep_the_coarse_sampling_maximum(self):
         battery = _stress_battery.__wrapped__(0.5, 500, 4)
-        # the lower bounds are every 8th of the 4096 nodes per circle
-        assert battery.lower.tolist() == [rational.boundary_sup_norm(f, 512) for f in battery.functions]
+        # the lower bounds are every 64th of the 4096 nodes per circle
+        assert battery.lower.tolist() == [rational.boundary_sup_norm(f, 64) for f in battery.functions]
         # the 1024 nodes per circle are a subset of the 4096 _sampled_sups samples
         sups = battery.exact_sups(np.arange(500))
         assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(battery.functions, sups)]
@@ -234,6 +242,107 @@ def _reference_sup(f, base_nodes=4096, local_nodes=512):
         vals = np.abs(evaluate(f, radius * np.exp(1j * theta)))
         sup = max(sup, float(vals.max()))
     return sup
+
+
+def _reference_sample(r, rng):
+    """The battery's distribution drawn one function and one scalar at a
+    time, as an independent reference for the array draw."""
+    k1 = int(rng.integers(0, 5))
+    k2 = int(rng.integers(0, 5))
+    ln4 = np.log(4.0)
+    q1 = []
+    for _ in range(k1):
+        mod = float(np.exp((1.0 - rng.random()) * ln4))
+        q1.append(mod * np.exp(2j * np.pi * rng.random()))
+    q2 = []
+    for _ in range(k2):
+        mod = float(r * np.exp(-(1.0 - rng.random()) * ln4))
+        q2.append(mod * np.exp(2j * np.pi * rng.random()))
+    deg = int(rng.integers(0, 5))
+    while True:
+        p = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.sqrt(2.0)
+        if np.any(p != 0):
+            break
+    return AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=tuple(q1), q2_roots=tuple(q2))
+
+
+def _reference_battery(r, count, seed, rng=seeded_rng):
+    probes = [AnnulusRational(r=r, p_coeffs=(0.0, 1.0)), AnnulusRational(r=r, p_coeffs=(r,), q2_roots=(0.0,))]
+    return probes[:count] + [_reference_sample(r, rng(seed, 17, i)) for i in range(2, count)]
+
+
+class _PinnedDraws:
+    """A generator with given integer and uniform draws (normals from a
+    fixed seeded stream), to place a drawn root where the distribution
+    almost never puts one."""
+
+    def __init__(self, integers, uniforms):
+        self._integers = iter(integers)
+        self._uniforms = iter(uniforms)
+        self._normals = seeded_rng(0)
+
+    def integers(self, low, high):
+        return next(self._integers)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._uniforms)
+        return np.array([next(self._uniforms) for _ in range(size)])
+
+    def standard_normal(self, size):
+        return self._normals.standard_normal(size)
+
+
+# (k1, k2, degree) and (modulus, argument) uniforms of one pinned root:
+# modulus exactly 1, exactly r, and 1 + 1.2e-15 (valid, but on a node)
+_ON_ONE = ((1, 0, 0), (1.0, 0.0))
+_ON_R = ((0, 1, 0), (1.0, 0.0))
+_NEAR_ONE = ((1, 0, 0), (1.0 - 2.0**-50, 0.0))
+
+
+class TestBatteryDraw:
+    """The array draw gives the functions of the scalar one, bit for bit."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_are_the_scalar_draws(self, r, seed):
+        battery = _stress_battery.__wrapped__(r, 2000, seed)
+        ref = _reference_battery(r, 2000, seed)
+        assert battery.functions == tuple(ref)
+        assert [sample_test_function(r, seeded_rng(seed, 17, i)) for i in range(2, 2000)] == ref[2:]
+        stack = rational.factored_stack(ref)
+        for name in ("p", "roots", "mask", "scale"):
+            got, want = getattr(battery.stack, name), getattr(stack, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 3])
+    def test_short_batteries(self, trials):
+        battery = _stress_battery.__wrapped__(0.5, trials, 1)
+        assert battery.functions == tuple(_reference_battery(0.5, trials, 1))
+        assert battery.lower.shape == (trials,)
+
+    @pytest.mark.parametrize(
+        "pins, error",
+        [
+            ({12: _ON_ONE}, RootInClosedDisk),
+            ({7: _ON_R}, RootOutsideInnerDisk),
+            ({7: _ON_R, 12: _ON_ONE}, RootOutsideInnerDisk),
+            ({9: _NEAR_ONE}, PoleHit),
+            ({9: _NEAR_ONE, 12: _ON_ONE}, RootInClosedDisk),
+        ],
+    )
+    def test_injected_roots_raise_what_validation_raises(self, pins, error, monkeypatch):
+        def pinned(seed, *stream):
+            if stream[0] == 17 and stream[1] in pins:
+                return _PinnedDraws(*pins[stream[1]])
+            return seeded_rng(seed, *stream)
+
+        # factored_stack validates every function before any pole check
+        with pytest.raises(error) as expected:
+            _sampled_sups(_reference_battery(0.5, 20, 1, pinned))
+        monkeypatch.setattr(linalg, "seeded_rng", pinned)
+        with pytest.raises(error, match=re.escape(str(expected.value))):
+            _stress_battery.__wrapped__(0.5, 20, 1)
 
 
 def _battery_functions(r, count, seed):

@@ -36,7 +36,7 @@ from annulus_lab.errors import (
     NotIsometric,
 )
 from annulus_lab.linalg import inverse, operator_norm, random_unitary, seeded_rng
-from annulus_lab.rational import AnnulusRational, laurent_expand
+from annulus_lab.rational import AnnulusRational, factor_series, laurent_expand
 from conftest import commuting_contraction_pair, random_function
 
 
@@ -83,6 +83,45 @@ class TestEgervary:
     def test_rejects_expansion(self):
         with pytest.raises(NotContraction):
             egervary_dilation(2.0 * np.eye(2), 2)
+
+
+# Just above norm one: 1 - ||T||^2 is about -2e-9, -6e-9 and -1.6e-8, so the
+# first two defect operators clamp to zero within verify_tol = 1e-8 and the
+# last cannot.
+_NEAR_ONE = ((1 + 1e-9, True), (1 + 3e-9, True), (1 + 8e-9, False))
+
+
+class TestJustAboveNormOne:
+    """A ``T`` accepted as a contraction, ``||T|| <= 1 + verify_tol``, builds
+    or raises a typed :class:`NotContraction`; ``I - T* T`` is then slightly
+    indefinite."""
+
+    @pytest.mark.parametrize("s, builds", _NEAR_ONE)
+    def test_build_model(self, s, builds):
+        t = s * random_unitary(3, 5)
+        if not builds:
+            with pytest.raises(NotContraction, match="T1 is not a contraction within verify_tol"):
+                build_model(t, 0.5, 4)
+            return
+        model = build_model(t, 0.5, 4)
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(2.0,), q2_roots=(0.1,))
+        assert verify_model(model, t, f) <= model.tail_report(f)["bound"]
+        assert verify_moments(model, t, 4) <= 1e-10
+
+    @pytest.mark.parametrize("s, builds", _NEAR_ONE)
+    def test_egervary_dilation(self, s, builds):
+        t = s * random_unitary(3, 5)
+        if not builds:
+            with pytest.raises(NotContraction, match="T is not a contraction within verify_tol"):
+                egervary_dilation(t, 4)
+            return
+        u, embed = egervary_dilation(t, 4)
+        assert operator_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-8
+        assert operator_norm(embed.conj().T @ u @ u @ embed - t @ t) <= 1e-12
+
+    def test_a_pair_error_is_a_contraction_error(self):
+        with pytest.raises(NotContraction):
+            ando_pair(2 * np.eye(2), np.eye(2), 3)
 
 
 class TestAndoPair:
@@ -294,20 +333,25 @@ class TestVerifyModel:
         assert np.isfinite(residual)
         assert residual <= model.tail_report(f)["bound"]
 
-    def test_each_model_call_expands_one_series(self, monkeypatch):
-        calls = []
+    def test_only_the_tail_report_expands_a_series(self, monkeypatch):
+        expands, factors = [], []
         monkeypatch.setattr(
-            rational, "laurent_expand", lambda *args: calls.append(args) or laurent_expand(*args)
+            rational, "laurent_expand", lambda *args: expands.append(args) or laurent_expand(*args)
+        )
+        monkeypatch.setattr(
+            rational, "factor_series", lambda *args: factors.append(args) or factor_series(*args)
         )
         t = windowed_matrix(3, 0.7, 45)
         model = build_model(t, 0.7, 8)
         f = random_function(0.7, 955, max_roots=2, alpha_window=(3.2, 4.0), beta_window_div=(8.0, 4.0))
+        denominator = dataclasses.replace(f, p_coeffs=(1.0,))
         model.tail_report(f)
-        assert len(calls) == 1
-        verify_model(model, t, f)
-        assert len(calls) == 2
         # the series of 1/(scale q1 q2), at the model's budget
-        assert calls[1] == (dataclasses.replace(f, p_coeffs=(1.0,)), model.d)
+        assert expands == [(denominator, model.d)] and len(factors) == 1
+        verify_model(model, t, f)
+        # only the d + 1 coefficients the chains read: no expansion, no tail
+        assert len(expands) == 1
+        assert factors[1:] == [(denominator, model.d + 1)]
 
     @pytest.mark.parametrize("d", [1, 5, 12, 24, 160])
     def test_one_expansion_equals_the_factor_pair(self, d):
@@ -346,6 +390,14 @@ class TestVerifyModel:
             order = laurent_order_for(f, 1e-10)
             for cap in (23, 24):
                 assert default_budget(f, cap=cap) == min(2 * order, cap)
+
+    def test_default_budget_forms_no_series(self, monkeypatch):
+        from annulus_lab.dilation import default_budget
+
+        monkeypatch.setattr(rational, "laurent_expand", lambda *args: pytest.fail("series formed"))
+        fast = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(8.0,), q2_roots=(0.05,))
+        slow = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,))
+        assert default_budget(fast) < 24 and default_budget(slow) == 24
 
 
 def _factor_pair(f, d):

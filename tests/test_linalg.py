@@ -181,6 +181,13 @@ class TestSqrtmPsd:
         s = sqrtm_psd(h)
         assert operator_norm(s @ s - h) <= 1e-10 * max(1.0, operator_norm(h))
 
+    def test_clamps_negative_eigenvalues_down_to_verify_tol(self):
+        assert np.array_equal(sqrtm_psd(np.diag([-5e-9, 1.0])), np.diag([0.0, 1.0]))
+        # relative to the largest eigenvalue modulus, when that exceeds 1
+        assert np.array_equal(sqrtm_psd(np.diag([-3e-8, 4.0])), np.diag([0.0, 2.0]))
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            sqrtm_psd(np.diag([-2e-8, 1.0]))
+
 
 class TestJson:
     def test_roundtrip(self):

@@ -312,6 +312,22 @@ class TestLaurentExpand:
         # 1e4 * 0.9^m <= 1e-10 first at m = 306
         assert laurent_order_for(AnnulusRational(r=1e-3, q2_roots=(9e-4,)), 1e-10) >= 306
 
+    @pytest.mark.parametrize("order", [1, 2, 7, 24, 160])
+    def test_factor_series_and_tail_bound_are_those_of_the_expansion(self, order):
+        fs = [random_function(0.5, 7100 + seed, max_roots=3, max_degree=5) for seed in range(10)]
+        # more inner roots than order + 1 terms, repeated and zero roots
+        fs.append(AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5j), q1_roots=(1.5, 1.5), q2_roots=(0.2, 0.2, 0.0)))
+        # and the denominators 1/(scale q1 q2) the dilation model reads
+        fs += [dataclasses.replace(f, p_coeffs=(1.0,)) for f in fs]
+        for f in fs:
+            series = laurent_expand(f, order)
+            a, b, b_scaled, weights = rational.factor_series(f, order + 1)
+            assert np.array_equal(a, series.factor_pos)
+            assert np.array_equal(b, series.factor_neg)
+            assert np.array_equal(b_scaled, series.factor_neg_scaled)
+            assert np.array_equal(weights, series.tail_models[1].exact[: order + 1])
+            assert rational.laurent_tail_bound(f, order) == series.tail_bound
+
     def test_order_search_reaches_a_battery_function_at_small_radius(self):
         from annulus_lab.certify import sample_test_function
         from annulus_lab.linalg import seeded_rng
