@@ -783,7 +783,10 @@ def williams_verdict(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> WilliamsVe
     For a completely non-normal matrix of norm one the closed unit disk is a
     minimal spectral set, so no strictly smaller compact (the closed annulus
     in particular) can be one.  The norm is tested first: the splitting runs
-    only at norm one, where it can refute.
+    only at norm one, where it can refute.  "Norm one" means within
+    ``verify_tol`` of 1, while the theorem needs ``||T|| = 1`` exactly:
+    ``example_matrix(0.25) * (1 - 5e-9)`` still gets
+    ``MINIMAL_DISK_REFUTATION``, and for such a ``T`` it is not a proof.
     """
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:

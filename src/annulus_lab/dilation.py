@@ -19,19 +19,26 @@ commutation on blocks ``0..M-2``, and compressed moments ``w(T1, T2)`` for
 every word.
 
 The model for an invertible ``T`` stacks the two carriers: ``N`` is block
-diagonal in the dilation of ``T`` and of ``r T^{-1}`` (the second kept in
-inverse form, never inverted), ``F`` swaps the two summands, and ``V`` embeds
-``H`` into the first.  Negative powers are realized as the convergent series
-``sum q_m r^{-m} V2^m`` whose truncation error is certified per function.
+diagonal in the dilation ``V1`` of ``T`` and ``V2`` of ``r T^{-1}`` (the
+second kept in inverse form, never inverted), ``F`` swaps the two summands,
+and ``V`` embeds ``H`` into the first.  The model is truncated, not the
+paper's: ``N`` is neither normal nor an ``A_r``-unitary.  What the saved
+``(N, F, V)`` satisfy, for ``f = p / (scale q1 q2)`` at budget ``d``, is
+
+    f(T)  ~  V* p(N) [sum_{k<=d} a_k N^k] [sum_{m<=d} b_m r^-m (FNF)^m] V
+
+where ``1/(scale q1) = sum a_k z^k`` and ``1/q2 = sum b_m z^-m``, with an
+error bounded by :meth:`ModelTriple.tail_report`.  ``V1`` and ``V2`` are
+isometric on blocks ``0..M-1`` and commute on blocks ``0..M-2`` up to the
+pair's :attr:`AndoPair.generator_defects`.
 
 The verification path applies no carrier.  ``P_H V_i = T_i P_H`` by
 construction, so :func:`verify_model` and :func:`moment_table` form only the
 rows of ``H``, as ``h x h`` chains in ``T1`` and ``T2``.  Those rows cannot
-see the carrier, so both first check it in its generators
-(:attr:`AndoPair.generator_defects`), whose defects are what keeps ``V1``
-and ``V2`` from being commuting isometries on the budget blocks.  The
-structured applies and the dense ``V1``, ``V2`` and ``(N, F, V)`` remain for
-:func:`save_model` and the tests.
+see the carrier, so both first check it in its generators, whose defects are
+what keeps ``V1`` and ``V2`` from being commuting isometries on the budget
+blocks.  ``V1`` and ``V2`` have one implementation, the structured applies;
+the dense ``N`` is built from them for :func:`save_model`.
 """
 
 from __future__ import annotations
@@ -67,6 +74,16 @@ from .rational import AnnulusRational
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too, not a
+    ``bool``) of at least ``least``, else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
     """Unitary ``U`` on ``H^(d+1)`` with ``embed* U^n embed = T^n`` for n <= d.
 
@@ -77,8 +94,7 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:
         raise NotContraction("dilation needs a square matrix")
-    if d < 1:
-        raise ValueError("degree budget must be >= 1")
+    d = _integer(d, "degree budget", 1)
     h = m.shape[0]
     norm = linalg.operator_norm(m)
     if norm > 1.0 + tols.verify_tol:
@@ -151,11 +167,11 @@ class AndoPair:
     The pair is held in structured form: the fix-up unitary ``g``, the
     defects ``d1``/``d2`` and the contractions themselves.  ``V1 = S1 Ghat``
     and ``V2 = Ghat* S2``, with ``S_i`` the staircases and ``Ghat`` the
-    block-diagonal lift of ``g``, act through the ``apply_*`` methods; the
-    dense ``v1``/``v2`` are assembled only when read.  Isometry holds on
-    vectors supported in blocks ``0..M-1``, commutation on ``0..M-2``, and the
-    compressed moments are exact for every word in the pair.  How far the
-    first two hold is read off the generators, :attr:`generator_defects`.
+    block-diagonal lift of ``g``, act only through :meth:`apply_v1` and
+    :meth:`apply_v2`.  Isometry holds on vectors supported in blocks
+    ``0..M-1``, commutation on ``0..M-2``, and the compressed moments are
+    exact for every word in the pair.  How far the first two hold is read off
+    the generators, :attr:`generator_defects`; past the cut neither holds.
     """
 
     g: np.ndarray = field(repr=False)
@@ -218,10 +234,11 @@ class AndoPair:
         cells = -(-max(s - h, 0) // (2 * h))
         return min(h + 2 * h * cells, self.dim)
 
-    # The private applies take and return the leading rows a column stack
-    # occupies; every row past them is zero.  ``V1`` maps rows ``[0, s)`` into
+    # The applies take and return the leading rows a column stack occupies;
+    # every row past them is zero.  ``V1`` maps rows ``[0, s)`` into
     # ``[0, cell_end(s) + h)`` and ``V2`` into ``[0, cell_end(s + h))``, so a
-    # power chain started on ``H`` fills one more copy of ``H`` per step.
+    # power chain started on ``H`` fills one more copy of ``H`` per step and
+    # a full-length stack maps to a full-length stack.
 
     def _stair(self, t, defect, x: np.ndarray) -> np.ndarray:
         h = self.dim_h
@@ -240,47 +257,13 @@ class AndoPair:
         out[h:] = np.matmul(gg, blocks).reshape(-1, x.shape[1])
         return out
 
-    def _v1(self, x: np.ndarray) -> np.ndarray:
+    def apply_v1(self, x: np.ndarray) -> np.ndarray:
+        """``V1 @ x = S1 Ghat x`` for a column stack given by its leading rows."""
         return self._stair(self.t1, self.d1, self._ghat(x))
 
-    def _v2(self, x: np.ndarray) -> np.ndarray:
+    def apply_v2(self, x: np.ndarray) -> np.ndarray:
+        """``V2 @ x = Ghat* S2 x`` for a column stack given by its leading rows."""
         return self._ghat(self._stair(self.t2, self.d2, x), adjoint=True)
-
-    def apply_v1(self, x) -> np.ndarray:
-        """Structured product ``V1 @ x`` for column stacks."""
-        return _apply_full(self._v1, x)
-
-    def apply_v2(self, x) -> np.ndarray:
-        """Structured product ``V2 @ x`` for column stacks."""
-        return _apply_full(self._v2, x)
-
-    def _ghat_matrix(self) -> np.ndarray:
-        h = self.dim_h
-        ghat = np.eye(self.dim, dtype=complex)
-        ghat[h:, h:] = np.kron(np.eye(self.m), self.g)
-        return ghat
-
-    @cached_property
-    def v1(self) -> np.ndarray:
-        """Dense ``V1 = S1 Ghat``, assembled row-wise: the H row applies T1,
-        the first cell receives D1, and every later cell copies the previous
-        Ghat row block."""
-        h, n_dim = self.dim_h, self.dim
-        v1 = np.zeros((n_dim, n_dim), dtype=complex)
-        v1[0:h, 0:h] = self.t1
-        v1[h : 2 * h, 0:h] = self.d1
-        v1[2 * h :, :] = self._ghat_matrix()[h : n_dim - h, :]
-        return v1
-
-    @cached_property
-    def v2(self) -> np.ndarray:
-        """Dense ``V2 = Ghat* S2``, assembled column-wise."""
-        h, n_dim = self.dim_h, self.dim
-        v2 = np.zeros((n_dim, n_dim), dtype=complex)
-        v2[0:h, 0:h] = self.t2
-        v2[h : 3 * h, 0:h] = self.g.conj().T[:, :h] @ self.d2
-        v2[:, h : n_dim - h] = self._ghat_matrix().conj().T[:, 2 * h :]
-        return v2
 
 
 # In check order: a pair that does not commute is named so before the fix-up
@@ -304,16 +287,6 @@ def _check_generators(pair: AndoPair, tols: Tolerances) -> None:
             raise error(f"carrier {name} defect {defects[name]:.3g} exceeds {limit:.3g}")
 
 
-def _apply_full(apply_op, x) -> np.ndarray:
-    """Run a private apply on a full-length vector or column stack."""
-    xx = np.asarray(x, dtype=complex)
-    flat = xx.ndim == 1
-    if flat:
-        xx = xx.reshape(-1, 1)
-    out = apply_op(xx)
-    return out[:, 0] if flat else out
-
-
 def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair:
     """Truncated commuting isometric dilation of a commuting contraction pair;
     its generators pass the check :func:`verify_model` makes, else
@@ -322,8 +295,7 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     m2 = linalg.as_matrix(t2)
     if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
         raise NotCommuting("need two square matrices of equal size")
-    if m_depth < 2:
-        raise ValueError("block depth must be >= 2")
+    m_depth = _integer(m_depth, "block depth", 2)
     h = m1.shape[0]
     for name, mat in (("T1", m1), ("T2", m2)):
         if linalg.operator_norm(mat) > 1.0 + tols.verify_tol:
@@ -349,9 +321,13 @@ class ModelTriple:
     ``N`` is block diagonal in the two carriers (second block stored in
     inverse form: its positive powers scaled by ``r^{-n}`` realize negative
     powers of ``T``), ``F`` swaps the two summands, ``V`` embeds ``H`` into
-    the first.  The dense ``n_matrix``, ``f_matrix`` and ``v_matrix`` are
-    assembled only when read (by :func:`save_model` and the tests); the
-    verifier works through the structured applies of the underlying pair.
+    the first.  The model is truncated.  ``N`` is not normal, so not an
+    ``A_r``-unitary: on each copy of ``H`` it is isometric while ``N*`` acts
+    as ``T_i*``, and ``T``, ``r T^-1`` are not both unitary.  ``f(T)`` is the
+    module docstring's series form within :meth:`tail_report`'s bound, not
+    ``p(N) q1(N)^-1 q2(FNF)^-1`` compressed.  The dense
+    ``n_matrix`` (the pair's applies on the identity), ``f_matrix`` and
+    ``v_matrix`` are built only when read.
     """
 
     pair: AndoPair
@@ -368,9 +344,10 @@ class ModelTriple:
     @cached_property
     def n_matrix(self) -> np.ndarray:
         k = self.pair.dim
+        eye = np.eye(k, dtype=complex)
         n = np.zeros((2 * k, 2 * k), dtype=complex)
-        n[:k, :k] = self.pair.v1
-        n[k:, k:] = self.pair.v2
+        n[:k, :k] = self.pair.apply_v1(eye)
+        n[k:, k:] = self.pair.apply_v2(eye)
         return n
 
     @cached_property
@@ -422,15 +399,12 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
     m = linalg.as_matrix(t)
     if not 0.0 < r < 1.0:
         raise BadRadius(f"inner radius must be in (0, 1), got {r}")
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-        raise ValueError(f"degree budget must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError("degree budget must be >= 1")
+    d = _integer(d, "degree budget", 1)
     try:
         t2 = r * linalg.inverse(m, tols)
     except Singular as exc:
         raise NotInvertible(str(exc)) from exc
-    pair = ando_pair(m, t2, m_depth=int(d) + 1, tols=tols)
+    pair = ando_pair(m, t2, m_depth=d + 1, tols=tols)
     return ModelTriple(pair=pair, r=float(r))
 
 
@@ -518,11 +492,10 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     any row is formed.  Each direction's norms are taken in one batched
     call.
     :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
-    ``r^-j_max`` overflows, ``ValueError`` when ``j_max < 0`` and
-    :class:`DimensionMismatch` when ``T`` is not ``h x h``.
+    ``r^-j_max`` overflows, ``ValueError`` when ``j_max`` is not an integer
+    >= 0 and :class:`DimensionMismatch` when ``T`` is not ``h x h``.
     """
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    j_max = _integer(j_max, "j_max", 0)
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
     m = _operand(model, t)
@@ -594,8 +567,12 @@ def single_carrier_residual(
     ``T`` itself carries the calculus; for ``f = 1/q2`` (constant numerator,
     no outer roots) the carrier is ``r U*`` built on ``r T^{-1}``, whose
     negative powers compress to negative powers of ``T`` up to degree ``d``.
+    ``f`` must live on the annulus of radius ``r``, and ``d`` be an integer.
     """
     rational.validate(f)
+    if f.r != r:
+        raise InvalidRational(f"mismatched radii {f.r} and {r}")
+    d = _integer(d, "degree budget", 1)
     m = linalg.as_matrix(t)
     if not f.q2_roots:
         u, e = egervary_dilation(m, d, tols)
@@ -617,7 +594,10 @@ def single_carrier_residual(
 
 
 def save_model(model: ModelTriple, directory: str, seed: int | None = None) -> None:
-    """Write N.json, F.json, V.json and meta.json into ``directory``."""
+    """Write N.json, F.json, V.json and meta.json into ``directory``; meta
+    states the module docstring's convention, with the first and last block
+    (:meth:`AndoPair.block_slice`) where ``V1``, ``V2`` are isometric and
+    commute."""
     os.makedirs(directory, exist_ok=True)
     for name, mat in (
         ("N", model.n_matrix),
@@ -632,6 +612,14 @@ def save_model(model: ModelTriple, directory: str, seed: int | None = None) -> N
         "M": model.m,
         "seed": seed,
         "version": __version__,
+        "formula": "f(T) ~ V* p(N) [sum_{k<=d} a_k N^k] [sum_{m<=d} b_m r^-m (FNF)^m] V, "
+        "1/(scale q1) = sum_k a_k z^k, 1/q2 = sum_m b_m z^-m",
+        "error_bound": "ModelTriple.tail_report(f)['bound']",
+        "normal": False,
+        "ar_unitary": False,
+        "isometric_blocks": [0, model.m - 1],
+        "commuting_blocks": [0, model.m - 2],
+        "generator_defects": model.pair.generator_defects,
     }
     with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True)

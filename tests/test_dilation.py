@@ -35,7 +35,8 @@ from annulus_lab.errors import (
     NotContractions,
     NotIsometric,
 )
-from annulus_lab.linalg import inverse, operator_norm, random_unitary, seeded_rng
+from annulus_lab.ar_unitary import is_ar_unitary
+from annulus_lab.linalg import inverse, matrix_from_json, operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, factor_series, laurent_expand
 from conftest import commuting_contraction_pair, random_function
 
@@ -53,6 +54,37 @@ def word_residual(pair, t1, t2, max_degree):
                 ref = (t1 if letter == 0 else t2) @ ref
             worst = max(worst, operator_norm(pair.embed.conj().T @ x - ref))
     return worst
+
+
+def _ghat_matrix(pair):
+    """Dense ``Ghat``: the identity on ``H``, ``g`` on every cell."""
+    h = pair.dim_h
+    ghat = np.eye(pair.dim, dtype=complex)
+    ghat[h:, h:] = np.kron(np.eye(pair.m), pair.g)
+    return ghat
+
+
+def _dense_v1(pair):
+    """Dense ``V1 = S1 Ghat``, assembled row-wise: the H row applies T1,
+    the first cell receives D1, and every later cell copies the previous
+    Ghat row block.  An independent reference for ``pair.apply_v1``."""
+    h, n_dim = pair.dim_h, pair.dim
+    v1 = np.zeros((n_dim, n_dim), dtype=complex)
+    v1[0:h, 0:h] = pair.t1
+    v1[h : 2 * h, 0:h] = pair.d1
+    v1[2 * h :, :] = _ghat_matrix(pair)[h : n_dim - h, :]
+    return v1
+
+
+def _dense_v2(pair):
+    """Dense ``V2 = Ghat* S2``, assembled column-wise.  An independent
+    reference for ``pair.apply_v2``."""
+    h, n_dim = pair.dim_h, pair.dim
+    v2 = np.zeros((n_dim, n_dim), dtype=complex)
+    v2[0:h, 0:h] = pair.t2
+    v2[h : 3 * h, 0:h] = pair.g.conj().T[:, :h] @ pair.d2
+    v2[:, h : n_dim - h] = _ghat_matrix(pair).conj().T[:, 2 * h :]
+    return v2
 
 
 class TestEgervary:
@@ -174,29 +206,28 @@ class TestAndoPair:
     def test_operators_are_contractions(self):
         t1, t2 = commuting_contraction_pair(3, 6)
         pair = ando_pair(t1, t2, 4)
-        assert operator_norm(pair.v1) <= 1.0 + 1e-12
-        assert operator_norm(pair.v2) <= 1.0 + 1e-12
+        assert operator_norm(_dense_v1(pair)) <= 1.0 + 1e-12
+        assert operator_norm(_dense_v2(pair)) <= 1.0 + 1e-12
 
     def test_dense_matrices_match_structured_applies(self):
         t1, t2 = commuting_contraction_pair(2, 7)
         pair = ando_pair(t1, t2, 4)
         rng = seeded_rng(33)
         x = rng.standard_normal((pair.dim, 3)) + 1j * rng.standard_normal((pair.dim, 3))
-        assert_allclose(pair.v1 @ x, pair.apply_v1(x), atol=1e-13)
-        assert_allclose(pair.v2 @ x, pair.apply_v2(x), atol=1e-13)
+        assert_allclose(_dense_v1(pair) @ x, pair.apply_v1(x), atol=1e-13)
+        assert_allclose(_dense_v2(pair) @ x, pair.apply_v2(x), atol=1e-13)
 
     def test_occupied_row_chains_match_full_length_applies(self):
-        # the private applies keep only the rows a power chain occupies: at
-        # most one more block per step from H, capped at dim, and no content
-        # is lost.  A dense fix-up unitary fills every row of each cell it
-        # touches.
+        # the applies keep only the rows a power chain occupies: at most one
+        # more block per step from H, capped at dim, and no content is lost.
+        # A dense fix-up unitary fills every row of each cell it touches.
         t1, t2 = commuting_contraction_pair(3, 5)
         h = 3
         pair = dataclasses.replace(ando_pair(t1, t2, 4), g=random_unitary(2 * h, 6))
-        for step, apply_full in ((pair._v1, pair.apply_v1), (pair._v2, pair.apply_v2)):
+        for step in (pair.apply_v1, pair.apply_v2):
             lean, full = pair.embed[:h], pair.embed
             for k in range(1, pair.m + 2):
-                lean, full = step(lean), apply_full(full)
+                lean, full = step(lean), step(full)
                 assert lean.shape[0] <= min(pair.block_slice(k).stop, pair.dim)
                 assert np.array_equal(full[lean.shape[0] :], np.zeros_like(full[lean.shape[0] :]))
                 assert np.array_equal(lean, full[: lean.shape[0]])
@@ -208,7 +239,7 @@ class TestAndoPair:
         for seed in range(3):
             t1, t2 = commuting_contraction_pair(3, 60 + seed)
             pair = ando_pair(t1, t2, 5)
-            for step in (pair._v1, pair._v2):
+            for step in (pair.apply_v1, pair.apply_v2):
                 lean = pair.embed[:3]
                 for _ in range(pair.m + 1):
                     lean = step(lean)
@@ -271,6 +302,15 @@ class TestModelStructure:
         assert operator_norm(v.conj().T @ v - np.eye(3)) <= 1e-12
         e = model.pair.embed
         assert operator_norm(e.conj().T @ e - np.eye(3)) <= 1e-12
+
+    @pytest.mark.parametrize("h, d", [(2, 3), (3, 6)])
+    def test_n_matrix_is_the_dense_assembly(self, h, d):
+        model = build_model(windowed_matrix(h, 0.5, 7 + h), 0.5, d)
+        k = model.pair.dim
+        n_mat = model.n_matrix
+        assert_allclose(n_mat[:k, :k], _dense_v1(model.pair), rtol=0, atol=1e-13)
+        assert_allclose(n_mat[k:, k:], _dense_v2(model.pair), rtol=0, atol=1e-13)
+        assert not n_mat[:k, k:].any() and not n_mat[k:, :k].any()
 
 
 class TestVerifyModel:
@@ -492,9 +532,9 @@ def _reference_residual(model, t, f):
     series expanded on their own."""
     pair, h = model.pair, model.pair.dim_h
     s1, s2 = _factor_pair(f, model.d)
-    y = _reference_series_apply(pair._v2, s2.factor_neg_scaled, pair.embed[:h])
-    z = _reference_series_apply(pair._v1, s1.factor_pos, y)
-    w = _reference_series_apply(pair._v1, np.array(f.p_coeffs, dtype=complex), z)
+    y = _reference_series_apply(pair.apply_v2, s2.factor_neg_scaled, pair.embed[:h])
+    z = _reference_series_apply(pair.apply_v1, s1.factor_pos, y)
+    w = _reference_series_apply(pair.apply_v1, np.array(f.p_coeffs, dtype=complex), z)
     rhs = pair.embed[: w.shape[0]].conj().T @ w
     return float(np.max(np.linalg.norm(eval_direct(f, t) - rhs, axis=0)))
 
@@ -514,7 +554,7 @@ def _reference_moment_rows(model, t, j_max):
                 operator_norm(model.r ** (-j) * (e[: x2.shape[0]].conj().T @ x2) - pow_neg),
             )
         )
-        x1, x2 = pair._v1(x1), pair._v2(x2)
+        x1, x2 = pair.apply_v1(x1), pair.apply_v2(x2)
         pow_pos, pow_neg = pow_pos @ t, pow_neg @ inv
     return rows
 
@@ -568,7 +608,7 @@ class TestRowsOfH:
 
     def test_checks_make_no_carrier_apply(self, monkeypatch):
         calls = []
-        for name in ("_v1", "_v2"):
+        for name in ("apply_v1", "apply_v2"):
             monkeypatch.setattr(AndoPair, name, lambda self, x, name=name: calls.append(name))
         d = 10
         t = windowed_matrix(3, 0.7, 4)
@@ -628,11 +668,12 @@ class TestRowsOfH:
 
         def dense_defects(p):
             budget = np.eye(p.dim, dtype=complex)[:, : p.block_slice(p.m - 1).stop]
+            v1, v2 = _dense_v1(p), _dense_v2(p)
             isometry = max(
                 operator_norm(image.conj().T @ image - np.eye(budget.shape[1]))
-                for image in (p.v1 @ budget, p.v2 @ budget)
+                for image in (v1 @ budget, v2 @ budget)
             )
-            return isometry, operator_norm((p.v1 @ p.v2 - p.v2 @ p.v1) @ budget)
+            return isometry, operator_norm((v1 @ v2 - v2 @ v1) @ budget)
 
         for moved, base in zip(dense_defects(bad), dense_defects(pair)):
             assert abs(moved - base) <= 4 * check
@@ -665,6 +706,27 @@ class TestModelArguments:
     @pytest.mark.parametrize("d", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_integer_budget_is_accepted(self, d):
         assert build_model(0.5 * np.eye(2), 0.5, d).d == 3
+
+    # every other function that takes a degree budget or a block depth
+    _INTEGER_CALLS = {
+        "egervary_dilation": lambda d: egervary_dilation(0.5 * np.eye(2), d),
+        "ando_pair": lambda d: ando_pair(0.5 * np.eye(2), np.eye(2), d),
+        "single_carrier_residual": lambda d: single_carrier_residual(
+            0.5 * np.eye(2), 0.5, AnnulusRational(r=0.5, p_coeffs=(1.0, 0.2), q1_roots=(3.0,)), d
+        ),
+        "moment_table": lambda d: moment_table(build_model(0.5 * np.eye(2), 0.5, 4), 0.5 * np.eye(2), d),
+    }
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, np.bool_(True), "4"])
+    @pytest.mark.parametrize("name", sorted(_INTEGER_CALLS))
+    def test_depth_that_is_not_an_integer_is_rejected(self, name, d):
+        with pytest.raises(ValueError, match="must be an integer"):
+            self._INTEGER_CALLS[name](d)
+
+    @pytest.mark.parametrize("name", sorted(_INTEGER_CALLS))
+    def test_numpy_integer_depth_gives_the_int_result(self, name):
+        call = self._INTEGER_CALLS[name]
+        assert repr(call(np.int64(3))) == repr(call(3))
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
     def test_default_budget_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
@@ -838,6 +900,19 @@ class TestSingleCarrier:
         with pytest.raises(ValueError):
             single_carrier_residual(t, 0.5, f, 8)
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            AnnulusRational(r=0.3, p_coeffs=(1.0, 0.2), q1_roots=(3.0,)),
+            AnnulusRational(r=0.3, p_coeffs=(1.0,), q2_roots=(0.1,)),
+        ],
+        ids=["outer", "inner"],
+    )
+    def test_function_on_another_radius_is_rejected(self, f):
+        t = windowed_matrix(3, 0.5, 80)
+        with pytest.raises(InvalidRational, match="mismatched radii 0.3 and 0.5"):
+            single_carrier_residual(t, 0.5, f, 8)
+
 
 class TestSaveModel:
     def test_writes_model_directory(self, tmp_path):
@@ -845,9 +920,45 @@ class TestSaveModel:
         model = build_model(t, 0.5, 3)
         save_model(model, str(tmp_path / "model"), seed=7)
         meta = json.loads((tmp_path / "model" / "meta.json").read_text())
-        assert set(meta) == {"r", "d", "M", "seed", "version"}
+        assert set(meta) == {
+            "r", "d", "M", "seed", "version", "formula", "error_bound",
+            "normal", "ar_unitary", "isometric_blocks", "commuting_blocks", "generator_defects",
+        }
         assert meta["r"] == 0.5 and meta["d"] == 3 and meta["M"] == 4 and meta["seed"] == 7
         from annulus_lab.linalg import matrix_from_json
 
         n_mat = matrix_from_json(json.loads((tmp_path / "model" / "N.json").read_text()))
         assert n_mat.shape == (2 * model.pair.dim, 2 * model.pair.dim)
+
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_saved_files_satisfy_the_stated_formula(self, tmp_path, h, d):
+        # meta's formula, evaluated densely on the files as read back, gives
+        # verify_model's residual; its block ranges hold on the saved N
+        r = 0.6
+        t = windowed_matrix(h, r, 50 + h + d)
+        f = AnnulusRational(
+            r=r, p_coeffs=(0.4, -0.3j, 0.2), q1_roots=(2.0 + 1.0j, -2.5), q2_roots=(0.2j, -0.15)
+        )
+        model = build_model(t, r, d)
+        save_model(model, str(tmp_path))
+        read = {name: json.loads((tmp_path / f"{name}.json").read_text()) for name in ("N", "F", "V", "meta")}
+        meta = read["meta"]
+        n_mat, f_mat, v_mat = (matrix_from_json(read[name]) for name in ("N", "F", "V"))
+        saved = SimpleNamespace(n_matrix=n_mat, f_matrix=f_mat, v_matrix=v_mat, r=meta["r"], d=meta["d"])
+        residual = float(np.max(np.linalg.norm(eval_direct(f, t) - _dense_model_rhs(saved, f), axis=0)))
+        assert abs(verify_model(model, t, f) - residual) <= 1e-12
+        assert residual <= model.tail_report(f)["bound"]
+
+        k = n_mat.shape[0] // 2
+        v1, v2 = n_mat[:k, :k], n_mat[k:, k:]
+        iso = np.eye(k)[:, : h + 2 * h * meta["isometric_blocks"][1]]
+        comm = np.eye(k)[:, : h + 2 * h * meta["commuting_blocks"][1]]
+        defect = max(value for name, value in meta["generator_defects"].items() if name != "scale")
+        assert defect <= 1e-12
+        for image in (v1 @ iso, v2 @ iso):
+            assert operator_norm(image.conj().T @ image - np.eye(iso.shape[1])) <= 1e-12
+        assert operator_norm((v1 @ v2 - v2 @ v1) @ comm) <= 1e-12
+        assert meta["normal"] is False and meta["ar_unitary"] is False
+        assert not is_ar_unitary(n_mat, r)
+        assert operator_norm(n_mat.conj().T @ n_mat - n_mat @ n_mat.conj().T) >= 0.1
