@@ -91,12 +91,15 @@ class CertificationReport:
     """Outcome of a certification run.
 
     ``max_ratio`` is the largest observed ``||f(T)|| / sup|f|`` against the
-    sampled lower bound of the sup norm; a ``Refuted`` verdict always carries
+    sampled lower bound of the sup norm, over the evaluated functions (0.0
+    when none is); a ``Refuted`` verdict always carries
     a witness function whose re-checked ratio exceeds ``1 + verify_tol``.
     The re-check samples more densely but still from below, so the witness
     is not a proof that the annulus fails to be a spectral set.
     ``stress_route`` records how ``||f(T)||`` was evaluated: ``"spectral"``
-    for numerically normal ``T``, ``"factored"`` otherwise.
+    for numerically normal ``T``, ``"factored"`` otherwise.  ``screened``
+    counts the battery functions not evaluated because von Neumann's
+    inequality already bounds their ratio by 1 (see :func:`vonneumann_stress`).
     """
 
     verdict: Verdict
@@ -109,6 +112,7 @@ class CertificationReport:
     witness: AnnulusRational | None
     seed: int
     stress_route: str
+    screened: int
 
     def to_json(self) -> dict:
         return {
@@ -122,6 +126,7 @@ class CertificationReport:
             "witness": None if self.witness is None else rational.rational_to_json(self.witness),
             "seed": self.seed,
             "stress_route": self.stress_route,
+            "screened": self.screened,
             "version": __version__,
         }
 
@@ -378,11 +383,15 @@ def _group_sups(stack, radii, window_rows, windows, ring: np.ndarray, local_node
     return best
 
 
+@lru_cache(maxsize=8)
 def _ring(base_nodes: int) -> np.ndarray:
-    """``base_nodes`` equispaced points of the unit circle, from 1."""
+    """``base_nodes`` equispaced points of the unit circle, from 1, as a
+    read-only array cached per node count."""
     if base_nodes < 64 or base_nodes % (_COARSE * _BLOCK):
         raise ValueError(f"need a positive multiple of {_COARSE * _BLOCK} nodes per circle")
-    return np.exp(1j * (2.0 * np.pi * np.arange(base_nodes) / base_nodes))
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(base_nodes) / base_nodes))
+    ring.flags.writeable = False
+    return ring
 
 
 # A node z has ||z| - rho| <= 4u rho, so only a root this close to a circle
@@ -465,6 +474,7 @@ class _Battery:
 
     Row ``i`` is the function :meth:`function` builds on demand (the
     refined rows and the witness); :attr:`functions` builds them all, once.
+    :attr:`two_sided` selects the rows the von Neumann screen evaluates.
     ``lower[i]`` is the max of ``|f_i|`` at every ``_LOWER_STRIDE``-th node
     of the ``_BASE_NODES`` per circle.  :func:`_sampled_sups` evaluates
     those nodes too, and ``abs_at`` is :func:`rational.evaluate` bit for
@@ -496,6 +506,19 @@ class _Battery:
     def functions(self) -> tuple:
         """Every row as an :class:`AnnulusRational`, in battery order."""
         return tuple(self.function(i) for i in range(self.lower.size))
+
+    @cached_property
+    def two_sided(self) -> tuple[np.ndarray, rational.FactoredStack]:
+        """The rows with poles on both sides of the annulus, and their stack.
+
+        The other rows are one-sided: with no inner root (``k2 = 0``) a row
+        is analytic on the closed unit disk, and with no outer root and
+        ``len(p) - 1 <= k2`` it is analytic outside the disk of radius ``r``,
+        at infinity too.  The canonical probes are one-sided.
+        """
+        k1, k2, lp = self.counts.T
+        rows = np.flatnonzero((k2 > 0) & ~((k1 == 0) & (lp - 1 <= k2)))
+        return rows, self.stack.take(rows)
 
     def exact_sups(self, rows: np.ndarray) -> np.ndarray:
         """``_sampled_sups`` of the functions ``rows``, from the memo where
@@ -660,6 +683,18 @@ def vonneumann_stress(
     of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
     refined sup by up to 3.0e-5 relative.
 
+    Von Neumann screen: when ``T`` is a strict double contraction, its
+    singular values within ``[r + delta, 1 - delta]`` with the rounding
+    margin ``delta = 64 n eps ||T||``, only the battery's two-sided functions
+    are evaluated (:attr:`_Battery.two_sided`).  A one-sided function is
+    analytic on the closed unit disk, or outside the disk of radius ``r``
+    and at infinity, so von Neumann's inequality (*Math. Nachr.* 4, 1951)
+    for ``T`` or for ``r T^{-1}`` gives ``||f(T)|| <= sup|f|``: it cannot
+    refute.  ``screened`` counts the functions skipped, and ``max_ratio``
+    is the largest ratio over the evaluated ones (0.0 when none is).  A
+    ``T`` on the boundary of the window, such as :func:`example_matrix`
+    with ``||T|| = 1``, screens nothing.
+
     Only the ratios that can matter get an exact sampled sup
     (:func:`_stress_ratios`): the battery's coarse lower bounds bound every
     ratio from above, and a function whose bound can neither exceed
@@ -670,21 +705,23 @@ def vonneumann_stress(
 
     For numerically normal input the operator norm is evaluated spectrally,
     as ``max |f|`` over the eigenvalues, which agrees with the factored
-    evaluation to roundoff; one pass over the battery gives ``|f|`` at the
-    eigenvalues and at their projections.  Otherwise the whole battery goes
+    evaluation to roundoff; one pass over the evaluated functions gives
+    ``|f|`` at the eigenvalues and at their projections.  Otherwise they go
     through one stacked factored evaluation (:func:`calculus.factored_norms`)
     in chunks of about 1 MB; it raises :class:`Singular` as
-    :func:`calculus.eval_direct` would on the first function, in battery
-    order, with a root on the spectrum.  :class:`BadRadius` is raised unless
-    ``0 < r < 1`` and ``ValueError`` for ``trials < 0``, before any other
-    work.
+    :func:`calculus.eval_direct` would on the first evaluated function, in
+    battery order, with a root on the spectrum.  :class:`BadRadius` is
+    raised unless ``0 < r < 1``, then ``ValueError`` naming ``trials`` or
+    ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
+    ``>= 0``, before any other work.
     """
     if not (0.0 < r < 1.0):
         raise BadRadius(f"inner radius must be in (0, 1), got {r}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    trials = linalg.as_integer(trials, "trials", 0)
+    seed = linalg.as_integer(seed, "seed", 0)
     m = linalg.as_matrix(t)
-    norm_t = linalg.operator_norm(m)
+    svals = linalg.singular_values(m)
+    norm_t = float(svals[0])
     norm_rtinv = linalg.operator_norm(involution(m, r, tols))
     lams = linalg.spectrum(m)
     mods = np.abs(lams)
@@ -692,28 +729,33 @@ def vonneumann_stress(
     is_normal = linalg.is_normal(m, tols, norm_t)
     probes = _clamp_to_annulus(lams, r)
 
-    battery = _stress_battery(r, int(trials), int(seed))
+    battery = _stress_battery(r, trials, seed)
+    margin = 64 * m.shape[0] * np.finfo(float).eps * norm_t
+    if norm_t + margin <= 1.0 and svals[-1] - margin >= r:
+        rows, stack = battery.two_sided
+    else:
+        rows, stack = np.arange(trials), battery.stack
     if is_normal:
         # one pass over the stack; its columns are independent, so each half
         # is bit for bit what a separate call gives
-        vals = battery.stack.abs_at(np.concatenate([probes, lams]))
+        vals = stack.abs_at(np.concatenate([probes, lams]))
         at_probes = vals[:, : lams.size].max(axis=1)
         nums = vals[:, lams.size :].max(axis=1)
     else:
-        at_probes = battery.stack.abs_at(probes).max(axis=1)
-        nums = calculus.factored_norms(battery.stack, m, tols)
+        at_probes = stack.abs_at(probes).max(axis=1)
+        nums = calculus.factored_norms(stack, m, tols)
     max_ratio, witness = _stress_ratios(
         nums,
-        battery.lower,
+        battery.lower[rows],
         at_probes,
-        battery.memo,
-        battery.exact_sups,
-        lambda rows: _sampled_sups([battery.function(i) for i in rows], 1 << 15, 4096),
+        battery.memo[rows],
+        lambda sel: battery.exact_sups(rows[sel]),
+        lambda sel: _sampled_sups([battery.function(i) for i in rows[sel]], 1 << 15, 4096),
         tols.verify_tol,
     )
     if witness is not None:
         verdict = Verdict.REFUTED
-        witness = battery.function(witness)
+        witness = battery.function(int(rows[witness]))
     elif trials > 0:
         verdict = Verdict.PASSED_STRESS
     else:
@@ -724,11 +766,12 @@ def vonneumann_stress(
         norm_t=norm_t,
         norm_rtinv=norm_rtinv,
         spectrum_ok=spectrum_ok,
-        trials=int(trials),
+        trials=trials,
         max_ratio=max_ratio,
         witness=witness,
-        seed=int(seed),
+        seed=seed,
         stress_route="spectral" if is_normal else "factored",
+        screened=trials - rows.size,
     )
 
 

@@ -363,11 +363,16 @@ def _radius(text: str) -> float:
     return r
 
 
-def _positive_int(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return k
+def _integer_at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+
+    def integer(text: str) -> int:
+        k = int(text)
+        if k < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}")
+        return k
+
+    return integer
 
 
 class _Once(argparse.Action):
@@ -398,32 +403,32 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--matrix", required=True, help="matrix JSON path")
         p.add_argument("--out", default=None, help="report path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=int, default=1)
+            p.add_argument("--seed", type=_integer_at_least(0), default=1)
         if tolerances:
             for tol in _TOLERANCES:
                 p.add_argument("--" + tol.replace("_", "-"), type=float, default=None)
         return p
 
     p = command("certify", "run the certification battery", matrix=True, seed=True)
-    p.add_argument("--trials", type=_positive_int, default=2000)
+    p.add_argument("--trials", type=_integer_at_least(1), default=2000)
 
     command("decompose", "two-circle split of a boundary normal", matrix=True)
 
     p = command("dilate", "build the commuting dilation pair for (T, rT^-1)", matrix=True)
-    p.add_argument("--d", type=_positive_int, default=16, help="degree budget")
+    p.add_argument("--d", type=_integer_at_least(1), default=16, help="degree budget")
 
     p = command("model-verify", "verify the two-carrier model on functions", matrix=True)
     p.add_argument("--f", action="append", required=True, help="rational function JSON path")
     p.add_argument(
         "--d",
-        type=_positive_int,
+        type=_integer_at_least(1),
         default=None,
         help="degree budget (default: twice the certified series order, capped at 24)",
     )
 
     p = command("laurent", "dump a certified Laurent expansion", r=False, tolerances=False)
     p.add_argument("--f", action=_Once, required=True, help="rational function JSON path")
-    p.add_argument("--order", type=_positive_int, default=32)
+    p.add_argument("--order", type=_integer_at_least(1), default=32)
 
     command("demo-example", "reproduce the norm-one shear example")
     command("selftest", "run the invariant suite", r=False, seed=True)

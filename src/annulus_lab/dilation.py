@@ -44,7 +44,6 @@ the dense ``N`` is built from them for :func:`save_model`.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -74,16 +73,6 @@ from .rational import AnnulusRational
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, name: str, least: int) -> int:
-    """``value`` as an ``int`` if it is an integer (numpy's too, not a
-    ``bool``) of at least ``least``, else ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
     """Unitary ``U`` on ``H^(d+1)`` with ``embed* U^n embed = T^n`` for n <= d.
 
@@ -94,7 +83,7 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:
         raise NotContraction("dilation needs a square matrix")
-    d = _integer(d, "degree budget", 1)
+    d = linalg.as_integer(d, "degree budget", 1)
     h = m.shape[0]
     norm = linalg.operator_norm(m)
     if norm > 1.0 + tols.verify_tol:
@@ -295,7 +284,7 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     m2 = linalg.as_matrix(t2)
     if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
         raise NotCommuting("need two square matrices of equal size")
-    m_depth = _integer(m_depth, "block depth", 2)
+    m_depth = linalg.as_integer(m_depth, "block depth", 2)
     h = m1.shape[0]
     for name, mat in (("T1", m1), ("T2", m2)):
         if linalg.operator_norm(mat) > 1.0 + tols.verify_tol:
@@ -399,7 +388,7 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
     m = linalg.as_matrix(t)
     if not 0.0 < r < 1.0:
         raise BadRadius(f"inner radius must be in (0, 1), got {r}")
-    d = _integer(d, "degree budget", 1)
+    d = linalg.as_integer(d, "degree budget", 1)
     try:
         t2 = r * linalg.inverse(m, tols)
     except Singular as exc:
@@ -495,7 +484,7 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     ``r^-j_max`` overflows, ``ValueError`` when ``j_max`` is not an integer
     >= 0 and :class:`DimensionMismatch` when ``T`` is not ``h x h``.
     """
-    j_max = _integer(j_max, "j_max", 0)
+    j_max = linalg.as_integer(j_max, "j_max", 0)
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
     m = _operand(model, t)
@@ -572,7 +561,7 @@ def single_carrier_residual(
     rational.validate(f)
     if f.r != r:
         raise InvalidRational(f"mismatched radii {f.r} and {r}")
-    d = _integer(d, "degree budget", 1)
+    d = linalg.as_integer(d, "degree budget", 1)
     m = linalg.as_matrix(t)
     if not f.q2_roots:
         u, e = egervary_dilation(m, d, tols)

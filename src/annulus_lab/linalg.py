@@ -56,15 +56,29 @@ def as_matrix(a, allow_empty: bool = False) -> np.ndarray:
     return m
 
 
+def as_integer(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too, not a
+    ``bool``) of at least ``least``, else ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _require_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"matrix is {m.shape[0]}x{m.shape[1]}")
 
 
+def singular_values(a) -> np.ndarray:
+    """Singular values, in descending order."""
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
+
+
 def operator_norm(a) -> float:
     """Largest singular value."""
-    m = as_matrix(a)
-    return float(np.linalg.norm(m, 2))
+    return float(singular_values(a)[0])
 
 
 def spectral_order(lams: np.ndarray) -> np.ndarray:
@@ -95,10 +109,18 @@ class EigDecomposition:
 
 def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None = None) -> bool:
     """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``; ``norm`` is ``||A||``
-    when the caller has it already."""
+    when the caller has it already.
+
+    Both sides are formed for ``A`` scaled by the power of two that brings
+    ``||A||`` into ``[1/2, 1)``, so the commutator cannot overflow; the
+    scaling is exact, which leaves the verdict that of the unscaled test
+    wherever that one neither overflows nor underflows.
+    """
     if norm is None:
         norm = operator_norm(m)
-    comm = m.conj().T @ m - m @ m.conj().T
+    shift = -int(np.frexp(norm)[1])
+    a, norm = np.ldexp(m.real, shift) + 1j * np.ldexp(m.imag, shift), float(np.ldexp(norm, shift))
+    comm = a.conj().T @ a - a @ a.conj().T
     return operator_norm(comm) <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
 
 

@@ -31,6 +31,7 @@ from annulus_lab.certify import (
     _stress_ratios,
 )
 from annulus_lab.errors import (
+    AnnulusLabError,
     BadRadius,
     NoConvergence,
     NotInvertible,
@@ -41,6 +42,7 @@ from annulus_lab.errors import (
 )
 from annulus_lab.linalg import operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, evaluate, rational_from_json
+from conftest import random_function
 
 
 class TestSpectrumInAnnulus:
@@ -128,10 +130,10 @@ class TestVonNeumannStress:
         original = rational.FactoredStack.abs_at
         monkeypatch.setattr(rational.FactoredStack, "abs_at", lambda s, z: passes.append(s) or original(s, z))
         rep = vonneumann_stress(t, 0.5, 2000, 1)
-        # sup refinement evaluates stacks of a few functions; the whole
-        # battery is evaluated once
+        # sup refinement evaluates stacks of a few functions; the two-sided
+        # functions are evaluated once
         assert rep.stress_route == "spectral"
-        assert sum(s is battery.stack for s in passes) == 1
+        assert sum(s is battery.two_sided[1] for s in passes) == 1
 
     def test_unitary_passes(self):
         rep = vonneumann_stress(random_unitary(4, 3), 0.5, 500, 2)
@@ -223,6 +225,35 @@ class TestVonNeumannStress:
         monkeypatch.setattr(linalg, "operator_norm", lambda *args: pytest.fail("norm taken"))
         with pytest.raises(ValueError, match="trials"):
             full_certification(normal_annulus_matrix(3, 0.5, 1), 0.5, -5, 1)
+
+    @pytest.mark.parametrize(
+        "trials, seed, name",
+        [(2.5, 1, "trials"), (True, 1, "trials"), (np.float64(20.0), 1, "trials"), ("20", 1, "trials"),
+         (20, -1, "seed"), (20, 1.5, "seed"), (20, True, "seed"), (20, None, "seed")],
+    )
+    def test_count_and_seed_that_are_not_nonnegative_integers_are_rejected(self, trials, seed, name, monkeypatch):
+        monkeypatch.setattr(linalg, "singular_values", lambda *args: pytest.fail("norm taken"))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            vonneumann_stress(normal_annulus_matrix(3, 0.5, 1), 0.5, trials, seed)
+
+    def test_numpy_integer_count_and_seed_give_the_int_report(self):
+        t = windowed_matrix(3, 0.5, 2)
+        rep = vonneumann_stress(t, 0.5, np.int64(40), np.int32(3))
+        assert type(rep.trials) is int and type(rep.seed) is int
+        assert rep.to_json() == vonneumann_stress(t, 0.5, 40, 3).to_json()
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the spectral route overflows: |f| at eigenvalues of modulus 1e300 is inf/inf, so max_ratio is NaN",
+    )
+    def test_huge_finite_input_ends_in_a_typed_error_or_a_finite_report(self):
+        try:
+            with np.errstate(all="ignore"):
+                rep = vonneumann_stress(1e300 * np.eye(2), 0.5, 10, 1)
+        except AnnulusLabError:
+            return
+        assert np.isfinite([rep.norm_t, rep.norm_rtinv, rep.max_ratio]).all()
 
 
 def _reference_sup(f, base_nodes=4096, local_nodes=512):
@@ -404,6 +435,12 @@ class TestSampledSups:
         # full sampling evaluates 2 x 4096 nodes per function, windows aside
         assert sum(evaluated) <= 0.3 * 2 * 4096 * 2000
 
+    def test_rings_are_cached_read_only(self):
+        ring = certify._ring(4096)
+        assert certify._ring(4096) is ring and not ring.flags.writeable
+        assert np.array_equal(ring, np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096)))
+        assert np.array_equal(certify._ring(1 << 15), np.exp(1j * (2.0 * np.pi * np.arange(1 << 15) / (1 << 15))))
+
     def test_pole_hit_is_raised(self):
         f = AnnulusRational(r=0.5, q1_roots=(1.0 + 1e-15,))
         with pytest.raises(PoleHit):
@@ -555,6 +592,125 @@ class TestLazyRefinement:
         assert got == expected
         # no lost update: every sup computed is in the memo
         assert computed and not np.isnan(battery.memo[computed]).any()
+
+
+def _one_sided(f) -> bool:
+    """Poles on one side of the annulus only: none inside radius ``r``, or
+    none outside the unit circle and ``f`` finite at infinity."""
+    return not f.q2_roots or (not f.q1_roots and len(f.p_coeffs) - 1 <= len(f.q2_roots))
+
+
+def _laurent_parts(f, z1, z2):
+    """``g1`` at the points ``z1`` and ``g2`` at ``z2``: the nonnegative and
+    negative parts of the Laurent expansion of ``f`` on the annulus.  ``g2``
+    is the sum of the principal parts at the inner poles (simple ones, as
+    the battery draws them), ``g1 = f - g2``."""
+    inner = np.array(f.q2_roots, dtype=complex)
+    assert len(set(f.q2_roots)) == inner.size
+    poly = np.polynomial.polynomial
+    residues = [
+        poly.polyval(b, f.p_coeffs)
+        / (f.scale * np.prod([b - a for a in f.q1_roots]) * np.prod([b - c for c in f.q2_roots if c != b]))
+        for b in inner
+    ]
+
+    def g2(z):
+        return sum((res / (z - b) for res, b in zip(residues, inner)), np.zeros(z.shape, dtype=complex))
+
+    return evaluate(f, z1) - g2(z1), g2(z2)
+
+
+def _split_bound(f, nodes=4096):
+    """``sup_{|z|=1} |g1| + sup_{|z|=r} |g2|``, each sampled at ``nodes``
+    equispaced points."""
+    ring = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    g1, g2 = _laurent_parts(f, ring, f.r * ring)
+    return float(np.abs(g1).max() + np.abs(g2).max())
+
+
+class TestVonNeumannScreen:
+    """A strict double contraction evaluates only the two-sided functions."""
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_two_sided_rows_match_the_function_classification(self, r, seed):
+        battery = _stress_battery(r, 2000, seed)
+        rows, stack = battery.two_sided
+        assert rows.tolist() == [i for i, f in enumerate(battery.functions) if not _one_sided(f)]
+        assert 0 < rows.size < 2000
+        full = battery.stack.take(rows)
+        for name in ("p", "roots", "mask", "scale"):
+            assert np.array_equal(getattr(stack, name), getattr(full, name))
+        rep = vonneumann_stress(windowed_matrix(4, r, 5), r, 2000, seed)
+        assert rep.screened == 2000 - rows.size == rep.to_json()["screened"]
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            example_matrix(0.5),
+            windowed_matrix(4, 0.5, 3) / operator_norm(windowed_matrix(4, 0.5, 3)),
+            windowed_matrix(4, 0.5, 3) * (0.5 / np.linalg.svd(windowed_matrix(4, 0.5, 3), compute_uv=False)[-1]),
+        ],
+        ids=["shear", "norm-one", "smallest-singular-value-r"],
+    )
+    def test_operators_on_the_window_boundary_screen_nothing(self, t):
+        rep = vonneumann_stress(t, 0.5, 2000, 1)
+        assert rep.screened == 0 and rep.to_json()["screened"] == 0
+
+    @pytest.mark.parametrize(
+        "t", [normal_annulus_matrix(4, 0.5, 11), windowed_matrix(4, 0.5, 13)], ids=["normal", "windowed"]
+    )
+    def test_screened_rows_cannot_refute(self, t):
+        # the premise of the screen, on the functions it skips
+        battery = _stress_battery(0.5, 2000, 1)
+        one_sided = np.setdiff1d(np.arange(2000), battery.two_sided[0])
+        nums = calculus.factored_norms(battery.stack.take(one_sided), t)
+        assert np.all(nums <= battery.exact_sups(one_sided) * (1.0 + 1e-12))
+        assert vonneumann_stress(t, 0.5, 2000, 1).screened == one_sided.size
+
+    def test_probes_alone_are_screened_to_a_zero_ratio(self):
+        rep = vonneumann_stress(normal_annulus_matrix(4, 0.5, 11), 0.5, 2, 1)
+        assert (rep.verdict, rep.screened, rep.max_ratio) == (Verdict.PASSED_STRESS, 2, 0.0)
+
+    @pytest.mark.parametrize(
+        "t",
+        [windowed_matrix(n, 0.5, 30 + n) for n in (2, 3, 5, 9)] + [normal_annulus_matrix(4, 0.5, 11)],
+        ids=["n2", "n3", "n5", "n9", "normal"],
+    )
+    def test_evaluated_values_are_the_full_battery_rows(self, t):
+        battery = _stress_battery(0.5, 2000, 1)
+        rows, stack = battery.two_sided
+        assert np.array_equal(calculus.factored_norms(stack, t), calculus.factored_norms(battery.stack, t)[rows])
+        lams = linalg.spectrum(t)
+        points = np.concatenate([_clamp_to_annulus(lams, 0.5), lams])
+        assert np.array_equal(stack.abs_at(points), battery.stack.abs_at(points)[rows])
+
+    def test_split_parts_are_the_laurent_parts(self):
+        ring = np.exp(2j * np.pi * np.arange(64) / 64)
+        for k in range(20):
+            f = random_function(0.5, 900 + k)
+            series = rational.laurent_expand(f, 120)
+            assert series.tail_bound < 1e-12
+            g1, g2 = _laurent_parts(f, ring, 0.5 * ring)
+            pos = np.polynomial.polynomial.polyval(ring, series.coeffs[120:])
+            neg = np.polynomial.polynomial.polyval(1.0 / (0.5 * ring), np.r_[0.0, series.coeffs[:120][::-1]])
+            assert np.abs(g1 - pos).max() <= 1e-10 * max(1.0, np.abs(g1).max())
+            assert np.abs(g2 - neg).max() <= 1e-10 * max(1.0, np.abs(g2).max())
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_evaluated_norms_keep_the_split_bound(self, r, monkeypatch):
+        # ||f(T)|| <= sup_{|z|=1} |g1| + sup_{|z|=r} |g2| for a double
+        # contraction: von Neumann's inequality for T and for r T^-1
+        seen = []
+        original = certify._stress_ratios
+        monkeypatch.setattr(certify, "_stress_ratios", lambda nums, *rest: seen.append(nums) or original(nums, *rest))
+        battery = _stress_battery(r, 2000, 1)
+        for seed in (3, 4):
+            rep = vonneumann_stress(windowed_matrix(4, r, seed), r, 2000, 1)
+            assert rep.stress_route == "factored" and rep.screened > 0
+        for nums in seen:
+            for i, num in zip(battery.two_sided[0], nums):
+                assert num <= _split_bound(battery.function(i)) * (1.0 + 1e-6)
 
 
 class TestBernsteinBound:

@@ -257,6 +257,12 @@ class TestExitCodes:
         inputs = {"demo-example": [], "laurent": ["--f", fn]}.get(args[0], ["--matrix", mat])
         assert cli.main(args + inputs) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["certify", "selftest"])
+    def test_negative_seed_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command):
+        inputs = ["--matrix", write_matrix(tmp_path / "t.json", np.eye(2))] if command == "certify" else []
+        assert cli.main([command, "--seed", "-1"] + inputs) == cli.EXIT_USAGE
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
     def test_verify_tol_sets_the_decompose_verdict(self, tmp_path):
         # the identity decomposes with a residual near 1e-15: within the
         # default verify_tol, not within 1e-30

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ class TestOperatorNorm:
         u = random_unitary(4, 8)
         w = random_unitary(4, 9)
         assert operator_norm(u @ a @ w) == pytest.approx(operator_norm(a), rel=1e-11)
+
+
+class TestIsNormal:
+    def test_huge_entries_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.is_normal(1e300 * np.eye(2))
+            assert not linalg.is_normal(1e300 * EXAMPLE)
+
+    def test_verdicts_are_those_of_the_unscaled_test(self):
+        # scaling by a power of two is exact, so ordinary inputs keep the
+        # verdict of ||A*A - AA*|| <= eig_tol ||A||^2 formed on A itself
+        rng = linalg.seeded_rng(12)
+        verdicts = []
+        for k in range(80):
+            n = 2 + k % 4
+            q = random_unitary(n, 40 + k)
+            lams = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m = ((q * lams) @ q.conj().T + 10.0 ** rng.uniform(-12, -8) * noise) * 2.0 ** rng.uniform(-40, 40)
+            norm = operator_norm(m)
+            comm = m.conj().T @ m - m @ m.conj().T
+            want = operator_norm(comm) <= DEFAULT_TOLS.eig_tol * max(norm**2, np.finfo(float).tiny)
+            assert linalg.is_normal(m) == want == linalg.is_normal(m, DEFAULT_TOLS, norm)
+            verdicts.append(want)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestSolve:
