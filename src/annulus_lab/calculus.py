@@ -117,10 +117,15 @@ def factored_norms(
     stays bounded whatever the number of rows.  The conditioning rule costs
     one Schur form of ``T``, plus singular values of ``T - aI`` only for the
     roots ``a`` that Henrici's bound leaves undecided (see
-    :class:`linalg.ShiftConditioning`).
+    :class:`linalg.ShiftConditioning`).  A row whose ``f_i(T)`` has an
+    entry that is not finite (an overflow) gets ``inf``.
     """
     m = linalg.as_matrix(t)
-    norms = [np.linalg.norm(out, 2, axis=(1, 2)) for out in _factored_chunks(stack, m, tols)]
+    norms = []
+    for out in _factored_chunks(stack, m, tols):
+        finite = np.isfinite(out).all(axis=(1, 2))
+        out[~finite] = 0.0  # the SVD cannot take them; their rows read inf
+        norms.append(np.where(finite, np.linalg.norm(out, 2, axis=(1, 2)), np.inf))
     return np.concatenate(norms) if norms else np.zeros(0)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus, linalg, rational
 from ._version import __version__
-from .errors import BadRadius, NoConvergence, NotInvertible, Singular
+from .errors import BadRadius, NoConvergence, NotContraction, NotInvertible, Singular
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
 
@@ -35,7 +35,7 @@ def example_matrix(r: float) -> np.ndarray:
     necessary condition yet the annulus is not a spectral set for it.
     """
     if not (0.0 < r < 1.0):
-        raise ValueError("r must be in (0, 1)")
+        raise BadRadius(f"inner radius must be in (0, 1), got {r}")
     s = np.sqrt(r)
     return np.array([[s, 1.0 - r], [0.0, s]], dtype=complex)
 
@@ -246,25 +246,29 @@ _LOCAL_NODES = 512
 _REFINE_ROWS = 16
 
 
-def _pole_windows(f: AnnulusRational) -> list:
-    """``(radius, theta0, half_width)`` of the window around each pole near a
-    circle: ~32x the pole clearance wide, which keeps the relative deficit of
-    a narrow peak at the square of the local spacing over the clearance."""
-    windows = []
-    for a in f.q1_roots:
-        dist = abs(a) - 1.0
-        if dist < 0.2:
-            windows.append((1.0, np.angle(a), min(32.0 * dist, np.pi / 4)))
-    for b in f.q2_roots:
-        dist = f.r - abs(b)
-        if 0 < dist < 0.2 * f.r:
-            windows.append((f.r, np.angle(b), min(32.0 * dist / f.r, np.pi / 4)))
-    return windows
+def _moduli(roots: np.ndarray) -> np.ndarray:
+    """``abs`` of each root as :func:`rational.validate` takes it: ``hypot``,
+    from which ``np.abs`` can differ in the last bit."""
+    return np.hypot(roots.real, roots.imag)
 
 
-def _window_nodes(windows, local_nodes: int) -> np.ndarray:
+def _pole_windows(r: float, stack: rational.FactoredStack, counts: np.ndarray) -> tuple:
+    """``(row, radius, theta0, half_width)`` of the window around each pole
+    near a circle of the rows of a stack packed by :func:`_pack`: ~32x the
+    pole clearance wide, which keeps the relative deficit of a narrow peak at
+    the square of the local spacing over the clearance."""
+    mods = _moduli(stack.roots)
+    outer = np.arange(mods.shape[1]) < counts[:, :1]
+    dist = np.where(outer, mods - 1.0, r - mods)
+    near = stack.mask & np.where(outer, dist < 0.2, (0 < dist) & (dist < 0.2 * r))
+    row, col = np.nonzero(near)
+    dist, outer = dist[row, col], outer[row, col]
+    half_width = np.minimum(np.where(outer, 32.0 * dist, 32.0 * dist / r), np.pi / 4)
+    return row, np.where(outer, 1.0, r), np.angle(stack.roots[row, col]), half_width
+
+
+def _window_nodes(radius, theta0, half_width, local_nodes: int) -> np.ndarray:
     """The nodes of each window ``(radius, theta0, half_width)``, one row each."""
-    radius, theta0, half_width = (np.array(col) for col in zip(*windows))
     theta = theta0[:, np.newaxis] + np.linspace(-half_width, half_width, local_nodes, axis=-1)
     return radius[:, np.newaxis] * np.exp(1j * theta)
 
@@ -347,30 +351,30 @@ def _candidate_cells(stack, rho, z, v, floor, nodes: int) -> np.ndarray:
     return ~(ok[:, :, np.newaxis] & (top < floor[:, np.newaxis, np.newaxis]))
 
 
-def _coarse_values(stack, radii, coarse: np.ndarray):
-    """``|f_i|`` at the nodes ``coarse`` of both circles of each row of
-    ``stack`` (annuli of inner radii ``radii``), one chunk of
-    ``_SUP_CHUNK_BYTES`` at a time: yields the chunk's row slice, radii
-    ``rho`` (circle 0 is the unit circle), nodes ``z`` and values ``v``, each
-    of shape ``(rows, 2, coarse.size)`` but ``rho``."""
-    for sl in _chunks(radii.size, 2 * coarse.size):
-        rho = np.stack([np.ones(radii[sl].size), radii[sl]], axis=1)
+def _coarse_values(stack, r: float, coarse: np.ndarray):
+    """``|f_i|`` at the nodes ``coarse`` of both circles (radii 1 and ``r``)
+    of each row of ``stack``, one chunk of ``_SUP_CHUNK_BYTES`` at a time:
+    yields the chunk's row slice, radii ``rho`` (circle 0 is the unit
+    circle), nodes ``z`` and values ``v``, each of shape
+    ``(rows, 2, coarse.size)`` but ``rho``."""
+    for sl in _chunks(stack.p.shape[0], 2 * coarse.size):
+        rho = np.repeat([[1.0, r]], sl.stop - sl.start, axis=0)
         z = rho[:, :, np.newaxis] * coarse
         v = stack.take(sl).abs_at(z.reshape(z.shape[0], -1)).reshape(z.shape)
         yield sl, rho, z, v
 
 
-def _group_sups(stack, radii, window_rows, windows, ring: np.ndarray, local_nodes: int) -> np.ndarray:
+def _group_sups(r: float, stack, windows, ring: np.ndarray, local_nodes: int) -> np.ndarray:
     """Sampled sups of the rows of ``stack``, functions sharing
-    ``(len(p), #roots)`` on annuli of inner radii ``radii``, with the pole
-    ``windows`` of rows ``window_rows``."""
-    best = np.full(radii.size, -np.inf)
-    window_rows = np.array(window_rows, dtype=int)
-    for sl in _chunks(window_rows.size, local_nodes):
-        vals = stack.take(window_rows[sl]).abs_at(_window_nodes(windows[sl], local_nodes))
-        np.maximum.at(best, window_rows[sl], vals.max(axis=1))
+    ``(len(p), #roots)``, with the pole ``windows``
+    ``(row, radius, theta0, half_width)``."""
+    best = np.full(stack.p.shape[0], -np.inf)
+    row, *window = windows
+    for sl in _chunks(row.size, local_nodes):
+        vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
+        np.maximum.at(best, row[sl], vals.max(axis=1))
     nodes = ring.size
-    for sl, rho, z, v in _coarse_values(stack, radii, ring[::_COARSE]):
+    for sl, rho, z, v in _coarse_values(stack, r, ring[::_COARSE]):
         sub = stack.take(sl)
         best[sl] = np.maximum(best[sl], v.max(axis=(1, 2)))
         row, circle, cell = np.nonzero(_candidate_cells(sub, rho, z, v, best[sl], nodes))
@@ -399,71 +403,54 @@ def _ring(base_nodes: int) -> np.ndarray:
 _NEAR_CIRCLE = 1e-12
 
 
-def _check_poles(f: AnnulusRational, windows, ring: np.ndarray, local_nodes: int) -> None:
-    """:class:`PoleHit` if a node of ``ring`` on either circle of ``f``, or of
-    ``local_nodes`` in one of its pole ``windows``, is within 1e-14 of a
-    root, as :func:`rational.evaluate` would raise it."""
-    point_sets = [ring, f.r * ring] + (list(_window_nodes(windows, local_nodes)) if windows else [])
-    for zz in point_sets:
-        for root in f.q1_roots + f.q2_roots:
-            rational.check_clearance(zz - root, root)
+def _check_poles(r: float, stack, counts: np.ndarray, ring: np.ndarray, local_nodes: int) -> None:
+    """:class:`PoleHit`, as :func:`rational.evaluate` would raise it, for
+    the first row of a stack packed by :func:`_pack` with a node within
+    1e-14 of a root: a node of ``ring`` on either circle, or one of
+    ``local_nodes`` in a pole window of the row.  Only rows with a root
+    within ``_NEAR_CIRCLE`` of a circle can have one."""
+    mods = _moduli(stack.roots)
+    near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - r) <= _NEAR_CIRCLE))
+    for i in np.flatnonzero(near.any(axis=1)):
+        _, *window = _pole_windows(r, stack.take(slice(i, i + 1)), counts[i : i + 1])
+        for zz in [ring, r * ring, *_window_nodes(*window, local_nodes)]:
+            for root in stack.roots[i, stack.mask[i]]:
+                rational.check_clearance(zz - root, complex(root))
 
 
-def _sup_groups(functions, stack, ring: np.ndarray, local_nodes: int) -> list:
-    """The ``(len(p), #roots)`` groups of ``functions``, validated into
-    ``stack``: ``(members, sub, window_rows, windows)`` per group, ``sub``
-    the members' rows of ``stack`` at the group's own widths (padding would
-    add roots to the Bernstein bound).  :class:`PoleHit` is raised first,
-    as :func:`rational.evaluate` would, for the first function in order with
-    a node (of ``ring`` on either circle, or of ``local_nodes`` per pole
-    window) within 1e-14 of a root."""
-    groups: dict = {}
-    for i, f in enumerate(functions):
-        windows = _pole_windows(f)
-        roots = f.q1_roots + f.q2_roots
-        if any(abs(abs(a) - rho) <= _NEAR_CIRCLE for a in roots for rho in (1.0, f.r)):
-            _check_poles(f, windows, ring, local_nodes)
-        members, window_rows, group_windows = groups.setdefault((len(f.p_coeffs), len(roots)), ([], [], []))
-        window_rows += [len(members)] * len(windows)
-        group_windows += windows
-        members.append(i)
-    out = []
-    for (lp, nr), (members, window_rows, windows) in groups.items():
-        members = np.array(members)
-        sub = rational.FactoredStack(
-            p=stack.p[members, :lp],
-            roots=stack.roots[members, :nr],
-            mask=stack.mask[members, :nr],
-            scale=stack.scale[members],
-        )
-        out.append((members, sub, window_rows, windows))
-    return out
-
-
-def _sampled_sups(functions, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES) -> np.ndarray:
-    """Sampled sup-norm lower bounds of ``functions``, with extra nodes
-    clustered near poles: for each, the max of ``|evaluate(f, z)|`` over
-    ``base_nodes`` equispaced nodes on each boundary circle and over
-    ``local_nodes`` in a window around each pole near a circle.
+def _sampled_sups(r: float, stack, counts, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES):
+    """Sampled sup-norm lower bounds of the rows of a stack packed by
+    :func:`_pack` (rows ``(k1, k2, len(p))`` of ``counts``, all on the
+    annulus of inner radius ``r``), with extra nodes clustered near poles:
+    for each, the max of ``|evaluate(f, z)|`` over ``base_nodes``
+    equispaced nodes on each boundary circle and over ``local_nodes`` in a
+    window around each pole near a circle.
 
     Every value is that max bit for bit, but most equispaced nodes are
     excluded by proof instead of evaluated: every ``_COARSE``-th node is
     evaluated (:func:`_coarse_values`), and the rest of its cell only when
     a Bernstein bound on ``|df/dθ|`` cannot show the cell below the
-    function's sampled maximum (:func:`_candidate_cells`).  Functions
-    sharing ``(len(p), #roots)`` go through
-    :meth:`rational.FactoredStack.abs_at` together in chunks of
-    ``_SUP_CHUNK_BYTES``, so each value depends on its function alone.
-    ``base_nodes`` must be a positive multiple of 64.  Every function is
-    validated first; then :class:`PoleHit` is raised as :func:`_sup_groups`
-    says.
+    function's sampled maximum (:func:`_candidate_cells`).  Rows sharing
+    ``(len(p), #roots)`` go through :meth:`rational.FactoredStack.abs_at`
+    together, at their own widths (padding would add roots to the Bernstein
+    bound), in chunks of ``_SUP_CHUNK_BYTES``, so each value depends on its
+    row alone.  ``base_nodes`` must be a positive multiple of 64.  The rows
+    must be valid (the battery validates its stack once, when it is built);
+    :class:`PoleHit` is raised first, by :func:`_check_poles` on this
+    call's own nodes.
     """
     ring = _ring(base_nodes)
-    radii = np.array([f.r for f in functions])
-    sups = np.empty(len(functions))
-    groups = _sup_groups(functions, rational.factored_stack(functions), ring, local_nodes)
-    for members, sub, window_rows, windows in groups:
-        sups[members] = _group_sups(sub, radii[members], window_rows, windows, ring, local_nodes)
+    _check_poles(r, stack, counts, ring, local_nodes)
+    row, *window = _pole_windows(r, stack, counts)
+    lp, nr = counts[:, 2], counts[:, 0] + counts[:, 1]
+    sups = np.empty(lp.size)
+    for p_width, r_width in set(zip(lp.tolist(), nr.tolist())):
+        members = np.flatnonzero((lp == p_width) & (nr == r_width))
+        rw = np.s_[members, :r_width]
+        sub = rational.FactoredStack(stack.p[members, :p_width], stack.roots[rw], stack.mask[rw], stack.scale[members])
+        mine = (lp[row] == p_width) & (nr[row] == r_width)
+        windows = (np.searchsorted(members, row[mine]), *(w[mine] for w in window))
+        sups[members] = _group_sups(r, sub, windows, ring, local_nodes)
     return sups
 
 
@@ -472,13 +459,14 @@ class _Battery:
     row's ``(k1, k2, len(p))``, a cheap lower bound on each sampled sup, and
     a memo of exact sups.
 
-    Row ``i`` is the function :meth:`function` builds on demand (the
-    refined rows and the witness); :attr:`functions` builds them all, once.
+    The stack is validated and pole-checked once, at build, and every sup is
+    read from it (:meth:`sampled_sups`); :meth:`function` builds row ``i``
+    as a function (the witness), :attr:`functions` builds them all, once.
     :attr:`two_sided` selects the rows the von Neumann screen evaluates.
     ``lower[i]`` is the max of ``|f_i|`` at every ``_LOWER_STRIDE``-th node
     of the ``_BASE_NODES`` per circle.  :func:`_sampled_sups` evaluates
     those nodes too, and ``abs_at`` is :func:`rational.evaluate` bit for
-    bit, so ``lower[i] <= _sampled_sups((f_i,))[0]`` exactly.
+    bit, so ``lower[i] <= sampled_sups([i])[0]`` exactly.
     :meth:`exact_sups` computes the sups on demand and keeps them in
     :attr:`memo`.  The memo only gains entries, each a deterministic value,
     so which calls filled it never changes a result.  Readers take no lock:
@@ -520,13 +508,17 @@ class _Battery:
         rows = np.flatnonzero((k2 > 0) & ~((k1 == 0) & (lp - 1 <= k2)))
         return rows, self.stack.take(rows)
 
+    def sampled_sups(self, rows, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES) -> np.ndarray:
+        """:func:`_sampled_sups` of the rows ``rows``, read from the stack."""
+        return _sampled_sups(self.r, self.stack.take(rows), self.counts[rows], base_nodes, local_nodes)
+
     def exact_sups(self, rows: np.ndarray) -> np.ndarray:
-        """``_sampled_sups`` of the functions ``rows``, from the memo where
-        it holds them (NaN marks an entry not yet computed)."""
+        """:meth:`sampled_sups` of the rows ``rows``, from the memo where it
+        holds them (NaN marks an entry not yet computed)."""
         memo = self.memo
         missing = rows[np.isnan(memo[rows])]
         if missing.size:
-            found = _sampled_sups([self.function(i) for i in missing])
+            found = self.sampled_sups(missing)
             with self._lock:
                 memo = self.memo.copy()
                 memo[missing] = found
@@ -544,30 +536,19 @@ _LOWER_STRIDE = 64
 _PROBE_COUNTS = np.array([[0, 0, 2], [0, 1, 1]])
 
 
-def _check_rows(r: float, stack: rational.FactoredStack, counts: np.ndarray, ring: np.ndarray) -> None:
-    """Raise for the rows of a stack packed by :func:`_pack` what
-    :func:`rational.factored_stack`, then :func:`_sup_groups` with ``ring``,
-    would raise for their functions: the first error of
-    :func:`rational.validate` in row order, then :class:`PoleHit` for the
-    first row with a node on a root.
-
-    The radius and root-location comparisons of ``validate`` run on the
-    whole stack (a draw on an annulus is finite, and its numerator and scale
-    are never empty or zero); ``validate`` itself runs only on the rows they
-    flag, and the pole check only on rows with a root within
-    ``_NEAR_CIRCLE`` of a circle.
-    """
-    mods = np.abs(stack.roots)
+def _check_rows(r: float, stack: rational.FactoredStack, counts: np.ndarray) -> None:
+    """Raise the first error :func:`rational.validate` raises for the rows
+    of a stack packed by :func:`_pack`, in row order.  Its radius and
+    root-location comparisons run on the whole stack, on the moduli it takes
+    (a draw on an annulus is finite, and its numerator and scale are never
+    empty or zero); ``validate`` itself runs only on the rows they flag."""
+    mods = _moduli(stack.roots)
     outer = np.arange(mods.shape[1]) < counts[:, :1]
-    bad = (stack.mask & outer & (mods <= 1.0)).any(axis=1) | (stack.mask & ~outer & (mods >= r)).any(axis=1)
+    bad = (stack.mask & np.where(outer, mods <= 1.0, mods >= r)).any(axis=1)
     if not 0.0 < r < 1.0:
         bad[:] = True
     for i in np.flatnonzero(bad):
         rational.validate(_row_function(r, stack, counts, i))
-    near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - r) <= _NEAR_CIRCLE))
-    for i in np.flatnonzero(near.any(axis=1)):
-        f = _row_function(r, stack, counts, i)
-        _check_poles(f, _pole_windows(f), ring, _LOCAL_NODES)
 
 
 @lru_cache(maxsize=8)
@@ -580,9 +561,10 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     generator makes its own draws (:func:`_draw`); the variates of all rows
     are transformed in one vectorized pass and written straight into the
     padded stack (:func:`_transform`, :func:`_pack`), so no
-    :class:`AnnulusRational` is built here.  Every row is validated, and
-    :class:`PoleHit` raised, as :func:`_sampled_sups` would
-    (:func:`_check_rows`); the build then evaluates 64 nodes per circle of
+    :class:`AnnulusRational` is built here.  Every row is validated
+    (:func:`_check_rows`), then :class:`PoleHit` is raised as
+    :func:`_sampled_sups` would on the battery's sampling
+    (:func:`_check_poles`); the build then evaluates 64 nodes per circle of
     the whole stack, for :attr:`_Battery.lower`, and leaves the exact sups to
     :meth:`_Battery.exact_sups`.  Cached so repeated certifications against
     the same battery (e.g. a corpus sweep) share the draws and the memo.
@@ -595,9 +577,10 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     roots = np.concatenate([np.zeros(counts[:probes, 1].sum(), dtype=complex), roots])
     stack = _pack(counts, p, roots)
     ring = _ring(_BASE_NODES)
-    _check_rows(r, stack, counts, ring)
+    _check_rows(r, stack, counts)
+    _check_poles(r, stack, counts, ring, _LOCAL_NODES)
     lower = np.empty(trials)
-    for sl, _, _, v in _coarse_values(stack, np.full(trials, float(r)), ring[::_LOWER_STRIDE]):
+    for sl, _, _, v in _coarse_values(stack, float(r), ring[::_LOWER_STRIDE]):
         lower[sl] = v.max(axis=(1, 2))
     return _Battery(float(r), stack, counts, lower)
 
@@ -675,9 +658,12 @@ def vonneumann_stress(
     (interior values never exceed the boundary sup).  The sampled maxima are
     those of 4096 equispaced nodes per circle plus 512 per pole window, found
     by :func:`_sampled_sups` from a coarse pass and a Bernstein bound on the
-    cells between its nodes.  Candidate violations are re-checked together,
-    through the same routine, against a denser sampling (``1 << 15`` nodes
-    plus 4096 per window) before one is accepted as a witness, so
+    cells between its nodes, read from the battery's packed stack
+    (:meth:`_Battery.sampled_sups`), which was validated once when it was
+    built; each sampling pole-checks its own nodes.  Candidate violations
+    are re-checked together, through the same routine, against a denser
+    sampling (``1 << 15`` nodes plus 4096 per window) before one is
+    accepted as a witness, so
     ``Refuted`` reports replay deterministically.  That re-check still
     samples, so a witness is not a proof: on the 2000-function batteries
     of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
@@ -710,7 +696,9 @@ def vonneumann_stress(
     through one stacked factored evaluation (:func:`calculus.factored_norms`)
     in chunks of about 1 MB; it raises :class:`Singular` as
     :func:`calculus.eval_direct` would on the first evaluated function, in
-    battery order, with a root on the spectrum.  :class:`BadRadius` is
+    battery order, with a root on the spectrum.  :class:`NotContraction`
+    names an overflow: some ``||f(T)||``, or ``|f|`` at a projected
+    eigenvalue, is not finite.  :class:`BadRadius` is
     raised unless ``0 < r < 1``, then ``ValueError`` naming ``trials`` or
     ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
     ``>= 0``, before any other work.
@@ -735,22 +723,27 @@ def vonneumann_stress(
         rows, stack = battery.two_sided
     else:
         rows, stack = np.arange(trials), battery.stack
-    if is_normal:
-        # one pass over the stack; its columns are independent, so each half
-        # is bit for bit what a separate call gives
-        vals = stack.abs_at(np.concatenate([probes, lams]))
-        at_probes = vals[:, : lams.size].max(axis=1)
-        nums = vals[:, lams.size :].max(axis=1)
-    else:
-        at_probes = stack.abs_at(probes).max(axis=1)
-        nums = calculus.factored_norms(stack, m, tols)
+    with np.errstate(all="ignore"):  # a value that overflows raises below
+        if is_normal:
+            # one pass over the stack; its columns are independent, so each
+            # half is bit for bit what a separate call gives
+            vals = stack.abs_at(np.concatenate([probes, lams]))
+            at_probes = vals[:, : lams.size].max(axis=1)
+            nums = vals[:, lams.size :].max(axis=1)
+        else:
+            at_probes = stack.abs_at(probes).max(axis=1)
+            nums = calculus.factored_norms(stack, m, tols)
+    if not (np.isfinite(nums).all() and np.isfinite(at_probes).all()):
+        raise NotContraction(
+            f"overflow: ||f(T)|| or |f| at a probe is not finite (||T|| = {norm_t:.6g}, ||r T^-1|| = {norm_rtinv:.6g})"
+        )
     max_ratio, witness = _stress_ratios(
         nums,
         battery.lower[rows],
         at_probes,
         battery.memo[rows],
         lambda sel: battery.exact_sups(rows[sel]),
-        lambda sel: _sampled_sups([battery.function(i) for i in rows[sel]], 1 << 15, 4096),
+        lambda sel: battery.sampled_sups(rows[sel], 1 << 15, 4096),
         tols.verify_tol,
     )
     if witness is not None:

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,6 +35,7 @@ from annulus_lab.errors import (
     AnnulusLabError,
     BadRadius,
     NoConvergence,
+    NotContraction,
     NotInvertible,
     PoleHit,
     RootInClosedDisk,
@@ -152,7 +154,7 @@ class TestVonNeumannStress:
         num = operator_norm(calculus.eval_direct(f, t))
         # the recorded ratio uses a sampled sup lower bound, so replaying with
         # any denser lower bound still certifies a violation
-        denom = _sampled_sups((f,), base_nodes=1 << 15, local_nodes=4096)[0]
+        denom = _sups_of((f,), base_nodes=1 << 15, local_nodes=4096)[0]
         assert num / denom > 1.0 + 1e-8
 
     def test_deterministic_per_seed(self):
@@ -211,7 +213,7 @@ class TestVonNeumannStress:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_battery_lower_bounds_stay_below_the_sups(self, r, seed):
         battery = _stress_battery.__wrapped__(r, 2000, seed)
-        assert np.all(battery.lower <= _sampled_sups(battery.functions))
+        assert np.all(battery.lower <= _sups_of(battery.functions))
 
     @pytest.mark.parametrize("r", [float("nan"), 0.0, 1.0, -0.5])
     def test_radius_outside_the_unit_interval_is_rejected(self, r, monkeypatch):
@@ -220,6 +222,8 @@ class TestVonNeumannStress:
             vonneumann_stress(normal_annulus_matrix(3, 0.5, 1), r, 20, 1)
         with pytest.raises(BadRadius):
             full_certification(normal_annulus_matrix(3, 0.5, 1), r, 20, 1)
+        with pytest.raises(BadRadius):
+            example_matrix(r)
 
     def test_negative_trials_are_rejected(self, monkeypatch):
         monkeypatch.setattr(linalg, "operator_norm", lambda *args: pytest.fail("norm taken"))
@@ -242,11 +246,6 @@ class TestVonNeumannStress:
         assert type(rep.trials) is int and type(rep.seed) is int
         assert rep.to_json() == vonneumann_stress(t, 0.5, 40, 3).to_json()
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the spectral route overflows: |f| at eigenvalues of modulus 1e300 is inf/inf, so max_ratio is NaN",
-    )
     def test_huge_finite_input_ends_in_a_typed_error_or_a_finite_report(self):
         try:
             with np.errstate(all="ignore"):
@@ -254,6 +253,23 @@ class TestVonNeumannStress:
         except AnnulusLabError:
             return
         assert np.isfinite([rep.norm_t, rep.norm_rtinv, rep.max_ratio]).all()
+
+    @pytest.mark.parametrize(
+        "t", [1e300 * np.eye(2), 1e300 * example_matrix(0.5)], ids=["spectral", "factored"]
+    )
+    def test_overflow_raises_a_typed_error_naming_it(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotContraction, match="^overflow: "):
+                vonneumann_stress(t, 0.5, 10, 1)
+
+
+def _sups_of(functions, *args, **kwargs):
+    """:func:`_sampled_sups` of ``functions`` on one annulus, packed by
+    :func:`rational.factored_stack`, which validates every function first."""
+    functions = tuple(functions)
+    counts = np.array([(len(f.q1_roots), len(f.q2_roots), len(f.p_coeffs)) for f in functions]).reshape(-1, 3)
+    return _sampled_sups(functions[0].r, rational.factored_stack(functions), counts, *args, **kwargs)
 
 
 def _reference_sup(f, base_nodes=4096, local_nodes=512):
@@ -329,6 +345,10 @@ class _PinnedDraws:
 _ON_ONE = ((1, 0, 0), (1.0, 0.0))
 _ON_R = ((0, 1, 0), (1.0, 0.0))
 _NEAR_ONE = ((1, 0, 0), (1.0 - 2.0**-50, 0.0))
+# modulus 1 and r at phases where np.abs of the root gives 1 + 2^-52 and
+# r (1 - 2^-53), but the abs validate takes gives 1 and r: invalid roots
+_ROUNDED_ONE = ((1, 0, 0), (1.0, 0.9350724237877682))
+_ROUNDED_R = ((0, 1, 0), (1.0, 0.5118216247002567))
 
 
 class TestBatteryDraw:
@@ -360,6 +380,8 @@ class TestBatteryDraw:
             ({7: _ON_R, 12: _ON_ONE}, RootOutsideInnerDisk),
             ({9: _NEAR_ONE}, PoleHit),
             ({9: _NEAR_ONE, 12: _ON_ONE}, RootInClosedDisk),
+            ({12: _ROUNDED_ONE}, RootInClosedDisk),
+            ({7: _ROUNDED_R}, RootOutsideInnerDisk),
         ],
     )
     def test_injected_roots_raise_what_validation_raises(self, pins, error, monkeypatch):
@@ -370,7 +392,7 @@ class TestBatteryDraw:
 
         # factored_stack validates every function before any pole check
         with pytest.raises(error) as expected:
-            _sampled_sups(_reference_battery(0.5, 20, 1, pinned))
+            _sups_of(_reference_battery(0.5, 20, 1, pinned))
         monkeypatch.setattr(linalg, "seeded_rng", pinned)
         with pytest.raises(error, match=re.escape(str(expected.value))):
             _stress_battery.__wrapped__(0.5, 20, 1)
@@ -413,13 +435,13 @@ class TestSampledSups:
     def test_adversarial_matches_full_sampling(self, r):
         functions = _adversarial_functions(r, 300, 3)
         ref = np.array([_reference_sup(f) for f in functions])
-        assert np.array_equal(_sampled_sups(functions), ref)
+        assert np.array_equal(_sups_of(functions), ref)
 
     def test_dense_recheck_matches_full_sampling(self):
         functions = _battery_functions(0.5, 100, 2)
         ref = np.array([_reference_sup(f, 1 << 15, 4096) for f in functions])
-        assert np.array_equal(_sampled_sups(functions, 1 << 15, 4096), ref)
-        assert _sampled_sups((functions[7],), 1 << 15, 4096)[0] == ref[7]
+        assert np.array_equal(_sups_of(functions, 1 << 15, 4096), ref)
+        assert _sups_of((functions[7],), 1 << 15, 4096)[0] == ref[7]
 
     def test_cold_build_evaluates_few_nodes(self, monkeypatch):
         evaluated = []
@@ -431,7 +453,7 @@ class TestSampledSups:
 
         functions = _battery_functions(0.5, 2000, 5)
         monkeypatch.setattr(rational.FactoredStack, "abs_at", counting)
-        _sampled_sups(functions)
+        _sups_of(functions)
         # full sampling evaluates 2 x 4096 nodes per function, windows aside
         assert sum(evaluated) <= 0.3 * 2 * 4096 * 2000
 
@@ -444,7 +466,7 @@ class TestSampledSups:
     def test_pole_hit_is_raised(self):
         f = AnnulusRational(r=0.5, q1_roots=(1.0 + 1e-15,))
         with pytest.raises(PoleHit):
-            _sampled_sups((f,))
+            _sups_of((f,))
 
     def test_pole_hit_names_the_first_function(self):
         functions = _battery_functions(0.5, 6, 1)
@@ -452,9 +474,9 @@ class TestSampledSups:
         fifth = AnnulusRational(r=0.5, q2_roots=(0.5 * (1.0 - 1e-15),))
         functions[1], functions[4] = second, fifth
         with pytest.raises(PoleHit, match=re.escape(str(second.q1_roots[1]))):
-            _sampled_sups(functions)
+            _sups_of(functions)
         with pytest.raises(PoleHit, match=re.escape(str(fifth.q2_roots[0]))):
-            _sampled_sups(functions[2:])
+            _sups_of(functions[2:])
 
 
 def _full_sup_ratios(nums, lower, probe, memo, sups, dense, tol):
@@ -560,6 +582,17 @@ class TestLazyRefinement:
         vonneumann_stress(_LAZY_CASES[kind], 0.5, 2000, 1)
         assert np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) < 100
 
+    def test_cold_run_builds_no_function_objects(self, monkeypatch):
+        built = []
+        original = certify._row_function
+        monkeypatch.setattr(certify, "_row_function", lambda *args: built.append(args[-1]) or original(*args))
+        _stress_battery.cache_clear()
+        rep = vonneumann_stress(windowed_matrix(4, 0.5, 3), 0.5, 2000, 1)
+        assert rep.verdict is Verdict.PASSED_STRESS
+        # exact sups were computed, all from the stack
+        assert np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) > 0
+        assert built == []
+
     def test_threads_on_one_cold_battery_match_a_sequential_run(self, monkeypatch):
         kinds = sorted(_LAZY_CASES)
         _stress_battery.cache_clear()
@@ -567,14 +600,14 @@ class TestLazyRefinement:
         _stress_battery.cache_clear()
         battery = _stress_battery(0.5, 2000, 2)
         computed = []
-        original = certify._sampled_sups
+        original = certify._Battery.sampled_sups
 
-        def recording(functions, *args, **kwargs):
-            if not args and not kwargs:
-                computed.extend(battery.functions.index(f) for f in functions)
-            return original(functions, *args, **kwargs)
+        def recording(self, rows, *args, **kwargs):
+            if self is battery and not args and not kwargs:
+                computed.extend(rows.tolist())
+            return original(self, rows, *args, **kwargs)
 
-        monkeypatch.setattr(certify, "_sampled_sups", recording)
+        monkeypatch.setattr(certify._Battery, "sampled_sups", recording)
         start = threading.Barrier(4)
 
         def worker(kind):
