@@ -270,35 +270,38 @@ def default_contour(
 
 def _circle_integral(
     m: np.ndarray,
-    radius: float,
+    outer: float,
+    inner: float,
     nodes: int,
     tols: Tolerances,
     f: AnnulusRational | None = None,
-    rule: linalg.ShiftConditioning | None = None,
 ) -> np.ndarray:
-    """Trapezoid rule for ``(1/2 pi i) * closed integral of f(w) (wI - T)^-1 dw``.
+    """Trapezoid rule for ``(1/2 pi i) * integral of f(w) (wI - T)^-1 dw``
+    over the circle ``|w| = outer`` minus the same over ``|w| = inner``.
 
-    The circle is ``|w| = radius`` and ``f`` defaults to 1.  Nodes are taken
-    in chunks whose stacked resolvents fit ``_CHUNK_BYTES``: each chunk gets
-    one :func:`linalg.resolvents` call (one conditioning ``rule`` for ``T``,
-    the caller's if given, so a contour forms one Schur form; singular values
-    only at nodes its bound leaves undecided; one batched inverse), one
-    vectorized evaluation of ``f`` (with its :class:`PoleHit` check) and one
-    weighted contraction.  Chunks depend only on ``n`` and ``nodes`` and are
-    accumulated in index order, so the reduction is deterministic.
+    ``f`` defaults to 1.  Nodes are taken in chunks whose stacked resolvents
+    fit ``_CHUNK_BYTES``: each chunk gets one :func:`linalg.resolvents` call
+    (one :class:`linalg.ShiftConditioning` for ``T`` serves both circles, so
+    the contour forms one Schur form; singular values only at nodes its bound
+    leaves undecided; one batched inverse), one vectorized evaluation of
+    ``f`` (with its :class:`PoleHit` check) and one weighted contraction.
+    Chunks depend only on ``n`` and ``nodes`` and are accumulated in index
+    order, so the reduction is deterministic.
     """
     n = m.shape[0]
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-    ws = radius * np.exp(1j * theta)
+    ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
     step = max(1, _CHUNK_BYTES // (16 * n * n))
-    if rule is None:
-        rule = linalg.ShiftConditioning(m)
-    acc = np.zeros((n, n), dtype=complex)
-    for start in range(0, nodes, step):
-        w = ws[start : start + step]
-        weights = w if f is None else w * rational.evaluate(f, w)
-        acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols, rule))
-    return acc / nodes
+    rule = linalg.ShiftConditioning(m)
+    integrals = []
+    for radius in (outer, inner):
+        ws = radius * ring
+        acc = np.zeros((n, n), dtype=complex)
+        for start in range(0, nodes, step):
+            w = ws[start : start + step]
+            weights = w if f is None else w * rational.evaluate(f, w)
+            acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols, rule))
+        integrals.append(acc / nodes)
+    return integrals[0] - integrals[1]
 
 
 def eval_contour(
@@ -328,10 +331,7 @@ def eval_contour(
     margin = 1e-10
     if np.any(mods >= outer - margin) or np.any(mods <= inner + margin):
         raise SpectrumOnContour("spectrum touches or escapes the contour")
-    rule = linalg.ShiftConditioning(m)
-    return _circle_integral(m, outer, spec.nodes, tols, f, rule) - _circle_integral(
-        m, inner, spec.nodes, tols, f, rule
-    )
+    return _circle_integral(m, outer, inner, spec.nodes, tols, f)
 
 
 class SpectralPart(enum.Enum):
@@ -359,8 +359,5 @@ def riesz_projection(
         raise NoSpectralGap(f"eigenvalue modulus within delta of the split radius {mid}")
     if np.any(mods >= 1.0 + spec.delta - 1e-12) or np.any(mods <= r - spec.delta + 1e-12):
         raise NoSpectralGap("spectrum escapes the two-circle region")
-    rule = linalg.ShiftConditioning(m)
     outer, inner = (1.0 + spec.delta, mid) if part is SpectralPart.OUTER else (mid, r - spec.delta)
-    return _circle_integral(m, outer, spec.nodes, tols, rule=rule) - _circle_integral(
-        m, inner, spec.nodes, tols, rule=rule
-    )
+    return _circle_integral(m, outer, inner, spec.nodes, tols)

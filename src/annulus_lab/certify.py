@@ -224,26 +224,20 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return _row_function(r, _pack(counts, *_transform(r, counts, *variates)), counts, 0)
 
 
-# Every _COARSE-th equispaced boundary node is evaluated outright; the other
-# nodes of its cell only when a Bernstein bound cannot show them below the
-# sampled maximum.
-_COARSE = 8
-# The Bernstein bound is taken once per block of _BLOCK cells: on the battery
-# that keeps 4.9 % of the nodes as candidates where per-cell bounds keep 4.8 %,
-# at an eighth of the cost.
-_BLOCK = 8
-_CELL_OFFSETS = np.array([o for o in range(-_COARSE // 2, _COARSE // 2) if o])
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# A quarter of calculus._CHUNK_BYTES: each evaluated row also carries its
-# function's coefficients and the bound's temporaries.  With 1 MB chunks the
-# traced peak of a cold battery build was 8.7 MiB, against 3.2 MiB with these
-# and 1.6 MiB for per-function sampling.
+# A quarter of calculus._CHUNK_BYTES: abs_at holds four or five arrays of a
+# chunk's size at once; the traced peak of a dense sup of one row is 1.4 MiB.
 _SUP_CHUNK_BYTES = 1 << 18
 # The battery's sampling: equispaced nodes per circle and nodes per pole window.
 _BASE_NODES = 4096
 _LOCAL_NODES = 512
+# The denser sampling that re-checks a candidate witness.
+_DENSE_NODES = (1 << 15, 4096)
 # Exact sups asked for at a time while the largest ratio is still being found.
 _REFINE_ROWS = 16
+# The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
+# per circle, 64 nodes: a subset of the nodes every sampled sup evaluates.  A
+# lower bound only prunes, so the stride changes no report.
+_LOWER_STRIDE = 64
 
 
 def _moduli(roots: np.ndarray) -> np.ndarray:
@@ -279,120 +273,22 @@ def _chunks(count: int, width: int):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _bernstein_bound(roots: np.ndarray, excess: int, rho, z: np.ndarray, reach) -> np.ndarray:
-    """Bound on ``|df/dθ| / sup_{|w| = rho} |f|`` at the points ``w`` of the
-    circle of radius ``rho`` within distance ``reach`` of ``z``, shape of ``z``.
-
-    The rational Bernstein inequality of Borwein & Erdélyi (*Mathematika* 43,
-    1996), rescaled to radius ``rho``: ``max(sum_{|a|>rho} (|a|^2-rho^2) /
-    |a-w|^2 + excess, sum_{|a|<rho} (rho^2-|a|^2) / |a-w|^2)``.  Row ``i`` of
-    ``roots`` holds the roots of function ``i``, none on the circle;
-    ``excess`` is the numerator degree above the root count (poles at
-    infinity).  ``|a - w|`` is bounded below by ``|a - z| - reach`` and by
-    ``||a| - rho|``, with slack for rounding.  ``rho`` and ``reach``
-    broadcast against ``z``, whose first axis runs over the rows.
-    """
-    outer = np.full(z.shape, float(excess))
-    inner = np.zeros(z.shape)
-    tail = (slice(None),) + (np.newaxis,) * (z.ndim - 1)
-    for col in range(roots.shape[1]):
-        mod = np.abs(roots[:, col])[tail]
-        gap = np.abs(mod - rho)
-        dist = np.maximum(np.abs(z - roots[:, col][tail]) * (1.0 - 1e-12) - reach, gap * (1.0 - 1e-12))
-        with np.errstate(divide="ignore"):
-            term = gap * (mod + rho) / dist**2
-        outside = mod > rho
-        outer += np.where(outside, term, 0.0)
-        inner += np.where(outside, 0.0, term)
-    return np.maximum(outer, inner) * (1.0 + 1e-9)
-
-
-def _candidate_cells(stack, rho, z, v, floor, nodes: int) -> np.ndarray:
-    """Cells whose uncomputed nodes may reach ``floor``, shape of ``v``.
-
-    ``v[i, c, j]`` is ``|f_i|`` at coarse node ``z[i, c, j]`` of circle ``c``
-    (radius ``rho[i, c]``); its cell is the arc ``|θ - θ_j| <= h``.  On that
-    arc ``|f(θ)| <= |f(θ_j)| + h B_cell S``, where ``B_cell`` is the Bernstein
-    bound over the block of ``_BLOCK`` cells holding the cell and
-    ``S <= (M + eta) / (1 - h max B_cell)`` bounds the circle's sup from the
-    coarse maximum ``M``.  ``eta`` bounds the rounding of one computed value
-    and the offset of a computed node from the circle, from the a-priori bound
-    ``F = sum |p_k| rho^k / (|scale| prod ||a| - rho|)`` on ``|f|`` near the
-    circle.  A cell is excluded when ``v + eta + h B_cell S < floor - eta``;
-    every cell of a circle is kept when ``h max B_cell >= 1/2`` or when
-    intermediates could leave the range where that bound on the rounding
-    holds.
-    """
-    h = np.pi * _COARSE / nodes * (1.0 + 1e-6)
-    roots, lp, nr = stack.roots, stack.p.shape[1], stack.roots.shape[1]
-    mods = np.abs(roots)[:, np.newaxis, :]
-    gap = np.abs(mods - rho[:, :, np.newaxis])
-    scale = np.abs(stack.scale)[:, np.newaxis]
-    num_hi = (np.abs(stack.p)[:, np.newaxis, :] * rho[:, :, np.newaxis] ** np.arange(lp)).sum(axis=2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bound = num_hi / (scale * gap.prod(axis=2))
-        eta = 32.0 * _UNIT_ROUNDOFF * bound * (lp + nr + 4 + (rho[:, :, np.newaxis] / gap).sum(axis=2))
-        # a block centred on coarse node c spans cells c - _BLOCK/2 .. c + _BLOCK/2 - 1
-        blocks = z[:, :, _BLOCK // 2 :: _BLOCK]
-        reach = ((_BLOCK + 1) * rho * h)[:, :, np.newaxis]
-        bern = _bernstein_bound(roots, max(lp - 1 - nr, 0), rho[:, :, np.newaxis], blocks, reach)
-        bern = np.repeat(bern, _BLOCK, axis=2)
-        hb = h * bern.max(axis=2)
-        ok = (
-            np.isfinite(v).all(axis=2)
-            & (hb < 0.5)
-            & (bound > 1e-150)
-            & (num_hi < 1e150)
-            & (scale * np.minimum(gap, 1.0).prod(axis=2) > 1e-150)
-            & (scale * np.maximum(mods + rho[:, :, np.newaxis], 1.0).prod(axis=2) < 1e150)
-        )
-        sup = (v.max(axis=2) + eta) / (1.0 - hb)
-        top = (v + 2.0 * eta[:, :, np.newaxis] + h * bern * sup[:, :, np.newaxis]) * (1.0 + 1e-12)
-    return ~(ok[:, :, np.newaxis] & (top < floor[:, np.newaxis, np.newaxis]))
-
-
-def _coarse_values(stack, r: float, coarse: np.ndarray):
-    """``|f_i|`` at the nodes ``coarse`` of both circles (radii 1 and ``r``)
-    of each row of ``stack``, one chunk of ``_SUP_CHUNK_BYTES`` at a time:
-    yields the chunk's row slice, radii ``rho`` (circle 0 is the unit
-    circle), nodes ``z`` and values ``v``, each of shape
-    ``(rows, 2, coarse.size)`` but ``rho``."""
-    for sl in _chunks(stack.p.shape[0], 2 * coarse.size):
-        rho = np.repeat([[1.0, r]], sl.stop - sl.start, axis=0)
-        z = rho[:, :, np.newaxis] * coarse
-        v = stack.take(sl).abs_at(z.reshape(z.shape[0], -1)).reshape(z.shape)
-        yield sl, rho, z, v
-
-
-def _group_sups(r: float, stack, windows, ring: np.ndarray, local_nodes: int) -> np.ndarray:
-    """Sampled sups of the rows of ``stack``, functions sharing
-    ``(len(p), #roots)``, with the pole ``windows``
-    ``(row, radius, theta0, half_width)``."""
-    best = np.full(stack.p.shape[0], -np.inf)
-    row, *window = windows
-    for sl in _chunks(row.size, local_nodes):
-        vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
-        np.maximum.at(best, row[sl], vals.max(axis=1))
-    nodes = ring.size
-    for sl, rho, z, v in _coarse_values(stack, r, ring[::_COARSE]):
-        sub = stack.take(sl)
-        best[sl] = np.maximum(best[sl], v.max(axis=(1, 2)))
-        row, circle, cell = np.nonzero(_candidate_cells(sub, rho, z, v, best[sl], nodes))
-        # each candidate cell is one row: its other nodes and its function
-        for part in _chunks(row.size, _CELL_OFFSETS.size + stack.p.shape[1] + stack.roots.shape[1]):
-            fine = (cell[part, np.newaxis] * _COARSE + _CELL_OFFSETS) % nodes
-            pts = rho[row[part], circle[part], np.newaxis] * ring[fine]
-            vals = sub.take(row[part]).abs_at(pts)
-            np.maximum.at(best, row[part] + sl.start, vals.max(axis=1))
-    return best
+def _circle_values(stack, r: float, nodes: np.ndarray):
+    """``|f_i|`` at the points ``nodes`` of the unit circle and at ``r``
+    times them, for each row of ``stack``, one chunk of ``_SUP_CHUNK_BYTES``
+    at a time: yields the chunk's row slice and its values, of shape
+    ``(rows, 2 * nodes.size)``."""
+    z = np.concatenate([nodes, r * nodes])
+    for sl in _chunks(stack.p.shape[0], z.size):
+        yield sl, stack.take(sl).abs_at(z)
 
 
 @lru_cache(maxsize=8)
 def _ring(base_nodes: int) -> np.ndarray:
     """``base_nodes`` equispaced points of the unit circle, from 1, as a
     read-only array cached per node count."""
-    if base_nodes < 64 or base_nodes % (_COARSE * _BLOCK):
-        raise ValueError(f"need a positive multiple of {_COARSE * _BLOCK} nodes per circle")
+    if base_nodes < _LOWER_STRIDE or base_nodes % _LOWER_STRIDE:
+        raise ValueError(f"need a positive multiple of {_LOWER_STRIDE} nodes per circle")
     ring = np.exp(1j * (2.0 * np.pi * np.arange(base_nodes) / base_nodes))
     ring.flags.writeable = False
     return ring
@@ -426,38 +322,33 @@ def _sampled_sups(r: float, stack, counts, base_nodes: int = _BASE_NODES, local_
     equispaced nodes on each boundary circle and over ``local_nodes`` in a
     window around each pole near a circle.
 
-    Every value is that max bit for bit, but most equispaced nodes are
-    excluded by proof instead of evaluated: every ``_COARSE``-th node is
-    evaluated (:func:`_coarse_values`), and the rest of its cell only when
-    a Bernstein bound on ``|df/dθ|`` cannot show the cell below the
-    function's sampled maximum (:func:`_candidate_cells`).  Rows sharing
-    ``(len(p), #roots)`` go through :meth:`rational.FactoredStack.abs_at`
-    together, at their own widths (padding would add roots to the Bernstein
-    bound), in chunks of ``_SUP_CHUNK_BYTES``, so each value depends on its
-    row alone.  ``base_nodes`` must be a positive multiple of 64.  The rows
-    must be valid (the battery validates its stack once, when it is built);
-    :class:`PoleHit` is raised first, by :func:`_check_poles` on this
-    call's own nodes.
+    Every node is evaluated, through :meth:`rational.FactoredStack.abs_at`,
+    which is :func:`rational.evaluate` bit for bit whatever the padding: the
+    pole windows, then the circles in pieces of ``_BASE_NODES`` nodes
+    (:func:`_circle_values`), so the dense re-check holds no more at once
+    than the battery's sampling.  The max of the pieces' maxima is the max
+    over all nodes.  ``base_nodes`` must be a positive multiple of
+    ``_LOWER_STRIDE``.  The rows must be valid (the battery validates its
+    stack once, when it is built); :class:`PoleHit` is raised first, by
+    :func:`_check_poles` on this call's own nodes.
     """
     ring = _ring(base_nodes)
     _check_poles(r, stack, counts, ring, local_nodes)
+    sups = np.full(counts.shape[0], -np.inf)
     row, *window = _pole_windows(r, stack, counts)
-    lp, nr = counts[:, 2], counts[:, 0] + counts[:, 1]
-    sups = np.empty(lp.size)
-    for p_width, r_width in set(zip(lp.tolist(), nr.tolist())):
-        members = np.flatnonzero((lp == p_width) & (nr == r_width))
-        rw = np.s_[members, :r_width]
-        sub = rational.FactoredStack(stack.p[members, :p_width], stack.roots[rw], stack.mask[rw], stack.scale[members])
-        mine = (lp[row] == p_width) & (nr[row] == r_width)
-        windows = (np.searchsorted(members, row[mine]), *(w[mine] for w in window))
-        sups[members] = _group_sups(r, sub, windows, ring, local_nodes)
+    for sl in _chunks(row.size, local_nodes):
+        vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
+        np.maximum.at(sups, row[sl], vals.max(axis=1))
+    for lo in range(0, base_nodes, _BASE_NODES):
+        for sl, vals in _circle_values(stack, r, ring[lo : lo + _BASE_NODES]):
+            sups[sl] = np.maximum(sups[sl], vals.max(axis=1))
     return sups
 
 
 class _Battery:
     """Test-function battery as arrays: the padded factored stack, each
     row's ``(k1, k2, len(p))``, a cheap lower bound on each sampled sup, and
-    a memo of exact sups.
+    memos of exact sups and of their dense re-checks.
 
     The stack is validated and pole-checked once, at build, and every sup is
     read from it (:meth:`sampled_sups`); :meth:`function` builds row ``i``
@@ -468,11 +359,13 @@ class _Battery:
     those nodes too, and ``abs_at`` is :func:`rational.evaluate` bit for
     bit, so ``lower[i] <= sampled_sups([i])[0]`` exactly.
     :meth:`exact_sups` computes the sups on demand and keeps them in
-    :attr:`memo`.  The memo only gains entries, each a deterministic value,
-    so which calls filled it never changes a result.  Readers take no lock:
-    :attr:`memo` is a read-only snapshot, replaced whole under ``_lock`` by a
-    copy holding the new entries, so a reader sees some earlier snapshot and
-    no update is lost.
+    :attr:`memo`, or with ``dense=True`` the ``_DENSE_NODES`` re-checks in
+    :attr:`dense`: a refuting row recurs across a corpus, so it is
+    re-checked once per battery.  A memo only gains entries, each a
+    deterministic value, so which calls filled it never changes a result.
+    Readers take no lock: each memo is a read-only snapshot, replaced whole
+    under ``_lock`` by a copy holding the new entries, so a reader sees some
+    earlier snapshot and no update is lost.
     """
 
     def __init__(self, r: float, stack: rational.FactoredStack, counts: np.ndarray, lower: np.ndarray):
@@ -483,7 +376,7 @@ class _Battery:
         self.lower.flags.writeable = False
         memo = np.full(lower.size, np.nan)
         memo.flags.writeable = False
-        self.memo = memo
+        self.memo = self.dense = memo
         self._lock = threading.Lock()
 
     def function(self, i: int) -> AnnulusRational:
@@ -512,25 +405,23 @@ class _Battery:
         """:func:`_sampled_sups` of the rows ``rows``, read from the stack."""
         return _sampled_sups(self.r, self.stack.take(rows), self.counts[rows], base_nodes, local_nodes)
 
-    def exact_sups(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`sampled_sups` of the rows ``rows``, from the memo where it
-        holds them (NaN marks an entry not yet computed)."""
-        memo = self.memo
+    def exact_sups(self, rows: np.ndarray, dense: bool = False) -> np.ndarray:
+        """:meth:`sampled_sups` of the rows ``rows``, at ``_DENSE_NODES`` if
+        ``dense``, from the memo where it holds them (NaN marks an entry not
+        yet computed)."""
+        name = "dense" if dense else "memo"
+        memo = getattr(self, name)
         missing = rows[np.isnan(memo[rows])]
         if missing.size:
-            found = self.sampled_sups(missing)
+            found = self.sampled_sups(missing, *_DENSE_NODES) if dense else self.sampled_sups(missing)
             with self._lock:
-                memo = self.memo.copy()
+                memo = getattr(self, name).copy()
                 memo[missing] = found
                 memo.flags.writeable = False
-                self.memo = memo
+                setattr(self, name, memo)
         return memo[rows]
 
 
-# The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
-# per circle, 64 nodes: a subset of the coarse nodes every sampled sup
-# evaluates.  A lower bound only prunes, so the stride changes no report.
-_LOWER_STRIDE = 64
 # The canonical probes z and r/z as (k1, k2, len(p)) rows; packed flat, their
 # coefficients are (0, 1, r) and their one root is 0.
 _PROBE_COUNTS = np.array([[0, 0, 2], [0, 1, 1]])
@@ -580,8 +471,8 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     _check_rows(r, stack, counts)
     _check_poles(r, stack, counts, ring, _LOCAL_NODES)
     lower = np.empty(trials)
-    for sl, _, _, v in _coarse_values(stack, float(r), ring[::_LOWER_STRIDE]):
-        lower[sl] = v.max(axis=(1, 2))
+    for sl, vals in _circle_values(stack, float(r), ring[::_LOWER_STRIDE]):
+        lower[sl] = vals.max(axis=1)
     return _Battery(float(r), stack, counts, lower)
 
 
@@ -656,15 +547,15 @@ def vonneumann_stress(
     node-sampled boundary maximum, improved by pole-adaptive
     refinement and by ``|f|`` at the spectrum projected into the annulus
     (interior values never exceed the boundary sup).  The sampled maxima are
-    those of 4096 equispaced nodes per circle plus 512 per pole window, found
-    by :func:`_sampled_sups` from a coarse pass and a Bernstein bound on the
-    cells between its nodes, read from the battery's packed stack
+    those of 4096 equispaced nodes per circle plus 512 per pole window, each
+    node evaluated by :func:`_sampled_sups` on the battery's packed stack
     (:meth:`_Battery.sampled_sups`), which was validated once when it was
     built; each sampling pole-checks its own nodes.  Candidate violations
     are re-checked together, through the same routine, against a denser
-    sampling (``1 << 15`` nodes plus 4096 per window) before one is
-    accepted as a witness, so
-    ``Refuted`` reports replay deterministically.  That re-check still
+    sampling (``_DENSE_NODES``: ``1 << 15`` nodes plus 4096 per window)
+    before one is accepted as a witness, so ``Refuted`` reports replay
+    deterministically; the battery memoizes the re-checks as it does the
+    sups (:meth:`_Battery.exact_sups`).  That re-check still
     samples, so a witness is not a proof: on the 2000-function batteries
     of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
     refined sup by up to 3.0e-5 relative.
@@ -743,7 +634,7 @@ def vonneumann_stress(
         at_probes,
         battery.memo[rows],
         lambda sel: battery.exact_sups(rows[sel]),
-        lambda sel: battery.sampled_sups(rows[sel], 1 << 15, 4096),
+        lambda sel: battery.exact_sups(rows[sel], dense=True),
         tols.verify_tol,
     )
     if witness is not None:
@@ -793,12 +684,13 @@ def cnn_split(t, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarra
     if m.shape[0] != m.shape[1]:
         raise NoConvergence("cnn_split needs a square matrix")
     n = m.shape[0]
-    scale = max(1.0, linalg.operator_norm(m) ** 2)
+    norm = linalg.operator_norm(m)
+    scale = max(1.0, norm**2)
     comm = m.conj().T @ m - m @ m.conj().T
     basis = _orth(comm, tols.rank_tol * scale)
     while basis.shape[1] < n:
         grown = np.hstack([basis, m @ basis, m.conj().T @ basis])
-        new_basis = _orth(grown, tols.rank_tol * max(1.0, linalg.operator_norm(m)))
+        new_basis = _orth(grown, tols.rank_tol * max(1.0, norm))
         if new_basis.shape[1] == basis.shape[1]:
             basis = new_basis
             break

@@ -161,7 +161,9 @@ def solve(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Solve ``A X = B`` for well-conditioned square ``A``.
 
     Raises :class:`Singular` when the condition estimate exceeds
-    ``1 / rank_tol`` (smallest singular value below ``rank_tol * largest``).
+    ``1 / rank_tol`` (smallest singular value below ``rank_tol * largest``),
+    or when the solution is not finite: a well-conditioned ``A`` of
+    subnormal scale, such as ``1e-310 * I``, has an inverse that overflows.
     """
     ma = as_matrix(a)
     _require_square(ma)
@@ -170,7 +172,10 @@ def solve(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         raise DimensionMismatch(f"A is {ma.shape}, B is {mb.shape}")
     if _ill_conditioned(np.linalg.svd(ma, compute_uv=False), tols):
         raise Singular(f"condition estimate exceeds {1.0 / tols.rank_tol:.1e}")
-    return np.linalg.solve(ma, mb)
+    x = np.linalg.solve(ma, mb)
+    if not np.isfinite(x).all():
+        raise Singular("the solution overflows")
+    return x
 
 
 def _ill_conditioned(svals: np.ndarray, tols: Tolerances):

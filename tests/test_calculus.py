@@ -269,7 +269,7 @@ class TestBatchedQuadrature:
         w3 = 1.1 * np.exp(2j * np.pi * 3.5 / nodes)
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(w3,))
         with pytest.raises(PoleHit):
-            calculus._circle_integral(np.diag([0.7, 0.8]), 1.1, nodes, linalg.DEFAULT_TOLS, f)
+            calculus._circle_integral(np.diag([0.7, 0.8]), 1.1, 0.4, nodes, linalg.DEFAULT_TOLS, f)
 
     def test_decompose_near_one_stays_in_fixed_memory(self):
         r = 0.999

@@ -25,7 +25,6 @@ from annulus_lab.certify import (
     williams_verdict,
     windowed_matrix,
     sample_test_function,
-    _bernstein_bound,
     _clamp_to_annulus,
     _sampled_sups,
     _stress_battery,
@@ -419,7 +418,7 @@ def _adversarial_functions(r, count, seed):
 
 
 class TestSampledSups:
-    """The coarse pass plus Bernstein cells gives the full sampling's maxima."""
+    """Sampled sups are the full sampling's maxima, bit for bit."""
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     def test_battery_matches_full_sampling(self, r):
@@ -443,19 +442,24 @@ class TestSampledSups:
         assert np.array_equal(_sups_of(functions, 1 << 15, 4096), ref)
         assert _sups_of((functions[7],), 1 << 15, 4096)[0] == ref[7]
 
-    def test_cold_build_evaluates_few_nodes(self, monkeypatch):
-        evaluated = []
-        original = rational.FactoredStack.abs_at
-
-        def counting(stack, points):
-            evaluated.append(stack.p.shape[0] * (points.shape[-1]))
-            return original(stack, points)
-
-        functions = _battery_functions(0.5, 2000, 5)
-        monkeypatch.setattr(rational.FactoredStack, "abs_at", counting)
-        _sups_of(functions)
-        # full sampling evaluates 2 x 4096 nodes per function, windows aside
-        assert sum(evaluated) <= 0.3 * 2 * 4096 * 2000
+    def test_one_dense_sup_stays_in_fixed_memory(self):
+        # a row with four poles near the circles, so four 4096-node windows too
+        f = AnnulusRational(
+            r=0.5,
+            p_coeffs=(1.0, 0.5, 0.25, 0.125, 0.0625),
+            q1_roots=(1.01, 1.05j),
+            q2_roots=(-0.49, -0.45j),
+        )
+        certify._ring(1 << 15)
+        tracemalloc.start()
+        try:
+            _sups_of((f,), 1 << 15, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.4 MiB, most of it the windows; the circles taken whole, not in
+        # 4096-node pieces, would peak near 5 MiB
+        assert peak <= 2 * 2**20
 
     def test_rings_are_cached_read_only(self):
         ring = certify._ring(4096)
@@ -592,6 +596,37 @@ class TestLazyRefinement:
         # exact sups were computed, all from the stack
         assert np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) > 0
         assert built == []
+
+    def test_warm_battery_rechecks_no_witness_twice(self, monkeypatch):
+        _stress_battery.cache_clear()
+        first = vonneumann_stress(example_matrix(0.5), 0.5, 2000, 2)
+        assert first.verdict is Verdict.REFUTED
+        battery = _stress_battery(0.5, 2000, 2)
+        rows = np.flatnonzero(~np.isnan(battery.dense))
+        assert rows.size and np.array_equal(battery.dense[rows], battery.sampled_sups(rows, 1 << 15, 4096))
+        monkeypatch.setattr(certify, "_sampled_sups", lambda *args: pytest.fail("sup computed"))
+        assert vonneumann_stress(example_matrix(0.5), 0.5, 2000, 2).to_json() == first.to_json()
+
+    def test_threads_lose_no_dense_recheck(self):
+        battery = _stress_battery.__wrapped__(0.5, 200, 2)
+        parts = [np.arange(k, 24, 6) for k in range(6)]
+        start = threading.Barrier(6)
+
+        def worker(rows):
+            start.wait()
+            return battery.exact_sups(rows, dense=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = [future.result(timeout=120) for future in [pool.submit(worker, rows) for rows in parts]]
+        finally:
+            sys.setswitchinterval(interval)
+        want = battery.sampled_sups(np.arange(24), 1 << 15, 4096)
+        assert all(np.array_equal(g, want[rows]) for g, rows in zip(got, parts))
+        assert np.array_equal(battery.dense[:24], want) and np.isnan(battery.dense[24:]).all()
+        assert np.isnan(battery.memo).all()
 
     def test_threads_on_one_cold_battery_match_a_sequential_run(self, monkeypatch):
         kinds = sorted(_LAZY_CASES)
@@ -744,38 +779,6 @@ class TestVonNeumannScreen:
         for nums in seen:
             for i, num in zip(battery.two_sided[0], nums):
                 assert num <= _split_bound(battery.function(i)) * (1.0 + 1e-6)
-
-
-class TestBernsteinBound:
-    NODES = 16384
-
-    @staticmethod
-    def _sides(f, rho, nodes):
-        """``|df/dθ|`` and ``B sampled_sup`` on the circle of radius ``rho``."""
-        z = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        roots = np.array(f.q1_roots + f.q2_roots, dtype=complex)
-        p = np.array(f.p_coeffs)
-        dp = np.polyval((p[1:] * np.arange(1, p.size))[::-1], z) if p.size > 1 else np.zeros_like(z)
-        den = f.scale * np.prod(z[:, np.newaxis] - roots, axis=1)
-        # f' = f (p'/p - sum 1/(z - a)), multiplied through by p
-        fprime = (dp - np.polyval(p[::-1], z) * np.sum(1.0 / (z[:, np.newaxis] - roots), axis=1)) / den
-        bound = _bernstein_bound(
-            roots[np.newaxis, :], max(p.size - 1 - roots.size, 0), rho, z[np.newaxis, :], 0.0
-        )[0]
-        return rho * np.abs(fprime), bound * np.abs(evaluate(f, z)).max()
-
-    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
-    def test_holds_on_battery_functions(self, r):
-        for f in _battery_functions(r, 150, 4):
-            for rho in (1.0, r):
-                deriv, bound = self._sides(f, rho, self.NODES)
-                assert np.all(deriv <= bound * (1.0 + 1e-9))
-
-    def test_sharp_for_a_monomial(self):
-        f = AnnulusRational(r=0.5, p_coeffs=(0.0, 0.0, 0.0, 0.0, 1.0))
-        for rho in (1.0, 0.5):
-            deriv, bound = self._sides(f, rho, self.NODES)
-            assert_allclose(deriv / bound, 1.0, rtol=1e-8)
 
 
 def _reference_direct(f, t):

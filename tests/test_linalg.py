@@ -6,14 +6,16 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from annulus_lab import linalg
+from annulus_lab import calculus, certify, dilation, linalg
 from annulus_lab.errors import (
     DimensionMismatch,
+    NotInvertible,
     NotIsometric,
     NotNormal,
     NotSquare,
     Singular,
 )
+from annulus_lab.rational import AnnulusRational
 from annulus_lab.linalg import (
     DEFAULT_TOLS,
     Tolerances,
@@ -154,6 +156,30 @@ class TestSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve(np.eye(2), np.eye(3))
+
+    _TINY = 1e-310 * np.eye(2)
+    _F = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda t, f: linalg.inverse(t),
+            lambda t, f: certify.vonneumann_stress(t, 0.5, 50, 1),
+            lambda t, f: certify.full_certification(t, 0.5, 50, 1),
+            lambda t, f: certify.double_contraction_check(t, 0.5),
+            lambda t, f: dilation.build_model(t, 0.5, 4),
+            lambda t, f: calculus.eval_laurent(f, t, 8),
+            lambda t, f: calculus.laurent_remainder_bound(f, t, 8),
+        ],
+        ids=["inverse", "vonneumann_stress", "full_certification", "double_contraction_check",
+             "build_model", "eval_laurent", "laurent_remainder_bound"],
+    )
+    def test_an_overflowing_solution_is_singular_on_every_route(self, route):
+        # 1e-310 * I is perfectly conditioned, but its inverse overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((Singular, NotInvertible)):
+                route(self._TINY, self._F)
 
 
 class TestRandomUnitary:
