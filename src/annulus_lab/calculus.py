@@ -141,6 +141,7 @@ def eval_laurent(
     ``1 + verify_tol``; the certified remainder for this route is available
     from :func:`laurent_remainder_bound`.
     """
+    order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
     series = rational.laurent_expand(f, order)
     norm_t = linalg.operator_norm(m)
@@ -173,6 +174,7 @@ def laurent_remainder_bound(
     Uses the tail models of the expansion inflated by the measured
     ``||T||`` and ``||r T^{-1}||``.
     """
+    order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
     series = rational.laurent_expand(f, order)
     norm_t = linalg.operator_norm(m)
@@ -201,10 +203,9 @@ class ContourSpec:
     nodes: int = 512
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes per circle")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        linalg.as_integer(self.nodes, "nodes", 16)
 
 
 # Node clamp shared by default_contour and ar_unitary.decompose, and the
@@ -352,6 +353,7 @@ def riesz_projection(
     of ``delta`` on each side, stay inside ``|w| = 1 + delta`` and outside
     ``|w| = r - delta``.
     """
+    linalg.require_radius(r)
     m = linalg.as_matrix(t)
     mid = 0.5 * (1.0 + r)
     mods = np.abs(linalg.spectrum(m))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus, linalg, rational
 from ._version import __version__
-from .errors import BadRadius, NoConvergence, NotContraction, NotInvertible, Singular
+from .errors import NoConvergence, NotContraction, NotInvertible, Singular
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
 
@@ -34,8 +34,7 @@ def example_matrix(r: float) -> np.ndarray:
     Completely non-normal with ``sigma(T*T) = {1, r^2}``; it satisfies every
     necessary condition yet the annulus is not a spectral set for it.
     """
-    if not (0.0 < r < 1.0):
-        raise BadRadius(f"inner radius must be in (0, 1), got {r}")
+    linalg.require_radius(r)
     s = np.sqrt(r)
     return np.array([[s, 1.0 - r], [0.0, s]], dtype=complex)
 
@@ -136,27 +135,32 @@ def _draw(rngs) -> tuple:
     ``rngs``, in the order the distribution draws them: the root counts
     ``k1`` and ``k2``, a (modulus, argument) pair of uniforms per root, outer
     roots first, the numerator degree, then the real and imaginary parts of
-    the coefficients, redrawn while every one is zero.
+    the coefficients, redrawn while every one is zero.  Each generator is
+    done with before the next is taken, as :func:`linalg.seeded_rngs` needs;
+    the real and imaginary parts are one ``standard_normal`` call, which
+    draws the bits of the two calls in turn.
 
     Returns ``counts`` (rows of ``(k1, k2, deg + 1)``) and the uniforms,
     real parts and imaginary parts of all rows, each flat in row order.
     """
-    counts, uniforms, real, imag = [], [], [], []
+    counts, uniforms, normals = [], [], []
     for rng in rngs:
         k1 = int(rng.integers(0, 5))
         k2 = int(rng.integers(0, 5))
         uniforms.append(rng.random(2 * (k1 + k2)))
         deg = int(rng.integers(0, 5))
-        while True:
-            re, im = rng.standard_normal(deg + 1), rng.standard_normal(deg + 1)
-            # (re + 1j im) / sqrt(2) has a nonzero entry iff re or im has one
-            if re.any() or im.any():
-                break
+        # (re + 1j im) / sqrt(2) has a nonzero entry iff re or im has one
+        pair = rng.standard_normal(2 * (deg + 1))
+        while not np.count_nonzero(pair):
+            pair = rng.standard_normal(2 * (deg + 1))
         counts.append((k1, k2, deg + 1))
-        real.append(re)
-        imag.append(im)
-    flat = (np.concatenate(parts) if parts else np.empty(0) for parts in (uniforms, real, imag))
-    return (np.array(counts, dtype=int).reshape(-1, 3), *flat)
+        normals.append(pair)
+    counts = np.array(counts, dtype=int).reshape(-1, 3)
+    uniforms, normals = (np.concatenate(parts) if parts else np.empty(0) for parts in (uniforms, normals))
+    # each row's pair holds its deg + 1 real parts, then its imaginary parts
+    lp = counts[:, 2]
+    real = _slots(2 * lp)[1] < np.repeat(lp, 2 * lp)
+    return counts, uniforms, normals[real], normals[~real]
 
 
 def _slots(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +222,11 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     uniform on {0..4} with unit complex Gaussian coefficients; scale 1.  It
     is the one-row case of the battery's draw (:func:`_draw`,
     :func:`_transform`, :func:`_pack`), so the battery's functions are
-    those this returns for the generators ``linalg.seeded_rng(seed, 17, i)``.
+    those this returns for the generators ``linalg.seeded_rng(seed, 17, i)``,
+    which the battery takes in bulk from :func:`linalg.seeded_rngs`.
+    :class:`BadRadius` is raised unless ``0 < r < 1``.
     """
+    linalg.require_radius(r)
     counts, *variates = _draw([rng])
     return _row_function(r, _pack(counts, *_transform(r, counts, *variates)), counts, 0)
 
@@ -448,8 +455,10 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
 
     Trials 0 and 1 are the canonical probes ``z`` and ``r/z`` (they expose
     norm-window violations exactly); trial ``i >= 2`` is
-    ``sample_test_function(r, linalg.seeded_rng(seed, 17, i))``.  Each
-    generator makes its own draws (:func:`_draw`); the variates of all rows
+    ``sample_test_function(r, linalg.seeded_rng(seed, 17, i))``.  The
+    generators come from ``linalg.seeded_rngs(seed, 17, 2, trials)``, which
+    keys them all in one pass instead of building a SeedSequence per row;
+    each makes its own draws (:func:`_draw`), and the variates of all rows
     are transformed in one vectorized pass and written straight into the
     padded stack (:func:`_transform`, :func:`_pack`), so no
     :class:`AnnulusRational` is built here.  Every row is validated
@@ -461,7 +470,7 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     the same battery (e.g. a corpus sweep) share the draws and the memo.
     """
     probes = min(trials, len(_PROBE_COUNTS))
-    counts, *variates = _draw(linalg.seeded_rng(seed, 17, i) for i in range(probes, trials))
+    counts, *variates = _draw(linalg.seeded_rngs(seed, 17, probes, trials))
     p, roots = _transform(r, counts, *variates)
     counts = np.concatenate([_PROBE_COUNTS[:probes], counts])
     p = np.concatenate([np.array([0.0, 1.0, r], dtype=complex)[: counts[:probes, 2].sum()], p])
@@ -594,8 +603,7 @@ def vonneumann_stress(
     ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
     ``>= 0``, before any other work.
     """
-    if not (0.0 < r < 1.0):
-        raise BadRadius(f"inner radius must be in (0, 1), got {r}")
+    linalg.require_radius(r)
     trials = linalg.as_integer(trials, "trials", 0)
     seed = linalg.as_integer(seed, "seed", 0)
     m = linalg.as_matrix(t)
@@ -768,6 +776,7 @@ def normal_annulus_matrix(n: int, r: float, seed: int) -> np.ndarray:
     Normality plus spectrum location makes these certified positives for the
     stress battery.
     """
+    linalg.require_radius(r)
     rng = linalg.seeded_rng(seed, 101)
     mods = r + (1.0 - r) * rng.random(n)
     lams = mods * np.exp(2j * np.pi * rng.random(n))
@@ -781,6 +790,7 @@ def windowed_matrix(n: int, r: float, seed: int) -> np.ndarray:
     Such matrices satisfy the double-contraction necessary condition:
     ``||T|| <= 1`` and ``||r T^{-1}|| = r / min sigma_i <= 1``.
     """
+    linalg.require_radius(r)
     rng = linalg.seeded_rng(seed, 202)
     svals = r + (1.0 - r) * rng.random(n)
     u = linalg.random_unitary(n, seed * 3 + 1)

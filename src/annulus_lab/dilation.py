@@ -53,7 +53,6 @@ import numpy as np
 from . import calculus, linalg, rational
 from ._version import __version__
 from .errors import (
-    BadRadius,
     BudgetExceeded,
     DimensionMismatch,
     InvalidRational,
@@ -386,8 +385,7 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
     """Model for an invertible ``T`` with ``T`` and ``r T^{-1}`` contractions,
     at a budget ``d`` that is an integer >= 1 (numpy's too, not a ``bool``)."""
     m = linalg.as_matrix(t)
-    if not 0.0 < r < 1.0:
-        raise BadRadius(f"inner radius must be in (0, 1), got {r}")
+    linalg.require_radius(r)
     d = linalg.as_integer(d, "degree budget", 1)
     try:
         t2 = r * linalg.inverse(m, tols)

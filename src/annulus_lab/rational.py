@@ -33,7 +33,7 @@ from .errors import (
     RootInClosedDisk,
     RootOutsideInnerDisk,
 )
-from .linalg import complex_from_pair, json_number
+from .linalg import as_integer, complex_from_pair, json_number, require_radius
 
 _POLE_TOL = 1e-14
 
@@ -69,8 +69,7 @@ class AnnulusRational:
 def validate(f: AnnulusRational) -> None:
     """Check the root-location invariants and that every entry is finite,
     raising on the first violation."""
-    if not (0.0 < f.r < 1.0):
-        raise BadRadius(f"inner radius must be in (0, 1), got {f.r}")
+    require_radius(f.r)
     if len(f.p_coeffs) == 0 or f.scale == 0:
         raise InvalidRational("numerator empty or scale is zero")
     for v in f.p_coeffs + f.q1_roots + f.q2_roots + (f.scale,):
@@ -488,10 +487,8 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
     dropped tail is bounded by its exact coefficient moduli over ``_MARGIN``
     terms past the order, then by a positive majorant series in closed form.
     """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
+    m = as_integer(order, "order", 1)
     _checked(f)
-    m = int(order)
     a_full, b_full, b_scaled, pos, neg = _series_data(f, _length_for(f, m))
     tail_pos, tail_neg, tail_bound = _tail_bounds(pos, neg, m)
     a = a_full[: m + 1].copy()
@@ -517,11 +514,10 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
 def laurent_tail_bound(f: AnnulusRational, order: int) -> float:
     """``laurent_expand(f, order).tail_bound`` bit for bit, from the tail
     models alone: no truncated product is formed."""
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
+    order = as_integer(order, "order", 1)
     _checked(f)
-    *_, pos, neg = _series_data(f, _length_for(f, int(order)))
-    return _tail_bounds(pos, neg, int(order))[2]
+    *_, pos, neg = _series_data(f, _length_for(f, order))
+    return _tail_bounds(pos, neg, order)[2]
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:

@@ -18,6 +18,7 @@ from annulus_lab.calculus import (
 )
 from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.errors import (
+    BadRadius,
     NoSpectralGap,
     PoleHit,
     PoleInsideContour,
@@ -98,12 +99,40 @@ class TestEvalLaurent:
                 bound = laurent_remainder_bound(f, t, order)
                 assert measured <= bound + 1e-12 * max(1.0, operator_norm(direct))
 
+    @pytest.mark.parametrize("order", [2.5, True, 0])
+    def test_order_must_be_an_integer_of_at_least_one(self, order):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
+        t = open_annulus_normal(3, 0.5, 4)
+        for route in (eval_laurent, laurent_remainder_bound):
+            with pytest.raises(ValueError, match="^order must be"):
+                route(f, t, order)
+
     def test_divergent_norm_rejected(self):
         f = AnnulusRational(r=0.5, p_coeffs=(0.0, 1.0))
         with pytest.raises(SeriesDivergent):
             eval_laurent(f, 2.0 * np.eye(2), 8)
         with pytest.raises(SeriesDivergent):
             eval_laurent(f, 0.1 * np.eye(2), 8)  # ||r T^-1|| = 5
+
+
+class TestContourSpec:
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match="^delta must be finite and positive"):
+            ContourSpec(delta=delta)
+
+    @pytest.mark.parametrize("nodes", [100.5, 64.0, True, 15, np.nan])
+    def test_nodes_must_be_an_integer_of_at_least_16(self, nodes):
+        with pytest.raises(ValueError, match="^nodes must be"):
+            ContourSpec(delta=0.05, nodes=nodes)
+
+    def test_numpy_integer_nodes(self):
+        assert ContourSpec(delta=0.05, nodes=np.int64(16)).nodes == 16
+
+    @pytest.mark.parametrize("r", [np.nan, 0.0, 1.0, 1.5, -0.5])
+    def test_riesz_projection_needs_a_radius_in_the_unit_interval(self, r):
+        with pytest.raises(BadRadius):
+            riesz_projection(np.diag([1.0, 0.5]), SpectralPart.OUTER, ContourSpec(0.05), r=r)
 
 
 class TestEvalContour:

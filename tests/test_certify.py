@@ -224,6 +224,15 @@ class TestVonNeumannStress:
         with pytest.raises(BadRadius):
             example_matrix(r)
 
+    @pytest.mark.parametrize("r", [float("nan"), 0.0, 1.0, 1.5, 2.0, -0.5])
+    def test_instance_generators_reject_a_radius_outside_the_unit_interval(self, r):
+        with pytest.raises(BadRadius):
+            sample_test_function(r, seeded_rng(1, 17, 2))
+        with pytest.raises(BadRadius):
+            windowed_matrix(3, r, 1)
+        with pytest.raises(BadRadius):
+            normal_annulus_matrix(3, r, 1)
+
     def test_negative_trials_are_rejected(self, monkeypatch):
         monkeypatch.setattr(linalg, "operator_norm", lambda *args: pytest.fail("norm taken"))
         with pytest.raises(ValueError, match="trials"):
@@ -365,6 +374,20 @@ class TestBatteryDraw:
             got, want = getattr(battery.stack, name), getattr(stack, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_cold_build_makes_no_seed_sequence_per_row(self, monkeypatch):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        seeded_rng(1, 17, 2)
+        assert len(built) == 1  # the count sees seeded_rng's
+        _stress_battery.__wrapped__(0.5, 2000, 1)
+        assert len(built) == 1
+
     @pytest.mark.parametrize("trials", [0, 1, 2, 3])
     def test_short_batteries(self, trials):
         battery = _stress_battery.__wrapped__(0.5, trials, 1)
@@ -389,10 +412,13 @@ class TestBatteryDraw:
                 return _PinnedDraws(*pins[stream[1]])
             return seeded_rng(seed, *stream)
 
+        def pinned_rngs(seed, stream, start, stop):
+            return (pinned(seed, stream, i) for i in range(start, stop))
+
         # factored_stack validates every function before any pole check
         with pytest.raises(error) as expected:
             _sups_of(_reference_battery(0.5, 20, 1, pinned))
-        monkeypatch.setattr(linalg, "seeded_rng", pinned)
+        monkeypatch.setattr(linalg, "seeded_rngs", pinned_rngs)
         with pytest.raises(error, match=re.escape(str(expected.value))):
             _stress_battery.__wrapped__(0.5, 20, 1)
 

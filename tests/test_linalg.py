@@ -198,6 +198,47 @@ class TestRandomUnitary:
         assert not np.allclose(random_unitary(4, 7), random_unitary(4, 8))
 
 
+# 2**130 has five words, more than SeedSequence's pool of four
+_KEY_SEEDS = pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130], ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^130"]
+)
+_KEY_RANGES = [(0, 0), (7, 8), (0, 40), (2**32 - 3, 2**32)]
+_RANGE_IDS = ["empty", "one", "forty", "last-three"]
+
+
+def _first_draws(rng):
+    """Draws that leave a half-used 32-bit word and a part-used Philox buffer."""
+    return rng.integers(0, 5), rng.random(3), rng.standard_normal(5), rng.integers(0, 2**40, 2)
+
+
+class TestSeededRngs:
+    """The keyed stream gives ``seeded_rng(seed, stream, i)``'s generators."""
+
+    @pytest.mark.parametrize("start, stop", _KEY_RANGES, ids=_RANGE_IDS)
+    @pytest.mark.parametrize("stream", [3, 17])
+    @_KEY_SEEDS
+    def test_keys_are_the_seed_sequence_keys(self, seed, stream, start, stop):
+        keys = linalg._spawn_keys(seed, stream, start, stop)
+        assert keys.shape == (stop - start, 2) and keys.dtype == np.uint64
+        for i, key in zip(range(start, stop), keys):
+            want = np.random.SeedSequence(seed, spawn_key=(stream, i)).generate_state(2, np.uint64)
+            assert np.array_equal(key, want)
+
+    @pytest.mark.parametrize("start, stop", _KEY_RANGES + [(2**32 - 1, 2**32 + 2)], ids=_RANGE_IDS + ["past-2^32"])
+    @pytest.mark.parametrize("stream", [3, 17])
+    @_KEY_SEEDS
+    def test_draws_are_the_seeded_rng_draws(self, seed, stream, start, stop):
+        got = [_first_draws(rng) for rng in linalg.seeded_rngs(seed, stream, start, stop)]
+        want = [_first_draws(linalg.seeded_rng(seed, stream, i)) for i in range(start, stop)]
+        assert len(got) == len(want) == stop - start
+        for a, b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_a_negative_seed_raises_as_seeded_rng_does(self):
+        with pytest.raises(ValueError):
+            next(linalg.seeded_rngs(-1, 17, 0, 1))
+
+
 class TestUnitaryCompletion:
     def test_first_basis_column(self):
         v = np.eye(3, dtype=complex)[:, :1]

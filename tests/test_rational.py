@@ -112,6 +112,17 @@ class TestEvaluate:
 
 
 class TestLaurentExpand:
+    @pytest.mark.parametrize("order", [2.5, True, 2.0, 0, -1])
+    def test_order_must_be_an_integer_of_at_least_one(self, order):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
+        for route in (laurent_expand, rational.laurent_tail_bound):
+            with pytest.raises(ValueError, match="^order must be"):
+                route(f, order)
+
+    def test_numpy_integer_order(self):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
+        assert laurent_expand(f, np.int64(3)).order == 3
+
     def test_outer_factor_coefficients(self):
         # 1/(z - 2) = -sum z^n / 2^(n+1)
         s = laurent_expand(AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,)), 8)
