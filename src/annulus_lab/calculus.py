@@ -33,12 +33,15 @@ from .rational import AnnulusRational
 
 
 def _polyval_stack(p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Horner evaluation at ``m`` of each row of ascending coefficients ``p``."""
-    n = m.shape[0]
+    """Horner evaluation at ``m`` of each row of ascending coefficients ``p``.
+
+    Each step is one ``(rows * n, n) @ (n, n)`` GEMM.
+    """
+    rows, n = p.shape[0], m.shape[0]
     eye = np.eye(n)
-    out = np.zeros((p.shape[0], n, n), dtype=complex)
+    out = np.zeros((rows, n, n), dtype=complex)
     for c in p.T[::-1]:
-        out = out @ m
+        out = (out.reshape(rows * n, n) @ m).reshape(rows, n, n)
         out += c[:, np.newaxis, np.newaxis] * eye
     return out
 
@@ -49,24 +52,51 @@ def polyval_matrix(coeffs, t: np.ndarray) -> np.ndarray:
     return _polyval_stack(p, linalg.as_matrix(t))[0]
 
 
-def _factored_chunks(stack: rational.FactoredStack, m: np.ndarray, tols: Tolerances):
-    """Yield ``f_i(T)`` for the rows of ``stack`` as ``(k, n, n)`` chunks.
+def _back_substitute(tri: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(tri - shifts[i] I)^-1 x[i]`` for each ``i``, with ``tri`` upper
+    triangular, written over ``x``.
 
-    Chunks hold about ``_CHUNK_BYTES`` of matrices.  Each gets one batched
-    Horner pass for ``p_i(T) / scale_i`` and, per root slot, one batched
-    solve for the rows with a root in that slot, behind :func:`linalg.solve`'s
-    conditioning rule.  One :class:`linalg.ShiftConditioning` per matrix
-    decides the rule, with singular values only for roots its bound cannot
-    clear, so the verdicts are the rule's.  A row whose root lies
-    within ``rank_tol * max(1, |root|)`` of the spectrum, or fails the check,
-    raises :class:`Singular` naming that root: the first such row in stack
-    order, and within it a touching root before a failing one, each in slot
-    order.
+    Step ``k`` solves row ``k`` of every system at once.  Its update is one
+    broadcast ``tri[k, k+1:] @ x[:, k+1:]``, a product per matrix, so a
+    row's result does not depend on the rows stacked with it; one GEMV over
+    the whole stack would round some entries differently by position.
+    """
+    n = tri.shape[0]
+    pivots = tri.diagonal() - shifts[:, np.newaxis]
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            x[:, k] -= tri[k, k + 1 :] @ x[:, k + 1 :]
+        x[:, k] /= pivots[:, k, np.newaxis]
+    return x
+
+
+def _factored_chunks(
+    stack: rational.FactoredStack, m: np.ndarray, tols: Tolerances, triangular: bool = True
+):
+    """Yield ``f_i(T)``, or a unitarily similar matrix, for the rows of
+    ``stack`` as ``(k, n, n)`` chunks.
+
+    Chunks hold about ``_CHUNK_BYTES`` of matrices.  One
+    :class:`linalg.ShiftConditioning` per matrix decides :func:`linalg.solve`'s
+    conditioning rule for every root, with singular values (and a shifted
+    matrix) only for roots its bound cannot clear, so the verdicts are the
+    rule's.  A row whose root lies within ``rank_tol * max(1, |root|)`` of
+    the spectrum, or fails the rule, raises :class:`Singular` naming that
+    root: the first such row in stack order, and within it a touching root
+    before a failing one, each in slot order.
+
+    With ``triangular`` and a Schur triangle ``R`` of ``T`` from the rule
+    (``T + E = Q R Q*``), a chunk is ``f_i(R)``, unitarily similar to
+    ``f_i(T)``: one batched Horner pass for ``p_i(R) / scale_i`` and, per
+    root slot, one :func:`_back_substitute` for the rows with a root in that
+    slot.  Otherwise, or without a triangle (see the rule), it is ``f_i(T)``
+    itself: Horner on ``T`` and one batched LU solve per root slot.
     """
     n = m.shape[0]
     eye = np.eye(n)
     lams = linalg.spectrum(m)
     rule = linalg.ShiftConditioning(m)
+    tri = rule.triangle if triangular else None
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     for start in range(0, stack.p.shape[0], step):
         rows = slice(start, start + step)
@@ -75,19 +105,22 @@ def _factored_chunks(stack: rational.FactoredStack, m: np.ndarray, tols: Toleran
         touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
         cleared = rule.cleared(roots, tols)
         failed = np.zeros_like(mask)
-        out = _polyval_stack(stack.p[rows], m) / stack.scale[rows, np.newaxis, np.newaxis]
         for j in range(roots.shape[1]):
             idx = np.flatnonzero(mask[:, j])
-            shifted = m - roots[idx, j, np.newaxis, np.newaxis] * eye
-            bad = rule.ill_conditioned(shifted, cleared[idx, j], tols)
-            failed[idx[bad], j] = True
-            ok = idx[~bad]
-            out[ok] = np.linalg.solve(shifted[~bad], out[ok])
+            failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
         hit = touch | failed
         if hit.any():
             i = int(np.argmax(hit.any(axis=1)))
             slots = touch[i] if touch[i].any() else failed[i]
             raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+        out = _polyval_stack(stack.p[rows], m if tri is None else tri)
+        out /= stack.scale[rows, np.newaxis, np.newaxis]
+        for j in range(roots.shape[1]):
+            idx = np.flatnonzero(mask[:, j])
+            if tri is None:
+                out[idx] = np.linalg.solve(m - roots[idx, j, np.newaxis, np.newaxis] * eye, out[idx])
+            else:
+                out[idx] = _back_substitute(tri, roots[idx, j], out[idx])
         yield out
 
 
@@ -96,15 +129,15 @@ def eval_direct(
 ) -> np.ndarray:
     """Evaluate ``f`` at ``T`` through the factored representation.
 
-    The one-function case of :func:`factored_norms`' stacked evaluation:
-    ``p(T) / scale`` by Horner, then one solve per linear denominator factor
-    (``q1`` roots first), each behind :func:`linalg.solve`'s conditioning
-    rule.  :class:`Singular` names the first root within
-    ``rank_tol * max(1, |root|)`` of the spectrum, else the first that fails
-    the rule.
+    The one-function case of :func:`factored_norms`' stacked evaluation,
+    on ``T`` itself: ``p(T) / scale`` by Horner, then one LU solve per
+    linear denominator factor (``q1`` roots first), each behind
+    :func:`linalg.solve`'s conditioning rule.  :class:`Singular` names the
+    first root within ``rank_tol * max(1, |root|)`` of the spectrum, else
+    the first that fails the rule.
     """
     m = linalg.as_matrix(t)
-    return next(_factored_chunks(rational.factored_stack([f]), m, tols))[0]
+    return next(_factored_chunks(rational.factored_stack([f]), m, tols, triangular=False))[0]
 
 
 def factored_norms(
@@ -112,20 +145,30 @@ def factored_norms(
 ) -> np.ndarray:
     """Operator norms ``||f_i(T)||`` for every row of a factored stack.
 
-    Evaluates as :func:`eval_direct` does, a chunk of about 1 MB of stacked
-    matrices at a time, with one batched spectral norm per chunk; memory
-    stays bounded whatever the number of rows.  The conditioning rule costs
-    one Schur form of ``T``, plus singular values of ``T - aI`` only for the
-    roots ``a`` that Henrici's bound leaves undecided (see
-    :class:`linalg.ShiftConditioning`).  A row whose ``f_i(T)`` has an
-    entry that is not finite (an overflow) gets ``inf``.
+    The norm is unitarily invariant, so each row is evaluated at the Schur
+    triangle ``R`` of ``T`` (``T + E = Q R Q*``) that the conditioning rule
+    forms anyway, with ``Q`` never formed: a Horner GEMM per coefficient and
+    ``n`` vectorized back-substitution steps per root slot, no LU solve.
+    That is one Schur form of ``T`` per call, plus singular values of
+    ``T - aI`` only for the roots ``a`` that Henrici's bound leaves
+    undecided (see :class:`linalg.ShiftConditioning`).  Without a triangle
+    (a largest entry outside ``[2^-900, 2^900]``, or ``zgees`` fails) the
+    rows are evaluated at ``T`` as :func:`eval_direct` does.  The
+    conditioning verdicts and :class:`Singular` messages are those of
+    :func:`eval_direct` either way.
+
+    A chunk of about 1 MB of stacked matrices is evaluated at a time, with
+    one batched spectral norm per chunk; memory stays bounded whatever the
+    number of rows.  A row whose ``f_i(R)`` has an entry that is not finite
+    (an overflow) gets ``inf``.
     """
     m = linalg.as_matrix(t)
     norms = []
-    for out in _factored_chunks(stack, m, tols):
-        finite = np.isfinite(out).all(axis=(1, 2))
-        out[~finite] = 0.0  # the SVD cannot take them; their rows read inf
-        norms.append(np.where(finite, np.linalg.norm(out, 2, axis=(1, 2)), np.inf))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf
+        for out in _factored_chunks(stack, m, tols):
+            finite = np.isfinite(out).all(axis=(1, 2))
+            out[~finite] = 0.0  # the SVD cannot take them; their rows read inf
+            norms.append(np.where(finite, np.linalg.norm(out, 2, axis=(1, 2)), np.inf))
     return np.concatenate(norms) if norms else np.zeros(0)
 
 

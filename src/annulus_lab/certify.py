@@ -594,7 +594,8 @@ def vonneumann_stress(
     evaluation to roundoff; one pass over the evaluated functions gives
     ``|f|`` at the eigenvalues and at their projections.  Otherwise they go
     through one stacked factored evaluation (:func:`calculus.factored_norms`)
-    in chunks of about 1 MB; it raises :class:`Singular` as
+    at the Schur triangle of ``T``, by back-substitution, in chunks of about
+    1 MB; it raises :class:`Singular` as
     :func:`calculus.eval_direct` would on the first evaluated function, in
     battery order, with a root on the spectrum.  :class:`NotContraction`
     names an overflow: some ``||f(T)||``, or ``|f|`` at a projected
@@ -774,9 +775,11 @@ def normal_annulus_matrix(n: int, r: float, seed: int) -> np.ndarray:
     """Random normal matrix with eigenvalues in the closed annulus.
 
     Normality plus spectrum location makes these certified positives for the
-    stress battery.
+    stress battery.  ``seed`` is checked as :func:`linalg.seeded_rng`
+    checks it.
     """
     linalg.require_radius(r)
+    seed = linalg.as_integer(seed, "seed", 0)
     rng = linalg.seeded_rng(seed, 101)
     mods = r + (1.0 - r) * rng.random(n)
     lams = mods * np.exp(2j * np.pi * rng.random(n))
@@ -788,9 +791,11 @@ def windowed_matrix(n: int, r: float, seed: int) -> np.ndarray:
     """Random matrix with singular values in ``[r, 1]``.
 
     Such matrices satisfy the double-contraction necessary condition:
-    ``||T|| <= 1`` and ``||r T^{-1}|| = r / min sigma_i <= 1``.
+    ``||T|| <= 1`` and ``||r T^{-1}|| = r / min sigma_i <= 1``.  ``seed`` is
+    checked as :func:`linalg.seeded_rng` checks it.
     """
     linalg.require_radius(r)
+    seed = linalg.as_integer(seed, "seed", 0)
     rng = linalg.seeded_rng(seed, 202)
     svals = r + (1.0 - r) * rng.random(n)
     u = linalg.random_unitary(n, seed * 3 + 1)

@@ -371,14 +371,16 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
 
     No order search runs when the cap binds: if the bound at order
     ``ceil(cap/2) - 1`` is above ``tol`` (or NaN), every order that certifies
-    ``tol`` doubles to at least ``cap``.  ``tol`` must be finite and > 0.
+    ``tol`` doubles to at least ``cap``.  ``tol`` must be finite and > 0, and
+    ``cap`` an integer >= 1 (numpy's too, not a ``bool``).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    cap = linalg.as_integer(cap, "cap", 1)
     half = -(-cap // 2)
     if half < 2 or not rational.laurent_tail_bound(f, half - 1) <= tol:
-        return max(1, cap)
-    return max(1, min(2 * rational.laurent_order_for(f, tol), cap))
+        return cap
+    return min(2 * rational.laurent_order_for(f, tol), cap)
 
 
 def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTriple:

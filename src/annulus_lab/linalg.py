@@ -237,7 +237,16 @@ class ShiftConditioning:
     an array of shifts; :meth:`ill_conditioned` gives every other shift the
     singular values as :func:`solve` does, so the verdicts are those of the
     rule.  The bound is computed with ``T`` scaled by a power of two to a
-    largest entry in ``[1/2, 1)``.
+    largest entry in ``[1/2, 1)``.  :meth:`failed` forms a shifted matrix
+    ``T - wI`` only for a shift the bound leaves undecided.
+
+    ``triangle`` is the Schur triangle unscaled by the same power of two
+    (exact), ``R`` with ``T + E = Q R Q*``, so a unitarily invariant
+    quantity of a function of ``T``, such as ``||f(T)||``, can be computed
+    from ``R`` without forming ``Q``; it is ``None``, as is ``scale``, when
+    there is no Schur form (a largest entry outside
+    ``[2^-900, 2^900]``, or ``zgees`` fails) and every shift goes to the
+    singular values.
 
     The agreement with the rule rests on one assumption: that the Schur form
     LAPACK ``zgees`` computes is exact for some ``T + E`` with
@@ -250,7 +259,9 @@ class ShiftConditioning:
     """
 
     def __init__(self, m: np.ndarray):
+        self.m = m
         self.scale = None
+        self.triangle = None
         exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
         if abs(exponent) > _SAFE_EXPONENT:
             return
@@ -263,6 +274,7 @@ class ShiftConditioning:
         slack = _ROUNDING * n * _EPS
         fro = float(np.linalg.norm(scaled)) * (1.0 + slack)
         self.scale = scale
+        self.triangle = tri / scale
         self.lams = tri.diagonal().copy()
         # rounding allowances: nu, ||T||_F and hi are rounded up by
         # (1 + slack), and the gap and the quotient gap / total down by
@@ -300,6 +312,15 @@ class ShiftConditioning:
         failed = ~cleared
         if failed.any():
             failed[failed] = _ill_conditioned(np.linalg.svd(shifted[failed], compute_uv=False), tols)
+        return failed
+
+    def failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """:meth:`ill_conditioned` for the shifts ``T - wI`` of the 1-D
+        ``ws``, each formed only where :meth:`cleared` did not clear ``w``."""
+        failed = ~cleared
+        if failed.any():
+            shifted = self.m - ws[failed, np.newaxis, np.newaxis] * np.eye(self.m.shape[0])
+            failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
         return failed
 
 
@@ -343,9 +364,13 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     Sub-streams are derived with ``SeedSequence(seed, spawn_key=stream)`` so a
     single user-facing seed deterministically covers every consumer.  This
     is the reference; :func:`seeded_rngs` gives the generators of a run of
-    keys ``(seed, stream, i)`` in bulk.
+    keys ``(seed, stream, i)`` in bulk.  ``ValueError`` naming ``seed`` or
+    ``stream`` unless each is an integer (numpy's too, not a ``bool``) and
+    ``>= 0``.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    ss = np.random.SeedSequence(
+        entropy=as_integer(seed, "seed", 0), spawn_key=tuple(as_integer(s, "stream", 0) for s in stream)
+    )
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -422,10 +447,12 @@ def seeded_rngs(seed: int, stream: int, start: int, stop: int):
     (counter 0, an empty buffer), which is the state a fresh one starts in.
     So each generator yielded is valid only until the next one is taken:
     keep its draws, not the generator.  Keys the one pass does not cover
-    (a negative word, ``i >= 2**32``) are made by :func:`seeded_rng`.
+    (a negative ``i``, ``i >= 2**32``) are made by :func:`seeded_rng`, and
+    ``seed`` and ``stream`` are checked as it checks them.
     """
-    seed, stream, start, stop = (int(v) for v in (seed, stream, start, stop))
-    if min(seed, stream, start) < 0 or stop > 1 << 32:
+    seed, stream = as_integer(seed, "seed", 0), as_integer(stream, "stream", 0)
+    start, stop = int(start), int(stop)
+    if start < 0 or stop > 1 << 32:
         for i in range(start, stop):
             yield seeded_rng(seed, stream, i)
         return
@@ -442,7 +469,8 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary, bit-reproducible for a fixed (n, seed).
 
     Complex Ginibre entries are orthonormalized by QR and the phases fixed so
-    the implicit R factor has a real positive diagonal.
+    the implicit R factor has a real positive diagonal.  ``seed`` is checked
+    as :func:`seeded_rng` checks it.
     """
     if n < 1:
         raise DimensionMismatch("n must be >= 1")

@@ -390,3 +390,84 @@ class TestShiftConditioningRoutes:
         for name, run in self._runs():
             run()
             assert stacks == [], name
+
+
+def _values_and_slopes(stack, a):
+    """``f_i(a)`` and ``f_i'(a)`` for every row of a factored stack."""
+    p = stack.p[:, ::-1]
+    num = np.array([np.polyval(row, a) for row in p])
+    slope = np.array([np.polyval(np.polyder(row), a) for row in p])
+    den = stack.scale * np.prod(np.where(stack.mask, a - stack.roots, 1.0), axis=1)
+    logdiff = np.sum(np.where(stack.mask, 1.0 / (a - stack.roots), 0.0), axis=1)
+    return num / den, (slope - num * logdiff) / den
+
+
+def _jordan_block(n, lam, step):
+    return lam * np.eye(n, dtype=complex) + step * np.eye(n, k=1)
+
+
+class TestSchurRoute:
+    """factored_norms evaluates ``f_i(R)`` on the Schur triangle of ``T`` by
+    back-substitution; its norms are those of ``f_i(T)``."""
+
+    @pytest.mark.parametrize("a, b", [(0.7, 0.40329), (0.6, 0.29)])
+    def test_conjugated_shear_matches_the_closed_form(self, a, b):
+        # f(aI + bE12) = [[f(a), b f'(a)], [0, f(a)]], and the norm is unitarily invariant
+        stack = certify._stress_battery(0.5, 2000, 1).stack
+        u = random_unitary(2, 5)
+        t = u @ np.array([[a, b], [0.0, a]]) @ u.conj().T
+        value, slope = _values_and_slopes(stack, a)
+        closed = np.zeros((value.size, 2, 2), dtype=complex)
+        closed[:, 0, 0] = closed[:, 1, 1] = value
+        closed[:, 0, 1] = b * slope
+        want = np.linalg.norm(closed, 2, axis=(1, 2))
+        assert_allclose(calculus.factored_norms(stack, t), want, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 9])
+    def test_conjugated_jordan_blocks_match_the_lu_route(self, n):
+        # Superdiagonal 0.2, the least distance from modulus 0.7 to a battery
+        # root at r = 0.5.  With 1 instead, f(T) at n = 9 holds eighth
+        # derivatives amplified up to 5^8 times, and two backward-stable
+        # routes differ by up to 2e-10 relative.
+        battery = certify._stress_battery(0.5, 2000, 1)
+        rows = slice(0, 300)
+        stack, functions = battery.stack.take(rows), battery.functions[rows]
+        q = random_unitary(n, 60 + n)
+        t = q @ _jordan_block(n, 0.7 * np.exp(0.4j), 0.2) @ q.conj().T
+        want = np.array([operator_norm(eval_direct(f, t)) for f in functions])
+        assert_allclose(calculus.factored_norms(stack, t), want, rtol=1e-13)
+
+    def test_a_stack_takes_no_lu_solve_and_one_schur_form(self, monkeypatch):
+        calls = []
+        triangle = linalg._schur_triangle
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: calls.append(1) or triangle(m))
+        monkeypatch.setattr(np.linalg, "solve", lambda *args, **kwargs: pytest.fail("LU solve"))
+        stack = certify._stress_battery(0.5, 2000, 1).stack
+        for t in (windowed_matrix(4, 0.5, 3), windowed_matrix(9, 0.5, 3), example_matrix(0.25)):
+            calls.clear()
+            calculus.factored_norms(stack, t)
+            assert len(calls) <= 1
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_without_a_triangle_the_lu_route_gives_the_same_norms(self, monkeypatch, n):
+        stack = certify._stress_battery(0.5, 2000, 1).stack
+        t = windowed_matrix(n, 0.5, 40 + n)
+        got = calculus.factored_norms(stack, t)
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: None)
+        assert linalg.ShiftConditioning(t).triangle is None
+        assert_allclose(got, calculus.factored_norms(stack, t), rtol=1e-13)
+
+    def test_the_triangle_is_unscaled_exactly(self):
+        t = windowed_matrix(4, 0.5, 7)
+        tri = linalg.ShiftConditioning(t).triangle
+        assert np.array_equal(tri, np.triu(tri))
+        for k in (-300, 100, 800):
+            assert np.array_equal(linalg.ShiftConditioning(t * 2.0**k).triangle, tri * 2.0**k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflow_reads_inf_without_a_warning(self):
+        stack = certify._stress_battery(0.5, 2000, 1).stack
+        t = windowed_matrix(3, 0.5, 3)
+        norms = calculus.factored_norms(stack, t * 1e200)
+        assert np.isinf(norms).any() and np.isfinite(norms).any()
+        assert linalg.ShiftConditioning(t * 1e200).triangle is not None

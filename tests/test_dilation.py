@@ -728,6 +728,18 @@ class TestModelArguments:
         call = self._INTEGER_CALLS[name]
         assert repr(call(np.int64(3))) == repr(call(3))
 
+    @pytest.mark.parametrize("cap", [True, np.bool_(True), 0, -3, 24.0, 2.5, "24"])
+    def test_default_budget_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,))
+        with pytest.raises(ValueError, match="^cap must be"):
+            dilation.default_budget(f, cap=cap)
+
+    @pytest.mark.parametrize("cap", [np.int64(24), np.int32(1), np.uint8(7)])
+    def test_default_budget_takes_a_numpy_integer_cap(self, cap):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,))
+        budget = dilation.default_budget(f, cap=cap)
+        assert type(budget) is int and budget == dilation.default_budget(f, cap=int(cap))
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
     def test_default_budget_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,))

@@ -198,6 +198,34 @@ class TestRandomUnitary:
         assert not np.allclose(random_unitary(4, 7), random_unitary(4, 8))
 
 
+class TestSeedValidation:
+    """A seed is a non-negative integer: a float is not truncated to one."""
+
+    _SEEDED = {
+        "seeded_rng": lambda seed: linalg.seeded_rng(seed, 3),
+        "seeded_rngs": lambda seed: next(linalg.seeded_rngs(seed, 17, 0, 1)),
+        "random_unitary": lambda seed: random_unitary(3, seed),
+        "normal_annulus_matrix": lambda seed: certify.normal_annulus_matrix(3, 0.5, seed),
+        "windowed_matrix": lambda seed: certify.windowed_matrix(3, 0.5, seed),
+    }
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, True, np.float64(2.0), "2", -1])
+    @pytest.mark.parametrize("name", sorted(_SEEDED))
+    def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(self, name, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            self._SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", ["random_unitary", "normal_annulus_matrix", "windowed_matrix"])
+    def test_a_numpy_integer_seed_is_the_int_seed(self, name):
+        call = self._SEEDED[name]
+        assert np.array_equal(call(np.int64(2)), call(2))
+
+    def test_a_stream_that_is_not_a_non_negative_integer_is_rejected(self):
+        for stream in (3.5, -1):
+            with pytest.raises(ValueError, match="^stream must be"):
+                linalg.seeded_rng(2, stream)
+
+
 # 2**130 has five words, more than SeedSequence's pool of four
 _KEY_SEEDS = pytest.mark.parametrize(
     "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130], ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^130"]
