@@ -105,10 +105,17 @@ def decompose(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> ArUnitaryDecompos
             linalg.operator_norm(u2.conj().T @ u2 - np.eye(basis2.shape[1]))
         )
     # independent route: resolvent integral around the outer circle; the
-    # trapezoid rate degrades with the shrinking gap, so nodes scale with it
+    # trapezoid rate degrades with the shrinking gap, so nodes scale with
+    # it.  At r <= 0.2 that delta would leave no inner circle (delta >= r),
+    # so the integral goes around the inner circle, at delta = r / 2, where
+    # every rate is at most 0.6 and the clamp's 512 nodes are plenty.
     nodes = calculus.clamp_nodes(64.0 * (1.0 + r) / (1.0 - r))
-    spec = calculus.ContourSpec(delta=0.25 * (1.0 - r), nodes=nodes)
-    p1_contour = calculus.riesz_projection(m, calculus.SpectralPart.OUTER, spec, r, tols)
+    if r > 0.2:
+        spec = calculus.ContourSpec(delta=0.25 * (1.0 - r), nodes=nodes)
+        p1_contour = calculus.riesz_projection(m, calculus.SpectralPart.OUTER, spec, r, tols)
+    else:
+        spec = calculus.ContourSpec(delta=0.5 * r, nodes=nodes)
+        p1_contour = np.eye(dim) - calculus.riesz_projection(m, calculus.SpectralPart.INNER, spec, r, tols)
     defects.append(linalg.operator_norm(p1 - p1_contour))
     return ArUnitaryDecomposition(
         p1=p1,

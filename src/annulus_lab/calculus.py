@@ -147,7 +147,7 @@ def factored_norms(
 
     The norm is unitarily invariant, so each row is evaluated at the Schur
     triangle ``R`` of ``T`` (``T + E = Q R Q*``) that the conditioning rule
-    forms anyway, with ``Q`` never formed: a Horner GEMM per coefficient and
+    forms anyway, without its ``Q``: a Horner GEMM per coefficient and
     ``n`` vectorized back-substitution steps per root slot, no LU solve.
     That is one Schur form of ``T`` per call, plus singular values of
     ``T - aI`` only for the roots ``a`` that Henrici's bound leaves
@@ -238,8 +238,10 @@ class ContourSpec:
     """Two-circle integration cycle: radii ``1 + delta`` and ``r - delta``.
 
     ``nodes`` trapezoid nodes sit on each circle (see :func:`default_contour`
-    for the rule that picks them); the resolvents at the nodes are evaluated
-    as stacked batches, so the cost grows linearly in ``nodes``.
+    for the rule that picks them).  The resolvents at the nodes are solved
+    in chunks on the Schur triangle of ``T`` by back-substitution (a batched
+    LU inverse of ``wI - T`` only where there is no triangle), so the cost
+    grows linearly in ``nodes`` and the memory stays bounded.
     """
 
     delta: float
@@ -312,6 +314,27 @@ def default_contour(
     return ContourSpec(delta=delta, nodes=nodes)
 
 
+def _weighted_resolvents(tri: np.ndarray, ws: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k weights[k] (ws[k] I - tri)^-1`` for upper triangular ``tri``.
+
+    Every ``X_k = (w_k I - tri)^-1`` is upper triangular and is solved row
+    by row from the bottom, all nodes at once, in a rows x columns x nodes
+    array: row ``i`` is ``(e_i + tri[i, i+1:] X[i+1:]) / (w_k - tri[i, i])``,
+    one product over the ``(n - i - 1, (n - i) K)`` block of columns
+    ``i:`` (the columns left of ``i`` are zero).  The weighted sum is one
+    product with ``weights``.
+    """
+    n, k = tri.shape[0], ws.size
+    x = np.zeros((n, n, k), dtype=complex)
+    pivots = ws - tri.diagonal()[:, np.newaxis]
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            x[i, i:] = (tri[i, i + 1 :] @ x[i + 1 :, i:].reshape(n - i - 1, -1)).reshape(n - i, k)
+        x[i, i] += 1.0
+        x[i, i:] /= pivots[i]
+    return (x.reshape(n * n, k) @ weights).reshape(n, n)
+
+
 def _circle_integral(
     m: np.ndarray,
     outer: float,
@@ -323,12 +346,17 @@ def _circle_integral(
     """Trapezoid rule for ``(1/2 pi i) * integral of f(w) (wI - T)^-1 dw``
     over the circle ``|w| = outer`` minus the same over ``|w| = inner``.
 
-    ``f`` defaults to 1.  Nodes are taken in chunks whose stacked resolvents
-    fit ``_CHUNK_BYTES``: each chunk gets one :func:`linalg.resolvents` call
-    (one :class:`linalg.ShiftConditioning` for ``T`` serves both circles, so
-    the contour forms one Schur form; singular values only at nodes its bound
-    leaves undecided; one batched inverse), one vectorized evaluation of
-    ``f`` (with its :class:`PoleHit` check) and one weighted contraction.
+    ``f`` defaults to 1.  One :class:`linalg.ShiftConditioning` for ``T``
+    serves both circles, so the contour forms one Schur form
+    ``T + E = Q R Q*``.  Nodes are taken in chunks whose stacked resolvents
+    fit ``_CHUNK_BYTES``; each chunk gets one vectorized evaluation of ``f``
+    (with its :class:`PoleHit` check), the conditioning rule at its nodes
+    (singular values only where the rule's bound leaves a node undecided;
+    :class:`Singular` counts the failures) and the weighted sum of its
+    resolvents of ``R`` by :func:`_weighted_resolvents`, back-substitution
+    with no LU.  The result is ``Q (S_outer - S_inner) Q*``.  Without a
+    triangle (see the rule) each chunk is one :func:`linalg.resolvents`
+    call on ``T``, a batched LU inverse, and one weighted contraction.
     Chunks depend only on ``n`` and ``nodes`` and are accumulated in index
     order, so the reduction is deterministic.
     """
@@ -336,6 +364,7 @@ def _circle_integral(
     ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     rule = linalg.ShiftConditioning(m)
+    tri = rule.triangle
     integrals = []
     for radius in (outer, inner):
         ws = radius * ring
@@ -343,9 +372,14 @@ def _circle_integral(
         for start in range(0, nodes, step):
             w = ws[start : start + step]
             weights = w if f is None else w * rational.evaluate(f, w)
-            acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols, rule))
+            if tri is None:
+                acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols, rule))
+            else:
+                rule.require(w, tols)
+                acc += _weighted_resolvents(tri, w, weights)
         integrals.append(acc / nodes)
-    return integrals[0] - integrals[1]
+    out = integrals[0] - integrals[1]
+    return out if tri is None else rule.vectors @ out @ rule.vectors.conj().T
 
 
 def eval_contour(
@@ -394,9 +428,12 @@ def riesz_projection(
 
     The spectrum must split across the mid radius ``(1 + r)/2`` with a margin
     of ``delta`` on each side, stay inside ``|w| = 1 + delta`` and outside
-    ``|w| = r - delta``.
+    ``|w| = r - delta``, which must have a positive radius for either part:
+    ``ValueError`` when ``delta >= r``.
     """
     linalg.require_radius(r)
+    if r - spec.delta <= 0:
+        raise ValueError("delta leaves no inner circle")
     m = linalg.as_matrix(t)
     mid = 0.5 * (1.0 + r)
     mods = np.abs(linalg.spectrum(m))

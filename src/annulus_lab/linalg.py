@@ -207,16 +207,16 @@ _SAFE_EXPONENT = 900
 _EPS = float(np.finfo(float).eps)
 
 
-def _schur_triangle(m: np.ndarray) -> np.ndarray | None:
-    """Triangular factor of a complex Schur form of ``m``, or ``None``.
+def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Complex Schur form ``(R, Q)`` of ``m``, ``m + E = Q R Q*`` with ``R``
+    upper triangular and ``Q`` unitary, or ``None``.
 
-    ``zgees`` balances by permutation only, which is exact, so the factor is
-    the exact Schur form of ``m + E`` with ``||E||_F`` of order
-    ``n eps ||m||_F``; ``eigvals`` also scales and has no such bound in
-    terms of ``m``.  The unitary factor is not formed.
+    ``zgees`` balances by permutation only, which is exact, so the form is
+    exact for ``m + E`` with ``||E||_F`` of order ``n eps ||m||_F``;
+    ``eigvals`` also scales and has no such bound in terms of ``m``.
     """
-    tri, _, _, _, _, info = sla.lapack.zgees(lambda w: None, m, compute_v=0)
-    return tri if info == 0 else None
+    tri, _, _, vectors, _, info = sla.lapack.zgees(lambda w: None, m, compute_v=1)
+    return (tri, vectors) if info == 0 else None
 
 
 class ShiftConditioning:
@@ -234,19 +234,20 @@ class ShiftConditioning:
     and ``lo > (2 rank_tol + 64 n eps) hi`` leaves room for the rounding of
     the shifted matrix and of its singular values, so the rule would find
     that shift well conditioned too.  :meth:`cleared` applies the bound to
-    an array of shifts; :meth:`ill_conditioned` gives every other shift the
-    singular values as :func:`solve` does, so the verdicts are those of the
-    rule.  The bound is computed with ``T`` scaled by a power of two to a
-    largest entry in ``[1/2, 1)``.  :meth:`failed` forms a shifted matrix
-    ``T - wI`` only for a shift the bound leaves undecided.
+    an array of shifts; :meth:`failed` gives every other shift the singular
+    values of ``T - wI`` as :func:`solve` does, forming the shifted matrix
+    only there, so the verdicts are those of the rule; :meth:`require`
+    raises :class:`Singular` on any failure.  The bound is computed with
+    ``T`` scaled by a power of two to a largest entry in ``[1/2, 1)``.
 
     ``triangle`` is the Schur triangle unscaled by the same power of two
-    (exact), ``R`` with ``T + E = Q R Q*``, so a unitarily invariant
-    quantity of a function of ``T``, such as ``||f(T)||``, can be computed
-    from ``R`` without forming ``Q``; it is ``None``, as is ``scale``, when
-    there is no Schur form (a largest entry outside
-    ``[2^-900, 2^900]``, or ``zgees`` fails) and every shift goes to the
-    singular values.
+    (exact), ``R`` with ``T + E = Q R Q*``, and ``vectors`` is ``Q``, both
+    from the one ``zgees`` call.  A unitarily invariant quantity of a
+    function of ``T``, such as ``||f(T)||``, can be computed from ``R``
+    alone, and any function of ``T + E`` as ``Q f(R) Q*``.  Both are
+    ``None``, as is ``scale``, when there is no Schur form (a largest entry
+    outside ``[2^-900, 2^900]``, or ``zgees`` fails) and every shift goes to
+    the singular values.
 
     The agreement with the rule rests on one assumption: that the Schur form
     LAPACK ``zgees`` computes is exact for some ``T + E`` with
@@ -261,15 +262,16 @@ class ShiftConditioning:
     def __init__(self, m: np.ndarray):
         self.m = m
         self.scale = None
-        self.triangle = None
+        self.triangle = self.vectors = None
         exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
         if abs(exponent) > _SAFE_EXPONENT:
             return
         scale = 2.0**-exponent
         scaled = m * scale
-        tri = _schur_triangle(scaled)
-        if tri is None:
+        form = _schur_triangle(scaled)
+        if form is None:
             return
+        tri, self.vectors = form
         n = m.shape[0]
         slack = _ROUNDING * n * _EPS
         fro = float(np.linalg.norm(scaled)) * (1.0 + slack)
@@ -304,51 +306,46 @@ class ShiftConditioning:
             theta = (2.0 * tols.rank_tol + self.slack) * (1.0 + self.slack)
             return lo > theta * (self.fro + dist)
 
-    @staticmethod
-    def ill_conditioned(shifted: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """:func:`_ill_conditioned` for each matrix of the stack ``shifted``
-        of shifts ``+-(T - wI)``, with singular values taken only where
-        :meth:`cleared` did not clear ``w``."""
-        failed = ~cleared
-        if failed.any():
-            failed[failed] = _ill_conditioned(np.linalg.svd(shifted[failed], compute_uv=False), tols)
-        return failed
-
     def failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """:meth:`ill_conditioned` for the shifts ``T - wI`` of the 1-D
-        ``ws``, each formed only where :meth:`cleared` did not clear ``w``."""
+        """:func:`_ill_conditioned` for the shifts ``T - wI`` of the 1-D
+        ``ws``, with singular values of ``T - wI`` formed and taken only
+        where :meth:`cleared` did not clear ``w``."""
         failed = ~cleared
         if failed.any():
             shifted = self.m - ws[failed, np.newaxis, np.newaxis] * np.eye(self.m.shape[0])
             failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
         return failed
 
+    def require(self, ws: np.ndarray, tols: Tolerances) -> None:
+        """:class:`Singular`, counting the failures, unless every shift
+        ``T - wI`` of the 1-D ``ws`` passes the rule."""
+        failed = self.failed(ws, self.cleared(ws, tols), tols)
+        if failed.any():
+            raise Singular(
+                f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
+                f"at {int(failed.sum())} of {failed.size} points"
+            )
+
 
 def resolvents(
     a, ws, tols: Tolerances = DEFAULT_TOLS, rule: ShiftConditioning | None = None
 ) -> np.ndarray:
-    """Stack of resolvents ``(w_k I - A)^{-1}``, shape ``(len(ws), n, n)``.
+    """Stack of resolvents ``(w_k I - A)^{-1}``, shape ``(len(ws), n, n)``,
+    by one batched LU inverse.
 
     Every shifted matrix passes the conditioning rule of :func:`solve`,
-    decided by :class:`ShiftConditioning` (singular values only for the
-    points its bound cannot clear), and the stack is inverted in one batched
-    LAPACK call; :class:`Singular` is raised if any point fails the rule.
-    ``rule`` is ``ShiftConditioning(A)`` when a caller that asks for many
-    stacks of one matrix has formed it already.
+    decided by :meth:`ShiftConditioning.require` (singular values only for
+    the points its bound cannot clear); :class:`Singular` is raised if any
+    point fails the rule.  ``rule`` is ``ShiftConditioning(A)`` when a
+    caller that asks for many stacks of one matrix has formed it already.
+    The contour quadratures of :mod:`calculus` take this route only for an
+    ``A`` without a Schur triangle; otherwise they solve on the triangle.
     """
     m = as_matrix(a)
     _require_square(m)
     ws = np.asarray(ws, dtype=complex)
-    shifted = ws[:, np.newaxis, np.newaxis] * np.eye(m.shape[0]) - m
-    if rule is None:
-        rule = ShiftConditioning(m)
-    failed = rule.ill_conditioned(shifted, rule.cleared(ws, tols), tols)
-    if failed.any():
-        raise Singular(
-            f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
-            f"at {int(failed.sum())} of {failed.size} points"
-        )
-    return np.linalg.inv(shifted)
+    (ShiftConditioning(m) if rule is None else rule).require(ws, tols)
+    return np.linalg.inv(ws[:, np.newaxis, np.newaxis] * np.eye(m.shape[0]) - m)
 
 
 def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from annulus_lab import calculus
 from annulus_lab.ar_unitary import (
     decompose,
     is_ar_unitary,
@@ -113,6 +114,19 @@ class TestDecompose:
             dec = decompose(t, r)
             assert dec.residual <= 1e-9, f"residual {dec.residual} at r={r}"
             assert operator_norm(dec.p1 - ref1) <= 1e-10
+
+    @pytest.mark.parametrize("r", [1e-6, 0.05, 0.2])
+    def test_small_radii_integrate_around_the_inner_circle(self, r, monkeypatch):
+        # at r <= 0.2 the outer route's delta = (1 - r) / 4 would reach r and
+        # leave no inner circle, which riesz_projection rejects
+        parts = []
+        riesz = calculus.riesz_projection
+        monkeypatch.setattr(calculus, "riesz_projection", lambda m, part, *a: parts.append(part) or riesz(m, part, *a))
+        t, ref1, _, _, _ = conjugated_instance(r, 2, 3, 56)
+        dec = decompose(t, r)
+        assert parts == [calculus.SpectralPart.INNER]
+        assert dec.residual <= 1e-9, f"residual {dec.residual} at r={r}"
+        assert operator_norm(dec.p1 - ref1) <= 1e-10
 
 
 class TestMembershipSubspaces:

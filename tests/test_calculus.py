@@ -231,6 +231,14 @@ class TestRieszProjection:
                 np.diag([0.75, 0.5]), SpectralPart.OUTER, ContourSpec(delta=0.1, nodes=64), 0.5
             )
 
+    @pytest.mark.parametrize("delta", [0.5, 0.6])
+    @pytest.mark.parametrize("part", list(SpectralPart))
+    def test_delta_must_leave_an_inner_circle(self, part, delta):
+        # with delta >= r the inner circle has no positive radius, and the
+        # inner part of diag(1.4, 0.05) came out as the zero matrix
+        with pytest.raises(ValueError, match="^delta leaves no inner circle$"):
+            riesz_projection(np.diag([1.4, 0.05]), part, ContourSpec(delta), 0.5)
+
 
 class TestDefaultContour:
     def test_margins_respect_poles_and_spectrum(self):
@@ -331,6 +339,78 @@ class TestBatchedQuadrature:
             f = AnnulusRational(r=0.5, q1_roots=(2.0,))
             eval_contour(f, windowed_matrix(3, 0.5, 8), ContourSpec(delta=0.05, nodes=1 << 16))
         assert len(calls) == 1
+
+
+def _lu_quadrature(t, outer, inner, nodes, f=None):
+    """The batched-LU quadrature: per chunk of nodes, one
+    ``linalg.resolvents`` stack contracted with its weights."""
+    n = t.shape[0]
+    ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
+    step = max(1, calculus._CHUNK_BYTES // (16 * n * n))
+    integrals = []
+    for radius in (outer, inner):
+        ws = radius * ring
+        acc = np.zeros((n, n), dtype=complex)
+        for start in range(0, nodes, step):
+            w = ws[start : start + step]
+            weights = w if f is None else w * rational.evaluate(f, w)
+            acc += np.einsum("k,kij->ij", weights, linalg.resolvents(t, w))
+        integrals.append(acc / nodes)
+    return integrals[0] - integrals[1]
+
+
+_NON_NORMAL = [("jordan", 3), ("jordan", 6), ("jordan", 9), ("windowed", 3), ("windowed", 9)]
+
+
+def _non_normal(kind, n):
+    """A conjugated Jordan block ``0.7 e^{0.4i} I + N``, or a windowed matrix."""
+    if kind == "windowed":
+        return windowed_matrix(n, 0.5, 40 + n)
+    q = random_unitary(n, 60 + n)
+    return q @ _jordan_block(n, 0.7 * np.exp(0.4j), 1.0) @ q.conj().T
+
+
+class TestTriangularQuadrature:
+    """The contour routes solve for the resolvents on the Schur triangle
+    ``R`` of ``T`` and return ``Q S Q*``; without a triangle they keep the
+    batched LU inverse."""
+
+    @pytest.mark.parametrize("kind, n", _NON_NORMAL)
+    def test_non_normal_matches_per_node_loop_and_direct(self, kind, n):
+        t, f = _non_normal(kind, n), random_function(0.5, 70 + n)
+        spec = default_contour(f, t, 0.5)
+        got = eval_contour(f, t, spec)
+        loop = _reference_circle(t, 1.0 + spec.delta, spec.nodes, f) - _reference_circle(
+            t, 0.5 - spec.delta, spec.nodes, f
+        )
+        direct = eval_direct(f, t)
+        assert operator_norm(got - loop) <= 1e-10 * operator_norm(loop)
+        assert operator_norm(got - direct) <= 1e-10 * operator_norm(direct)
+
+    def test_a_triangle_takes_no_lu(self, monkeypatch):
+        for route in ("inv", "solve"):
+            monkeypatch.setattr(np.linalg, route, lambda *args, **kwargs: pytest.fail(f"LU {route}"))
+        for kind, n in _NON_NORMAL:
+            eval_contour(random_function(0.5, 70 + n), _non_normal(kind, n), ContourSpec(delta=0.02, nodes=512))
+        t = normal_with_moduli([0.9, 0.55, 0.95, 0.6], 84)[0]
+        riesz_projection(t, SpectralPart.OUTER, ContourSpec(delta=0.05, nodes=512), 0.5)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_without_a_triangle_the_lu_route_is_unchanged(self, monkeypatch, n):
+        # n = 12 takes two chunks a circle
+        t = open_annulus_normal(n, 0.5, 60 + n) + 0.1 * np.eye(n, k=1)
+        f = random_function(0.5, 70 + n)
+        spec = ContourSpec(delta=0.02, nodes=512)
+        moduli = np.where(np.arange(n) % 2 == 0, 0.9, 0.55)
+        split = normal_with_moduli(moduli, 80 + n)[0]
+        mid = 0.75
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: None)
+        assert linalg.ShiftConditioning(t).triangle is None
+        want = _lu_quadrature(t, 1.0 + spec.delta, 0.5 - spec.delta, spec.nodes, f)
+        assert np.array_equal(eval_contour(f, t, spec), want)
+        for part, outer, inner in ((SpectralPart.OUTER, 1.05, mid), (SpectralPart.INNER, mid, 0.45)):
+            got = riesz_projection(split, part, ContourSpec(delta=0.05, nodes=512), 0.5)
+            assert np.array_equal(got, _lu_quadrature(split, outer, inner, 512))
 
 
 def _clear_nothing(self, ws, tols):

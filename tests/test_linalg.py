@@ -356,9 +356,9 @@ def _shifted(t, ws):
     return t - ws[:, np.newaxis, np.newaxis] * np.eye(t.shape[0])
 
 
-def _helper(t, ws, shifted, tols):
+def _helper(t, ws, tols):
     rule = linalg.ShiftConditioning(t)
-    return rule.ill_conditioned(shifted, rule.cleared(ws, tols), tols)
+    return rule.failed(ws, rule.cleared(ws, tols), tols)
 
 
 def _jordan(n, lam):
@@ -398,7 +398,7 @@ class TestShiftConditioning:
         tols = Tolerances(rank_tol=rank_tol)
         ws = _hard_shifts(t)
         shifted = _shifted(t, ws)
-        got = _helper(t, ws, shifted, tols)
+        got = _helper(t, ws, tols)
         assert np.array_equal(got, _svd_rule(shifted, tols))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -414,7 +414,7 @@ class TestShiftConditioning:
                 want = _svd_rule(shifted, DEFAULT_TOLS)
                 sizes = [0]
                 monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sizes.append(len(a)) or svd(a, **kw))
-                got = _helper(t, ws, shifted, DEFAULT_TOLS)
+                got = _helper(t, ws, DEFAULT_TOLS)
                 monkeypatch.undo()
                 assert np.array_equal(got, want), name
                 counts.append(sum(sizes))
@@ -426,17 +426,17 @@ class TestShiftConditioning:
         # the shear with the root 1.3 of the calculus example stays singular
         t = np.array([[1.2, 1e6], [0.0, 1.2]]) * 10.0**k
         ws = np.array([1.3]) * 10.0**k
-        assert _helper(t, ws, _shifted(t, ws), DEFAULT_TOLS)[0]
+        assert _helper(t, ws, DEFAULT_TOLS)[0]
 
     def test_non_finite_and_huge_shifts_agree_with_the_svd_rule(self):
         t = np.diag([0.5, 0.7]).astype(complex)
         ws = np.array([0.2, 1e300, -1e300j, 2.0**101, 0.3, 0.4j, -0.3, 0.6])
         shifted = _shifted(t, ws)
-        assert np.array_equal(_helper(t, ws, shifted, DEFAULT_TOLS), _svd_rule(shifted, DEFAULT_TOLS))
+        assert np.array_equal(_helper(t, ws, DEFAULT_TOLS), _svd_rule(shifted, DEFAULT_TOLS))
         for bad in (np.inf, np.nan):
             ws = np.array([0.2, bad, 0.3, 0.4j, -0.3, 0.6, 0.1, -0.1j])
             with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-                _helper(t, ws, _shifted(t, ws), DEFAULT_TOLS)
+                _helper(t, ws, DEFAULT_TOLS)
 
     @pytest.mark.parametrize("n", [3, 16, 40])
     def test_schur_backward_error_is_well_inside_the_allowance(self, n):
@@ -451,7 +451,8 @@ class TestShiftConditioning:
             size = t.shape[0]
             tri, _, _, z, _, info = sla.lapack.zgees(lambda w: None, t, compute_v=1)
             assert info == 0
-            assert np.array_equal(tri, linalg._schur_triangle(t))
+            form = linalg._schur_triangle(t)
+            assert np.array_equal(tri, form[0]) and np.array_equal(z, form[1])
             fro = np.linalg.norm(t)
             error = np.linalg.norm(z @ tri @ z.conj().T - t) + np.linalg.norm(z.conj().T @ z - np.eye(size)) * fro
             assert error <= linalg._SCHUR_ERROR / 16 * size * eps * fro
@@ -464,15 +465,15 @@ class TestShiftConditioning:
         triangle = linalg._schur_triangle
 
         def perturbed(m):
-            tri = triangle(m)
+            tri, vectors = triangle(m)
             tri[0, 0] += 0.5 * linalg._SCHUR_ERROR * 3 * np.finfo(float).eps * np.linalg.norm(m)
-            return tri
+            return tri, vectors
 
         monkeypatch.setattr(linalg, "_schur_triangle", perturbed)
         tols = Tolerances(rank_tol=1e-15)
         ws = 1.0 + np.array([0.0, 1e-14, -1e-14, 1e-13, 1e-12, 1e-3, 0.5j, 0.5])
         shifted = _shifted(t, ws)
-        got = _helper(t, ws, shifted, tols)
+        got = _helper(t, ws, tols)
         assert np.array_equal(got, _svd_rule(shifted, tols))
         assert got[0]
 
