@@ -22,6 +22,7 @@ from .linalg import DEFAULT_TOLS, Tolerances
 
 def is_ar_unitary(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff ``N`` is normal and every eigenvalue modulus is near 1 or r."""
+    linalg.require_radius(r)
     m = linalg.as_matrix(n)
     if m.shape[0] != m.shape[1]:
         return False
@@ -34,6 +35,7 @@ def is_ar_unitary(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
 
 def make_ar_unitary(u1, u2, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Block-diagonal ``diag(U1, r U2)`` from two unitaries (either may be empty)."""
+    linalg.require_radius(r)
     m1 = linalg.as_matrix(u1, allow_empty=True)
     m2 = linalg.as_matrix(u2, allow_empty=True)
     for name, mat in (("U1", m1), ("U2", m2)):
@@ -74,6 +76,7 @@ class ArUnitaryDecomposition:
 
 def decompose(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> ArUnitaryDecomposition:
     """Extract the two-circle split of an annulus-boundary normal matrix."""
+    linalg.require_radius(r)
     m = linalg.as_matrix(n)
     if not is_ar_unitary(m, r, tols):
         raise NotArUnitary("input is not normal with spectrum on the two circles")
@@ -138,12 +141,12 @@ def membership_subspaces(
     ``I - N(k) N(k)*`` for ``k = 1..n_max``; ``P2`` does the same with
     ``r N^{-1}`` in place of ``N`` (the equivalent positive-power reading of
     the ``r``-scaled decay conditions).  Must agree with :func:`decompose`.
+    ``n_max`` is an integer >= 1 (numpy's too, not a ``bool``).
     """
+    n_max = linalg.as_integer(n_max, "n_max", 1)
     m = linalg.as_matrix(n)
     if not is_ar_unitary(m, r, tols):
         raise NotArUnitary("input is not normal with spectrum on the two circles")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     s = r * linalg.inverse(m, tols)
     return _norm_kernel(m, n_max, tols), _norm_kernel(s, n_max, tols)
 

@@ -85,18 +85,18 @@ def _factored_chunks(
     root: the first such row in stack order, and within it a touching root
     before a failing one, each in slot order.
 
-    With ``triangular`` and a Schur triangle ``R`` of ``T`` from the rule
-    (``T + E = Q R Q*``), a chunk is ``f_i(R)``, unitarily similar to
-    ``f_i(T)``: one batched Horner pass for ``p_i(R) / scale_i`` and, per
-    root slot, one :func:`_back_substitute` for the rows with a root in that
-    slot.  Otherwise, or without a triangle (see the rule), it is ``f_i(T)``
-    itself: Horner on ``T`` and one batched LU solve per root slot.
+    With ``triangular``, a chunk is ``f_i(R)`` on the rule's Schur triangle
+    ``R`` of ``T`` (``T + E = Q R Q*``), unitarily similar to ``f_i(T)``:
+    one batched Horner pass for ``p_i(R) / scale_i`` and, per root slot,
+    one :func:`_back_substitute` for the rows with a root in that slot.
+    Otherwise it is ``f_i(T)`` itself: Horner on ``T`` and one batched LU
+    solve per root slot, the cheaper route for a single function.
     """
     n = m.shape[0]
     eye = np.eye(n)
     lams = linalg.spectrum(m)
     rule = linalg.ShiftConditioning(m)
-    tri = rule.triangle if triangular else None
+    base = rule.triangle if triangular else m
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     for start in range(0, stack.p.shape[0], step):
         rows = slice(start, start + step)
@@ -113,14 +113,14 @@ def _factored_chunks(
             i = int(np.argmax(hit.any(axis=1)))
             slots = touch[i] if touch[i].any() else failed[i]
             raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
-        out = _polyval_stack(stack.p[rows], m if tri is None else tri)
+        out = _polyval_stack(stack.p[rows], base)
         out /= stack.scale[rows, np.newaxis, np.newaxis]
         for j in range(roots.shape[1]):
             idx = np.flatnonzero(mask[:, j])
-            if tri is None:
-                out[idx] = np.linalg.solve(m - roots[idx, j, np.newaxis, np.newaxis] * eye, out[idx])
+            if triangular:
+                out[idx] = _back_substitute(base, roots[idx, j], out[idx])
             else:
-                out[idx] = _back_substitute(tri, roots[idx, j], out[idx])
+                out[idx] = np.linalg.solve(m - roots[idx, j, np.newaxis, np.newaxis] * eye, out[idx])
         yield out
 
 
@@ -151,11 +151,8 @@ def factored_norms(
     ``n`` vectorized back-substitution steps per root slot, no LU solve.
     That is one Schur form of ``T`` per call, plus singular values of
     ``T - aI`` only for the roots ``a`` that Henrici's bound leaves
-    undecided (see :class:`linalg.ShiftConditioning`).  Without a triangle
-    (a largest entry outside ``[2^-900, 2^900]``, or ``zgees`` fails) the
-    rows are evaluated at ``T`` as :func:`eval_direct` does.  The
-    conditioning verdicts and :class:`Singular` messages are those of
-    :func:`eval_direct` either way.
+    undecided (see :class:`linalg.ShiftConditioning`).  The conditioning
+    verdicts and :class:`Singular` messages are those of :func:`eval_direct`.
 
     A chunk of about 1 MB of stacked matrices is evaluated at a time, with
     one batched spectral norm per chunk; memory stays bounded whatever the
@@ -239,9 +236,8 @@ class ContourSpec:
 
     ``nodes`` trapezoid nodes sit on each circle (see :func:`default_contour`
     for the rule that picks them).  The resolvents at the nodes are solved
-    in chunks on the Schur triangle of ``T`` by back-substitution (a batched
-    LU inverse of ``wI - T`` only where there is no triangle), so the cost
-    grows linearly in ``nodes`` and the memory stays bounded.
+    in chunks on the Schur triangle of ``T`` by back-substitution, so the
+    cost grows linearly in ``nodes`` and the memory stays bounded.
     """
 
     delta: float
@@ -280,8 +276,10 @@ def default_contour(
     ``(r-delta)/min|lambda|``, ``(1+delta)/min|q1 root|`` and
     ``max|q2 root|/(r-delta)``: ``nodes = ceil(log(1e-16) / log(rho))``,
     clamped to ``[512, 1 << 17]``.  Well-separated spectra keep 512 nodes; an
-    eigenvalue or pole close to a circle gets more.
+    eigenvalue or pole close to a circle gets more.  :class:`BadRadius`
+    unless ``r`` is in (0, 1).
     """
+    linalg.require_radius(r)
     gaps = [0.5 * (1.0 - r)]
     if f is not None:
         if f.q1_roots:
@@ -354,17 +352,14 @@ def _circle_integral(
     (singular values only where the rule's bound leaves a node undecided;
     :class:`Singular` counts the failures) and the weighted sum of its
     resolvents of ``R`` by :func:`_weighted_resolvents`, back-substitution
-    with no LU.  The result is ``Q (S_outer - S_inner) Q*``.  Without a
-    triangle (see the rule) each chunk is one :func:`linalg.resolvents`
-    call on ``T``, a batched LU inverse, and one weighted contraction.
-    Chunks depend only on ``n`` and ``nodes`` and are accumulated in index
+    with no LU.  The result is ``Q (S_outer - S_inner) Q*``.  Chunks
+    depend only on ``n`` and ``nodes`` and are accumulated in index
     order, so the reduction is deterministic.
     """
     n = m.shape[0]
     ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     rule = linalg.ShiftConditioning(m)
-    tri = rule.triangle
     integrals = []
     for radius in (outer, inner):
         ws = radius * ring
@@ -372,14 +367,10 @@ def _circle_integral(
         for start in range(0, nodes, step):
             w = ws[start : start + step]
             weights = w if f is None else w * rational.evaluate(f, w)
-            if tri is None:
-                acc += np.einsum("k,kij->ij", weights, linalg.resolvents(m, w, tols, rule))
-            else:
-                rule.require(w, tols)
-                acc += _weighted_resolvents(tri, w, weights)
+            rule.require(w, tols)
+            acc += _weighted_resolvents(rule.triangle, w, weights)
         integrals.append(acc / nodes)
-    out = integrals[0] - integrals[1]
-    return out if tri is None else rule.vectors @ out @ rule.vectors.conj().T
+    return rule.vectors @ (integrals[0] - integrals[1]) @ rule.vectors.conj().T
 
 
 def eval_contour(

@@ -775,9 +775,10 @@ def normal_annulus_matrix(n: int, r: float, seed: int) -> np.ndarray:
     """Random normal matrix with eigenvalues in the closed annulus.
 
     Normality plus spectrum location makes these certified positives for the
-    stress battery.  ``seed`` is checked as :func:`linalg.seeded_rng`
-    checks it.
+    stress battery.  ``n`` is checked by :func:`linalg.as_size`, and
+    ``seed`` as :func:`linalg.seeded_rng` checks it.
     """
+    n = linalg.as_size(n)
     linalg.require_radius(r)
     seed = linalg.as_integer(seed, "seed", 0)
     rng = linalg.seeded_rng(seed, 101)
@@ -791,9 +792,11 @@ def windowed_matrix(n: int, r: float, seed: int) -> np.ndarray:
     """Random matrix with singular values in ``[r, 1]``.
 
     Such matrices satisfy the double-contraction necessary condition:
-    ``||T|| <= 1`` and ``||r T^{-1}|| = r / min sigma_i <= 1``.  ``seed`` is
-    checked as :func:`linalg.seeded_rng` checks it.
+    ``||T|| <= 1`` and ``||r T^{-1}|| = r / min sigma_i <= 1``.  ``n`` is
+    checked by :func:`linalg.as_size`, and ``seed`` as
+    :func:`linalg.seeded_rng` checks it.
     """
+    n = linalg.as_size(n)
     linalg.require_radius(r)
     seed = linalg.as_integer(seed, "seed", 0)
     rng = linalg.seeded_rng(seed, 202)

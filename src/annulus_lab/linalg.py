@@ -67,6 +67,17 @@ def as_integer(value, name: str, least: int) -> int:
     return int(value)
 
 
+def as_size(n) -> int:
+    """A matrix size ``n`` as an ``int``: ``ValueError`` naming ``n`` unless
+    it is an integer (numpy's too, not a ``bool``), and
+    :class:`DimensionMismatch` below 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise DimensionMismatch("n must be >= 1")
+    return int(n)
+
+
 def require_radius(r: float) -> None:
     """:class:`BadRadius` unless the inner radius ``r`` is in (0, 1)."""
     if not (0.0 < r < 1.0):
@@ -114,6 +125,19 @@ class EigDecomposition:
     residual: float
 
 
+def _ldexp(z, exponent: int) -> np.ndarray:
+    """``z * 2**exponent`` as a complex array, part by part, for any
+    ``exponent`` (``2.0**-1074`` and ``2.0**1024`` are out of a float's
+    range); exact unless a part leaves the normal range.  The result keeps
+    the memory order of ``z``: a BLAS product rounds by the layout of its
+    operands, so a Fortran-ordered Schur triangle stays Fortran-ordered."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    np.ldexp(z.real, exponent, out=out.real)
+    np.ldexp(z.imag, exponent, out=out.imag)
+    return out
+
+
 def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None = None) -> bool:
     """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``; ``norm`` is ``||A||``
     when the caller has it already.
@@ -126,7 +150,7 @@ def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None
     if norm is None:
         norm = operator_norm(m)
     shift = -int(np.frexp(norm)[1])
-    a, norm = np.ldexp(m.real, shift) + 1j * np.ldexp(m.imag, shift), float(np.ldexp(norm, shift))
+    a, norm = _ldexp(m, shift), float(np.ldexp(norm, shift))
     comm = a.conj().T @ a - a @ a.conj().T
     return operator_norm(comm) <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
 
@@ -201,22 +225,22 @@ def _ill_conditioned(svals: np.ndarray, tols: Tolerances):
 # of the shifted matrices and of their singular values.
 _SCHUR_ERROR = 1024
 _ROUNDING = 64
-# Matrices whose largest entry lies outside [2^-900, 2^900] are left to the
-# singular values.
-_SAFE_EXPONENT = 900
 _EPS = float(np.finfo(float).eps)
 
 
-def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form ``(R, Q)`` of ``m``, ``m + E = Q R Q*`` with ``R``
-    upper triangular and ``Q`` unitary, or ``None``.
+    upper triangular and ``Q`` unitary; :class:`NoConvergence` if ``zgees``
+    fails.
 
     ``zgees`` balances by permutation only, which is exact, so the form is
     exact for ``m + E`` with ``||E||_F`` of order ``n eps ||m||_F``;
     ``eigvals`` also scales and has no such bound in terms of ``m``.
     """
     tri, _, _, vectors, _, info = sla.lapack.zgees(lambda w: None, m, compute_v=1)
-    return (tri, vectors) if info == 0 else None
+    if info != 0:
+        raise NoConvergence(f"zgees failed with info = {info}")
+    return tri, vectors
 
 
 class ShiftConditioning:
@@ -238,16 +262,16 @@ class ShiftConditioning:
     values of ``T - wI`` as :func:`solve` does, forming the shifted matrix
     only there, so the verdicts are those of the rule; :meth:`require`
     raises :class:`Singular` on any failure.  The bound is computed with
-    ``T`` scaled by a power of two to a largest entry in ``[1/2, 1)``.
+    ``T`` scaled by the power of two that brings its largest entry into
+    ``[1/2, 1)``, which every finite ``T`` has, subnormal or near overflow.
 
     ``triangle`` is the Schur triangle unscaled by the same power of two
-    (exact), ``R`` with ``T + E = Q R Q*``, and ``vectors`` is ``Q``, both
-    from the one ``zgees`` call.  A unitarily invariant quantity of a
-    function of ``T``, such as ``||f(T)||``, can be computed from ``R``
-    alone, and any function of ``T + E`` as ``Q f(R) Q*``.  Both are
-    ``None``, as is ``scale``, when there is no Schur form (a largest entry
-    outside ``[2^-900, 2^900]``, or ``zgees`` fails) and every shift goes to
-    the singular values.
+    (exact wherever its entries stay in the normal range; one that
+    overflows reads ``inf``), ``R`` with ``T + E = Q R Q*``, and
+    ``vectors`` is ``Q``, both from the one ``zgees`` call.  A unitarily
+    invariant quantity of a function of ``T``, such as ``||f(T)||``, can be
+    computed from ``R`` alone, and any function of ``T + E`` as
+    ``Q f(R) Q*``.  If ``zgees`` fails, :class:`NoConvergence` is raised.
 
     The agreement with the rule rests on one assumption: that the Schur form
     LAPACK ``zgees`` computes is exact for some ``T + E`` with
@@ -261,22 +285,14 @@ class ShiftConditioning:
 
     def __init__(self, m: np.ndarray):
         self.m = m
-        self.scale = None
-        self.triangle = self.vectors = None
-        exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-        if abs(exponent) > _SAFE_EXPONENT:
-            return
-        scale = 2.0**-exponent
-        scaled = m * scale
-        form = _schur_triangle(scaled)
-        if form is None:
-            return
-        tri, self.vectors = form
+        self.exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        scaled = _ldexp(m, -self.exponent)
+        tri, self.vectors = _schur_triangle(scaled)
         n = m.shape[0]
         slack = _ROUNDING * n * _EPS
         fro = float(np.linalg.norm(scaled)) * (1.0 + slack)
-        self.scale = scale
-        self.triangle = tri / scale
+        with np.errstate(over="ignore"):  # an eigenvalue beyond the float range reads inf
+            self.triangle = _ldexp(tri, self.exponent)
         self.lams = tri.diagonal().copy()
         # rounding allowances: nu, ||T||_F and hi are rounded up by
         # (1 + slack), and the gap and the quotient gap / total down by
@@ -290,12 +306,10 @@ class ShiftConditioning:
 
     def cleared(self, ws: np.ndarray, tols: Tolerances) -> np.ndarray:
         """Where the bound proves the shift ``ws[...]`` well conditioned."""
-        if self.scale is None:
-            return np.zeros(ws.shape, dtype=bool)
         # A zero gap, an overflow or a non-finite shift gives a NaN or
         # infinite term, and the comparisons then clear nothing.
         with np.errstate(all="ignore"):
-            ws = ws * self.scale
+            ws = _ldexp(ws, -self.exponent)
             dist = np.abs(ws)
             gap = np.abs(ws[..., np.newaxis] - self.lams).min(axis=-1)
             rho = self.nu / gap
@@ -325,27 +339,6 @@ class ShiftConditioning:
                 f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
                 f"at {int(failed.sum())} of {failed.size} points"
             )
-
-
-def resolvents(
-    a, ws, tols: Tolerances = DEFAULT_TOLS, rule: ShiftConditioning | None = None
-) -> np.ndarray:
-    """Stack of resolvents ``(w_k I - A)^{-1}``, shape ``(len(ws), n, n)``,
-    by one batched LU inverse.
-
-    Every shifted matrix passes the conditioning rule of :func:`solve`,
-    decided by :meth:`ShiftConditioning.require` (singular values only for
-    the points its bound cannot clear); :class:`Singular` is raised if any
-    point fails the rule.  ``rule`` is ``ShiftConditioning(A)`` when a
-    caller that asks for many stacks of one matrix has formed it already.
-    The contour quadratures of :mod:`calculus` take this route only for an
-    ``A`` without a Schur triangle; otherwise they solve on the triangle.
-    """
-    m = as_matrix(a)
-    _require_square(m)
-    ws = np.asarray(ws, dtype=complex)
-    (ShiftConditioning(m) if rule is None else rule).require(ws, tols)
-    return np.linalg.inv(ws[:, np.newaxis, np.newaxis] * np.eye(m.shape[0]) - m)
 
 
 def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -466,11 +459,10 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary, bit-reproducible for a fixed (n, seed).
 
     Complex Ginibre entries are orthonormalized by QR and the phases fixed so
-    the implicit R factor has a real positive diagonal.  ``seed`` is checked
-    as :func:`seeded_rng` checks it.
+    the implicit R factor has a real positive diagonal.  ``n`` is checked
+    by :func:`as_size`, and ``seed`` as :func:`seeded_rng` checks it.
     """
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
+    n = as_size(n)
     rng = seeded_rng(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

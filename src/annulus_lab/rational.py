@@ -245,10 +245,10 @@ def boundary_sup_norm(f: AnnulusRational, nodes: int) -> float:
     """Max of ``|f|`` over equispaced samples on the two boundary circles.
 
     A lower bound on the true sup norm, converging as ``nodes`` grows.
+    ``nodes`` is an integer >= 64 (numpy's too, not a ``bool``).
     """
     validate(f)
-    if nodes < 64:
-        raise ValueError("need at least 64 nodes per circle")
+    nodes = as_integer(nodes, "nodes", 64)
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     ring = np.exp(1j * theta)
     outer = np.abs(evaluate(f, ring))
@@ -528,7 +528,12 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
     past it.  Each probe's bound equals ``laurent_expand(f, order).tail_bound``
     bit for bit.  A NaN bound counts as not reaching ``tol``;
     :class:`BudgetExceeded` is raised when no order up to ``cap`` reaches it.
+    ``tol`` must be finite and > 0, and ``cap`` an integer >= 1 (numpy's
+    too, not a ``bool``).
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    cap = as_integer(cap, "cap", 1)
     _checked(f)
     data = _series_data(f, _length_for(f, 8))
 

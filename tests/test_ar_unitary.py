@@ -10,7 +10,7 @@ from annulus_lab.ar_unitary import (
     membership_subspaces,
 )
 from annulus_lab.certify import example_matrix
-from annulus_lab.errors import NotArUnitary, NotUnitary
+from annulus_lab.errors import BadRadius, NotArUnitary, NotUnitary
 from annulus_lab.linalg import operator_norm, random_unitary, spectrum
 
 
@@ -21,6 +21,30 @@ def conjugated_instance(r, k1, k2, seed):
     q = random_unitary(k1 + k2, seed + 2)
     ref1 = q[:, :k1] @ q[:, :k1].conj().T
     return q @ n @ q.conj().T, ref1, u1, u2, q
+
+
+class TestArguments:
+    @pytest.mark.parametrize("r", [2.0, 1.0, 0.0, -0.5, np.nan])
+    def test_every_route_rejects_a_bad_radius(self, r):
+        n = make_ar_unitary(np.eye(2), np.eye(1), 0.5)
+        for route in (
+            lambda: is_ar_unitary(np.eye(2), r),
+            lambda: make_ar_unitary(np.eye(2), np.eye(2), r),
+            lambda: decompose(n, r),
+            lambda: membership_subspaces(n, r),
+        ):
+            with pytest.raises(BadRadius):
+                route()
+
+    @pytest.mark.parametrize("n_max", [1.5, 2.0, True, 0])
+    def test_n_max_must_be_a_positive_integer(self, n_max):
+        with pytest.raises(ValueError, match="^n_max must be"):
+            membership_subspaces(make_ar_unitary(np.eye(2), np.eye(1), 0.5), 0.5, n_max)
+
+    def test_a_numpy_integer_n_max_is_the_int(self):
+        n = make_ar_unitary(random_unitary(2, 3), random_unitary(1, 4), 0.5)
+        got, want = membership_subspaces(n, 0.5, np.int64(2)), membership_subspaces(n, 0.5, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestIsArUnitary:

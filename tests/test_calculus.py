@@ -241,6 +241,11 @@ class TestRieszProjection:
 
 
 class TestDefaultContour:
+    @pytest.mark.parametrize("r", [1.5, np.nan, 0.0])
+    def test_a_bad_radius_is_named_before_delta(self, r):
+        with pytest.raises(BadRadius):
+            default_contour(None, windowed_matrix(3, 0.5, 1), r)
+
     def test_margins_respect_poles_and_spectrum(self):
         t = open_annulus_normal(3, 0.5, 3)
         f = random_function(0.5, 3)
@@ -295,11 +300,15 @@ class TestBatchedQuadrature:
             got = riesz_projection(t, part, spec, r)
             assert operator_norm(got - ref) <= 1e-13 * max(operator_norm(ref), 1.0)
 
-    def test_resolvents_raise_singular_on_an_eigenvalue(self):
+    def test_a_shift_on_an_eigenvalue_raises_singular(self):
         t = np.diag([0.6, 0.8j])
-        assert linalg.resolvents(t, [0.3, -0.9]).shape == (2, 2, 2)
-        with pytest.raises(Singular):
-            linalg.resolvents(t, [0.3, 0.8j, -0.9])
+        rule = linalg.ShiftConditioning(t)
+        rule.require(np.array([0.3, -0.9]), linalg.DEFAULT_TOLS)
+        with pytest.raises(Singular, match="at 1 of 3 points$"):
+            rule.require(np.array([0.3, 0.8j, -0.9]), linalg.DEFAULT_TOLS)
+        # node 4 of 18 on |w| = 0.8 is the eigenvalue 0.8j
+        with pytest.raises(Singular, match="at 1 of 18 points$"):
+            calculus._circle_integral(t, 0.8, 0.3, 18, linalg.DEFAULT_TOLS)
 
     def test_pole_on_a_node_raises_pole_hit(self):
         nodes = 64
@@ -341,24 +350,6 @@ class TestBatchedQuadrature:
         assert len(calls) == 1
 
 
-def _lu_quadrature(t, outer, inner, nodes, f=None):
-    """The batched-LU quadrature: per chunk of nodes, one
-    ``linalg.resolvents`` stack contracted with its weights."""
-    n = t.shape[0]
-    ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
-    step = max(1, calculus._CHUNK_BYTES // (16 * n * n))
-    integrals = []
-    for radius in (outer, inner):
-        ws = radius * ring
-        acc = np.zeros((n, n), dtype=complex)
-        for start in range(0, nodes, step):
-            w = ws[start : start + step]
-            weights = w if f is None else w * rational.evaluate(f, w)
-            acc += np.einsum("k,kij->ij", weights, linalg.resolvents(t, w))
-        integrals.append(acc / nodes)
-    return integrals[0] - integrals[1]
-
-
 _NON_NORMAL = [("jordan", 3), ("jordan", 6), ("jordan", 9), ("windowed", 3), ("windowed", 9)]
 
 
@@ -372,8 +363,7 @@ def _non_normal(kind, n):
 
 class TestTriangularQuadrature:
     """The contour routes solve for the resolvents on the Schur triangle
-    ``R`` of ``T`` and return ``Q S Q*``; without a triangle they keep the
-    batched LU inverse."""
+    ``R`` of ``T`` and return ``Q S Q*``."""
 
     @pytest.mark.parametrize("kind, n", _NON_NORMAL)
     def test_non_normal_matches_per_node_loop_and_direct(self, kind, n):
@@ -394,23 +384,6 @@ class TestTriangularQuadrature:
             eval_contour(random_function(0.5, 70 + n), _non_normal(kind, n), ContourSpec(delta=0.02, nodes=512))
         t = normal_with_moduli([0.9, 0.55, 0.95, 0.6], 84)[0]
         riesz_projection(t, SpectralPart.OUTER, ContourSpec(delta=0.05, nodes=512), 0.5)
-
-    @pytest.mark.parametrize("n", [3, 12])
-    def test_without_a_triangle_the_lu_route_is_unchanged(self, monkeypatch, n):
-        # n = 12 takes two chunks a circle
-        t = open_annulus_normal(n, 0.5, 60 + n) + 0.1 * np.eye(n, k=1)
-        f = random_function(0.5, 70 + n)
-        spec = ContourSpec(delta=0.02, nodes=512)
-        moduli = np.where(np.arange(n) % 2 == 0, 0.9, 0.55)
-        split = normal_with_moduli(moduli, 80 + n)[0]
-        mid = 0.75
-        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: None)
-        assert linalg.ShiftConditioning(t).triangle is None
-        want = _lu_quadrature(t, 1.0 + spec.delta, 0.5 - spec.delta, spec.nodes, f)
-        assert np.array_equal(eval_contour(f, t, spec), want)
-        for part, outer, inner in ((SpectralPart.OUTER, 1.05, mid), (SpectralPart.INNER, mid, 0.45)):
-            got = riesz_projection(split, part, ContourSpec(delta=0.05, nodes=512), 0.5)
-            assert np.array_equal(got, _lu_quadrature(split, outer, inner, 512))
 
 
 def _clear_nothing(self, ws, tols):
@@ -528,21 +501,52 @@ class TestSchurRoute:
             calculus.factored_norms(stack, t)
             assert len(calls) <= 1
 
-    @pytest.mark.parametrize("n", [2, 5, 9])
-    def test_without_a_triangle_the_lu_route_gives_the_same_norms(self, monkeypatch, n):
-        stack = certify._stress_battery(0.5, 2000, 1).stack
-        t = windowed_matrix(n, 0.5, 40 + n)
-        got = calculus.factored_norms(stack, t)
-        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: None)
-        assert linalg.ShiftConditioning(t).triangle is None
-        assert_allclose(got, calculus.factored_norms(stack, t), rtol=1e-13)
-
     def test_the_triangle_is_unscaled_exactly(self):
         t = windowed_matrix(4, 0.5, 7)
         tri = linalg.ShiftConditioning(t).triangle
         assert np.array_equal(tri, np.triu(tri))
-        for k in (-300, 100, 800):
+        for k in (-1000, -300, 100, 800, 1000):
             assert np.array_equal(linalg.ShiftConditioning(t * 2.0**k).triangle, tri * 2.0**k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [950, -950, -1060])
+    def test_extreme_scales_agree_with_eval_direct(self, k):
+        # 2^-1060 T is subnormal.  Rows with a root within 1e-3 of 0 touch
+        # the spectrum of the small scales and are left out.
+        battery = certify._stress_battery(0.5, 2000, 1)
+        stack = battery.stack
+        keep = np.flatnonzero((~stack.mask | (np.abs(stack.roots) > 1e-3)).all(axis=1))[:300]
+        t = windowed_matrix(3, 0.5, 4) * 2.0**k
+        with np.errstate(over="ignore", invalid="ignore"):  # f(T) overflows at 2^950
+            direct = [eval_direct(battery.functions[i], t) for i in keep]
+        want = np.array([operator_norm(x) if np.isfinite(x).all() else np.inf for x in direct])
+        got = calculus.factored_norms(stack.take(keep), t)
+        assert (np.isfinite(want) & (want > 0)).sum() >= 17
+        assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [950, -950])
+    def test_extreme_scales_integrate_on_the_triangle(self, k):
+        # eval_contour's absolute margins rule out radii this far from 1,
+        # so the quadrature is called on circles of radius 1.1 s and 0.4 s
+        # around s T, for f(z) = 0.3 + z / s.
+        s = 2.0**k
+        t = windowed_matrix(3, 0.5, 4) * s
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0 / s))
+        got = calculus._circle_integral(t, 1.1 * s, 0.4 * s, 512, linalg.DEFAULT_TOLS, f)
+        want = eval_direct(f, t)
+        assert operator_norm(got - want) <= 1e-13 * operator_norm(want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_triangle_beyond_the_float_range_ends_in_singular(self):
+        # ||T||_F and the eigenvalue 3.4e308 overflow; the unscaled triangle
+        # reads inf without a warning, and the root stays singular
+        t = np.full((2, 2), 1.7e308)
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+        assert np.isinf(linalg.ShiftConditioning(t).triangle).any()
+        for route in (lambda: eval_direct(f, t), lambda: calculus.factored_norms(rational.factored_stack([f]), t)):
+            with pytest.raises(Singular, match=r"^spectrum touches denominator root \(2\.5\+0j\)$"):
+                route()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_overflow_reads_inf_without_a_warning(self):

@@ -6,9 +6,10 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus, certify, dilation, linalg
+from annulus_lab import calculus, certify, dilation, linalg, rational
 from annulus_lab.errors import (
     DimensionMismatch,
+    NoConvergence,
     NotInvertible,
     NotIsometric,
     NotNormal,
@@ -196,6 +197,29 @@ class TestRandomUnitary:
 
     def test_seeds_differ(self):
         assert not np.allclose(random_unitary(4, 7), random_unitary(4, 8))
+
+    _SIZED = {
+        "random_unitary": lambda n: random_unitary(n, 1),
+        "normal_annulus_matrix": lambda n: certify.normal_annulus_matrix(n, 0.5, 1),
+        "windowed_matrix": lambda n: certify.windowed_matrix(n, 0.5, 1),
+    }
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("name", sorted(_SIZED))
+    def test_a_size_that_is_not_an_integer_is_rejected(self, name, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            self._SIZED[name](n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("name", sorted(_SIZED))
+    def test_a_size_below_one_is_a_dimension_mismatch(self, name, n):
+        with pytest.raises(DimensionMismatch, match="^n must be >= 1$"):
+            self._SIZED[name](n)
+
+    @pytest.mark.parametrize("name", sorted(_SIZED))
+    def test_a_numpy_integer_size_is_the_int_size(self, name):
+        call = self._SIZED[name]
+        assert np.array_equal(call(np.int64(3)), call(3))
 
 
 class TestSeedValidation:
@@ -402,7 +426,7 @@ class TestShiftConditioning:
         assert np.array_equal(got, _svd_rule(shifted, tols))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("k", [-170, -100, -30, 30, 100, 150, 170])
+    @pytest.mark.parametrize("k", [-300, -290, -170, -100, -30, 30, 100, 150, 170, 290, 300])
     def test_scaled_inputs_agree_without_warnings(self, k, monkeypatch):
         svd = np.linalg.svd
 
@@ -477,11 +501,32 @@ class TestShiftConditioning:
         assert np.array_equal(got, _svd_rule(shifted, tols))
         assert got[0]
 
-    def test_resolvents_count_the_failing_points(self):
+    def test_require_counts_the_failing_points(self):
         t = np.array([[1.2, 1e6], [0.0, 1.2]])
         ws = np.array([1.3, 5e6, 1.2 + 1e-12, -3e6, 1.2, 2e7, -2e7, 4e6j])
         failed = _svd_rule(ws[:, np.newaxis, np.newaxis] * np.eye(2) - t, DEFAULT_TOLS)
         assert failed.sum() == 3
+        rule = linalg.ShiftConditioning(t)
         with pytest.raises(Singular, match=r"exceeds 1\.0e\+09 at 3 of 8 points$"):
-            linalg.resolvents(t, ws)
-        assert linalg.resolvents(t, ws[~failed]).shape == (5, 2, 2)
+            rule.require(ws, DEFAULT_TOLS)
+        rule.require(ws[~failed], DEFAULT_TOLS)
+        # every node of the circle |w| = 1.3 around the shear fails the rule
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,))
+        with pytest.raises(Singular, match=r"exceeds 1\.0e\+09 at 16 of 16 points$"):
+            calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.3, nodes=16))
+
+    def test_a_zgees_failure_raises_no_convergence(self, monkeypatch):
+        zgees = sla.lapack.zgees
+
+        def failing(*args, **kwargs):
+            return (*zgees(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(sla.lapack, "zgees", failing)
+        t = certify.windowed_matrix(3, 0.5, 4)
+        with pytest.raises(NoConvergence, match="info = 1"):
+            linalg.ShiftConditioning(t)
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,))
+        with pytest.raises(NoConvergence):
+            calculus.factored_norms(rational.factored_stack([f]), t)
+        with pytest.raises(NoConvergence):
+            calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.05, nodes=64))

@@ -288,6 +288,17 @@ class TestLaurentExpand:
             laurent_order_for(f, 1e-10)
         assert dilation.default_budget(f) == dilation.BUDGET_CAP
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_rejected_up_front(self, tol, monkeypatch):
+        monkeypatch.setattr(rational, "_series_data", lambda *args: pytest.fail("scanned"))
+        with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+            laurent_order_for(QUADRATIC, tol)
+
+    @pytest.mark.parametrize("cap", [2.5, 4096.0, True, 0])
+    def test_a_cap_that_is_not_a_positive_integer_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="^cap must be"):
+            laurent_order_for(QUADRATIC, 1e-30, cap=cap)
+
     def test_order_past_the_cap_is_a_budget_error(self):
         # 1/(z - 1.001) needs an order near 30000 for 1e-10; the search stops at 4096
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.001,))
@@ -360,6 +371,11 @@ class TestBoundarySupNorm:
     def test_outer_pole_dense_sampling(self):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
         assert boundary_sup_norm(f, 4096) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("nodes", [100.5, 128.0, True, 63])
+    def test_nodes_that_are_not_an_integer_of_at_least_64_are_rejected(self, nodes):
+        with pytest.raises(ValueError, match="^nodes must be"):
+            boundary_sup_norm(QUADRATIC, nodes)
 
     def test_converges_from_below(self):
         f = random_function(0.5, 3)
