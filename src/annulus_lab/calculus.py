@@ -71,19 +71,27 @@ def _back_substitute(tri: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.n
 
 
 def _factored_chunks(
-    stack: rational.FactoredStack, m: np.ndarray, tols: Tolerances, triangular: bool = True
+    stack: rational.FactoredStack,
+    rule: linalg.ShiftConditioning,
+    lams: np.ndarray,
+    tols: Tolerances,
+    triangular: bool = True,
+    checked: bool = False,
 ):
     """Yield ``f_i(T)``, or a unitarily similar matrix, for the rows of
-    ``stack`` as ``(k, n, n)`` chunks.
+    ``stack`` as ``(k, n, n)`` chunks, with ``rule`` the
+    :class:`linalg.ShiftConditioning` of ``T`` and ``lams`` its spectrum.
 
-    Chunks hold about ``_CHUNK_BYTES`` of matrices.  One
-    :class:`linalg.ShiftConditioning` per matrix decides :func:`linalg.solve`'s
-    conditioning rule for every root, with singular values (and a shifted
-    matrix) only for roots its bound cannot clear, so the verdicts are the
-    rule's.  A row whose root lies within ``rank_tol * max(1, |root|)`` of
-    the spectrum, or fails the rule, raises :class:`Singular` naming that
-    root: the first such row in stack order, and within it a touching root
-    before a failing one, each in slot order.
+    Chunks hold about ``_CHUNK_BYTES`` of matrices.  The rule decides
+    :func:`linalg.solve`'s conditioning rule for every root, with singular
+    values (and a shifted matrix) only for roots its bound cannot clear, so
+    the verdicts are the rule's.  A row whose root lies within
+    ``rank_tol * max(1, |root|)`` of ``lams``, or fails the rule, raises
+    :class:`Singular` naming that root: the first such row in stack order,
+    and within it a touching root before a failing one, each in slot order.
+    ``checked`` skips those checks, for rows whose roots have passed them.
+    A row's matrix does not depend on the rows stacked with it, so the
+    chunks of ``stack.take(rows)`` hold the same matrices for those rows.
 
     With ``triangular``, a chunk is ``f_i(R)`` on the rule's Schur triangle
     ``R`` of ``T`` (``T + E = Q R Q*``), unitarily similar to ``f_i(T)``:
@@ -92,30 +100,31 @@ def _factored_chunks(
     Otherwise it is ``f_i(T)`` itself: Horner on ``T`` and one batched LU
     solve per root slot, the cheaper route for a single function.
     """
+    m = rule.m
     n = m.shape[0]
     eye = np.eye(n)
-    lams = linalg.spectrum(m)
-    rule = linalg.ShiftConditioning(m)
     base = rule.triangle if triangular else m
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     for start in range(0, stack.p.shape[0], step):
         rows = slice(start, start + step)
         roots, mask = stack.roots[rows], stack.mask[rows]
-        gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
-        touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
-        cleared = rule.cleared(roots, tols)
-        failed = np.zeros_like(mask)
-        for j in range(roots.shape[1]):
-            idx = np.flatnonzero(mask[:, j])
-            failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
-        hit = touch | failed
-        if hit.any():
-            i = int(np.argmax(hit.any(axis=1)))
-            slots = touch[i] if touch[i].any() else failed[i]
-            raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+        used = np.flatnonzero(mask.any(axis=0))  # a taken subset may leave slots empty
+        if not checked:
+            gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
+            touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
+            cleared = rule.cleared(roots, tols)
+            failed = np.zeros_like(mask)
+            for j in used:
+                idx = np.flatnonzero(mask[:, j])
+                failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
+            hit = touch | failed
+            if hit.any():
+                i = int(np.argmax(hit.any(axis=1)))
+                slots = touch[i] if touch[i].any() else failed[i]
+                raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
         out = _polyval_stack(stack.p[rows], base)
         out /= stack.scale[rows, np.newaxis, np.newaxis]
-        for j in range(roots.shape[1]):
+        for j in used:
             idx = np.flatnonzero(mask[:, j])
             if triangular:
                 out[idx] = _back_substitute(base, roots[idx, j], out[idx])
@@ -137,7 +146,59 @@ def eval_direct(
     the first that fails the rule.
     """
     m = linalg.as_matrix(t)
-    return next(_factored_chunks(rational.factored_stack([f]), m, tols, triangular=False))[0]
+    stack = rational.factored_stack([f])
+    lams = linalg.spectrum(m)
+    return next(_factored_chunks(stack, linalg.ShiftConditioning(m), lams, tols, triangular=False))[0]
+
+
+# The rounding allowance of _norm_bounds, a multiple of n eps (an assumed
+# constant; see there).
+_NORM_ROUNDING = 64
+
+
+def _spectral_norms(x: np.ndarray) -> np.ndarray:
+    """``||X||_2`` of each matrix of the stack ``x``, one batched SVD, or
+    ``inf`` where an entry is not finite (such ``X`` are zeroed in place)."""
+    finite = np.isfinite(x).all(axis=(1, 2))
+    x[~finite] = 0.0  # the SVD cannot take them; their rows read inf
+    return np.where(finite, np.linalg.norm(x, 2, axis=(1, 2)), np.inf)
+
+
+def _norm_bounds(x: np.ndarray) -> np.ndarray:
+    """An upper bound on what :func:`_spectral_norms` computes for each
+    matrix of the stack ``x``: ``min(||X||_F, sqrt(||X||_1 ||X||_inf))``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    sec. 6.2) times ``1 + 64 n eps``, plus ``n tiny``; ``inf`` where an
+    entry or the bound is not finite.
+
+    The norms are taken of ``|X|`` scaled by the power of two that brings
+    its largest entry into ``[1/2, 1)``, so no square or product underflows
+    or overflows, and scaled back.  Pruning on the bound rests on one
+    assumption: that the computed largest singular value and the computed
+    bound each lie within ``32 n eps`` relative of their exact values.  The
+    SVD is backward stable, ``sigma(X + E)`` with ``||E|| <= p(n) eps ||X||``
+    for a ``p`` only called modest (LAPACK Users' Guide, 3rd ed., sec. 4.9);
+    the sums carry at most ``n`` roundings per entry, fewer under numpy's
+    pairwise summation; ``n tiny`` covers a scaled-back bound that leaves the
+    normal range.  So ``64 n`` is a generous choice, not a derived one.
+    """
+    n = x.shape[-1]
+    a = np.abs(x)
+    exponent = np.frexp(a.max(axis=(1, 2)))[1]
+    a = np.ldexp(a, -exponent[:, np.newaxis, np.newaxis])
+    fro = np.linalg.norm(a, "fro", axis=(1, 2))
+    split = np.sqrt(np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(a, np.inf, axis=(1, 2)))
+    bound = np.ldexp(np.minimum(fro, split) * (1.0 + _NORM_ROUNDING * n * np.finfo(float).eps), exponent)
+    bound += n * np.finfo(float).tiny
+    return np.where(np.isfinite(bound), bound, np.inf)
+
+
+def _each_chunk(chunks, reduce) -> np.ndarray:
+    """``reduce`` of each chunk of :func:`_factored_chunks`, joined; an
+    overflow reads ``inf``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [reduce(out) for out in chunks]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def factored_norms(
@@ -157,16 +218,39 @@ def factored_norms(
     A chunk of about 1 MB of stacked matrices is evaluated at a time, with
     one batched spectral norm per chunk; memory stays bounded whatever the
     number of rows.  A row whose ``f_i(R)`` has an entry that is not finite
-    (an overflow) gets ``inf``.
+    (an overflow) gets ``inf``.  :func:`factored_norm_bounds` gives the same
+    values lazily.
     """
     m = linalg.as_matrix(t)
-    norms = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf
-        for out in _factored_chunks(stack, m, tols):
-            finite = np.isfinite(out).all(axis=(1, 2))
-            out[~finite] = 0.0  # the SVD cannot take them; their rows read inf
-            norms.append(np.where(finite, np.linalg.norm(out, 2, axis=(1, 2)), np.inf))
-    return np.concatenate(norms) if norms else np.zeros(0)
+    lams = linalg.spectrum(m)
+    return _each_chunk(_factored_chunks(stack, linalg.ShiftConditioning(m), lams, tols), _spectral_norms)
+
+
+def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS):
+    """Upper bounds on :func:`factored_norms` of every row, and a function
+    that gives the exact norms of chosen rows.
+
+    One pass of :func:`factored_norms`' chunked evaluation keeps, per row,
+    only the bound of :func:`_norm_bounds` (``inf`` for a row with an entry
+    that is not finite), with no SVD; the bound is at least the norm
+    :func:`factored_norms` computes.  ``norms(rows)`` evaluates the rows
+    ``rows`` again, on the same Schur triangle with the same conditioning
+    rule, so it returns ``factored_norms(stack, t, tols)[rows]`` bit for
+    bit: a row's matrix does not depend on the rows stacked with it, and
+    the batched SVD works one matrix at a time.  The Schur form of ``T`` is
+    formed once, for both, and the roots pass the conditioning rule once,
+    in the first pass.  Raises what :func:`factored_norms` raises.
+    """
+    m = linalg.as_matrix(t)
+    lams = linalg.spectrum(m)
+    rule = linalg.ShiftConditioning(m)
+    bounds = _each_chunk(_factored_chunks(stack, rule, lams, tols), _norm_bounds)
+
+    def norms(rows: np.ndarray) -> np.ndarray:
+        chunks = _factored_chunks(stack.take(rows), rule, lams, tols, checked=True)
+        return _each_chunk(chunks, _spectral_norms)
+
+    return bounds, norms
 
 
 def eval_laurent(

@@ -485,39 +485,59 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     return _Battery(float(r), stack, counts, lower)
 
 
-def _stress_ratios(nums, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
-    """``max_i nums_i / max(sup_i, probe_i)`` and the witness, asking for
-    as few exact sups ``sup_i`` as the comparisons allow.
+def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> tuple[float, int | None]:
+    """``max_i norm_i / max(sup_i, probe_i)`` and the witness, asking for as
+    few exact norms ``norm_i`` and exact sups ``sup_i`` as the comparisons
+    allow.
 
-    ``lower <= sup`` elementwise; ``memo`` holds the sups already known (NaN
-    where not); ``sups(rows)`` returns the sups of ``rows`` and
-    ``dense(rows)`` a denser re-check of them.  With ``bound`` the memo
-    entry or else ``lower``, ``upper = nums / max(bound, probe)`` bounds each
-    ratio from above (division is monotone), in this order:
+    ``nums >= norm`` and ``lower <= sup`` elementwise; ``memo`` holds the
+    sups already known (NaN where not); ``norms(rows)`` returns the norms of
+    ``rows`` (``norms`` is None when ``nums`` are the norms), ``sups(rows)``
+    their sups and ``dense(rows)`` a denser re-check of them.  With
+    ``bound`` the memo entry or else ``lower``, ``upper = num / max(bound,
+    probe)``, ``num`` the norm once known and ``nums`` before, bounds each
+    ratio from above (division is monotone).  A row gets its norm before
+    its sup is asked for, and its sup only if ``upper``, with the norm,
+    still calls for it, in this order:
 
-    1. every unknown row with ``upper > 1 + tol``, or not finite, gets its
-       sup; the rows whose ratio then exceeds ``1 + tol`` are flagged and
-       re-checked by ``dense``, and the first still above it is the witness;
-    2. with ``best`` the largest ratio known, every unknown row with
-       ``upper >= best`` gets its sup (at most ``_REFINE_ROWS`` at a time,
-       the largest ``upper`` first), until none is left.
+    1. every row with ``upper > 1 + tol``, or not finite, gets its norm,
+       and then its sup where ``upper`` is still so; the rows whose ratio
+       then exceeds ``1 + tol`` are flagged and re-checked by ``dense``, and
+       the first still above it is the witness;
+    2. with ``best`` the largest ratio known, of a row with both its norm
+       and its sup, the ``_REFINE_ROWS`` rows with the largest
+       ``upper >= best`` that lack either get their norms, or if they have
+       them all their sups, until no such row is left.
 
     The re-check must come first: it can lower a flagged ratio below one
-    that step 2 would have pruned against.  An unknown row left at the end
-    has ``ratio <= upper < best``, so the result is that of computing every
-    sup.  When ``memo`` already holds what a call needs, it is a few passes
-    over the arrays, with no sort.
+    that step 2 would have pruned against.  A row left without its norm or
+    sup at the end has ``ratio <= upper < best``, so the result is that of
+    computing every norm and every sup.  When ``memo`` holds what a call
+    needs, no sup is asked for, and with ``norms`` None the call is a few
+    passes over the arrays.
     """
+    nums = np.array(nums, dtype=float)
+    exact = np.full(nums.size, norms is None)
     known = ~np.isnan(memo)
     denoms = np.maximum(np.where(known, memo, lower), probe)
     ratios = nums / denoms
+
+    def settle(rows):
+        nums[rows] = norms(rows)
+        ratios[rows] = nums[rows] / denoms[rows]
+        exact[rows] = True
 
     def refine(rows):
         denoms[rows] = np.maximum(sups(rows), probe[rows])
         ratios[rows] = nums[rows] / denoms[rows]
         known[rows] = True
 
-    refine(np.nonzero(~known & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol)))[0])
+    def suspect(mask):
+        return np.nonzero(mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol)))[0]
+
+    if norms is not None:
+        settle(suspect(~exact))
+    refine(suspect(~known))
     witness = None
     flagged = np.nonzero(ratios > 1.0 + tol)[0]
     if flagged.size:
@@ -526,12 +546,17 @@ def _stress_ratios(nums, lower, probe, memo, sups, dense, tol: float) -> tuple[f
             if witness is None and ratios[i] > 1.0 + tol:
                 witness = int(i)
     while True:
-        rows = np.nonzero(~known & (ratios >= ratios[known].max(initial=-np.inf)))[0]
+        done = exact & known
+        rows = np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0]
         if not rows.size:
             break
         if rows.size > _REFINE_ROWS:
             rows = rows[np.argpartition(ratios[rows], -_REFINE_ROWS)[-_REFINE_ROWS:]]
-        refine(rows)
+        pending = rows[~exact[rows]]
+        if pending.size:
+            settle(pending)
+        else:
+            refine(rows)
     return (float(ratios.max()) if ratios.size else 0.0), witness
 
 
@@ -587,19 +612,27 @@ def vonneumann_stress(
     ``1 + verify_tol`` nor reach the largest ratio found keeps it.  The
     sups found go into the battery's memo (:meth:`_Battery.exact_sups`);
     once it holds what a call needs, the call makes no sup work at all.  The
-    report is the one that every sup computed would give, bit for bit.
+    report is the one that every norm and every sup computed would give,
+    bit for bit.
 
     For numerically normal input the operator norm is evaluated spectrally,
     as ``max |f|`` over the eigenvalues, which agrees with the factored
     evaluation to roundoff; one pass over the evaluated functions gives
     ``|f|`` at the eigenvalues and at their projections.  Otherwise they go
-    through one stacked factored evaluation (:func:`calculus.factored_norms`)
-    at the Schur triangle of ``T``, by back-substitution, in chunks of about
-    1 MB; it raises :class:`Singular` as
-    :func:`calculus.eval_direct` would on the first evaluated function, in
-    battery order, with a root on the spectrum.  :class:`NotContraction`
-    names an overflow: some ``||f(T)||``, or ``|f|`` at a projected
-    eigenvalue, is not finite.  :class:`BadRadius` is
+    through one stacked factored evaluation
+    (:func:`calculus.factored_norm_bounds`) at the Schur triangle of ``T``,
+    by back-substitution, in chunks of about 1 MB; it raises
+    :class:`Singular` as :func:`calculus.eval_direct` would on the first
+    evaluated function, in battery order, with a root on the spectrum.
+    Norms are lazy on that route as the sups are: the pass keeps a cheap
+    upper bound on each ``||f(T)||``, and :func:`_stress_ratios` asks for
+    the exact norm, the spectral norm :func:`calculus.factored_norms` gives,
+    only of a function whose ratio can still matter, before its sup.  The
+    exact norms are evaluated again on the same Schur triangle, so a call
+    forms one Schur form of ``T``.  :class:`NotContraction` names an
+    overflow: some ``||f(T)||``, or ``|f|`` at a projected eigenvalue, is
+    not finite; a bound that is not finite gets its exact norm first, so it
+    is raised before any sup work.  :class:`BadRadius` is
     raised unless ``0 < r < 1``, then ``ValueError`` naming ``trials`` or
     ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
     ``>= 0``, before any other work.
@@ -630,9 +663,12 @@ def vonneumann_stress(
             vals = stack.abs_at(np.concatenate([probes, lams]))
             at_probes = vals[:, : lams.size].max(axis=1)
             nums = vals[:, lams.size :].max(axis=1)
+            norms = None  # nums are the norms
         else:
             at_probes = stack.abs_at(probes).max(axis=1)
-            nums = calculus.factored_norms(stack, m, tols)
+            nums, norms = calculus.factored_norm_bounds(stack, m, tols)
+            bad = np.flatnonzero(~np.isfinite(nums))  # an overflow, or a bound's own
+            nums[bad] = norms(bad)
     if not (np.isfinite(nums).all() and np.isfinite(at_probes).all()):
         raise NotContraction(
             f"overflow: ||f(T)|| or |f| at a probe is not finite (||T|| = {norm_t:.6g}, ||r T^-1|| = {norm_rtinv:.6g})"
@@ -642,6 +678,7 @@ def vonneumann_stress(
         battery.lower[rows],
         at_probes,
         battery.memo[rows],
+        norms,
         lambda sel: battery.exact_sups(rows[sel]),
         lambda sel: battery.exact_sups(rows[sel], dense=True),
         tols.verify_tol,

@@ -509,9 +509,10 @@ class TestSampledSups:
             _sups_of(functions[2:])
 
 
-def _full_sup_ratios(nums, lower, probe, memo, sups, dense, tol):
-    """Reference for :func:`_stress_ratios`: every sup computed, then the
-    flagged ratios re-checked."""
+def _full_sup_ratios(nums, lower, probe, memo, norms, sups, dense, tol):
+    """Reference for :func:`_stress_ratios`: every norm and every sup
+    computed, then the flagged ratios re-checked."""
+    nums = nums if norms is None else norms(np.arange(nums.size))
     denoms = np.maximum(sups(np.arange(nums.size)), probe)
     ratios = nums / denoms
     witness = None
@@ -525,20 +526,30 @@ def _full_sup_ratios(nums, lower, probe, memo, sups, dense, tol):
 
 
 class TestStressRatios:
-    """Lazy refinement gives the ratios of every sup computed."""
+    """Lazy refinement gives the ratios of every norm and every sup computed."""
 
     @staticmethod
-    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol):
-        asked = []
+    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms=None):
+        """:func:`_stress_ratios` on upper bounds ``nums`` of the norms
+        ``norms``, or on the norms ``nums`` by default; returns the result
+        and the rows whose norms and whose sups were asked for."""
+        asked, normed = [], []
+
+        def norm_of(rows):
+            normed.extend(rows.tolist())
+            return norms[rows]
 
         def sups(rows):
             assert np.all(np.isnan(memo[rows]))
+            if norms is not None:
+                assert set(rows.tolist()) <= set(normed)  # a row's norm comes first
             asked.extend(rows.tolist())
             return exact[rows]
 
-        got = _stress_ratios(nums, lower, probe, memo, sups, lambda rows: dense_sups[rows], tol)
-        assert len(asked) == len(set(asked))
-        return got, asked
+        norm_of = None if norms is None else norm_of
+        got = _stress_ratios(nums, lower, probe, memo, norm_of, sups, lambda rows: dense_sups[rows], tol)
+        assert len(asked) == len(set(asked)) and len(normed) == len(set(normed))
+        return got, asked, normed
 
     @staticmethod
     def _same(got, want):
@@ -549,43 +560,87 @@ class TestStressRatios:
         rng = seeded_rng(8, 1)
         for trial in range(400):
             n = int(rng.integers(0, 80))
-            # values on a grid of sixteenths, so ratios tie with bounds
+            # values on a grid of sixteenths, so ratios tie with bounds, and
+            # bounds with the norms they bound
             exact = rng.integers(4, 40, n) / 16
             lower = np.minimum(exact, rng.integers(1, 40, n) / 16)
             probe = rng.integers(0, 40, n) / 16 * (rng.random(n) < 0.5)
-            nums = rng.integers(0, 44, n) / 16
+            # norms on a finer grid, so ratios also come within 0.1 % of each other
+            norms = rng.integers(0, 44 * 256, n) / 4096
+            if trial % 4 == 1 and n >= 40:
+                # a near tie: every ratio at most 1 but row 0's, 1 + 1/4096
+                # with a tight sup, which a bound 0.1 % short of its norm prunes
+                norms = np.minimum(norms, np.maximum(exact, probe))
+                norms[0], exact[0], lower[0], probe[0] = 1.0 + 1.0 / 4096, 1.0, 1.0, 0.0
+            nums = norms + rng.integers(0, 8, n) / 16 * (rng.random(n) < 0.7)
+            bad = []
             if trial % 5 == 0 and n:
-                nums[rng.integers(0, n, 2)] = (np.nan, np.inf)[trial % 2]
+                bad = rng.integers(0, n, 2)
+                nums[bad] = (np.nan, np.inf)[trial % 2]
             memo = np.where(rng.random(n) < 0.3 * (trial % 3), exact, np.nan)
             dense_sups = exact * rng.choice([1.0, 1.05, 3.0], n)
             tol = (1e-8, 0.1)[trial % 2]
             want = _full_sup_ratios(
-                nums, lower, probe, memo, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
+                nums,
+                lower,
+                probe,
+                memo,
+                lambda rows: norms[rows],
+                lambda rows: exact[rows],
+                lambda rows: dense_sups[rows],
+                tol,
             )
-            got, _ = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol)
+            got, _, normed = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
             self._same(got, want)
+            assert set(np.asarray(bad).tolist()) <= set(normed)
+            # with a full memo no sup is asked for, and with exact norms nothing
+            assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, norms)[1] == []
+            assert self._lazy(norms, lower, probe, exact, exact, dense_sups, tol)[1:] == ([], [])
 
     def test_recheck_comes_before_pruning(self):
         # row 0 is flagged at ratio 2 and re-checked down to 0.02; row 1,
         # ratio 0.5 / 0.55, has upper bound 1 < 2 and must still be refined
         nums, lower, probe = np.array([2.0, 0.5]), np.array([1.0, 0.5]), np.zeros(2)
         exact, dense_sups = np.array([1.0, 0.55]), np.array([100.0, 0.55])
-        got, asked = self._lazy(nums, lower, probe, np.full(2, np.nan), exact, dense_sups, 1e-8)
+        got, asked, _ = self._lazy(nums, lower, probe, np.full(2, np.nan), exact, dense_sups, 1e-8)
         assert got == (0.5 / 0.55, None) and sorted(asked) == [0, 1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_nums_are_refined(self, bad):
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
-        exact = np.array([1.0, 2.0, 1.5])
-        want = _full_sup_ratios(nums, lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
-        got, asked = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8)
+        exact, norms = np.array([1.0, 2.0, 1.5]), np.array([0.5, 1.5, 0.1])
+        want = _full_sup_ratios(
+            nums, lower, probe, None, lambda rows: norms[rows], lambda rows: exact[rows], lambda rows: exact[rows], 1e-8
+        )
+        got, asked, normed = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8, norms)
         self._same(got, want)
-        assert 1 in asked and 2 not in asked
+        assert 1 in normed and 1 in asked and 2 not in asked
 
     def test_a_full_memo_asks_for_nothing(self):
         nums, exact = np.array([0.5, 0.9, 1.2]), np.array([1.0, 1.0, 1.0])
-        got, asked = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 2 * exact, 1e-8)
+        got, asked, _ = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 2 * exact, 1e-8)
         assert got == (0.9, None) and asked == []
+
+    def test_bounds_prune_norms(self):
+        # the first batch of rows settles at ratio 0.9, above the last row's
+        # bound 0.5: that row never gets its norm or its sup
+        rows = certify._REFINE_ROWS
+        nums, norms = np.r_[np.full(rows, 0.95), 0.5], np.r_[np.full(rows, 0.9), 0.25]
+        exact, memo = np.ones(rows + 1), np.full(rows + 1, np.nan)
+        got, asked, normed = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, exact, 1e-8, norms)
+        assert got == (0.9, None) and sorted(asked) == sorted(normed) == list(range(rows))
+
+
+def _corpus_matrix(i, seed):
+    """Instance ``i`` of a mix like the certify corpus's rounds of 20: normal
+    matrices and their involutions, windowed matrices and the shear."""
+    j, s = i % 20, 1000 * seed + i
+    if j == 19:
+        return example_matrix(0.5)
+    if j % 5 == 4:
+        return windowed_matrix(2 + j // 5, 0.5, s)
+    t = normal_annulus_matrix(2 + i % 5, 0.5, s)
+    return involution(t, 0.5) if j % 2 else t
 
 
 _LAZY_CASES = {
@@ -605,6 +660,29 @@ class TestLazyRefinement:
         monkeypatch.setattr(certify, "_stress_ratios", _full_sup_ratios)
         full = full_certification(t, 0.5, 2000, 1)
         assert lazy[0].to_json() == full[0].to_json() and lazy[1] == full[1]
+
+    def test_reports_equal_every_norm(self, monkeypatch):
+        inputs = [_corpus_matrix(i, 7) for i in range(20)] + [windowed_matrix(4, 0.5, 3), example_matrix(0.5)]
+
+        def sweep():
+            _stress_battery.cache_clear()
+            reports = [full_certification(t, 0.5, 2000, 2) for t in inputs[:20]]
+            battery = _stress_battery(0.5, 2000, 2)
+            counts = [np.count_nonzero(~np.isnan(memo)) for memo in (battery.memo, battery.dense)]
+            reports += [full_certification(t, 0.5, 2000, 2) for t in inputs[20:]]
+            return [(rep.to_json(), details) for rep, details in reports], counts
+
+        lazy = sweep()
+        original = certify._stress_ratios
+
+        def every_norm(nums, lower, probe, memo, norms, *rest):
+            nums = nums if norms is None else norms(np.arange(nums.size))
+            return original(nums, lower, probe, memo, None, *rest)
+
+        monkeypatch.setattr(certify, "_stress_ratios", every_norm)
+        assert lazy == sweep()
+        assert {rep["verdict"] for rep, _ in lazy[0]} == {"PassedStress", "Refuted"}
+        assert {rep["stress_route"] for rep, _ in lazy[0]} == {"spectral", "factored"}
 
     @pytest.mark.parametrize("kind", ["normal", "windowed"])
     def test_cold_certify_refines_few_functions(self, kind):
@@ -797,7 +875,12 @@ class TestVonNeumannScreen:
         # contraction: von Neumann's inequality for T and for r T^-1
         seen = []
         original = certify._stress_ratios
-        monkeypatch.setattr(certify, "_stress_ratios", lambda nums, *rest: seen.append(nums) or original(nums, *rest))
+
+        def every_norm(nums, lower, probe, memo, norms, *rest):
+            seen.append(norms(np.arange(nums.size)))  # exact norms, not nums' bounds
+            return original(nums, lower, probe, memo, norms, *rest)
+
+        monkeypatch.setattr(certify, "_stress_ratios", every_norm)
         battery = _stress_battery(r, 2000, 1)
         for seed in (3, 4):
             rep = vonneumann_stress(windowed_matrix(4, r, seed), r, 2000, 1)
@@ -889,6 +972,95 @@ class TestStackedFactoredEvaluation:
         rep = vonneumann_stress(windowed_matrix(3, 0.5, 8), 0.5, self.TRIALS, 1)
         assert rep.stress_route == "factored"
         assert calls == []
+
+
+def _conjugated_jordan(n):
+    """``0.7 e^{0.4i} I + N`` with ``N`` the nilpotent shift, unitarily conjugated."""
+    q = random_unitary(n, 5)
+    return q @ (0.7 * np.exp(0.4j) * np.eye(n) + np.eye(n, k=1)) @ q.conj().T
+
+
+# numpy.linalg's implementation module, whose norm takes its svd by name
+_NP_LINALG = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+
+
+class TestNormBounds:
+    """The lazy norms of the factored stress route: bounds that cover the
+    computed norm, exact norms for few rows, one Schur form per call."""
+
+    @pytest.mark.parametrize(
+        "t, start",
+        [(windowed_matrix(n, 0.5, 30 + n), 0) for n in (2, 3, 5, 9, 16)]
+        + [(example_matrix(0.5), 0)]
+        + [(_conjugated_jordan(n), 0) for n in (3, 6, 9)]
+        # at 2^-950 the probe r/z has its root 0 on the spectrum
+        + [(windowed_matrix(3, 0.5, 4) * 2.0**950, 0), (windowed_matrix(3, 0.5, 4) * 2.0**-950, 2)],
+        ids=["n2", "n3", "n5", "n9", "n16", "shear", "jordan3", "jordan6", "jordan9", "huge", "tiny"],
+    )
+    def test_bounds_cover_the_norms(self, t, start):
+        stack = _stress_battery(0.5, 2000, 1).stack.take(slice(start, None))
+        with np.errstate(all="ignore"):
+            full = calculus.factored_norms(stack, t)
+            bounds, norms = calculus.factored_norm_bounds(stack, t)
+            rows = np.arange(0, full.size, 7)
+            assert np.array_equal(norms(rows), full[rows])
+        assert np.all(bounds >= full)
+
+    def test_near_rank_one_needs_the_allowance(self):
+        # p(R) = c R^k of a rank-one T is rank one: ||X||_F = ||X||_2 exactly,
+        # and the computed Frobenius norm can fall below the computed SVD
+        below = 0
+        for seed in range(12):
+            rng = seeded_rng(seed, 5)
+            n = int(rng.integers(2, 17))
+            u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+            t = 0.7 * np.outer(u, v.conj()) / abs(np.vdot(v, u))
+            p = np.zeros((200, 5), dtype=complex)
+            p[np.arange(200), rng.integers(1, 5, 200)] = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+            stack = rational.FactoredStack(
+                p=p, roots=np.zeros((200, 0), dtype=complex), mask=np.zeros((200, 0), dtype=bool), scale=np.ones(200)
+            )
+            full = calculus.factored_norms(stack, t)
+            bounds, _ = calculus.factored_norm_bounds(stack, t)
+            assert np.all(bounds >= full)
+            below += np.count_nonzero(bounds / (1.0 + calculus._NORM_ROUNDING * n * np.finfo(float).eps) < full)
+        assert below > 0
+
+    def test_warm_stress_sends_few_rows_to_the_svd(self, monkeypatch):
+        t = windowed_matrix(4, 0.5, 3)
+        want = vonneumann_stress(t, 0.5, 2000, 1)
+        matrices = []
+        original = _NP_LINALG.svd
+
+        def counting(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(_NP_LINALG, "svd", counting)
+        got = vonneumann_stress(t, 0.5, 2000, 1)
+        assert got.to_json() == want.to_json() and got.screened > 0
+        assert 0 < sum(matrices) <= 0.05 * (got.trials - got.screened)
+
+    def test_one_schur_form_per_call(self, monkeypatch):
+        t = windowed_matrix(4, 0.5, 3)
+        vonneumann_stress(t, 0.5, 2000, 1)
+        calls = []
+        original = linalg._schur_triangle
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: calls.append(1) or original(m))
+        vonneumann_stress(t, 0.5, 2000, 1)
+        assert calls == [1]
+
+    def test_fixed_memory_at_n40(self):
+        t = windowed_matrix(40, 0.5, 3)
+        _stress_battery(0.5, 2000, 1)  # built outside the trace
+        tracemalloc.start()
+        try:
+            vonneumann_stress(t, 0.5, 2000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bound of TestStackedFactoredEvaluation::test_fixed_memory_at_n40
+        assert peak <= 12 * 2**20
 
 
 class TestCnnSplit:
