@@ -70,28 +70,51 @@ def _back_substitute(tri: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.n
     return x
 
 
-def _factored_chunks(
-    stack: rational.FactoredStack,
-    rule: linalg.ShiftConditioning,
-    lams: np.ndarray,
-    tols: Tolerances,
-    triangular: bool = True,
-    checked: bool = False,
-):
-    """Yield ``f_i(T)``, or a unitarily similar matrix, for the rows of
-    ``stack`` as ``(k, n, n)`` chunks, with ``rule`` the
+def _chunks(stack: rational.FactoredStack, n: int):
+    """Slices of ``stack``'s rows holding about ``_CHUNK_BYTES`` of
+    ``n x n`` complex matrices each."""
+    step = max(1, _CHUNK_BYTES // (16 * n * n))
+    return [slice(start, start + step) for start in range(0, stack.p.shape[0], step)]
+
+
+def _check_roots(
+    stack: rational.FactoredStack, rule: linalg.ShiftConditioning, lams: np.ndarray, tols: Tolerances
+) -> None:
+    """Raise :class:`Singular` for the first row of ``stack`` with a root
+    that :func:`eval_direct` could not divide by, with ``rule`` the
     :class:`linalg.ShiftConditioning` of ``T`` and ``lams`` its spectrum.
 
-    Chunks hold about ``_CHUNK_BYTES`` of matrices.  The rule decides
+    Chunk by chunk, as :func:`_factored_chunks` evaluates, the rule decides
     :func:`linalg.solve`'s conditioning rule for every root, with singular
     values (and a shifted matrix) only for roots its bound cannot clear, so
     the verdicts are the rule's.  A row whose root lies within
     ``rank_tol * max(1, |root|)`` of ``lams``, or fails the rule, raises
     :class:`Singular` naming that root: the first such row in stack order,
     and within it a touching root before a failing one, each in slot order.
-    ``checked`` skips those checks, for rows whose roots have passed them.
-    A row's matrix does not depend on the rows stacked with it, so the
-    chunks of ``stack.take(rows)`` hold the same matrices for those rows.
+    """
+    for rows in _chunks(stack, rule.m.shape[0]):
+        roots, mask = stack.roots[rows], stack.mask[rows]
+        gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
+        touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
+        cleared = rule.cleared(roots, tols)
+        failed = np.zeros_like(mask)
+        for j in range(roots.shape[1]):
+            idx = np.flatnonzero(mask[:, j])
+            failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
+        hit = touch | failed
+        if hit.any():
+            i = int(np.argmax(hit.any(axis=1)))
+            slots = touch[i] if touch[i].any() else failed[i]
+            raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+
+
+def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioning, triangular: bool = True):
+    """Yield ``f_i(T)``, or a unitarily similar matrix, for the rows of
+    ``stack`` as ``(k, n, n)`` chunks of about ``_CHUNK_BYTES``, with
+    ``rule`` the :class:`linalg.ShiftConditioning` of ``T``.  The roots are
+    not checked here: :func:`_check_roots` does that first.  A row's matrix
+    does not depend on the rows stacked with it, so the chunks of
+    ``stack.take(rows)`` hold the same matrices for those rows.
 
     With ``triangular``, a chunk is ``f_i(R)`` on the rule's Schur triangle
     ``R`` of ``T`` (``T + E = Q R Q*``), unitarily similar to ``f_i(T)``:
@@ -101,30 +124,13 @@ def _factored_chunks(
     solve per root slot, the cheaper route for a single function.
     """
     m = rule.m
-    n = m.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(m.shape[0])
     base = rule.triangle if triangular else m
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
-    for start in range(0, stack.p.shape[0], step):
-        rows = slice(start, start + step)
+    for rows in _chunks(stack, m.shape[0]):
         roots, mask = stack.roots[rows], stack.mask[rows]
-        used = np.flatnonzero(mask.any(axis=0))  # a taken subset may leave slots empty
-        if not checked:
-            gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
-            touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
-            cleared = rule.cleared(roots, tols)
-            failed = np.zeros_like(mask)
-            for j in used:
-                idx = np.flatnonzero(mask[:, j])
-                failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
-            hit = touch | failed
-            if hit.any():
-                i = int(np.argmax(hit.any(axis=1)))
-                slots = touch[i] if touch[i].any() else failed[i]
-                raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
         out = _polyval_stack(stack.p[rows], base)
         out /= stack.scale[rows, np.newaxis, np.newaxis]
-        for j in used:
+        for j in np.flatnonzero(mask.any(axis=0)):  # a taken subset may leave slots empty
             idx = np.flatnonzero(mask[:, j])
             if triangular:
                 out[idx] = _back_substitute(base, roots[idx, j], out[idx])
@@ -148,7 +154,9 @@ def eval_direct(
     m = linalg.as_matrix(t)
     stack = rational.factored_stack([f])
     lams = linalg.spectrum(m)
-    return next(_factored_chunks(stack, linalg.ShiftConditioning(m), lams, tols, triangular=False))[0]
+    rule = linalg.ShiftConditioning(m)
+    _check_roots(stack, rule, lams, tols)
+    return next(_factored_chunks(stack, rule, triangular=False))[0]
 
 
 # The rounding allowance of _norm_bounds, a multiple of n eps (an assumed
@@ -168,8 +176,9 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     """An upper bound on what :func:`_spectral_norms` computes for each
     matrix of the stack ``x``: ``min(||X||_F, sqrt(||X||_1 ||X||_inf))``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    sec. 6.2) times ``1 + 64 n eps``, plus ``n tiny``; ``inf`` where an
-    entry or the bound is not finite.
+    sec. 6.2) times ``1 + 64 n eps``, plus ``n tiny``.  Where that is not
+    finite (an entry is not, or the bound overflows), it is the spectral
+    norm itself, ``inf`` for a non-finite entry.
 
     The norms are taken of ``|X|`` scaled by the power of two that brings
     its largest entry into ``[1/2, 1)``, so no square or product underflows
@@ -190,7 +199,10 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     split = np.sqrt(np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(a, np.inf, axis=(1, 2)))
     bound = np.ldexp(np.minimum(fro, split) * (1.0 + _NORM_ROUNDING * n * np.finfo(float).eps), exponent)
     bound += n * np.finfo(float).tiny
-    return np.where(np.isfinite(bound), bound, np.inf)
+    bad = ~np.isfinite(bound)
+    if bad.any():
+        bound[bad] = _spectral_norms(x[bad])
+    return bound
 
 
 def _each_chunk(chunks, reduce) -> np.ndarray:
@@ -223,7 +235,9 @@ def factored_norms(
     """
     m = linalg.as_matrix(t)
     lams = linalg.spectrum(m)
-    return _each_chunk(_factored_chunks(stack, linalg.ShiftConditioning(m), lams, tols), _spectral_norms)
+    rule = linalg.ShiftConditioning(m)
+    _check_roots(stack, rule, lams, tols)
+    return _each_chunk(_factored_chunks(stack, rule), _spectral_norms)
 
 
 def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS):
@@ -231,24 +245,26 @@ def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DE
     that gives the exact norms of chosen rows.
 
     One pass of :func:`factored_norms`' chunked evaluation keeps, per row,
-    only the bound of :func:`_norm_bounds` (``inf`` for a row with an entry
-    that is not finite), with no SVD; the bound is at least the norm
+    only the bound of :func:`_norm_bounds`, with an SVD only where the
+    bound is not finite (there it is the norm, ``inf`` for a row with an
+    entry that is not finite); the bound is at least the norm
     :func:`factored_norms` computes.  ``norms(rows)`` evaluates the rows
     ``rows`` again, on the same Schur triangle with the same conditioning
     rule, so it returns ``factored_norms(stack, t, tols)[rows]`` bit for
     bit: a row's matrix does not depend on the rows stacked with it, and
     the batched SVD works one matrix at a time.  The Schur form of ``T`` is
-    formed once, for both, and the roots pass the conditioning rule once,
-    in the first pass.  Raises what :func:`factored_norms` raises.
+    formed once, for both, and the roots are checked once, by
+    :func:`_check_roots` before the first pass.  Raises what
+    :func:`factored_norms` raises.
     """
     m = linalg.as_matrix(t)
     lams = linalg.spectrum(m)
     rule = linalg.ShiftConditioning(m)
-    bounds = _each_chunk(_factored_chunks(stack, rule, lams, tols), _norm_bounds)
+    _check_roots(stack, rule, lams, tols)
+    bounds = _each_chunk(_factored_chunks(stack, rule), _norm_bounds)
 
     def norms(rows: np.ndarray) -> np.ndarray:
-        chunks = _factored_chunks(stack.take(rows), rule, lams, tols, checked=True)
-        return _each_chunk(chunks, _spectral_norms)
+        return _each_chunk(_factored_chunks(stack.take(rows), rule), _spectral_norms)
 
     return bounds, norms
 

@@ -631,8 +631,8 @@ def vonneumann_stress(
     exact norms are evaluated again on the same Schur triangle, so a call
     forms one Schur form of ``T``.  :class:`NotContraction` names an
     overflow: some ``||f(T)||``, or ``|f|`` at a projected eigenvalue, is
-    not finite; a bound that is not finite gets its exact norm first, so it
-    is raised before any sup work.  :class:`BadRadius` is
+    not finite; where a bound is not finite the pass keeps the exact norm
+    instead, so it is raised before any sup work.  :class:`BadRadius` is
     raised unless ``0 < r < 1``, then ``ValueError`` naming ``trials`` or
     ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
     ``>= 0``, before any other work.
@@ -667,8 +667,6 @@ def vonneumann_stress(
         else:
             at_probes = stack.abs_at(probes).max(axis=1)
             nums, norms = calculus.factored_norm_bounds(stack, m, tols)
-            bad = np.flatnonzero(~np.isfinite(nums))  # an overflow, or a bound's own
-            nums[bad] = norms(bad)
     if not (np.isfinite(nums).all() and np.isfinite(at_probes).all()):
         raise NotContraction(
             f"overflow: ||f(T)|| or |f| at a probe is not finite (||T|| = {norm_t:.6g}, ||r T^-1|| = {norm_rtinv:.6g})"

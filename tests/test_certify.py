@@ -593,6 +593,13 @@ class TestStressRatios:
             got, _, normed = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
             self._same(got, want)
             assert set(np.asarray(bad).tolist()) <= set(normed)
+            # with norms=None, as on the spectral route, nums are the norms
+            self._same(self._lazy(norms, lower, probe, memo, exact, dense_sups, tol)[0], want)
+            # and on nums, non-finite ones included, against every sup computed
+            on_nums = _full_sup_ratios(
+                nums, lower, probe, memo, None, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
+            )
+            self._same(self._lazy(nums, lower, probe, memo, exact, dense_sups, tol)[0], on_nums)
             # with a full memo no sup is asked for, and with exact norms nothing
             assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, norms)[1] == []
             assert self._lazy(norms, lower, probe, exact, exact, dense_sups, tol)[1:] == ([], [])
@@ -607,6 +614,15 @@ class TestStressRatios:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_nums_are_refined(self, bad):
+        nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
+        exact = np.array([1.0, 2.0, 1.5])
+        want = _full_sup_ratios(nums, lower, probe, None, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
+        got, asked, _ = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8)
+        self._same(got, want)
+        assert 1 in asked and 2 not in asked
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bounds_get_their_norms(self, bad):
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact, norms = np.array([1.0, 2.0, 1.5]), np.array([0.5, 1.5, 0.1])
         want = _full_sup_ratios(
