@@ -77,22 +77,24 @@ def _chunks(stack: rational.FactoredStack, n: int):
     return [slice(start, start + step) for start in range(0, stack.p.shape[0], step)]
 
 
-def _check_roots(
-    stack: rational.FactoredStack, rule: linalg.ShiftConditioning, lams: np.ndarray, tols: Tolerances
-) -> None:
-    """Raise :class:`Singular` for the first row of ``stack`` with a root
-    that :func:`eval_direct` could not divide by, with ``rule`` the
-    :class:`linalg.ShiftConditioning` of ``T`` and ``lams`` its spectrum.
+def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.ShiftConditioning:
+    """The :class:`linalg.ShiftConditioning` of ``T``, once every root of
+    ``stack`` is one :func:`eval_direct` could divide by; else
+    :class:`Singular` for the first row with a root that is not.
 
     Chunk by chunk, as :func:`_factored_chunks` evaluates, the rule decides
     :func:`linalg.solve`'s conditioning rule for every root, with singular
     values (and a shifted matrix) only for roots its bound cannot clear, so
     the verdicts are the rule's.  A row whose root lies within
-    ``rank_tol * max(1, |root|)`` of ``lams``, or fails the rule, raises
-    :class:`Singular` naming that root: the first such row in stack order,
-    and within it a touching root before a failing one, each in slot order.
+    ``rank_tol * max(1, |root|)`` of the spectrum of ``T``, or fails the
+    rule, raises :class:`Singular` naming that root: the first such row in
+    stack order, and within it a touching root before a failing one, each
+    in slot order.
     """
-    for rows in _chunks(stack, rule.m.shape[0]):
+    m = linalg.as_matrix(t)
+    lams = linalg.spectrum(m)
+    rule = linalg.ShiftConditioning(m)
+    for rows in _chunks(stack, m.shape[0]):
         roots, mask = stack.roots[rows], stack.mask[rows]
         gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
         touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
@@ -106,36 +108,28 @@ def _check_roots(
             i = int(np.argmax(hit.any(axis=1)))
             slots = touch[i] if touch[i].any() else failed[i]
             raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+    return rule
 
 
-def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioning, triangular: bool = True):
-    """Yield ``f_i(T)``, or a unitarily similar matrix, for the rows of
-    ``stack`` as ``(k, n, n)`` chunks of about ``_CHUNK_BYTES``, with
-    ``rule`` the :class:`linalg.ShiftConditioning` of ``T``.  The roots are
-    not checked here: :func:`_check_roots` does that first.  A row's matrix
-    does not depend on the rows stacked with it, so the chunks of
-    ``stack.take(rows)`` hold the same matrices for those rows.
-
-    With ``triangular``, a chunk is ``f_i(R)`` on the rule's Schur triangle
-    ``R`` of ``T`` (``T + E = Q R Q*``), unitarily similar to ``f_i(T)``:
-    one batched Horner pass for ``p_i(R) / scale_i`` and, per root slot,
-    one :func:`_back_substitute` for the rows with a root in that slot.
-    Otherwise it is ``f_i(T)`` itself: Horner on ``T`` and one batched LU
-    solve per root slot, the cheaper route for a single function.
+def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioning):
+    """Yield ``f_i(R)`` for the rows of ``stack`` as ``(k, n, n)`` chunks of
+    about ``_CHUNK_BYTES``, with ``R`` the Schur triangle of ``T`` that its
+    :class:`linalg.ShiftConditioning` ``rule`` keeps (``T + E = Q R Q*``),
+    so each is unitarily similar to ``f_i(T)``: one batched Horner pass for
+    ``p_i(R) / scale_i`` and, per root slot, one :func:`_back_substitute`
+    for the rows with a root in that slot.  The roots are not checked here:
+    :func:`_check_roots` does that first.  A row's matrix does not depend on
+    the rows stacked with it, so the chunks of ``stack.take(rows)`` hold the
+    same matrices for those rows.
     """
-    m = rule.m
-    eye = np.eye(m.shape[0])
-    base = rule.triangle if triangular else m
-    for rows in _chunks(stack, m.shape[0]):
+    tri = rule.triangle
+    for rows in _chunks(stack, tri.shape[0]):
         roots, mask = stack.roots[rows], stack.mask[rows]
-        out = _polyval_stack(stack.p[rows], base)
+        out = _polyval_stack(stack.p[rows], tri)
         out /= stack.scale[rows, np.newaxis, np.newaxis]
         for j in np.flatnonzero(mask.any(axis=0)):  # a taken subset may leave slots empty
             idx = np.flatnonzero(mask[:, j])
-            if triangular:
-                out[idx] = _back_substitute(base, roots[idx, j], out[idx])
-            else:
-                out[idx] = np.linalg.solve(m - roots[idx, j, np.newaxis, np.newaxis] * eye, out[idx])
+            out[idx] = _back_substitute(tri, roots[idx, j], out[idx])
         yield out
 
 
@@ -144,19 +138,19 @@ def eval_direct(
 ) -> np.ndarray:
     """Evaluate ``f`` at ``T`` through the factored representation.
 
-    The one-function case of :func:`factored_norms`' stacked evaluation,
-    on ``T`` itself: ``p(T) / scale`` by Horner, then one LU solve per
-    linear denominator factor (``q1`` roots first), each behind
-    :func:`linalg.solve`'s conditioning rule.  :class:`Singular` names the
+    ``p(T) / scale`` by Horner (:func:`polyval_matrix`), then one LU solve
+    per linear denominator factor (``q1`` roots first), each behind
+    :func:`linalg.solve`'s conditioning rule, checked as
+    :func:`factored_norms` checks a stack.  :class:`Singular` names the
     first root within ``rank_tol * max(1, |root|)`` of the spectrum, else
     the first that fails the rule.
     """
-    m = linalg.as_matrix(t)
-    stack = rational.factored_stack([f])
-    lams = linalg.spectrum(m)
-    rule = linalg.ShiftConditioning(m)
-    _check_roots(stack, rule, lams, tols)
-    return next(_factored_chunks(stack, rule, triangular=False))[0]
+    m = _check_roots(rational.factored_stack([f]), t, tols).m
+    out = polyval_matrix(f.p_coeffs, m) / f.scale
+    eye = np.eye(m.shape[0])
+    for root in f.q1_roots + f.q2_roots:
+        out = np.linalg.solve(m - root * eye, out)
+    return out
 
 
 # The rounding allowance of _norm_bounds, a multiple of n eps (an assumed
@@ -233,11 +227,7 @@ def factored_norms(
     (an overflow) gets ``inf``.  :func:`factored_norm_bounds` gives the same
     values lazily.
     """
-    m = linalg.as_matrix(t)
-    lams = linalg.spectrum(m)
-    rule = linalg.ShiftConditioning(m)
-    _check_roots(stack, rule, lams, tols)
-    return _each_chunk(_factored_chunks(stack, rule), _spectral_norms)
+    return _each_chunk(_factored_chunks(stack, _check_roots(stack, t, tols)), _spectral_norms)
 
 
 def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS):
@@ -257,10 +247,7 @@ def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DE
     :func:`_check_roots` before the first pass.  Raises what
     :func:`factored_norms` raises.
     """
-    m = linalg.as_matrix(t)
-    lams = linalg.spectrum(m)
-    rule = linalg.ShiftConditioning(m)
-    _check_roots(stack, rule, lams, tols)
+    rule = _check_roots(stack, t, tols)
     bounds = _each_chunk(_factored_chunks(stack, rule), _norm_bounds)
 
     def norms(rows: np.ndarray) -> np.ndarray:

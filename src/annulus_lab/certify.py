@@ -99,6 +99,11 @@ class CertificationReport:
     for numerically normal ``T``, ``"factored"`` otherwise.  ``screened``
     counts the battery functions not evaluated because von Neumann's
     inequality already bounds their ratio by 1 (see :func:`vonneumann_stress`).
+    ``PassedStress`` means that no witness was found among the evaluated
+    functions, not that ``T`` is an ``A_r``-contraction: on
+    ``[[0.7, 0.40329], [0, 0.7]]`` at ``r = 0.5`` the battery passes
+    (``max_ratio`` 0.983, 693 functions screened), while a two-Möbius
+    function with poles at ``1/0.7`` and ``0.25/0.7`` has ratio 1.235.
     """
 
     verdict: Verdict
@@ -130,18 +135,21 @@ class CertificationReport:
         }
 
 
-def _draw(rngs) -> tuple:
-    """The variates of one test function per generator of the iterable
-    ``rngs``, in the order the distribution draws them: the root counts
-    ``k1`` and ``k2``, a (modulus, argument) pair of uniforms per root, outer
-    roots first, the numerator degree, then the real and imaginary parts of
-    the coefficients, redrawn while every one is zero.  Each generator is
-    done with before the next is taken, as :func:`linalg.seeded_rngs` needs;
-    the real and imaginary parts are one ``standard_normal`` call, which
-    draws the bits of the two calls in turn.
+def _draw(r: float, rngs) -> tuple:
+    """One test function on the annulus of inner radius ``r`` per generator
+    of the iterable ``rngs``, as the ``(counts, p, roots)`` that
+    :func:`rational.pack` takes.
 
-    Returns ``counts`` (rows of ``(k1, k2, deg + 1)``) and the uniforms,
-    real parts and imaginary parts of all rows, each flat in row order.
+    Each generator draws, in this order: the root counts ``k1`` and ``k2``,
+    a (modulus, argument) pair of uniforms ``(u, v)`` per root, outer roots
+    first, the numerator degree, then the real and imaginary parts of the
+    coefficients, redrawn while every one is zero.  Each generator is done
+    with before the next is taken, as :func:`linalg.seeded_rngs` needs; the
+    real and imaginary parts are one ``standard_normal`` call, which draws
+    the bits of the two calls in turn.  The variates of all rows are then
+    transformed in one vectorized pass: outer moduli ``exp((1 - u) ln 4)``,
+    inner moduli ``r exp(-(1 - u) ln 4)``, arguments ``2 pi v``,
+    coefficients ``(re + 1j im) / sqrt(2)``.
     """
     counts, uniforms, normals = [], [], []
     for rng in rngs:
@@ -157,60 +165,15 @@ def _draw(rngs) -> tuple:
         normals.append(pair)
     counts = np.array(counts, dtype=int).reshape(-1, 3)
     uniforms, normals = (np.concatenate(parts) if parts else np.empty(0) for parts in (uniforms, normals))
-    # each row's pair holds its deg + 1 real parts, then its imaginary parts
-    lp = counts[:, 2]
-    real = _slots(2 * lp)[1] < np.repeat(lp, 2 * lp)
-    return counts, uniforms, normals[real], normals[~real]
-
-
-def _slots(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, column)`` of each entry of rows holding ``width[i]`` entries
-    each, packed flat in row order."""
-    row = np.repeat(np.arange(width.size), width)
-    return row, np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
-
-
-def _transform(r: float, counts: np.ndarray, uniforms, real, imag) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator coefficients and roots of :func:`_draw`'s rows, each flat in
-    row order: outer moduli ``exp((1 - u) ln 4)``, inner moduli
-    ``r exp(-(1 - u) ln 4)``, arguments ``2 pi v``, coefficients
-    ``(re + 1j im) / sqrt(2)``."""
-    k1 = counts[:, 0]
-    row, slot = _slots(k1 + counts[:, 1])
+    # a row's pair holds its deg + 1 real parts, then its imaginary parts, as
+    # its roots are its k1 outer ones, then its k2 inner ones
+    first = np.tile([True, False], counts.shape[0])
+    real = np.repeat(first, np.repeat(counts[:, 2], 2))
+    outer = np.repeat(first, counts[:, :2].ravel())
     ln4 = np.log(4.0)
     mod_u, arg_u = uniforms[0::2], uniforms[1::2]
-    mods = np.where(slot < k1[row], np.exp((1.0 - mod_u) * ln4), r * np.exp(-(1.0 - mod_u) * ln4))
-    return (real + 1j * imag) / np.sqrt(2.0), mods * np.exp(2j * np.pi * arg_u)
-
-
-def _pack(counts: np.ndarray, p: np.ndarray, roots: np.ndarray) -> rational.FactoredStack:
-    """The rows ``(k1, k2, len(p))`` of ``counts``, with their flat
-    coefficients and roots, as one zero-padded :class:`rational.FactoredStack`:
-    the stack :func:`rational.factored_stack` makes of the same functions."""
-    lp, k = counts[:, 2], counts[:, 0] + counts[:, 1]
-    n, width = counts.shape[0], k.max(initial=0)
-    stack = rational.FactoredStack(
-        p=np.zeros((n, lp.max(initial=1)), dtype=complex),
-        roots=np.zeros((n, width), dtype=complex),
-        mask=np.zeros((n, width), dtype=bool),
-        scale=np.ones(n, dtype=complex),
-    )
-    stack.p[_slots(lp)] = p
-    at = _slots(k)
-    stack.roots[at] = roots
-    stack.mask[at] = True
-    return stack
-
-
-def _row_function(r: float, stack: rational.FactoredStack, counts: np.ndarray, i: int) -> AnnulusRational:
-    """Row ``i`` of a stack packed by :func:`_pack`, as an :class:`AnnulusRational`."""
-    k1, k2, lp = counts[i]
-    return AnnulusRational(
-        r=r,
-        p_coeffs=tuple(stack.p[i, :lp]),
-        q1_roots=tuple(stack.roots[i, :k1]),
-        q2_roots=tuple(stack.roots[i, k1 : k1 + k2]),
-    )
+    mods = np.where(outer, np.exp((1.0 - mod_u) * ln4), r * np.exp(-(1.0 - mod_u) * ln4))
+    return counts, (normals[real] + 1j * normals[~real]) / np.sqrt(2.0), mods * np.exp(2j * np.pi * arg_u)
 
 
 def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
@@ -220,15 +183,14 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     {0..4} per denominator factor; outer root moduli log-uniform on (1, 4],
     inner moduli log-uniform on [r/4, r); arguments uniform; numerator degree
     uniform on {0..4} with unit complex Gaussian coefficients; scale 1.  It
-    is the one-row case of the battery's draw (:func:`_draw`,
-    :func:`_transform`, :func:`_pack`), so the battery's functions are
-    those this returns for the generators ``linalg.seeded_rng(seed, 17, i)``,
-    which the battery takes in bulk from :func:`linalg.seeded_rngs`.
+    is the one-row case of the battery's draw (:func:`_draw`, then
+    :func:`rational.pack`), so the battery's functions are those this
+    returns for the generators ``linalg.seeded_rng(seed, 17, i)``, which
+    the battery takes in bulk from :func:`linalg.seeded_rngs`.
     :class:`BadRadius` is raised unless ``0 < r < 1``.
     """
     linalg.require_radius(r)
-    counts, *variates = _draw([rng])
-    return _row_function(r, _pack(counts, *_transform(r, counts, *variates)), counts, 0)
+    return rational.pack(r, *_draw(r, [rng])).function(0)
 
 
 # A quarter of calculus._CHUNK_BYTES: abs_at holds four or five arrays of a
@@ -253,13 +215,14 @@ def _moduli(roots: np.ndarray) -> np.ndarray:
     return np.hypot(roots.real, roots.imag)
 
 
-def _pole_windows(r: float, stack: rational.FactoredStack, counts: np.ndarray) -> tuple:
+def _pole_windows(stack: rational.FactoredStack) -> tuple:
     """``(row, radius, theta0, half_width)`` of the window around each pole
-    near a circle of the rows of a stack packed by :func:`_pack`: ~32x the
-    pole clearance wide, which keeps the relative deficit of a narrow peak at
-    the square of the local spacing over the clearance."""
+    near a circle of the rows of ``stack``: ~32x the pole clearance wide,
+    which keeps the relative deficit of a narrow peak at the square of the
+    local spacing over the clearance."""
+    r = stack.r
     mods = _moduli(stack.roots)
-    outer = np.arange(mods.shape[1]) < counts[:, :1]
+    outer = np.arange(mods.shape[1]) < stack.counts[:, :1]
     dist = np.where(outer, mods - 1.0, r - mods)
     near = stack.mask & np.where(outer, dist < 0.2, (0 < dist) & (dist < 0.2 * r))
     row, col = np.nonzero(near)
@@ -280,12 +243,12 @@ def _chunks(count: int, width: int):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _circle_values(stack, r: float, nodes: np.ndarray):
+def _circle_values(stack: rational.FactoredStack, nodes: np.ndarray):
     """``|f_i|`` at the points ``nodes`` of the unit circle and at ``r``
     times them, for each row of ``stack``, one chunk of ``_SUP_CHUNK_BYTES``
     at a time: yields the chunk's row slice and its values, of shape
     ``(rows, 2 * nodes.size)``."""
-    z = np.concatenate([nodes, r * nodes])
+    z = np.concatenate([nodes, stack.r * nodes])
     for sl in _chunks(stack.p.shape[0], z.size):
         yield sl, stack.take(sl).abs_at(z)
 
@@ -306,28 +269,26 @@ def _ring(base_nodes: int) -> np.ndarray:
 _NEAR_CIRCLE = 1e-12
 
 
-def _check_poles(r: float, stack, counts: np.ndarray, ring: np.ndarray, local_nodes: int) -> None:
+def _check_poles(stack: rational.FactoredStack, ring: np.ndarray, local_nodes: int) -> None:
     """:class:`PoleHit`, as :func:`rational.evaluate` would raise it, for
-    the first row of a stack packed by :func:`_pack` with a node within
-    1e-14 of a root: a node of ``ring`` on either circle, or one of
-    ``local_nodes`` in a pole window of the row.  Only rows with a root
-    within ``_NEAR_CIRCLE`` of a circle can have one."""
+    the first row of ``stack`` with a node within 1e-14 of a root: a node of
+    ``ring`` on either circle, or one of ``local_nodes`` in a pole window of
+    the row.  Only rows with a root within ``_NEAR_CIRCLE`` of a circle can
+    have one."""
     mods = _moduli(stack.roots)
-    near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - r) <= _NEAR_CIRCLE))
+    near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - stack.r) <= _NEAR_CIRCLE))
     for i in np.flatnonzero(near.any(axis=1)):
-        _, *window = _pole_windows(r, stack.take(slice(i, i + 1)), counts[i : i + 1])
-        for zz in [ring, r * ring, *_window_nodes(*window, local_nodes)]:
+        _, *window = _pole_windows(stack.take(slice(i, i + 1)))
+        for zz in [ring, stack.r * ring, *_window_nodes(*window, local_nodes)]:
             for root in stack.roots[i, stack.mask[i]]:
                 rational.check_clearance(zz - root, complex(root))
 
 
-def _sampled_sups(r: float, stack, counts, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES):
-    """Sampled sup-norm lower bounds of the rows of a stack packed by
-    :func:`_pack` (rows ``(k1, k2, len(p))`` of ``counts``, all on the
-    annulus of inner radius ``r``), with extra nodes clustered near poles:
-    for each, the max of ``|evaluate(f, z)|`` over ``base_nodes``
-    equispaced nodes on each boundary circle and over ``local_nodes`` in a
-    window around each pole near a circle.
+def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES):
+    """Sampled sup-norm lower bounds of the rows of ``stack``, with extra
+    nodes clustered near poles: for each, the max of ``|evaluate(f, z)|``
+    over ``base_nodes`` equispaced nodes on each boundary circle and over
+    ``local_nodes`` in a window around each pole near a circle.
 
     Every node is evaluated, through :meth:`rational.FactoredStack.abs_at`,
     which is :func:`rational.evaluate` bit for bit whatever the padding: the
@@ -340,60 +301,49 @@ def _sampled_sups(r: float, stack, counts, base_nodes: int = _BASE_NODES, local_
     :func:`_check_poles` on this call's own nodes.
     """
     ring = _ring(base_nodes)
-    _check_poles(r, stack, counts, ring, local_nodes)
-    sups = np.full(counts.shape[0], -np.inf)
-    row, *window = _pole_windows(r, stack, counts)
+    _check_poles(stack, ring, local_nodes)
+    sups = np.full(stack.p.shape[0], -np.inf)
+    row, *window = _pole_windows(stack)
     for sl in _chunks(row.size, local_nodes):
         vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
         np.maximum.at(sups, row[sl], vals.max(axis=1))
     for lo in range(0, base_nodes, _BASE_NODES):
-        for sl, vals in _circle_values(stack, r, ring[lo : lo + _BASE_NODES]):
+        for sl, vals in _circle_values(stack, ring[lo : lo + _BASE_NODES]):
             sups[sl] = np.maximum(sups[sl], vals.max(axis=1))
     return sups
 
 
 class _Battery:
-    """Test-function battery as arrays: the padded factored stack, each
-    row's ``(k1, k2, len(p))``, a cheap lower bound on each sampled sup, and
-    memos of exact sups and of their dense re-checks.
+    """Test-function battery as arrays: the padded factored stack, a cheap
+    lower bound on each sampled sup, and memos of exact sups and of their
+    dense re-checks.
 
     The stack is validated and pole-checked once, at build, and every sup is
-    read from it (:meth:`sampled_sups`); :meth:`function` builds row ``i``
-    as a function (the witness), :attr:`functions` builds them all, once.
-    :attr:`two_sided` selects the rows the von Neumann screen evaluates.
-    ``lower[i]`` is the max of ``|f_i|`` at every ``_LOWER_STRIDE``-th node
-    of the ``_BASE_NODES`` per circle.  :func:`_sampled_sups` evaluates
-    those nodes too, and ``abs_at`` is :func:`rational.evaluate` bit for
-    bit, so ``lower[i] <= sampled_sups([i])[0]`` exactly.
-    :meth:`exact_sups` computes the sups on demand and keeps them in
-    :attr:`memo`, or with ``dense=True`` the ``_DENSE_NODES`` re-checks in
-    :attr:`dense`: a refuting row recurs across a corpus, so it is
-    re-checked once per battery.  A memo only gains entries, each a
-    deterministic value, so which calls filled it never changes a result.
-    Readers take no lock: each memo is a read-only snapshot, replaced whole
-    under ``_lock`` by a copy holding the new entries, so a reader sees some
-    earlier snapshot and no update is lost.
+    read from it by :func:`_sampled_sups`; ``stack.function(i)`` builds row
+    ``i`` as a function (the witness).  :attr:`two_sided` selects the rows
+    the von Neumann screen evaluates.  ``lower[i]`` is the max of ``|f_i|``
+    at every ``_LOWER_STRIDE``-th node of the ``_BASE_NODES`` per circle.
+    :func:`_sampled_sups` evaluates those nodes too, and ``abs_at`` is
+    :func:`rational.evaluate` bit for bit, so
+    ``lower[i] <= exact_sups([i])[0]`` exactly.  :meth:`exact_sups` computes
+    the sups on demand and keeps them in :attr:`memo`, or with
+    ``dense=True`` the ``_DENSE_NODES`` re-checks in :attr:`dense`: a
+    refuting row recurs across a corpus, so it is re-checked once per
+    battery.  A memo only gains entries, each a deterministic value, so
+    which calls filled it never changes a result.  Readers take no lock:
+    each memo is a read-only snapshot, replaced whole under ``_lock`` by a
+    copy holding the new entries, so a reader sees some earlier snapshot and
+    no update is lost.
     """
 
-    def __init__(self, r: float, stack: rational.FactoredStack, counts: np.ndarray, lower: np.ndarray):
-        self.r = r
+    def __init__(self, stack: rational.FactoredStack, lower: np.ndarray):
         self.stack = stack
-        self.counts = counts
         self.lower = lower
         self.lower.flags.writeable = False
         memo = np.full(lower.size, np.nan)
         memo.flags.writeable = False
         self.memo = self.dense = memo
         self._lock = threading.Lock()
-
-    def function(self, i: int) -> AnnulusRational:
-        """Row ``i`` as an :class:`AnnulusRational`."""
-        return _row_function(self.r, self.stack, self.counts, i)
-
-    @cached_property
-    def functions(self) -> tuple:
-        """Every row as an :class:`AnnulusRational`, in battery order."""
-        return tuple(self.function(i) for i in range(self.lower.size))
 
     @cached_property
     def two_sided(self) -> tuple[np.ndarray, rational.FactoredStack]:
@@ -404,23 +354,19 @@ class _Battery:
         ``len(p) - 1 <= k2`` it is analytic outside the disk of radius ``r``,
         at infinity too.  The canonical probes are one-sided.
         """
-        k1, k2, lp = self.counts.T
+        k1, k2, lp = self.stack.counts.T
         rows = np.flatnonzero((k2 > 0) & ~((k1 == 0) & (lp - 1 <= k2)))
         return rows, self.stack.take(rows)
 
-    def sampled_sups(self, rows, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES) -> np.ndarray:
-        """:func:`_sampled_sups` of the rows ``rows``, read from the stack."""
-        return _sampled_sups(self.r, self.stack.take(rows), self.counts[rows], base_nodes, local_nodes)
-
     def exact_sups(self, rows: np.ndarray, dense: bool = False) -> np.ndarray:
-        """:meth:`sampled_sups` of the rows ``rows``, at ``_DENSE_NODES`` if
+        """:func:`_sampled_sups` of the rows ``rows``, at ``_DENSE_NODES`` if
         ``dense``, from the memo where it holds them (NaN marks an entry not
         yet computed)."""
         name = "dense" if dense else "memo"
         memo = getattr(self, name)
         missing = rows[np.isnan(memo[rows])]
         if missing.size:
-            found = self.sampled_sups(missing, *_DENSE_NODES) if dense else self.sampled_sups(missing)
+            found = _sampled_sups(self.stack.take(missing), *(_DENSE_NODES if dense else ()))
             with self._lock:
                 memo = getattr(self, name).copy()
                 memo[missing] = found
@@ -434,19 +380,19 @@ class _Battery:
 _PROBE_COUNTS = np.array([[0, 0, 2], [0, 1, 1]])
 
 
-def _check_rows(r: float, stack: rational.FactoredStack, counts: np.ndarray) -> None:
+def _check_rows(stack: rational.FactoredStack) -> None:
     """Raise the first error :func:`rational.validate` raises for the rows
-    of a stack packed by :func:`_pack`, in row order.  Its radius and
-    root-location comparisons run on the whole stack, on the moduli it takes
-    (a draw on an annulus is finite, and its numerator and scale are never
-    empty or zero); ``validate`` itself runs only on the rows they flag."""
+    of ``stack``, in row order.  Its radius and root-location comparisons
+    run on the whole stack, on the moduli it takes (a draw on an annulus is
+    finite, and its numerator and scale are never empty or zero);
+    ``validate`` itself runs only on the rows they flag."""
     mods = _moduli(stack.roots)
-    outer = np.arange(mods.shape[1]) < counts[:, :1]
-    bad = (stack.mask & np.where(outer, mods <= 1.0, mods >= r)).any(axis=1)
-    if not 0.0 < r < 1.0:
+    outer = np.arange(mods.shape[1]) < stack.counts[:, :1]
+    bad = (stack.mask & np.where(outer, mods <= 1.0, mods >= stack.r)).any(axis=1)
+    if not 0.0 < stack.r < 1.0:
         bad[:] = True
     for i in np.flatnonzero(bad):
-        rational.validate(_row_function(r, stack, counts, i))
+        rational.validate(stack.function(i))
 
 
 @lru_cache(maxsize=8)
@@ -458,31 +404,29 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     ``sample_test_function(r, linalg.seeded_rng(seed, 17, i))``.  The
     generators come from ``linalg.seeded_rngs(seed, 17, 2, trials)``, which
     keys them all in one pass instead of building a SeedSequence per row;
-    each makes its own draws (:func:`_draw`), and the variates of all rows
-    are transformed in one vectorized pass and written straight into the
-    padded stack (:func:`_transform`, :func:`_pack`), so no
-    :class:`AnnulusRational` is built here.  Every row is validated
-    (:func:`_check_rows`), then :class:`PoleHit` is raised as
-    :func:`_sampled_sups` would on the battery's sampling
-    (:func:`_check_poles`); the build then evaluates 64 nodes per circle of
-    the whole stack, for :attr:`_Battery.lower`, and leaves the exact sups to
+    each makes its own draws, and the variates of all rows are transformed
+    in one vectorized pass (:func:`_draw`) and written straight into the
+    padded stack (:func:`rational.pack`), so no :class:`AnnulusRational` is
+    built here.  Every row is validated (:func:`_check_rows`), then
+    :class:`PoleHit` is raised as :func:`_sampled_sups` would on the
+    battery's sampling (:func:`_check_poles`); the build then evaluates 64
+    nodes per circle of the whole stack, for :attr:`_Battery.lower`, and leaves the exact sups to
     :meth:`_Battery.exact_sups`.  Cached so repeated certifications against
     the same battery (e.g. a corpus sweep) share the draws and the memo.
     """
     probes = min(trials, len(_PROBE_COUNTS))
-    counts, *variates = _draw(linalg.seeded_rngs(seed, 17, probes, trials))
-    p, roots = _transform(r, counts, *variates)
+    counts, p, roots = _draw(r, linalg.seeded_rngs(seed, 17, probes, trials))
     counts = np.concatenate([_PROBE_COUNTS[:probes], counts])
     p = np.concatenate([np.array([0.0, 1.0, r], dtype=complex)[: counts[:probes, 2].sum()], p])
     roots = np.concatenate([np.zeros(counts[:probes, 1].sum(), dtype=complex), roots])
-    stack = _pack(counts, p, roots)
+    stack = rational.pack(r, counts, p, roots)
     ring = _ring(_BASE_NODES)
-    _check_rows(r, stack, counts)
-    _check_poles(r, stack, counts, ring, _LOCAL_NODES)
+    _check_rows(stack)
+    _check_poles(stack, ring, _LOCAL_NODES)
     lower = np.empty(trials)
-    for sl, vals in _circle_values(stack, float(r), ring[::_LOWER_STRIDE]):
+    for sl, vals in _circle_values(stack, ring[::_LOWER_STRIDE]):
         lower[sl] = vals.max(axis=1)
-    return _Battery(float(r), stack, counts, lower)
+    return _Battery(stack, lower)
 
 
 def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> tuple[float, int | None]:
@@ -582,9 +526,8 @@ def vonneumann_stress(
     refinement and by ``|f|`` at the spectrum projected into the annulus
     (interior values never exceed the boundary sup).  The sampled maxima are
     those of 4096 equispaced nodes per circle plus 512 per pole window, each
-    node evaluated by :func:`_sampled_sups` on the battery's packed stack
-    (:meth:`_Battery.sampled_sups`), which was validated once when it was
-    built; each sampling pole-checks its own nodes.  Candidate violations
+    node evaluated by :func:`_sampled_sups` on the battery's packed stack,
+    which was validated once when it was built; each sampling pole-checks its own nodes.  Candidate violations
     are re-checked together, through the same routine, against a denser
     sampling (``_DENSE_NODES``: ``1 << 15`` nodes plus 4096 per window)
     before one is accepted as a witness, so ``Refuted`` reports replay
@@ -683,7 +626,7 @@ def vonneumann_stress(
     )
     if witness is not None:
         verdict = Verdict.REFUTED
-        witness = battery.function(int(rows[witness]))
+        witness = battery.stack.function(int(rows[witness]))
     elif trials > 0:
         verdict = Verdict.PASSED_STRESS
     else:

@@ -28,7 +28,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across the toolkit (all dimensionless)."""
+    """Numerical thresholds shared across the toolkit (all dimensionless,
+    each finite and > 0)."""
 
     eig_tol: float = 1e-10
     rank_tol: float = 1e-9
@@ -36,8 +37,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eig_tol", "rank_tol", "verify_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_TOLS = Tolerances()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -117,21 +118,43 @@ def evaluate(f: AnnulusRational, z):
 
 @dataclass(frozen=True)
 class FactoredStack:
-    """Factored forms of a sequence of rationals, one zero-padded row each.
+    """Factored forms of a sequence of rationals on one annulus of inner
+    radius ``r``, one zero-padded row each.
 
     Row ``i`` holds the ascending numerator coefficients ``p[i]``, the
-    ``q1_roots`` then the ``q2_roots`` in ``roots[i]`` with ``mask[i]``
-    marking the occupied slots, and the constant ``scale[i]``.
+    ``q1_roots`` then the ``q2_roots`` in ``roots[i]``, and the constant
+    ``scale[i]``; ``counts[i]`` is its layout ``(k1, k2, len(p))``, so
+    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``.
+    :func:`pack` builds a stack, :meth:`function` gives a row back.
     """
 
+    r: float
+    counts: np.ndarray
     p: np.ndarray
     roots: np.ndarray
-    mask: np.ndarray
     scale: np.ndarray
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The occupied slots of ``roots``."""
+        return np.arange(self.roots.shape[1]) < (self.counts[:, 0] + self.counts[:, 1])[:, np.newaxis]
 
     def take(self, rows) -> "FactoredStack":
         """The rows selected by ``rows`` (a slice or an index array)."""
-        return FactoredStack(p=self.p[rows], roots=self.roots[rows], mask=self.mask[rows], scale=self.scale[rows])
+        return FactoredStack(
+            r=self.r, counts=self.counts[rows], p=self.p[rows], roots=self.roots[rows], scale=self.scale[rows]
+        )
+
+    def function(self, i: int) -> AnnulusRational:
+        """Row ``i`` as an :class:`AnnulusRational`."""
+        k1, k2, lp = self.counts[i]
+        return AnnulusRational(
+            r=self.r,
+            p_coeffs=tuple(self.p[i, :lp]),
+            q1_roots=tuple(self.roots[i, :k1]),
+            q2_roots=tuple(self.roots[i, k1 : k1 + k2]),
+            scale=self.scale[i],
+        )
 
     def abs_at(self, points: np.ndarray) -> np.ndarray:
         """``|f_i(z)|`` at shared points (1-D) or at row ``i``'s own points
@@ -158,23 +181,53 @@ class FactoredStack:
         return np.abs(np.divide(num, den, out=num))
 
 
+def _slots(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of each entry of rows holding ``width[i]`` entries
+    each, packed flat in row order."""
+    row = np.repeat(np.arange(width.size), width)
+    return row, np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+
+
+def pack(r: float, counts, p, roots, scale=1.0) -> FactoredStack:
+    """The rows ``(k1, k2, len(p))`` of ``counts`` on the annulus of inner
+    radius ``r`` as one zero-padded :class:`FactoredStack`, from their
+    numerator coefficients ``p`` and roots ``roots`` (each row's ``q1_roots``
+    then its ``q2_roots``), each flat in row order, and ``scale``, one per
+    row or one for all.  Nothing is validated."""
+    counts = np.asarray(counts, dtype=int).reshape(-1, 3)
+    lp, k = counts[:, 2], counts[:, 0] + counts[:, 1]
+    n = counts.shape[0]
+    stack = FactoredStack(
+        r=float(r),
+        counts=counts,
+        p=np.zeros((n, lp.max(initial=1)), dtype=complex),
+        roots=np.zeros((n, k.max(initial=0)), dtype=complex),
+        scale=np.full(n, scale, dtype=complex),
+    )
+    stack.p[_slots(lp)] = p
+    stack.roots[_slots(k)] = roots
+    return stack
+
+
 def factored_stack(functions) -> FactoredStack:
-    """Validate each function and pad the factored forms into one stack."""
+    """Validate each function and :func:`pack` the factored forms into one
+    stack.  The functions must share one annulus (:class:`InvalidRational`
+    otherwise) and be at least one (``ValueError``)."""
     functions = tuple(functions)
+    if not functions:
+        raise ValueError("factored_stack needs at least one function")
+    r = functions[0].r
     for f in functions:
         validate(f)
-    width_p = max((len(f.p_coeffs) for f in functions), default=1)
-    width_r = max((len(f.q1_roots) + len(f.q2_roots) for f in functions), default=0)
-    p = np.zeros((len(functions), width_p), dtype=complex)
-    roots = np.zeros((len(functions), width_r), dtype=complex)
-    mask = np.zeros((len(functions), width_r), dtype=bool)
-    for i, f in enumerate(functions):
-        p[i, : len(f.p_coeffs)] = f.p_coeffs
-        row = f.q1_roots + f.q2_roots
-        roots[i, : len(row)] = row
-        mask[i, : len(row)] = True
-    scale = np.array([f.scale for f in functions], dtype=complex)
-    return FactoredStack(p=p, roots=roots, mask=mask, scale=scale)
+        if f.r != r:
+            raise InvalidRational(f"mismatched radii {r} and {f.r}")
+    return pack(
+        r,
+        [(len(f.q1_roots), len(f.q2_roots), len(f.p_coeffs)) for f in functions],
+        [c for f in functions for c in f.p_coeffs],
+        [a for f in functions for a in f.q1_roots + f.q2_roots],
+        [f.scale for f in functions],
+    )
 
 
 def multiply(f: AnnulusRational, g: AnnulusRational) -> AnnulusRational:
@@ -523,10 +576,10 @@ def laurent_tail_bound(f: AnnulusRational, order: int) -> float:
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
     """Smallest truncation order whose certified tail bound is at most ``tol``.
 
-    Doubling scan from order 8 followed by binary refinement (from order 1
-    when 8 already passes) over series data rebuilt only when a probe reads
-    past it.  Each probe's bound equals ``laurent_expand(f, order).tail_bound``
-    bit for bit.  A NaN bound counts as not reaching ``tol``;
+    Doubling scan from order 8, clamped at ``cap``, followed by binary
+    refinement above the last failing probe (from order 1 when the first
+    passes) over series data rebuilt only when a probe reads past it.  Each
+    probe's bound equals ``laurent_expand(f, order).tail_bound`` bit for bit.  A NaN bound counts as not reaching ``tol``;
     :class:`BudgetExceeded` is raised when no order up to ``cap`` reaches it.
     ``tol`` must be finite and > 0, and ``cap`` an integer >= 1 (numpy's
     too, not a ``bool``).
@@ -544,12 +597,11 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
             data = _series_data(f, need)
         return _tail_bounds(data[-2], data[-1], order)[2]
 
-    hi = 8
+    lo, hi = 1, min(8, cap)
     while not bound(hi) <= tol:
-        hi *= 2
-        if hi > cap:
+        if hi == cap:
             raise BudgetExceeded(f"tail bound does not reach {tol} within order {cap}")
-    lo = 1 if hi == 8 else hi // 2
+        lo, hi = hi, min(2 * hi, cap)
     while lo < hi:
         mid = (lo + hi) // 2
         if bound(mid) <= tol:

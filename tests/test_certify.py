@@ -170,7 +170,7 @@ class TestVonNeumannStress:
         t = normal_annulus_matrix(4, 0.5, 12)
         lams = linalg.spectrum(t)
         battery = _stress_battery(0.5, 50, 3)
-        for f in battery.functions[:20]:
+        for f in _functions(battery)[:20]:
             spectral = np.abs(evaluate(f, lams)).max()
             direct = operator_norm(calculus.eval_direct(f, t))
             assert abs(spectral - direct) <= 1e-10 * max(1.0, direct)
@@ -203,16 +203,16 @@ class TestVonNeumannStress:
     def test_battery_sups_keep_the_coarse_sampling_maximum(self):
         battery = _stress_battery.__wrapped__(0.5, 500, 4)
         # the lower bounds are every 64th of the 4096 nodes per circle
-        assert battery.lower.tolist() == [rational.boundary_sup_norm(f, 64) for f in battery.functions]
+        assert battery.lower.tolist() == [rational.boundary_sup_norm(f, 64) for f in _functions(battery)]
         # the 1024 nodes per circle are a subset of the 4096 _sampled_sups samples
         sups = battery.exact_sups(np.arange(500))
-        assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(battery.functions, sups)]
+        assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(_functions(battery), sups)]
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_battery_lower_bounds_stay_below_the_sups(self, r, seed):
         battery = _stress_battery.__wrapped__(r, 2000, seed)
-        assert np.all(battery.lower <= _sups_of(battery.functions))
+        assert np.all(battery.lower <= _sups_of(_functions(battery)))
 
     @pytest.mark.parametrize("r", [float("nan"), 0.0, 1.0, -0.5])
     def test_radius_outside_the_unit_interval_is_rejected(self, r, monkeypatch):
@@ -275,9 +275,12 @@ class TestVonNeumannStress:
 def _sups_of(functions, *args, **kwargs):
     """:func:`_sampled_sups` of ``functions`` on one annulus, packed by
     :func:`rational.factored_stack`, which validates every function first."""
-    functions = tuple(functions)
-    counts = np.array([(len(f.q1_roots), len(f.q2_roots), len(f.p_coeffs)) for f in functions]).reshape(-1, 3)
-    return _sampled_sups(functions[0].r, rational.factored_stack(functions), counts, *args, **kwargs)
+    return _sampled_sups(rational.factored_stack(functions), *args, **kwargs)
+
+
+def _functions(battery):
+    """Every row of a battery as an :class:`AnnulusRational`, in battery order."""
+    return tuple(battery.stack.function(i) for i in range(battery.lower.size))
 
 
 def _reference_sup(f, base_nodes=4096, local_nodes=512):
@@ -367,7 +370,7 @@ class TestBatteryDraw:
     def test_rows_are_the_scalar_draws(self, r, seed):
         battery = _stress_battery.__wrapped__(r, 2000, seed)
         ref = _reference_battery(r, 2000, seed)
-        assert battery.functions == tuple(ref)
+        assert _functions(battery) == tuple(ref)
         assert [sample_test_function(r, seeded_rng(seed, 17, i)) for i in range(2, 2000)] == ref[2:]
         stack = rational.factored_stack(ref)
         for name in ("p", "roots", "mask", "scale"):
@@ -391,7 +394,7 @@ class TestBatteryDraw:
     @pytest.mark.parametrize("trials", [0, 1, 2, 3])
     def test_short_batteries(self, trials):
         battery = _stress_battery.__wrapped__(0.5, trials, 1)
-        assert battery.functions == tuple(_reference_battery(0.5, trials, 1))
+        assert _functions(battery) == tuple(_reference_battery(0.5, trials, 1))
         assert battery.lower.shape == (trials,)
 
     @pytest.mark.parametrize(
@@ -449,7 +452,7 @@ class TestSampledSups:
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     def test_battery_matches_full_sampling(self, r):
         battery = _stress_battery.__wrapped__(r, 2000, 1)
-        ref = np.array([_reference_sup(f) for f in battery.functions])
+        ref = np.array([_reference_sup(f) for f in _functions(battery)])
         rows = np.arange(2000)
         # half the memo first, then the rest around it
         assert np.array_equal(battery.exact_sups(rows[::2]), ref[::2])
@@ -708,8 +711,8 @@ class TestLazyRefinement:
 
     def test_cold_run_builds_no_function_objects(self, monkeypatch):
         built = []
-        original = certify._row_function
-        monkeypatch.setattr(certify, "_row_function", lambda *args: built.append(args[-1]) or original(*args))
+        original = rational.FactoredStack.function
+        monkeypatch.setattr(rational.FactoredStack, "function", lambda s, i: built.append(i) or original(s, i))
         _stress_battery.cache_clear()
         rep = vonneumann_stress(windowed_matrix(4, 0.5, 3), 0.5, 2000, 1)
         assert rep.verdict is Verdict.PASSED_STRESS
@@ -723,7 +726,7 @@ class TestLazyRefinement:
         assert first.verdict is Verdict.REFUTED
         battery = _stress_battery(0.5, 2000, 2)
         rows = np.flatnonzero(~np.isnan(battery.dense))
-        assert rows.size and np.array_equal(battery.dense[rows], battery.sampled_sups(rows, 1 << 15, 4096))
+        assert rows.size and np.array_equal(battery.dense[rows], _sampled_sups(battery.stack.take(rows), 1 << 15, 4096))
         monkeypatch.setattr(certify, "_sampled_sups", lambda *args: pytest.fail("sup computed"))
         assert vonneumann_stress(example_matrix(0.5), 0.5, 2000, 2).to_json() == first.to_json()
 
@@ -743,7 +746,7 @@ class TestLazyRefinement:
                 got = [future.result(timeout=120) for future in [pool.submit(worker, rows) for rows in parts]]
         finally:
             sys.setswitchinterval(interval)
-        want = battery.sampled_sups(np.arange(24), 1 << 15, 4096)
+        want = _sampled_sups(battery.stack.take(np.arange(24)), 1 << 15, 4096)
         assert all(np.array_equal(g, want[rows]) for g, rows in zip(got, parts))
         assert np.array_equal(battery.dense[:24], want) and np.isnan(battery.dense[24:]).all()
         assert np.isnan(battery.memo).all()
@@ -755,14 +758,14 @@ class TestLazyRefinement:
         _stress_battery.cache_clear()
         battery = _stress_battery(0.5, 2000, 2)
         computed = []
-        original = certify._Battery.sampled_sups
+        original = certify._Battery.exact_sups
 
-        def recording(self, rows, *args, **kwargs):
-            if self is battery and not args and not kwargs:
-                computed.extend(rows.tolist())
-            return original(self, rows, *args, **kwargs)
+        def recording(self, rows, dense=False):
+            if self is battery and not dense:
+                computed.extend(rows[np.isnan(self.memo[rows])].tolist())
+            return original(self, rows, dense)
 
-        monkeypatch.setattr(certify._Battery, "sampled_sups", recording)
+        monkeypatch.setattr(certify._Battery, "exact_sups", recording)
         start = threading.Barrier(4)
 
         def worker(kind):
@@ -824,7 +827,7 @@ class TestVonNeumannScreen:
     def test_two_sided_rows_match_the_function_classification(self, r, seed):
         battery = _stress_battery(r, 2000, seed)
         rows, stack = battery.two_sided
-        assert rows.tolist() == [i for i, f in enumerate(battery.functions) if not _one_sided(f)]
+        assert rows.tolist() == [i for i, f in enumerate(_functions(battery)) if not _one_sided(f)]
         assert 0 < rows.size < 2000
         full = battery.stack.take(rows)
         for name in ("p", "roots", "mask", "scale"):
@@ -903,7 +906,7 @@ class TestVonNeumannScreen:
             assert rep.stress_route == "factored" and rep.screened > 0
         for nums in seen:
             for i, num in zip(battery.two_sided[0], nums):
-                assert num <= _split_bound(battery.function(i)) * (1.0 + 1e-6)
+                assert num <= _split_bound(battery.stack.function(i)) * (1.0 + 1e-6)
 
 
 def _reference_direct(f, t):
@@ -929,7 +932,7 @@ class TestStackedFactoredEvaluation:
     def test_matches_per_function_loop(self, t):
         battery = _stress_battery(0.5, self.TRIALS, 1)
         got = calculus.factored_norms(battery.stack, t)
-        ref = np.array([operator_norm(_reference_direct(f, t)) for f in battery.functions])
+        ref = np.array([operator_norm(_reference_direct(f, t)) for f in _functions(battery)])
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
     def test_abs_at_matches_evaluate_bit_for_bit(self):
@@ -938,13 +941,20 @@ class TestStackedFactoredEvaluation:
         radii = np.linspace(0.5, 1.0, 100)
         # stacks of 100 rows x 4096 points pass numpy's 256 KiB threshold for
         # eliding temporaries
+        every = _functions(battery)
         for lo in range(0, self.TRIALS, 100):
-            functions = battery.functions[lo : lo + 100]
+            functions = every[lo : lo + 100]
             stack = rational.factored_stack(functions)
             ref = np.array([np.abs(evaluate(f, ring)) for f in functions])
             assert np.array_equal(stack.abs_at(ring), ref)
             ref = np.array([np.abs(evaluate(f, rho * ring)) for f, rho in zip(functions, radii)])
             assert np.array_equal(stack.abs_at(radii[:, np.newaxis] * ring), ref)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_eval_direct_is_the_per_root_route_bit_for_bit(self, n):
+        t = windowed_matrix(n, 0.5, 4)
+        for f in _functions(_stress_battery(0.5, self.TRIALS, 1))[2:400]:
+            assert calculus.eval_direct(f, t).tobytes() == _reference_direct(f, t).tobytes()
 
     def test_chunk_boundary_is_crossed(self):
         # n = 9 splits the 2000-function battery into two chunks
@@ -952,7 +962,7 @@ class TestStackedFactoredEvaluation:
 
     def test_eigenvalue_on_a_root_raises_singular_naming_it(self):
         battery = _stress_battery(0.5, self.TRIALS, 1)
-        with_roots = [f for f in battery.functions[2:] if f.q1_roots and f.q2_roots]
+        with_roots = [f for f in _functions(battery)[2:] if f.q1_roots and f.q2_roots]
         first, later = with_roots[0], with_roots[1]
         # eigenvalues on a root of a later function and on the last root of an
         # earlier one: the earlier function, in battery order, is named
@@ -1033,9 +1043,7 @@ class TestNormBounds:
             t = 0.7 * np.outer(u, v.conj()) / abs(np.vdot(v, u))
             p = np.zeros((200, 5), dtype=complex)
             p[np.arange(200), rng.integers(1, 5, 200)] = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-            stack = rational.FactoredStack(
-                p=p, roots=np.zeros((200, 0), dtype=complex), mask=np.zeros((200, 0), dtype=bool), scale=np.ones(200)
-            )
+            stack = rational.pack(0.5, np.tile([0, 0, 5], (200, 1)), p.ravel(), np.zeros(0))
             full = calculus.factored_norms(stack, t)
             bounds, _ = calculus.factored_norm_bounds(stack, t)
             assert np.all(bounds >= full)

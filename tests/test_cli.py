@@ -195,9 +195,10 @@ class TestExitCodes:
         assert cli.main(args) == cli.EXIT_USAGE
         assert "InvalidRational: mismatched radii 0.3 and 0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--eig-tol", "--rank-tol", "--verify-tol"])
-    def test_zero_tolerance_is_usage_error(self, flag):
-        assert cli.main(["demo-example", flag, "0"]) == cli.EXIT_USAGE
+    def test_zero_tolerance_is_usage_error(self, flag, value):
+        assert cli.main(["demo-example", flag, value]) == cli.EXIT_USAGE
 
     @pytest.mark.parametrize(
         "command, flag, value",

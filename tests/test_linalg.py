@@ -39,9 +39,11 @@ class TestTolerances:
         t = Tolerances()
         assert (t.eig_tol, t.rank_tol, t.verify_tol) == (1e-10, 1e-9, 1e-8)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Tolerances(eig_tol=0.0)
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["eig_tol", "rank_tol", "verify_tol"])
+    def test_rejects_nonpositive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
+            Tolerances(**{name: value})
 
 
 class TestEigNormal:

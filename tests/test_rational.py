@@ -299,6 +299,18 @@ class TestLaurentExpand:
         with pytest.raises(ValueError, match="^cap must be"):
             laurent_order_for(QUADRATIC, 1e-30, cap=cap)
 
+    def test_the_scan_stops_at_the_cap(self):
+        # order 9 at 1e-3 and order 4 at 0.1
+        f = AnnulusRational(r=0.5, q1_roots=(2.5,), q2_roots=(0.2,))
+        assert laurent_order_for(f, 1e-3) == 9
+        assert laurent_order_for(f, 1e-3, cap=12) == 9
+        assert laurent_order_for(f, 1e-3, cap=9) == 9
+        with pytest.raises(BudgetExceeded, match="within order 8$"):
+            laurent_order_for(f, 1e-3, cap=8)
+        assert laurent_order_for(f, 0.1) == 4
+        with pytest.raises(BudgetExceeded, match="within order 1$"):
+            laurent_order_for(f, 0.1, cap=1)
+
     def test_order_past_the_cap_is_a_budget_error(self):
         # 1/(z - 1.001) needs an order near 30000 for 1e-10; the search stops at 4096
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.001,))
@@ -382,6 +394,32 @@ class TestBoundarySupNorm:
         coarse = boundary_sup_norm(f, 128)
         fine = boundary_sup_norm(f, 1 << 14)
         assert coarse <= fine + 1e-15
+
+
+class TestFactoredStack:
+    FUNCTIONS = (
+        AnnulusRational(r=0.5, p_coeffs=(1.0, 2.0j, 0.0), q1_roots=(1.5, -2.0j), q2_roots=(0.0, 0.3j), scale=2.0 - 1.0j),
+        AnnulusRational(r=0.5),
+        AnnulusRational(r=0.5, p_coeffs=(0.5,), q2_roots=(0.0,)),
+        AnnulusRational(r=0.5, p_coeffs=(0.0, 1.0, 0.0, 0.0, 3.0), q1_roots=(4.0,), scale=-0.25),
+    )
+
+    def test_rows_come_back_as_the_functions(self):
+        stack = rational.factored_stack(self.FUNCTIONS)
+        assert stack.r == 0.5
+        assert stack.counts.tolist() == [[2, 2, 3], [0, 0, 1], [0, 1, 1], [1, 0, 5]]
+        assert stack.mask.tolist() == [[True] * 4, [False] * 4, [True] + [False] * 3, [True] + [False] * 3]
+        assert [stack.function(i) for i in range(4)] == list(self.FUNCTIONS)
+        taken = stack.take(np.array([3, 0]))
+        assert [taken.function(i) for i in range(2)] == [self.FUNCTIONS[3], self.FUNCTIONS[0]]
+
+    def test_mixed_radii_are_invalid(self):
+        with pytest.raises(InvalidRational, match="mismatched radii 0.5 and 0.25"):
+            rational.factored_stack([AnnulusRational(r=0.5), AnnulusRational(r=0.25)])
+
+    def test_an_empty_sequence_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            rational.factored_stack([])
 
 
 class TestInvolute:
