@@ -299,13 +299,18 @@ def laurent_remainder_bound(
     """Certified bound on ``||eval_laurent(f, T, order) - f(T)||``.
 
     Uses the tail models of the expansion inflated by the measured
-    ``||T||`` and ``||r T^{-1}||``.
+    ``||T||`` and ``||r T^{-1}||``; :class:`NotInvertible` when ``T`` is
+    singular, as in :func:`eval_laurent`.
     """
     order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
     series = rational.laurent_expand(f, order)
     norm_t = linalg.operator_norm(m)
-    norm_rtinv = f.r * linalg.operator_norm(linalg.inverse(m, tols))
+    try:
+        inv = linalg.inverse(m, tols)
+    except Singular as exc:
+        raise NotInvertible("series remainder bound needs invertible T") from exc
+    norm_rtinv = f.r * linalg.operator_norm(inv)
     bound = series.operator_tail_bound(norm_t, norm_rtinv)
     if not np.isfinite(bound):
         raise SeriesDivergent("inflated series rates reach 1; no certified bound")

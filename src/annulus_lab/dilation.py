@@ -351,7 +351,9 @@ class ModelTriple:
         return np.eye(2 * self.pair.dim, self.pair.dim_h, dtype=complex)
 
     def tail_report(self, f: AnnulusRational) -> dict:
-        """Certified truncation bounds for verifying ``f`` at budget ``d``."""
+        """Certified truncation bounds for verifying ``f`` at budget ``d``,
+        from one expansion of ``1/(scale q1 q2)`` at ``d``; the series memo
+        keeps its data, which :func:`verify_model` then reads as a prefix."""
         series = _model_series(self, f)
         ut, bt = series.tail_pos, series.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
@@ -443,8 +445,10 @@ def verify_model(
 
     The right-hand side follows the series route: the inner factor as
     ``sum_m b_m r^{-m} V2^m`` (the first ``d + 1`` weights of
-    :func:`rational.factor_series`, no tail; ``F N F`` acts on the
-    first summand as ``V2``), the outer factor and numerator as
+    :func:`rational.factor_series`, no expansion and no tail: a prefix of
+    the series memo's data, which :meth:`ModelTriple.tail_report` for the
+    same ``f`` has built; ``F N F`` acts on the first summand as ``V2``),
+    the outer factor and numerator as
     series/polynomial in ``V1``.  Since ``P_H V_i = T_i P_H``, only the rows
     of ``H`` are formed: ``h x h`` chains in ``T2``, then ``T1``, one product
     per power, each stopping at its series' last nonzero coefficient.  Those

@@ -20,8 +20,9 @@ special treatment.
 from __future__ import annotations
 
 import cmath
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -116,7 +117,7 @@ def evaluate(f: AnnulusRational, z):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredStack:
     """Factored forms of a sequence of rationals on one annulus of inner
     radius ``r``, one zero-padded row each.
@@ -125,7 +126,8 @@ class FactoredStack:
     ``q1_roots`` then the ``q2_roots`` in ``roots[i]``, and the constant
     ``scale[i]``; ``counts[i]`` is its layout ``(k1, k2, len(p))``, so
     ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``.
-    :func:`pack` builds a stack, :meth:`function` gives a row back.
+    :func:`pack` builds a stack, :meth:`function` gives a row back.  Two
+    stacks are equal only when they are one object, and a stack hashes.
     """
 
     r: float
@@ -399,15 +401,12 @@ def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
     return _TailModel(exact=exact, major=major, base=base, rate=rate, lead=len(kernel) - 1)
 
 
-def factor_series(f: AnnulusRational, length: int) -> tuple:
-    """The first ``length`` coefficients of both factor series of ``f``:
-    ``(a, b, b_scaled, weights)``.
-
-    ``a`` is the ascending series of ``p / (scale q1)``, ``b`` the
-    coefficients ``b_m`` of ``1/q2 = sum b_m z^-m``, ``b_scaled`` the weights
-    ``b_m r^-m`` and ``weights`` their moduli, both formed without ``r^-m``
-    (see :class:`LaurentSeries`).  Every entry depends only on the entries
-    before it, so a longer call extends a shorter one bit for bit.
+def _build_series(f: AnnulusRational, length: int) -> tuple:
+    """``(a, b, b_scaled, pos, neg)``, read-only: the factor series of
+    :func:`factor_series` (``neg.exact`` holds the moduli of ``b_scaled``)
+    and the tail models of both factors, ``length`` terms each.  Every entry
+    depends only on the entries before it, so a longer build extends a
+    shorter one bit for bit.
     """
     r = f.r
     p = _trim_trailing_zeros(np.array(f.p_coeffs))
@@ -435,28 +434,73 @@ def factor_series(f: AnnulusRational, length: int) -> tuple:
         b[n_roots2:] = inv_inner * r ** np.arange(length - n_roots2)
         b_scaled[n_roots2:] = inv_inner * r ** (-n_roots2)
         weights[n_roots2:] = np.abs(inv_inner) * r ** (-n_roots2)
-    return a, b, b_scaled, weights
-
-
-def _series_data(f: AnnulusRational, length: int):
-    """:func:`factor_series` of ``f`` and the tail models of its two
-    factors, ``length`` terms each."""
-    a, b, b_scaled, weights = factor_series(f, length)
     # each coefficient of 1/prod(z - alpha_j) is bounded by that of
     # prod 1/(|alpha_j| - z)
-    moduli = np.abs(np.array(f.q1_roots, dtype=complex))
+    moduli = np.abs(alphas)
     lo = moduli.min(initial=np.inf)
-    kernel = np.abs(_trim_trailing_zeros(np.array(f.p_coeffs))) * np.prod(1.0 / moduli) / abs(f.scale)
+    kernel = np.abs(p) * np.prod(1.0 / moduli) / abs(f.scale)
     pos = _tail_model(np.abs(a), kernel, lo / moduli, 1.0 / lo)
     # weighted majorant r^-L prod 1/(1 - (|beta_i|/r) w), shifted by L
-    betas = np.array(f.q2_roots, dtype=complex)
-    n_roots2 = len(betas)
-    moduli = np.abs(betas[betas != 0])
+    moduli = np.abs(betas)
     hi = moduli.max(initial=0.0)
     kernel = np.zeros(n_roots2 + 1)
-    kernel[-1] = f.r ** (-n_roots2)
-    neg = _tail_model(weights, kernel, moduli / hi, hi / f.r)
+    kernel[-1] = r ** (-n_roots2)
+    neg = _tail_model(weights, kernel, moduli / hi, hi / r)
+    for array in (a, b, b_scaled, pos.exact, pos.major, pos.base, neg.exact, neg.major, neg.base):
+        array.flags.writeable = False
     return a, b, b_scaled, pos, neg
+
+
+# The series memo holds the data of at most this many functions.
+_MEMO_SIZE = 32
+_MEMO_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _series_memo(key: bytes) -> list:
+    """The slot ``[data]`` that holds the longest :func:`_build_series` so
+    far of the function whose fields have the bits ``key`` (``[None]``
+    before the first).
+
+    An entry holds 96 bytes per term (three complex and six real arrays),
+    ``max(order, lead) + 130`` terms at ``order``, where ``lead`` is the
+    numerator's degree or the inner factor's root count: about 0.4 MB at
+    order 4096, so at most ``_MEMO_SIZE`` x 0.4 MB = 13 MB while no order
+    passes 4096, the cap of :func:`laurent_order_for`.  ``cache_clear``
+    empties the memo.
+    """
+    return [None]
+
+
+def _series_data(f: AnnulusRational, length: int) -> tuple:
+    """:func:`_build_series` of ``f`` with at least ``length`` terms, from
+    the memo when the data it holds is that long, else built at ``length``
+    and kept in its place.  The data may be longer than asked; every reader
+    takes a prefix, which equals a build at its own length bit for bit."""
+    # 0.0 and -0.0 can build different data, though == calls them equal
+    head = (f.r, f.scale, len(f.p_coeffs), len(f.q1_roots))
+    key = np.array(head + f.p_coeffs + f.q1_roots + f.q2_roots, dtype=complex).tobytes()
+    with _MEMO_LOCK:
+        slot = _series_memo(key)
+        if slot[0] is None or len(slot[0][0]) < length:
+            slot[0] = _build_series(f, length)
+        return slot[0]
+
+
+def factor_series(f: AnnulusRational, length: int) -> tuple:
+    """The first ``length`` coefficients of both factor series of ``f``:
+    ``(a, b, b_scaled, weights)``, fresh arrays.
+
+    ``a`` is the ascending series of ``p / (scale q1)``, ``b`` the
+    coefficients ``b_m`` of ``1/q2 = sum b_m z^-m``, ``b_scaled`` the weights
+    ``b_m r^-m`` and ``weights`` their moduli, both formed without ``r^-m``
+    (see :class:`LaurentSeries`).  They are prefixes of the series memo's
+    data for ``f``, which a longer call extends bit for bit.  ``length`` is
+    an integer >= 1 (numpy's too, not a ``bool``).
+    """
+    length = as_integer(length, "length", 1)
+    a, b, b_scaled, _, neg = _series_data(f, length)
+    return a[:length].copy(), b[:length].copy(), b_scaled[:length].copy(), neg.exact[:length].copy()
 
 
 def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, float, float]:
@@ -539,6 +583,10 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
     Coefficients come from exact convolution recurrences.  Each factor's
     dropped tail is bounded by its exact coefficient moduli over ``_MARGIN``
     terms past the order, then by a positive majorant series in closed form.
+    The factor series are fresh copies of a prefix of the series memo's data
+    for ``f`` (see :func:`_series_memo`), built only when the memo holds too
+    few terms; ``tail_models`` are the memo's read-only models, which may
+    run past what this order reads.
     """
     m = as_integer(order, "order", 1)
     _checked(f)
@@ -564,13 +612,17 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
     )
 
 
+def _tail_bound_at(f: AnnulusRational, order: int) -> float:
+    """The certified remainder bound of ``f`` at ``order``, from the memo."""
+    return _tail_bounds(*_series_data(f, _length_for(f, order))[3:], order)[2]
+
+
 def laurent_tail_bound(f: AnnulusRational, order: int) -> float:
     """``laurent_expand(f, order).tail_bound`` bit for bit, from the tail
-    models alone: no truncated product is formed."""
+    models of the series memo alone: no truncated product is formed."""
     order = as_integer(order, "order", 1)
     _checked(f)
-    *_, pos, neg = _series_data(f, _length_for(f, order))
-    return _tail_bounds(pos, neg, order)[2]
+    return _tail_bound_at(f, order)
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
@@ -578,8 +630,11 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
 
     Doubling scan from order 8, clamped at ``cap``, followed by binary
     refinement above the last failing probe (from order 1 when the first
-    passes) over series data rebuilt only when a probe reads past it.  Each
-    probe's bound equals ``laurent_expand(f, order).tail_bound`` bit for bit.  A NaN bound counts as not reaching ``tol``;
+    passes).  The search first asks the series memo for the reach of order
+    ``min(64, cap)``, so every probe up to order 64 reads one build, and so
+    does a :func:`laurent_expand` at the order found; a probe past it grows
+    the memo.  Each probe's bound equals ``laurent_expand(f, order).tail_bound``
+    bit for bit.  A NaN bound counts as not reaching ``tol``;
     :class:`BudgetExceeded` is raised when no order up to ``cap`` reaches it.
     ``tol`` must be finite and > 0, and ``cap`` an integer >= 1 (numpy's
     too, not a ``bool``).
@@ -588,23 +643,15 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = as_integer(cap, "cap", 1)
     _checked(f)
-    data = _series_data(f, _length_for(f, 8))
-
-    def bound(order: int) -> float:
-        nonlocal data
-        need = _length_for(f, order)
-        if len(data[0]) < need:
-            data = _series_data(f, need)
-        return _tail_bounds(data[-2], data[-1], order)[2]
-
+    _series_data(f, _length_for(f, min(64, cap)))
     lo, hi = 1, min(8, cap)
-    while not bound(hi) <= tol:
+    while not _tail_bound_at(f, hi) <= tol:
         if hi == cap:
             raise BudgetExceeded(f"tail bound does not reach {tol} within order {cap}")
         lo, hi = hi, min(2 * hi, cap)
     while lo < hi:
         mid = (lo + hi) // 2
-        if bound(mid) <= tol:
+        if _tail_bound_at(f, mid) <= tol:
             hi = mid
         else:
             lo = mid + 1

@@ -20,6 +20,7 @@ from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.errors import (
     BadRadius,
     NoSpectralGap,
+    NotInvertible,
     PoleHit,
     PoleInsideContour,
     SeriesDivergent,
@@ -113,6 +114,12 @@ class TestEvalLaurent:
             eval_laurent(f, 2.0 * np.eye(2), 8)
         with pytest.raises(SeriesDivergent):
             eval_laurent(f, 0.1 * np.eye(2), 8)  # ||r T^-1|| = 5
+
+    def test_singular_t_is_not_invertible_on_both_series_routes(self):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
+        for route in (eval_laurent, laurent_remainder_bound):
+            with pytest.raises(NotInvertible, match="needs invertible T"):
+                route(f, np.diag([0.7, 0.0]), 8)
 
 
 class TestContourSpec:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_lab import certify, cli
+from annulus_lab import certify, cli, rational
 from annulus_lab.calculus import default_contour
 from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.linalg import matrix_to_json, random_unitary
@@ -282,16 +283,29 @@ class TestDeterminism:
         strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
         assert strip(out1.read_text()) == strip(out2.read_text())
 
-    @pytest.mark.parametrize("kind", ["unitary", "windowed"])
+    @pytest.mark.parametrize("kind", ["unitary", "windowed", "laurent", "model-verify"])
     def test_cold_warm_and_fresh_process_reports_identical(self, tmp_path, kind):
-        # the battery's memo of exact sups fills as certifications need it;
-        # what it already holds must never change a report
-        t = random_unitary(4, 8) if kind == "unitary" else windowed_matrix(3, 0.5, 8)
-        mat = write_matrix(tmp_path / "t.json", t)
+        # the battery's memo of exact sups fills as certifications need it,
+        # the series memo as expansions do; what they already hold must
+        # never change a report
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0j), q1_roots=(1.1, -2.5j), q2_roots=(0.2, 0.2))
+        if kind == "laurent":
+            args = ["laurent", "--f", write_function(tmp_path / "f.json", f), "--order", "24"]
+        else:
+            t = random_unitary(4, 8) if kind == "unitary" else windowed_matrix(3, 0.5, 8)
+            mat = write_matrix(tmp_path / "t.json", t)
+            if kind == "model-verify":
+                args = ["model-verify", "--r", "0.5", "--matrix", mat, "--f", write_function(tmp_path / "f.json", f)]
+            else:
+                args = ["certify", "--r", "0.5", "--matrix", mat, "--trials", "2000", "--seed", "4"]
         outs = [tmp_path / f"r{k}.json" for k in range(3)]
-        args = ["certify", "--r", "0.5", "--matrix", mat, "--trials", "2000", "--seed", "4"]
         certify._stress_battery.cache_clear()
-        codes = [cli.main(args + ["--out", str(out)]) for out in outs[:2]]
+        rational._series_memo.cache_clear()
+        codes = [cli.main(args + ["--out", str(outs[0])])]
+        # the warm run reads prefixes of builds longer than it needs
+        for g in (f, dataclasses.replace(f, p_coeffs=(1.0,))):
+            rational.laurent_expand(g, 400)
+        codes.append(cli.main(args + ["--out", str(outs[1])]))
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         fresh = subprocess.run(

@@ -37,7 +37,7 @@ from annulus_lab.errors import (
 )
 from annulus_lab.ar_unitary import is_ar_unitary
 from annulus_lab.linalg import inverse, matrix_from_json, operator_norm, random_unitary, seeded_rng
-from annulus_lab.rational import AnnulusRational, factor_series, laurent_expand
+from annulus_lab.rational import AnnulusRational, laurent_expand
 from conftest import commuting_contraction_pair, random_function
 
 
@@ -374,24 +374,24 @@ class TestVerifyModel:
         assert residual <= model.tail_report(f)["bound"]
 
     def test_only_the_tail_report_expands_a_series(self, monkeypatch):
-        expands, factors = [], []
+        expands, builds = [], []
         monkeypatch.setattr(
             rational, "laurent_expand", lambda *args: expands.append(args) or laurent_expand(*args)
         )
-        monkeypatch.setattr(
-            rational, "factor_series", lambda *args: factors.append(args) or factor_series(*args)
-        )
+        build = rational._build_series
+        monkeypatch.setattr(rational, "_build_series", lambda *args: builds.append(args) or build(*args))
         t = windowed_matrix(3, 0.7, 45)
         model = build_model(t, 0.7, 8)
         f = random_function(0.7, 955, max_roots=2, alpha_window=(3.2, 4.0), beta_window_div=(8.0, 4.0))
         denominator = dataclasses.replace(f, p_coeffs=(1.0,))
+        rational._series_memo.cache_clear()
         model.tail_report(f)
-        # the series of 1/(scale q1 q2), at the model's budget
-        assert expands == [(denominator, model.d)] and len(factors) == 1
+        # the series of 1/(scale q1 q2), at the model's budget, built once
+        assert expands == [(denominator, model.d)] and [g for g, _ in builds] == [denominator]
         verify_model(model, t, f)
-        # only the d + 1 coefficients the chains read: no expansion, no tail
-        assert len(expands) == 1
-        assert factors[1:] == [(denominator, model.d + 1)]
+        # the d + 1 coefficients the chains read are a prefix of that build:
+        # no expansion, no build
+        assert len(expands) == 1 and len(builds) == 1
 
     @pytest.mark.parametrize("d", [1, 5, 12, 24, 160])
     def test_one_expansion_equals_the_factor_pair(self, d):

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -260,7 +263,7 @@ class TestLaurentExpand:
 
     def test_order_search_probes_equal_expansion_bounds(self, monkeypatch):
         # includes a root near the circle, whose search outgrows its first
-        # series data and rebuilds it longer
+        # build and grows the memo; each expansion is a cold build
         probes = []
         original = rational._tail_bounds
         monkeypatch.setattr(
@@ -277,6 +280,7 @@ class TestLaurentExpand:
             searched = list(probes)
             assert searched
             for order, bound in searched:
+                rational._series_memo.cache_clear()
                 assert laurent_expand(f, order).tail_bound == bound
 
     def test_nan_tail_bound_never_certifies(self, monkeypatch):
@@ -354,13 +358,23 @@ class TestLaurentExpand:
         # and the denominators 1/(scale q1 q2) the dilation model reads
         fs += [dataclasses.replace(f, p_coeffs=(1.0,)) for f in fs]
         for f in fs:
+            # each call a cold build, the factor series at its own length
+            rational._series_memo.cache_clear()
             series = laurent_expand(f, order)
+            rational._series_memo.cache_clear()
             a, b, b_scaled, weights = rational.factor_series(f, order + 1)
             assert np.array_equal(a, series.factor_pos)
             assert np.array_equal(b, series.factor_neg)
             assert np.array_equal(b_scaled, series.factor_neg_scaled)
             assert np.array_equal(weights, series.tail_models[1].exact[: order + 1])
+            rational._series_memo.cache_clear()
             assert rational.laurent_tail_bound(f, order) == series.tail_bound
+
+    @pytest.mark.parametrize("length", [0, 2.0, True])
+    def test_factor_series_length_must_be_a_positive_integer(self, length):
+        # a build of no terms has no tail model to keep
+        with pytest.raises(ValueError, match="^length must be"):
+            rational.factor_series(QUADRATIC, length)
 
     def test_order_search_reaches_a_battery_function_at_small_radius(self):
         from annulus_lab.certify import sample_test_function
@@ -370,6 +384,159 @@ class TestLaurentExpand:
         m = laurent_order_for(f, 1e-10)
         assert laurent_expand(f, m).tail_bound <= 1e-10
         assert laurent_expand(f, 480).tail_bound <= laurent_expand(f, m).tail_bound
+
+
+# (outer roots, inner roots, numerator degree) of the benchmark's functions
+SHAPES = ((1, 1, 1), (2, 1, 2), (1, 2, 0), (2, 2, 3), (3, 1, 1), (1, 3, 2))
+# 1e4 * 0.9^m <= 1e-10 first at m = 306
+SLOW = AnnulusRational(r=1e-3, q2_roots=(9e-4,))
+
+
+def _shaped(r, seed, shape):
+    """Rational of a fixed shape: outer roots of modulus in [1.5, 4], inner
+    roots in [r/4, r/1.67]."""
+    rng = np.random.default_rng(seed)
+    k1, k2, deg = shape
+    q1 = tuple(np.exp(rng.uniform(np.log(1.5), np.log(4.0)) + 2j * np.pi * rng.random()) for _ in range(k1))
+    q2 = tuple(r * np.exp(rng.uniform(np.log(1 / 4.0), np.log(1 / 1.67)) + 2j * np.pi * rng.random()) for _ in range(k2))
+    p = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.sqrt(2.0)
+    f = AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=q1, q2_roots=q2)
+    validate(f)
+    return f
+
+
+def _bits(value):
+    """The bytes of a series entry point's result."""
+    if isinstance(value, rational.LaurentSeries):
+        arrays = (value.coeffs, value.factor_pos, value.factor_neg, value.factor_neg_scaled)
+        scalars = (value.tail_pos, value.tail_neg, value.tail_bound, value.operator_tail_bound(1.0 + 1e-9, 1.001))
+        return tuple(a.tobytes() for a in arrays) + tuple(np.float64(x).tobytes() for x in scalars)
+    if isinstance(value, tuple):
+        return tuple(a.tobytes() for a in value)
+    return np.float64(value).tobytes()
+
+
+def _entry_bits(f, order, cold=False):
+    """``laurent_expand``, ``factor_series`` and ``laurent_tail_bound`` of
+    ``f`` at ``order``, as bytes; with ``cold``, each on an empty memo."""
+    calls = (
+        lambda: laurent_expand(f, order),
+        lambda: rational.factor_series(f, order + 1),
+        lambda: rational.laurent_tail_bound(f, order),
+    )
+    out = []
+    for call in calls:
+        if cold:
+            rational._series_memo.cache_clear()
+        out.append(_bits(call()))
+    return out
+
+
+class TestSeriesMemo:
+    @pytest.mark.parametrize("r", [1e-3, 0.25, 0.5, 0.81, 0.95])
+    def test_warm_reads_equal_cold_builds_bit_for_bit(self, r):
+        functions = [_shaped(r, 6100 + k, shape) for k, shape in enumerate(SHAPES)]
+        functions += [
+            # repeated roots, zero roots, a pole near the inner circle
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.5j), q1_roots=(1.5, 1.5), q2_roots=(0.4 * r, 0.4 * r, 0.0)),
+            AnnulusRational(r=r, p_coeffs=(0.0, 0.0, 1.0), q2_roots=(0.0, 0.0, -0.3j * r)),
+            AnnulusRational(r=r, q2_roots=(0.9 * r,)),
+        ]
+        if r == SLOW.r:
+            functions.append(SLOW)
+            rational._series_memo.cache_clear()
+            assert laurent_order_for(SLOW, 1e-10) == 306
+        orders = (2, 40, 306)
+        for f in functions:
+            cold = {m: _entry_bits(f, m, cold=True) for m in orders}
+            rational._series_memo.cache_clear()
+            cold_order = laurent_order_for(f, 1e-10)
+            # short then long grows the memo, long then short reads a prefix
+            for first, second in itertools.permutations(orders, 2):
+                rational._series_memo.cache_clear()
+                laurent_expand(f, first)
+                assert _entry_bits(f, second) == cold[second]
+                assert _entry_bits(f, first) == cold[first]
+                assert laurent_order_for(f, 1e-10) == cold_order
+
+    def test_functions_equal_but_for_the_sign_of_a_zero_keep_their_own_bits(self):
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3j,), q1_roots=(1.5,), scale=complex(0.0, 1.0))
+        g = dataclasses.replace(f, scale=complex(-0.0, 1.0))
+        cold_f, cold_g = _entry_bits(f, 12, cold=True), _entry_bits(g, 12, cold=True)
+        # == calls them one function, but their series differ in signed zeros
+        assert f == g and cold_f != cold_g
+        rational._series_memo.cache_clear()
+        assert _entry_bits(f, 12) == cold_f and _entry_bits(g, 12) == cold_g
+        assert _entry_bits(f, 12) == cold_f
+
+    def test_threads_on_one_cold_function_match_a_sequential_run(self, monkeypatch):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0, -0.3j), q1_roots=(1.05, -1.2j), q2_roots=(0.3, 0.3))
+        orders = (3, 40, 150, 700)
+        expected = [_entry_bits(f, m, cold=True) for m in orders]
+        lengths = []
+        build = rational._build_series
+        monkeypatch.setattr(rational, "_build_series", lambda g, n: lengths.append(n) or build(g, n))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                rational._series_memo.cache_clear()
+                lengths.clear()
+                results = [None] * len(orders)
+
+                def work(k):
+                    results[k] = _entry_bits(f, orders[k])
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(orders))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == expected
+                # each build outgrows the last: none is repeated or lost
+                assert lengths == sorted(set(lengths))
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_the_order_search_and_its_expansion_read_one_build(self, monkeypatch):
+        lengths = []
+        build = rational._build_series
+        monkeypatch.setattr(rational, "_build_series", lambda g, n: lengths.append(n) or build(g, n))
+        for f in [random_function(0.5, seed) for seed in range(10)]:
+            rational._series_memo.cache_clear()
+            lengths.clear()
+            m = laurent_order_for(f, 1e-10)
+            laurent_expand(f, m)
+            assert m <= 64 and lengths == [rational._length_for(f, 64)]
+        # past order 64 the memo grows with the scan
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.02, -1.1j))
+        rational._series_memo.cache_clear()
+        lengths.clear()
+        m = laurent_order_for(f, 1e-10)
+        assert 1024 < m <= 2048
+        assert lengths == [rational._length_for(f, order) for order in (64, 128, 256, 512, 1024, 2048)]
+
+    def test_the_memo_keeps_at_most_its_bound_and_clears(self):
+        rational._series_memo.cache_clear()
+        for k in range(rational._MEMO_SIZE + 8):
+            laurent_expand(AnnulusRational(r=0.5, q1_roots=(2.0 + 0.01 * k,)), 4)
+        info = rational._series_memo.cache_info()
+        assert info.currsize == info.maxsize == rational._MEMO_SIZE
+        rational._series_memo.cache_clear()
+        assert rational._series_memo.cache_info().currsize == 0
+
+    def test_memo_arrays_are_read_only_and_factor_series_copies_them(self):
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.2), q1_roots=(2.0,), q2_roots=(0.1,))
+        series = laurent_expand(f, 10)
+        for model in series.tail_models:
+            for array in (model.exact, model.major, model.base):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7.0
+        before = _entry_bits(f, 10)
+        for array in (*rational.factor_series(f, 11), series.factor_pos, series.factor_neg, series.coeffs):
+            array[:] = 7.0
+        assert _entry_bits(f, 10) == before
 
 
 class TestBoundarySupNorm:
@@ -420,6 +587,12 @@ class TestFactoredStack:
     def test_an_empty_sequence_is_rejected(self):
         with pytest.raises(ValueError, match="at least one function"):
             rational.factored_stack([])
+
+    def test_equality_is_identity_and_a_stack_hashes(self):
+        one, other = rational.factored_stack(self.FUNCTIONS), rational.factored_stack(self.FUNCTIONS)
+        assert one == one and not one != one
+        assert one != other and not one == other
+        assert hash(one) == hash(one) and len({one, other}) == 2
 
 
 class TestInvolute:
