@@ -90,18 +90,33 @@ def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.S
     rule, raises :class:`Singular` naming that root: the first such row in
     stack order, and within it a touching root before a failing one, each
     in slot order.
+
+    Both tests look at the geometry first.  A root whose radial gap to the
+    modulus band of the spectrum (:func:`linalg.band_gaps`, from
+    ``stack.moduli``) exceeds its threshold cannot touch, and the rule
+    clears a root from its own radial stage; only the other roots get their
+    distance to each eigenvalue, and only the roots the rule does not clear
+    get singular values.  On an annulus, where the roots of ``q1`` lie
+    outside the unit disk and those of ``q2`` inside ``rD``, that usually
+    leaves no root for the distance stage.
     """
     m = linalg.as_matrix(t)
     lams = linalg.spectrum(m)
+    mods = np.abs(lams)
+    band = (mods.min(), mods.max())
     rule = linalg.ShiftConditioning(m)
     for rows in _chunks(stack, m.shape[0]):
         roots, mask = stack.roots[rows], stack.mask[rows]
-        gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
-        touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
-        cleared = rule.cleared(roots, tols)
+        limit = tols.rank_tol * np.maximum(1.0, np.abs(roots))
+        near = mask & ~(linalg.band_gaps(stack.moduli[rows], band) > limit)
+        touch = np.zeros_like(mask)
+        if near.any():
+            touch[near] = np.abs(roots[near][:, np.newaxis] - lams).min(axis=-1) <= limit[near]
+        cleared = ~mask
+        cleared[mask] = rule.cleared(roots[mask], tols)
         failed = np.zeros_like(mask)
-        for j in range(roots.shape[1]):
-            idx = np.flatnonzero(mask[:, j])
+        for j in np.flatnonzero(~cleared.all(axis=0)):
+            idx = np.flatnonzero(~cleared[:, j])
             failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
         hit = touch | failed
         if hit.any():
@@ -299,19 +314,21 @@ def laurent_remainder_bound(
     """Certified bound on ``||eval_laurent(f, T, order) - f(T)||``.
 
     Uses the tail models of the expansion inflated by the measured
-    ``||T||`` and ``||r T^{-1}||``; :class:`NotInvertible` when ``T`` is
-    singular, as in :func:`eval_laurent`.
+    ``||T||`` and ``||r T^{-1}||``, read from the series memo
+    (:func:`rational.laurent_operator_tail`), so no truncated product is
+    formed; :class:`NotInvertible` when ``T`` is singular, as in
+    :func:`eval_laurent`.
     """
     order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
-    series = rational.laurent_expand(f, order)
+    tail = rational.laurent_operator_tail(f, order)
     norm_t = linalg.operator_norm(m)
     try:
         inv = linalg.inverse(m, tols)
     except Singular as exc:
         raise NotInvertible("series remainder bound needs invertible T") from exc
     norm_rtinv = f.r * linalg.operator_norm(inv)
-    bound = series.operator_tail_bound(norm_t, norm_rtinv)
+    bound = tail(norm_t, norm_rtinv)
     if not np.isfinite(bound):
         raise SeriesDivergent("inflated series rates reach 1; no certified bound")
     return bound

@@ -209,19 +209,13 @@ _REFINE_ROWS = 16
 _LOWER_STRIDE = 64
 
 
-def _moduli(roots: np.ndarray) -> np.ndarray:
-    """``abs`` of each root as :func:`rational.validate` takes it: ``hypot``,
-    from which ``np.abs`` can differ in the last bit."""
-    return np.hypot(roots.real, roots.imag)
-
-
 def _pole_windows(stack: rational.FactoredStack) -> tuple:
     """``(row, radius, theta0, half_width)`` of the window around each pole
     near a circle of the rows of ``stack``: ~32x the pole clearance wide,
     which keeps the relative deficit of a narrow peak at the square of the
     local spacing over the clearance."""
     r = stack.r
-    mods = _moduli(stack.roots)
+    mods = stack.moduli
     outer = np.arange(mods.shape[1]) < stack.counts[:, :1]
     dist = np.where(outer, mods - 1.0, r - mods)
     near = stack.mask & np.where(outer, dist < 0.2, (0 < dist) & (dist < 0.2 * r))
@@ -275,7 +269,7 @@ def _check_poles(stack: rational.FactoredStack, ring: np.ndarray, local_nodes: i
     ``ring`` on either circle, or one of ``local_nodes`` in a pole window of
     the row.  Only rows with a root within ``_NEAR_CIRCLE`` of a circle can
     have one."""
-    mods = _moduli(stack.roots)
+    mods = stack.moduli
     near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - stack.r) <= _NEAR_CIRCLE))
     for i in np.flatnonzero(near.any(axis=1)):
         _, *window = _pole_windows(stack.take(slice(i, i + 1)))
@@ -386,7 +380,7 @@ def _check_rows(stack: rational.FactoredStack) -> None:
     run on the whole stack, on the moduli it takes (a draw on an annulus is
     finite, and its numerator and scale are never empty or zero);
     ``validate`` itself runs only on the rows they flag."""
-    mods = _moduli(stack.roots)
+    mods = stack.moduli
     outer = np.arange(mods.shape[1]) < stack.counts[:, :1]
     bad = (stack.mask & np.where(outer, mods <= 1.0, mods >= stack.r)).any(axis=1)
     if not 0.0 < stack.r < 1.0:
@@ -561,7 +555,9 @@ def vonneumann_stress(
     For numerically normal input the operator norm is evaluated spectrally,
     as ``max |f|`` over the eigenvalues, which agrees with the factored
     evaluation to roundoff; one pass over the evaluated functions gives
-    ``|f|`` at the eigenvalues and at their projections.  Otherwise they go
+    ``|f|`` at the eigenvalues and at their projections, each distinct
+    point once: an eigenvalue in the closed annulus is its own projection,
+    bit for bit, and is evaluated once for both.  Otherwise they go
     through one stacked factored evaluation
     (:func:`calculus.factored_norm_bounds`) at the Schur triangle of ``T``,
     by back-substitution, in chunks of about 1 MB; it raises
@@ -601,11 +597,15 @@ def vonneumann_stress(
         rows, stack = np.arange(trials), battery.stack
     with np.errstate(all="ignore"):  # a value that overflows raises below
         if is_normal:
-            # one pass over the stack; its columns are independent, so each
-            # half is bit for bit what a separate call gives
-            vals = stack.abs_at(np.concatenate([probes, lams]))
-            at_probes = vals[:, : lams.size].max(axis=1)
-            nums = vals[:, lams.size :].max(axis=1)
+            # one pass over the stack at each distinct point: an eigenvalue
+            # that its projection leaves bitwise in place serves as its own
+            # probe; the columns are independent, so each is bit for bit
+            # what a separate call gives
+            moved = (probes.view(np.int64) != lams.view(np.int64)).reshape(-1, 2).any(axis=1)
+            vals = stack.abs_at(np.concatenate([probes[moved], lams]))
+            cols = np.where(moved, np.cumsum(moved) - 1, moved.sum() + np.arange(lams.size))
+            at_probes = vals[:, cols].max(axis=1)
+            nums = vals[:, moved.sum() :].max(axis=1)
             norms = None  # nums are the norms
         else:
             at_probes = stack.abs_at(probes).max(axis=1)

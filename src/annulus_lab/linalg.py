@@ -228,6 +228,30 @@ def _ill_conditioned(svals: np.ndarray, tols: Tolerances):
 _SCHUR_ERROR = 1024
 _ROUNDING = 64
 _EPS = float(np.finfo(float).eps)
+# Relative allowance of band_gaps: a computed modulus or difference lies
+# within 2 eps of its exact value, and a computed distance |w - lambda|
+# within 2 eps below it.
+_RADIAL = 4 * _EPS
+
+
+def band_gaps(mods, band: tuple[float, float]) -> np.ndarray:
+    """A lower bound on the computed distance ``min_i |w - lambda_i|`` of
+    each shift ``w`` to points ``lambda_i``, from ``mods``, the computed
+    moduli of the shifts (``np.abs`` or ``np.hypot``), and ``band``, the
+    least and largest computed modulus of the ``lambda_i``.
+
+    ``|w - lambda| >= ||w| - |lambda||``, so ``max(|w| - max|lambda_i|,
+    min|lambda_i| - |w|)`` bounds the exact distance; each modulus and the
+    difference are rounded down by ``4 eps`` relative, which leaves room
+    for the rounding of both moduli and of ``np.abs(w - lambda_i)``.  The
+    bound holds where it is at least ``tiny``.  It is not positive for a
+    shift inside the band, NaN for a NaN shift and ``inf`` for an infinite
+    one, so only ``> 0`` (or a larger threshold) may be read from it, and
+    only for a finite shift.
+    """
+    lo, hi = band
+    down, up = 1.0 - _RADIAL, 1.0 + _RADIAL
+    return np.maximum(mods * down - hi * up, lo * down - mods * up) * down
 
 
 def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,13 +283,25 @@ class ShiftConditioning:
 
     and ``lo > (2 rank_tol + 64 n eps) hi`` leaves room for the rounding of
     the shifted matrix and of its singular values, so the rule would find
-    that shift well conditioned too.  :meth:`cleared` applies the bound to
-    an array of shifts; :meth:`failed` gives every other shift the singular
-    values of ``T - wI`` as :func:`solve` does, forming the shifted matrix
-    only there, so the verdicts are those of the rule; :meth:`require`
-    raises :class:`Singular` on any failure.  The bound is computed with
-    ``T`` scaled by the power of two that brings its largest entry into
-    ``[1/2, 1)``, which every finite ``T`` has, subnormal or near overflow.
+    that shift well conditioned too.  ``lo`` grows with ``g``, so any lower
+    bound on ``g`` may stand in for it.  :meth:`cleared` applies the bound
+    in two stages: first with the radial gap of :func:`band_gaps` against
+    the modulus band :attr:`band` of the ``lambda_i``, ``n`` times cheaper
+    and enough for a shift outside the band, then with the computed
+    ``min|lambda_i - w|`` only for the shifts the first stage leaves
+    undecided.  The radial gap is rounded down by ``4 eps`` relative, so it
+    never exceeds the computed one, and the computed ``lo`` is monotone in
+    the gap; only a positive radial gap is used (a negative one makes
+    ``nu / g`` negative, and the sum could then clear falsely), so a shift
+    inside the band, NaN or infinite goes to the second stage.  Every shift
+    the first stage clears the second would clear too, so the verdicts are
+    those of the second stage alone.  :meth:`failed` gives every other
+    shift the singular values of ``T - wI`` as :func:`solve` does, forming
+    the shifted matrix only there, so the verdicts are those of the rule;
+    :meth:`require` raises :class:`Singular` on any failure.  The bound is
+    computed with ``T`` scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, which every finite ``T`` has, subnormal or
+    near overflow.
 
     ``triangle`` is the Schur triangle unscaled by the same power of two
     (exact wherever its entries stay in the normal range; one that
@@ -282,7 +318,11 @@ class ShiftConditioning:
     ``n`` (LAPACK Users' Guide, 3rd ed., sec. 4.8, error bounds for the
     nonsymmetric eigenproblem; Golub and Van Loan, Matrix Computations,
     4th ed., sec. 7.5.6, for the Hessenberg QR iteration), so ``1024 n`` is
-    a generous choice of ``p(n)``, not a derived one.
+    a generous choice of ``p(n)``, not a derived one.  The radial stage
+    adds one more: that the computed modulus of a complex number
+    (``np.abs`` and ``np.hypot``, from the C library's ``hypot``) lies
+    within one ulp of the exact one; its ``4 eps`` allowance is twice what
+    that and the rounding of the difference and of ``w - lambda_i`` need.
     """
 
     def __init__(self, m: np.ndarray):
@@ -296,6 +336,8 @@ class ShiftConditioning:
         with np.errstate(over="ignore"):  # an eigenvalue beyond the float range reads inf
             self.triangle = _ldexp(tri, self.exponent)
         self.lams = tri.diagonal().copy()
+        mods = np.abs(self.lams)
+        self.band = (float(mods.min()), float(mods.max()))
         # rounding allowances: nu, ||T||_F and hi are rounded up by
         # (1 + slack), and the gap and the quotient gap / total down by
         # (1 - slack) each
@@ -306,21 +348,34 @@ class ShiftConditioning:
         # n * tiny covers entries that scaling pushed below the normal range
         self.error = _SCHUR_ERROR * n * _EPS * fro + n * np.finfo(float).tiny
 
+    def _bounded(self, gap: np.ndarray, dist: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """Where ``lo`` at the gap ``gap`` exceeds the rule's share of
+        ``hi`` at the scaled shift modulus ``dist``."""
+        rho = self.nu / gap
+        total = 1.0
+        for _ in range(self.lams.size - 1):
+            total = 1.0 + rho * total
+        lo = gap * self.keep / total - self.error
+        theta = (2.0 * tols.rank_tol + self.slack) * (1.0 + self.slack)
+        return lo > theta * (self.fro + dist)
+
     def cleared(self, ws: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """Where the bound proves the shift ``ws[...]`` well conditioned."""
+        """Where the bound proves the shift ``ws[...]`` well conditioned:
+        first from the radial gap to the modulus band, then, for the shifts
+        that leaves undecided, from the distance to each ``lambda_i``."""
         # A zero gap, an overflow or a non-finite shift gives a NaN or
         # infinite term, and the comparisons then clear nothing.
         with np.errstate(all="ignore"):
             ws = _ldexp(ws, -self.exponent)
+            shape, ws = ws.shape, ws.reshape(-1)
             dist = np.abs(ws)
-            gap = np.abs(ws[..., np.newaxis] - self.lams).min(axis=-1)
-            rho = self.nu / gap
-            total = 1.0
-            for _ in range(self.lams.size - 1):
-                total = 1.0 + rho * total
-            lo = gap * self.keep / total - self.error
-            theta = (2.0 * tols.rank_tol + self.slack) * (1.0 + self.slack)
-            return lo > theta * (self.fro + dist)
+            gap = band_gaps(dist, self.band)
+            done = (gap > 0) & self._bounded(gap, dist, tols)
+            rest = ~done
+            if rest.any():
+                gap = np.abs(ws[rest][:, np.newaxis] - self.lams).min(axis=-1)
+                done[rest] = self._bounded(gap, dist[rest], tols)
+            return done.reshape(shape)
 
     def failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
         """:func:`_ill_conditioned` for the shifts ``T - wI`` of the 1-D

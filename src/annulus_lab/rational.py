@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -125,7 +125,8 @@ class FactoredStack:
     Row ``i`` holds the ascending numerator coefficients ``p[i]``, the
     ``q1_roots`` then the ``q2_roots`` in ``roots[i]``, and the constant
     ``scale[i]``; ``counts[i]`` is its layout ``(k1, k2, len(p))``, so
-    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``.
+    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``, and
+    ``moduli`` holds the modulus of every slot, computed once per stack.
     :func:`pack` builds a stack, :meth:`function` gives a row back.  Two
     stacks are equal only when they are one object, and a stack hashes.
     """
@@ -140,6 +141,15 @@ class FactoredStack:
     def mask(self) -> np.ndarray:
         """The occupied slots of ``roots``."""
         return np.arange(self.roots.shape[1]) < (self.counts[:, 0] + self.counts[:, 1])[:, np.newaxis]
+
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        """``abs`` of each slot of ``roots`` as :func:`validate` takes it,
+        read-only: ``hypot``, from which ``np.abs`` can differ in the last
+        bit."""
+        mods = np.hypot(self.roots.real, self.roots.imag)
+        mods.flags.writeable = False
+        return mods
 
     def take(self, rows) -> "FactoredStack":
         """The rows selected by ``rows`` (a slice or an index array)."""
@@ -557,17 +567,22 @@ class LaurentSeries:
 
         Returns ``inf`` when the inflated majorant ratios reach 1.
         """
-        s = max(1.0, float(norm_t))
-        t = max(1.0, float(norm_rtinv))
-        m = self.order
-        pos, neg = self.tail_models
-        weights_pos = np.abs(self.factor_pos) * s ** np.arange(m + 1)
-        weights_neg = _grown(neg.exact[: m + 1], np.arange(m + 1), t)
-        tp = pos.tail(m, s)
-        tn = neg.tail(m, t)
-        sa = float(weights_pos.sum()) + tp
-        sb = float(weights_neg.sum()) + tn
-        return tp * sb + sa * tn
+        return _operator_tail_bound(self.factor_pos, *self.tail_models, self.order, norm_t, norm_rtinv)
+
+
+def _operator_tail_bound(a, pos: _TailModel, neg: _TailModel, order: int, norm_t: float, norm_rtinv: float) -> float:
+    """:meth:`LaurentSeries.operator_tail_bound` at ``order`` from the outer
+    factor series ``a`` (at least ``order + 1`` terms) and the two tail
+    models."""
+    s = max(1.0, float(norm_t))
+    t = max(1.0, float(norm_rtinv))
+    weights_pos = np.abs(a[: order + 1]) * s ** np.arange(order + 1)
+    weights_neg = _grown(neg.exact[: order + 1], np.arange(order + 1), t)
+    tp = pos.tail(order, s)
+    tn = neg.tail(order, t)
+    sa = float(weights_pos.sum()) + tp
+    sb = float(weights_neg.sum()) + tn
+    return tp * sb + sa * tn
 
 
 def _length_for(f: AnnulusRational, order: int) -> int:
@@ -623,6 +638,17 @@ def laurent_tail_bound(f: AnnulusRational, order: int) -> float:
     order = as_integer(order, "order", 1)
     _checked(f)
     return _tail_bound_at(f, order)
+
+
+def laurent_operator_tail(f: AnnulusRational, order: int):
+    """The function ``(norm_t, norm_rtinv) -> laurent_expand(f,
+    order).operator_tail_bound(norm_t, norm_rtinv)``, bit for bit, read
+    from the series memo alone: no truncated product is formed.  ``f`` and
+    ``order`` are checked here, as :func:`laurent_expand` checks them."""
+    order = as_integer(order, "order", 1)
+    _checked(f)
+    a, _, _, pos, neg = _series_data(f, _length_for(f, order))
+    return partial(_operator_tail_bound, a, pos, neg, order)
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:

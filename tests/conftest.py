@@ -58,6 +58,23 @@ def random_function(
     return f
 
 
+# (outer roots, inner roots, numerator degree) of the benchmark's functions
+SHAPES = ((1, 1, 1), (2, 1, 2), (1, 2, 0), (2, 2, 3), (3, 1, 1), (1, 3, 2))
+
+
+def shaped_function(r, seed, shape):
+    """Rational of a fixed shape: outer roots of modulus in [1.5, 4], inner
+    roots in [r/4, r/1.67]."""
+    rng = np.random.default_rng(seed)
+    k1, k2, deg = shape
+    q1 = tuple(np.exp(rng.uniform(np.log(1.5), np.log(4.0)) + 2j * np.pi * rng.random()) for _ in range(k1))
+    q2 = tuple(r * np.exp(rng.uniform(np.log(1 / 4.0), np.log(1 / 1.67)) + 2j * np.pi * rng.random()) for _ in range(k2))
+    p = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.sqrt(2.0)
+    f = AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=q1, q2_roots=q2)
+    rational.validate(f)
+    return f
+
+
 def commuting_contraction_pair(n, seed):
     """Commuting contraction pair: a windowed matrix and a polynomial in it."""
     rng = linalg.seeded_rng(seed, 11)
@@ -69,3 +86,22 @@ def commuting_contraction_pair(n, seed):
     t2 = c[0] * np.eye(n) + c[1] * t1 + c[2] * t1 @ t1
     t2 = t2 / (linalg.operator_norm(t2) * (1.0 + 1e-12))
     return t1, t2
+
+
+def distance_cleared(rule, ws, tols):
+    """Where ``rule`` (a :class:`linalg.ShiftConditioning`) clears the shifts
+    ``ws`` from the distance to each Schur eigenvalue alone, with no radial
+    stage: the one-stage reference for :meth:`linalg.ShiftConditioning.cleared`."""
+    with np.errstate(all="ignore"):
+        ws = linalg._ldexp(ws, -rule.exponent)
+        gap = np.abs(ws[..., np.newaxis] - rule.lams).min(axis=-1)
+        return rule._bounded(gap, np.abs(ws), tols)
+
+
+def radially_cleared(rule, ws, tols):
+    """Where the radial stage of ``rule`` alone clears the shifts ``ws``."""
+    with np.errstate(all="ignore"):
+        ws = linalg._ldexp(ws, -rule.exponent)
+        dist = np.abs(ws)
+        gap = linalg.band_gaps(dist, rule.band)
+        return (gap > 0) & rule._bounded(gap, dist, tols)

@@ -27,9 +27,9 @@ from annulus_lab.errors import (
     Singular,
     SpectrumOnContour,
 )
-from annulus_lab.linalg import operator_norm, random_unitary
+from annulus_lab.linalg import DEFAULT_TOLS, operator_norm, random_unitary
 from annulus_lab.rational import AnnulusRational, laurent_order_for, multiply
-from conftest import normal_with_moduli, open_annulus_normal, random_function
+from conftest import SHAPES, distance_cleared, normal_with_moduli, open_annulus_normal, random_function, shaped_function
 
 
 class TestEvalDirect:
@@ -114,6 +114,21 @@ class TestEvalLaurent:
             eval_laurent(f, 2.0 * np.eye(2), 8)
         with pytest.raises(SeriesDivergent):
             eval_laurent(f, 0.1 * np.eye(2), 8)  # ||r T^-1|| = 5
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_remainder_bound_is_the_expansion_bound_bit_for_bit(self, r, monkeypatch):
+        # read from the series memo, with no truncated product formed
+        expand = rational.laurent_expand
+        for k, shape in enumerate(SHAPES):
+            f = shaped_function(r, 6300 + k, shape)
+            t = open_annulus_normal(4, r, 40 + k)
+            order = laurent_order_for(f, 1e-10)
+            norm_rtinv = r * operator_norm(linalg.inverse(t))
+            want = expand(f, order).operator_tail_bound(operator_norm(t), norm_rtinv)
+            rational._series_memo.cache_clear()
+            monkeypatch.setattr(rational, "laurent_expand", None)
+            assert laurent_remainder_bound(f, t, order) == want and np.isfinite(want), shape
+            monkeypatch.undo()
 
     def test_singular_t_is_not_invertible_on_both_series_routes(self):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
@@ -450,6 +465,121 @@ class TestShiftConditioningRoutes:
         for name, run in self._runs():
             run()
             assert stacks == [], name
+
+
+def _one_stage_check(stack, t, tols):
+    """The root check with no radial stage: every root's distance to each
+    eigenvalue, then the rule from those distances alone."""
+    m = linalg.as_matrix(t)
+    lams = linalg.spectrum(m)
+    rule = linalg.ShiftConditioning(m)
+    for rows in calculus._chunks(stack, m.shape[0]):
+        roots, mask = stack.roots[rows], stack.mask[rows]
+        gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
+        touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
+        cleared = distance_cleared(rule, roots, tols)
+        failed = np.zeros_like(mask)
+        for j in range(roots.shape[1]):
+            idx = np.flatnonzero(mask[:, j])
+            failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
+        hit = touch | failed
+        if hit.any():
+            i = int(np.argmax(hit.any(axis=1)))
+            slots = touch[i] if touch[i].any() else failed[i]
+            raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+
+
+def _outcome(check, stack, t):
+    try:
+        check(stack, t, DEFAULT_TOLS)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _with_roots(stack, edits):
+    """``stack`` with ``roots[i, j] = value`` for each ``(i, j, value)``."""
+    roots = stack.roots.copy()
+    for i, j, value in edits:
+        roots[i, j] = value
+    return rational.FactoredStack(r=stack.r, counts=stack.counts, p=stack.p, roots=roots, scale=stack.scale)
+
+
+class TestCheckRoots:
+    """``_check_roots`` decides most roots from the modulus band of the
+    spectrum; its exceptions are those of the check without that stage."""
+
+    @staticmethod
+    def _cases():
+        t = windowed_matrix(4, 0.5, 3)
+        lams = linalg.spectrum(t)
+        stack = certify._stress_battery(0.5, 2000, 3).stack
+        rows = np.flatnonzero(stack.mask.sum(axis=1) >= 3)
+        pad = np.argwhere(~stack.mask)[:3]
+        yield "windowed", t, stack, []
+        yield "on", t, stack, [(rows[10], 1, lams[1])]
+        yield "1e-13", t, stack, [(rows[10], 0, lams[2] * (1 + 1e-13))]
+        yield "1e-7", t, stack, [(rows[50], 2, lams[0] + 1e-7)]
+        yield "several", t, stack, [
+            (rows[40], 0, lams[0] + 1e-7),
+            (rows[40], 2, lams[3]),
+            (rows[20], 1, lams[1] * (1 + 1e-13)),
+            (rows[90], 0, lams[0]),
+        ]
+        yield "padded", t, stack, [(i, j, lams[k % 4]) for k, (i, j) in enumerate(pad)]
+        # a mild shear: a root 5e-6 from an eigenvalue fails the rule
+        # without touching the spectrum, one 5e-4 from it passes
+        shear = np.array([[0.7, 30.0], [0.0, 0.6]])
+        yield "shear", shear, stack, [(rows[5], 1, 0.7 + 5e-4)]
+        yield "shear-fails", shear, stack, [(rows[5], 1, 0.700005)]
+        yield "shear-touch-first", shear, stack, [(rows[5], 0, 0.700005), (rows[5], 2, 0.6)]
+        yield "shear-rows", shear, stack, [(rows[7], 0, 0.6 + 1e-4), (rows[3], 2, 0.700003), (rows[9], 1, 0.6)]
+        # several chunks of 40 rows
+        wide = windowed_matrix(40, 0.5, 3)
+        lams = linalg.spectrum(wide)
+        part = stack.take(rows[:120])
+        yield "n40", wide, part, [(85, 1, lams[7]), (101, 0, lams[3] * (1 + 1e-13))]
+        small = rational.pack(0.5, [(1, 0, 1), (0, 1, 1), (2, 1, 2)], [1.0, 1.0, 1.0, 0.5], [2.0, 0.2, 1.5j, 3.0, 0.1])
+        one = np.array([[0.7 + 0.1j]])
+        yield "n1", one, small, []
+        yield "n1-on", one, small, [(2, 1, 0.7 + 0.1j)]
+        yield "n1-1e-13", one, small, [(1, 0, (0.7 + 0.1j) * (1 + 1e-13)), (2, 2, 0.7 + 0.1j)]
+        # the probe r/z has its root at 0, an eigenvalue of a singular T
+        yield "singular", np.diag([0.7, 0.0]), certify._stress_battery(0.5, 2000, 1).stack, []
+
+    @pytest.mark.parametrize(
+        "name",
+        ["windowed", "on", "1e-13", "1e-7", "several", "padded", "shear", "shear-fails", "shear-touch-first",
+         "shear-rows", "n40", "n1", "n1-on", "n1-1e-13", "singular"],
+    )
+    def test_outcome_is_that_of_the_one_stage_check(self, name):
+        _, t, stack, edits = next(case for case in self._cases() if case[0] == name)
+        stack = _with_roots(stack, edits)
+        want = _outcome(_one_stage_check, stack, t)
+        assert _outcome(calculus._check_roots, stack, t) == want
+        named = {
+            "shear-fails": "(0.700005+0j)",
+            "shear-touch-first": "(0.6+0j)",
+            "shear-rows": "(0.700003+0j)",
+            "singular": "0j",
+        }
+        if name in ("windowed", "1e-7", "padded", "shear", "n1"):
+            assert want is None
+        elif name in named:
+            assert want == (Singular, f"spectrum touches denominator root {named[name]}")
+        else:
+            assert want[0] is Singular
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+    def test_the_band_separates_every_battery_root_on_windowed_t(self, n):
+        # no root of these batteries needs its distance to each eigenvalue
+        for r, seed in ((0.25, 1), (0.5, 2), (0.81, 3)):
+            t = windowed_matrix(n, r, seed)
+            stack = certify._stress_battery(r, 2000, seed).stack
+            mods = np.abs(linalg.spectrum(t))
+            limit = DEFAULT_TOLS.rank_tol * np.maximum(1.0, np.abs(stack.roots))
+            gaps = linalg.band_gaps(stack.moduli, (mods.min(), mods.max()))
+            assert (gaps > limit)[stack.mask].all(), (r, seed)
 
 
 def _values_and_slopes(stack, a):

@@ -136,6 +136,67 @@ class TestVonNeumannStress:
         assert rep.stress_route == "spectral"
         assert sum(s is battery.two_sided[1] for s in passes) == 1
 
+    @staticmethod
+    def _normal_inputs():
+        q = random_unitary(5, 11)
+        edges = np.array([1.0, -1.0, 1j, 0.5, -0.5j])  # on both circles of r = 0.5
+        outside = np.array([1.25, 0.3j, -0.1, 0.7 + 0.2j, 1.1 * np.exp(0.4j)])
+        yield "corpus", normal_annulus_matrix(4, 0.5, 3)
+        yield "involution", 0.5 * np.linalg.inv(normal_annulus_matrix(3, 0.5, 5))
+        yield "edges", np.diag(edges)
+        yield "outside", np.diag(outside)
+        yield "rotated", (q * outside) @ q.conj().T
+        yield "mixed", (q * np.concatenate([edges[:3], outside[:2]])) @ q.conj().T
+
+    @staticmethod
+    def _moved(t):
+        lams = linalg.spectrum(t)
+        probes = _clamp_to_annulus(lams, 0.5)
+        return lams, probes, np.array([p.tobytes() != lam.tobytes() for p, lam in zip(probes, lams)])
+
+    def test_normal_route_evaluates_each_distinct_point_once(self, monkeypatch):
+        battery = _stress_battery(0.5, 2000, 1)
+        sizes = []
+        original = rational.FactoredStack.abs_at
+
+        def counting(s, z):
+            if s is battery.stack or s is battery.two_sided[1]:
+                sizes.append(z.size)
+            return original(s, z)
+
+        monkeypatch.setattr(rational.FactoredStack, "abs_at", counting)
+        moved_counts = []
+        for name, t in self._normal_inputs():
+            sizes.clear()
+            rep = vonneumann_stress(t, 0.5, 2000, 1)
+            lams, _, moved = self._moved(t)
+            assert rep.stress_route == "spectral", name
+            assert sizes == [lams.size + moved.sum()], name
+            moved_counts.append((moved.sum(), lams.size))
+        # some eigenvalues stay put and some move
+        assert any(k == 0 for k, _ in moved_counts) and any(0 < k < n for k, n in moved_counts)
+
+    def test_normal_route_reads_the_values_of_separate_passes(self, monkeypatch):
+        # |f| at the projections and at the eigenvalues, bit for bit what a
+        # pass over each gives: the rest of the report is computed from them
+        battery = _stress_battery(0.5, 2000, 1)
+        seen = []
+        ratios = certify._stress_ratios
+
+        def recording(nums, lower, probe, *rest):
+            seen.append((nums, probe))
+            return ratios(nums, lower, probe, *rest)
+
+        monkeypatch.setattr(certify, "_stress_ratios", recording)
+        for name, t in self._normal_inputs():
+            seen.clear()
+            rep = vonneumann_stress(t, 0.5, 2000, 1)
+            lams, probes, _ = self._moved(t)
+            stack = battery.two_sided[1] if rep.screened else battery.stack
+            (nums, at_probes), = seen
+            assert np.array_equal(nums, stack.abs_at(lams).max(axis=1)), name
+            assert np.array_equal(at_probes, stack.abs_at(probes).max(axis=1)), name
+
     def test_unitary_passes(self):
         rep = vonneumann_stress(random_unitary(4, 3), 0.5, 500, 2)
         assert rep.verdict is Verdict.PASSED_STRESS

@@ -31,6 +31,8 @@ from annulus_lab.linalg import (
     unitary_completion,
 )
 
+from conftest import distance_cleared, radially_cleared
+
 EXAMPLE = np.array([[0.5, 0.75], [0.0, 0.5]], dtype=complex)  # norm-one shear, r = 0.25
 
 
@@ -516,6 +518,64 @@ class TestShiftConditioning:
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,))
         with pytest.raises(Singular, match=r"exceeds 1\.0e\+09 at 16 of 16 points$"):
             calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.3, nodes=16))
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16])
+    def test_the_radial_stage_clears_a_subset_of_the_distance_stage(self, n, r):
+        # battery roots and default contour nodes on windowed T, also scaled
+        # near overflow and into the subnormal range
+        for seed in (1, 2, 3):
+            t = certify.windowed_matrix(n, r, seed)
+            stack = certify._stress_battery(r, 2000, seed).stack
+            spec = calculus.default_contour(None, t, r)
+            ring = np.exp(1j * (2.0 * np.pi * (np.arange(spec.nodes) + 0.5) / spec.nodes))
+            ws = np.concatenate([stack.roots[stack.mask], (1.0 + spec.delta) * ring, (r - spec.delta) * ring])
+            for k in (0, 950, -950, -1060):
+                rule = linalg.ShiftConditioning(np.ldexp(t.real, k) + 1j * np.ldexp(t.imag, k))
+                scaled = np.ldexp(ws.real, k) + 1j * np.ldexp(ws.imag, k)
+                radial = radially_cleared(rule, scaled, DEFAULT_TOLS)
+                exact = distance_cleared(rule, scaled, DEFAULT_TOLS)
+                assert not (radial & ~exact).any(), (seed, k)
+                assert np.array_equal(rule.cleared(scaled, DEFAULT_TOLS), exact), (seed, k)
+                if k == 0 and n <= 9:
+                    assert radial.all(), seed
+
+    def test_the_radial_stage_is_a_subset_at_the_clearing_threshold(self):
+        # shifts packed within 512 eps of the gap at which the distance stage
+        # starts to clear, on the rays out of the largest and into the
+        # smallest eigenvalue, where the radial gap is the distance itself
+        t = np.array([[0.9 * np.exp(0.3j), 0.2], [0.0, 0.5 * np.exp(-1.1j)]])
+        rule = linalg.ShiftConditioning(t)
+        tols = Tolerances(rank_tol=1e-3)
+        eps = np.finfo(float).eps
+        for lam, sign in ((t[0, 0], 1.0), (t[1, 1], -1.0)):
+            ray = sign * lam / abs(lam)
+            lo, hi = 0.0, 0.2
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if distance_cleared(rule, np.array([lam + mid * ray]), tols)[0]:
+                    hi = mid
+                else:
+                    lo = mid
+            ws = lam + hi * (1.0 + eps * np.arange(-512, 513)) * ray
+            radial = radially_cleared(rule, ws, tols)
+            exact = distance_cleared(rule, ws, tols)
+            assert not (radial & ~exact).any()
+            assert radial.any() and not exact.all()
+
+    def test_the_radial_stage_leaves_inside_nan_and_infinite_shifts_undecided(self):
+        t = np.array([[0.9, 0.3], [0.0, 0.6j]])
+        rule = linalg.ShiftConditioning(t)
+        inside = 0.75 * np.exp(1j * np.linspace(0, 2 * np.pi, 9))
+        ws = np.concatenate([inside, [np.nan, np.inf, -np.inf * 1j, complex(np.nan, 1.0)]])
+        with np.errstate(invalid="ignore"):
+            assert not radially_cleared(rule, ws, DEFAULT_TOLS).any()
+            gaps = linalg.band_gaps(np.abs(ws), rule.band)
+        assert (gaps[:9] < 0).all() and np.isnan(gaps[[9, 12]]).all()
+        # the distance stage decides them: away from both eigenvalues, an
+        # inside shift is cleared
+        assert np.array_equal(rule.cleared(ws, DEFAULT_TOLS), distance_cleared(rule, ws, DEFAULT_TOLS))
+        assert rule.cleared(ws, DEFAULT_TOLS)[:9].all() and not rule.cleared(ws, DEFAULT_TOLS)[9:].any()
 
     def test_a_zgees_failure_raises_no_convergence(self, monkeypatch):
         zgees = sla.lapack.zgees

@@ -28,7 +28,7 @@ from annulus_lab.rational import (
     rational_to_json,
     validate,
 )
-from conftest import random_function
+from conftest import SHAPES, random_function, shaped_function
 
 # bound 0 from order 2 on
 QUADRATIC = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.3, 0.2))
@@ -386,23 +386,8 @@ class TestLaurentExpand:
         assert laurent_expand(f, 480).tail_bound <= laurent_expand(f, m).tail_bound
 
 
-# (outer roots, inner roots, numerator degree) of the benchmark's functions
-SHAPES = ((1, 1, 1), (2, 1, 2), (1, 2, 0), (2, 2, 3), (3, 1, 1), (1, 3, 2))
 # 1e4 * 0.9^m <= 1e-10 first at m = 306
 SLOW = AnnulusRational(r=1e-3, q2_roots=(9e-4,))
-
-
-def _shaped(r, seed, shape):
-    """Rational of a fixed shape: outer roots of modulus in [1.5, 4], inner
-    roots in [r/4, r/1.67]."""
-    rng = np.random.default_rng(seed)
-    k1, k2, deg = shape
-    q1 = tuple(np.exp(rng.uniform(np.log(1.5), np.log(4.0)) + 2j * np.pi * rng.random()) for _ in range(k1))
-    q2 = tuple(r * np.exp(rng.uniform(np.log(1 / 4.0), np.log(1 / 1.67)) + 2j * np.pi * rng.random()) for _ in range(k2))
-    p = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.sqrt(2.0)
-    f = AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=q1, q2_roots=q2)
-    validate(f)
-    return f
 
 
 def _bits(value):
@@ -435,7 +420,7 @@ def _entry_bits(f, order, cold=False):
 class TestSeriesMemo:
     @pytest.mark.parametrize("r", [1e-3, 0.25, 0.5, 0.81, 0.95])
     def test_warm_reads_equal_cold_builds_bit_for_bit(self, r):
-        functions = [_shaped(r, 6100 + k, shape) for k, shape in enumerate(SHAPES)]
+        functions = [shaped_function(r, 6100 + k, shape) for k, shape in enumerate(SHAPES)]
         functions += [
             # repeated roots, zero roots, a pole near the inner circle
             AnnulusRational(r=r, p_coeffs=(1.0, 0.5j), q1_roots=(1.5, 1.5), q2_roots=(0.4 * r, 0.4 * r, 0.0)),
