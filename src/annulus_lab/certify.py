@@ -193,8 +193,10 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return rational.pack(r, *_draw(r, [rng])).function(0)
 
 
-# A quarter of calculus._CHUNK_BYTES: abs_at holds four or five arrays of a
-# chunk's size at once; the traced peak of a dense sup of one row is 1.4 MiB.
+# A quarter of calculus._CHUNK_BYTES: abs_at holds four arrays of a chunk's
+# size at once (three complex work arrays and two float ones of half that
+# size), five with the sorted copy of per-row points; the traced peak of a
+# dense sup of one row of the seed-1 battery at r = 0.5 is at most 1.5 MiB.
 _SUP_CHUNK_BYTES = 1 << 18
 # The battery's sampling: equispaced nodes per circle and nodes per pole window.
 _BASE_NODES = 4096
@@ -285,7 +287,7 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
     ``local_nodes`` in a window around each pole near a circle.
 
     Every node is evaluated, through :meth:`rational.FactoredStack.abs_at`,
-    which is :func:`rational.evaluate` bit for bit whatever the padding: the
+    which is :func:`rational.evaluate` bit for bit whatever the other rows: the
     pole windows, then the circles in pieces of ``_BASE_NODES`` nodes
     (:func:`_circle_values`), so the dense re-check holds no more at once
     than the battery's sampling.  The max of the pieces' maxima is the max
@@ -670,8 +672,12 @@ def cnn_split(t, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarra
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:
         raise NoConvergence("cnn_split needs a square matrix")
+    return _cnn_split(m, linalg.operator_norm(m), tols)
+
+
+def _cnn_split(m: np.ndarray, norm: float, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cnn_split` of the square matrix ``m`` of norm ``norm``."""
     n = m.shape[0]
-    norm = linalg.operator_norm(m)
     scale = max(1.0, norm**2)
     comm = m.conj().T @ m - m @ m.conj().T
     basis = _orth(comm, tols.rank_tol * scale)
@@ -706,9 +712,15 @@ def williams_verdict(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> WilliamsVe
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:
         raise NoConvergence("cnn_split needs a square matrix")
-    if not abs(linalg.operator_norm(m) - 1.0) <= tols.verify_tol:
+    return _williams(m, linalg.operator_norm(m), tols)
+
+
+def _williams(m: np.ndarray, norm_t: float, tols: Tolerances) -> WilliamsVerdict:
+    """:func:`williams_verdict` of the square matrix ``m`` of norm
+    ``norm_t``."""
+    if not abs(norm_t - 1.0) <= tols.verify_tol:
         return WilliamsVerdict.NOT_APPLICABLE
-    _, p_cnn = cnn_split(m, tols)
+    _, p_cnn = _cnn_split(m, norm_t, tols)
     if linalg.operator_norm(p_cnn - np.eye(m.shape[0])) <= tols.verify_tol:
         return WilliamsVerdict.MINIMAL_DISK_REFUTATION
     return WilliamsVerdict.NOT_APPLICABLE
@@ -725,9 +737,9 @@ def full_certification(
 
     Returns the merged report (stress witness wins over the minimal-disk
     refutation, which wins over a pass) plus a dict of the individual checks.
-    The necessary conditions read ``||T||``, ``||r T^{-1}||`` and the
-    spectrum test from the stress report, which measures them once; each
-    entry equals what its predicate returns.
+    The necessary conditions and the minimal-disk route read ``||T||``,
+    ``||r T^{-1}||`` and the spectrum test from the stress report, which
+    measures them once; each entry equals what its predicate returns.
     """
     m = linalg.as_matrix(t)
     report = vonneumann_stress(m, r, trials, seed, tols)
@@ -737,7 +749,7 @@ def full_certification(
         "norm_window": r - tol <= report.norm_t <= 1.0 + tol,
         "norm_T": report.norm_t,
         "double_contraction": report.norm_t <= 1.0 + tol and report.norm_rtinv <= 1.0 + tol,
-        "williams": williams_verdict(m, r, tols).value,
+        "williams": _williams(m, report.norm_t, tols).value,
     }
     if report.verdict is not Verdict.REFUTED and details["williams"] == WilliamsVerdict.MINIMAL_DISK_REFUTATION.value:
         report = replace(report, verdict=Verdict.WILLIAMS_REFUTED, witness=None)

@@ -125,8 +125,9 @@ class FactoredStack:
     Row ``i`` holds the ascending numerator coefficients ``p[i]``, the
     ``q1_roots`` then the ``q2_roots`` in ``roots[i]``, and the constant
     ``scale[i]``; ``counts[i]`` is its layout ``(k1, k2, len(p))``, so
-    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``, and
-    ``moduli`` holds the modulus of every slot, computed once per stack.
+    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``;
+    ``moduli`` holds the modulus of every slot and ``order`` the rows by
+    root count, each computed once per stack.
     :func:`pack` builds a stack, :meth:`function` gives a row back.  Two
     stacks are equal only when they are one object, and a stack hashes.
     """
@@ -168,29 +169,70 @@ class FactoredStack:
             scale=self.scale[i],
         )
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The rows by ``k1 + k2`` descending, then ``len(p)`` descending
+        (a stable sort), read-only, computed once per stack."""
+        k, lp = self.counts[:, 0] + self.counts[:, 1], self.counts[:, 2]
+        order = np.lexsort((-lp, -k))
+        order.flags.writeable = False
+        return order
+
+    @cached_property
+    def _in_order(self) -> tuple:
+        """``(len(p), rows holding slot j, p.T, roots.T, scale)`` with the
+        rows in :attr:`order`, so slot ``j`` is held by the first
+        ``held[j]`` rows."""
+        counts = self.counts[self.order]
+        k = counts[:, 0] + counts[:, 1]
+        held = np.count_nonzero(k[:, np.newaxis] > np.arange(self.roots.shape[1]), axis=0)
+        return (
+            counts[:, 2],
+            held,
+            self.p[self.order].T.copy(),
+            self.roots[self.order].T.copy(),
+            self.scale[self.order],
+        )
+
     def abs_at(self, points: np.ndarray) -> np.ndarray:
         """``|f_i(z)|`` at shared points (1-D) or at row ``i``'s own points
-        ``points[i]`` (2-D), shape ``(rows, points)``.
+        ``points[i]`` (2-D, one row of points per row), shape
+        ``(rows, points)``, in the stack's row order.
 
-        Row ``i`` equals ``np.abs(evaluate(f_i, z))`` bit for bit.  numpy's
-        complex multiply is not bitwise commutative (it uses FMA), so every
-        product keeps :func:`evaluate`'s operand order, and is formed in
-        place: ``den = den * np.where(...)`` lets numpy's temporary elision
-        compute ``where(...) * den`` once the temporary reaches 256 KiB.
+        Row ``i`` equals ``np.abs(evaluate(f_i, z))`` bit for bit, and no
+        row depends on another.  The rows are worked in :attr:`order`: root
+        slot ``j`` multiplies only the prefix of rows that hold it, and
+        Horner step ``k`` runs only on the rows of degree ``k`` or more
+        (``where=``), so no padding is evaluated.  numpy's complex multiply
+        is not bitwise commutative (it uses FMA), so every value is formed
+        by :func:`evaluate`'s operations in its operand order.  The longer
+        axis is innermost: the work arrays are ``(points, rows)`` in memory
+        when there are more rows than points, ``(rows, points)`` otherwise.
         """
-        z = points if points.ndim == 2 else points[np.newaxis, :]
-        shape = (self.p.shape[0], z.shape[1])
-        num = np.zeros(shape, dtype=complex)
-        for k in range(self.p.shape[1] - 1, -1, -1):
-            np.multiply(num, z, out=num)
-            num += self.p[:, k : k + 1]
-        den = np.repeat(self.scale[:, np.newaxis], shape[1], axis=1)
-        for k in range(self.roots.shape[1]):
-            d = z - self.roots[:, k : k + 1]
-            if not self.mask[:, k].all():
-                d = np.where(self.mask[:, k : k + 1], d, 1.0)
-            np.multiply(den, d, out=den)
-        return np.abs(np.divide(num, den, out=num))
+        if points.shape[-1] == 1:
+            # numpy multiplies a lone element in place by a loop without FMA:
+            # two copies of the point keep every product longer than one
+            return self.abs_at(np.repeat(points, 2, axis=-1))[:, :1].copy()
+        order = self.order
+        lp, held, p, roots, scale = self._in_order
+        z = points[np.newaxis, :] if points.ndim == 1 else points[order]
+        shape = (order.size, z.shape[1])
+        layout = "F" if shape[0] > shape[1] else "C"
+        z = np.asarray(z, order=layout)
+        num = np.zeros(shape, dtype=complex, order=layout)
+        for k in range(p.shape[0] - 1, -1, -1):
+            reach = (lp > k)[:, np.newaxis]
+            np.multiply(num, z, out=num, where=reach)
+            np.add(num, p[k, :, np.newaxis], out=num, where=reach)
+        den = np.empty(shape, dtype=complex, order=layout)
+        den[...] = scale[:, np.newaxis]
+        d = np.empty(shape, dtype=complex, order=layout)
+        for j, m in enumerate(held):
+            np.subtract(z[:m], roots[j, :m, np.newaxis], out=d[:m])
+            np.multiply(den[:m], d[:m], out=den[:m])
+        out = np.empty(shape)
+        out[order] = np.abs(np.divide(num, den, out=num))
+        return out
 
 
 def _slots(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

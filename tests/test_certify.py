@@ -333,6 +333,20 @@ class TestVonNeumannStress:
                 vonneumann_stress(t, 0.5, 10, 1)
 
 
+    @pytest.mark.parametrize("base", [np.eye(2), np.diag([1.0, 1.0j])], ids=["I2", "diag"])
+    @pytest.mark.parametrize("s", [1e20, 1e38, 1e45, 1e50, 1e300])
+    def test_full_certification_keeps_its_outcome_through_overflow(self, base, s):
+        # |f| at the spectrum overflows from about 1e45 for this battery
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if s < 1e45:
+                report, _ = full_certification(s * base, 0.5, 2000, 1)
+                assert report.verdict is Verdict.REFUTED and np.isfinite(report.max_ratio)
+            else:
+                with pytest.raises(NotContraction, match="^overflow: "):
+                    full_certification(s * base, 0.5, 2000, 1)
+
+
 def _sups_of(functions, *args, **kwargs):
     """:func:`_sampled_sups` of ``functions`` on one annulus, packed by
     :func:`rational.factored_stack`, which validates every function first."""
@@ -1061,6 +1075,111 @@ class TestStackedFactoredEvaluation:
         assert calls == []
 
 
+def _abs_reference(stack, points):
+    """``np.abs(evaluate(f_i, z))`` row by row: ``z`` the shared points
+    (1-D) or row ``i``'s own (2-D)."""
+    rows = [stack.function(i) for i in range(stack.counts.shape[0])]
+    zs = points if points.ndim == 2 else [points] * len(rows)
+    return np.array([np.abs(evaluate(f, z)) for f, z in zip(rows, zs)]).reshape(len(rows), points.shape[-1])
+
+
+def _annulus_points(r, count, seed):
+    """``count`` points of the closed annulus, both circles included."""
+    rng = np.random.default_rng(seed)
+    rho = np.concatenate([[1.0, r], r + (1.0 - r) * rng.random(max(count - 2, 0))])[:count]
+    return rho * np.exp(2j * np.pi * rng.random(count))
+
+
+class TestAbsAtKernel:
+    """``FactoredStack.abs_at`` against ``np.abs(evaluate(f_i, z))`` bit for
+    bit, in both layouts of its work arrays."""
+
+    @staticmethod
+    def _assert_bits(stack, points):
+        got = stack.abs_at(points)
+        ref = _abs_reference(stack, points)
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    @pytest.mark.parametrize("count", [1, 6, 12, 128, 4096])
+    def test_seed_one_battery_at_shared_points(self, r, count):
+        stack = _stress_battery(r, 2000, 1).stack
+        points = _annulus_points(r, count, 7)
+        # rows innermost below 2000 points, points innermost at 4096; at 128
+        # also a stack of as many rows as points
+        step = 2000 if count < 2000 else 1000
+        for lo in range(0, 2000, step):
+            self._assert_bits(stack.take(slice(lo, lo + step)), points)
+        if count == 128:
+            self._assert_bits(stack.take(slice(300, 428)), points)
+
+    @pytest.mark.parametrize("count", [4, 512])
+    def test_per_row_points(self, count):
+        stack = _stress_battery(0.5, 2000, 1).stack.take(slice(0, 1000))
+        points = _annulus_points(0.5, 1000 * count, 3).reshape(1000, count)
+        got = self._assert_bits(stack, points)
+        # each row reads its own points: a permuted stack permutes the values
+        perm = np.random.default_rng(4).permutation(1000)
+        assert stack.take(perm).abs_at(points[perm]).tobytes() == got[perm].tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(3, 1500, 7), np.random.default_rng(5).permutation(2000)[:300], slice(11, 12), np.array([1999])],
+        ids=["slice", "unsorted", "one-row-slice", "one-row-index"],
+    )
+    @pytest.mark.parametrize("count", [1, 6, 4096])
+    def test_take_evaluates_the_rows_it_takes(self, rows, count):
+        stack = _stress_battery(0.5, 2000, 1).stack
+        points = _annulus_points(0.5, count, 9)
+        got = self._assert_bits(stack.take(rows), points)
+        if count < 4096:
+            assert got.tobytes() == stack.abs_at(points)[rows].tobytes()
+
+    def test_rows_of_every_edge_layout(self):
+        r = 0.5
+        functions = [
+            AnnulusRational(r=r, p_coeffs=(0.3 - 1.1j, 2.0)),
+            AnnulusRational(
+                r=r,
+                p_coeffs=(1.0, -0.5j, 0.25, 2.0 + 1j),
+                q1_roots=(1.5, -2.0j, 3.0 + 1j, -1.2),
+                q2_roots=(0.1, -0.2j, 0.3 + 0.1j, -0.05),
+            ),
+            AnnulusRational(r=r, p_coeffs=(1.0, 2.0 - 1j, 0.0), q1_roots=(2.5,), q2_roots=(0.1j,)),
+            AnnulusRational(r=r, p_coeffs=(0.7j,), q1_roots=(1.1j, 4.0), scale=2.0 - 3.0j),
+            AnnulusRational(r=r, p_coeffs=(0.0, 1.0, r), q2_roots=(0.0,)),
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.0, 0.0, 0.0, 0.0, 3.0), q2_roots=(0.0, 0.2)),
+        ]
+        stack = rational.factored_stack(functions)
+        # 8 roots, then 2 roots with 6 and 3 coefficients, then 1, then none
+        assert list(stack.order) == [1, 5, 2, 3, 4, 0]
+        for count in (1, 3, 6, 7, 4096):
+            self._assert_bits(stack, _annulus_points(r, count, count))
+        self._assert_bits(stack, _annulus_points(r, 6 * 5, 2).reshape(6, 5))
+
+    def test_order_is_root_count_then_numerator_length(self):
+        stack = _stress_battery(0.81, 2000, 1).stack
+        k1, k2, lp = stack.counts[stack.order].T
+        assert sorted(stack.order) == list(range(2000))
+        keys = list(zip(k1 + k2, lp))
+        assert keys == sorted(keys, reverse=True)
+        assert not stack.order.flags.writeable
+
+    def test_empty_stacks_and_points_keep_their_shapes(self):
+        battery = _stress_battery(0.5, 2000, 1).stack
+        points = _annulus_points(0.5, 5, 1)
+        for stack in (battery.take(slice(0, 0)), rational.pack(0.5, np.zeros((0, 3)), [], [])):
+            for z in (points, points.reshape(1, 5)[:0], np.empty(0, complex)):
+                got = stack.abs_at(z)
+                assert got.shape == (0, z.shape[-1]) and got.dtype == np.float64
+        stack = battery.take(slice(0, 7))
+        for z in (np.empty(0, complex), np.empty((7, 0), complex)):
+            got = stack.abs_at(z)
+            assert got.shape == (7, 0) and got.dtype == np.float64
+
+
 def _conjugated_jordan(n):
     """``0.7 e^{0.4i} I + N`` with ``N`` the nilpotent shift, unitarily conjugated."""
     q = random_unitary(n, 5)
@@ -1243,3 +1362,15 @@ class TestFullCertification:
             stress.norm_rtinv,
             stress.max_ratio,
         )
+
+
+    @pytest.mark.parametrize(
+        "t", [example_matrix(0.5), normal_annulus_matrix(4, 0.5, 5), windowed_matrix(3, 0.5, 7)],
+        ids=["shear", "normal", "windowed"],
+    )
+    def test_norm_of_t_is_taken_once(self, t, monkeypatch):
+        seen = []
+        original = linalg.singular_values
+        monkeypatch.setattr(linalg, "singular_values", lambda a: seen.append(np.array_equal(a, t)) or original(a))
+        full_certification(t, 0.5, 200, 1)
+        assert seen.count(True) == 1
