@@ -52,7 +52,7 @@ def make_ar_unitary(u1, u2, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.nda
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArUnitaryDecomposition:
     """Split of an annulus-boundary normal into its two unitary parts.
 
@@ -61,7 +61,7 @@ class ArUnitaryDecomposition:
     the compressed unitaries in the stored orthonormal bases.  ``residual``
     aggregates every invariant defect, including the disagreement with the
     resolvent-integral projector, computed with ``contour_nodes`` trapezoid
-    nodes per circle.
+    nodes per circle.  Two are equal only when they are one object.
     """
 
     p1: np.ndarray

@@ -271,6 +271,22 @@ def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DE
     return bounds, norms
 
 
+def _series_operands(f: AnnulusRational, t, order: int, tols: Tolerances) -> tuple:
+    """``(series, m, inv, norm_t, norm_rtinv)`` for the series routes:
+    ``laurent_expand(f, order)``, ``T`` as a matrix, its inverse and the
+    norms ``||T||`` and ``||r T^{-1}||``; :class:`NotInvertible` when ``T``
+    is singular."""
+    order = linalg.as_integer(order, "order", 1)
+    m = linalg.as_matrix(t)
+    series = rational.laurent_expand(f, order)
+    norm_t = linalg.operator_norm(m)
+    try:
+        inv = linalg.inverse(m, tols)
+    except Singular as exc:
+        raise NotInvertible("series route needs invertible T") from exc
+    return series, m, inv, norm_t, f.r * linalg.operator_norm(inv)
+
+
 def eval_laurent(
     f: AnnulusRational,
     t,
@@ -281,26 +297,19 @@ def eval_laurent(
 
     Requires ``T`` invertible with ``||T||`` and ``||r T^{-1}||`` at most
     ``1 + verify_tol``; the certified remainder for this route is available
-    from :func:`laurent_remainder_bound`.
+    from :func:`laurent_remainder_bound`.  A singular ``T`` raises
+    :class:`NotInvertible` before its norm is compared.
     """
-    order = linalg.as_integer(order, "order", 1)
-    m = linalg.as_matrix(t)
-    series = rational.laurent_expand(f, order)
-    norm_t = linalg.operator_norm(m)
+    series, m, inv, norm_t, norm_rtinv = _series_operands(f, t, order, tols)
     if norm_t > 1.0 + tols.verify_tol:
         raise SeriesDivergent(f"||T|| = {norm_t} exceeds 1 + verify_tol")
-    try:
-        inv = linalg.inverse(m, tols)
-    except Singular as exc:
-        raise NotInvertible("series evaluation needs invertible T") from exc
-    norm_rtinv = f.r * linalg.operator_norm(inv)
     if norm_rtinv > 1.0 + tols.verify_tol:
         raise SeriesDivergent(f"||r T^-1|| = {norm_rtinv} exceeds 1 + verify_tol")
     n = m.shape[0]
     out = series.coefficient(0) * np.eye(n)
     pow_pos = np.eye(n)
     pow_neg = np.eye(n)
-    for j in range(1, order + 1):
+    for j in range(1, series.order + 1):
         pow_pos = pow_pos @ m
         pow_neg = pow_neg @ inv
         out = out + series.coefficient(j) * pow_pos
@@ -314,21 +323,12 @@ def laurent_remainder_bound(
     """Certified bound on ``||eval_laurent(f, T, order) - f(T)||``.
 
     Uses the tail models of the expansion inflated by the measured
-    ``||T||`` and ``||r T^{-1}||``, read from the series memo
-    (:func:`rational.laurent_operator_tail`), so no truncated product is
-    formed; :class:`NotInvertible` when ``T`` is singular, as in
+    ``||T||`` and ``||r T^{-1}||``; the truncated product is not formed.
+    :class:`NotInvertible` when ``T`` is singular, as in
     :func:`eval_laurent`.
     """
-    order = linalg.as_integer(order, "order", 1)
-    m = linalg.as_matrix(t)
-    tail = rational.laurent_operator_tail(f, order)
-    norm_t = linalg.operator_norm(m)
-    try:
-        inv = linalg.inverse(m, tols)
-    except Singular as exc:
-        raise NotInvertible("series remainder bound needs invertible T") from exc
-    norm_rtinv = f.r * linalg.operator_norm(inv)
-    bound = tail(norm_t, norm_rtinv)
+    series, _, _, norm_t, norm_rtinv = _series_operands(f, t, order, tols)
+    bound = series.operator_tail_bound(norm_t, norm_rtinv)
     if not np.isfinite(bound):
         raise SeriesDivergent("inflated series rates reach 1; no certified bound")
     return bound

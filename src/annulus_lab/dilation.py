@@ -148,7 +148,7 @@ def _fixup_unitary(t1, t2, d1, d2, tols: Tolerances) -> np.ndarray:
     return y_full @ u.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AndoPair:
     """Truncated commuting dilation pair on ``K0 = H + (H^2)^M``.
 
@@ -160,6 +160,7 @@ class AndoPair:
     ``0..M-1``, commutation on ``0..M-2``, and the compressed moments are
     exact for every word in the pair.  How far the first two hold is read off
     the generators, :attr:`generator_defects`; past the cut neither holds.
+    Two pairs are equal only when they are one object.
     """
 
     g: np.ndarray = field(repr=False)
@@ -302,7 +303,7 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelTriple:
     """Model data ``(N, F, V)`` for one matrix ``T``.
 
@@ -315,7 +316,8 @@ class ModelTriple:
     module docstring's series form within :meth:`tail_report`'s bound, not
     ``p(N) q1(N)^-1 q2(FNF)^-1`` compressed.  The dense
     ``n_matrix`` (the pair's applies on the identity), ``f_matrix`` and
-    ``v_matrix`` are built only when read.
+    ``v_matrix`` are built only when read.  Two models are equal only when
+    they are one object.
     """
 
     pair: AndoPair
@@ -380,7 +382,7 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = linalg.as_integer(cap, "cap", 1)
     half = -(-cap // 2)
-    if half < 2 or not rational.laurent_tail_bound(f, half - 1) <= tol:
+    if half < 2 or not rational.laurent_expand(f, half - 1).tail_bound <= tol:
         return cap
     return min(2 * rational.laurent_order_for(f, tol), cap)
 
@@ -444,10 +446,10 @@ def verify_model(
     """Residual ``max_h ||f(T) h - V* p(N) q1(N)^-1 q2(FNF)^-1 V h||``.
 
     The right-hand side follows the series route: the inner factor as
-    ``sum_m b_m r^{-m} V2^m`` (the first ``d + 1`` weights of
-    :func:`rational.factor_series`, no expansion and no tail: a prefix of
-    the series memo's data, which :meth:`ModelTriple.tail_report` for the
-    same ``f`` has built; ``F N F`` acts on the first summand as ``V2``),
+    ``sum_m b_m r^{-m} V2^m`` (the ``d + 1`` weights ``factor_neg_scaled``
+    of the expansion that :meth:`ModelTriple.tail_report` reads, a prefix
+    of the series memo's data for the same ``f``, with no product formed;
+    ``F N F`` acts on the first summand as ``V2``),
     the outer factor and numerator as
     series/polynomial in ``V1``.  Since ``P_H V_i = T_i P_H``, only the rows
     of ``H`` are formed: ``h x h`` chains in ``T2``, then ``T1``, one product
@@ -460,12 +462,12 @@ def verify_model(
     ``T`` is not ``h x h``.
     """
     rational.validate(f)
-    factor_pos, _, factor_neg_scaled, _ = rational.factor_series(_denominator(model, f), model.d + 1)
+    series = _model_series(model, f)
     m = _operand(model, t)
     pair = model.pair
     _check_generators(pair, tols)
-    y = _chain_sum(pair.t2, factor_neg_scaled, np.eye(m.shape[0], dtype=complex))
-    z = _chain_sum(pair.t1, factor_pos, y)
+    y = _chain_sum(pair.t2, series.factor_neg_scaled, np.eye(m.shape[0], dtype=complex))
+    z = _chain_sum(pair.t1, series.factor_pos, y)
     w = _chain_sum(pair.t1, np.array(f.p_coeffs, dtype=complex), z)
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - w, axis=0)))

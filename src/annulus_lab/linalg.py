@@ -118,9 +118,10 @@ def spectrum(a) -> np.ndarray:
     return lams[spectral_order(lams)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigDecomposition:
-    """Unitary eigendecomposition ``A = Q diag(lambdas) Q*`` of a normal matrix."""
+    """Unitary eigendecomposition ``A = Q diag(lambdas) Q*`` of a normal
+    matrix.  Two are equal only when they are one object."""
 
     q: np.ndarray
     lambdas: np.ndarray

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -454,8 +454,9 @@ def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
 
 
 def _build_series(f: AnnulusRational, length: int) -> tuple:
-    """``(a, b, b_scaled, pos, neg)``, read-only: the factor series of
-    :func:`factor_series` (``neg.exact`` holds the moduli of ``b_scaled``)
+    """``(a, b, b_scaled, pos, neg)``, read-only: the factor series that
+    :class:`LaurentSeries` holds as ``factor_pos``, ``factor_neg`` and
+    ``factor_neg_scaled`` (``neg.exact`` holds the moduli of ``b_scaled``)
     and the tail models of both factors, ``length`` terms each.  Every entry
     depends only on the entries before it, so a longer build extends a
     shorter one bit for bit.
@@ -539,22 +540,6 @@ def _series_data(f: AnnulusRational, length: int) -> tuple:
         return slot[0]
 
 
-def factor_series(f: AnnulusRational, length: int) -> tuple:
-    """The first ``length`` coefficients of both factor series of ``f``:
-    ``(a, b, b_scaled, weights)``, fresh arrays.
-
-    ``a`` is the ascending series of ``p / (scale q1)``, ``b`` the
-    coefficients ``b_m`` of ``1/q2 = sum b_m z^-m``, ``b_scaled`` the weights
-    ``b_m r^-m`` and ``weights`` their moduli, both formed without ``r^-m``
-    (see :class:`LaurentSeries`).  They are prefixes of the series memo's
-    data for ``f``, which a longer call extends bit for bit.  ``length`` is
-    an integer >= 1 (numpy's too, not a ``bool``).
-    """
-    length = as_integer(length, "length", 1)
-    a, b, b_scaled, _, neg = _series_data(f, length)
-    return a[:length].copy(), b[:length].copy(), b_scaled[:length].copy(), neg.exact[:length].copy()
-
-
 def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, float, float]:
     """``(tail_pos, tail_neg, tail_bound)`` at ``order`` from the two models.
 
@@ -567,11 +552,12 @@ def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, f
     return tail_pos, tail_neg, tail_pos * sb_cap + sa_cap * tail_neg + tail_pos * tail_neg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentSeries:
     """Truncated two-sided expansion of an :class:`AnnulusRational`.
 
-    ``coeffs[j + M]`` is the coefficient of ``z^j`` for ``j = -M..M``.
+    ``coeffs[j + M]`` is the coefficient of ``z^j`` for ``j = -M..M``, the
+    product of the two factor series, formed on first read.
     ``factor_pos`` holds the ascending coefficients of the outer factor
     (numerator and scale folded in), ``factor_neg`` the coefficients ``b_m``
     of the inner factor ``1/q2 = sum b_m z^{-m}`` (so ``(1, 0, 0, ...)`` when
@@ -581,12 +567,12 @@ class LaurentSeries:
     ``tail_pos`` and ``tail_neg`` bound what each factor series drops,
     ``tail_bound`` the sup-norm remainder of the truncated product on the
     closed annulus; all three hold for repeated roots as they stand.  ``rho1, rho2`` are the geometric rates of the two
-    factors: the largest ``1/|alpha_j|`` and ``|beta_i|``.
+    factors: the largest ``1/|alpha_j|`` and ``|beta_i|``.  Two series are
+    equal only when they are one object, and a series hashes.
     """
 
     r: float
     order: int
-    coeffs: np.ndarray
     factor_pos: np.ndarray
     factor_neg: np.ndarray
     factor_neg_scaled: np.ndarray
@@ -596,6 +582,10 @@ class LaurentSeries:
     tail_neg: float
     tail_bound: float
     tail_models: tuple = field(repr=False)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return np.convolve(self.factor_pos, self.factor_neg[::-1])
 
     def coefficient(self, j: int) -> complex:
         """Coefficient of ``z^j`` (zero outside the truncation window)."""
@@ -609,22 +599,17 @@ class LaurentSeries:
 
         Returns ``inf`` when the inflated majorant ratios reach 1.
         """
-        return _operator_tail_bound(self.factor_pos, *self.tail_models, self.order, norm_t, norm_rtinv)
-
-
-def _operator_tail_bound(a, pos: _TailModel, neg: _TailModel, order: int, norm_t: float, norm_rtinv: float) -> float:
-    """:meth:`LaurentSeries.operator_tail_bound` at ``order`` from the outer
-    factor series ``a`` (at least ``order + 1`` terms) and the two tail
-    models."""
-    s = max(1.0, float(norm_t))
-    t = max(1.0, float(norm_rtinv))
-    weights_pos = np.abs(a[: order + 1]) * s ** np.arange(order + 1)
-    weights_neg = _grown(neg.exact[: order + 1], np.arange(order + 1), t)
-    tp = pos.tail(order, s)
-    tn = neg.tail(order, t)
-    sa = float(weights_pos.sum()) + tp
-    sb = float(weights_neg.sum()) + tn
-    return tp * sb + sa * tn
+        pos, neg = self.tail_models
+        order = self.order
+        s = max(1.0, float(norm_t))
+        t = max(1.0, float(norm_rtinv))
+        weights_pos = np.abs(self.factor_pos) * s ** np.arange(order + 1)
+        weights_neg = _grown(neg.exact[: order + 1], np.arange(order + 1), t)
+        tp = pos.tail(order, s)
+        tn = neg.tail(order, t)
+        sa = float(weights_pos.sum()) + tp
+        sb = float(weights_neg.sum()) + tn
+        return tp * sb + sa * tn
 
 
 def _length_for(f: AnnulusRational, order: int) -> int:
@@ -643,22 +628,20 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
     The factor series are fresh copies of a prefix of the series memo's data
     for ``f`` (see :func:`_series_memo`), built only when the memo holds too
     few terms; ``tail_models`` are the memo's read-only models, which may
-    run past what this order reads.
+    run past what this order reads.  The product ``coeffs`` is formed only
+    when read.  ``order`` is an integer >= 1 (numpy's too, not a ``bool``).
     """
     m = as_integer(order, "order", 1)
     _checked(f)
-    a_full, b_full, b_scaled, pos, neg = _series_data(f, _length_for(f, m))
+    a, b, b_scaled, pos, neg = _series_data(f, _length_for(f, m))
     tail_pos, tail_neg, tail_bound = _tail_bounds(pos, neg, m)
-    a = a_full[: m + 1].copy()
-    b = b_full[: m + 1].copy()
     alphas = np.abs(np.array(f.q1_roots, dtype=complex))
     betas = np.abs(np.array(f.q2_roots, dtype=complex))
     return LaurentSeries(
         r=f.r,
         order=m,
-        coeffs=np.convolve(a, b[::-1]),
-        factor_pos=a,
-        factor_neg=b,
+        factor_pos=a[: m + 1].copy(),
+        factor_neg=b[: m + 1].copy(),
         factor_neg_scaled=b_scaled[: m + 1].copy(),
         rho1=float(1.0 / alphas.min(initial=np.inf)),
         rho2=float(betas.max(initial=0.0)),
@@ -672,25 +655,6 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
 def _tail_bound_at(f: AnnulusRational, order: int) -> float:
     """The certified remainder bound of ``f`` at ``order``, from the memo."""
     return _tail_bounds(*_series_data(f, _length_for(f, order))[3:], order)[2]
-
-
-def laurent_tail_bound(f: AnnulusRational, order: int) -> float:
-    """``laurent_expand(f, order).tail_bound`` bit for bit, from the tail
-    models of the series memo alone: no truncated product is formed."""
-    order = as_integer(order, "order", 1)
-    _checked(f)
-    return _tail_bound_at(f, order)
-
-
-def laurent_operator_tail(f: AnnulusRational, order: int):
-    """The function ``(norm_t, norm_rtinv) -> laurent_expand(f,
-    order).operator_tail_bound(norm_t, norm_rtinv)``, bit for bit, read
-    from the series memo alone: no truncated product is formed.  ``f`` and
-    ``order`` are checked here, as :func:`laurent_expand` checks them."""
-    order = as_integer(order, "order", 1)
-    _checked(f)
-    a, _, _, pos, neg = _series_data(f, _length_for(f, order))
-    return partial(_operator_tail_bound, a, pos, neg, order)
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:

@@ -373,7 +373,7 @@ class TestVerifyModel:
         assert np.isfinite(residual)
         assert residual <= model.tail_report(f)["bound"]
 
-    def test_only_the_tail_report_expands_a_series(self, monkeypatch):
+    def test_the_tail_report_and_the_residual_read_one_build(self, monkeypatch):
         expands, builds = [], []
         monkeypatch.setattr(
             rational, "laurent_expand", lambda *args: expands.append(args) or laurent_expand(*args)
@@ -389,9 +389,8 @@ class TestVerifyModel:
         # the series of 1/(scale q1 q2), at the model's budget, built once
         assert expands == [(denominator, model.d)] and [g for g, _ in builds] == [denominator]
         verify_model(model, t, f)
-        # the d + 1 coefficients the chains read are a prefix of that build:
-        # no expansion, no build
-        assert len(expands) == 1 and len(builds) == 1
+        # the residual reads the same expansion, a prefix of that build
+        assert expands == [(denominator, model.d)] * 2 and len(builds) == 1
 
     @pytest.mark.parametrize("d", [1, 5, 12, 24, 160])
     def test_one_expansion_equals_the_factor_pair(self, d):
@@ -430,14 +429,6 @@ class TestVerifyModel:
             order = laurent_order_for(f, 1e-10)
             for cap in (23, 24):
                 assert default_budget(f, cap=cap) == min(2 * order, cap)
-
-    def test_default_budget_forms_no_series(self, monkeypatch):
-        from annulus_lab.dilation import default_budget
-
-        monkeypatch.setattr(rational, "laurent_expand", lambda *args: pytest.fail("series formed"))
-        fast = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(8.0,), q2_roots=(0.05,))
-        slow = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,))
-        assert default_budget(fast) < 24 and default_budget(slow) == 24
 
 
 def _factor_pair(f, d):

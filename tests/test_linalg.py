@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus, certify, dilation, linalg, rational
+from annulus_lab import ar_unitary, calculus, certify, dilation, linalg, rational
 from annulus_lab.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -31,7 +31,7 @@ from annulus_lab.linalg import (
     unitary_completion,
 )
 
-from conftest import distance_cleared, radially_cleared
+from conftest import commuting_contraction_pair, distance_cleared, radially_cleared
 
 EXAMPLE = np.array([[0.5, 0.75], [0.0, 0.5]], dtype=complex)  # norm-one shear, r = 0.25
 
@@ -592,3 +592,24 @@ class TestShiftConditioning:
             calculus.factored_norms(rational.factored_stack([f]), t)
         with pytest.raises(NoConvergence):
             calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.05, nodes=64))
+
+
+_RESULTS = {
+    "EigDecomposition": lambda: eig_normal(certify.normal_annulus_matrix(3, 0.5, 2)),
+    "ArUnitaryDecomposition": lambda: ar_unitary.decompose(
+        ar_unitary.make_ar_unitary(random_unitary(2, 1), random_unitary(1, 2), 0.5), 0.5
+    ),
+    "AndoPair": lambda: dilation.ando_pair(*commuting_contraction_pair(2, 3), m_depth=3),
+    "ModelTriple": lambda: dilation.build_model(certify.windowed_matrix(2, 0.5, 3), 0.5, 4),
+    "LaurentSeries": lambda: rational.laurent_expand(AnnulusRational(r=0.5, q1_roots=(2.0,)), 6),
+    "FactoredStack": lambda: rational.factored_stack([AnnulusRational(r=0.5, q1_roots=(2.0,))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESULTS))
+def test_results_that_hold_arrays_are_equal_only_to_themselves_and_hash(name):
+    x = _RESULTS[name]()
+    assert type(x).__name__ == name
+    assert x == x and not x != x
+    assert x != _RESULTS[name]()
+    assert hash(x) == hash(x)

@@ -118,9 +118,8 @@ class TestLaurentExpand:
     @pytest.mark.parametrize("order", [2.5, True, 2.0, 0, -1])
     def test_order_must_be_an_integer_of_at_least_one(self, order):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
-        for route in (laurent_expand, rational.laurent_tail_bound):
-            with pytest.raises(ValueError, match="^order must be"):
-                route(f, order)
+        with pytest.raises(ValueError, match="^order must be"):
+            laurent_expand(f, order)
 
     def test_numpy_integer_order(self):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
@@ -351,30 +350,19 @@ class TestLaurentExpand:
         assert laurent_order_for(AnnulusRational(r=1e-3, q2_roots=(9e-4,)), 1e-10) >= 306
 
     @pytest.mark.parametrize("order", [1, 2, 7, 24, 160])
-    def test_factor_series_and_tail_bound_are_those_of_the_expansion(self, order):
+    def test_every_field_of_a_warm_expansion_is_that_of_a_cold_one(self, order):
         fs = [random_function(0.5, 7100 + seed, max_roots=3, max_degree=5) for seed in range(10)]
         # more inner roots than order + 1 terms, repeated and zero roots
         fs.append(AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5j), q1_roots=(1.5, 1.5), q2_roots=(0.2, 0.2, 0.0)))
         # and the denominators 1/(scale q1 q2) the dilation model reads
         fs += [dataclasses.replace(f, p_coeffs=(1.0,)) for f in fs]
         for f in fs:
-            # each call a cold build, the factor series at its own length
-            rational._series_memo.cache_clear()
+            cold = _entry_bits(f, order, cold=True)
+            # a warm read takes a prefix of a longer build
+            laurent_expand(f, 400)
+            assert _entry_bits(f, order) == cold
             series = laurent_expand(f, order)
-            rational._series_memo.cache_clear()
-            a, b, b_scaled, weights = rational.factor_series(f, order + 1)
-            assert np.array_equal(a, series.factor_pos)
-            assert np.array_equal(b, series.factor_neg)
-            assert np.array_equal(b_scaled, series.factor_neg_scaled)
-            assert np.array_equal(weights, series.tail_models[1].exact[: order + 1])
-            rational._series_memo.cache_clear()
-            assert rational.laurent_tail_bound(f, order) == series.tail_bound
-
-    @pytest.mark.parametrize("length", [0, 2.0, True])
-    def test_factor_series_length_must_be_a_positive_integer(self, length):
-        # a build of no terms has no tail model to keep
-        with pytest.raises(ValueError, match="^length must be"):
-            rational.factor_series(QUADRATIC, length)
+            assert np.array_equal(series.tail_models[0].exact[: order + 1], np.abs(series.factor_pos))
 
     def test_order_search_reaches_a_battery_function_at_small_radius(self):
         from annulus_lab.certify import sample_test_function
@@ -390,30 +378,24 @@ class TestLaurentExpand:
 SLOW = AnnulusRational(r=1e-3, q2_roots=(9e-4,))
 
 
-def _bits(value):
-    """The bytes of a series entry point's result."""
-    if isinstance(value, rational.LaurentSeries):
-        arrays = (value.coeffs, value.factor_pos, value.factor_neg, value.factor_neg_scaled)
-        scalars = (value.tail_pos, value.tail_neg, value.tail_bound, value.operator_tail_bound(1.0 + 1e-9, 1.001))
-        return tuple(a.tobytes() for a in arrays) + tuple(np.float64(x).tobytes() for x in scalars)
-    if isinstance(value, tuple):
-        return tuple(a.tobytes() for a in value)
-    return np.float64(value).tobytes()
-
-
 def _entry_bits(f, order, cold=False):
-    """``laurent_expand``, ``factor_series`` and ``laurent_tail_bound`` of
-    ``f`` at ``order``, as bytes; with ``cold``, each on an empty memo."""
-    calls = (
-        lambda: laurent_expand(f, order),
-        lambda: rational.factor_series(f, order + 1),
-        lambda: rational.laurent_tail_bound(f, order),
-    )
+    """The bytes of every field of ``laurent_expand(f, order)``, its product
+    ``coeffs`` and an operator tail bound included; of its tail models, the
+    terms that the order reads.  With ``cold``, on an empty memo."""
+    if cold:
+        rational._series_memo.cache_clear()
+    series = laurent_expand(f, order)
+    length = rational._length_for(f, order)
     out = []
-    for call in calls:
-        if cold:
-            rational._series_memo.cache_clear()
-        out.append(_bits(call()))
+    for name in [field.name for field in dataclasses.fields(series)] + ["coeffs"]:
+        value = getattr(series, name)
+        if name == "tail_models":
+            for model in value:
+                out += [array[:length].tobytes() for array in (model.exact, model.major, model.base)]
+                out += [np.float64(model.rate).tobytes(), model.lead]
+        else:
+            out.append(value.tobytes() if isinstance(value, np.ndarray) else np.float64(value).tobytes())
+    out.append(np.float64(series.operator_tail_bound(1.0 + 1e-9, 1.001)).tobytes())
     return out
 
 
@@ -511,7 +493,7 @@ class TestSeriesMemo:
         rational._series_memo.cache_clear()
         assert rational._series_memo.cache_info().currsize == 0
 
-    def test_memo_arrays_are_read_only_and_factor_series_copies_them(self):
+    def test_memo_arrays_are_read_only_and_expansions_copy_them(self):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0, 0.2), q1_roots=(2.0,), q2_roots=(0.1,))
         series = laurent_expand(f, 10)
         for model in series.tail_models:
@@ -519,9 +501,39 @@ class TestSeriesMemo:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 7.0
         before = _entry_bits(f, 10)
-        for array in (*rational.factor_series(f, 11), series.factor_pos, series.factor_neg, series.coeffs):
+        # the product, formed on first read, is a fresh array too
+        coeffs = series.coeffs
+        assert series.coeffs is coeffs
+        for array in (series.factor_pos, series.factor_neg, series.factor_neg_scaled, coeffs):
             array[:] = 7.0
         assert _entry_bits(f, 10) == before
+
+
+class TestLazyProduct:
+    def test_only_the_series_sum_and_a_direct_read_form_the_product(self, monkeypatch):
+        from annulus_lab import calculus, dilation
+        from annulus_lab.certify import windowed_matrix
+
+        def unread(series):
+            raise AssertionError("product formed")
+
+        monkeypatch.setattr(rational.LaurentSeries, "coeffs", property(unread))
+        rational._series_memo.cache_clear()
+        t = windowed_matrix(3, 0.7, 45)
+        model = dilation.build_model(t, 0.7, 8)
+        f = random_function(0.7, 955, max_roots=2, alpha_window=(3.2, 4.0), beta_window_div=(8.0, 4.0))
+        assert np.isfinite(model.tail_report(f)["bound"])
+        assert np.isfinite(dilation.verify_model(model, t, f))
+        fast = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(8.0,), q2_roots=(0.05,))
+        slow = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,))
+        assert dilation.default_budget(fast) < 24 and dilation.default_budget(slow) == 24
+        order = laurent_order_for(f, 1e-10)
+        assert np.isfinite(calculus.laurent_remainder_bound(f, t, order))
+        # the patch is seen: the series sum and a direct read form it
+        with pytest.raises(AssertionError, match="product formed"):
+            calculus.eval_laurent(f, t, order)
+        with pytest.raises(AssertionError, match="product formed"):
+            laurent_expand(f, order).coeffs
 
 
 class TestBoundarySupNorm:
