@@ -21,14 +21,16 @@ from .linalg import DEFAULT_TOLS, Tolerances
 
 
 def is_ar_unitary(n, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True iff ``N`` is normal and every eigenvalue modulus is near 1 or r."""
+    """True iff ``N`` is normal and every eigenvalue modulus is near 1 or r;
+    both read off ``N``'s :func:`linalg.analysis`."""
     linalg.require_radius(r)
     m = linalg.as_matrix(n)
     if m.shape[0] != m.shape[1]:
         return False
-    if not linalg.is_normal(m, tols):
+    facts = linalg.analysis(m)
+    if not facts.is_normal(tols):
         return False
-    mods = np.abs(linalg.spectrum(m))
+    mods = np.abs(facts.spectrum)
     near = np.minimum(np.abs(mods - 1.0), np.abs(mods - r))
     return bool(np.all(near <= 10 * tols.eig_tol))
 
@@ -147,7 +149,7 @@ def membership_subspaces(
     m = linalg.as_matrix(n)
     if not is_ar_unitary(m, r, tols):
         raise NotArUnitary("input is not normal with spectrum on the two circles")
-    s = r * linalg.inverse(m, tols)
+    s = r * linalg.analysis(m).inverse(tols)
     return _norm_kernel(m, n_max, tols), _norm_kernel(s, n_max, tols)
 
 

@@ -98,32 +98,38 @@ def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.S
     distance to each eigenvalue, and only the roots the rule does not clear
     get singular values.  On an annulus, where the roots of ``q1`` lie
     outside the unit disk and those of ``q2`` inside ``rD``, that usually
-    leaves no root for the distance stage.
+    leaves no root for the distance stage.  The spectrum and the rule are
+    those of ``T``'s :func:`linalg.analysis`.
     """
-    m = linalg.as_matrix(t)
-    lams = linalg.spectrum(m)
+    facts = linalg.analysis(t)
+    for rows in _chunks(stack, facts.matrix.shape[0]):
+        _check_row_roots(stack.roots[rows], stack.mask[rows], stack.moduli[rows], facts, tols)
+    return facts.conditioning
+
+
+def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Tolerances) -> None:
+    """:func:`_check_roots` for the rows ``roots`` (occupied where ``mask``,
+    of moduli ``moduli``) of one chunk."""
+    lams = facts.spectrum
     mods = np.abs(lams)
     band = (mods.min(), mods.max())
-    rule = linalg.ShiftConditioning(m)
-    for rows in _chunks(stack, m.shape[0]):
-        roots, mask = stack.roots[rows], stack.mask[rows]
-        limit = tols.rank_tol * np.maximum(1.0, np.abs(roots))
-        near = mask & ~(linalg.band_gaps(stack.moduli[rows], band) > limit)
-        touch = np.zeros_like(mask)
-        if near.any():
-            touch[near] = np.abs(roots[near][:, np.newaxis] - lams).min(axis=-1) <= limit[near]
-        cleared = ~mask
-        cleared[mask] = rule.cleared(roots[mask], tols)
-        failed = np.zeros_like(mask)
-        for j in np.flatnonzero(~cleared.all(axis=0)):
-            idx = np.flatnonzero(~cleared[:, j])
-            failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
-        hit = touch | failed
-        if hit.any():
-            i = int(np.argmax(hit.any(axis=1)))
-            slots = touch[i] if touch[i].any() else failed[i]
-            raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
-    return rule
+    rule = facts.conditioning
+    limit = tols.rank_tol * np.maximum(1.0, np.abs(roots))
+    near = mask & ~(linalg.band_gaps(moduli, band) > limit)
+    touch = np.zeros_like(mask)
+    if near.any():
+        touch[near] = np.abs(roots[near][:, np.newaxis] - lams).min(axis=-1) <= limit[near]
+    cleared = ~mask
+    cleared[mask] = rule.cleared(roots[mask], tols)
+    failed = np.zeros_like(mask)
+    for j in np.flatnonzero(~cleared.all(axis=0)):
+        idx = np.flatnonzero(~cleared[:, j])
+        failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
+    hit = touch | failed
+    if hit.any():
+        i = int(np.argmax(hit.any(axis=1)))
+        slots = touch[i] if touch[i].any() else failed[i]
+        raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
 
 
 def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioning):
@@ -160,7 +166,11 @@ def eval_direct(
     first root within ``rank_tol * max(1, |root|)`` of the spectrum, else
     the first that fails the rule.
     """
-    m = _check_roots(rational.factored_stack([f]), t, tols).m
+    rational.validate(f)
+    m = linalg.as_matrix(t)
+    roots = np.array(f.q1_roots + f.q2_roots, dtype=complex)[np.newaxis]
+    moduli = np.hypot(roots.real, roots.imag)
+    _check_row_roots(roots, np.ones(roots.shape, dtype=bool), moduli, linalg.analysis(m), tols)
     out = polyval_matrix(f.p_coeffs, m) / f.scale
     eye = np.eye(m.shape[0])
     for root in f.q1_roots + f.q2_roots:
@@ -274,17 +284,18 @@ def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DE
 def _series_operands(f: AnnulusRational, t, order: int, tols: Tolerances) -> tuple:
     """``(series, m, inv, norm_t, norm_rtinv)`` for the series routes:
     ``laurent_expand(f, order)``, ``T`` as a matrix, its inverse and the
-    norms ``||T||`` and ``||r T^{-1}||``; :class:`NotInvertible` when ``T``
-    is singular."""
+    norms ``||T||`` and ``||r T^{-1}||``, the last three from ``T``'s
+    :func:`linalg.analysis`; :class:`NotInvertible` when ``T`` is
+    singular."""
     order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
     series = rational.laurent_expand(f, order)
-    norm_t = linalg.operator_norm(m)
+    facts = linalg.analysis(m)
     try:
-        inv = linalg.inverse(m, tols)
+        inv = facts.inverse(tols)
     except Singular as exc:
         raise NotInvertible("series route needs invertible T") from exc
-    return series, m, inv, norm_t, f.r * linalg.operator_norm(inv)
+    return series, m, inv, facts.norm, f.r * facts.inverse_norm
 
 
 def eval_laurent(
@@ -368,6 +379,12 @@ _NODE_TARGET = 1e-16
 # the memory of a quadrature whatever its node count.
 _CHUNK_BYTES = 1 << 20
 
+# Clearances of the contour checks, relative to a circle's radius: of a pole
+# (and, in riesz_projection, of the spectrum) and of the spectrum in
+# eval_contour.
+_POLE_MARGIN = 1e-12
+_SPECTRUM_MARGIN = 1e-10
+
 
 def clamp_nodes(needed: float) -> int:
     """Round a wanted node count up and clamp it to ``[512, 1 << 17]``."""
@@ -397,7 +414,7 @@ def default_contour(
             gaps.append(r - max(abs(b) for b in f.q2_roots))
     mods = np.empty(0)
     if t is not None:
-        mods = np.abs(linalg.spectrum(t))
+        mods = np.abs(linalg.analysis(t).spectrum)
         inside = mods[(mods > r) & (mods < 1.0)]
         gaps.append(float(np.min(1.0 - inside)) if inside.size else 0.5 * (1.0 - r))
         gaps.append(float(np.min(inside - r)) if inside.size else 0.5 * (1.0 - r))
@@ -453,8 +470,8 @@ def _circle_integral(
     """Trapezoid rule for ``(1/2 pi i) * integral of f(w) (wI - T)^-1 dw``
     over the circle ``|w| = outer`` minus the same over ``|w| = inner``.
 
-    ``f`` defaults to 1.  One :class:`linalg.ShiftConditioning` for ``T``
-    serves both circles, so the contour forms one Schur form
+    ``f`` defaults to 1.  The :class:`linalg.ShiftConditioning` of ``T``'s
+    :func:`linalg.analysis` serves both circles with its one Schur form
     ``T + E = Q R Q*``.  Nodes are taken in chunks whose stacked resolvents
     fit ``_CHUNK_BYTES``; each chunk gets one vectorized evaluation of ``f``
     (with its :class:`PoleHit` check), the conditioning rule at its nodes
@@ -466,9 +483,9 @@ def _circle_integral(
     order, so the reduction is deterministic.
     """
     n = m.shape[0]
+    rule = linalg.analysis(m).conditioning
     ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
     step = max(1, _CHUNK_BYTES // (16 * n * n))
-    rule = linalg.ShiftConditioning(m)
     integrals = []
     for radius in (outer, inner):
         ws = radius * ring
@@ -492,7 +509,8 @@ def eval_contour(
 
     The outer circle ``|w| = 1 + delta`` is positively oriented, the inner
     circle ``|w| = r - delta`` negatively; spectrum must sit strictly between
-    them and all poles strictly outside.
+    them and all poles strictly outside, each with a margin relative to the
+    circle's radius: ``1e-12`` for the poles, ``1e-10`` for the spectrum.
     """
     rational.validate(f)
     m = linalg.as_matrix(t)
@@ -501,13 +519,12 @@ def eval_contour(
     inner = r - spec.delta
     if inner <= 0:
         raise ValueError("delta leaves no inner circle")
-    if f.q1_roots and min(abs(a) for a in f.q1_roots) <= outer + 1e-12:
+    if f.q1_roots and min(abs(a) for a in f.q1_roots) <= outer * (1.0 + _POLE_MARGIN):
         raise PoleInsideContour("an outer-factor root is inside the outer circle")
-    if f.q2_roots and max(abs(b) for b in f.q2_roots) >= inner - 1e-12:
+    if f.q2_roots and max(abs(b) for b in f.q2_roots) >= inner * (1.0 - _POLE_MARGIN):
         raise PoleInsideContour("an inner-factor root is outside the inner circle")
-    mods = np.abs(linalg.spectrum(m))
-    margin = 1e-10
-    if np.any(mods >= outer - margin) or np.any(mods <= inner + margin):
+    mods = np.abs(linalg.analysis(m).spectrum)
+    if np.any(mods >= outer * (1.0 - _SPECTRUM_MARGIN)) or np.any(mods <= inner * (1.0 + _SPECTRUM_MARGIN)):
         raise SpectrumOnContour("spectrum touches or escapes the contour")
     return _circle_integral(m, outer, inner, spec.nodes, tols, f)
 
@@ -528,18 +545,20 @@ def riesz_projection(
 
     The spectrum must split across the mid radius ``(1 + r)/2`` with a margin
     of ``delta`` on each side, stay inside ``|w| = 1 + delta`` and outside
-    ``|w| = r - delta``, which must have a positive radius for either part:
-    ``ValueError`` when ``delta >= r``.
+    ``|w| = r - delta`` by ``1e-12`` relative to the radius, and the inner
+    circle must have a positive radius for either part: ``ValueError`` when
+    ``delta >= r``.
     """
     linalg.require_radius(r)
     if r - spec.delta <= 0:
         raise ValueError("delta leaves no inner circle")
     m = linalg.as_matrix(t)
     mid = 0.5 * (1.0 + r)
-    mods = np.abs(linalg.spectrum(m))
+    mods = np.abs(linalg.analysis(m).spectrum)
     if np.any(np.abs(mods - mid) <= spec.delta):
         raise NoSpectralGap(f"eigenvalue modulus within delta of the split radius {mid}")
-    if np.any(mods >= 1.0 + spec.delta - 1e-12) or np.any(mods <= r - spec.delta + 1e-12):
+    big, small = 1.0 + spec.delta, r - spec.delta
+    if np.any(mods >= big * (1.0 - _POLE_MARGIN)) or np.any(mods <= small * (1.0 + _POLE_MARGIN)):
         raise NoSpectralGap("spectrum escapes the two-circle region")
-    outer, inner = (1.0 + spec.delta, mid) if part is SpectralPart.OUTER else (mid, r - spec.delta)
+    outer, inner = (big, mid) if part is SpectralPart.OUTER else (mid, small)
     return _circle_integral(m, outer, inner, spec.nodes, tols)

@@ -261,15 +261,15 @@ def _ring(base_nodes: int) -> np.ndarray:
 
 
 # A node z has ||z| - rho| <= 4u rho, so only a root this close to a circle
-# can come within 1e-14 of one.
+# can come within 1e-14 |z| of one.
 _NEAR_CIRCLE = 1e-12
 
 
 def _check_poles(stack: rational.FactoredStack, ring: np.ndarray, local_nodes: int) -> None:
     """:class:`PoleHit`, as :func:`rational.evaluate` would raise it, for
-    the first row of ``stack`` with a node within 1e-14 of a root: a node of
-    ``ring`` on either circle, or one of ``local_nodes`` in a pole window of
-    the row.  Only rows with a root within ``_NEAR_CIRCLE`` of a circle can
+    the first row of ``stack`` with a node ``z`` within ``1e-14 |z|`` of a
+    root: a node of ``ring`` on either circle, or one of ``local_nodes`` in a
+    pole window of the row.  Only rows with a root within ``_NEAR_CIRCLE`` of a circle can
     have one."""
     mods = stack.moduli
     near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - stack.r) <= _NEAR_CIRCLE))
@@ -277,7 +277,7 @@ def _check_poles(stack: rational.FactoredStack, ring: np.ndarray, local_nodes: i
         _, *window = _pole_windows(stack.take(slice(i, i + 1)))
         for zz in [ring, stack.r * ring, *_window_nodes(*window, local_nodes)]:
             for root in stack.roots[i, stack.mask[i]]:
-                rational.check_clearance(zz - root, complex(root))
+                rational.check_clearance(zz - root, complex(root), zz)
 
 
 def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES):

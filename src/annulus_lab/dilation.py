@@ -389,12 +389,13 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
 
 def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTriple:
     """Model for an invertible ``T`` with ``T`` and ``r T^{-1}`` contractions,
-    at a budget ``d`` that is an integer >= 1 (numpy's too, not a ``bool``)."""
+    at a budget ``d`` that is an integer >= 1 (numpy's too, not a ``bool``).
+    ``T^{-1}`` comes from ``T``'s :func:`linalg.analysis`."""
     m = linalg.as_matrix(t)
     linalg.require_radius(r)
     d = linalg.as_integer(d, "degree budget", 1)
     try:
-        t2 = r * linalg.inverse(m, tols)
+        t2 = r * linalg.analysis(m).inverse(tols)
     except Singular as exc:
         raise NotInvertible(str(exc)) from exc
     pair = ando_pair(m, t2, m_depth=d + 1, tols=tols)
@@ -416,11 +417,14 @@ def _denominator(model: ModelTriple, f: AnnulusRational) -> AnnulusRational:
 
 
 def _operand(model: ModelTriple, t) -> np.ndarray:
-    """``T`` as a matrix, :class:`DimensionMismatch` unless it acts on ``H``."""
+    """``T`` as a matrix, :class:`DimensionMismatch` unless it acts on ``H``
+    and equals the ``T`` the model was built on."""
     m = linalg.as_matrix(t)
     h = model.pair.dim_h
     if m.shape != (h, h):
         raise DimensionMismatch(f"T is {m.shape}, the model acts on H of dimension {h}")
+    if not np.array_equal(m, model.pair.t1):
+        raise DimensionMismatch("T is not the model's T: the model was built on another matrix")
     return m
 
 
@@ -459,7 +463,7 @@ def verify_model(
     :class:`NotIsometric` or :class:`NotCommuting` when one exceeds
     ``verify_tol`` at the pair's scale.  :class:`InvalidRational` is raised
     when ``f.r`` is not the model's ``r``, :class:`DimensionMismatch` when
-    ``T`` is not ``h x h``.
+    ``T`` is not the ``T`` the model was built on.
     """
     rational.validate(f)
     series = _model_series(model, f)
@@ -488,7 +492,9 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     call.
     :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
     ``r^-j_max`` overflows, ``ValueError`` when ``j_max`` is not an integer
-    >= 0 and :class:`DimensionMismatch` when ``T`` is not ``h x h``.
+    >= 0 and :class:`DimensionMismatch` when ``T`` is not the ``T`` the
+    model was built on.  ``T^{-1}`` comes from ``T``'s
+    :func:`linalg.analysis`.
     """
     j_max = linalg.as_integer(j_max, "j_max", 0)
     if j_max > model.d:
@@ -497,7 +503,7 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     pair = model.pair
     _check_generators(pair, tols)
     h = m.shape[0]
-    inv = linalg.inverse(m, tols)
+    inv = linalg.analysis(m).inverse(tols)
     rweights = _inverse_weights(model.r, j_max)
     forward = np.empty((j_max + 1, h, h), dtype=complex)
     inverse = np.empty_like(forward)

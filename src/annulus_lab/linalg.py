@@ -10,7 +10,9 @@ basis doubles as an orthonormal eigenbasis.
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -141,6 +143,20 @@ def _ldexp(z, exponent: int) -> np.ndarray:
     return out
 
 
+def _commutator(m: np.ndarray, norm: float) -> tuple[float, float]:
+    """``(||A*A - AA*||, ||A||)`` for ``A`` scaled by the power of two that
+    brings ``||A|| = norm`` into ``[1/2, 1)``: the two sides of
+    :func:`is_normal`."""
+    shift = -int(np.frexp(norm)[1])
+    a, norm = _ldexp(m, shift), float(np.ldexp(norm, shift))
+    return operator_norm(a.conj().T @ a - a @ a.conj().T), norm
+
+
+def _normal_within(commutator: tuple[float, float], tols: Tolerances) -> bool:
+    comm, norm = commutator
+    return comm <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
+
+
 def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None = None) -> bool:
     """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``; ``norm`` is ``||A||``
     when the caller has it already.
@@ -152,10 +168,7 @@ def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None
     """
     if norm is None:
         norm = operator_norm(m)
-    shift = -int(np.frexp(norm)[1])
-    a, norm = _ldexp(m, shift), float(np.ldexp(norm, shift))
-    comm = a.conj().T @ a - a @ a.conj().T
-    return operator_norm(comm) <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
+    return _normal_within(_commutator(m, norm), tols)
 
 
 def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
@@ -168,8 +181,9 @@ def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
     m = as_matrix(a)
     _require_square(m)
     n = m.shape[0]
-    norm_a = operator_norm(m)
-    if not is_normal(m, tols, norm_a):
+    facts = analysis(m)
+    norm_a = facts.norm
+    if not facts.is_normal(tols):
         comm = m.conj().T @ m - m @ m.conj().T
         raise NotNormal(
             f"commutator norm {operator_norm(comm):.3e} exceeds "
@@ -204,9 +218,19 @@ def solve(a, b, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     mb = as_matrix(b)
     if mb.shape[0] != ma.shape[0]:
         raise DimensionMismatch(f"A is {ma.shape}, B is {mb.shape}")
-    if _ill_conditioned(np.linalg.svd(ma, compute_uv=False), tols):
+    _require_conditioned(np.linalg.svd(ma, compute_uv=False), tols)
+    return _require_finite(np.linalg.solve(ma, mb))
+
+
+def _require_conditioned(svals: np.ndarray, tols: Tolerances) -> None:
+    """:class:`Singular` when the matrix of descending singular values
+    ``svals`` fails :func:`solve`'s conditioning rule."""
+    if _ill_conditioned(svals, tols):
         raise Singular(f"condition estimate exceeds {1.0 / tols.rank_tol:.1e}")
-    x = np.linalg.solve(ma, mb)
+
+
+def _require_finite(x: np.ndarray) -> np.ndarray:
+    """``x``, or :class:`Singular` when a solution has an entry that is not finite."""
     if not np.isfinite(x).all():
         raise Singular("the solution overflows")
     return x
@@ -337,6 +361,8 @@ class ShiftConditioning:
         with np.errstate(over="ignore"):  # an eigenvalue beyond the float range reads inf
             self.triangle = _ldexp(tri, self.exponent)
         self.lams = tri.diagonal().copy()
+        for array in (self.triangle, self.vectors, self.lams):
+            array.flags.writeable = False
         mods = np.abs(self.lams)
         self.band = (float(mods.min()), float(mods.max()))
         # rounding allowances: nu, ||T||_F and hi are rounded up by
@@ -397,6 +423,100 @@ class ShiftConditioning:
                 f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
                 f"at {int(failed.sum())} of {failed.size} points"
             )
+
+
+class Analysis:
+    """What the toolkit reads off one square matrix ``T`` alone, each part
+    computed on first read and then kept: ``matrix``, a read-only copy of
+    ``T`` in its memory order; :attr:`spectrum`; :attr:`conditioning`, the
+    :class:`ShiftConditioning` of ``T`` (its ``zgees`` triangle and Schur
+    vectors); :attr:`singular_values`, which give :attr:`norm` and the
+    conditioning test of :meth:`inverse`; the inverse; and the commutator
+    that :meth:`is_normal` compares.  Every part is what the function of the
+    same name computes from ``T`` (:func:`spectrum`, :func:`operator_norm`,
+    :func:`inverse`, :func:`is_normal`), bit for bit; a test that takes
+    tolerances is applied at each call's own.  Arrays are read-only.
+    :func:`analysis` serves one object per matrix.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _read_only(spectrum(self.matrix))
+
+    @cached_property
+    def conditioning(self) -> ShiftConditioning:
+        return ShiftConditioning(self.matrix)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        return _read_only(singular_values(self.matrix))
+
+    @property
+    def norm(self) -> float:
+        """``||T||``, as :func:`operator_norm` gives it."""
+        return float(self.singular_values[0])
+
+    @cached_property
+    def _solved(self) -> np.ndarray:
+        return _read_only(np.linalg.solve(self.matrix, np.eye(self.matrix.shape[0], dtype=complex)))
+
+    def inverse(self, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+        """``T^-1`` as :func:`inverse` gives it, with its :class:`Singular`
+        at ``tols``; the one array, read-only."""
+        _require_conditioned(self.singular_values, tols)
+        return _require_finite(self._solved)
+
+    @cached_property
+    def inverse_norm(self) -> float:
+        """``||T^-1||``; read it only once :meth:`inverse` has returned."""
+        return operator_norm(self._solved)
+
+    @cached_property
+    def _commutator(self) -> tuple[float, float]:
+        return _commutator(self.matrix, self.norm)
+
+    def is_normal(self, tols: Tolerances = DEFAULT_TOLS) -> bool:
+        """:func:`is_normal` of ``T`` at ``tols``."""
+        return _normal_within(self._commutator, tols)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# The analysis memo holds at most this many matrices.
+_ANALYSIS_SIZE = 16
+_ANALYSIS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=_ANALYSIS_SIZE)
+def _analysis_memo(key: tuple) -> list:
+    """The slot ``[analysis]`` of the matrix whose dtype, shape, memory
+    order and bytes are ``key`` (``[None]`` before the first read).  An
+    entry holds a few ``n x n`` arrays.  ``cache_clear`` empties the memo."""
+    return [None]
+
+
+def analysis(t) -> Analysis:
+    """The :class:`Analysis` of the square matrix ``T``, one per matrix.
+
+    It is keyed by ``T``'s dtype, shape, memory order and bytes, so a
+    C-ordered and a Fortran-ordered copy each get their own (a BLAS product
+    rounds by the layout of its operands), and a ``T`` changed in place gets
+    a new one.  :class:`NotSquare` unless ``T`` is square."""
+    m = as_matrix(t)
+    _require_square(m)
+    copy = np.array(m, order="K")
+    key = (copy.dtype.str, copy.shape, np.isfortran(copy), copy.tobytes())
+    with _ANALYSIS_LOCK:
+        slot = _analysis_memo(key)
+        if slot[0] is None:
+            slot[0] = Analysis(_read_only(copy))
+        return slot[0]
 
 
 def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

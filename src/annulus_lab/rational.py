@@ -93,23 +93,26 @@ def _checked(f: AnnulusRational) -> None:
         raise InvalidRational(str(exc)) from exc
 
 
-def check_clearance(d, root) -> None:
-    """Raise :class:`PoleHit` if some offset ``d = z - root`` is within 1e-14 of 0."""
-    if np.any(np.abs(d) < _POLE_TOL):
-        raise PoleHit(f"evaluation point within {_POLE_TOL} of root {root}")
+def check_clearance(d, root, z) -> None:
+    """Raise :class:`PoleHit` if some offset ``d = z - root`` is within
+    ``1e-14 |z|`` of 0: relative to the modulus of the point, so a contour
+    at any radius can pass."""
+    if np.any(np.abs(d) <= _POLE_TOL * np.abs(z)):
+        raise PoleHit(f"evaluation point within {_POLE_TOL} |z| of root {root}")
 
 
 def evaluate(f: AnnulusRational, z):
     """Evaluate ``f`` at a complex point (or array of points).
 
-    Raises :class:`PoleHit` if any point is within 1e-14 of a denominator root.
+    Raises :class:`PoleHit` if any point ``z`` is within ``1e-14 |z|`` of a
+    denominator root.
     """
     zz = np.asarray(z, dtype=complex)
     num = np.polyval(np.array(f.p_coeffs)[::-1], zz)
     den = np.full_like(zz, f.scale)
     for root in f.q1_roots + f.q2_roots:
         d = zz - root
-        check_clearance(d, root)
+        check_clearance(d, root, zz)
         den = den * d
     out = num / den
     if np.isscalar(z) or np.ndim(z) == 0:
@@ -442,35 +445,38 @@ class _TailModel:
         return total
 
 
-def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
-    """Tail model with majorant ``kernel * (rate^n base[n])`` over ``len(exact)`` terms."""
-    length = len(exact)
+def _majorant_base(length: int, kappas) -> np.ndarray:
+    """The first ``length`` coefficients of ``prod_j 1/(1 - kappa_j w)``."""
     base = np.zeros(length)
     base[0] = 1.0
     for kappa in kappas:
         base = np.convolve(base, kappa ** np.arange(length))[:length]
+    return base
+
+
+def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
+    """Tail model with majorant ``kernel * (rate^n base[n])`` over ``len(exact)`` terms."""
+    length = len(exact)
+    base = _majorant_base(length, kappas)
     major = np.convolve(kernel, rate ** np.arange(length) * base)[:length]
     return _TailModel(exact=exact, major=major, base=base, rate=rate, lead=len(kernel) - 1)
 
 
-def _build_series(f: AnnulusRational, length: int) -> tuple:
-    """``(a, b, b_scaled, pos, neg)``, read-only: the factor series that
-    :class:`LaurentSeries` holds as ``factor_pos``, ``factor_neg`` and
-    ``factor_neg_scaled`` (``neg.exact`` holds the moduli of ``b_scaled``)
-    and the tail models of both factors, ``length`` terms each.  Every entry
-    depends only on the entries before it, so a longer build extends a
-    shorter one bit for bit.
-    """
+def _build_denominator(f: AnnulusRational, length: int) -> tuple:
+    """``(inv_outer, b, b_scaled, base, geometric, neg)``, read-only, for the
+    denominator ``(r, q1_roots, q2_roots)`` of ``f``, ``length`` terms
+    each: the series of ``1/prod(z - alpha_j)``, the inner factor's
+    coefficients ``b`` and weights ``b_scaled``, the outer majorant's
+    ``base`` and ``rate^n base[n]``, and the inner factor's tail model.
+    The half of :func:`_build_series` that does not read ``p`` or
+    ``scale``; every entry depends only on the entries before it, so a
+    longer build extends a shorter one bit for bit."""
     r = f.r
-    p = _trim_trailing_zeros(np.array(f.p_coeffs))
     alphas = np.array(f.q1_roots, dtype=complex)
     betas_all = np.array(f.q2_roots, dtype=complex)
     betas = betas_all[betas_all != 0]
     n_roots2 = len(betas_all)
-    # np.convolve sums in another order when the series is not the longer
-    # operand, so it always is, as in every longer call
-    inv_outer = _inverse_series(_poly_from_roots(alphas), max(length, len(p) + 1) - 1)
-    a = np.convolve(p, inv_outer)[:length] / f.scale
+    inv_outer = _inverse_series(_poly_from_roots(alphas), length - 1)
     # 1/prod(z - beta_i) = z^-L sum_m c_m (r/z)^m, where c is the series of
     # 1/prod(1 - (beta_i/r) w) in w; that polynomial's ascending coefficients
     # equal poly_from_roots(r/beta) * prod(-beta/r).  So b_{m+L} = c_m r^m,
@@ -491,38 +497,88 @@ def _build_series(f: AnnulusRational, length: int) -> tuple:
     # prod 1/(|alpha_j| - z)
     moduli = np.abs(alphas)
     lo = moduli.min(initial=np.inf)
-    kernel = np.abs(p) * np.prod(1.0 / moduli) / abs(f.scale)
-    pos = _tail_model(np.abs(a), kernel, lo / moduli, 1.0 / lo)
+    base = _majorant_base(length, lo / moduli)
+    geometric = (1.0 / lo) ** np.arange(length) * base
     # weighted majorant r^-L prod 1/(1 - (|beta_i|/r) w), shifted by L
     moduli = np.abs(betas)
     hi = moduli.max(initial=0.0)
     kernel = np.zeros(n_roots2 + 1)
     kernel[-1] = r ** (-n_roots2)
     neg = _tail_model(weights, kernel, moduli / hi, hi / r)
-    for array in (a, b, b_scaled, pos.exact, pos.major, pos.base, neg.exact, neg.major, neg.base):
+    for array in (inv_outer, b, b_scaled, base, geometric, neg.exact, neg.major, neg.base):
+        array.flags.writeable = False
+    return inv_outer, b, b_scaled, base, geometric, neg
+
+
+def _build_series(f: AnnulusRational, length: int) -> tuple:
+    """``(a, b, b_scaled, pos, neg)``, read-only: the factor series that
+    :class:`LaurentSeries` holds as ``factor_pos``, ``factor_neg`` and
+    ``factor_neg_scaled`` (``neg.exact`` holds the moduli of ``b_scaled``)
+    and the tail models of both factors, at least ``length`` terms each.
+    Only ``a = conv(p, inv_outer) / scale`` and the outer model's ``exact``
+    and ``major`` are formed here; the rest is the denominator's data from
+    the series memo, which may be longer.  Every entry depends only on the
+    entries before it, so a longer build extends a shorter one bit for bit.
+    Call it with ``_MEMO_LOCK`` held.
+    """
+    p = _trim_trailing_zeros(np.array(f.p_coeffs))
+    # np.convolve sums in another order when the series is not the longer
+    # operand, so it always is, as in every longer call
+    reach = max(length, len(p) + 1)
+    inv_outer, b, b_scaled, base, geometric, neg = _denominator_data(f, reach)
+    a = np.convolve(p, inv_outer[:reach])[:length] / f.scale
+    moduli = np.abs(np.array(f.q1_roots, dtype=complex))
+    kernel = np.abs(p) * np.prod(1.0 / moduli) / abs(f.scale)
+    major = np.convolve(kernel, geometric[:length])[:length]
+    pos = _TailModel(
+        exact=np.abs(a), major=major, base=base[:length], rate=1.0 / moduli.min(initial=np.inf), lead=len(kernel) - 1
+    )
+    for array in (a, pos.exact, pos.major):
         array.flags.writeable = False
     return a, b, b_scaled, pos, neg
 
 
-# The series memo holds the data of at most this many functions.
+# A denominator is built at least this long, the reach of order 64 at a lead
+# up to 64: every order up to 64 of every function over it, 1/(scale q1 q2)
+# included, then reads one build.
+_DENOMINATOR_REACH = 64 + _MARGIN + 2
+
+# The series memo holds the data of at most this many functions and
+# denominators.
 _MEMO_SIZE = 32
 _MEMO_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _series_memo(key: bytes) -> list:
-    """The slot ``[data]`` that holds the longest :func:`_build_series` so
-    far of the function whose fields have the bits ``key`` (``[None]``
-    before the first).
+def _series_memo(kind: str, key: bytes) -> list:
+    """The slot ``[data]`` that holds the longest build so far (``[None]``
+    before the first): of :func:`_build_series` for ``kind == "function"``,
+    of the function whose fields have the bits ``key``; of
+    :func:`_build_denominator` for ``kind == "denominator"``, of the
+    denominators ``(r, q1_roots, q2_roots)`` with the bits ``key``, which
+    every function over it shares, ``1/(scale q1 q2)`` included.
 
-    An entry holds 96 bytes per term (three complex and six real arrays),
-    ``max(order, lead) + 130`` terms at ``order``, where ``lead`` is the
-    numerator's degree or the inner factor's root count: about 0.4 MB at
-    order 4096, so at most ``_MEMO_SIZE`` x 0.4 MB = 13 MB while no order
-    passes 4096, the cap of :func:`laurent_order_for`.  ``cache_clear``
-    empties the memo.
+    A denominator entry holds 88 bytes per term (three complex and five
+    real arrays), a function entry 32 of its own (one complex and two real
+    arrays) and its denominator's, which it keeps while the denominator's
+    entry may be dropped.  At ``order`` an entry has ``max(order, lead) +
+    130`` terms, where ``lead`` is the numerator's degree or the inner
+    factor's root count: about 0.5 MB at order 4096, so at most
+    ``_MEMO_SIZE`` x 0.5 MB = 16 MB while no order passes 4096, the cap of
+    :func:`laurent_order_for`.  ``cache_clear`` empties the memo.
     """
     return [None]
+
+
+def _denominator_data(f: AnnulusRational, length: int) -> tuple:
+    """:func:`_build_denominator` of ``f`` with at least ``length`` terms,
+    from the memo or built and kept there; call it with ``_MEMO_LOCK``
+    held."""
+    key = np.array((f.r, len(f.q1_roots)) + f.q1_roots + f.q2_roots, dtype=complex).tobytes()
+    slot = _series_memo("denominator", key)
+    if slot[0] is None or len(slot[0][0]) < length:
+        slot[0] = _build_denominator(f, max(length, _DENOMINATOR_REACH))
+    return slot[0]
 
 
 def _series_data(f: AnnulusRational, length: int) -> tuple:
@@ -534,7 +590,7 @@ def _series_data(f: AnnulusRational, length: int) -> tuple:
     head = (f.r, f.scale, len(f.p_coeffs), len(f.q1_roots))
     key = np.array(head + f.p_coeffs + f.q1_roots + f.q2_roots, dtype=complex).tobytes()
     with _MEMO_LOCK:
-        slot = _series_memo(key)
+        slot = _series_memo("function", key)
         if slot[0] is None or len(slot[0][0]) < length:
             slot[0] = _build_series(f, length)
         return slot[0]

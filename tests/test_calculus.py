@@ -194,6 +194,71 @@ class TestEvalContour:
             eval_contour(f, np.diag([0.7, 0.8]), ContourSpec(delta=0.05, nodes=64))
 
 
+class TestSmallRadii:
+    """The contour checks' margins are relative to the circles' radii, so a
+    contour works at every legal radius, down to ``2^-952``."""
+
+    R = 2.0**-952
+
+    def test_eval_contour_at_a_tiny_annulus_matches_the_factored_form(self):
+        t = 2.0**-950 * windowed_matrix(3, 0.5, 4)
+        f = AnnulusRational(r=self.R, p_coeffs=(self.R, 0.5), q1_roots=(2.5,), q2_roots=(0.1 * self.R,))
+        spec = default_contour(f, t, self.R)
+        got = eval_contour(f, t, spec)
+        # eval_direct's touch test is absolute below |root| = 1, so the
+        # factored form is evaluated here without it
+        eye = np.eye(3)
+        want = np.linalg.solve(t - 0.1 * self.R * eye, np.linalg.solve(t - 2.5 * eye, self.R * eye + 0.5 * t))
+        assert np.isfinite(got).all()
+        assert operator_norm(got - want) <= 1e-8 * operator_norm(want)
+
+    def test_riesz_projection_at_a_tiny_annulus(self):
+        u = random_unitary(3, 5)
+        spec = ContourSpec(delta=0.5 * self.R, nodes=512)
+        inner = riesz_projection(self.R * u, SpectralPart.INNER, spec, self.R)
+        assert operator_norm(inner - np.eye(3)) <= 1e-10
+        assert operator_norm(riesz_projection(self.R * u, SpectralPart.OUTER, spec, self.R)) <= 1e-10
+
+    def test_the_margins_still_refuse_a_pole_or_eigenvalue_on_a_circle(self):
+        t = 2.0**-950 * windowed_matrix(3, 0.5, 4)
+        spec = ContourSpec(delta=0.45 * self.R, nodes=512)
+        inner = self.R - spec.delta
+        with pytest.raises(PoleInsideContour):
+            eval_contour(AnnulusRational(r=self.R, q2_roots=(inner * (1 - 1e-13),)), t, spec)
+        with pytest.raises(SpectrumOnContour):
+            eval_contour(AnnulusRational(r=self.R), np.diag([0.5, inner * (1 + 1e-11)]) * (1 + 0j), spec)
+        with pytest.raises(NoSpectralGap):
+            riesz_projection(np.diag([0.5 * self.R]) * (1 + 1e-13), SpectralPart.INNER, ContourSpec(delta=0.5 * self.R), self.R)
+        # a point on the contour within 1e-14 of its modulus from a root hits it
+        z = inner * np.exp(0.3j)
+        with pytest.raises(PoleHit):
+            rational.evaluate(AnnulusRational(r=self.R, q2_roots=(z * (1 + 1e-15),)), z)
+        assert np.isfinite(rational.evaluate(AnnulusRational(r=self.R, q2_roots=(0.1 * self.R,)), z))
+
+
+class TestOneAnalysisPerMatrix:
+    def test_the_routes_on_one_matrix_share_its_analysis(self, monkeypatch):
+        t = open_annulus_normal(4, 0.5, 31)
+        f = random_function(0.5, 32)
+        counts = {"eigvals": 0, "zgees": 0, "svd of T": 0}
+        eigvals, svd, schur = np.linalg.eigvals, np.linalg.svd, linalg._schur_triangle
+
+        def counting_svd(a, *args, **kwargs):
+            counts["svd of T"] += np.shape(a) == t.shape and np.array_equal(a, t)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: counts.update(eigvals=counts["eigvals"] + 1) or eigvals(a))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: counts.update(zgees=counts["zgees"] + 1) or schur(m))
+        linalg._analysis_memo.cache_clear()
+        order = laurent_order_for(f, 1e-10)
+        eval_direct(f, t)
+        eval_laurent(f, t, order)
+        laurent_remainder_bound(f, t, order)
+        eval_contour(f, t, default_contour(f, t, 0.5, nodes=512))
+        assert counts == {"eigvals": 1, "zgees": 1, "svd of T": 1}
+
+
 class TestThreeRouteAgreement:
     def test_pairwise_agreement(self):
         for seed in range(10):
@@ -356,6 +421,7 @@ class TestBatchedQuadrature:
 
     @pytest.mark.parametrize("route", ["decompose", "eval_contour"])
     def test_one_schur_form_per_contour_call(self, monkeypatch, route):
+        linalg._analysis_memo.cache_clear()  # a cold T: an earlier test may have analysed it
         calls = []
         original = linalg._schur_triangle
         monkeypatch.setattr(linalg, "_schur_triangle", lambda m: calls.append(1) or original(m))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import dilation, rational
+from annulus_lab import dilation, linalg, rational
 from annulus_lab.calculus import eval_direct, polyval_matrix
 from annulus_lab.certify import windowed_matrix
 from annulus_lab.dilation import (
@@ -689,6 +689,22 @@ class TestModelArguments:
         with pytest.raises(InvalidRational, match="mismatched radii"):
             model.tail_report(f)
 
+    def test_another_matrix_of_the_same_size_is_rejected(self):
+        model = build_model(windowed_matrix(3, 0.5, 4), 0.5, 16)
+        other = windowed_matrix(3, 0.5, 5)
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+        for call in (
+            lambda: verify_model(model, other, f),
+            lambda: moment_table(model, other, 4),
+            lambda: verify_moments(model, other, 4),
+        ):
+            with pytest.raises(DimensionMismatch, match="not the model's T"):
+                call()
+        # the model's own T, as any array of the same entries, is accepted
+        same = np.asfortranarray(windowed_matrix(3, 0.5, 4))
+        assert verify_model(model, same, f) <= model.tail_report(f)["bound"] + 1e-8
+        assert verify_moments(model, same.tolist(), 4) <= 1e-10
+
     @pytest.mark.parametrize("d", [2.5, 3.0, True, np.bool_(True), "4", 0, -2])
     def test_budget_that_is_not_a_positive_integer_is_rejected(self, d):
         with pytest.raises(ValueError, match="degree budget"):
@@ -837,6 +853,37 @@ class TestConcurrentUse:
             results = list(pool.map(worker, range(4)))
         for residuals, rows in results:
             assert np.array_equal(residuals, expected[0]) and np.array_equal(rows, expected[1])
+
+
+class TestOneAnalysisPerModel:
+    def test_a_model_session_analyses_its_matrix_and_expands_each_denominator_once(self, monkeypatch):
+        r, h = 0.7, 4
+        t = windowed_matrix(h, r, 77)
+        fs = [random_function(r, 780 + k, max_roots=2, alpha_window=(1.3, 3.0), beta_window_div=(4.0, 1.5)) for k in range(4)]
+        counts = {"eigvals": 0, "zgees": 0, "inverse": 0, "denominator": 0}
+        eigvals, solve, schur = np.linalg.eigvals, np.linalg.solve, linalg._schur_triangle
+        build = rational._build_denominator
+
+        def counting_solve(a, b):
+            counts["inverse"] += np.array_equal(a, t) and np.array_equal(b, np.eye(h))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: counts.update(eigvals=counts["eigvals"] + 1) or eigvals(a))
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: counts.update(zgees=counts["zgees"] + 1) or schur(m))
+        monkeypatch.setattr(
+            rational, "_build_denominator", lambda f, n: counts.update(denominator=counts["denominator"] + 1) or build(f, n)
+        )
+        linalg._analysis_memo.cache_clear()
+        rational._series_memo.cache_clear()
+        # the dilation model's session: budget, model, four checks, moments
+        d = max(dilation.default_budget(f) for f in fs)
+        model = build_model(t, r, d)
+        for f in fs:
+            assert np.isfinite(model.tail_report(f)["bound"])
+            assert np.isfinite(verify_model(model, t, f))
+        assert verify_moments(model, t, d) <= 1e-10
+        assert counts == {"eigvals": 1, "zgees": 1, "inverse": 1, "denominator": 4}
 
 
 class TestVerifyMoments:

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -592,6 +594,211 @@ class TestShiftConditioning:
             calculus.factored_norms(rational.factored_stack([f]), t)
         with pytest.raises(NoConvergence):
             calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.05, nodes=64))
+
+
+def _f(r):
+    return AnnulusRational(r=r, p_coeffs=(0.3, 1.0, -0.2j), q1_roots=(2.5, -1.7j), q2_roots=(0.1 * r, -0.2j * r))
+
+
+def _bits(value) -> list:
+    """The bytes of a reader's result, an exception's type and message included."""
+    if isinstance(value, BaseException):
+        return [f"{type(value).__name__}: {value}"]
+    if isinstance(value, (tuple, list)):
+        return [bit for item in value for bit in _bits(item)]
+    if isinstance(value, dict):
+        return [bit for key in sorted(value) for bit in [key, *_bits(value[key])]]
+    if isinstance(value, calculus.ContourSpec):
+        return _bits((value.delta, value.nodes))
+    if isinstance(value, dilation.ModelTriple):
+        pair = value.pair
+        return _bits((pair.g, pair.d1, pair.d2, pair.t1, pair.t2))
+    if isinstance(value, ar_unitary.ArUnitaryDecomposition):
+        return _bits((value.p1, value.p2, value.u1, value.u2, value.basis1, value.basis2, value.residual))
+    if isinstance(value, linalg.EigDecomposition):
+        return _bits((value.q, value.lambdas, value.residual))
+    return [np.asarray(value).tobytes(), np.asarray(value).dtype.str]
+
+
+def _readers(t) -> dict:
+    """Every public route that reads ``T``'s analysis, on ``T``: the
+    annulus routes at r = 0.5 for a ``T`` in the annulus, the two-circle
+    routes for an ``A_r``-unitary."""
+    r = 0.5
+    f = _f(r)
+    spec = calculus.ContourSpec(delta=0.05, nodes=512)
+    split = calculus.ContourSpec(delta=0.125, nodes=512)
+    model = lambda: dilation.build_model(t, r, 8)  # noqa: E731
+    return {
+        "eval_direct": lambda: calculus.eval_direct(f, t),
+        "factored_norms": lambda: calculus.factored_norms(rational.factored_stack([f, _f(r)]), t),
+        "eval_laurent": lambda: calculus.eval_laurent(f, t, 40),
+        "laurent_remainder_bound": lambda: calculus.laurent_remainder_bound(f, t, 40),
+        "default_contour": lambda: calculus.default_contour(f, t, r),
+        "eval_contour": lambda: calculus.eval_contour(f, t, spec),
+        "riesz_projection": lambda: calculus.riesz_projection(t, calculus.SpectralPart.OUTER, split, r),
+        "build_model": model,
+        "verify_model": lambda: dilation.verify_model(model(), t, f),
+        "moment_table": lambda: dilation.moment_table(model(), t, 8),
+        "is_ar_unitary": lambda: ar_unitary.is_ar_unitary(t, r),
+        "membership_subspaces": lambda: ar_unitary.membership_subspaces(t, r),
+        "decompose": lambda: ar_unitary.decompose(t, r),
+        "eig_normal": lambda: eig_normal(t),
+        "inverse": lambda: linalg.analysis(t).inverse(),
+    }
+
+
+# The readers that give an answer, not a typed refusal, on an annulus T and
+# on an A_r-unitary.
+_ANNULUS_READERS = {
+    "eval_direct",
+    "factored_norms",
+    "eval_laurent",
+    "laurent_remainder_bound",
+    "default_contour",
+    "eval_contour",
+    "build_model",
+    "verify_model",
+    "moment_table",
+    "is_ar_unitary",
+    "inverse",
+}
+_SPLIT_READERS = {"is_ar_unitary", "membership_subspaces", "decompose", "riesz_projection", "eig_normal", "inverse"}
+
+
+def _read(reader) -> tuple:
+    """``(answered, bits)``: whether ``reader`` gave an answer, not a typed
+    refusal, and the bits of either."""
+    try:
+        return True, _bits(reader())
+    except Exception as exc:  # a typed refusal is a reading too
+        return False, _bits(exc)
+
+
+def _analysed_matrices() -> dict:
+    q = random_unitary(5, 3)
+    split = q @ ar_unitary.make_ar_unitary(random_unitary(3, 1), random_unitary(2, 2), 0.5) @ q.conj().T
+    return {
+        "windowed": certify.windowed_matrix(4, 0.5, 3),
+        "normal": certify.normal_annulus_matrix(4, 0.5, 3),
+        "split": split,
+        "split-fortran": np.asfortranarray(split),
+        "windowed-fortran": np.asfortranarray(certify.windowed_matrix(3, 0.5, 8)),
+    }
+
+
+class TestAnalysisMemo:
+    @pytest.mark.parametrize("name", sorted(_analysed_matrices()))
+    def test_warm_reads_equal_cold_reads_bit_for_bit(self, name):
+        t = _analysed_matrices()[name]
+        readers = _readers(t)
+        cold = {}
+        for key, reader in readers.items():
+            linalg._analysis_memo.cache_clear()
+            cold[key] = _read(reader)
+        succeeded = {key for key, (answered, _) in cold.items() if answered}
+        assert (_SPLIT_READERS if name.startswith("split") else _ANNULUS_READERS) <= succeeded
+        # every reader after every other, in both orders
+        for keys in (list(readers), list(readers)[::-1]):
+            linalg._analysis_memo.cache_clear()
+            for key in keys:
+                assert _read(readers[key]) == cold[key], key
+
+    def test_a_changed_matrix_and_each_layout_get_their_own_analysis(self):
+        t = certify.windowed_matrix(3, 0.5, 4)
+        linalg._analysis_memo.cache_clear()
+        first = linalg.analysis(t)
+        assert linalg.analysis(t.copy()) is first
+        want = first.spectrum.copy()
+        t[0, 1] += 0.25
+        second = linalg.analysis(t)
+        assert second is not first and not np.array_equal(second.spectrum, want)
+        # the first analysis kept its own copy
+        assert np.array_equal(first.spectrum, want) and not np.array_equal(first.matrix, t)
+        fortran = np.asfortranarray(t)
+        assert linalg.analysis(fortran) is not second
+        assert np.isfortran(linalg.analysis(fortran).matrix) and not np.isfortran(second.matrix)
+        assert linalg.analysis(np.asfortranarray(t)) is linalg.analysis(fortran)
+        # a view that is neither C- nor Fortran-contiguous gets its values' analysis
+        wide = np.zeros((3, 6), dtype=complex)
+        wide[:, ::2] = t
+        assert np.array_equal(linalg.analysis(wide[:, ::2]).spectrum, spectrum(t))
+
+    def test_cached_arrays_are_read_only(self):
+        facts = linalg.analysis(certify.windowed_matrix(3, 0.5, 4))
+        rule = facts.conditioning
+        arrays = [facts.matrix, facts.spectrum, facts.singular_values, facts.inverse(), rule.triangle, rule.vectors]
+        for array in arrays + [rule.lams]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+
+    def test_parts_equal_the_functions_of_the_same_name(self):
+        for t in _analysed_matrices().values():
+            linalg._analysis_memo.cache_clear()
+            facts = linalg.analysis(t)
+            assert np.array_equal(facts.spectrum, spectrum(t))
+            assert facts.norm == operator_norm(t)
+            assert np.array_equal(facts.singular_values, linalg.singular_values(t))
+            assert np.array_equal(facts.inverse(), linalg.inverse(t))
+            assert facts.inverse_norm == operator_norm(linalg.inverse(t))
+            for tols in (DEFAULT_TOLS, Tolerances(eig_tol=1e-3)):
+                assert facts.is_normal(tols) == linalg.is_normal(t, tols)
+            rule = linalg.ShiftConditioning(t)
+            assert np.array_equal(facts.conditioning.triangle, rule.triangle)
+            assert np.array_equal(facts.conditioning.vectors, rule.vectors)
+
+    def test_singular_is_raised_at_each_call_s_tolerance(self):
+        t = np.diag([1.0, 1e-6]).astype(complex)
+        linalg._analysis_memo.cache_clear()
+        facts = linalg.analysis(t)
+        with pytest.raises(Singular, match="condition estimate exceeds 1.0e"):
+            facts.inverse(Tolerances(rank_tol=1e-5))
+        assert np.array_equal(facts.inverse(DEFAULT_TOLS), linalg.inverse(t))
+        with pytest.raises(Singular, match="condition estimate exceeds"):
+            facts.inverse(Tolerances(rank_tol=1e-5))
+        with pytest.raises(Singular, match="overflows"):
+            linalg.analysis(1e-310 * np.eye(2)).inverse()
+        with pytest.raises(NotSquare):
+            linalg.analysis(np.ones((2, 3)))
+
+    def test_the_memo_keeps_at_most_its_bound_and_clears(self):
+        linalg._analysis_memo.cache_clear()
+        for k in range(linalg._ANALYSIS_SIZE + 4):
+            linalg.analysis((0.5 + 0.01 * k) * np.eye(2))
+        info = linalg._analysis_memo.cache_info()
+        assert info.currsize == info.maxsize == linalg._ANALYSIS_SIZE
+        linalg._analysis_memo.cache_clear()
+        assert linalg._analysis_memo.cache_info().currsize == 0
+
+    def test_threads_on_one_cold_matrix_match_a_sequential_run(self):
+        t = certify.windowed_matrix(4, 0.5, 3)
+        readers = _readers(t)
+        names = ["eval_direct", "eval_contour", "verify_model", "eval_laurent"]
+        expected = []
+        for key in names:
+            linalg._analysis_memo.cache_clear()
+            expected.append(_read(readers[key]))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                linalg._analysis_memo.cache_clear()
+                results = [None] * len(names)
+                start = threading.Barrier(len(names))
+
+                def work(k):
+                    start.wait()
+                    results[k] = _read(readers[names[k]])
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(names))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == expected
+        finally:
+            sys.setswitchinterval(previous)
 
 
 _RESULTS = {

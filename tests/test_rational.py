@@ -426,6 +426,51 @@ class TestSeriesMemo:
                 assert _entry_bits(f, first) == cold[first]
                 assert laurent_order_for(f, 1e-10) == cold_order
 
+    @pytest.mark.parametrize("r", [1e-3, 0.5, 0.95])
+    def test_a_function_and_its_denominator_equal_cold_builds_in_either_order(self, r):
+        functions = [shaped_function(r, 6200 + k, shape) for k, shape in enumerate(SHAPES)]
+        functions += [
+            AnnulusRational(r=r, p_coeffs=(1.0, 0.5j, 0.0, 2.0), q1_roots=(1.5, 1.5), q2_roots=(0.4 * r, 0.0), scale=0.5j),
+            AnnulusRational(r=r, p_coeffs=(0.0, 0.0, 1.0), q2_roots=(0.0, 0.0, -0.3j * r)),
+        ]
+        orders = (2, 40, 306)
+        for f in functions:
+            # 1/(scale q1 q2), which the dilation model expands, shares f's denominator
+            g = dataclasses.replace(f, p_coeffs=(1.0,))
+            cold = {(h, m): _entry_bits(h, m, cold=True) for h in (f, g) for m in orders}
+            for first, second in itertools.permutations([(f, m) for m in orders] + [(g, m) for m in orders], 2):
+                rational._series_memo.cache_clear()
+                laurent_expand(*first)
+                assert _entry_bits(*second) == cold[second]
+                assert _entry_bits(*first) == cold[first]
+
+    def test_functions_over_one_denominator_build_it_once(self, monkeypatch):
+        lengths = []
+        build = rational._build_denominator
+        monkeypatch.setattr(rational, "_build_denominator", lambda g, n: lengths.append(n) or build(g, n))
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0, -0.3j, 0.2), q1_roots=(1.6, -2.0j), q2_roots=(0.2, 0.1j))
+        others = [
+            dataclasses.replace(f, p_coeffs=(1.0,)),
+            dataclasses.replace(f, scale=2.0 - 1.0j),
+            dataclasses.replace(f, p_coeffs=(0.0, 1.0), scale=-3.0),
+        ]
+        rational._series_memo.cache_clear()
+        laurent_expand(f, 11)  # a short first read, as default_budget's probe
+        assert laurent_order_for(f, 1e-10) <= 64
+        for g in others:
+            laurent_expand(g, 24)
+            laurent_order_for(g, 1e-10)
+        assert lengths == [rational._DENOMINATOR_REACH]
+        # another denominator, or the same roots at another radius, is its own
+        laurent_expand(dataclasses.replace(f, q2_roots=(0.2, -0.1j)), 24)
+        laurent_expand(dataclasses.replace(f, r=0.6), 24)
+        assert len(lengths) == 3
+        # an order past the reach grows the denominator for every function over it
+        laurent_expand(others[0], 400)
+        assert lengths[-1] == rational._length_for(others[0], 400)
+        laurent_expand(f, 300)
+        assert len(lengths) == 4
+
     def test_functions_equal_but_for_the_sign_of_a_zero_keep_their_own_bits(self):
         f = AnnulusRational(r=0.5, p_coeffs=(0.3j,), q1_roots=(1.5,), scale=complex(0.0, 1.0))
         g = dataclasses.replace(f, scale=complex(-0.0, 1.0))

@@ -40,6 +40,8 @@ def test_the_oldest_pins_job_names_tests():
     ids = _node_ids(_job("oldest-pins"))
     assert len(ids) >= 10
     assert "tests/test_rational.py::TestSeriesMemo::test_warm_reads_equal_cold_builds_bit_for_bit" in ids
+    assert "tests/test_rational.py::TestSeriesMemo::test_a_function_and_its_denominator_equal_cold_builds_in_either_order" in ids
+    assert "tests/test_linalg.py::TestAnalysisMemo" in ids
 
 
 @pytest.mark.parametrize("node_id", _node_ids(_job("oldest-pins")))
