@@ -46,29 +46,29 @@ def example_matrix(r: float) -> np.ndarray:
 
 def spectrum_in_annulus(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff every eigenvalue modulus lies in ``[r - tol, 1 + tol]``."""
-    mods = np.abs(linalg.spectrum(t))
+    mods = np.abs(linalg.analysis(t).spectrum)
     return bool(np.all(mods >= r - tols.verify_tol) and np.all(mods <= 1.0 + tols.verify_tol))
 
 
 def norm_window(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, float]:
-    """Check ``r - tol <= ||T|| <= 1 + tol``; returns (passes, norm)."""
-    norm_t = linalg.operator_norm(t)
+    """Check ``r - tol <= ||T|| <= 1 + tol``; returns (passes, norm).
+    :class:`NotSquare` unless ``T`` is square."""
+    norm_t = linalg.analysis(t).norm
     passes = (r - tols.verify_tol) <= norm_t <= (1.0 + tols.verify_tol)
     return passes, norm_t
 
 
 def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """The annulus involution ``T -> r T^{-1}``; applying it twice returns T."""
-    m = linalg.as_matrix(t)
     try:
-        return r * linalg.inverse(m, tols)
+        return r * linalg.analysis(t).inverse(tols)
     except Singular as exc:
         raise NotInvertible(str(exc)) from exc
 
 
 def double_contraction_check(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff both ``T`` and ``r T^{-1}`` are contractions within tolerance."""
-    norm_t = linalg.operator_norm(t)
+    norm_t = linalg.analysis(t).norm
     norm_rtinv = linalg.operator_norm(involution(t, r, tols))
     return norm_t <= 1.0 + tols.verify_tol and norm_rtinv <= 1.0 + tols.verify_tol
 
@@ -581,14 +581,13 @@ def vonneumann_stress(
     linalg.require_radius(r)
     trials = linalg.as_integer(trials, "trials", 0)
     seed = linalg.as_integer(seed, "seed", 0)
-    m = linalg.as_matrix(t)
-    svals = linalg.singular_values(m)
-    norm_t = float(svals[0])
+    facts = linalg.analysis(t)
+    m = facts.matrix
+    svals, norm_t = facts.singular_values, facts.norm
     norm_rtinv = linalg.operator_norm(involution(m, r, tols))
-    lams = linalg.spectrum(m)
-    mods = np.abs(lams)
-    spectrum_ok = bool(np.all(mods >= r - tols.verify_tol) and np.all(mods <= 1.0 + tols.verify_tol))
-    is_normal = linalg.is_normal(m, tols, norm_t)
+    lams = facts.spectrum
+    spectrum_ok = spectrum_in_annulus(m, r, tols)
+    is_normal = facts.is_normal(tols)
     probes = _clamp_to_annulus(lams, r)
 
     battery = _stress_battery(r, trials, seed)
@@ -672,12 +671,8 @@ def cnn_split(t, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarra
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:
         raise NoConvergence("cnn_split needs a square matrix")
-    return _cnn_split(m, linalg.operator_norm(m), tols)
-
-
-def _cnn_split(m: np.ndarray, norm: float, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`cnn_split` of the square matrix ``m`` of norm ``norm``."""
     n = m.shape[0]
+    norm = linalg.analysis(m).norm
     scale = max(1.0, norm**2)
     comm = m.conj().T @ m - m @ m.conj().T
     basis = _orth(comm, tols.rank_tol * scale)
@@ -712,15 +707,9 @@ def williams_verdict(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> WilliamsVe
     m = linalg.as_matrix(t)
     if m.shape[0] != m.shape[1]:
         raise NoConvergence("cnn_split needs a square matrix")
-    return _williams(m, linalg.operator_norm(m), tols)
-
-
-def _williams(m: np.ndarray, norm_t: float, tols: Tolerances) -> WilliamsVerdict:
-    """:func:`williams_verdict` of the square matrix ``m`` of norm
-    ``norm_t``."""
-    if not abs(norm_t - 1.0) <= tols.verify_tol:
+    if not abs(linalg.analysis(m).norm - 1.0) <= tols.verify_tol:
         return WilliamsVerdict.NOT_APPLICABLE
-    _, p_cnn = _cnn_split(m, norm_t, tols)
+    _, p_cnn = cnn_split(m, tols)
     if linalg.operator_norm(p_cnn - np.eye(m.shape[0])) <= tols.verify_tol:
         return WilliamsVerdict.MINIMAL_DISK_REFUTATION
     return WilliamsVerdict.NOT_APPLICABLE
@@ -737,9 +726,11 @@ def full_certification(
 
     Returns the merged report (stress witness wins over the minimal-disk
     refutation, which wins over a pass) plus a dict of the individual checks.
-    The necessary conditions and the minimal-disk route read ``||T||``,
-    ``||r T^{-1}||`` and the spectrum test from the stress report, which
-    measures them once; each entry equals what its predicate returns.
+    The necessary conditions read ``||T||``, ``||r T^{-1}||`` and the
+    spectrum test from the stress report, and the minimal-disk route reads
+    ``||T||`` from ``T``'s :func:`linalg.analysis`, as the report does: a
+    call makes one SVD, one ``eigvals`` and one inverse of ``T``.  Each
+    entry equals what its predicate returns.
     """
     m = linalg.as_matrix(t)
     report = vonneumann_stress(m, r, trials, seed, tols)
@@ -749,7 +740,7 @@ def full_certification(
         "norm_window": r - tol <= report.norm_t <= 1.0 + tol,
         "norm_T": report.norm_t,
         "double_contraction": report.norm_t <= 1.0 + tol and report.norm_rtinv <= 1.0 + tol,
-        "williams": _williams(m, report.norm_t, tols).value,
+        "williams": williams_verdict(m, r, tols).value,
     }
     if report.verdict is not Verdict.REFUTED and details["williams"] == WilliamsVerdict.MINIMAL_DISK_REFUTATION.value:
         report = replace(report, verdict=Verdict.WILLIAMS_REFUTED, witness=None)

@@ -84,7 +84,7 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
         raise NotContraction("dilation needs a square matrix")
     d = linalg.as_integer(d, "degree budget", 1)
     h = m.shape[0]
-    norm = linalg.operator_norm(m)
+    norm = linalg.analysis(m).norm
     if norm > 1.0 + tols.verify_tol:
         raise NotContraction(f"||T|| = {norm} exceeds 1")
     gram_defect = linalg.operator_norm(np.eye(h) - m.conj().T @ m)
@@ -153,7 +153,7 @@ class AndoPair:
     """Truncated commuting dilation pair on ``K0 = H + (H^2)^M``.
 
     The pair is held in structured form: the fix-up unitary ``g``, the
-    defects ``d1``/``d2`` and the contractions themselves.  ``V1 = S1 Ghat``
+    defects ``d1``/``d2`` and read-only copies of the contractions.  ``V1 = S1 Ghat``
     and ``V2 = Ghat* S2``, with ``S_i`` the staircases and ``Ghat`` the
     block-diagonal lift of ``g``, act only through :meth:`apply_v1` and
     :meth:`apply_v2`.  Isometry holds on vectors supported in blocks
@@ -195,7 +195,7 @@ class AndoPair:
         ``t_i* t_i + d_i* d_i - I`` (``isometry_i``), ``t1 t2 - t2 t1``
         (``commutation``) and ``g [d1 t2; d2] - [d2 t1; d1]``
         (``intertwining``), and the ``scale`` ``max(1, ||t1|| ||t2||)`` they
-        are judged at.  Their maximum bounds
+        are judged at, from the two analyses.  Their maximum bounds
         the isometry and commutation defects of ``V1``, ``V2`` on the budget
         blocks up to a small factor."""
         norm = linalg.operator_norm
@@ -207,7 +207,7 @@ class AndoPair:
             "isometry_2": norm(t2.conj().T @ t2 + d2.conj().T @ d2 - eye),
             "commutation": norm(t1 @ t2 - t2 @ t1),
             "intertwining": norm(g @ np.vstack([d1 @ t2, d2]) - np.vstack([d2 @ t1, d1])),
-            "scale": max(1.0, norm(t1) * norm(t2)),
+            "scale": max(1.0, linalg.analysis(t1).norm * linalg.analysis(t2).norm),
         }
 
     def block_slice(self, b: int) -> slice:
@@ -279,16 +279,19 @@ def _check_generators(pair: AndoPair, tols: Tolerances) -> None:
 def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair:
     """Truncated commuting isometric dilation of a commuting contraction pair;
     its generators pass the check :func:`verify_model` makes, else
-    :class:`NotCommuting` or :class:`NotIsometric`."""
+    :class:`NotCommuting` or :class:`NotIsometric`.  It keeps the read-only
+    ``T1`` and ``T2`` of :func:`linalg.analysis`, so a later change to an input leaves it as it was."""
     m1 = linalg.as_matrix(t1)
     m2 = linalg.as_matrix(t2)
     if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
         raise NotCommuting("need two square matrices of equal size")
     m_depth = linalg.as_integer(m_depth, "block depth", 2)
     h = m1.shape[0]
-    for name, mat in (("T1", m1), ("T2", m2)):
-        if linalg.operator_norm(mat) > 1.0 + tols.verify_tol:
+    facts = linalg.analysis(m1), linalg.analysis(m2)
+    for name, a in zip(("T1", "T2"), facts):
+        if a.norm > 1.0 + tols.verify_tol:
             raise NotContractions(f"{name} is not a contraction")
+    m1, m2 = (a.matrix for a in facts)
     eye = np.eye(h)
     d1 = _defect(eye - m1.conj().T @ m1, "T1", NotContractions, tols)
     d2 = _defect(eye - m2.conj().T @ m2, "T2", NotContractions, tols)
@@ -579,7 +582,7 @@ def single_carrier_residual(
         u, e = egervary_dilation(m, d, tols)
         carrier = u
     elif not f.q1_roots and len(f.p_coeffs) == 1:
-        u2, e = egervary_dilation(r * linalg.inverse(m, tols), d, tols)
+        u2, e = egervary_dilation(r * linalg.analysis(m).inverse(tols), d, tols)
         carrier = r * u2.conj().T
     else:
         raise ValueError("single-carrier verification needs f = p/q1 or f = c/q2")

@@ -56,7 +56,7 @@ def as_matrix(a, allow_empty: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
     if not allow_empty and (m.shape[0] == 0 or m.shape[1] == 0):
         raise DimensionMismatch("empty matrix not allowed here")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix has NaN/Inf entries")
     return m
 
@@ -157,18 +157,15 @@ def _normal_within(commutator: tuple[float, float], tols: Tolerances) -> bool:
     return comm <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
 
 
-def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS, norm: float | None = None) -> bool:
-    """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``; ``norm`` is ``||A||``
-    when the caller has it already.
+def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
+    """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``.
 
     Both sides are formed for ``A`` scaled by the power of two that brings
     ``||A||`` into ``[1/2, 1)``, so the commutator cannot overflow; the
     scaling is exact, which leaves the verdict that of the unscaled test
     wherever that one neither overflows nor underflows.
     """
-    if norm is None:
-        norm = operator_norm(m)
-    return _normal_within(_commutator(m, norm), tols)
+    return _normal_within(_commutator(m, operator_norm(m)), tols)
 
 
 def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:

@@ -36,6 +36,7 @@ from annulus_lab.errors import (
     NoConvergence,
     NotContraction,
     NotInvertible,
+    NotSquare,
     PoleHit,
     RootInClosedDisk,
     RootOutsideInnerDisk,
@@ -69,6 +70,16 @@ class TestNormWindow:
     def test_boundary(self):
         passes, norm = norm_window(0.25 * np.eye(2), 0.25)
         assert passes and norm == pytest.approx(0.25)
+
+    def test_a_non_square_matrix_is_refused_as_by_the_other_predicates(self):
+        # the norm is that of T's analysis, which needs a square T
+        wide = np.ones((2, 3))
+        for predicate in (norm_window, spectrum_in_annulus, involution, double_contraction_check):
+            with pytest.raises(NotSquare, match="matrix is 2x3"):
+                predicate(wide, 0.25)
+        for call in (lambda: williams_verdict(wide, 0.25), lambda: cnn_split(wide)):
+            with pytest.raises(NoConvergence, match="square"):
+                call()
 
 
 class TestInvolution:
@@ -1373,8 +1384,16 @@ class TestFullCertification:
         ids=["shear", "normal", "windowed"],
     )
     def test_norm_of_t_is_taken_once(self, t, monkeypatch):
-        seen = []
-        original = linalg.singular_values
-        monkeypatch.setattr(linalg, "singular_values", lambda a: seen.append(np.array_equal(a, t)) or original(a))
+        # the stress report and the minimal-disk route read one analysis of
+        # T: one SVD, one eigvals and one solve of T itself
+        counts = dict.fromkeys(["svd", "eigvals", "solve"], 0)
+        for name in counts:
+
+            def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                counts[_name] += np.array_equal(a, t)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        linalg._analysis_memo.cache_clear()
         full_certification(t, 0.5, 200, 1)
-        assert seen.count(True) == 1
+        assert counts == {"svd": 1, "eigvals": 1, "solve": 1}

@@ -705,6 +705,19 @@ class TestModelArguments:
         assert verify_model(model, same, f) <= model.tail_report(f)["bound"] + 1e-8
         assert verify_moments(model, same.tolist(), 4) <= 1e-10
 
+    def test_a_matrix_changed_after_the_build_is_not_the_model_s(self):
+        t = windowed_matrix(3, 0.5, 4)
+        model = build_model(t, 0.5, 16)
+        t[0, 1] += 0.3
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+        with pytest.raises(DimensionMismatch, match="not the model's T"):
+            verify_model(model, t, f)
+        # the model keeps its own read-only copy of T
+        assert not np.array_equal(model.pair.t1, t)
+        with pytest.raises(ValueError, match="read-only"):
+            model.pair.t1[0, 1] = 0.0
+        assert verify_model(model, windowed_matrix(3, 0.5, 4), f) <= model.tail_report(f)["bound"] + 1e-8
+
     @pytest.mark.parametrize("d", [2.5, 3.0, True, np.bool_(True), "4", 0, -2])
     def test_budget_that_is_not_a_positive_integer_is_rejected(self, d):
         with pytest.raises(ValueError, match="degree budget"):
@@ -860,8 +873,8 @@ class TestOneAnalysisPerModel:
         r, h = 0.7, 4
         t = windowed_matrix(h, r, 77)
         fs = [random_function(r, 780 + k, max_roots=2, alpha_window=(1.3, 3.0), beta_window_div=(4.0, 1.5)) for k in range(4)]
-        counts = {"eigvals": 0, "zgees": 0, "inverse": 0, "denominator": 0}
-        eigvals, solve, schur = np.linalg.eigvals, np.linalg.solve, linalg._schur_triangle
+        counts = {"eigvals": 0, "zgees": 0, "inverse": 0, "svd": 0, "denominator": 0}
+        eigvals, solve, svd, schur = np.linalg.eigvals, np.linalg.solve, np.linalg.svd, linalg._schur_triangle
         build = rational._build_denominator
 
         def counting_solve(a, b):
@@ -869,7 +882,12 @@ class TestOneAnalysisPerModel:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: counts.update(eigvals=counts["eigvals"] + 1) or eigvals(a))
+        def counting_svd(a, *args, **kwargs):
+            counts["svd"] += np.array_equal(a, t)
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(linalg, "_schur_triangle", lambda m: counts.update(zgees=counts["zgees"] + 1) or schur(m))
         monkeypatch.setattr(
             rational, "_build_denominator", lambda f, n: counts.update(denominator=counts["denominator"] + 1) or build(f, n)
@@ -883,7 +901,9 @@ class TestOneAnalysisPerModel:
             assert np.isfinite(model.tail_report(f)["bound"])
             assert np.isfinite(verify_model(model, t, f))
         assert verify_moments(model, t, d) <= 1e-10
-        assert counts == {"eigvals": 1, "zgees": 1, "inverse": 1, "denominator": 4}
+        # the model, the pair's generator check and each T-check read one
+        # analysis of T: one SVD of T
+        assert counts == {"eigvals": 1, "zgees": 1, "inverse": 1, "svd": 1, "denominator": 4}
 
 
 class TestVerifyMoments:

@@ -135,7 +135,7 @@ class TestIsNormal:
             norm = operator_norm(m)
             comm = m.conj().T @ m - m @ m.conj().T
             want = operator_norm(comm) <= DEFAULT_TOLS.eig_tol * max(norm**2, np.finfo(float).tiny)
-            assert linalg.is_normal(m) == want == linalg.is_normal(m, DEFAULT_TOLS, norm)
+            assert linalg.is_normal(m) == want
             verdicts.append(want)
         assert any(verdicts) and not all(verdicts)
 
@@ -610,6 +610,10 @@ def _bits(value) -> list:
         return [bit for key in sorted(value) for bit in [key, *_bits(value[key])]]
     if isinstance(value, calculus.ContourSpec):
         return _bits((value.delta, value.nodes))
+    if isinstance(value, certify.CertificationReport):
+        return [json.dumps(value.to_json())]
+    if isinstance(value, certify.WilliamsVerdict):
+        return [value.value]
     if isinstance(value, dilation.ModelTriple):
         pair = value.pair
         return _bits((pair.g, pair.d1, pair.d2, pair.t1, pair.t2))
@@ -626,6 +630,7 @@ def _readers(t) -> dict:
     routes for an ``A_r``-unitary."""
     r = 0.5
     f = _f(r)
+    inner = AnnulusRational(r=r, p_coeffs=(0.7,), q2_roots=(0.1 * r, -0.2j * r))
     spec = calculus.ContourSpec(delta=0.05, nodes=512)
     split = calculus.ContourSpec(delta=0.125, nodes=512)
     model = lambda: dilation.build_model(t, r, 8)  # noqa: E731
@@ -645,6 +650,15 @@ def _readers(t) -> dict:
         "decompose": lambda: ar_unitary.decompose(t, r),
         "eig_normal": lambda: eig_normal(t),
         "inverse": lambda: linalg.analysis(t).inverse(),
+        "vonneumann_stress": lambda: certify.vonneumann_stress(t, r, 200, 1),
+        "full_certification": lambda: certify.full_certification(t, r, 200, 1),
+        "spectrum_in_annulus": lambda: certify.spectrum_in_annulus(t, r),
+        "norm_window": lambda: certify.norm_window(t, r),
+        "double_contraction_check": lambda: certify.double_contraction_check(t, r),
+        "involution": lambda: certify.involution(t, r),
+        "williams_verdict": lambda: certify.williams_verdict(t, r),
+        "generator_defects": lambda: dilation.ando_pair(t, r * linalg.inverse(t), 9).generator_defects,
+        "single_carrier_residual": lambda: dilation.single_carrier_residual(t, r, inner, 8),
     }
 
 
@@ -662,6 +676,15 @@ _ANNULUS_READERS = {
     "moment_table",
     "is_ar_unitary",
     "inverse",
+    "vonneumann_stress",
+    "full_certification",
+    "spectrum_in_annulus",
+    "norm_window",
+    "double_contraction_check",
+    "involution",
+    "williams_verdict",
+    "generator_defects",
+    "single_carrier_residual",
 }
 _SPLIT_READERS = {"is_ar_unitary", "membership_subspaces", "decompose", "riesz_projection", "eig_normal", "inverse"}
 
@@ -773,7 +796,7 @@ class TestAnalysisMemo:
     def test_threads_on_one_cold_matrix_match_a_sequential_run(self):
         t = certify.windowed_matrix(4, 0.5, 3)
         readers = _readers(t)
-        names = ["eval_direct", "eval_contour", "verify_model", "eval_laurent"]
+        names = ["eval_direct", "eval_contour", "verify_model", "eval_laurent", "vonneumann_stress"]
         expected = []
         for key in names:
             linalg._analysis_memo.cache_clear()
