@@ -82,24 +82,10 @@ def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.S
     ``stack`` is one :func:`eval_direct` could divide by; else
     :class:`Singular` for the first row with a root that is not.
 
-    Chunk by chunk, as :func:`_factored_chunks` evaluates, the rule decides
-    :func:`linalg.solve`'s conditioning rule for every root, with singular
-    values (and a shifted matrix) only for roots its bound cannot clear, so
-    the verdicts are the rule's.  A row whose root lies within
-    ``rank_tol * max(1, |root|)`` of the spectrum of ``T``, or fails the
-    rule, raises :class:`Singular` naming that root: the first such row in
-    stack order, and within it a touching root before a failing one, each
-    in slot order.
-
-    Both tests look at the geometry first.  A root whose radial gap to the
-    modulus band of the spectrum (:func:`linalg.band_gaps`, from
-    ``stack.moduli``) exceeds its threshold cannot touch, and the rule
-    clears a root from its own radial stage; only the other roots get their
-    distance to each eigenvalue, and only the roots the rule does not clear
-    get singular values.  On an annulus, where the roots of ``q1`` lie
-    outside the unit disk and those of ``q2`` inside ``rD``, that usually
-    leaves no root for the distance stage.  The spectrum and the rule are
-    those of ``T``'s :func:`linalg.analysis`.
+    Chunk by chunk, as :func:`_factored_chunks` evaluates, the roots go
+    through :func:`_check_row_roots`.  The conditioning returned is the
+    one whose triangle :func:`_factored_chunks` evaluates on; it is formed
+    here if the check did not need it.
     """
     facts = linalg.analysis(t)
     for rows in _chunks(stack, facts.matrix.shape[0]):
@@ -108,23 +94,38 @@ def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.S
 
 
 def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Tolerances) -> None:
-    """:func:`_check_roots` for the rows ``roots`` (occupied where ``mask``,
-    of moduli ``moduli``) of one chunk."""
-    lams = facts.spectrum
-    mods = np.abs(lams)
-    band = (mods.min(), mods.max())
-    rule = facts.conditioning
-    limit = tols.rank_tol * np.maximum(1.0, np.abs(roots))
-    near = mask & ~(linalg.band_gaps(moduli, band) > limit)
+    """:class:`Singular` for the first of the rows ``roots`` (occupied
+    where ``mask``, of moduli ``moduli``) with a root :func:`eval_direct`
+    cannot divide by.
+
+    A root whose distance to a computed eigenvalue of ``T`` is at most
+    ``rank_tol * max(|root|, ||T||)`` touches the spectrum; a root ``a``
+    whose ``T - aI`` fails :func:`linalg.solve`'s conditioning rule fails.
+    The error names the first row in stack order with either, and within
+    it a touching root before a failing one, each in slot order.  Both
+    tests are those of ``T``'s :class:`linalg.Analysis`, which decides
+    each root from the cheapest evidence that settles it: the window of
+    ``T``'s singular values, then the modulus band of its spectrum and
+    Henrici's bound from its Schur form, and the distances to each
+    eigenvalue and the singular values of ``T - aI`` only for the roots
+    those leave undecided, so the verdicts are those of the two tests
+    themselves.  On a double contraction, whose singular values lie in
+    ``[r, 1]``, the window settles every root of a function on the
+    annulus (those of ``q1`` lie outside the closed unit disk, those of
+    ``q2`` inside ``rD``), and neither the spectrum nor the Schur form is
+    formed.
+    """
+    ws, mods = roots[mask], moduli[mask]
+    if all(decided.all() for decided in facts.window(mods, tols)):
+        return
     touch = np.zeros_like(mask)
-    if near.any():
-        touch[near] = np.abs(roots[near][:, np.newaxis] - lams).min(axis=-1) <= limit[near]
+    touch[mask] = facts.touches(ws, mods, tols)
     cleared = ~mask
-    cleared[mask] = rule.cleared(roots[mask], tols)
+    cleared[mask] = facts.cleared(ws, tols, mods)
     failed = np.zeros_like(mask)
     for j in np.flatnonzero(~cleared.all(axis=0)):
         idx = np.flatnonzero(~cleared[:, j])
-        failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
+        failed[idx, j] = facts.conditioning.failed(roots[idx, j], cleared[idx, j], tols)
     hit = touch | failed
     if hit.any():
         i = int(np.argmax(hit.any(axis=1)))
@@ -163,8 +164,11 @@ def eval_direct(
     per linear denominator factor (``q1`` roots first), each behind
     :func:`linalg.solve`'s conditioning rule, checked as
     :func:`factored_norms` checks a stack.  :class:`Singular` names the
-    first root within ``rank_tol * max(1, |root|)`` of the spectrum, else
-    the first that fails the rule.
+    first root within ``rank_tol * max(|root|, ||T||)`` of the spectrum,
+    else the first that fails the rule.  On a double contraction the
+    check reads only the singular values of ``T`` (see
+    :func:`_check_row_roots`), so a call forms one SVD of ``T``, the
+    Horner products and the solves, and no spectrum or Schur form.
     """
     rational.validate(f)
     m = linalg.as_matrix(t)
@@ -475,15 +479,17 @@ def _circle_integral(
     ``T + E = Q R Q*``.  Nodes are taken in chunks whose stacked resolvents
     fit ``_CHUNK_BYTES``; each chunk gets one vectorized evaluation of ``f``
     (with its :class:`PoleHit` check), the conditioning rule at its nodes
-    (singular values only where the rule's bound leaves a node undecided;
-    :class:`Singular` counts the failures) and the weighted sum of its
+    (:meth:`linalg.Analysis.require`: the singular-value window, then
+    Henrici's bound, then singular values only where both leave a node
+    undecided; :class:`Singular` counts the failures) and the weighted sum of its
     resolvents of ``R`` by :func:`_weighted_resolvents`, back-substitution
     with no LU.  The result is ``Q (S_outer - S_inner) Q*``.  Chunks
     depend only on ``n`` and ``nodes`` and are accumulated in index
     order, so the reduction is deterministic.
     """
     n = m.shape[0]
-    rule = linalg.analysis(m).conditioning
+    facts = linalg.analysis(m)
+    rule = facts.conditioning
     ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
     step = max(1, _CHUNK_BYTES // (16 * n * n))
     integrals = []
@@ -493,7 +499,7 @@ def _circle_integral(
         for start in range(0, nodes, step):
             w = ws[start : start + step]
             weights = w if f is None else w * rational.evaluate(f, w)
-            rule.require(w, tols)
+            facts.require(w, tols)
             acc += _weighted_resolvents(rule.triangle, w, weights)
         integrals.append(acc / nodes)
     return rule.vectors @ (integrals[0] - integrals[1]) @ rule.vectors.conj().T

@@ -292,7 +292,10 @@ def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ShiftConditioning:
-    """:func:`solve`'s conditioning rule for shifts ``T - wI`` of one matrix.
+    """:func:`solve`'s conditioning rule for shifts ``T - wI`` of one matrix,
+    from its Schur form.  :class:`Analysis` asks it only for the shifts its
+    singular-value window leaves undecided (see :meth:`Analysis.cleared`),
+    and builds it only then or when a route needs the triangle.
 
     A shift is cleared without a singular-value call when Henrici's bound
     (Numer. Math. 4, 1962) proves ``sigma_min(T - wI)`` far enough above
@@ -414,12 +417,16 @@ class ShiftConditioning:
     def require(self, ws: np.ndarray, tols: Tolerances) -> None:
         """:class:`Singular`, counting the failures, unless every shift
         ``T - wI`` of the 1-D ``ws`` passes the rule."""
-        failed = self.failed(ws, self.cleared(ws, tols), tols)
-        if failed.any():
-            raise Singular(
-                f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
-                f"at {int(failed.sum())} of {failed.size} points"
-            )
+        _require_passed(self.failed(ws, self.cleared(ws, tols), tols), tols)
+
+
+def _require_passed(failed: np.ndarray, tols: Tolerances) -> None:
+    """:class:`Singular`, counting the failures, if any of ``failed`` is set."""
+    if failed.any():
+        raise Singular(
+            f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
+            f"at {int(failed.sum())} of {failed.size} points"
+        )
 
 
 class Analysis:
@@ -427,13 +434,49 @@ class Analysis:
     computed on first read and then kept: ``matrix``, a read-only copy of
     ``T`` in its memory order; :attr:`spectrum`; :attr:`conditioning`, the
     :class:`ShiftConditioning` of ``T`` (its ``zgees`` triangle and Schur
-    vectors); :attr:`singular_values`, which give :attr:`norm` and the
-    conditioning test of :meth:`inverse`; the inverse; and the commutator
-    that :meth:`is_normal` compares.  Every part is what the function of the
-    same name computes from ``T`` (:func:`spectrum`, :func:`operator_norm`,
-    :func:`inverse`, :func:`is_normal`), bit for bit; a test that takes
-    tolerances is applied at each call's own.  Arrays are read-only.
-    :func:`analysis` serves one object per matrix.
+    vectors); :attr:`singular_values`, which give :attr:`norm`, the
+    conditioning test of :meth:`inverse` and the shift window below; the
+    inverse; and the commutator that :meth:`is_normal` compares.  Every
+    part is what the function of the same name computes from ``T``
+    (:func:`spectrum`, :func:`operator_norm`, :func:`inverse`,
+    :func:`is_normal`), bit for bit; a test that takes tolerances is
+    applied at each call's own.  Arrays are read-only.  :func:`analysis`
+    serves one object per matrix.
+
+    Shifts ``T - wI`` are decided here, cheapest evidence first
+    (:meth:`cleared`, :meth:`failed`, :meth:`require` for
+    :func:`solve`'s conditioning rule, :meth:`touches` for the root
+    check's touch test).  The first stage, the singular-value window
+    (:meth:`window`), reads only :attr:`singular_values`: by Weyl's
+    inequality for singular values (Horn and Johnson, Matrix Analysis,
+    2nd ed., sec. 7.3),
+
+        sigma_min(T - wI) >= lo = max(|w| - sigma_1, sigma_n - |w|)
+        sigma_max(T - wI) <= hi = sigma_1 + |w|,
+
+    and every eigenvalue ``lambda`` of ``T`` has ``|w - lambda| >=
+    sigma_min(T - wI)``.  ``sigma_1`` and ``sigma_n`` are the computed
+    extreme singular values rounded outward by ``64 n eps sigma_1 + n
+    tiny`` (the assumed backward error of the SVD, twice the ``32 n eps``
+    that :func:`calculus._norm_bounds` assumes), and ``lo`` is the radial
+    gap of :func:`band_gaps` against that band, so it is rounded down.  A
+    shift is cleared for the rule where ``lo > theta hi`` with
+    :class:`ShiftConditioning`'s ``theta = (2 rank_tol + 64 n eps)(1 + 64
+    n eps)``, which leaves the same room as its Henrici stage; and it is
+    farther than the touch limit from every computed eigenvalue where
+    ``lo`` less ``1024 n eps sqrt(n) sigma_1 + n tiny`` (at least the
+    Schur stage's ``1024 n eps ||T||_F`` allowance: the computed
+    eigenvalues are taken to be exact for some ``T + E`` that close)
+    exceeds the limit.  ``lo`` is not positive for ``|w|`` in ``[sigma_n,
+    sigma_1]``, so the window decides only shifts outside the singular
+    values' band; a NaN or infinite shift, or a ``T`` whose singular
+    values overflow, leaves it undecided.  On a double contraction, whose
+    singular values lie in ``[r, 1]``, the roots of a function on the
+    annulus lie outside that band, and the window decides each one that
+    clears it by more than these allowances; then the later stages (the
+    spectrum, the Schur form, Henrici's bound and the shifted matrices'
+    singular values) are not formed.  Every shift the window clears the
+    later stages would clear too, so the verdicts are theirs.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -455,6 +498,81 @@ class Analysis:
     def norm(self) -> float:
         """``||T||``, as :func:`operator_norm` gives it."""
         return float(self.singular_values[0])
+
+    @cached_property
+    def _window_bounds(self) -> tuple[tuple[float, float], float, float]:
+        """``(band, slack, error)``: the extreme singular values rounded
+        outward, ``64 n eps``, and the allowance of the computed
+        eigenvalues."""
+        svals, n = self.singular_values, self.matrix.shape[0]
+        slack, tiny = _ROUNDING * n * _EPS, n * np.finfo(float).tiny
+        with np.errstate(all="ignore"):  # singular values beyond the float range read inf
+            spread = slack * svals[0] + tiny
+            band = (float(svals[-1] - spread), float(svals[0] + spread))
+            error = float(_SCHUR_ERROR * n * _EPS * np.sqrt(n) * band[1] + tiny)
+        return band, slack, error
+
+    def touch_limit(self, mods: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """``rank_tol * max(|w|, ||T||)`` for shifts of moduli ``mods``: how
+        near an eigenvalue a denominator root touches the spectrum, on the
+        scale of the conditioning rule."""
+        return tols.rank_tol * np.maximum(mods, self.norm)
+
+    def window(self, mods: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+        """The singular-value window at shifts of computed moduli ``mods``:
+        where it proves that the rule passes, and where it proves every
+        computed eigenvalue farther than :meth:`touch_limit` from the
+        shift (see the class docstring)."""
+        band, slack, error = self._window_bounds
+        with np.errstate(all="ignore"):
+            lo = band_gaps(mods, band)
+            theta = (2.0 * tols.rank_tol + slack) * (1.0 + slack)
+            return lo > theta * (band[1] + mods), lo - error > self.touch_limit(mods, tols)
+
+    def touches(self, ws: np.ndarray, mods: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """Where a computed eigenvalue of ``T`` lies within
+        :meth:`touch_limit` of the shift ``w`` (of computed modulus
+        ``mods``), for the 1-D ``ws``: the window first, then the radial
+        gap of :func:`band_gaps` to the modulus band of the spectrum, and
+        the distance to each eigenvalue only for the shifts both leave
+        undecided."""
+        near = ~self.window(mods, tols)[1]
+        touch = np.zeros(ws.shape, dtype=bool)
+        if near.any():
+            lams = self.spectrum
+            lams_mods = np.abs(lams)
+            limit = self.touch_limit(mods[near], tols)
+            with np.errstate(all="ignore"):
+                far = band_gaps(mods[near], (lams_mods.min(), lams_mods.max())) > limit
+                idx = np.flatnonzero(near)[~far]
+                touch[idx] = np.abs(ws[idx][:, np.newaxis] - lams).min(axis=-1) <= limit[~far]
+        return touch
+
+    def cleared(self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None) -> np.ndarray:
+        """Where the rule is proven to pass at the shift ``ws[i]`` of the
+        1-D ``ws`` (of computed modulus ``mods``, ``np.abs(ws)`` if not
+        given): the window first, then :meth:`ShiftConditioning.cleared`
+        for the shifts it leaves undecided, the Schur form formed only
+        then."""
+        if mods is None:
+            mods = np.abs(ws)
+        done = self.window(mods, tols)[0]
+        rest = ~done
+        if rest.any():
+            done[rest] = self.conditioning.cleared(ws[rest], tols)
+        return done
+
+    def failed(self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None) -> np.ndarray:
+        """:func:`_ill_conditioned` for the shifts ``T - wI`` of the 1-D
+        ``ws``: :meth:`cleared`, then singular values of ``T - wI`` for the
+        shifts it leaves undecided."""
+        cleared = self.cleared(ws, tols, mods)
+        return ~cleared if cleared.all() else self.conditioning.failed(ws, cleared, tols)
+
+    def require(self, ws: np.ndarray, tols: Tolerances) -> None:
+        """:class:`Singular`, counting the failures, unless every shift
+        ``T - wI`` of the 1-D ``ws`` passes the rule."""
+        _require_passed(self.failed(ws, tols), tols)
 
     @cached_property
     def _solved(self) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus, certify, linalg, rational
+from annulus_lab import calculus, certify, dilation, linalg, rational
 from annulus_lab.ar_unitary import decompose, make_ar_unitary
 from annulus_lab.calculus import (
     ContourSpec,
@@ -205,12 +205,18 @@ class TestSmallRadii:
         f = AnnulusRational(r=self.R, p_coeffs=(self.R, 0.5), q1_roots=(2.5,), q2_roots=(0.1 * self.R,))
         spec = default_contour(f, t, self.R)
         got = eval_contour(f, t, spec)
-        # eval_direct's touch test is absolute below |root| = 1, so the
-        # factored form is evaluated here without it
-        eye = np.eye(3)
-        want = np.linalg.solve(t - 0.1 * self.R * eye, np.linalg.solve(t - 2.5 * eye, self.R * eye + 0.5 * t))
+        want = eval_direct(f, t)
         assert np.isfinite(got).all()
         assert operator_norm(got - want) <= 1e-8 * operator_norm(want)
+
+    def test_eval_direct_at_a_tiny_annulus_is_the_factored_form(self):
+        # the touch limit rank_tol * max(|root|, ||T||) is relative, so the
+        # root 0.1 r, far from the spectrum of T on T's own scale, passes
+        t = 2.0**-950 * windowed_matrix(3, 0.5, 4)
+        f = AnnulusRational(r=self.R, p_coeffs=(self.R, 0.5), q1_roots=(2.5,), q2_roots=(0.1 * self.R,))
+        eye = np.eye(3)
+        want = np.linalg.solve(t - 0.1 * self.R * eye, np.linalg.solve(t - 2.5 * eye, self.R * eye + 0.5 * t))
+        assert np.array_equal(eval_direct(f, t), want)
 
     def test_riesz_projection_at_a_tiny_annulus(self):
         u = random_unitary(3, 5)
@@ -257,6 +263,60 @@ class TestOneAnalysisPerMatrix:
         laurent_remainder_bound(f, t, order)
         eval_contour(f, t, default_contour(f, t, 0.5, nodes=512))
         assert counts == {"eigvals": 1, "zgees": 1, "svd of T": 1}
+
+
+class TestSingularValueWindow:
+    """On a double contraction the root check reads only the singular
+    values of ``T``; elsewhere its verdicts do not depend on ``T``'s scale."""
+
+    def test_eval_direct_on_an_egervary_carrier_forms_no_spectrum_or_schur_form(self, monkeypatch):
+        u, _ = dilation.egervary_dilation(windowed_matrix(3, 0.5, 42), 24)
+        assert u.shape == (75, 75)
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5, -1.7j))
+        linalg._analysis_memo.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: pytest.fail("eigvals"))
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: pytest.fail("zgees"))
+        got = eval_direct(f, u)
+        monkeypatch.undo()
+        want = np.linalg.solve(u + 1.7j * np.eye(75), np.linalg.solve(u - 2.5 * np.eye(75), 0.3 * np.eye(75) + u))
+        assert np.array_equal(got, want)
+
+    def test_the_routes_give_the_same_bits_and_errors_without_the_window(self, monkeypatch):
+        battery = certify._stress_battery(0.5, 2000, 1)
+
+        def run():
+            linalg._analysis_memo.cache_clear()
+            out = {}
+            for n in (2, 5, 16):
+                t, f = windowed_matrix(n, 0.5, 300 + n), random_function(0.5, 70 + n)
+                out[f"factored_norms-{n}"] = calculus.factored_norms(battery.stack, t)
+                out[f"eval_direct-{n}"] = eval_direct(f, t)
+                out[f"eval_contour-{n}"] = eval_contour(f, t, ContourSpec(delta=0.02, nodes=512))
+            report, _ = certify.full_certification(windowed_matrix(4, 0.5, 3), 0.5, 2000, 1)
+            out["certify"] = report.to_json()
+            for name, t, stack, edits in TestCheckRoots._cases():
+                out[f"check-{name}"] = _outcome(calculus._check_roots, _with_roots(stack, edits), t)
+            return out
+
+        want = run()
+        undecided = lambda self, mods, tols: (np.zeros(np.shape(mods), dtype=bool),) * 2  # noqa: E731
+        monkeypatch.setattr(linalg.Analysis, "window", undecided)
+        got = run()
+        for name, value in want.items():
+            assert np.array_equal(got[name], value) if isinstance(value, np.ndarray) else got[name] == value, name
+        assert sum(value is not None for name, value in want.items() if name.startswith("check-")) >= 8
+
+    @pytest.mark.parametrize("k", [-950, -300, -20, 0])
+    def test_touch_verdicts_do_not_depend_on_the_scale(self, k):
+        s = 2.0**k
+        t = np.diag([0.7, 0.6]).astype(complex) * s
+        for root, touches in ((0.7 * (1 + 1e-13), True), (0.6 * (1 - 1e-12), True), (0.6 + 1e-3, False), (0.1, False)):
+            f = AnnulusRational(r=0.9, p_coeffs=(1.0,), q2_roots=(root * s,))
+            if touches:
+                with pytest.raises(Singular, match="spectrum touches denominator root"):
+                    eval_direct(f, t)
+            else:
+                assert np.isfinite(eval_direct(f, t)).all()
 
 
 class TestThreeRouteAgreement:

@@ -1269,6 +1269,17 @@ class TestNormBounds:
         vonneumann_stress(t, 0.5, 2000, 1)
         assert calls == [1]
 
+    def test_a_double_contraction_at_n32_sends_no_root_past_its_singular_values(self, monkeypatch):
+        # Henrici's bound loosens like (nu/g)^(n-1); the window of T's
+        # singular values does not, so no battery root reaches a later stage
+        sent = []
+        monkeypatch.setattr(linalg.ShiftConditioning, "cleared", lambda self, ws, tols: sent.append(ws.size))
+        monkeypatch.setattr(linalg.ShiftConditioning, "failed", lambda self, ws, cleared, tols: sent.append(ws.size))
+        linalg._analysis_memo.cache_clear()
+        report, _ = full_certification(windowed_matrix(32, 0.5, 3), 0.5, 2000, 1)
+        assert sent == []
+        assert report.verdict is Verdict.REFUTED and report.max_ratio == 1.0041273314094359
+
     def test_fixed_memory_at_n40(self):
         t = windowed_matrix(40, 0.5, 3)
         _stress_battery(0.5, 2000, 1)  # built outside the trace

@@ -596,6 +596,92 @@ class TestShiftConditioning:
             calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.05, nodes=64))
 
 
+def _window_matrices() -> dict:
+    q = random_unitary(6, 66)
+    jordan = q @ (0.7 * np.exp(0.4j) * np.eye(6) + np.eye(6, k=1)) @ q.conj().T
+    mats = {f"windowed-{n}-{s}": certify.windowed_matrix(n, 0.5, s) for n in (2, 4, 16, 32) for s in (1, 3)}
+    mats.update(
+        shear=certify.example_matrix(0.5),
+        jordan=jordan,
+        singular=np.diag([0.7, 0.0]).astype(complex),
+        normal=certify.normal_annulus_matrix(4, 0.5, 3),
+    )
+    for k in (950, -950):
+        mats[f"windowed-4-3-x2^{k}"] = certify.windowed_matrix(4, 0.5, 3) * 2.0**k
+        mats[f"jordan-x2^{k}"] = jordan * 2.0**k
+    return mats
+
+
+def _window_shifts(t, seed, scale):
+    """Every occupied root of the battery of ``seed`` at r = 0.5, times
+    ``scale``, then shifts at ``10^-k`` (k = 1..15) relative outside and
+    inside the band of ``T``'s singular values and beside each
+    eigenvalue."""
+    stack = certify._stress_battery(0.5, 2000, seed).stack
+    roots, first = np.unique(stack.roots[stack.mask], return_index=True)
+    svals, lams = np.linalg.svd(t, compute_uv=False), np.linalg.eigvals(t)
+    steps = 10.0 ** -np.arange(1, 16)
+    ray = np.exp(2j * np.pi * np.arange(15) / 15)
+    edges = [svals[0] * (1 + steps) * ray, svals[-1] * (1 - steps) * ray]
+    edges += [lam * (1 + sign * steps) for lam in lams for sign in (1, -1)]
+    ws = np.concatenate([roots * scale, *edges])
+    mods = np.concatenate([stack.moduli[stack.mask][first] * scale, np.abs(np.concatenate(edges))])
+    return ws, mods
+
+
+class TestShiftWindow:
+    """The singular-value window of :class:`linalg.Analysis` clears only
+    shifts that the rule passes on an explicit SVD of ``T - wI`` and that
+    lie beyond the touch limit of every computed eigenvalue; and the whole
+    chain of stages gives the verdicts of the explicit tests."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("name", sorted(_window_matrices()))
+    def test_every_shift_the_window_clears_passes_the_explicit_tests(self, name, seed):
+        t = _window_matrices()[name]
+        scales = [1.0] + ([2.0 ** int(name.rsplit("^", 1)[1])] if "^" in name else [])
+        for scale in scales:
+            ws, mods = _window_shifts(t, seed, scale)
+            linalg._analysis_memo.cache_clear()
+            facts = linalg.analysis(t)
+            cleared, apart = facts.window(mods, DEFAULT_TOLS)
+            svals = np.linalg.svd(t, compute_uv=False)
+            shifted = _shifted(t, ws)
+            ill = _svd_rule(shifted, DEFAULT_TOLS)
+            gaps = np.abs(ws[:, np.newaxis] - np.linalg.eigvals(t)).min(axis=1)
+            touch = gaps <= DEFAULT_TOLS.rank_tol * np.maximum(mods, svals[0])
+            assert not (cleared & ill).any()
+            assert not (apart & touch).any()
+            assert not ((cleared | apart) & (mods >= svals[-1]) & (mods <= svals[0])).any()
+            # the stages together: the explicit verdicts, shift for shift
+            assert np.array_equal(facts.failed(ws, DEFAULT_TOLS, mods), ill)
+            assert np.array_equal(facts.touches(ws, mods, DEFAULT_TOLS), touch)
+            # not vacuous: the window decides shifts outside the band
+            assert cleared.sum() >= 0.3 * mods.size and apart.sum() >= 0.3 * mods.size
+
+    def test_a_double_contraction_decides_every_battery_root_from_its_singular_values(self):
+        stack = certify._stress_battery(0.5, 2000, 1).stack
+        for n in (2, 4, 16, 32):
+            linalg._analysis_memo.cache_clear()
+            facts = linalg.analysis(certify.windowed_matrix(n, 0.5, 3))
+            cleared, apart = facts.window(stack.moduli[stack.mask], DEFAULT_TOLS)
+            assert cleared.all() and apart.all()
+            assert set(vars(facts)) == {"matrix", "singular_values", "_window_bounds"}
+
+    def test_inside_nan_and_infinite_shifts_and_an_overflowing_t_are_left_undecided(self):
+        facts = linalg.analysis(np.array([[0.9, 0.3], [0.0, 0.6j]]))
+        svals = facts.singular_values
+        inside = np.linspace(svals[-1], svals[0], 9) * np.exp(0.3j)
+        ws = np.concatenate([inside, [np.nan, np.inf, -np.inf * 1j, complex(np.nan, 1.0)]])
+        with np.errstate(invalid="ignore"):
+            mods = np.abs(ws)
+        for decided in facts.window(mods, DEFAULT_TOLS):
+            assert not decided.any()
+        huge = linalg.analysis(np.full((2, 2), 1.7e308))
+        for decided in huge.window(np.array([0.0, 2.5, 1e300]), DEFAULT_TOLS):
+            assert not decided.any()
+
+
 def _f(r):
     return AnnulusRational(r=r, p_coeffs=(0.3, 1.0, -0.2j), q1_roots=(2.5, -1.7j), q2_roots=(0.1 * r, -0.2j * r))
 
