@@ -135,6 +135,29 @@ class CertificationReport:
         }
 
 
+_M32 = 0xFFFFFFFF
+
+
+def _below_five(bits, half: int | None) -> tuple[int, int | None]:
+    """One draw of ``Generator.integers(0, 5)`` from the raw 64-bit words
+    of the bit generator ``bits``, as numpy makes it, by Lemire's
+    bounded-integer method (*ACM TOMACS* 29, 2019): the value of a 32-bit
+    half-word ``x`` is ``5 x >> 32``, and ``x`` is rejected only when ``5 x
+    mod 2**32 == 0``, for the next half-word.  A word's low half comes
+    before its high half; ``half`` is the high half left over from the last
+    word (None when there is none).  Returns the draw and the half left
+    over now."""
+    while True:
+        if half is None:
+            word = bits.random_raw()
+            x, half = word & _M32, word >> 32
+        else:
+            x, half = half, None
+        m = x * 5
+        if m & _M32:
+            return m >> 32, half
+
+
 def _draw(r: float, rngs) -> tuple:
     """One test function on the annulus of inner radius ``r`` per generator
     of the iterable ``rngs``, as the ``(counts, p, roots)`` that
@@ -143,20 +166,29 @@ def _draw(r: float, rngs) -> tuple:
     Each generator draws, in this order: the root counts ``k1`` and ``k2``,
     a (modulus, argument) pair of uniforms ``(u, v)`` per root, outer roots
     first, the numerator degree, then the real and imaginary parts of the
-    coefficients, redrawn while every one is zero.  Each generator is done
-    with before the next is taken, as :func:`linalg.seeded_rngs` needs; the
-    real and imaginary parts are one ``standard_normal`` call, which draws
-    the bits of the two calls in turn.  The variates of all rows are then
+    coefficients, redrawn while every one is zero.  The three integers on
+    {0..4} are decoded from the bit generator's raw 64-bit words
+    (:func:`_below_five`), as ``integers(0, 5)`` decodes them, for a fraction
+    of that call's cost: ``k1`` and ``k2`` from the two halves of one word
+    and ``deg`` from the low half of the first word after the uniforms.  A
+    rejected half shifts the later draws by a half-word, and a high half
+    left over from ``k2`` then serves ``deg``, across the uniforms, as
+    numpy's buffered half would.  The uniforms and normals are numpy's own
+    calls, which read whole words.  Each generator is done with before the
+    next is taken, as :func:`linalg.seeded_rngs` needs; the real and
+    imaginary parts are one ``standard_normal`` call, which draws the bits
+    of the two calls in turn.  The variates of all rows are then
     transformed in one vectorized pass: outer moduli ``exp((1 - u) ln 4)``,
     inner moduli ``r exp(-(1 - u) ln 4)``, arguments ``2 pi v``,
     coefficients ``(re + 1j im) / sqrt(2)``.
     """
     counts, uniforms, normals = [], [], []
     for rng in rngs:
-        k1 = int(rng.integers(0, 5))
-        k2 = int(rng.integers(0, 5))
+        bits = rng.bit_generator
+        k1, half = _below_five(bits, None)
+        k2, half = _below_five(bits, half)
         uniforms.append(rng.random(2 * (k1 + k2)))
-        deg = int(rng.integers(0, 5))
+        deg, _ = _below_five(bits, half)
         # (re + 1j im) / sqrt(2) has a nonzero entry iff re or im has one
         pair = rng.standard_normal(2 * (deg + 1))
         while not np.count_nonzero(pair):
@@ -187,6 +219,17 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     :func:`rational.pack`), so the battery's functions are those this
     returns for the generators ``linalg.seeded_rng(seed, 17, i)``, which
     the battery takes in bulk from :func:`linalg.seeded_rngs`.
+
+    The root counts and the degree come from the bit generator's raw 64-bit
+    words (``rng.bit_generator.random_raw``), decoded as
+    ``rng.integers(0, 5)`` decodes them.  For numpy's 64-bit bit
+    generators (Philox, PCG64, SFC64) the function is the one that
+    ``integers`` draws would give when ``rng`` has no 32-bit half-word
+    pending from an earlier draw of its own; with one pending, ``integers``
+    would start from that half and this function does not.  MT19937's raw
+    words are its 32-bit outputs, whose zero high half the decode rejects,
+    so it gives the ``integers`` draws too.  The decode buffers no half in
+    ``rng``: a high half it leaves unused is dropped.
     :class:`BadRadius` is raised unless ``0 < r < 1``.
     """
     linalg.require_radius(r)
@@ -203,7 +246,8 @@ _BASE_NODES = 4096
 _LOCAL_NODES = 512
 # The denser sampling that re-checks a candidate witness.
 _DENSE_NODES = (1 << 15, 4096)
-# Exact sups asked for at a time while the largest ratio is still being found.
+# The most exact sups asked for at a time while the largest ratio is still
+# being found (the batches grow 1, 2, 4, ... up to it).
 _REFINE_ROWS = 16
 # The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
 # per circle, 64 nodes: a subset of the nodes every sampled sup evaluates.  A
@@ -309,36 +353,46 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
     return sups
 
 
+def _lower_bounds(stack: rational.FactoredStack) -> np.ndarray:
+    """The max of ``|f_i|`` at every ``_LOWER_STRIDE``-th of the
+    ``_BASE_NODES`` per circle, 64 nodes, for each row of ``stack``."""
+    lower = np.empty(stack.p.shape[0])
+    for sl, vals in _circle_values(stack, _ring(_BASE_NODES)[::_LOWER_STRIDE]):
+        lower[sl] = vals.max(axis=1)
+    return lower
+
+
 class _Battery:
-    """Test-function battery as arrays: the padded factored stack, a cheap
-    lower bound on each sampled sup, and memos of exact sups and of their
-    dense re-checks.
+    """Test-function battery as arrays: the padded factored stack and memos
+    of cheap lower bounds on its sampled sups, of the exact sups and of
+    their dense re-checks.
 
     The stack is validated and pole-checked once, at build, and every sup is
     read from it by :func:`_sampled_sups`; ``stack.function(i)`` builds row
     ``i`` as a function (the witness).  :attr:`two_sided` selects the rows
-    the von Neumann screen evaluates.  ``lower[i]`` is the max of ``|f_i|``
-    at every ``_LOWER_STRIDE``-th node of the ``_BASE_NODES`` per circle.
-    :func:`_sampled_sups` evaluates those nodes too, and ``abs_at`` is
-    :func:`rational.evaluate` bit for bit, so
-    ``lower[i] <= exact_sups([i])[0]`` exactly.  :meth:`exact_sups` computes
-    the sups on demand and keeps them in :attr:`memo`, or with
-    ``dense=True`` the ``_DENSE_NODES`` re-checks in :attr:`dense`: a
-    refuting row recurs across a corpus, so it is re-checked once per
-    battery.  A memo only gains entries, each a deterministic value, so
-    which calls filled it never changes a result.  Readers take no lock:
-    each memo is a read-only snapshot, replaced whole under ``_lock`` by a
-    copy holding the new entries, so a reader sees some earlier snapshot and
-    no update is lost.
+    the von Neumann screen evaluates.  :meth:`lower_bounds` gives the lower
+    bounds of the rows a call reads, each computed on first read
+    (:func:`_lower_bounds`, so a screened call computes none of the
+    one-sided rows'), and :meth:`exact_sups` the sups, or with
+    ``dense=True`` the ``_DENSE_NODES`` re-checks: a refuting row recurs
+    across a corpus, so it is re-checked once per battery.  The lower bound
+    of row ``i`` is the max of ``|f_i|`` at nodes that :func:`_sampled_sups`
+    evaluates too, and ``abs_at`` is :func:`rational.evaluate` bit for bit
+    whatever the other rows, so it is the value an eager pass over the
+    whole stack gives and ``lower_bounds([i])[0] <= exact_sups([i])[0]``
+    exactly.  The memos are :attr:`lower`, :attr:`memo` and :attr:`dense`,
+    NaN where not yet computed.  A memo only gains entries, each a
+    deterministic value, so which calls filled it never changes a result.
+    Readers take no lock: each memo is a read-only snapshot, replaced whole
+    under ``_lock`` by a copy holding the new entries, so a reader sees
+    some earlier snapshot and no update is lost.
     """
 
-    def __init__(self, stack: rational.FactoredStack, lower: np.ndarray):
+    def __init__(self, stack: rational.FactoredStack):
         self.stack = stack
-        self.lower = lower
-        self.lower.flags.writeable = False
-        memo = np.full(lower.size, np.nan)
+        memo = np.full(stack.p.shape[0], np.nan)
         memo.flags.writeable = False
-        self.memo = self.dense = memo
+        self.lower = self.memo = self.dense = memo
         self._lock = threading.Lock()
 
     @cached_property
@@ -354,21 +408,34 @@ class _Battery:
         rows = np.flatnonzero((k2 > 0) & ~((k1 == 0) & (lp - 1 <= k2)))
         return rows, self.stack.take(rows)
 
-    def exact_sups(self, rows: np.ndarray, dense: bool = False) -> np.ndarray:
-        """:func:`_sampled_sups` of the rows ``rows``, at ``_DENSE_NODES`` if
-        ``dense``, from the memo where it holds them (NaN marks an entry not
-        yet computed)."""
-        name = "dense" if dense else "memo"
+    def _memoized(self, name: str, rows: np.ndarray, compute, stack=None) -> np.ndarray:
+        """The entries ``rows`` of the memo ``name``, ``compute`` of the
+        stack of the rows it lacks filling them in first: ``stack``, the
+        stack of ``rows`` if given, when it lacks them all, else a copy of
+        those rows."""
         memo = getattr(self, name)
-        missing = rows[np.isnan(memo[rows])]
-        if missing.size:
-            found = _sampled_sups(self.stack.take(missing), *(_DENSE_NODES if dense else ()))
+        lacking = np.isnan(memo[rows])
+        if lacking.any():
+            missing = rows[lacking]
+            found = compute(stack if stack is not None and lacking.all() else self.stack.take(missing))
             with self._lock:
                 memo = getattr(self, name).copy()
                 memo[missing] = found
                 memo.flags.writeable = False
                 setattr(self, name, memo)
         return memo[rows]
+
+    def lower_bounds(self, rows: np.ndarray, stack: rational.FactoredStack | None = None) -> np.ndarray:
+        """:func:`_lower_bounds` of the rows ``rows`` (of stack ``stack``,
+        if given), from :attr:`lower` where it holds them."""
+        return self._memoized("lower", rows, _lower_bounds, stack)
+
+    def exact_sups(self, rows: np.ndarray, dense: bool = False) -> np.ndarray:
+        """:func:`_sampled_sups` of the rows ``rows``, at ``_DENSE_NODES`` if
+        ``dense``, from :attr:`dense` or else :attr:`memo` where it holds
+        them."""
+        nodes = _DENSE_NODES if dense else ()
+        return self._memoized("dense" if dense else "memo", rows, lambda stack: _sampled_sups(stack, *nodes))
 
 
 # The canonical probes z and r/z as (k1, k2, len(p)) rows; packed flat, their
@@ -405,10 +472,12 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     padded stack (:func:`rational.pack`), so no :class:`AnnulusRational` is
     built here.  Every row is validated (:func:`_check_rows`), then
     :class:`PoleHit` is raised as :func:`_sampled_sups` would on the
-    battery's sampling (:func:`_check_poles`); the build then evaluates 64
-    nodes per circle of the whole stack, for :attr:`_Battery.lower`, and leaves the exact sups to
-    :meth:`_Battery.exact_sups`.  Cached so repeated certifications against
-    the same battery (e.g. a corpus sweep) share the draws and the memo.
+    battery's sampling (:func:`_check_poles`).  The build evaluates no
+    ``|f|``: the lower bounds and the exact sups are computed for the rows
+    a call reads (:meth:`_Battery.lower_bounds`,
+    :meth:`_Battery.exact_sups`).  Cached so repeated certifications
+    against the same battery (e.g. a corpus sweep) share the draws and the
+    memos.
     """
     probes = min(trials, len(_PROBE_COUNTS))
     counts, p, roots = _draw(r, linalg.seeded_rngs(seed, 17, probes, trials))
@@ -416,13 +485,9 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     p = np.concatenate([np.array([0.0, 1.0, r], dtype=complex)[: counts[:probes, 2].sum()], p])
     roots = np.concatenate([np.zeros(counts[:probes, 1].sum(), dtype=complex), roots])
     stack = rational.pack(r, counts, p, roots)
-    ring = _ring(_BASE_NODES)
     _check_rows(stack)
-    _check_poles(stack, ring, _LOCAL_NODES)
-    lower = np.empty(trials)
-    for sl, vals in _circle_values(stack, ring[::_LOWER_STRIDE]):
-        lower[sl] = vals.max(axis=1)
-    return _Battery(stack, lower)
+    _check_poles(stack, _ring(_BASE_NODES), _LOCAL_NODES)
+    return _Battery(stack)
 
 
 def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> tuple[float, int | None]:
@@ -447,7 +512,10 @@ def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> 
     2. with ``best`` the largest ratio known, of a row with both its norm
        and its sup, the ``_REFINE_ROWS`` rows with the largest
        ``upper >= best`` that lack either get their norms, or if they have
-       them all their sups, until no such row is left.
+       them all, the largest of them get their sups, until no such row is
+       left: 1 row's sup at first, then 2, 4 and so on up to
+       ``_REFINE_ROWS`` at a time, since the first sup often settles
+       ``best`` above every other bound.
 
     The re-check must come first: it can lower a flagged ratio below one
     that step 2 would have pruned against.  A row left without its norm or
@@ -475,6 +543,9 @@ def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> 
     def suspect(mask):
         return np.nonzero(mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol)))[0]
 
+    def largest(rows, count):
+        return rows if rows.size <= count else rows[np.argpartition(ratios[rows], -count)[-count:]]
+
     if norms is not None:
         settle(suspect(~exact))
     refine(suspect(~known))
@@ -485,18 +556,18 @@ def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> 
             ratios[i] = nums[i] / max(denoms[i], sup)
             if witness is None and ratios[i] > 1.0 + tol:
                 witness = int(i)
+    batch = 1
     while True:
         done = exact & known
-        rows = np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0]
+        rows = largest(np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0], _REFINE_ROWS)
         if not rows.size:
             break
-        if rows.size > _REFINE_ROWS:
-            rows = rows[np.argpartition(ratios[rows], -_REFINE_ROWS)[-_REFINE_ROWS:]]
         pending = rows[~exact[rows]]
         if pending.size:
             settle(pending)
         else:
-            refine(rows)
+            refine(largest(rows, batch))
+            batch = min(2 * batch, _REFINE_ROWS)
     return (float(ratios.max()) if ratios.size else 0.0), witness
 
 
@@ -546,8 +617,9 @@ def vonneumann_stress(
     with ``||T|| = 1``, screens nothing.
 
     Only the ratios that can matter get an exact sampled sup
-    (:func:`_stress_ratios`): the battery's coarse lower bounds bound every
-    ratio from above, and a function whose bound can neither exceed
+    (:func:`_stress_ratios`): the battery's coarse lower bounds, computed
+    for the evaluated functions only (:meth:`_Battery.lower_bounds`), bound
+    every ratio from above, and a function whose bound can neither exceed
     ``1 + verify_tol`` nor reach the largest ratio found keeps it.  The
     sups found go into the battery's memo (:meth:`_Battery.exact_sups`);
     once it holds what a call needs, the call makes no sup work at all.  The
@@ -617,7 +689,7 @@ def vonneumann_stress(
         )
     max_ratio, witness = _stress_ratios(
         nums,
-        battery.lower[rows],
+        battery.lower_bounds(rows, stack),
         at_probes,
         battery.memo[rows],
         norms,

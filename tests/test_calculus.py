@@ -538,6 +538,11 @@ def _clear_nothing(self, ws, tols):
     return np.zeros(ws.shape, dtype=bool)
 
 
+def _window_decides_nothing(self, mods, tols):
+    """The singular-value window decides no shift: the later stages decide them all."""
+    return np.zeros(mods.shape, dtype=bool), np.zeros(mods.shape, dtype=bool)
+
+
 def _ar_unitary(r, seed):
     q = random_unitary(3, seed)
     return q @ make_ar_unitary(random_unitary(2, seed + 1), random_unitary(1, seed + 2), r) @ q.conj().T
@@ -573,6 +578,7 @@ class TestShiftConditioningRoutes:
 
     def test_bit_identical_to_singular_values_everywhere(self, monkeypatch):
         got = {name: run() for name, run in self._runs()}
+        monkeypatch.setattr(linalg.Analysis, "window", _window_decides_nothing)
         monkeypatch.setattr(linalg.ShiftConditioning, "cleared", _clear_nothing)
         for name, run in self._runs():
             assert np.array_equal(got[name], run()), name
@@ -587,6 +593,8 @@ class TestShiftConditioningRoutes:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # the bound alone, without the window before it, clears every shift
+        monkeypatch.setattr(linalg.Analysis, "window", _window_decides_nothing)
         for name, run in self._runs():
             run()
             assert stacks == [], name

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -275,7 +276,9 @@ class TestVonNeumannStress:
     def test_battery_sups_keep_the_coarse_sampling_maximum(self):
         battery = _stress_battery.__wrapped__(0.5, 500, 4)
         # the lower bounds are every 64th of the 4096 nodes per circle
-        assert battery.lower.tolist() == [rational.boundary_sup_norm(f, 64) for f in _functions(battery)]
+        assert battery.lower_bounds(np.arange(500)).tolist() == [
+            rational.boundary_sup_norm(f, 64) for f in _functions(battery)
+        ]
         # the 1024 nodes per circle are a subset of the 4096 _sampled_sups samples
         sups = battery.exact_sups(np.arange(500))
         assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(_functions(battery), sups)]
@@ -284,7 +287,7 @@ class TestVonNeumannStress:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_battery_lower_bounds_stay_below_the_sups(self, r, seed):
         battery = _stress_battery.__wrapped__(r, 2000, seed)
-        assert np.all(battery.lower <= _sups_of(_functions(battery)))
+        assert np.all(battery.lower_bounds(np.arange(2000)) <= _sups_of(_functions(battery)))
 
     @pytest.mark.parametrize("r", [float("nan"), 0.0, 1.0, -0.5])
     def test_radius_outside_the_unit_interval_is_rejected(self, r, monkeypatch):
@@ -366,7 +369,7 @@ def _sups_of(functions, *args, **kwargs):
 
 def _functions(battery):
     """Every row of a battery as an :class:`AnnulusRational`, in battery order."""
-    return tuple(battery.stack.function(i) for i in range(battery.lower.size))
+    return tuple(battery.stack.function(i) for i in range(battery.stack.counts.shape[0]))
 
 
 def _reference_sup(f, base_nodes=4096, local_nodes=512):
@@ -415,15 +418,39 @@ def _reference_battery(r, count, seed, rng=seeded_rng):
     return probes[:count] + [_reference_sample(r, rng(seed, 17, i)) for i in range(2, count)]
 
 
+def _half_word(value):
+    """A 32-bit half-word that ``integers(0, 5)`` decodes to ``value``: the
+    middle of its fifth of the range."""
+    return ((2 * value + 1) << 32) // 10
+
+
+class _RawWords:
+    """A raw-word source: ``random_raw`` returns the given 64-bit words in
+    turn and counts them."""
+
+    def __init__(self, words):
+        self._words = iter(words)
+        self.read = 0
+
+    def random_raw(self):
+        self.read += 1
+        return next(self._words)
+
+
 class _PinnedDraws:
     """A generator with given integer and uniform draws (normals from a
     fixed seeded stream), to place a drawn root where the distribution
-    almost never puts one."""
+    almost never puts one.  The integers ``(k1, k2, degree)`` come from
+    ``integers`` or, as the battery's draw reads them, from raw words
+    (``bit_generator.random_raw``): ``k1`` and ``k2`` in the halves of one
+    word, the degree in the low half of the next."""
 
     def __init__(self, integers, uniforms):
         self._integers = iter(integers)
         self._uniforms = iter(uniforms)
         self._normals = seeded_rng(0)
+        k1, k2, deg = integers
+        self.bit_generator = _RawWords([_half_word(k1) | _half_word(k2) << 32, _half_word(deg)])
 
     def integers(self, low, high):
         return next(self._integers)
@@ -481,7 +508,7 @@ class TestBatteryDraw:
     def test_short_batteries(self, trials):
         battery = _stress_battery.__wrapped__(0.5, trials, 1)
         assert _functions(battery) == tuple(_reference_battery(0.5, trials, 1))
-        assert battery.lower.shape == (trials,)
+        assert battery.lower_bounds(np.arange(trials)).shape == (trials,)
 
     @pytest.mark.parametrize(
         "pins, error",
@@ -510,6 +537,63 @@ class TestBatteryDraw:
         monkeypatch.setattr(linalg, "seeded_rngs", pinned_rngs)
         with pytest.raises(error, match=re.escape(str(expected.value))):
             _stress_battery.__wrapped__(0.5, 20, 1)
+
+
+class TestRawWordDecode:
+    """The integers on {0..4} decoded from raw words are numpy's
+    ``integers(0, 5)`` draws."""
+
+    @pytest.mark.parametrize(
+        "words, draws, read",
+        [
+            # k1 and k2 in one word, low half first
+            ([_half_word(3) | _half_word(1) << 32], [3, 1], 1),
+            # a zero low half is rejected: the high half gives k1, the next
+            # word's low half k2, and its high half, left over, the degree
+            ([_half_word(2) << 32, _half_word(4) | _half_word(1) << 32], [2, 4, 1], 2),
+            # two zero halves in a row: the next word
+            ([0, _half_word(3)], [3], 2),
+            # the ends of the range: 1 gives 0 and is kept, 2**32 - 1 gives 4
+            ([1 | 0xFFFFFFFF << 32], [0, 4], 1),
+        ],
+        ids=["one-word", "low-half-rejected", "word-rejected", "range-ends"],
+    )
+    def test_rejection_reads_the_next_half_word(self, words, draws, read):
+        bits, half, got = _RawWords(words), None, []
+        for _ in draws:
+            value, half = certify._below_five(bits, half)
+            got.append(value)
+        assert got == draws and bits.read == read
+
+    def test_a_rejected_half_shifts_the_draw(self):
+        # k1 = 2 after a rejected half, k2 = 4, then 12 uniforms, and the
+        # degree 1 from the half left over from k2's word
+        words = [_half_word(2) << 32, _half_word(4) | _half_word(1) << 32]
+        sizes, rng = [], seeded_rng(0)
+        stub = types.SimpleNamespace(
+            bit_generator=_RawWords(words),
+            random=lambda size: sizes.append(size) or rng.random(size),
+            standard_normal=rng.standard_normal,
+        )
+        counts, p, roots = certify._draw(0.5, [stub])
+        assert counts.tolist() == [[2, 4, 2]] and sizes == [12] and (p.size, roots.size) == (2, 6)
+        assert stub.bit_generator.read == 2
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937])
+    def test_sample_is_the_integer_draws_sample(self, bit_generator):
+        for seed in range(200):
+            got = sample_test_function(0.5, np.random.Generator(bit_generator(seed)))
+            assert got == _reference_sample(0.5, np.random.Generator(bit_generator(seed))), seed
+
+    def test_a_pending_half_word_is_not_read(self):
+        # integers(0, 5) leaves the high half of its word pending in the bit
+        # generator; the decode starts from the next word, as if none were
+        for seed in range(20):
+            pending = np.random.Generator(np.random.PCG64(seed))
+            pending.integers(0, 5)
+            skipped = np.random.Generator(np.random.PCG64(seed))
+            skipped.bit_generator.random_raw()
+            assert sample_test_function(0.5, pending) == sample_test_function(0.5, skipped)
 
 
 def _battery_functions(r, count, seed):
@@ -836,6 +920,25 @@ class TestLazyRefinement:
         assert all(np.array_equal(g, want[rows]) for g, rows in zip(got, parts))
         assert np.array_equal(battery.dense[:24], want) and np.isnan(battery.dense[24:]).all()
         assert np.isnan(battery.memo).all()
+
+    @pytest.mark.parametrize("kind", ["normal", "windowed", "shear"])
+    def test_lower_bounds_only_for_the_rows_read(self, kind):
+        # a strict double contraction reads the two-sided rows' bounds, the
+        # shear every row's; each is the eager pass's value, bit for bit
+        _stress_battery.cache_clear()
+        rep = vonneumann_stress(_LAZY_CASES[kind], 0.5, 2000, 1)
+        battery = _stress_battery(0.5, 2000, 1)
+        read = np.flatnonzero(~np.isnan(battery.lower))
+        want = battery.two_sided[0] if kind != "shear" else np.arange(2000)
+        assert rep.screened == 2000 - want.size and np.array_equal(read, want)
+        eager = certify._lower_bounds(battery.stack)
+        assert battery.lower[read].tobytes() == eager[read].tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7, 11])
+    def test_cold_normal_certify_computes_at_most_two_sups(self, seed):
+        _stress_battery.cache_clear()
+        vonneumann_stress(normal_annulus_matrix(4, 0.5, seed), 0.5, 2000, 1)
+        assert 1 <= np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) <= 2
 
     def test_threads_on_one_cold_battery_match_a_sequential_run(self, monkeypatch):
         kinds = sorted(_LAZY_CASES)
