@@ -105,10 +105,11 @@ def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Toleranc
     it a touching root before a failing one, each in slot order.  Both
     tests are those of ``T``'s :class:`linalg.Analysis`, which decides
     each root from the cheapest evidence that settles it: the window of
-    ``T``'s singular values, then the modulus band of its spectrum and
-    Henrici's bound from its Schur form, and the distances to each
-    eigenvalue and the singular values of ``T - aI`` only for the roots
-    those leave undecided, so the verdicts are those of the two tests
+    ``T``'s singular values first, then, for the roots it leaves
+    undecided, the distance to each eigenvalue (the touch test) and
+    Henrici's bound at the distance to each Schur eigenvalue (the rule),
+    and the singular values of ``T - aI`` only for the roots Henrici's
+    bound leaves undecided, so the verdicts are those of the two tests
     themselves.  On a double contraction, whose singular values lie in
     ``[r, 1]``, the window settles every root of a function on the
     annulus (those of ``q1`` lie outside the closed unit disk, those of
@@ -125,7 +126,7 @@ def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Toleranc
     failed = np.zeros_like(mask)
     for j in np.flatnonzero(~cleared.all(axis=0)):
         idx = np.flatnonzero(~cleared[:, j])
-        failed[idx, j] = facts.conditioning.failed(roots[idx, j], cleared[idx, j], tols)
+        failed[idx, j] = facts.failed(roots[idx, j], cleared[idx, j], tols)
     hit = touch | failed
     if hit.any():
         i = int(np.argmax(hit.any(axis=1)))
@@ -246,9 +247,10 @@ def factored_norms(
     forms anyway, without its ``Q``: a Horner GEMM per coefficient and
     ``n`` vectorized back-substitution steps per root slot, no LU solve.
     That is one Schur form of ``T`` per call, plus singular values of
-    ``T - aI`` only for the roots ``a`` that Henrici's bound leaves
-    undecided (see :class:`linalg.ShiftConditioning`).  The conditioning
-    verdicts and :class:`Singular` messages are those of :func:`eval_direct`.
+    ``T - aI`` only for the roots ``a`` that the window of ``T``'s
+    singular values and Henrici's bound both leave undecided (see
+    :func:`_check_row_roots`).  The conditioning verdicts and
+    :class:`Singular` messages are those of :func:`eval_direct`.
 
     A chunk of about 1 MB of stacked matrices is evaluated at a time, with
     one batched spectral norm per chunk; memory stays bounded whatever the

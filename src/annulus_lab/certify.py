@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus, linalg, rational
 from ._version import __version__
-from .errors import NoConvergence, NotContraction, NotInvertible, Singular
+from .errors import NotContraction, NotInvertible, Singular
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
 
@@ -739,10 +739,9 @@ def cnn_split(t, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarra
     The completely-non-normal subspace is the smallest subspace containing
     the range of the self-commutator ``[T*, T]`` and invariant under both
     ``T`` and ``T*`` (closed up by alternating Krylov growth).
+    :class:`NotSquare` unless ``T`` is square.
     """
     m = linalg.as_matrix(t)
-    if m.shape[0] != m.shape[1]:
-        raise NoConvergence("cnn_split needs a square matrix")
     n = m.shape[0]
     norm = linalg.analysis(m).norm
     scale = max(1.0, norm**2)
@@ -775,10 +774,9 @@ def williams_verdict(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> WilliamsVe
     ``verify_tol`` of 1, while the theorem needs ``||T|| = 1`` exactly:
     ``example_matrix(0.25) * (1 - 5e-9)`` still gets
     ``MINIMAL_DISK_REFUTATION``, and for such a ``T`` it is not a proof.
+    :class:`NotSquare` unless ``T`` is square.
     """
     m = linalg.as_matrix(t)
-    if m.shape[0] != m.shape[1]:
-        raise NoConvergence("cnn_split needs a square matrix")
     if not abs(linalg.analysis(m).norm - 1.0) <= tols.verify_tol:
         return WilliamsVerdict.NOT_APPLICABLE
     _, p_cnn = cnn_split(m, tols)

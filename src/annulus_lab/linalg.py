@@ -251,25 +251,23 @@ _SCHUR_ERROR = 1024
 _ROUNDING = 64
 _EPS = float(np.finfo(float).eps)
 # Relative allowance of band_gaps: a computed modulus or difference lies
-# within 2 eps of its exact value, and a computed distance |w - lambda|
-# within 2 eps below it.
+# within 2 eps of its exact value.
 _RADIAL = 4 * _EPS
 
 
 def band_gaps(mods, band: tuple[float, float]) -> np.ndarray:
-    """A lower bound on the computed distance ``min_i |w - lambda_i|`` of
-    each shift ``w`` to points ``lambda_i``, from ``mods``, the computed
-    moduli of the shifts (``np.abs`` or ``np.hypot``), and ``band``, the
-    least and largest computed modulus of the ``lambda_i``.
+    """A lower bound on the gap ``max(|w| - hi, lo - |w|)`` of each shift
+    ``w`` to the band ``(lo, hi)``, from ``mods``, the computed moduli of
+    the shifts (``np.abs`` or ``np.hypot``).
 
-    ``|w - lambda| >= ||w| - |lambda||``, so ``max(|w| - max|lambda_i|,
-    min|lambda_i| - |w|)`` bounds the exact distance; each modulus and the
-    difference are rounded down by ``4 eps`` relative, which leaves room
-    for the rounding of both moduli and of ``np.abs(w - lambda_i)``.  The
-    bound holds where it is at least ``tiny``.  It is not positive for a
-    shift inside the band, NaN for a NaN shift and ``inf`` for an infinite
-    one, so only ``> 0`` (or a larger threshold) may be read from it, and
-    only for a finite shift.
+    Each modulus and the difference are rounded down by ``4 eps``
+    relative, which leaves room for the rounding of the moduli and of the
+    difference.  :meth:`Analysis.window` takes the band of ``T``'s extreme
+    singular values, where the gap bounds ``sigma_min(T - wI)`` from
+    below.  The bound holds where it is at least ``tiny``.  It is not
+    positive for a shift inside the band, NaN for a NaN shift and ``inf``
+    for an infinite one, so only ``> 0`` (or a larger threshold) may be
+    read from it, and only for a finite shift.
     """
     lo, hi = band
     down, up = 1.0 - _RADIAL, 1.0 + _RADIAL
@@ -292,10 +290,11 @@ def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ShiftConditioning:
-    """:func:`solve`'s conditioning rule for shifts ``T - wI`` of one matrix,
-    from its Schur form.  :class:`Analysis` asks it only for the shifts its
-    singular-value window leaves undecided (see :meth:`Analysis.cleared`),
-    and builds it only then or when a route needs the triangle.
+    """Henrici's bound on :func:`solve`'s conditioning rule for shifts
+    ``T - wI`` of one matrix, from its Schur form.  :class:`Analysis` asks
+    it only for the shifts its singular-value window leaves undecided (see
+    :meth:`Analysis.cleared`), and builds it only then or when a route
+    needs the triangle.
 
     A shift is cleared without a singular-value call when Henrici's bound
     (Numer. Math. 4, 1962) proves ``sigma_min(T - wI)`` far enough above
@@ -308,25 +307,13 @@ class ShiftConditioning:
 
     and ``lo > (2 rank_tol + 64 n eps) hi`` leaves room for the rounding of
     the shifted matrix and of its singular values, so the rule would find
-    that shift well conditioned too.  ``lo`` grows with ``g``, so any lower
-    bound on ``g`` may stand in for it.  :meth:`cleared` applies the bound
-    in two stages: first with the radial gap of :func:`band_gaps` against
-    the modulus band :attr:`band` of the ``lambda_i``, ``n`` times cheaper
-    and enough for a shift outside the band, then with the computed
-    ``min|lambda_i - w|`` only for the shifts the first stage leaves
-    undecided.  The radial gap is rounded down by ``4 eps`` relative, so it
-    never exceeds the computed one, and the computed ``lo`` is monotone in
-    the gap; only a positive radial gap is used (a negative one makes
-    ``nu / g`` negative, and the sum could then clear falsely), so a shift
-    inside the band, NaN or infinite goes to the second stage.  Every shift
-    the first stage clears the second would clear too, so the verdicts are
-    those of the second stage alone.  :meth:`failed` gives every other
-    shift the singular values of ``T - wI`` as :func:`solve` does, forming
-    the shifted matrix only there, so the verdicts are those of the rule;
-    :meth:`require` raises :class:`Singular` on any failure.  The bound is
-    computed with ``T`` scaled by the power of two that brings its largest
-    entry into ``[1/2, 1)``, which every finite ``T`` has, subnormal or
-    near overflow.
+    that shift well conditioned too.  :meth:`cleared` takes ``g`` as the
+    computed distance to each ``lambda_i``; :meth:`Analysis.failed` gives
+    every shift it leaves undecided the singular values of ``T - wI``, as
+    :func:`solve` does, so the verdicts are those of the rule.  The bound
+    is computed with ``T`` scaled by the power of two that brings its
+    largest entry into ``[1/2, 1)``, which every finite ``T`` has,
+    subnormal or near overflow.
 
     ``triangle`` is the Schur triangle unscaled by the same power of two
     (exact wherever its entries stay in the normal range; one that
@@ -343,15 +330,10 @@ class ShiftConditioning:
     ``n`` (LAPACK Users' Guide, 3rd ed., sec. 4.8, error bounds for the
     nonsymmetric eigenproblem; Golub and Van Loan, Matrix Computations,
     4th ed., sec. 7.5.6, for the Hessenberg QR iteration), so ``1024 n`` is
-    a generous choice of ``p(n)``, not a derived one.  The radial stage
-    adds one more: that the computed modulus of a complex number
-    (``np.abs`` and ``np.hypot``, from the C library's ``hypot``) lies
-    within one ulp of the exact one; its ``4 eps`` allowance is twice what
-    that and the rounding of the difference and of ``w - lambda_i`` need.
+    a generous choice of ``p(n)``, not a derived one.
     """
 
     def __init__(self, m: np.ndarray):
-        self.m = m
         self.exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
         scaled = _ldexp(m, -self.exponent)
         tri, self.vectors = _schur_triangle(scaled)
@@ -363,8 +345,6 @@ class ShiftConditioning:
         self.lams = tri.diagonal().copy()
         for array in (self.triangle, self.vectors, self.lams):
             array.flags.writeable = False
-        mods = np.abs(self.lams)
-        self.band = (float(mods.min()), float(mods.max()))
         # rounding allowances: nu, ||T||_F and hi are rounded up by
         # (1 + slack), and the gap and the quotient gap / total down by
         # (1 - slack) each
@@ -387,46 +367,14 @@ class ShiftConditioning:
         return lo > theta * (self.fro + dist)
 
     def cleared(self, ws: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """Where the bound proves the shift ``ws[...]`` well conditioned:
-        first from the radial gap to the modulus band, then, for the shifts
-        that leaves undecided, from the distance to each ``lambda_i``."""
+        """Where the bound proves the shift ``ws[...]`` well conditioned,
+        from its distance to each ``lambda_i``."""
         # A zero gap, an overflow or a non-finite shift gives a NaN or
         # infinite term, and the comparisons then clear nothing.
         with np.errstate(all="ignore"):
             ws = _ldexp(ws, -self.exponent)
-            shape, ws = ws.shape, ws.reshape(-1)
-            dist = np.abs(ws)
-            gap = band_gaps(dist, self.band)
-            done = (gap > 0) & self._bounded(gap, dist, tols)
-            rest = ~done
-            if rest.any():
-                gap = np.abs(ws[rest][:, np.newaxis] - self.lams).min(axis=-1)
-                done[rest] = self._bounded(gap, dist[rest], tols)
-            return done.reshape(shape)
-
-    def failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """:func:`_ill_conditioned` for the shifts ``T - wI`` of the 1-D
-        ``ws``, with singular values of ``T - wI`` formed and taken only
-        where :meth:`cleared` did not clear ``w``."""
-        failed = ~cleared
-        if failed.any():
-            shifted = self.m - ws[failed, np.newaxis, np.newaxis] * np.eye(self.m.shape[0])
-            failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
-        return failed
-
-    def require(self, ws: np.ndarray, tols: Tolerances) -> None:
-        """:class:`Singular`, counting the failures, unless every shift
-        ``T - wI`` of the 1-D ``ws`` passes the rule."""
-        _require_passed(self.failed(ws, self.cleared(ws, tols), tols), tols)
-
-
-def _require_passed(failed: np.ndarray, tols: Tolerances) -> None:
-    """:class:`Singular`, counting the failures, if any of ``failed`` is set."""
-    if failed.any():
-        raise Singular(
-            f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
-            f"at {int(failed.sum())} of {failed.size} points"
-        )
+            gap = np.abs(ws[..., np.newaxis] - self.lams).min(axis=-1)
+            return self._bounded(gap, np.abs(ws), tols)
 
 
 class Analysis:
@@ -443,13 +391,16 @@ class Analysis:
     applied at each call's own.  Arrays are read-only.  :func:`analysis`
     serves one object per matrix.
 
-    Shifts ``T - wI`` are decided here, cheapest evidence first
-    (:meth:`cleared`, :meth:`failed`, :meth:`require` for
-    :func:`solve`'s conditioning rule, :meth:`touches` for the root
-    check's touch test).  The first stage, the singular-value window
-    (:meth:`window`), reads only :attr:`singular_values`: by Weyl's
-    inequality for singular values (Horn and Johnson, Matrix Analysis,
-    2nd ed., sec. 7.3),
+    Shifts ``T - wI`` are decided here, cheapest evidence first, each
+    stage seeing only the shifts the earlier ones leave undecided.
+    :func:`solve`'s conditioning rule has three stages: the window
+    (:meth:`window`), Henrici's bound at the distance to each Schur
+    eigenvalue (:meth:`cleared`, through :class:`ShiftConditioning`) and
+    the singular values of ``T - wI`` (:meth:`failed`); :meth:`require`
+    raises on any failure.  The root check's touch test (:meth:`touches`)
+    has two: the window and the distance to each computed eigenvalue.  The
+    window reads only :attr:`singular_values`: by Weyl's inequality for
+    singular values (Horn and Johnson, Matrix Analysis, 2nd ed., sec. 7.3),
 
         sigma_min(T - wI) >= lo = max(|w| - sigma_1, sigma_n - |w|)
         sigma_max(T - wI) <= hi = sigma_1 + |w|,
@@ -462,7 +413,7 @@ class Analysis:
     gap of :func:`band_gaps` against that band, so it is rounded down.  A
     shift is cleared for the rule where ``lo > theta hi`` with
     :class:`ShiftConditioning`'s ``theta = (2 rank_tol + 64 n eps)(1 + 64
-    n eps)``, which leaves the same room as its Henrici stage; and it is
+    n eps)``, which leaves the same room as Henrici's stage; and it is
     farther than the touch limit from every computed eigenvalue where
     ``lo`` less ``1024 n eps sqrt(n) sigma_1 + n tiny`` (at least the
     Schur stage's ``1024 n eps ||T||_F`` allowance: the computed
@@ -476,7 +427,12 @@ class Analysis:
     clears it by more than these allowances; then the later stages (the
     spectrum, the Schur form, Henrici's bound and the shifted matrices'
     singular values) are not formed.  Every shift the window clears the
-    later stages would clear too, so the verdicts are theirs.
+    later stages would clear too, so the verdicts are theirs.  Besides the
+    SVD's backward error, the window assumes that the computed modulus of
+    a complex number (``np.abs`` and ``np.hypot``, from the C library's
+    ``hypot``) lies within one ulp of the exact one; the ``4 eps``
+    allowance of :func:`band_gaps` is twice what that and the rounding of
+    the difference need.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -532,20 +488,14 @@ class Analysis:
     def touches(self, ws: np.ndarray, mods: np.ndarray, tols: Tolerances) -> np.ndarray:
         """Where a computed eigenvalue of ``T`` lies within
         :meth:`touch_limit` of the shift ``w`` (of computed modulus
-        ``mods``), for the 1-D ``ws``: the window first, then the radial
-        gap of :func:`band_gaps` to the modulus band of the spectrum, and
-        the distance to each eigenvalue only for the shifts both leave
-        undecided."""
+        ``mods``), for the 1-D ``ws``: the window first, then the distance
+        to each eigenvalue for the shifts it leaves undecided."""
         near = ~self.window(mods, tols)[1]
         touch = np.zeros(ws.shape, dtype=bool)
         if near.any():
-            lams = self.spectrum
-            lams_mods = np.abs(lams)
-            limit = self.touch_limit(mods[near], tols)
             with np.errstate(all="ignore"):
-                far = band_gaps(mods[near], (lams_mods.min(), lams_mods.max())) > limit
-                idx = np.flatnonzero(near)[~far]
-                touch[idx] = np.abs(ws[idx][:, np.newaxis] - lams).min(axis=-1) <= limit[~far]
+                gaps = np.abs(ws[near][:, np.newaxis] - self.spectrum).min(axis=-1)
+                touch[near] = gaps <= self.touch_limit(mods[near], tols)
         return touch
 
     def cleared(self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None) -> np.ndarray:
@@ -562,17 +512,25 @@ class Analysis:
             done[rest] = self.conditioning.cleared(ws[rest], tols)
         return done
 
-    def failed(self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None) -> np.ndarray:
+    def failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
         """:func:`_ill_conditioned` for the shifts ``T - wI`` of the 1-D
-        ``ws``: :meth:`cleared`, then singular values of ``T - wI`` for the
-        shifts it leaves undecided."""
-        cleared = self.cleared(ws, tols, mods)
-        return ~cleared if cleared.all() else self.conditioning.failed(ws, cleared, tols)
+        ``ws``, with singular values of ``T - wI`` formed and taken only
+        where ``cleared`` (from :meth:`cleared`) is not set."""
+        failed = ~cleared
+        if failed.any():
+            shifted = self.matrix - ws[failed, np.newaxis, np.newaxis] * np.eye(self.matrix.shape[0])
+            failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+        return failed
 
     def require(self, ws: np.ndarray, tols: Tolerances) -> None:
         """:class:`Singular`, counting the failures, unless every shift
         ``T - wI`` of the 1-D ``ws`` passes the rule."""
-        _require_passed(self.failed(ws, tols), tols)
+        failed = self.failed(ws, self.cleared(ws, tols), tols)
+        if failed.any():
+            raise Singular(
+                f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
+                f"at {int(failed.sum())} of {failed.size} points"
+            )
 
     @cached_property
     def _solved(self) -> np.ndarray:

@@ -90,18 +90,9 @@ def commuting_contraction_pair(n, seed):
 
 def distance_cleared(rule, ws, tols):
     """Where ``rule`` (a :class:`linalg.ShiftConditioning`) clears the shifts
-    ``ws`` from the distance to each Schur eigenvalue alone, with no radial
-    stage: the one-stage reference for :meth:`linalg.ShiftConditioning.cleared`."""
+    ``ws`` from the distance to each Schur eigenvalue: the reference for
+    :meth:`linalg.ShiftConditioning.cleared`, written out."""
     with np.errstate(all="ignore"):
         ws = linalg._ldexp(ws, -rule.exponent)
         gap = np.abs(ws[..., np.newaxis] - rule.lams).min(axis=-1)
         return rule._bounded(gap, np.abs(ws), tols)
-
-
-def radially_cleared(rule, ws, tols):
-    """Where the radial stage of ``rule`` alone clears the shifts ``ws``."""
-    with np.errstate(all="ignore"):
-        ws = linalg._ldexp(ws, -rule.exponent)
-        dist = np.abs(ws)
-        gap = linalg.band_gaps(dist, rule.band)
-        return (gap > 0) & rule._bounded(gap, dist, tols)

@@ -448,10 +448,10 @@ class TestBatchedQuadrature:
 
     def test_a_shift_on_an_eigenvalue_raises_singular(self):
         t = np.diag([0.6, 0.8j])
-        rule = linalg.ShiftConditioning(t)
-        rule.require(np.array([0.3, -0.9]), linalg.DEFAULT_TOLS)
+        facts = linalg.analysis(t)
+        facts.require(np.array([0.3, -0.9]), linalg.DEFAULT_TOLS)
         with pytest.raises(Singular, match="at 1 of 3 points$"):
-            rule.require(np.array([0.3, 0.8j, -0.9]), linalg.DEFAULT_TOLS)
+            facts.require(np.array([0.3, 0.8j, -0.9]), linalg.DEFAULT_TOLS)
         # node 4 of 18 on |w| = 0.8 is the eigenvalue 0.8j
         with pytest.raises(Singular, match="at 1 of 18 points$"):
             calculus._circle_integral(t, 0.8, 0.3, 18, linalg.DEFAULT_TOLS)
@@ -601,20 +601,21 @@ class TestShiftConditioningRoutes:
 
 
 def _one_stage_check(stack, t, tols):
-    """The root check with no radial stage: every root's distance to each
-    eigenvalue, then the rule from those distances alone."""
+    """The root check from the distance stage alone: every root's distance
+    to each eigenvalue, then the rule from those distances."""
     m = linalg.as_matrix(t)
     lams = linalg.spectrum(m)
-    rule = linalg.ShiftConditioning(m)
+    norm = linalg.operator_norm(m)
+    facts = linalg.analysis(m)
     for rows in calculus._chunks(stack, m.shape[0]):
         roots, mask = stack.roots[rows], stack.mask[rows]
         gaps = np.abs(roots[..., np.newaxis] - lams).min(axis=-1)
-        touch = mask & (gaps <= tols.rank_tol * np.maximum(1.0, np.abs(roots)))
-        cleared = distance_cleared(rule, roots, tols)
+        touch = mask & (gaps <= tols.rank_tol * np.maximum(np.abs(roots), norm))
+        cleared = distance_cleared(facts.conditioning, roots, tols)
         failed = np.zeros_like(mask)
         for j in range(roots.shape[1]):
             idx = np.flatnonzero(mask[:, j])
-            failed[idx, j] = rule.failed(roots[idx, j], cleared[idx, j], tols)
+            failed[idx, j] = facts.failed(roots[idx, j], cleared[idx, j], tols)
         hit = touch | failed
         if hit.any():
             i = int(np.argmax(hit.any(axis=1)))
@@ -639,8 +640,9 @@ def _with_roots(stack, edits):
 
 
 class TestCheckRoots:
-    """``_check_roots`` decides most roots from the modulus band of the
-    spectrum; its exceptions are those of the check without that stage."""
+    """``_check_roots`` decides most roots from the window of ``T``'s
+    singular values; its exceptions are those of the check from the
+    distance stage alone."""
 
     @staticmethod
     def _cases():
@@ -667,6 +669,8 @@ class TestCheckRoots:
         yield "shear-fails", shear, stack, [(rows[5], 1, 0.700005)]
         yield "shear-touch-first", shear, stack, [(rows[5], 0, 0.700005), (rows[5], 2, 0.6)]
         yield "shear-rows", shear, stack, [(rows[7], 0, 0.6 + 1e-4), (rows[3], 2, 0.700003), (rows[9], 1, 0.6)]
+        # 2e-8 from 0.7 touches on the scale of ||T|| = 30.01, not of |root|
+        yield "shear-relative-touch", shear, stack, [(rows[5], 0, 0.7 + 2e-8), (rows[5], 2, 0.6)]
         # several chunks of 40 rows
         wide = windowed_matrix(40, 0.5, 3)
         lams = linalg.spectrum(wide)
@@ -683,7 +687,7 @@ class TestCheckRoots:
     @pytest.mark.parametrize(
         "name",
         ["windowed", "on", "1e-13", "1e-7", "several", "padded", "shear", "shear-fails", "shear-touch-first",
-         "shear-rows", "n40", "n1", "n1-on", "n1-1e-13", "singular"],
+         "shear-rows", "shear-relative-touch", "n40", "n1", "n1-on", "n1-1e-13", "singular"],
     )
     def test_outcome_is_that_of_the_one_stage_check(self, name):
         _, t, stack, edits = next(case for case in self._cases() if case[0] == name)
@@ -694,6 +698,7 @@ class TestCheckRoots:
             "shear-fails": "(0.700005+0j)",
             "shear-touch-first": "(0.6+0j)",
             "shear-rows": "(0.700003+0j)",
+            "shear-relative-touch": "(0.70000002+0j)",
             "singular": "0j",
         }
         if name in ("windowed", "1e-7", "padded", "shear", "n1"):
