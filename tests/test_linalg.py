@@ -523,6 +523,60 @@ class TestShiftConditioning:
         with pytest.raises(Singular, match=r"exceeds 1\.0e\+09 at 16 of 16 points$"):
             calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.3, nodes=16))
 
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16])
+    def test_the_distance_stage_clears_only_shifts_the_svd_rule_passes(self, n, r):
+        # battery roots and default contour nodes on windowed T, also scaled
+        # near overflow and into the subnormal range
+        for seed in (1, 2, 3):
+            t = certify.windowed_matrix(n, r, seed)
+            stack = certify._stress_battery(r, 2000, seed).stack
+            spec = calculus.default_contour(None, t, r)
+            ring = np.exp(1j * (2.0 * np.pi * (np.arange(spec.nodes) + 0.5) / spec.nodes))
+            ws = np.concatenate([stack.roots[stack.mask], (1.0 + spec.delta) * ring, (r - spec.delta) * ring])
+            unscaled = linalg.ShiftConditioning(t).cleared(ws, DEFAULT_TOLS)
+            # not vacuous: the stage decides most of these shifts
+            assert unscaled.mean() > 0.5, seed
+            for k in (0, 950, -950, -1060):
+                m = np.ldexp(t.real, k) + 1j * np.ldexp(t.imag, k)
+                scaled = np.ldexp(ws.real, k) + 1j * np.ldexp(ws.imag, k)
+                cleared = linalg.ShiftConditioning(m).cleared(scaled, DEFAULT_TOLS)
+                if k in (950, -950):
+                    # the bound works in units of the largest entry, so it
+                    # clears the same shifts wherever the scaling is exact
+                    assert np.array_equal(cleared, unscaled), (seed, k)
+                else:
+                    # the rule's verdict on the shifted matrix, scaled back
+                    # exactly: singular values of subnormal entries are slow
+                    shifted = _shifted(m, scaled[cleared])
+                    shifted = np.ldexp(shifted.real, -k) + 1j * np.ldexp(shifted.imag, -k)
+                    assert not _svd_rule(shifted, DEFAULT_TOLS).any(), (seed, k)
+
+    def test_the_distance_stage_is_sound_at_the_clearing_threshold(self):
+        # shifts packed within 512 eps of the gap at which the distance stage
+        # starts to clear, on the rays out of the largest and into the
+        # smallest eigenvalue: those it clears pass the SVD rule, also where
+        # a large coupling puts the threshold far from the eigenvalues
+        tols = Tolerances(rank_tol=1e-3)
+        eps = np.finfo(float).eps
+        for coupling in (0.2, 20.0):
+            t = np.array([[0.9 * np.exp(0.3j), coupling], [0.0, 0.5 * np.exp(-1.1j)]])
+            rule = linalg.ShiftConditioning(t)
+            for lam, sign in ((t[0, 0], 1.0), (t[1, 1], -1.0)):
+                ray = sign * lam / abs(lam)
+                lo, hi = 0.0, 4.0
+                assert rule.cleared(np.array([lam + hi * ray]), tols)[0]
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    if rule.cleared(np.array([lam + mid * ray]), tols)[0]:
+                        hi = mid
+                    else:
+                        lo = mid
+                ws = lam + hi * (1.0 + eps * np.arange(-512, 513)) * ray
+                cleared = rule.cleared(ws, tols)
+                assert cleared.any() and not cleared.all()
+                assert not _svd_rule(_shifted(t, ws), tols).any()
+
     def test_the_distance_stage_clears_inside_shifts_but_not_nan_or_infinite_ones(self):
         t = np.array([[0.9, 0.3], [0.0, 0.6j]])
         rule = linalg.ShiftConditioning(t)
