@@ -70,11 +70,17 @@ def _back_substitute(tri: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.n
     return x
 
 
-def _chunks(stack: rational.FactoredStack, n: int):
-    """Slices of ``stack``'s rows holding about ``_CHUNK_BYTES`` of
-    ``n x n`` complex matrices each."""
+# Byte budget of one stacked batch of n x n complex matrices: of f_i(R) in
+# _factored_chunks, of resolvents in _circle_integral.  It bounds their
+# memory whatever the number of rows or nodes.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(count: int, n: int) -> list[slice]:
+    """Slices of ``count`` rows, each holding about ``_CHUNK_BYTES`` of
+    ``n x n`` complex matrices."""
     step = max(1, _CHUNK_BYTES // (16 * n * n))
-    return [slice(start, start + step) for start in range(0, stack.p.shape[0], step)]
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.ShiftConditioning:
@@ -88,7 +94,7 @@ def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.S
     here if the check did not need it.
     """
     facts = linalg.analysis(t)
-    for rows in _chunks(stack, facts.matrix.shape[0]):
+    for rows in _chunks(stack.p.shape[0], facts.matrix.shape[0]):
         _check_row_roots(stack.roots[rows], stack.mask[rows], stack.moduli[rows], facts, tols)
     return facts.conditioning
 
@@ -101,37 +107,19 @@ def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Toleranc
     A root whose distance to a computed eigenvalue of ``T`` is at most
     ``rank_tol * max(|root|, ||T||)`` touches the spectrum; a root ``a``
     whose ``T - aI`` fails :func:`linalg.solve`'s conditioning rule fails.
+    :meth:`linalg.Analysis.screen` decides both for every root at once.
     The error names the first row in stack order with either, and within
-    it a touching root before a failing one, each in slot order.  Both
-    tests are those of ``T``'s :class:`linalg.Analysis`, which decides
-    each root from the cheapest evidence that settles it: the window of
-    ``T``'s singular values first, then, for the roots it leaves
-    undecided, the distance to each eigenvalue (the touch test) and
-    Henrici's bound at the distance to each Schur eigenvalue (the rule),
-    and the singular values of ``T - aI`` only for the roots Henrici's
-    bound leaves undecided, so the verdicts are those of the two tests
-    themselves.  On a double contraction, whose singular values lie in
-    ``[r, 1]``, the window settles every root of a function on the
-    annulus (those of ``q1`` lie outside the closed unit disk, those of
-    ``q2`` inside ``rD``), and neither the spectrum nor the Schur form is
-    formed.
+    it a touching root before a failing one, each in slot order.
     """
-    ws, mods = roots[mask], moduli[mask]
-    if all(decided.all() for decided in facts.window(mods, tols)):
-        return
-    touch = np.zeros_like(mask)
-    touch[mask] = facts.touches(ws, mods, tols)
-    cleared = ~mask
-    cleared[mask] = facts.cleared(ws, tols, mods)
-    failed = np.zeros_like(mask)
-    for j in np.flatnonzero(~cleared.all(axis=0)):
-        idx = np.flatnonzero(~cleared[:, j])
-        failed[idx, j] = facts.failed(roots[idx, j], cleared[idx, j], tols)
+    ws = roots[mask]
+    touch, failed = facts.screen(ws, tols, moduli[mask])
     hit = touch | failed
     if hit.any():
-        i = int(np.argmax(hit.any(axis=1)))
-        slots = touch[i] if touch[i].any() else failed[i]
-        raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+        # ws runs row by row, each row in slot order
+        rows = np.nonzero(mask)[0]
+        row = rows == rows[np.argmax(hit)]
+        slots = touch & row if (touch & row).any() else failed & row
+        raise Singular(f"spectrum touches denominator root {complex(ws[np.argmax(slots)])}")
 
 
 def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioning):
@@ -146,7 +134,7 @@ def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioni
     same matrices for those rows.
     """
     tri = rule.triangle
-    for rows in _chunks(stack, tri.shape[0]):
+    for rows in _chunks(stack.p.shape[0], tri.shape[0]):
         roots, mask = stack.roots[rows], stack.mask[rows]
         out = _polyval_stack(stack.p[rows], tri)
         out /= stack.scale[rows, np.newaxis, np.newaxis]
@@ -168,7 +156,7 @@ def eval_direct(
     first root within ``rank_tol * max(|root|, ||T||)`` of the spectrum,
     else the first that fails the rule.  On a double contraction the
     check reads only the singular values of ``T`` (see
-    :func:`_check_row_roots`), so a call forms one SVD of ``T``, the
+    :class:`linalg.Analysis`), so a call forms one SVD of ``T``, the
     Horner products and the solves, and no spectrum or Schur form.
     """
     rational.validate(f)
@@ -246,11 +234,10 @@ def factored_norms(
     triangle ``R`` of ``T`` (``T + E = Q R Q*``) that the conditioning rule
     forms anyway, without its ``Q``: a Horner GEMM per coefficient and
     ``n`` vectorized back-substitution steps per root slot, no LU solve.
-    That is one Schur form of ``T`` per call, plus singular values of
-    ``T - aI`` only for the roots ``a`` that the window of ``T``'s
-    singular values and Henrici's bound both leave undecided (see
-    :func:`_check_row_roots`).  The conditioning verdicts and
-    :class:`Singular` messages are those of :func:`eval_direct`.
+    That is one Schur form of ``T`` per call, plus what
+    :meth:`linalg.Analysis.screen` needs to decide the roots.  The
+    conditioning verdicts and :class:`Singular` messages are those of
+    :func:`eval_direct`.
 
     A chunk of about 1 MB of stacked matrices is evaluated at a time, with
     one batched spectral norm per chunk; memory stays bounded whatever the
@@ -381,10 +368,6 @@ _MIN_NODES = 512
 _MAX_NODES = 1 << 17
 _NODE_TARGET = 1e-16
 
-# Byte budget of one stacked batch of resolvents in _circle_integral; bounds
-# the memory of a quadrature whatever its node count.
-_CHUNK_BYTES = 1 << 20
-
 # Clearances of the contour checks, relative to a circle's radius: of a pole
 # (and, in riesz_projection, of the spectrum) and of the spectrum in
 # eval_contour.
@@ -481,25 +464,23 @@ def _circle_integral(
     ``T + E = Q R Q*``.  Nodes are taken in chunks whose stacked resolvents
     fit ``_CHUNK_BYTES``; each chunk gets one vectorized evaluation of ``f``
     (with its :class:`PoleHit` check), the conditioning rule at its nodes
-    (:meth:`linalg.Analysis.require`: the singular-value window, then
-    Henrici's bound, then singular values only where both leave a node
-    undecided; :class:`Singular` counts the failures) and the weighted sum of its
-    resolvents of ``R`` by :func:`_weighted_resolvents`, back-substitution
-    with no LU.  The result is ``Q (S_outer - S_inner) Q*``.  Chunks
-    depend only on ``n`` and ``nodes`` and are accumulated in index
-    order, so the reduction is deterministic.
+    (:meth:`linalg.Analysis.require`, whose :class:`Singular` counts the
+    failures) and the weighted sum of its resolvents of ``R`` by
+    :func:`_weighted_resolvents`, back-substitution with no LU.  The
+    result is ``Q (S_outer - S_inner) Q*``.  Chunks depend only on ``n``
+    and ``nodes`` (:func:`_chunks`) and are accumulated in index order, so
+    the reduction is deterministic.
     """
     n = m.shape[0]
     facts = linalg.analysis(m)
     rule = facts.conditioning
     ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
     integrals = []
     for radius in (outer, inner):
         ws = radius * ring
         acc = np.zeros((n, n), dtype=complex)
-        for start in range(0, nodes, step):
-            w = ws[start : start + step]
+        for rows in _chunks(nodes, n):
+            w = ws[rows]
             weights = w if f is None else w * rational.evaluate(f, w)
             facts.require(w, tols)
             acc += _weighted_resolvents(rule.triangle, w, weights)

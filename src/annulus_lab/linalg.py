@@ -291,10 +291,10 @@ def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class ShiftConditioning:
     """Henrici's bound on :func:`solve`'s conditioning rule for shifts
-    ``T - wI`` of one matrix, from its Schur form.  :class:`Analysis` asks
-    it only for the shifts its singular-value window leaves undecided (see
-    :meth:`Analysis.cleared`), and builds it only then or when a route
-    needs the triangle.
+    ``T - wI`` of one matrix, from its Schur form: one stage of the shift
+    decision of :class:`Analysis` (see there), which builds it only for
+    the shifts the earlier stage leaves undecided or when a route needs
+    the triangle.
 
     A shift is cleared without a singular-value call when Henrici's bound
     (Numer. Math. 4, 1962) proves ``sigma_min(T - wI)`` far enough above
@@ -308,12 +308,10 @@ class ShiftConditioning:
     and ``lo > (2 rank_tol + 64 n eps) hi`` leaves room for the rounding of
     the shifted matrix and of its singular values, so the rule would find
     that shift well conditioned too.  :meth:`cleared` takes ``g`` as the
-    computed distance to each ``lambda_i``; :meth:`Analysis.failed` gives
-    every shift it leaves undecided the singular values of ``T - wI``, as
-    :func:`solve` does, so the verdicts are those of the rule.  The bound
-    is computed with ``T`` scaled by the power of two that brings its
-    largest entry into ``[1/2, 1)``, which every finite ``T`` has,
-    subnormal or near overflow.
+    computed distance to each ``lambda_i``.  The bound is computed with
+    ``T`` scaled by the power of two that brings its largest entry into
+    ``[1/2, 1)``, which every finite ``T`` has, subnormal or near
+    overflow.
 
     ``triangle`` is the Schur triangle unscaled by the same power of two
     (exact wherever its entries stay in the normal range; one that
@@ -391,16 +389,17 @@ class Analysis:
     applied at each call's own.  Arrays are read-only.  :func:`analysis`
     serves one object per matrix.
 
-    Shifts ``T - wI`` are decided here, cheapest evidence first, each
-    stage seeing only the shifts the earlier ones leave undecided.
-    :func:`solve`'s conditioning rule has three stages: the window
-    (:meth:`window`), Henrici's bound at the distance to each Schur
-    eigenvalue (:meth:`cleared`, through :class:`ShiftConditioning`) and
-    the singular values of ``T - wI`` (:meth:`failed`); :meth:`require`
-    raises on any failure.  The root check's touch test (:meth:`touches`)
-    has two: the window and the distance to each computed eigenvalue.  The
-    window reads only :attr:`singular_values`: by Weyl's inequality for
-    singular values (Horn and Johnson, Matrix Analysis, 2nd ed., sec. 7.3),
+    Shifts ``T - wI`` are decided here, in one pass: :meth:`screen` runs
+    the root check's touch test and :func:`solve`'s conditioning rule,
+    :meth:`require` the rule alone.  Each stage sees only the shifts the
+    earlier ones leave undecided.  The window (:meth:`window`), evaluated
+    once, comes first for both tests.  The touch test then takes the
+    distance to each computed eigenvalue.  The rule takes Henrici's bound
+    at the distance to each Schur eigenvalue
+    (:meth:`ShiftConditioning.cleared`), then the singular values of
+    ``T - wI``, as :func:`solve` does.  The window reads only
+    :attr:`singular_values`: by Weyl's inequality for singular values
+    (Horn and Johnson, Matrix Analysis, 2nd ed., sec. 7.3),
 
         sigma_min(T - wI) >= lo = max(|w| - sigma_1, sigma_n - |w|)
         sigma_max(T - wI) <= hi = sigma_1 + |w|,
@@ -485,52 +484,46 @@ class Analysis:
             theta = (2.0 * tols.rank_tol + slack) * (1.0 + slack)
             return lo > theta * (band[1] + mods), lo - error > self.touch_limit(mods, tols)
 
-    def touches(self, ws: np.ndarray, mods: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """Where a computed eigenvalue of ``T`` lies within
-        :meth:`touch_limit` of the shift ``w`` (of computed modulus
-        ``mods``), for the 1-D ``ws``: the window first, then the distance
-        to each eigenvalue for the shifts it leaves undecided."""
-        near = ~self.window(mods, tols)[1]
-        touch = np.zeros(ws.shape, dtype=bool)
-        if near.any():
-            with np.errstate(all="ignore"):
-                gaps = np.abs(ws[near][:, np.newaxis] - self.spectrum).min(axis=-1)
-                touch[near] = gaps <= self.touch_limit(mods[near], tols)
-        return touch
-
-    def cleared(self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None) -> np.ndarray:
-        """Where the rule is proven to pass at the shift ``ws[i]`` of the
-        1-D ``ws`` (of computed modulus ``mods``, ``np.abs(ws)`` if not
-        given): the window first, then :meth:`ShiftConditioning.cleared`
-        for the shifts it leaves undecided, the Schur form formed only
-        then."""
+    def screen(
+        self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(touch, failed)`` for the shifts ``T - wI`` of the 1-D ``ws``
+        (of computed moduli ``mods``, ``np.abs(ws)`` if not given): where a
+        computed eigenvalue of ``T`` lies within :meth:`touch_limit` of the
+        shift, and where the shift fails :func:`solve`'s conditioning rule,
+        each decided by the stages of the class docstring."""
         if mods is None:
             mods = np.abs(ws)
-        done = self.window(mods, tols)[0]
-        rest = ~done
-        if rest.any():
-            done[rest] = self.conditioning.cleared(ws[rest], tols)
-        return done
-
-    def failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """:func:`_ill_conditioned` for the shifts ``T - wI`` of the 1-D
-        ``ws``, with singular values of ``T - wI`` formed and taken only
-        where ``cleared`` (from :meth:`cleared`) is not set."""
-        failed = ~cleared
-        if failed.any():
-            shifted = self.matrix - ws[failed, np.newaxis, np.newaxis] * np.eye(self.matrix.shape[0])
-            failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
-        return failed
+        cleared, apart = self.window(mods, tols)
+        touch = ~apart
+        if touch.any():
+            with np.errstate(all="ignore"):
+                gaps = np.abs(ws[touch][:, np.newaxis] - self.spectrum).min(axis=-1)
+                touch[touch] = gaps <= self.touch_limit(mods[touch], tols)
+        return touch, self._rule_failed(ws, cleared, tols)
 
     def require(self, ws: np.ndarray, tols: Tolerances) -> None:
         """:class:`Singular`, counting the failures, unless every shift
-        ``T - wI`` of the 1-D ``ws`` passes the rule."""
-        failed = self.failed(ws, self.cleared(ws, tols), tols)
+        ``T - wI`` of the 1-D ``ws`` passes the rule: :meth:`screen` without
+        the touch test."""
+        failed = self._rule_failed(ws, self.window(np.abs(ws), tols)[0], tols)
         if failed.any():
             raise Singular(
                 f"condition estimate exceeds {1.0 / tols.rank_tol:.1e} "
                 f"at {int(failed.sum())} of {failed.size} points"
             )
+
+    def _rule_failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
+        """Where the shifts of the 1-D ``ws`` fail the rule, given where the
+        window ``cleared`` them: Henrici's bound for the others, then the
+        singular values of ``T - wI`` for those it leaves undecided."""
+        failed = ~cleared
+        if failed.any():
+            failed[failed] = ~self.conditioning.cleared(ws[failed], tols)
+            if failed.any():
+                shifted = self.matrix - ws[failed, np.newaxis, np.newaxis] * np.eye(self.matrix.shape[0])
+                failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
+        return failed
 
     @cached_property
     def _solved(self) -> np.ndarray:

@@ -86,13 +86,3 @@ def commuting_contraction_pair(n, seed):
     t2 = c[0] * np.eye(n) + c[1] * t1 + c[2] * t1 @ t1
     t2 = t2 / (linalg.operator_norm(t2) * (1.0 + 1e-12))
     return t1, t2
-
-
-def distance_cleared(rule, ws, tols):
-    """Where ``rule`` (a :class:`linalg.ShiftConditioning`) clears the shifts
-    ``ws`` from the distance to each Schur eigenvalue: the reference for
-    :meth:`linalg.ShiftConditioning.cleared`, written out."""
-    with np.errstate(all="ignore"):
-        ws = linalg._ldexp(ws, -rule.exponent)
-        gap = np.abs(ws[..., np.newaxis] - rule.lams).min(axis=-1)
-        return rule._bounded(gap, np.abs(ws), tols)

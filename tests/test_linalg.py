@@ -33,7 +33,7 @@ from annulus_lab.linalg import (
     unitary_completion,
 )
 
-from conftest import commuting_contraction_pair, distance_cleared
+from conftest import commuting_contraction_pair
 
 EXAMPLE = np.array([[0.5, 0.75], [0.0, 0.5]], dtype=complex)  # norm-one shear, r = 0.25
 
@@ -386,11 +386,18 @@ def _shifted(t, ws):
     return t - ws[:, np.newaxis, np.newaxis] * np.eye(t.shape[0])
 
 
+class _Unwindowed(linalg.Analysis):
+    """An analysis whose singular-value window decides no shift."""
+
+    def window(self, mods, tols):
+        return np.zeros(mods.shape, dtype=bool), np.zeros(mods.shape, dtype=bool)
+
+
 def _helper(t, ws, tols):
-    """Henrici's bound, then the SVD fallback of :meth:`linalg.Analysis.failed`,
-    on a fresh analysis of ``t``."""
-    facts = linalg.Analysis(linalg.as_matrix(t))
-    return facts.failed(ws, facts.conditioning.cleared(ws, tols), tols)
+    """Henrici's bound, then the SVD fallback, as :meth:`linalg.Analysis.screen`
+    runs them on a fresh analysis of ``t`` without the window: where the
+    shifts ``ws`` fail the rule."""
+    return _Unwindowed(linalg.as_matrix(t)).screen(ws, tols)[1]
 
 
 def _jordan(n, lam):
@@ -584,7 +591,6 @@ class TestShiftConditioning:
         ws = np.concatenate([inside, [np.nan, np.inf, -np.inf * 1j, complex(np.nan, 1.0)]])
         # away from both eigenvalues, an inside shift is cleared
         cleared = rule.cleared(ws, DEFAULT_TOLS)
-        assert np.array_equal(cleared, distance_cleared(rule, ws, DEFAULT_TOLS))
         assert cleared[:9].all() and not cleared[9:].any()
 
     def test_a_zgees_failure_raises_no_convergence(self, monkeypatch):
@@ -662,19 +668,57 @@ class TestShiftWindow:
             assert not (apart & touch).any()
             assert not ((cleared | apart) & (mods >= svals[-1]) & (mods <= svals[0])).any()
             # the stages together: the explicit verdicts, shift for shift
-            assert np.array_equal(facts.failed(ws, facts.cleared(ws, DEFAULT_TOLS, mods), DEFAULT_TOLS), ill)
-            assert np.array_equal(facts.touches(ws, mods, DEFAULT_TOLS), touch)
+            screened = facts.screen(ws, DEFAULT_TOLS, mods)
+            assert np.array_equal(screened[0], touch) and np.array_equal(screened[1], ill)
             # not vacuous: the window decides shifts outside the band
             assert cleared.sum() >= 0.3 * mods.size and apart.sum() >= 0.3 * mods.size
 
-    def test_a_double_contraction_decides_every_battery_root_from_its_singular_values(self):
-        stack = certify._stress_battery(0.5, 2000, 1).stack
-        for n in (2, 4, 16, 32):
-            linalg._analysis_memo.cache_clear()
-            facts = linalg.analysis(certify.windowed_matrix(n, 0.5, 3))
-            cleared, apart = facts.window(stack.moduli[stack.mask], DEFAULT_TOLS)
-            assert cleared.all() and apart.all()
-            assert set(vars(facts)) == {"matrix", "singular_values", "_window_bounds"}
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16, 32])
+    # (r, battery seed, seed of T)
+    @pytest.mark.parametrize("r, seed, t_seed", [(0.5, 1, 3), (0.25, 1, 1), (0.5, 2, 2), (0.81, 3, 3)])
+    def test_a_double_contraction_decides_every_battery_root_from_its_singular_values(self, r, seed, t_seed, n):
+        stack = certify._stress_battery(r, 2000, seed).stack
+        linalg._analysis_memo.cache_clear()
+        facts = linalg.analysis(certify.windowed_matrix(n, r, t_seed))
+        cleared, apart = facts.window(stack.moduli[stack.mask], DEFAULT_TOLS)
+        assert cleared.all() and apart.all()
+        assert set(vars(facts)) == {"matrix", "singular_values", "_window_bounds"}
+
+    def test_screen_and_require_evaluate_the_window_once(self, monkeypatch):
+        # On the shear of the calculus example the window decides the two
+        # far shifts, Henrici's bound the two at distance 100 and 300, and
+        # the singular values of T - wI the two near 1.2, one of which
+        # touches the spectrum.  Each stage sees only what the earlier
+        # ones leave.
+        t = np.array([[1.2, 1e6], [0.0, 1.2]])
+        ws = np.array([1.3, 100.0, 1.2, 2e7, -300j, 4e6j])
+        svd, calls = np.linalg.svd, []
+
+        def counting(stage, method):
+            def wrapper(self, shifts, tols):
+                calls.append((stage, shifts.size))
+                return method(self, shifts, tols)
+
+            return wrapper
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                calls.append(("svd", len(a)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg.Analysis, "window", counting("window", linalg.Analysis.window))
+        monkeypatch.setattr(linalg.ShiftConditioning, "cleared", counting("bound", linalg.ShiftConditioning.cleared))
+        linalg._analysis_memo.cache_clear()
+        facts = linalg.analysis(t)
+        touch, failed = facts.screen(ws, DEFAULT_TOLS)
+        stages = [("window", 6), ("bound", 4), ("svd", 2)]
+        assert calls == stages
+        assert touch.tolist() == [False, False, True, False, False, False]
+        assert failed.tolist() == [True, False, True, False, False, False]
+        with pytest.raises(Singular, match=r"at 2 of 6 points$"):
+            facts.require(ws, DEFAULT_TOLS)
+        assert calls == stages * 2
 
     def test_inside_nan_and_infinite_shifts_and_an_overflowing_t_are_left_undecided(self):
         facts = linalg.analysis(np.array([[0.9, 0.3], [0.0, 0.6j]]))
