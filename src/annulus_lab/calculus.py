@@ -52,24 +52,6 @@ def polyval_matrix(coeffs, t: np.ndarray) -> np.ndarray:
     return _polyval_stack(p, linalg.as_matrix(t))[0]
 
 
-def _back_substitute(tri: np.ndarray, shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(tri - shifts[i] I)^-1 x[i]`` for each ``i``, with ``tri`` upper
-    triangular, written over ``x``.
-
-    Step ``k`` solves row ``k`` of every system at once.  Its update is one
-    broadcast ``tri[k, k+1:] @ x[:, k+1:]``, a product per matrix, so a
-    row's result does not depend on the rows stacked with it; one GEMV over
-    the whole stack would round some entries differently by position.
-    """
-    n = tri.shape[0]
-    pivots = tri.diagonal() - shifts[:, np.newaxis]
-    for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            x[:, k] -= tri[k, k + 1 :] @ x[:, k + 1 :]
-        x[:, k] /= pivots[:, k, np.newaxis]
-    return x
-
-
 # Byte budget of one stacked batch of n x n complex matrices: of f_i(R) in
 # _factored_chunks, of resolvents in _circle_integral.  It bounds their
 # memory whatever the number of rows or nodes.
@@ -127,11 +109,11 @@ def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioni
     about ``_CHUNK_BYTES``, with ``R`` the Schur triangle of ``T`` that its
     :class:`linalg.ShiftConditioning` ``rule`` keeps (``T + E = Q R Q*``),
     so each is unitarily similar to ``f_i(T)``: one batched Horner pass for
-    ``p_i(R) / scale_i`` and, per root slot, one :func:`_back_substitute`
-    for the rows with a root in that slot.  The roots are not checked here:
-    :func:`_check_roots` does that first.  A row's matrix does not depend on
-    the rows stacked with it, so the chunks of ``stack.take(rows)`` hold the
-    same matrices for those rows.
+    ``p_i(R) / scale_i`` and, per root slot, one
+    :func:`linalg._back_substitute` for the rows with a root in that slot.
+    The roots are not checked here: :func:`_check_roots` does that first.
+    A row's matrix does not depend on the rows stacked with it, so the
+    chunks of ``stack.take(rows)`` hold the same matrices for those rows.
     """
     tri = rule.triangle
     for rows in _chunks(stack.p.shape[0], tri.shape[0]):
@@ -140,7 +122,8 @@ def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioni
         out /= stack.scale[rows, np.newaxis, np.newaxis]
         for j in np.flatnonzero(mask.any(axis=0)):  # a taken subset may leave slots empty
             idx = np.flatnonzero(mask[:, j])
-            out[idx] = _back_substitute(tri, roots[idx, j], out[idx])
+            pivots = tri.diagonal() - roots[idx, j][:, np.newaxis]
+            out[idx] = linalg._back_substitute(tri, pivots[..., np.newaxis], out[idx])
         yield out
 
 

@@ -68,9 +68,8 @@ def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 
 def double_contraction_check(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff both ``T`` and ``r T^{-1}`` are contractions within tolerance."""
-    norm_t = linalg.analysis(t).norm
     norm_rtinv = linalg.operator_norm(involution(t, r, tols))
-    return norm_t <= 1.0 + tols.verify_tol and norm_rtinv <= 1.0 + tols.verify_tol
+    return linalg.analysis(t).double_contraction(r, norm_rtinv, tols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,17 +603,17 @@ def vonneumann_stress(
     of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
     refined sup by up to 3.0e-5 relative.
 
-    Von Neumann screen: when ``T`` is a strict double contraction, its
-    singular values within ``[r + delta, 1 - delta]`` with the rounding
-    margin ``delta = 64 n eps ||T||``, only the battery's two-sided functions
-    are evaluated (:attr:`_Battery.two_sided`).  A one-sided function is
-    analytic on the closed unit disk, or outside the disk of radius ``r``
-    and at infinity, so von Neumann's inequality (*Math. Nachr.* 4, 1951)
-    for ``T`` or for ``r T^{-1}`` gives ``||f(T)|| <= sup|f|``: it cannot
-    refute.  ``screened`` counts the functions skipped, and ``max_ratio``
-    is the largest ratio over the evaluated ones (0.0 when none is).  A
-    ``T`` on the boundary of the window, such as :func:`example_matrix`
-    with ``||T|| = 1``, screens nothing.
+    Von Neumann screen: when ``T`` is a strict double contraction
+    (:meth:`linalg.Analysis.double_contraction`: its singular values within
+    ``[r + delta, 1 - delta]``, ``delta = 64 n eps ||T||``), only the
+    battery's two-sided functions are evaluated (:attr:`_Battery.two_sided`).
+    A one-sided function is analytic on the closed unit disk, or outside the
+    disk of radius ``r`` and at infinity, so von Neumann's inequality (*Math.
+    Nachr.* 4, 1951) for ``T`` or ``r T^{-1}`` gives ``||f(T)|| <= sup|f|``:
+    it cannot refute.  ``screened`` counts the functions skipped, and
+    ``max_ratio`` is the largest ratio over the evaluated ones (0.0 when
+    none is).  A ``T`` on the boundary of the window, such as
+    :func:`example_matrix` with ``||T|| = 1``, screens nothing.
 
     Only the ratios that can matter get an exact sampled sup
     (:func:`_stress_ratios`): the battery's coarse lower bounds, computed
@@ -655,7 +654,7 @@ def vonneumann_stress(
     seed = linalg.as_integer(seed, "seed", 0)
     facts = linalg.analysis(t)
     m = facts.matrix
-    svals, norm_t = facts.singular_values, facts.norm
+    norm_t = facts.norm
     norm_rtinv = linalg.operator_norm(involution(m, r, tols))
     lams = facts.spectrum
     spectrum_ok = spectrum_in_annulus(m, r, tols)
@@ -663,8 +662,7 @@ def vonneumann_stress(
     probes = _clamp_to_annulus(lams, r)
 
     battery = _stress_battery(r, trials, seed)
-    margin = 64 * m.shape[0] * np.finfo(float).eps * norm_t
-    if norm_t + margin <= 1.0 and svals[-1] - margin >= r:
+    if facts.double_contraction(r, norm_rtinv, tols)[1]:
         rows, stack = battery.two_sided
     else:
         rows, stack = np.arange(trials), battery.stack
@@ -796,20 +794,19 @@ def full_certification(
 
     Returns the merged report (stress witness wins over the minimal-disk
     refutation, which wins over a pass) plus a dict of the individual checks.
-    The necessary conditions read ``||T||``, ``||r T^{-1}||`` and the
-    spectrum test from the stress report, and the minimal-disk route reads
+    The necessary conditions read ``||r T^{-1}||`` and the spectrum test
+    from the stress report, and they and the minimal-disk route read
     ``||T||`` from ``T``'s :func:`linalg.analysis`, as the report does: a
     call makes one SVD, one ``eigvals`` and one inverse of ``T``.  Each
     entry equals what its predicate returns.
     """
     m = linalg.as_matrix(t)
     report = vonneumann_stress(m, r, trials, seed, tols)
-    tol = tols.verify_tol
     details = {
         "spectrum_in_annulus": report.spectrum_ok,
-        "norm_window": r - tol <= report.norm_t <= 1.0 + tol,
+        "norm_window": norm_window(m, r, tols)[0],
         "norm_T": report.norm_t,
-        "double_contraction": report.norm_t <= 1.0 + tol and report.norm_rtinv <= 1.0 + tol,
+        "double_contraction": linalg.analysis(m).double_contraction(r, report.norm_rtinv, tols)[0],
         "williams": williams_verdict(m, r, tols).value,
     }
     if report.verdict is not Verdict.REFUTED and details["williams"] == WilliamsVerdict.MINIMAL_DISK_REFUTATION.value:

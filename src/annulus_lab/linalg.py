@@ -289,46 +289,76 @@ def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tri, vectors
 
 
+def _rule_share(n: int, tols: Tolerances) -> float:
+    """``theta = (2 rank_tol + 64 n eps)(1 + 64 n eps)``: a shift whose
+    ``sigma_min`` bound exceeds ``theta`` times its ``sigma_max`` bound
+    passes :func:`solve`'s rule, with room for rounding."""
+    slack = _ROUNDING * n * _EPS
+    return (2.0 * tols.rank_tol + slack) * (1.0 + slack)
+
+
+def _back_substitute(tri: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Column ``j`` of ``x[i]`` solved in place against the upper triangle
+    ``tri`` with ``pivots[i, :, j]`` on its diagonal (``tri``'s own is not
+    read; ``pivots[i]`` is ``(n, 1)`` for one diagonal per system).  Step
+    ``k`` solves row ``k`` of every system by one broadcast ``tri[k, k+1:]
+    @ x[:, k+1:]``, a product per ``x[i]``, so ``x[i]``'s result does not
+    depend on the rest of the stack."""
+    for k in range(tri.shape[0] - 1, -1, -1):
+        x[:, k] -= tri[k, k + 1 :] @ x[:, k + 1 :]
+        x[:, k] /= pivots[:, k]
+    return x
+
+
 class ShiftConditioning:
-    """Henrici's bound on :func:`solve`'s conditioning rule for shifts
-    ``T - wI`` of one matrix, from its Schur form: one stage of the shift
-    decision of :class:`Analysis` (see there), which builds it only for
-    the shifts the earlier stage leaves undecided or when a route needs
-    the triangle.
+    """Ostrowski's comparison-matrix bound on :func:`solve`'s conditioning
+    rule for shifts ``T - wI`` of one matrix, from its Schur form: one
+    stage of the shift decision of :class:`Analysis` (see there), which
+    builds it only for the shifts the earlier stage leaves undecided or
+    when a route needs the triangle.
 
-    A shift is cleared without a singular-value call when Henrici's bound
-    (Numer. Math. 4, 1962) proves ``sigma_min(T - wI)`` far enough above
-    ``rank_tol * sigma_max``.  With ``lambda_i`` and ``N`` the diagonal and
-    strict upper part of a Schur form of ``T + E``, ``g = min|lambda_i - w|``
-    and ``nu >= ||N||_F``,
+    With ``R`` the Schur triangle of ``T + E``, the comparison matrix ``M``
+    of ``R - wI`` has ``|r_ii - w|`` on its diagonal and ``-|r_ij|`` above
+    it, and ``0 <= |(R - wI)^-1| <= M^-1`` entrywise (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 8).  With ``e`` the
+    vector of ones and ``||A||_2 <= sqrt(||A||_1 ||A||_inf)``,
 
-        sigma_min(T - wI) >= lo = 1 / sum_{k<n} nu^k / g^(k+1) - ||E||_F
+        sigma_min(T - wI) >= lo = 1 / sqrt(||M^-1 e||_inf ||M^-T e||_inf) - ||E||_F
         sigma_max(T - wI) <= hi = ||T||_F + |w|,
 
-    and ``lo > (2 rank_tol + 64 n eps) hi`` leaves room for the rounding of
-    the shifted matrix and of its singular values, so the rule would find
-    that shift well conditioned too.  :meth:`cleared` takes ``g`` as the
-    computed distance to each ``lambda_i``.  The bound is computed with
-    ``T`` scaled by the power of two that brings its largest entry into
-    ``[1/2, 1)``, which every finite ``T`` has, subnormal or near
-    overflow.
+    and :meth:`cleared` clears a shift where ``lo > theta hi``
+    (:func:`_rule_share`).  ``M^-1 e`` is one :func:`_back_substitute`, a
+    column per shift, ``M^-T e`` one on the index-reversed transpose of
+    ``M``, upper triangular too.  ``T`` is scaled by the power of two that
+    brings its largest entry into ``[1/2, 1)``, which every finite ``T`` has.
 
-    ``triangle`` is the Schur triangle unscaled by the same power of two
-    (exact wherever its entries stay in the normal range; one that
-    overflows reads ``inf``), ``R`` with ``T + E = Q R Q*``, and
-    ``vectors`` is ``Q``, both from the one ``zgees`` call.  A unitarily
-    invariant quantity of a function of ``T``, such as ``||f(T)||``, can be
-    computed from ``R`` alone, and any function of ``T + E`` as
-    ``Q f(R) Q*``.  If ``zgees`` fails, :class:`NoConvergence` is raised.
+    Rounding.  ``M``'s diagonal is rounded down by ``1 - 64 n eps`` and
+    ``|r_ij|`` up by ``1 + 64 n eps``, which can only raise ``M^-1``, and
+    ``||T||_F`` and ``hi`` up by ``1 + 64 n eps``.  The substitutions add,
+    multiply and divide non-negative numbers, so in any summation order each
+    operation rounds within a factor ``1 +- 2 eps`` (a quotient below the
+    normal range is at least ``2^-1024``; an underflowed product is added to
+    at least 1), and by induction the ``k``-th entry from the end, a quotient
+    of a sum whose terms pass ``k + 1`` roundings after the later entries'
+    own, is at least ``(1 - 2 eps)^((k^2 + 3k - 2)/2)`` times the exact one.
+    The product, square root, quotient and difference that follow keep the
+    computed ``lo`` below the exact one if ``keep``, the quotient's
+    numerator, is at most ``1 - (n^2 + 3n + 2) eps``; ``keep = (1 - 64 n
+    eps)^n <= 1 - 32 n^2 eps`` wherever ``64 n^2 eps <= 1``.
 
-    The agreement with the rule rests on one assumption: that the Schur form
-    LAPACK ``zgees`` computes is exact for some ``T + E`` with
-    ``||E||_F <= 1024 n eps ||T||_F``.  The published results give
-    ``||E|| <= p(n) eps ||T||`` with ``p`` only called a modest function of
-    ``n`` (LAPACK Users' Guide, 3rd ed., sec. 4.8, error bounds for the
-    nonsymmetric eigenproblem; Golub and Van Loan, Matrix Computations,
-    4th ed., sec. 7.5.6, for the Hessenberg QR iteration), so ``1024 n`` is
-    a generous choice of ``p(n)``, not a derived one.
+    ``triangle`` is ``R`` unscaled (exact wherever its entries stay in the
+    normal range; one that overflows reads ``inf``) and ``vectors`` is
+    ``Q``, with ``T + E = Q R Q*``, both from the one ``zgees`` call (a
+    failure raises :class:`NoConvergence`).  A unitarily invariant quantity
+    of a function of ``T``, such as ``||f(T)||``, can be computed from
+    ``R`` alone, and any function of ``T + E`` as ``Q f(R) Q*``.
+
+    The stage rests on one assumption: that ``zgees``'s Schur form is exact
+    for some ``T + E`` with ``||E||_F <= 1024 n eps ||T||_F``.  The
+    published bounds are ``||E|| <= p(n) eps ||T||`` with ``p`` only called
+    modest (LAPACK Users' Guide, 3rd ed., sec. 4.8; Golub and Van Loan,
+    Matrix Computations, 4th ed., sec. 7.5.6), so ``1024 n`` is a generous
+    choice of ``p(n)``, not a derived one.
     """
 
     def __init__(self, m: np.ndarray):
@@ -336,69 +366,55 @@ class ShiftConditioning:
         scaled = _ldexp(m, -self.exponent)
         tri, self.vectors = _schur_triangle(scaled)
         n = m.shape[0]
-        slack = _ROUNDING * n * _EPS
-        fro = float(np.linalg.norm(scaled)) * (1.0 + slack)
+        self.slack = _ROUNDING * n * _EPS
         with np.errstate(over="ignore"):  # an eigenvalue beyond the float range reads inf
             self.triangle = _ldexp(tri, self.exponent)
         self.lams = tri.diagonal().copy()
         for array in (self.triangle, self.vectors, self.lams):
             array.flags.writeable = False
-        # rounding allowances: nu, ||T||_F and hi are rounded up by
-        # (1 + slack), and the gap and the quotient gap / total down by
-        # (1 - slack) each
-        self.nu = float(np.linalg.norm(np.triu(tri, 1))) * (1.0 + slack) / (1.0 - slack)
-        self.keep = (1.0 - slack) ** 2
-        self.fro = fro
-        self.slack = slack
+        # -|N| of M, and of its index-reversed transpose
+        self.upper = -np.abs(np.triu(tri, 1)) * (1.0 + self.slack)
+        self.lower = np.ascontiguousarray(self.upper.T[::-1, ::-1])
+        self.keep = (1.0 - self.slack) ** n
+        self.fro = float(np.linalg.norm(scaled)) * (1.0 + self.slack)
         # n * tiny covers entries that scaling pushed below the normal range
-        self.error = _SCHUR_ERROR * n * _EPS * fro + n * np.finfo(float).tiny
-
-    def _bounded(self, gap: np.ndarray, dist: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """Where ``lo`` at the gap ``gap`` exceeds the rule's share of
-        ``hi`` at the scaled shift modulus ``dist``."""
-        rho = self.nu / gap
-        total = 1.0
-        for _ in range(self.lams.size - 1):
-            total = 1.0 + rho * total
-        lo = gap * self.keep / total - self.error
-        theta = (2.0 * tols.rank_tol + self.slack) * (1.0 + self.slack)
-        return lo > theta * (self.fro + dist)
+        self.error = _SCHUR_ERROR * n * _EPS * self.fro + n * np.finfo(float).tiny
 
     def cleared(self, ws: np.ndarray, tols: Tolerances) -> np.ndarray:
-        """Where the bound proves the shift ``ws[...]`` well conditioned,
-        from its distance to each ``lambda_i``."""
-        # A zero gap, an overflow or a non-finite shift gives a NaN or
-        # infinite term, and the comparisons then clear nothing.
+        """Where the bound clears the shift ``T - wI`` of the 1-D ``ws``."""
+        # A zero pivot, an overflow or a non-finite shift gives a NaN or
+        # infinite term, and the comparison then clears nothing.
         with np.errstate(all="ignore"):
             ws = _ldexp(ws, -self.exponent)
-            gap = np.abs(ws[..., np.newaxis] - self.lams).min(axis=-1)
-            return self._bounded(gap, np.abs(ws), tols)
+            pivots = np.abs(ws - self.lams[:, np.newaxis])[np.newaxis] * (1.0 - self.slack)
+            rows = _back_substitute(self.upper, pivots, np.ones(pivots.shape)).max(axis=1)
+            cols = _back_substitute(self.lower, pivots[:, ::-1], np.ones(pivots.shape)).max(axis=1)
+            lo = self.keep / np.sqrt(rows * cols)[0] - self.error
+            return lo > _rule_share(self.lams.size, tols) * (self.fro + np.abs(ws))
 
 
 class Analysis:
     """What the toolkit reads off one square matrix ``T`` alone, each part
     computed on first read and then kept: ``matrix``, a read-only copy of
     ``T`` in its memory order; :attr:`spectrum`; :attr:`conditioning`, the
-    :class:`ShiftConditioning` of ``T`` (its ``zgees`` triangle and Schur
-    vectors); :attr:`singular_values`, which give :attr:`norm`, the
-    conditioning test of :meth:`inverse` and the shift window below; the
-    inverse; and the commutator that :meth:`is_normal` compares.  Every
-    part is what the function of the same name computes from ``T``
-    (:func:`spectrum`, :func:`operator_norm`, :func:`inverse`,
-    :func:`is_normal`), bit for bit; a test that takes tolerances is
-    applied at each call's own.  Arrays are read-only.  :func:`analysis`
-    serves one object per matrix.
+    :class:`ShiftConditioning` (``zgees`` triangle and Schur vectors);
+    :attr:`singular_values`, which give :attr:`norm`, :meth:`inverse`'s
+    conditioning test and the window below; the inverse; and the commutator
+    of :meth:`is_normal`.  Each part is, bit for bit, what the function of
+    the same name computes from ``T``, a test that takes tolerances at each
+    call's own.  Arrays are read-only.  :func:`analysis` serves one object
+    per matrix.
 
     Shifts ``T - wI`` are decided here, in one pass: :meth:`screen` runs
     the root check's touch test and :func:`solve`'s conditioning rule,
     :meth:`require` the rule alone.  Each stage sees only the shifts the
-    earlier ones leave undecided.  The window (:meth:`window`), evaluated
-    once, comes first for both tests.  The touch test then takes the
-    distance to each computed eigenvalue.  The rule takes Henrici's bound
-    at the distance to each Schur eigenvalue
-    (:meth:`ShiftConditioning.cleared`), then the singular values of
-    ``T - wI``, as :func:`solve` does.  The window reads only
-    :attr:`singular_values`: by Weyl's inequality for singular values
+    earlier ones leave undecided and clears only shifts the explicit test
+    passes, so the verdicts are those of the explicit tests.  The window
+    (:meth:`window`), evaluated once, comes first for both.  The touch test
+    then takes the distance to each computed eigenvalue; the rule takes the
+    comparison-matrix bound (:meth:`ShiftConditioning.cleared`), then the
+    singular values of ``T - wI``, as :func:`solve` does.  The window reads
+    only :attr:`singular_values`: by Weyl's inequality for singular values
     (Horn and Johnson, Matrix Analysis, 2nd ed., sec. 7.3),
 
         sigma_min(T - wI) >= lo = max(|w| - sigma_1, sigma_n - |w|)
@@ -410,28 +426,21 @@ class Analysis:
     tiny`` (the assumed backward error of the SVD, twice the ``32 n eps``
     that :func:`calculus._norm_bounds` assumes), and ``lo`` is the radial
     gap of :func:`band_gaps` against that band, so it is rounded down.  A
-    shift is cleared for the rule where ``lo > theta hi`` with
-    :class:`ShiftConditioning`'s ``theta = (2 rank_tol + 64 n eps)(1 + 64
-    n eps)``, which leaves the same room as Henrici's stage; and it is
-    farther than the touch limit from every computed eigenvalue where
-    ``lo`` less ``1024 n eps sqrt(n) sigma_1 + n tiny`` (at least the
-    Schur stage's ``1024 n eps ||T||_F`` allowance: the computed
-    eigenvalues are taken to be exact for some ``T + E`` that close)
-    exceeds the limit.  ``lo`` is not positive for ``|w|`` in ``[sigma_n,
-    sigma_1]``, so the window decides only shifts outside the singular
-    values' band; a NaN or infinite shift, or a ``T`` whose singular
-    values overflow, leaves it undecided.  On a double contraction, whose
-    singular values lie in ``[r, 1]``, the roots of a function on the
-    annulus lie outside that band, and the window decides each one that
-    clears it by more than these allowances; then the later stages (the
-    spectrum, the Schur form, Henrici's bound and the shifted matrices'
-    singular values) are not formed.  Every shift the window clears the
-    later stages would clear too, so the verdicts are theirs.  Besides the
-    SVD's backward error, the window assumes that the computed modulus of
-    a complex number (``np.abs`` and ``np.hypot``, from the C library's
-    ``hypot``) lies within one ulp of the exact one; the ``4 eps``
-    allowance of :func:`band_gaps` is twice what that and the rounding of
-    the difference need.
+    shift is cleared for the rule where ``lo > theta hi``
+    (:func:`_rule_share`), and it is farther than the touch limit from
+    every computed eigenvalue where ``lo`` less ``1024 n eps sqrt(n)
+    sigma_1 + n tiny`` (at least the Schur stage's ``1024 n eps ||T||_F``:
+    the computed eigenvalues are taken to be exact for some ``T + E`` that
+    close) exceeds the limit.  ``lo`` is not positive for ``|w|`` in
+    ``[sigma_n, sigma_1]``, and a NaN or infinite shift, or a ``T`` whose
+    singular values overflow, leaves the window undecided.  On a double
+    contraction, whose singular values lie in ``[r, 1]``, the window decides
+    every root of a function on the annulus that clears that band by more
+    than these allowances, and no spectrum, Schur form or shifted SVD is
+    formed.  The window also assumes that the computed modulus of a complex
+    number (``np.abs``, ``np.hypot``: the C library's ``hypot``) lies
+    within one ulp of the exact one; the ``4 eps`` of :func:`band_gaps` is
+    twice what that and the rounding of the difference need.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -455,17 +464,16 @@ class Analysis:
         return float(self.singular_values[0])
 
     @cached_property
-    def _window_bounds(self) -> tuple[tuple[float, float], float, float]:
-        """``(band, slack, error)``: the extreme singular values rounded
-        outward, ``64 n eps``, and the allowance of the computed
-        eigenvalues."""
+    def _window_bounds(self) -> tuple[tuple[float, float], float]:
+        """``(band, error)``: the extreme singular values rounded outward,
+        and the allowance of the computed eigenvalues."""
         svals, n = self.singular_values, self.matrix.shape[0]
-        slack, tiny = _ROUNDING * n * _EPS, n * np.finfo(float).tiny
+        tiny = n * np.finfo(float).tiny
         with np.errstate(all="ignore"):  # singular values beyond the float range read inf
-            spread = slack * svals[0] + tiny
+            spread = _ROUNDING * n * _EPS * svals[0] + tiny
             band = (float(svals[-1] - spread), float(svals[0] + spread))
             error = float(_SCHUR_ERROR * n * _EPS * np.sqrt(n) * band[1] + tiny)
-        return band, slack, error
+        return band, error
 
     def touch_limit(self, mods: np.ndarray, tols: Tolerances) -> np.ndarray:
         """``rank_tol * max(|w|, ||T||)`` for shifts of moduli ``mods``: how
@@ -478,11 +486,11 @@ class Analysis:
         where it proves that the rule passes, and where it proves every
         computed eigenvalue farther than :meth:`touch_limit` from the
         shift (see the class docstring)."""
-        band, slack, error = self._window_bounds
+        band, error = self._window_bounds
         with np.errstate(all="ignore"):
             lo = band_gaps(mods, band)
-            theta = (2.0 * tols.rank_tol + slack) * (1.0 + slack)
-            return lo > theta * (band[1] + mods), lo - error > self.touch_limit(mods, tols)
+            cleared = lo > _rule_share(self.matrix.shape[0], tols) * (band[1] + mods)
+            return cleared, lo - error > self.touch_limit(mods, tols)
 
     def screen(
         self, ws: np.ndarray, tols: Tolerances, mods: np.ndarray | None = None
@@ -515,8 +523,8 @@ class Analysis:
 
     def _rule_failed(self, ws: np.ndarray, cleared: np.ndarray, tols: Tolerances) -> np.ndarray:
         """Where the shifts of the 1-D ``ws`` fail the rule, given where the
-        window ``cleared`` them: Henrici's bound for the others, then the
-        singular values of ``T - wI`` for those it leaves undecided."""
+        window ``cleared`` them: the comparison-matrix bound for the others,
+        then one batched SVD of ``T - wI`` for those it leaves undecided."""
         failed = ~cleared
         if failed.any():
             failed[failed] = ~self.conditioning.cleared(ws[failed], tols)
@@ -524,6 +532,16 @@ class Analysis:
                 shifted = self.matrix - ws[failed, np.newaxis, np.newaxis] * np.eye(self.matrix.shape[0])
                 failed[failed] = _ill_conditioned(np.linalg.svd(shifted, compute_uv=False), tols)
         return failed
+
+    def double_contraction(self, r: float, norm_rtinv: float, tols: Tolerances) -> tuple[bool, bool]:
+        """``(within, strict)`` given ``norm_rtinv = ||r T^-1||``: whether
+        ``||T||`` and ``||r T^-1||`` are at most ``1 + verify_tol``, and
+        whether the singular values lie in ``[r + delta, 1 - delta]`` for
+        ``delta = 64 n eps ||T||``."""
+        norm, tol = self.norm, tols.verify_tol
+        margin = _ROUNDING * self.matrix.shape[0] * _EPS * norm
+        strict = norm + margin <= 1.0 and bool(self.singular_values[-1] - margin >= r)
+        return norm <= 1.0 + tol and norm_rtinv <= 1.0 + tol, strict
 
     @cached_property
     def _solved(self) -> np.ndarray:

@@ -1045,6 +1045,33 @@ class TestVonNeumannScreen:
         assert np.all(nums <= battery.exact_sups(one_sided) * (1.0 + 1e-12))
         assert vonneumann_stress(t, 0.5, 2000, 1).screened == one_sided.size
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            example_matrix(0.5),
+            windowed_matrix(4, 0.5, 3),
+            windowed_matrix(4, 0.5, 3) / operator_norm(windowed_matrix(4, 0.5, 3)),
+            1.3 * windowed_matrix(4, 0.5, 3),
+            0.1 * np.eye(2),
+            normal_annulus_matrix(4, 0.5, 11),
+        ],
+        ids=["shear", "windowed", "norm-one", "scaled-up", "small", "normal"],
+    )
+    def test_the_screen_and_the_necessary_condition_read_one_test(self, t):
+        # the two answers of Analysis.double_contraction against the
+        # formulas they replace, and the three readers against them
+        r, tols = 0.5, linalg.DEFAULT_TOLS
+        facts = linalg.analysis(t)
+        svals = np.linalg.svd(t, compute_uv=False)
+        norm_rtinv = operator_norm(r * np.linalg.inv(t))
+        margin = 64 * t.shape[0] * np.finfo(float).eps * svals[0]
+        within = svals[0] <= 1.0 + tols.verify_tol and norm_rtinv <= 1.0 + tols.verify_tol
+        strict = svals[0] + margin <= 1.0 and svals[-1] - margin >= r
+        assert facts.double_contraction(r, norm_rtinv, tols) == (within, strict)
+        report, details = full_certification(t, r, 200, 1)
+        assert details["double_contraction"] == double_contraction_check(t, r) == within
+        assert (report.screened > 0) == strict
+
     def test_probes_alone_are_screened_to_a_zero_ratio(self):
         rep = vonneumann_stress(normal_annulus_matrix(4, 0.5, 11), 0.5, 2, 1)
         assert (rep.verdict, rep.screened, rep.max_ratio) == (Verdict.PASSED_STRESS, 2, 0.0)
@@ -1370,9 +1397,9 @@ class TestNormBounds:
         assert calls == [1]
 
     def test_a_double_contraction_at_n32_sends_no_root_past_its_singular_values(self, monkeypatch):
-        # Henrici's bound loosens like (nu/g)^(n-1); the window of T's
-        # singular values does not, so no battery root reaches a later
-        # stage: neither the bound nor singular values of a shifted stack
+        # the window of T's singular values does not loosen with n: on a
+        # double contraction no battery root reaches a later stage, neither
+        # the comparison bound nor singular values of a shifted stack
         sent = []
         svd = np.linalg.svd
 

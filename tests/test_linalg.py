@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,9 +395,9 @@ class _Unwindowed(linalg.Analysis):
 
 
 def _helper(t, ws, tols):
-    """Henrici's bound, then the SVD fallback, as :meth:`linalg.Analysis.screen`
-    runs them on a fresh analysis of ``t`` without the window: where the
-    shifts ``ws`` fail the rule."""
+    """The comparison-matrix bound, then the SVD fallback, as
+    :meth:`linalg.Analysis.screen` runs them on a fresh analysis of ``t``
+    without the window: where the shifts ``ws`` fail the rule."""
     return _Unwindowed(linalg.as_matrix(t)).screen(ws, tols)[1]
 
 
@@ -584,6 +585,61 @@ class TestShiftConditioning:
                 assert cleared.any() and not cleared.all()
                 assert not _svd_rule(_shifted(t, ws), tols).any()
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_the_stage_sends_no_root_or_node_past_the_window_to_the_svd_at_large_n(self, n, monkeypatch):
+        # every root of the battery that the window leaves undecided on a T
+        # that is not a double contraction, and the nodes of both parts of
+        # its Riesz projection; a bound that loosens like (||N||_F /
+        # g)^(n-1), as Henrici's did, clears none of these roots
+        t = 1.3 * certify.windowed_matrix(n, 0.5, 3)
+        stack = certify._stress_battery(0.5, 2000, 1).stack
+        linalg._analysis_memo.cache_clear()
+        facts = linalg.analysis(t)
+        roots = stack.roots[stack.mask][~facts.window(stack.moduli[stack.mask], DEFAULT_TOLS)[0]]
+        svd, require, sent, nodes = np.linalg.svd, linalg.Analysis.require, [], []
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                sent.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg.Analysis, "require", lambda self, ws, tols: nodes.append(ws) or require(self, ws, tols))
+        assert not facts.screen(roots, DEFAULT_TOLS)[1].any()
+        for part in calculus.SpectralPart:
+            calculus.riesz_projection(t, part, calculus.ContourSpec(delta=0.1, nodes=512), 0.5)
+        monkeypatch.undo()
+        assert sent == []
+        ws = np.concatenate([roots, *nodes])
+        assert roots.size > 500 and ws.size == roots.size + 2048
+        assert facts.conditioning.cleared(ws, DEFAULT_TOLS).all()
+        for chunk in np.array_split(ws, 16):
+            assert not _svd_rule(_shifted(t, chunk), DEFAULT_TOLS).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_the_substitutions_keep_within_the_derived_rounding_bound(self, n):
+        # M x = e solved by the shared substitution on comparison matrices
+        # whose inverses grow up to about 1e16, against exact rational
+        # arithmetic: the k-th entry from the end is at least (1 - 2 eps)
+        # ** ((k^2 + 3k - 2) / 2) times the exact one, and keep is at most
+        # the 1 - (n^2 + 3n + 2) eps that the bound's analysis needs
+        eps = np.finfo(float).eps
+        rng = linalg.seeded_rng(5, n)
+        for coupling in (0.1, 3.0, 30.0):
+            upper = -np.triu(rng.random((n, n)), 1) * coupling
+            pivots = rng.random((1, n, 4)) + 0.05
+            x = linalg._back_substitute(upper, pivots, np.ones((1, n, 4)))[0]
+            for j in range(4):
+                exact = [Fraction(0)] * n
+                for k in range(n - 1, -1, -1):
+                    total = 1 - sum(Fraction(upper[k, i]) * exact[i] for i in range(k + 1, n))
+                    exact[k] = total / Fraction(pivots[0, k, j])
+                for k in range(n):
+                    steps = n - k
+                    assert Fraction(x[k, j]) >= exact[k] * Fraction(1 - 2 * eps) ** ((steps**2 + 3 * steps - 2) // 2)
+        rule = linalg.ShiftConditioning(certify.windowed_matrix(n, 0.5, 3))
+        assert rule.keep <= 1 - (n * n + 3 * n + 2) * eps
+
     def test_the_distance_stage_clears_inside_shifts_but_not_nan_or_infinite_ones(self):
         t = np.array([[0.9, 0.3], [0.0, 0.6j]])
         rule = linalg.ShiftConditioning(t)
@@ -686,7 +742,7 @@ class TestShiftWindow:
 
     def test_screen_and_require_evaluate_the_window_once(self, monkeypatch):
         # On the shear of the calculus example the window decides the two
-        # far shifts, Henrici's bound the two at distance 100 and 300, and
+        # far shifts, the comparison bound the two at distance 100 and 300, and
         # the singular values of T - wI the two near 1.2, one of which
         # touches the spectrum.  Each stage sees only what the earlier
         # ones leave.
