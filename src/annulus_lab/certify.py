@@ -45,21 +45,27 @@ def example_matrix(r: float) -> np.ndarray:
 
 
 def spectrum_in_annulus(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True iff every eigenvalue modulus lies in ``[r - tol, 1 + tol]``."""
+    """True iff every eigenvalue modulus lies in ``[r - tol, 1 + tol]``.
+    :class:`BadRadius` unless ``0 < r < 1``, before any other check."""
+    linalg.require_radius(r)
     mods = np.abs(linalg.analysis(t).spectrum)
     return bool(np.all(mods >= r - tols.verify_tol) and np.all(mods <= 1.0 + tols.verify_tol))
 
 
 def norm_window(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, float]:
     """Check ``r - tol <= ||T|| <= 1 + tol``; returns (passes, norm).
-    :class:`NotSquare` unless ``T`` is square."""
+    :class:`BadRadius` unless ``0 < r < 1``, then :class:`NotSquare` unless
+    ``T`` is square."""
+    linalg.require_radius(r)
     norm_t = linalg.analysis(t).norm
     passes = (r - tols.verify_tol) <= norm_t <= (1.0 + tols.verify_tol)
     return passes, norm_t
 
 
 def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The annulus involution ``T -> r T^{-1}``; applying it twice returns T."""
+    """The annulus involution ``T -> r T^{-1}``; applying it twice returns T.
+    :class:`BadRadius` unless ``0 < r < 1``, before any other check."""
+    linalg.require_radius(r)
     try:
         return r * linalg.analysis(t).inverse(tols)
     except Singular as exc:
@@ -67,7 +73,8 @@ def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 
 
 def double_contraction_check(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True iff both ``T`` and ``r T^{-1}`` are contractions within tolerance."""
+    """True iff both ``T`` and ``r T^{-1}`` are contractions within tolerance.
+    :class:`BadRadius` unless ``0 < r < 1``, before any other check."""
     norm_rtinv = linalg.operator_norm(involution(t, r, tols))
     return linalg.analysis(t).double_contraction(r, norm_rtinv, tols)[0]
 
@@ -101,7 +108,7 @@ class CertificationReport:
     ``PassedStress`` means that no witness was found among the evaluated
     functions, not that ``T`` is an ``A_r``-contraction: on
     ``[[0.7, 0.40329], [0, 0.7]]`` at ``r = 0.5`` the battery passes
-    (``max_ratio`` 0.983, 693 functions screened), while a two-Möbius
+    (``max_ratio`` 0.9330, 603 functions screened), while a two-Möbius
     function with poles at ``1/0.7`` and ``0.25/0.7`` has ratio 1.235.
     """
 
@@ -134,71 +141,45 @@ class CertificationReport:
         }
 
 
-_M32 = 0xFFFFFFFF
+def _draw(r: float, count: int, rngs) -> tuple:
+    """``count`` test functions on the annulus of inner radius ``r``, as the
+    ``(counts, p, roots)`` that :func:`rational.pack` takes, from the three
+    generators ``rngs``, each read in row order, so row ``i`` does not
+    depend on ``count``:
 
+    0. ``integers(0, 5, size=(count, 3))``, each row's ``k1``, ``k2`` and
+       numerator degree;
+    1. ``random``, a (modulus, argument) pair of uniforms ``(u, v)`` per
+       root, row by row, outer roots first;
+    2. ``standard_normal``, each row's ``deg + 1`` real parts, then its
+       imaginary parts, redrawn, next in the stream, while every one is zero.
 
-def _below_five(bits, half: int | None) -> tuple[int, int | None]:
-    """One draw of ``Generator.integers(0, 5)`` from the raw 64-bit words
-    of the bit generator ``bits``, as numpy makes it, by Lemire's
-    bounded-integer method (*ACM TOMACS* 29, 2019): the value of a 32-bit
-    half-word ``x`` is ``5 x >> 32``, and ``x`` is rejected only when ``5 x
-    mod 2**32 == 0``, for the next half-word.  A word's low half comes
-    before its high half; ``half`` is the high half left over from the last
-    word (None when there is none).  Returns the draw and the half left
-    over now."""
-    while True:
-        if half is None:
-            word = bits.random_raw()
-            x, half = word & _M32, word >> 32
-        else:
-            x, half = half, None
-        m = x * 5
-        if m & _M32:
-            return m >> 32, half
-
-
-def _draw(r: float, rngs) -> tuple:
-    """One test function on the annulus of inner radius ``r`` per generator
-    of the iterable ``rngs``, as the ``(counts, p, roots)`` that
-    :func:`rational.pack` takes.
-
-    Each generator draws, in this order: the root counts ``k1`` and ``k2``,
-    a (modulus, argument) pair of uniforms ``(u, v)`` per root, outer roots
-    first, the numerator degree, then the real and imaginary parts of the
-    coefficients, redrawn while every one is zero.  The three integers on
-    {0..4} are decoded from the bit generator's raw 64-bit words
-    (:func:`_below_five`), as ``integers(0, 5)`` decodes them, for a fraction
-    of that call's cost: ``k1`` and ``k2`` from the two halves of one word
-    and ``deg`` from the low half of the first word after the uniforms.  A
-    rejected half shifts the later draws by a half-word, and a high half
-    left over from ``k2`` then serves ``deg``, across the uniforms, as
-    numpy's buffered half would.  The uniforms and normals are numpy's own
-    calls, which read whole words.  Each generator is done with before the
-    next is taken, as :func:`linalg.seeded_rngs` needs; the real and
-    imaginary parts are one ``standard_normal`` call, which draws the bits
-    of the two calls in turn.  The variates of all rows are then
-    transformed in one vectorized pass: outer moduli ``exp((1 - u) ln 4)``,
-    inner moduli ``r exp(-(1 - u) ln 4)``, arguments ``2 pi v``,
-    coefficients ``(re + 1j im) / sqrt(2)``.
+    The variates are transformed in one vectorized pass: outer moduli
+    ``exp((1 - u) ln 4)``, inner moduli ``r exp(-(1 - u) ln 4)``, arguments
+    ``2 pi v``, coefficients ``(re + 1j im) / sqrt(2)``.
     """
-    counts, uniforms, normals = [], [], []
-    for rng in rngs:
-        bits = rng.bit_generator
-        k1, half = _below_five(bits, None)
-        k2, half = _below_five(bits, half)
-        uniforms.append(rng.random(2 * (k1 + k2)))
-        deg, _ = _below_five(bits, half)
-        # (re + 1j im) / sqrt(2) has a nonzero entry iff re or im has one
-        pair = rng.standard_normal(2 * (deg + 1))
-        while not np.count_nonzero(pair):
-            pair = rng.standard_normal(2 * (deg + 1))
-        counts.append((k1, k2, deg + 1))
-        normals.append(pair)
-    counts = np.array(counts, dtype=int).reshape(-1, 3)
-    uniforms, normals = (np.concatenate(parts) if parts else np.empty(0) for parts in (uniforms, normals))
-    # a row's pair holds its deg + 1 real parts, then its imaginary parts, as
-    # its roots are its k1 outer ones, then its k2 inner ones
-    first = np.tile([True, False], counts.shape[0])
+    ints, uniforms, normals = rngs
+    counts = ints.integers(0, 5, size=(count, 3))
+    counts[:, 2] += 1
+    uniforms = uniforms.random(2 * counts[:, :2].sum())
+    lengths = 2 * counts[:, 2]
+    stream = normals.standard_normal(lengths.sum())
+    # skips[i] values of row i's stream are all-zero draws it passed over;
+    # (re + 1j im) / sqrt(2) has a nonzero entry iff re or im has one
+    skips = np.zeros(count, dtype=int)
+    while True:
+        stops = np.cumsum(lengths + skips)
+        nonzero = np.concatenate([[0], np.cumsum(stream != 0)])
+        zero = nonzero[stops] == nonzero[stops - lengths]
+        if not zero.any():
+            break
+        i = np.argmax(zero)
+        skips[i] += lengths[i]
+        stream = np.concatenate([stream, normals.standard_normal(lengths[i])])
+    normals = stream[np.arange(lengths.sum()) + np.repeat(np.cumsum(skips), lengths)]
+    # a row's normals are its deg + 1 real parts, then its imaginary parts,
+    # as its roots are its k1 outer ones, then its k2 inner ones
+    first = np.tile([True, False], count)
     real = np.repeat(first, np.repeat(counts[:, 2], 2))
     outer = np.repeat(first, counts[:, :2].ravel())
     ln4 = np.log(4.0)
@@ -214,25 +195,13 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     {0..4} per denominator factor; outer root moduli log-uniform on (1, 4],
     inner moduli log-uniform on [r/4, r); arguments uniform; numerator degree
     uniform on {0..4} with unit complex Gaussian coefficients; scale 1.  It
-    is the one-row case of the battery's draw (:func:`_draw`, then
-    :func:`rational.pack`), so the battery's functions are those this
-    returns for the generators ``linalg.seeded_rng(seed, 17, i)``, which
-    the battery takes in bulk from :func:`linalg.seeded_rngs`.
-
-    The root counts and the degree come from the bit generator's raw 64-bit
-    words (``rng.bit_generator.random_raw``), decoded as
-    ``rng.integers(0, 5)`` decodes them.  For numpy's 64-bit bit
-    generators (Philox, PCG64, SFC64) the function is the one that
-    ``integers`` draws would give when ``rng`` has no 32-bit half-word
-    pending from an earlier draw of its own; with one pending, ``integers``
-    would start from that half and this function does not.  MT19937's raw
-    words are its 32-bit outputs, whose zero high half the decode rejects,
-    so it gives the ``integers`` draws too.  The decode buffers no half in
-    ``rng``: a high half it leaves unused is dropped.
+    is the one-row case of the battery's draw, ``_draw(r, 1, (rng, rng,
+    rng))`` then :func:`rational.pack`: ``rng`` draws the three integers,
+    then the uniforms, then the normals.
     :class:`BadRadius` is raised unless ``0 < r < 1``.
     """
     linalg.require_radius(r)
-    return rational.pack(r, *_draw(r, [rng])).function(0)
+    return rational.pack(r, *_draw(r, 1, (rng, rng, rng))).function(0)
 
 
 # A quarter of calculus._CHUNK_BYTES: abs_at holds four arrays of a chunk's
@@ -462,16 +431,15 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     """Deterministic battery of test functions with lower sup bounds.
 
     Trials 0 and 1 are the canonical probes ``z`` and ``r/z`` (they expose
-    norm-window violations exactly); trial ``i >= 2`` is
-    ``sample_test_function(r, linalg.seeded_rng(seed, 17, i))``.  The
-    generators come from ``linalg.seeded_rngs(seed, 17, 2, trials)``, which
-    keys them all in one pass instead of building a SeedSequence per row;
-    each makes its own draws, and the variates of all rows are transformed
-    in one vectorized pass (:func:`_draw`) and written straight into the
-    padded stack (:func:`rational.pack`), so no :class:`AnnulusRational` is
-    built here.  Every row is validated (:func:`_check_rows`), then
-    :class:`PoleHit` is raised as :func:`_sampled_sups` would on the
-    battery's sampling (:func:`_check_poles`).  The build evaluates no
+    norm-window violations exactly); trials ``2 <= i < trials`` are the rows
+    ``0 <= i - 2`` of one :func:`_draw` from the three generators
+    ``linalg.seeded_rng(seed, 17, k)``, ``k = 0, 1, 2``, so the first rows
+    of a battery are those of any longer one.  The draws are written
+    straight into the padded stack (:func:`rational.pack`), so no
+    :class:`AnnulusRational` is built here.  Every row is validated
+    (:func:`_check_rows`), then :class:`PoleHit` is raised as
+    :func:`_sampled_sups` would on the battery's sampling
+    (:func:`_check_poles`).  The build evaluates no
     ``|f|``: the lower bounds and the exact sups are computed for the rows
     a call reads (:meth:`_Battery.lower_bounds`,
     :meth:`_Battery.exact_sups`).  Cached so repeated certifications
@@ -479,7 +447,7 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     memos.
     """
     probes = min(trials, len(_PROBE_COUNTS))
-    counts, p, roots = _draw(r, linalg.seeded_rngs(seed, 17, probes, trials))
+    counts, p, roots = _draw(r, trials - probes, [linalg.seeded_rng(seed, 17, k) for k in range(3)])
     counts = np.concatenate([_PROBE_COUNTS[:probes], counts])
     p = np.concatenate([np.array([0.0, 1.0, r], dtype=complex)[: counts[:probes, 2].sum()], p])
     roots = np.concatenate([np.zeros(counts[:probes, 1].sum(), dtype=complex), roots])
@@ -586,8 +554,11 @@ def vonneumann_stress(
 ) -> CertificationReport:
     """Sample test functions and compare ``||f(T)||`` to the boundary sup.
 
-    The denominator of each ratio is a lower bound on the true sup norm,
-    which is the wrong direction for a proof of a violation: the
+    The functions are the ``trials`` rows of the battery of ``(r, trials,
+    seed)`` (:func:`_stress_battery`): the probes ``z`` and ``r/z``, then
+    draws from the three streams of ``seed``.  The denominator of each
+    ratio is a lower bound on the true sup norm, which is the wrong
+    direction for a proof of a violation: the
     node-sampled boundary maximum, improved by pole-adaptive
     refinement and by ``|f|`` at the spectrum projected into the annulus
     (interior values never exceed the boundary sup).  The sampled maxima are
@@ -601,7 +572,8 @@ def vonneumann_stress(
     sups (:meth:`_Battery.exact_sups`).  That re-check still
     samples, so a witness is not a proof: on the 2000-function batteries
     of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
-    refined sup by up to 3.0e-5 relative.
+    refined sup (three 2001-point zooms around each circle's densest
+    maximum) by up to 3.0e-5 relative.
 
     Von Neumann screen: when ``T`` is a strict double contraction
     (:meth:`linalg.Analysis.double_contraction`: its singular values within
@@ -772,8 +744,10 @@ def williams_verdict(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> WilliamsVe
     ``verify_tol`` of 1, while the theorem needs ``||T|| = 1`` exactly:
     ``example_matrix(0.25) * (1 - 5e-9)`` still gets
     ``MINIMAL_DISK_REFUTATION``, and for such a ``T`` it is not a proof.
-    :class:`NotSquare` unless ``T`` is square.
+    :class:`BadRadius` unless ``0 < r < 1``, then :class:`NotSquare` unless
+    ``T`` is square.
     """
+    linalg.require_radius(r)
     m = linalg.as_matrix(t)
     if not abs(linalg.analysis(m).norm - 1.0) <= tols.verify_tol:
         return WilliamsVerdict.NOT_APPLICABLE

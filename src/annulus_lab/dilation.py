@@ -77,14 +77,14 @@ def egervary_dilation(t, d: int, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.nd
 
     Block companion layout: the first column carries ``(T, D_T)``, the last
     carries ``(D_{T*}, -T*)``, and an identity subdiagonal shifts everything
-    else.  A unitary input dilates itself (1x1 block).
+    else.  A unitary input dilates itself (1x1 block).  :class:`NotSquare`
+    unless ``T`` is square.
     """
     m = linalg.as_matrix(t)
-    if m.shape[0] != m.shape[1]:
-        raise NotContraction("dilation needs a square matrix")
+    facts = linalg.analysis(m)
     d = linalg.as_integer(d, "degree budget", 1)
     h = m.shape[0]
-    norm = linalg.analysis(m).norm
+    norm = facts.norm
     if norm > 1.0 + tols.verify_tol:
         raise NotContraction(f"||T|| = {norm} exceeds 1")
     gram_defect = linalg.operator_norm(np.eye(h) - m.conj().T @ m)
@@ -280,18 +280,18 @@ def ando_pair(t1, t2, m_depth: int, tols: Tolerances = DEFAULT_TOLS) -> AndoPair
     """Truncated commuting isometric dilation of a commuting contraction pair;
     its generators pass the check :func:`verify_model` makes, else
     :class:`NotCommuting` or :class:`NotIsometric`.  It keeps the read-only
-    ``T1`` and ``T2`` of :func:`linalg.analysis`, so a later change to an input leaves it as it was."""
-    m1 = linalg.as_matrix(t1)
-    m2 = linalg.as_matrix(t2)
-    if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
-        raise NotCommuting("need two square matrices of equal size")
+    ``T1`` and ``T2`` of :func:`linalg.analysis`, so a later change to an input leaves it as it was.
+    :class:`NotSquare` unless each is square, :class:`DimensionMismatch`
+    unless they have one size."""
+    facts = linalg.analysis(t1), linalg.analysis(t2)
+    m1, m2 = (a.matrix for a in facts)
+    if m1.shape != m2.shape:
+        raise DimensionMismatch(f"T1 is {m1.shape[0]}x{m1.shape[1]}, T2 is {m2.shape[0]}x{m2.shape[1]}")
     m_depth = linalg.as_integer(m_depth, "block depth", 2)
     h = m1.shape[0]
-    facts = linalg.analysis(m1), linalg.analysis(m2)
     for name, a in zip(("T1", "T2"), facts):
         if a.norm > 1.0 + tols.verify_tol:
             raise NotContractions(f"{name} is not a contraction")
-    m1, m2 = (a.matrix for a in facts)
     eye = np.eye(h)
     d1 = _defect(eye - m1.conj().T @ m1, "T1", NotContractions, tols)
     d2 = _defect(eye - m2.conj().T @ m2, "T2", NotContractions, tols)
@@ -572,12 +572,14 @@ def single_carrier_residual(
     no outer roots) the carrier is ``r U*`` built on ``r T^{-1}``, whose
     negative powers compress to negative powers of ``T`` up to degree ``d``.
     ``f`` must live on the annulus of radius ``r``, and ``d`` be an integer.
+    :class:`NotSquare` unless ``T`` is square.
     """
     rational.validate(f)
     if f.r != r:
         raise InvalidRational(f"mismatched radii {f.r} and {r}")
     d = linalg.as_integer(d, "degree budget", 1)
     m = linalg.as_matrix(t)
+    linalg.analysis(m)  # NotSquare before any carrier is built
     if not f.q2_roots:
         u, e = egervary_dilation(m, d, tols)
         carrier = u

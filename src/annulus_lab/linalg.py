@@ -614,9 +614,9 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for a (seed, stream...) key.
 
     Sub-streams are derived with ``SeedSequence(seed, spawn_key=stream)`` so a
-    single user-facing seed deterministically covers every consumer.  This
-    is the reference; :func:`seeded_rngs` gives the generators of a run of
-    keys ``(seed, stream, i)`` in bulk.  ``ValueError`` naming ``seed`` or
+    single user-facing seed deterministically covers every consumer; the
+    stress battery draws from the three keys ``(seed, 17, k)``, ``k = 0, 1,
+    2``, one stream per kind of variate.  ``ValueError`` naming ``seed`` or
     ``stream`` unless each is an integer (numpy's too, not a ``bool``) and
     ``>= 0``.
     """
@@ -624,97 +624,6 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
         entropy=as_integer(seed, "seed", 0), spawn_key=tuple(as_integer(s, "stream", 0) for s in stream)
     )
     return np.random.Generator(np.random.Philox(ss))
-
-
-# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words, its multipliers and its xor-shift.
-_POOL = 4
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of ``n >= 0`` as SeedSequence reads them, low first; 0 is one word."""
-    words = [n & _M32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's ``hashmix`` with its running constant: a function of
-    32-bit words, a Python int or a ``uint64`` array, that advances the
-    constant on every call."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x, y):
-    m = (_MIX_L * x - _MIX_R * y) & _M32
-    return m ^ m >> 16
-
-
-def _spawn_keys(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
-    """Row ``i - start`` is the Philox key of
-    ``SeedSequence(seed, spawn_key=(stream, i))``, for ``0 <= start <= i <
-    stop <= 2**32`` and ``seed, stream >= 0``.
-
-    The entropy is the words of ``seed``, zero-padded to the pool as a
-    spawned SeedSequence pads it, then those of ``stream``, then the single
-    word ``i``; it is always past the pool, so it is mixed in last.  The
-    words before it are mixed once, in Python ints, and only ``i`` and the
-    state's two ``uint64`` words are hashed as arrays.
-    """
-    entropy = _words(seed)
-    entropy += [0] * (_POOL - len(entropy)) + _words(stream)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:] + [np.arange(start, stop, dtype=np.uint64)]:
-        pool = [_mix(p, hashmix(word)) for p in pool]
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    lo0, hi0, lo1, hi1 = (hashmix(p) for p in pool)
-    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
-
-
-def seeded_rngs(seed: int, stream: int, start: int, stop: int):
-    """The generators ``seeded_rng(seed, stream, i)`` for ``start <= i < stop``,
-    in order: the same draws, without a SeedSequence per ``i``.
-
-    The keys come from :func:`_spawn_keys` in one pass, and one Philox
-    generator is re-keyed for each ``i`` through its public ``state``
-    (counter 0, an empty buffer), which is the state a fresh one starts in.
-    So each generator yielded is valid only until the next one is taken:
-    keep its draws, not the generator.  Keys the one pass does not cover
-    (a negative ``i``, ``i >= 2**32``) are made by :func:`seeded_rng`, and
-    ``seed`` and ``stream`` are checked as it checks them.
-    """
-    seed, stream = as_integer(seed, "seed", 0), as_integer(stream, "stream", 0)
-    start, stop = int(start), int(stop)
-    if start < 0 or stop > 1 << 32:
-        for i in range(start, stop):
-            yield seeded_rng(seed, stream, i)
-        return
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    state = bits.state
-    for key in _spawn_keys(seed, stream, start, stop).tolist():
-        state["state"]["key"] = key
-        bits.state = state
-        yield rng
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

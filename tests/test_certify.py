@@ -2,7 +2,6 @@ import re
 import sys
 import threading
 import tracemalloc
-import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -116,6 +115,29 @@ class TestDoubleContraction:
             assert double_contraction_check(t, 0.5) == double_contraction_check(
                 involution(t, 0.5), 0.5
             )
+
+
+class TestPredicateRadius:
+    """Every predicate raises :class:`BadRadius` for a radius outside (0, 1)
+    before it analyses ``T``."""
+
+    _PREDICATES = {
+        "spectrum_in_annulus": spectrum_in_annulus,
+        "norm_window": norm_window,
+        "involution": involution,
+        "double_contraction_check": double_contraction_check,
+        "williams_verdict": williams_verdict,
+        "vonneumann_stress": lambda t, r: vonneumann_stress(t, r, 20, 1),
+        "full_certification": lambda t, r: full_certification(t, r, 20, 1),
+    }
+
+    @pytest.mark.parametrize("r", [float("nan"), 0.0, 1.0, -0.5, 1.5, float("inf")])
+    @pytest.mark.parametrize("name", sorted(_PREDICATES))
+    def test_a_radius_outside_the_unit_interval_is_rejected_first(self, name, r, monkeypatch):
+        t = windowed_matrix(3, 0.5, 1)
+        monkeypatch.setattr(linalg, "analysis", lambda *args: pytest.fail("T analysed"))
+        with pytest.raises(BadRadius):
+            self._PREDICATES[name](t, r)
 
 
 class TestVonNeumannStress:
@@ -388,77 +410,100 @@ def _reference_sup(f, base_nodes=4096, local_nodes=512):
     return sup
 
 
-def _reference_sample(r, rng):
-    """The battery's distribution drawn one function and one scalar at a
-    time, as an independent reference for the array draw."""
-    k1 = int(rng.integers(0, 5))
-    k2 = int(rng.integers(0, 5))
+def _reference_rows(r, count, rngs):
+    """The battery's distribution drawn one row, and within a row one root,
+    at a time from the three streams ``rngs``, as an independent reference
+    for the array draw: the integers of every row in one call, each row's
+    (modulus, argument) uniforms, outer roots first, and its real, then
+    imaginary, parts, drawn again while all are zero."""
+    ints, uniforms, normals = rngs
     ln4 = np.log(4.0)
-    q1 = []
-    for _ in range(k1):
-        mod = float(np.exp((1.0 - rng.random()) * ln4))
-        q1.append(mod * np.exp(2j * np.pi * rng.random()))
-    q2 = []
-    for _ in range(k2):
-        mod = float(r * np.exp(-(1.0 - rng.random()) * ln4))
-        q2.append(mod * np.exp(2j * np.pi * rng.random()))
-    deg = int(rng.integers(0, 5))
-    while True:
-        p = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.sqrt(2.0)
-        if np.any(p != 0):
-            break
-    return AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=tuple(q1), q2_roots=tuple(q2))
+    rows = []
+    for k1, k2, deg in ints.integers(0, 5, size=(count, 3)).tolist():
+        q1 = []
+        for _ in range(k1):
+            mod = float(np.exp((1.0 - uniforms.random()) * ln4))
+            q1.append(mod * np.exp(2j * np.pi * uniforms.random()))
+        q2 = []
+        for _ in range(k2):
+            mod = float(r * np.exp(-(1.0 - uniforms.random()) * ln4))
+            q2.append(mod * np.exp(2j * np.pi * uniforms.random()))
+        while True:
+            p = (normals.standard_normal(deg + 1) + 1j * normals.standard_normal(deg + 1)) / np.sqrt(2.0)
+            if np.any(p != 0):
+                break
+        rows.append(AnnulusRational(r=r, p_coeffs=tuple(p), q1_roots=tuple(q1), q2_roots=tuple(q2)))
+    return rows
 
 
-def _reference_battery(r, count, seed, rng=seeded_rng):
+def _streams(seed):
+    return tuple(seeded_rng(seed, 17, k) for k in range(3))
+
+
+def _reference_battery(r, count, rngs):
+    """The canonical probes, then ``count - 2`` reference rows from ``rngs``."""
     probes = [AnnulusRational(r=r, p_coeffs=(0.0, 1.0)), AnnulusRational(r=r, p_coeffs=(r,), q2_roots=(0.0,))]
-    return probes[:count] + [_reference_sample(r, rng(seed, 17, i)) for i in range(2, count)]
+    return probes[:count] + _reference_rows(r, max(count - 2, 0), rngs)
 
 
-def _half_word(value):
-    """A 32-bit half-word that ``integers(0, 5)`` decodes to ``value``: the
-    middle of its fifth of the range."""
-    return ((2 * value + 1) << 32) // 10
+class _Stream:
+    """A generator's draws in order, with the values at some positions of
+    the stream replaced: ``random`` or ``standard_normal`` (whichever the
+    stream is read by) gives ``at[k]`` as its ``k``-th value, and
+    ``integers`` replaces whole rows, ``rows[i]`` for row ``i``.  ``pin``
+    adds entries before or between reads."""
 
+    def __init__(self, rng):
+        self._rng = rng
+        self._read = 0
+        self.at, self.rows = {}, {}
 
-class _RawWords:
-    """A raw-word source: ``random_raw`` returns the given 64-bit words in
-    turn and counts them."""
+    def _replaced(self, draws):
+        for k in range(draws.size):
+            draws[k] = self.at.get(self._read + k, draws[k])
+        self._read += draws.size
+        return draws
 
-    def __init__(self, words):
-        self._words = iter(words)
-        self.read = 0
-
-    def random_raw(self):
-        self.read += 1
-        return next(self._words)
-
-
-class _PinnedDraws:
-    """A generator with given integer and uniform draws (normals from a
-    fixed seeded stream), to place a drawn root where the distribution
-    almost never puts one.  The integers ``(k1, k2, degree)`` come from
-    ``integers`` or, as the battery's draw reads them, from raw words
-    (``bit_generator.random_raw``): ``k1`` and ``k2`` in the halves of one
-    word, the degree in the low half of the next."""
-
-    def __init__(self, integers, uniforms):
-        self._integers = iter(integers)
-        self._uniforms = iter(uniforms)
-        self._normals = seeded_rng(0)
-        k1, k2, deg = integers
-        self.bit_generator = _RawWords([_half_word(k1) | _half_word(k2) << 32, _half_word(deg)])
-
-    def integers(self, low, high):
-        return next(self._integers)
+    def integers(self, low, high, size):
+        draws = self._rng.integers(low, high, size=size)
+        for i, row in self.rows.items():
+            draws[i] = row
+        return draws
 
     def random(self, size=None):
-        if size is None:
-            return next(self._uniforms)
-        return np.array([next(self._uniforms) for _ in range(size)])
+        return self._replaced(np.atleast_1d(self._rng.random(size)))[0 if size is None else slice(None)]
 
     def standard_normal(self, size):
-        return self._normals.standard_normal(size)
+        return self._replaced(self._rng.standard_normal(size))
+
+
+def _pinned_streams(seed, count, pins):
+    """The battery's three streams of ``seed`` for ``count`` rows, with row
+    ``i`` of the draw (trial ``i + 2``) given the integers ``(k1, k2,
+    deg)`` and the uniforms of its one root ``pins[i]``."""
+    ints, uniforms, normals = (_Stream(rng) for rng in _streams(seed))
+    counts = seeded_rng(seed, 17, 0).integers(0, 5, size=(count, 3))
+    for i, (row, _) in pins.items():
+        counts[i] = ints.rows[i] = row
+    starts = 2 * (np.cumsum(counts[:, :2].sum(axis=1)) - counts[:, :2].sum(axis=1))
+    for i, (_, pair) in pins.items():
+        uniforms.at.update(zip(range(starts[i], starts[i] + 2), pair))
+    return ints, uniforms, normals
+
+
+def _patched_streams(monkeypatch, make):
+    """Make the battery's ``linalg.seeded_rng(seed, 17, k)`` the ``k``-th
+    of the streams ``make(seed)``."""
+    made = {}
+
+    def patched(seed, *stream):
+        if stream[:1] != (17,):
+            return seeded_rng(seed, *stream)
+        if stream[1] == 0:
+            made[seed] = make(seed)
+        return made[seed][stream[1]]
+
+    monkeypatch.setattr(linalg, "seeded_rng", patched)
 
 
 # (k1, k2, degree) and (modulus, argument) uniforms of one pinned root:
@@ -476,124 +521,91 @@ class TestBatteryDraw:
     """The array draw gives the functions of the scalar one, bit for bit."""
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**130], ids=["0", "1", "2", "3", "2^130"])
     def test_rows_are_the_scalar_draws(self, r, seed):
         battery = _stress_battery.__wrapped__(r, 2000, seed)
-        ref = _reference_battery(r, 2000, seed)
+        ref = _reference_battery(r, 2000, _streams(seed))
         assert _functions(battery) == tuple(ref)
-        assert [sample_test_function(r, seeded_rng(seed, 17, i)) for i in range(2, 2000)] == ref[2:]
         stack = rational.factored_stack(ref)
         for name in ("p", "roots", "mask", "scale"):
             got, want = getattr(battery.stack, name), getattr(stack, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 3, 100])
+    def test_short_batteries(self, trials):
+        # a short battery is a prefix of a long one
+        for seed in (1, 3):
+            battery = _stress_battery.__wrapped__(0.5, trials, seed)
+            assert _functions(battery) == _functions(_stress_battery(0.5, 2000, seed))[:trials]
+            assert battery.lower_bounds(np.arange(trials)).shape == (trials,)
 
     def test_cold_build_makes_no_seed_sequence_per_row(self, monkeypatch):
         built = []
         seed_sequence = np.random.SeedSequence
 
         def counting(*args, **kwargs):
-            built.append(args)
+            built.append(kwargs)
             return seed_sequence(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        seeded_rng(1, 17, 2)
-        assert len(built) == 1  # the count sees seeded_rng's
         _stress_battery.__wrapped__(0.5, 2000, 1)
-        assert len(built) == 1
+        assert [b["spawn_key"] for b in built] == [(17, 0), (17, 1), (17, 2)]
 
-    @pytest.mark.parametrize("trials", [0, 1, 2, 3])
-    def test_short_batteries(self, trials):
-        battery = _stress_battery.__wrapped__(0.5, trials, 1)
-        assert _functions(battery) == tuple(_reference_battery(0.5, trials, 1))
-        assert battery.lower_bounds(np.arange(trials)).shape == (trials,)
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937])
+    def test_a_sample_is_the_one_row_draw_of_one_generator(self, bit_generator):
+        for seed in range(50):
+            rng = np.random.Generator(bit_generator(seed))
+            want = _reference_rows(0.5, 1, (rng, rng, rng))[0]
+            assert sample_test_function(0.5, np.random.Generator(bit_generator(seed))) == want, seed
+
+    @pytest.mark.parametrize("rows, blocks", [([0], 1), ([5], 1), ([5], 2), ([5, 6, 97], 1)], ids=["first", "one", "twice", "three"])
+    def test_an_all_zero_numerator_is_drawn_again(self, rows, blocks, monkeypatch):
+        counts = seeded_rng(1, 17, 0).integers(0, 5, size=(98, 3))
+        lengths = 2 * (counts[:, 2] + 1)
+        starts = np.cumsum(lengths) - lengths
+
+        def zeroed(seed):
+            ints, uniforms, normals = (_Stream(rng) for rng in _streams(seed))
+            # the stream of a row after zeroed rows starts later by their blocks
+            shift = 0
+            for i in rows:
+                normals.at.update(dict.fromkeys(range(starts[i] + shift, starts[i] + shift + blocks * lengths[i]), 0.0))
+                shift += blocks * lengths[i]
+            return ints, uniforms, normals
+
+        ref = _reference_battery(0.5, 100, zeroed(1))
+        _patched_streams(monkeypatch, zeroed)
+        got = _functions(_stress_battery.__wrapped__(0.5, 100, 1))
+        assert got == tuple(ref)
+        assert all(np.any(np.array(f.p_coeffs) != 0) for f in got)
+        # the redrawn rows differ from the seed's own, the rows before them do not
+        plain = _functions(_stress_battery(0.5, 2000, 1))
+        assert got[: rows[0] + 2] == plain[: rows[0] + 2] and got[rows[0] + 2] != plain[rows[0] + 2]
 
     @pytest.mark.parametrize(
         "pins, error",
         [
-            ({12: _ON_ONE}, RootInClosedDisk),
-            ({7: _ON_R}, RootOutsideInnerDisk),
-            ({7: _ON_R, 12: _ON_ONE}, RootOutsideInnerDisk),
-            ({9: _NEAR_ONE}, PoleHit),
-            ({9: _NEAR_ONE, 12: _ON_ONE}, RootInClosedDisk),
-            ({12: _ROUNDED_ONE}, RootInClosedDisk),
-            ({7: _ROUNDED_R}, RootOutsideInnerDisk),
+            ({10: _ON_ONE}, RootInClosedDisk),
+            ({5: _ON_R}, RootOutsideInnerDisk),
+            ({5: _ON_R, 10: _ON_ONE}, RootOutsideInnerDisk),
+            ({7: _NEAR_ONE}, PoleHit),
+            ({7: _NEAR_ONE, 10: _ON_ONE}, RootInClosedDisk),
+            ({10: _ROUNDED_ONE}, RootInClosedDisk),
+            ({5: _ROUNDED_R}, RootOutsideInnerDisk),
         ],
     )
     def test_injected_roots_raise_what_validation_raises(self, pins, error, monkeypatch):
-        def pinned(seed, *stream):
-            if stream[0] == 17 and stream[1] in pins:
-                return _PinnedDraws(*pins[stream[1]])
-            return seeded_rng(seed, *stream)
-
-        def pinned_rngs(seed, stream, start, stop):
-            return (pinned(seed, stream, i) for i in range(start, stop))
-
         # factored_stack validates every function before any pole check
         with pytest.raises(error) as expected:
-            _sups_of(_reference_battery(0.5, 20, 1, pinned))
-        monkeypatch.setattr(linalg, "seeded_rngs", pinned_rngs)
+            _sups_of(_reference_battery(0.5, 20, _pinned_streams(1, 18, pins)))
+        _patched_streams(monkeypatch, lambda seed: _pinned_streams(seed, 18, pins))
         with pytest.raises(error, match=re.escape(str(expected.value))):
             _stress_battery.__wrapped__(0.5, 20, 1)
 
 
-class TestRawWordDecode:
-    """The integers on {0..4} decoded from raw words are numpy's
-    ``integers(0, 5)`` draws."""
-
-    @pytest.mark.parametrize(
-        "words, draws, read",
-        [
-            # k1 and k2 in one word, low half first
-            ([_half_word(3) | _half_word(1) << 32], [3, 1], 1),
-            # a zero low half is rejected: the high half gives k1, the next
-            # word's low half k2, and its high half, left over, the degree
-            ([_half_word(2) << 32, _half_word(4) | _half_word(1) << 32], [2, 4, 1], 2),
-            # two zero halves in a row: the next word
-            ([0, _half_word(3)], [3], 2),
-            # the ends of the range: 1 gives 0 and is kept, 2**32 - 1 gives 4
-            ([1 | 0xFFFFFFFF << 32], [0, 4], 1),
-        ],
-        ids=["one-word", "low-half-rejected", "word-rejected", "range-ends"],
-    )
-    def test_rejection_reads_the_next_half_word(self, words, draws, read):
-        bits, half, got = _RawWords(words), None, []
-        for _ in draws:
-            value, half = certify._below_five(bits, half)
-            got.append(value)
-        assert got == draws and bits.read == read
-
-    def test_a_rejected_half_shifts_the_draw(self):
-        # k1 = 2 after a rejected half, k2 = 4, then 12 uniforms, and the
-        # degree 1 from the half left over from k2's word
-        words = [_half_word(2) << 32, _half_word(4) | _half_word(1) << 32]
-        sizes, rng = [], seeded_rng(0)
-        stub = types.SimpleNamespace(
-            bit_generator=_RawWords(words),
-            random=lambda size: sizes.append(size) or rng.random(size),
-            standard_normal=rng.standard_normal,
-        )
-        counts, p, roots = certify._draw(0.5, [stub])
-        assert counts.tolist() == [[2, 4, 2]] and sizes == [12] and (p.size, roots.size) == (2, 6)
-        assert stub.bit_generator.read == 2
-
-    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937])
-    def test_sample_is_the_integer_draws_sample(self, bit_generator):
-        for seed in range(200):
-            got = sample_test_function(0.5, np.random.Generator(bit_generator(seed)))
-            assert got == _reference_sample(0.5, np.random.Generator(bit_generator(seed))), seed
-
-    def test_a_pending_half_word_is_not_read(self):
-        # integers(0, 5) leaves the high half of its word pending in the bit
-        # generator; the decode starts from the next word, as if none were
-        for seed in range(20):
-            pending = np.random.Generator(np.random.PCG64(seed))
-            pending.integers(0, 5)
-            skipped = np.random.Generator(np.random.PCG64(seed))
-            skipped.bit_generator.random_raw()
-            assert sample_test_function(0.5, pending) == sample_test_function(0.5, skipped)
-
-
-def _battery_functions(r, count, seed):
+def _sampled_functions(r, count, seed):
+    """``count`` functions of the battery's distribution, each from its own
+    generator ``seeded_rng(seed, 17, i)``."""
     return [sample_test_function(r, seeded_rng(seed, 17, i)) for i in range(count)]
 
 
@@ -633,7 +645,7 @@ class TestSampledSups:
         assert np.array_equal(_sups_of(functions), ref)
 
     def test_dense_recheck_matches_full_sampling(self):
-        functions = _battery_functions(0.5, 100, 2)
+        functions = _sampled_functions(0.5, 100, 2)
         ref = np.array([_reference_sup(f, 1 << 15, 4096) for f in functions])
         assert np.array_equal(_sups_of(functions, 1 << 15, 4096), ref)
         assert _sups_of((functions[7],), 1 << 15, 4096)[0] == ref[7]
@@ -669,7 +681,7 @@ class TestSampledSups:
             _sups_of((f,))
 
     def test_pole_hit_names_the_first_function(self):
-        functions = _battery_functions(0.5, 6, 1)
+        functions = _sampled_functions(0.5, 6, 1)
         second = AnnulusRational(r=0.5, p_coeffs=(1.0, 2.0), q1_roots=(3.0, -(1.0 + 1e-15)))
         fifth = AnnulusRational(r=0.5, q2_roots=(0.5 * (1.0 - 1e-15),))
         functions[1], functions[4] = second, fifth
@@ -1413,7 +1425,7 @@ class TestNormBounds:
         linalg._analysis_memo.cache_clear()
         report, _ = full_certification(windowed_matrix(32, 0.5, 3), 0.5, 2000, 1)
         assert sent == []
-        assert report.verdict is Verdict.REFUTED and report.max_ratio == 1.0041273314094359
+        assert report.verdict is Verdict.PASSED_STRESS and report.max_ratio == 0.9642425091161526
 
     def test_fixed_memory_at_n40(self):
         t = windowed_matrix(40, 0.5, 3)

@@ -34,6 +34,7 @@ from annulus_lab.errors import (
     NotContraction,
     NotContractions,
     NotIsometric,
+    NotSquare,
 )
 from annulus_lab.ar_unitary import is_ar_unitary
 from annulus_lab.linalg import inverse, matrix_from_json, operator_norm, random_unitary, seeded_rng
@@ -116,6 +117,10 @@ class TestEgervary:
         with pytest.raises(NotContraction):
             egervary_dilation(2.0 * np.eye(2), 2)
 
+    def test_a_non_square_matrix_is_not_square(self):
+        with pytest.raises(NotSquare):
+            egervary_dilation(np.zeros((2, 3)), 2)
+
 
 # Just above norm one: 1 - ||T||^2 is about -2e-9, -6e-9 and -1.6e-8, so the
 # first two defect operators clamp to zero within verify_tol = 1e-8 and the
@@ -157,6 +162,15 @@ class TestJustAboveNormOne:
 
 
 class TestAndoPair:
+    def test_a_non_square_matrix_is_not_square(self):
+        for t1, t2 in [(np.zeros((2, 3)), np.zeros((2, 3))), (np.eye(2), np.zeros((2, 3))), (np.zeros((3, 2)), np.eye(2))]:
+            with pytest.raises(NotSquare):
+                ando_pair(t1, t2, 4)
+
+    def test_square_matrices_of_unequal_size_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^T1 is 2x2, T2 is 3x3$"):
+            ando_pair(0.5 * np.eye(2), 0.5 * np.eye(3), 4)
+
     def test_scalar_pair_oracle(self):
         a, b = 0.6, 0.3
         pair = ando_pair(np.array([[a]]), np.array([[b]]), 5)
@@ -964,6 +978,19 @@ class TestSingleCarrier:
             f = random_function(0.5, 990 + seed, max_roots=2, beta_window_div=(8.0, 4.0))
             f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q2_roots=f.q2_roots)
             assert single_carrier_residual(t, 0.5, f, 28) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 0.2), q1_roots=(3.0,)),
+            AnnulusRational(r=0.5, p_coeffs=(1.0,), q2_roots=(0.1,)),
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 1.0), q1_roots=(2.0,), q2_roots=(0.1,)),
+        ],
+        ids=["outer", "inner", "mixed"],
+    )
+    def test_a_non_square_matrix_is_not_square(self, f):
+        with pytest.raises(NotSquare):
+            single_carrier_residual(np.zeros((2, 3)), 0.5, f, 8)
 
     def test_rejects_mixed_function(self):
         t = windowed_matrix(2, 0.5, 19)

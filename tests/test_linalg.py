@@ -234,7 +234,7 @@ class TestSeedValidation:
 
     _SEEDED = {
         "seeded_rng": lambda seed: linalg.seeded_rng(seed, 3),
-        "seeded_rngs": lambda seed: next(linalg.seeded_rngs(seed, 17, 0, 1)),
+        "vonneumann_stress": lambda seed: certify.vonneumann_stress(certify.windowed_matrix(3, 0.5, 1), 0.5, 3, seed),
         "random_unitary": lambda seed: random_unitary(3, seed),
         "normal_annulus_matrix": lambda seed: certify.normal_annulus_matrix(3, 0.5, seed),
         "windowed_matrix": lambda seed: certify.windowed_matrix(3, 0.5, seed),
@@ -261,8 +261,6 @@ class TestSeedValidation:
 _KEY_SEEDS = pytest.mark.parametrize(
     "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130], ids=["0", "1", "2^32-1", "2^32", "2^64+5", "2^130"]
 )
-_KEY_RANGES = [(0, 0), (7, 8), (0, 40), (2**32 - 3, 2**32)]
-_RANGE_IDS = ["empty", "one", "forty", "last-three"]
 
 
 def _first_draws(rng):
@@ -270,32 +268,22 @@ def _first_draws(rng):
     return rng.integers(0, 5), rng.random(3), rng.standard_normal(5), rng.integers(0, 2**40, 2)
 
 
-class TestSeededRngs:
-    """The keyed stream gives ``seeded_rng(seed, stream, i)``'s generators."""
+class TestSeededRng:
+    """``seeded_rng(seed, stream, i)`` is Philox keyed by the first two words
+    of ``SeedSequence(seed, spawn_key=(stream, i))``, counter zero, so a
+    seed names the same battery streams under every numpy version."""
 
-    @pytest.mark.parametrize("start, stop", _KEY_RANGES, ids=_RANGE_IDS)
+    @pytest.mark.parametrize("index", [0, 7, 39, 2**32 - 1, 2**32], ids=["0", "7", "39", "2^32-1", "2^32"])
     @pytest.mark.parametrize("stream", [3, 17])
     @_KEY_SEEDS
-    def test_keys_are_the_seed_sequence_keys(self, seed, stream, start, stop):
-        keys = linalg._spawn_keys(seed, stream, start, stop)
-        assert keys.shape == (stop - start, 2) and keys.dtype == np.uint64
-        for i, key in zip(range(start, stop), keys):
-            want = np.random.SeedSequence(seed, spawn_key=(stream, i)).generate_state(2, np.uint64)
-            assert np.array_equal(key, want)
-
-    @pytest.mark.parametrize("start, stop", _KEY_RANGES + [(2**32 - 1, 2**32 + 2)], ids=_RANGE_IDS + ["past-2^32"])
-    @pytest.mark.parametrize("stream", [3, 17])
-    @_KEY_SEEDS
-    def test_draws_are_the_seeded_rng_draws(self, seed, stream, start, stop):
-        got = [_first_draws(rng) for rng in linalg.seeded_rngs(seed, stream, start, stop)]
-        want = [_first_draws(linalg.seeded_rng(seed, stream, i)) for i in range(start, stop)]
-        assert len(got) == len(want) == stop - start
-        for a, b in zip(got, want):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_a_negative_seed_raises_as_seeded_rng_does(self):
-        with pytest.raises(ValueError):
-            next(linalg.seeded_rngs(-1, 17, 0, 1))
+    def test_the_generator_is_philox_keyed_by_the_seed_sequence(self, seed, stream, index):
+        key = np.random.SeedSequence(seed, spawn_key=(stream, index)).generate_state(2, np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = linalg.seeded_rng(seed, stream, index)
+        assert isinstance(got.bit_generator, np.random.Philox)
+        state = got.bit_generator.state["state"]
+        assert np.array_equal(state["key"], key) and not np.any(state["counter"])
+        assert all(np.array_equal(a, b) for a, b in zip(_first_draws(got), _first_draws(want)))
 
 
 class TestUnitaryCompletion:
