@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -344,11 +346,13 @@ def _cmd_selftest(args: argparse.Namespace, tols: Tolerances) -> int:
             measure, limit = case()
             ok = bool(measure <= limit)
         except AnnulusLabError as exc:
-            measure, limit, ok = float("nan"), float("nan"), False
+            # an errored case has no measure; the report says null, not NaN
+            measure, limit, ok = None, None, False
             print(f"[selftest] {name}: error {exc}", file=sys.stderr)
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
-        print(f"[selftest] {name}: {status} (measure={measure:.3e})", file=sys.stderr)
+        shown = "nan" if measure is None else f"{measure:.3e}"
+        print(f"[selftest] {name}: {status} (measure={shown})", file=sys.stderr)
         results.append({"name": name, "measure": measure, "limit": limit, "ok": ok})
     _emit({"cases": results, "all_ok": all_ok}, args)
     return EXIT_OK if all_ok else EXIT_REFUTED
@@ -389,6 +393,77 @@ class _Once(argparse.Action):
 
 _TOLERANCES = ("eig_tol", "rank_tol", "verify_tol")
 
+# The flags that several commands share: (option string, add_argument keywords).
+_R = ("--r", dict(type=_radius, default=0.5, help="inner radius in (0,1)"))
+_MATRIX = ("--matrix", dict(required=True, help="matrix JSON path"))
+_OUT = ("--out", dict(default=None, help="report path (default stdout)"))
+_SEED = ("--seed", dict(type=_integer_at_least(0), default=1))
+_TOLS = tuple(("--" + tol.replace("_", "-"), dict(type=float, default=None)) for tol in _TOLERANCES)
+_F_HELP = "rational function JSON path"
+
+
+class _Command(NamedTuple):
+    summary: str
+    handler: Callable[[argparse.Namespace, Tolerances], int]
+    flags: tuple
+
+
+# Every command, its handler and its flags in the order of its usage line:
+# the one description that the full parser and a one-command parser read.
+_COMMANDS = {
+    "certify": _Command(
+        "run the certification battery",
+        _cmd_certify,
+        (_R, _MATRIX, _OUT, _SEED, *_TOLS, ("--trials", dict(type=_integer_at_least(1), default=2000))),
+    ),
+    "decompose": _Command("two-circle split of a boundary normal", _cmd_decompose, (_R, _MATRIX, _OUT, *_TOLS)),
+    "dilate": _Command(
+        "build the commuting dilation pair for (T, rT^-1)",
+        _cmd_dilate,
+        (_R, _MATRIX, _OUT, *_TOLS, ("--d", dict(type=_integer_at_least(1), default=16, help="degree budget"))),
+    ),
+    "model-verify": _Command(
+        "verify the two-carrier model on functions",
+        _cmd_model_verify,
+        (
+            _R,
+            _MATRIX,
+            _OUT,
+            *_TOLS,
+            ("--f", dict(action="append", required=True, help=_F_HELP)),
+            (
+                "--d",
+                dict(
+                    type=_integer_at_least(1),
+                    default=None,
+                    help="degree budget (default: twice the certified series order, capped at 24)",
+                ),
+            ),
+        ),
+    ),
+    "laurent": _Command(
+        "dump a certified Laurent expansion",
+        _cmd_laurent,
+        (
+            _OUT,
+            ("--f", dict(action=_Once, required=True, help=_F_HELP)),
+            ("--order", dict(type=_integer_at_least(1), default=32)),
+        ),
+    ),
+    "demo-example": _Command("reproduce the norm-one shear example", _cmd_demo_example, (_R, _OUT, *_TOLS)),
+    "selftest": _Command("run the invariant suite", _cmd_selftest, (_OUT, _SEED, *_TOLS)),
+}
+
+
+def _command_parser(name: str, new=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The parser of command ``name``, made by ``new``: alone by default,
+    or as a subparser of the full tree."""
+    # no abbreviations, so a flag a command lacks is never read as a longer one
+    parser = new(prog=f"annulus-lab {name}", allow_abbrev=False)
+    for option, keywords in _COMMANDS[name].flags:
+        parser.add_argument(option, **keywords)
+    return parser
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -396,69 +471,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify, decompose, dilate and verify operators on the annulus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary, r=True, matrix=False, tolerances=True, seed=False):
-        # no abbreviations, so a flag a command lacks is never read as a longer one
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        if r:
-            p.add_argument("--r", type=_radius, default=0.5, help="inner radius in (0,1)")
-        if matrix:
-            p.add_argument("--matrix", required=True, help="matrix JSON path")
-        p.add_argument("--out", default=None, help="report path (default stdout)")
-        if seed:
-            p.add_argument("--seed", type=_integer_at_least(0), default=1)
-        if tolerances:
-            for tol in _TOLERANCES:
-                p.add_argument("--" + tol.replace("_", "-"), type=float, default=None)
-        return p
-
-    p = command("certify", "run the certification battery", matrix=True, seed=True)
-    p.add_argument("--trials", type=_integer_at_least(1), default=2000)
-
-    command("decompose", "two-circle split of a boundary normal", matrix=True)
-
-    p = command("dilate", "build the commuting dilation pair for (T, rT^-1)", matrix=True)
-    p.add_argument("--d", type=_integer_at_least(1), default=16, help="degree budget")
-
-    p = command("model-verify", "verify the two-carrier model on functions", matrix=True)
-    p.add_argument("--f", action="append", required=True, help="rational function JSON path")
-    p.add_argument(
-        "--d",
-        type=_integer_at_least(1),
-        default=None,
-        help="degree budget (default: twice the certified series order, capped at 24)",
-    )
-
-    p = command("laurent", "dump a certified Laurent expansion", r=False, tolerances=False)
-    p.add_argument("--f", action=_Once, required=True, help="rational function JSON path")
-    p.add_argument("--order", type=_integer_at_least(1), default=32)
-
-    command("demo-example", "reproduce the norm-one shear example")
-    command("selftest", "run the invariant suite", r=False, seed=True)
+    for name, command in _COMMANDS.items():
+        _command_parser(name, functools.partial(sub.add_parser, name, help=command.summary))
     return parser
 
 
-_DISPATCH = {
-    "certify": _cmd_certify,
-    "decompose": _cmd_decompose,
-    "dilate": _cmd_dilate,
-    "model-verify": _cmd_model_verify,
-    "laurent": _cmd_laurent,
-    "demo-example": _cmd_demo_example,
-    "selftest": _cmd_selftest,
-}
+def _parse(argv: list) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building only the named
+    command's parser when that is enough.
+
+    The full tree hands a command's parser the strings after the command's
+    name, so that parser alone prints the same help and raises the same
+    errors.  Only the strings it leaves over are reported by the top-level
+    parser, with the top-level usage line; those, and a call that names no
+    command first, go to the full tree.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         # only the tolerance flags that were given; Tolerances rejects a 0
         given = {name: value for name in _TOLERANCES if (value := vars(args).get(name)) is not None}
-        return _DISPATCH[args.command](args, Tolerances(**given))
+        return _COMMANDS[args.command].handler(args, Tolerances(**given))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

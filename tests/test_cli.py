@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from annulus_lab import certify, cli, rational
 from annulus_lab.calculus import default_contour
 from annulus_lab.certify import example_matrix, windowed_matrix
+from annulus_lab.errors import Singular
 from annulus_lab.linalg import matrix_to_json, random_unitary
 from annulus_lab.rational import AnnulusRational, rational_to_json
 
@@ -330,6 +332,142 @@ class TestSelftestCommand:
         out = tmp_path / "report.json"
         assert cli.main(["selftest", "--seed", seed, "--out", str(out)]) == cli.EXIT_OK
         assert read_report(out)["result"]["all_ok"]
+
+    def test_an_errored_case_writes_null_not_nan(self, tmp_path, capsys, monkeypatch):
+        cases = cli._selftest_cases
+
+        def singular():
+            raise Singular("forced")
+
+        monkeypatch.setattr(cli, "_selftest_cases", lambda seed, tols: [("forced", singular), *cases(seed, tols)[:1]])
+        out = tmp_path / "report.json"
+        assert cli.main(["selftest", "--out", str(out)]) == cli.EXIT_REFUTED
+        assert capsys.readouterr().err.startswith(
+            "[selftest] forced: error forced\n[selftest] forced: FAIL (measure=nan)\n"
+        )
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        result = json.loads(out.read_text(), parse_constant=refuse)["result"]
+        assert result["cases"][0] == {"name": "forced", "measure": None, "limit": None, "ok": False}
+        assert result["cases"][1]["ok"] and result["all_ok"] is False
+
+
+# A call of each command that gives every flag it takes, its required flags,
+# and the bad values of its typed flags.
+_EVERY_FLAG = {
+    "certify": ["--r", "0.4", "--matrix", "t.json", "--out", "o.json", "--seed", "7", "--eig-tol", "1e-11",
+                "--rank-tol", "1e-8", "--verify-tol", "1e-7", "--trials", "9"],
+    "decompose": ["--r", "0.4", "--matrix", "t.json", "--out", "o.json", "--eig-tol", "1e-11", "--rank-tol", "1e-8",
+                  "--verify-tol", "1e-7"],
+    "dilate": ["--r", "0.4", "--matrix", "t.json", "--out", "o.json", "--eig-tol", "1e-11", "--rank-tol", "1e-8",
+               "--verify-tol", "1e-7", "--d", "3"],
+    "model-verify": ["--r", "0.4", "--matrix", "t.json", "--out", "o.json", "--eig-tol", "1e-11", "--rank-tol", "1e-8",
+                     "--verify-tol", "1e-7", "--f", "a.json", "--f", "b.json", "--d", "3"],
+    "laurent": ["--out", "o.json", "--f", "a.json", "--order", "5"],
+    "demo-example": ["--r", "0.4", "--out", "o.json", "--eig-tol", "1e-11", "--rank-tol", "1e-8", "--verify-tol", "1e-7"],
+    "selftest": ["--out", "o.json", "--seed", "7", "--eig-tol", "1e-11", "--rank-tol", "1e-8", "--verify-tol", "1e-7"],
+}
+_REQUIRED = {"certify": ["--matrix"], "decompose": ["--matrix"], "dilate": ["--matrix"],
+             "model-verify": ["--matrix", "--f"], "laurent": ["--f"]}
+_BAD_VALUES = {"--r": ["2", "x"], "--seed": ["-1", "1.5"], "--trials": ["0"], "--d": ["0"], "--order": ["0"],
+               "--verify-tol": ["nan", "x"], "--eig-tol": ["0"]}
+
+
+def _without(args, flag):
+    """``args``, a list of flag-value pairs, without the pairs of ``flag``."""
+    return [s for pair in zip(args[::2], args[1::2]) if pair[0] != flag for s in pair]
+
+
+def _replaced(args, flag, value):
+    """``args`` with ``value`` as the value of every pair of ``flag``."""
+    return [s for f, v in zip(args[::2], args[1::2]) for s in (f, value if f == flag else v)]
+
+
+def _stub_handlers(monkeypatch, seen):
+    """Every command's handler appends its Namespace to ``seen`` and exits 0."""
+    handler = lambda args, tols: seen.append(args) or cli.EXIT_OK
+    monkeypatch.setattr(cli, "_COMMANDS", {k: c._replace(handler=handler) for k, c in cli._COMMANDS.items()})
+
+
+def _parser_corpus():
+    cases = {"top-none": [], "top-help": ["-h"], "top-unknown-command": ["bogus"], "top-flag-first": ["--r", "0.5", "certify"]}
+    for name, args in _EVERY_FLAG.items():
+        cases[f"{name}-every-flag"] = [name, *args]
+        cases[f"{name}-help"] = [name, "-h"]
+        cases[f"{name}-help-after-flags"] = [name, *args, "--help"]
+        cases[f"{name}-unknown-flag"] = [name, *args, "--bogus", "1"]
+        cases[f"{name}-abbreviated-trials"] = [name, *args, "--tri", "5"]
+        cases[f"{name}-abbreviated-out"] = [name, *_without(args, "--out"), "--ou", "o.json"]
+        cases[f"{name}-stray-positional"] = [name, *args, "stray"]
+        cases[f"{name}-stray-and-missing"] = [name, "stray"]
+        for flag in _REQUIRED.get(name, []):
+            cases[f"{name}-without{flag}"] = [name, *_without(args, flag)]
+        for flag, values in _BAD_VALUES.items():
+            for value in values if flag in args else []:
+                cases[f"{name}{flag}={value}"] = [name, *_replaced(args, flag, value)]
+    cases["laurent-two-functions"] = ["laurent", "--f", "a.json", "--f", "b.json"]
+    return cases
+
+
+class TestOneParserPerCall:
+    """``main`` parses a call with its command's parser alone where the full
+    tree would answer the same, and falls back to the full tree elsewhere."""
+
+    CORPUS = _parser_corpus()
+
+    @pytest.mark.parametrize("argv", CORPUS.values(), ids=CORPUS.keys())
+    def test_main_answers_as_the_full_parser(self, argv, monkeypatch, capsys):
+        seen = []
+        _stub_handlers(monkeypatch, seen)
+        fast = (cli.main(argv), *capsys.readouterr())
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+            full = (cli.main(argv), *capsys.readouterr())
+        assert fast == full
+        # a call reaches its handler when it exits 0 and prints no help
+        assert len(seen) == 2 * (fast == (cli.EXIT_OK, "", "")) and seen[:1] == seen[1:]
+
+    def test_the_corpus_reaches_every_outcome(self, monkeypatch, capsys):
+        _stub_handlers(monkeypatch, [])
+        codes = [cli.main(argv) for argv in self.CORPUS.values()]
+        err = capsys.readouterr().err
+        assert set(codes) == {cli.EXIT_OK, cli.EXIT_USAGE}
+        assert "annulus-lab: error: unrecognized arguments: --bogus 1" in err
+        assert "annulus-lab laurent: error: argument --f: expected once" in err
+        assert "annulus-lab certify: error: the following arguments are required: --matrix" in err
+        assert "error: verify_tol must be finite" in err
+
+    @staticmethod
+    def _built(monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _stub_handlers(monkeypatch, [])
+        return progs
+
+    @pytest.mark.parametrize("name", list(_EVERY_FLAG))
+    def test_a_valid_call_builds_one_parser(self, name, monkeypatch):
+        assert set(_EVERY_FLAG[name][::2]) == {option for option, _ in cli._COMMANDS[name].flags}
+        progs = self._built(monkeypatch)
+        assert cli.main([name, *_EVERY_FLAG[name]]) == cli.EXIT_OK
+        assert progs == [f"annulus-lab {name}"]
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [(["-h"], []), (["bogus"], []), (["certify", "--matrix", "t.json", "--bogus", "1"], ["annulus-lab certify"])],
+        ids=["top-help", "unknown-command", "unrecognized-flag"],
+    )
+    def test_a_call_the_command_parser_cannot_answer_builds_the_full_tree(self, argv, first, monkeypatch, capsys):
+        progs = self._built(monkeypatch)
+        cli.main(argv)
+        assert progs == [*first, "annulus-lab", *(f"annulus-lab {name}" for name in _EVERY_FLAG)]
 
 
 class TestDefaultContourNodes:
