@@ -696,11 +696,8 @@ def vonneumann_stress(
 
 def _orth(cols: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the column span, singular values above ``tol``."""
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > tol))
-    return u[:, :rank]
+    return u[:, : int(np.sum(s > tol))]
 
 
 def cnn_split(t, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarray]:
@@ -708,25 +705,23 @@ def cnn_split(t, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, np.ndarra
 
     The completely-non-normal subspace is the smallest subspace containing
     the range of the self-commutator ``[T*, T]`` and invariant under both
-    ``T`` and ``T*`` (closed up by alternating Krylov growth).
+    ``T`` and ``T*`` (closed up by alternating Krylov growth), which starts
+    from the scaled commutator of ``T``'s :func:`linalg.analysis`.  Both
+    ranks are relative to ``||T||``, so ``cT`` splits as ``T`` does.
     :class:`NotSquare` unless ``T`` is square.
     """
     m = linalg.as_matrix(t)
     n = m.shape[0]
-    norm = linalg.analysis(m).norm
-    scale = max(1.0, norm**2)
-    comm = m.conj().T @ m - m @ m.conj().T
-    basis = _orth(comm, tols.rank_tol * scale)
-    while basis.shape[1] < n:
-        grown = np.hstack([basis, m @ basis, m.conj().T @ basis])
-        new_basis = _orth(grown, tols.rank_tol * max(1.0, norm))
-        if new_basis.shape[1] == basis.shape[1]:
-            basis = new_basis
+    facts = linalg.analysis(m)
+    comm, norm = facts.commutator
+    basis = _orth(comm, tols.rank_tol * norm**2)
+    while 0 < basis.shape[1] < n:
+        width = basis.shape[1]
+        basis = _orth(np.hstack([basis, m @ basis, m.conj().T @ basis]), tols.rank_tol * facts.norm)
+        if basis.shape[1] == width:
             break
-        basis = new_basis
     p_cnn = basis @ basis.conj().T
-    p_normal = np.eye(n) - p_cnn
-    return p_normal, p_cnn
+    return np.eye(n) - p_cnn, p_cnn
 
 
 class WilliamsVerdict(str, enum.Enum):

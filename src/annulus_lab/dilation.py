@@ -379,11 +379,13 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
     No order search runs when the cap binds: if the bound at order
     ``ceil(cap/2) - 1`` is above ``tol`` (or NaN), every order that certifies
     ``tol`` doubles to at least ``cap``.  ``tol`` must be finite and > 0, and
-    ``cap`` an integer >= 1 (numpy's too, not a ``bool``).
+    ``cap`` an integer >= 1 (numpy's too, not a ``bool``), and ``f`` is
+    validated at every cap (:class:`InvalidRational`).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = linalg.as_integer(cap, "cap", 1)
+    rational._checked(f)
     half = -(-cap // 2)
     if half < 2 or not rational.laurent_expand(f, half - 1).tail_bound <= tol:
         return cap

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (
     BadRadius,
@@ -143,61 +143,52 @@ def _ldexp(z, exponent: int) -> np.ndarray:
     return out
 
 
-def _commutator(m: np.ndarray, norm: float) -> tuple[float, float]:
-    """``(||A*A - AA*||, ||A||)`` for ``A`` scaled by the power of two that
-    brings ``||A|| = norm`` into ``[1/2, 1)``: the two sides of
-    :func:`is_normal`."""
+def _self_commutator(m: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
+    """``(A*A - AA*, ||A||)`` for ``A``, ``T`` scaled by the power of two
+    that brings ``||T|| = norm`` into ``[1/2, 1)``: the scaling is exact,
+    and the commutator cannot overflow."""
     shift = -int(np.frexp(norm)[1])
-    a, norm = _ldexp(m, shift), float(np.ldexp(norm, shift))
-    return operator_norm(a.conj().T @ a - a @ a.conj().T), norm
+    a = _ldexp(m, shift)
+    return a.conj().T @ a - a @ a.conj().T, float(np.ldexp(norm, shift))
 
 
-def _normal_within(commutator: tuple[float, float], tols: Tolerances) -> bool:
-    comm, norm = commutator
+def _normal_within(comm: float, norm: float, tols: Tolerances) -> bool:
     return comm <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
 
 
 def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``.
 
-    Both sides are formed for ``A`` scaled by the power of two that brings
-    ``||A||`` into ``[1/2, 1)``, so the commutator cannot overflow; the
-    scaling is exact, which leaves the verdict that of the unscaled test
+    Both sides are formed for ``A`` scaled by a power of two
+    (:func:`_self_commutator`), so the verdict is that of the unscaled test
     wherever that one neither overflows nor underflows.
     """
-    return _normal_within(_commutator(m, operator_norm(m)), tols)
+    comm, norm = _self_commutator(m, operator_norm(m))
+    return _normal_within(operator_norm(comm), norm, tols)
 
 
 def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
     """Eigendecomposition of a (numerically) normal matrix.
 
-    The input must satisfy ``||A*A - AA*|| <= eig_tol * ||A||^2``; the unitary
-    Schur factor then serves as the eigenvector basis.  Eigenvalues come back
-    sorted by descending modulus with ties broken by ascending argument.
+    The input must satisfy ``||A*A - AA*|| <= eig_tol * ||A||^2``
+    (:class:`NotNormal` otherwise); the Schur vectors of ``A``'s
+    :func:`analysis` then serve as the eigenvector basis, and the diagonal
+    of its triangle as the eigenvalues.  Eigenvalues come back sorted by
+    descending modulus with ties broken by ascending argument.
     """
     m = as_matrix(a)
-    _require_square(m)
-    n = m.shape[0]
     facts = analysis(m)
-    norm_a = facts.norm
     if not facts.is_normal(tols):
-        comm = m.conj().T @ m - m @ m.conj().T
-        raise NotNormal(
-            f"commutator norm {operator_norm(comm):.3e} exceeds "
-            f"{tols.eig_tol:.1e} * ||A||^2"
-        )
-    try:
-        t, q = sla.schur(m, output="complex")
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NoConvergence(str(exc)) from exc
-    lams = np.diag(t).copy()
+        ratio = facts.commutator_norm / facts.commutator[1] ** 2
+        raise NotNormal(f"commutator norm {ratio:.3e} * ||A||^2 exceeds {tols.eig_tol:.1e} * ||A||^2")
+    schur = facts.conditioning
+    lams = schur.triangle.diagonal()
     perm = spectral_order(lams)
-    q = q[:, perm]
-    lams = lams[perm]
+    q, lams = schur.vectors[:, perm], lams[perm]
     residual = operator_norm(m @ q - q * lams[np.newaxis, :]) + operator_norm(
-        q.conj().T @ q - np.eye(n)
+        q.conj().T @ q - np.eye(m.shape[0])
     )
-    if residual > 10 * tols.eig_tol * max(1.0, norm_a):
+    if not residual <= 10 * tols.eig_tol * max(1.0, facts.norm):
         raise NoConvergence(f"eigendecomposition residual {residual:.3e} too large")
     return EigDecomposition(q=q, lambdas=lams, residual=residual)
 
@@ -283,7 +274,7 @@ def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact for ``m + E`` with ``||E||_F`` of order ``n eps ||m||_F``;
     ``eigvals`` also scales and has no such bound in terms of ``m``.
     """
-    tri, _, _, vectors, _, info = sla.lapack.zgees(lambda w: None, m, compute_v=1)
+    tri, _, _, vectors, _, info = lapack.zgees(lambda w: None, m, compute_v=1)
     if info != 0:
         raise NoConvergence(f"zgees failed with info = {info}")
     return tri, vectors
@@ -397,13 +388,15 @@ class Analysis:
     """What the toolkit reads off one square matrix ``T`` alone, each part
     computed on first read and then kept: ``matrix``, a read-only copy of
     ``T`` in its memory order; :attr:`spectrum`; :attr:`conditioning`, the
-    :class:`ShiftConditioning` (``zgees`` triangle and Schur vectors);
-    :attr:`singular_values`, which give :attr:`norm`, :meth:`inverse`'s
-    conditioning test and the window below; the inverse; and the commutator
-    of :meth:`is_normal`.  Each part is, bit for bit, what the function of
-    the same name computes from ``T``, a test that takes tolerances at each
-    call's own.  Arrays are read-only.  :func:`analysis` serves one object
-    per matrix.
+    :class:`ShiftConditioning` (``zgees`` triangle and Schur vectors, which
+    :func:`eig_normal` reads); :attr:`singular_values`, which give
+    :attr:`norm`, :meth:`inverse`'s conditioning test and the window below;
+    the inverse; and :attr:`commutator`, the self-commutator of ``T``
+    scaled by a power of two, which :meth:`is_normal`, :func:`eig_normal`'s
+    refusal and :func:`certify.cnn_split` read.  Each part is, bit for bit,
+    what the function of the same name computes from ``T``, a test that
+    takes tolerances at each call's own.  Arrays are read-only.
+    :func:`analysis` serves one object per matrix.
 
     Shifts ``T - wI`` are decided here, in one pass: :meth:`screen` runs
     the root check's touch test and :func:`solve`'s conditioning rule,
@@ -559,12 +552,19 @@ class Analysis:
         return operator_norm(self._solved)
 
     @cached_property
-    def _commutator(self) -> tuple[float, float]:
-        return _commutator(self.matrix, self.norm)
+    def commutator(self) -> tuple[np.ndarray, float]:
+        """``(C, ||A||)`` of :func:`_self_commutator`, ``C`` read-only."""
+        comm, norm = _self_commutator(self.matrix, self.norm)
+        return _read_only(comm), norm
+
+    @cached_property
+    def commutator_norm(self) -> float:
+        """``||C||``, the left side of :meth:`is_normal`."""
+        return operator_norm(self.commutator[0])
 
     def is_normal(self, tols: Tolerances = DEFAULT_TOLS) -> bool:
         """:func:`is_normal` of ``T`` at ``tols``."""
-        return _normal_within(self._commutator, tols)
+        return _normal_within(self.commutator_norm, self.commutator[1], tols)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from annulus_lab import calculus
+from annulus_lab import calculus, linalg
 from annulus_lab.ar_unitary import (
     decompose,
     is_ar_unitary,
@@ -150,6 +151,24 @@ class TestDecompose:
         dec = decompose(t, r)
         assert parts == [calculus.SpectralPart.INNER]
         assert dec.residual <= 1e-9, f"residual {dec.residual} at r={r}"
+        assert operator_norm(dec.p1 - ref1) <= 1e-10
+
+    def test_one_schur_form_serves_the_eigenbasis_and_the_contour_route(self, monkeypatch):
+        # eig_normal reads the zgees Schur form that the Riesz cross-check
+        # solves on, so N is factored once and never by scipy.linalg.schur
+        calls = []
+        schur = linalg._schur_triangle
+
+        def no_schur(*args, **kwargs):
+            raise AssertionError("scipy.linalg.schur called")
+
+        monkeypatch.setattr(sla, "schur", no_schur)
+        monkeypatch.setattr(linalg, "_schur_triangle", lambda m: calls.append(m.shape) or schur(m))
+        t, ref1, _, _, _ = conjugated_instance(0.5, 2, 3, 57)
+        linalg._analysis_memo.cache_clear()
+        dec = decompose(t, 0.5)
+        assert calls == [(5, 5)]
+        assert dec.residual <= 1e-9
         assert operator_norm(dec.p1 - ref1) <= 1e-10
 
 

@@ -1475,6 +1475,118 @@ class TestCnnSplit:
             comm = restricted.conj().T @ restricted - restricted @ restricted.conj().T
             assert operator_norm(comm) <= 1e-9
 
+    _SCALED = [
+        ("shear", lambda: example_matrix(0.5)),
+        ("windowed", lambda: windowed_matrix(4, 0.5, 3)),
+        ("normal", lambda: normal_annulus_matrix(4, 0.5, 3)),
+    ]
+
+    @pytest.mark.parametrize("scale", [2.0**40, 2.0**-40, 1e200, 1e300], ids=["2^40", "2^-40", "1e200", "1e300"])
+    @pytest.mark.parametrize("name, make", _SCALED, ids=[name for name, _ in _SCALED])
+    def test_a_scaled_matrix_splits_as_the_matrix(self, name, make, scale):
+        # the commutator is formed for T scaled by a power of two and both
+        # ranks are relative to ||T||, so nothing overflows at 1e300 and
+        # 2^-40 T is not read as normal; at a power-of-two scale every
+        # step is exact, so the split is the same bits
+        t = make()
+        want = cnn_split(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cnn_split(scale * t)
+        for a, b in zip(got, want):
+            if np.frexp(scale)[0] == 0.5:
+                assert np.array_equal(a, b)
+            else:
+                assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _unscaled_split(m, tols=linalg.DEFAULT_TOLS):
+        """The split from ``T*T - TT*`` formed on ``T`` itself, with the
+        thresholds ``rank_tol max(1, ||T||^2)`` and ``rank_tol max(1, ||T||)``."""
+
+        def orth(cols, tol):
+            u, s, _ = np.linalg.svd(cols, full_matrices=False)
+            return u[:, : int(np.sum(s > tol))]
+
+        n, norm = m.shape[0], np.linalg.svd(m, compute_uv=False)[0]
+        basis = orth(m.conj().T @ m - m @ m.conj().T, tols.rank_tol * max(1.0, norm**2))
+        while basis.shape[1] < n:
+            width = basis.shape[1]
+            basis = orth(np.hstack([basis, m @ basis, m.conj().T @ basis]), tols.rank_tol * max(1.0, norm))
+            if basis.shape[1] == width:
+                break
+        return np.eye(n) - basis @ basis.conj().T, basis @ basis.conj().T
+
+    def test_equals_the_unscaled_commutator_route_bit_for_bit(self):
+        # general, normal, normal-plus-triangular and windowed T, 2 <= n <= 6,
+        # with ||T|| spread over [0.2, 1.7], across both sides of 1
+        rng = seeded_rng(39)
+        for k in range(1200):
+            n, kind = 2 + k % 5, k % 4
+            if kind == 0:
+                t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            elif kind == 1:
+                q = random_unitary(n, k)
+                t = (q * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ q.conj().T
+            elif kind == 2:
+                t = np.zeros((n, n), dtype=complex)
+                t[0, 0] = 0.3
+                t[1:, 1:] = np.triu(rng.standard_normal((n - 1, n - 1)))
+                q = random_unitary(n, k)
+                t = q @ t @ q.conj().T
+            else:
+                t = windowed_matrix(n, 0.5, k)
+            t = t * (rng.uniform(0.2, 1.7) / operator_norm(t))
+            got, want = cnn_split(t), self._unscaled_split(t)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, operator_norm(t))
+
+
+class TestOneCommutatorPerMatrix:
+    """``T``'s self-commutator is formed once, by ``linalg._self_commutator``
+    for its analysis, and ``is_normal`` and ``cnn_split`` both read it."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        linalg._analysis_memo.cache_clear()
+        yield
+        linalg._analysis_memo.cache_clear()
+
+    def _count(self, monkeypatch, t):
+        calls = []
+        form = linalg._self_commutator
+        monkeypatch.setattr(
+            linalg, "_self_commutator", lambda m, norm: calls.append(np.array_equal(m, t)) or form(m, norm)
+        )
+        return calls
+
+    def test_full_certification_forms_it_once(self, monkeypatch):
+        t = example_matrix(0.5)
+        calls = self._count(monkeypatch, t)
+        _, details = full_certification(t, 0.5, 50, 1)
+        assert details["williams"] == WilliamsVerdict.MINIMAL_DISK_REFUTATION.value
+        assert calls == [True]
+
+    def test_demo_example_forms_the_shears_once(self, monkeypatch):
+        from annulus_lab import cli
+
+        t = example_matrix(0.25)
+        calls = self._count(monkeypatch, t)
+        assert cli.demo_example(0.25)["all_ok"]
+        # the shear's, and the Gram matrix's for eig_normal
+        assert sorted(calls) == [False, True]
+
+    def test_cnn_split_grows_from_the_analysis_commutator(self, monkeypatch):
+        # a zero commutator in its place leaves nothing to grow from
+        form = linalg._self_commutator
+
+        def zero(m, norm):
+            comm, scaled = form(m, norm)
+            return 0 * comm, scaled
+
+        monkeypatch.setattr(linalg, "_self_commutator", zero)
+        p_normal, p_cnn = cnn_split(example_matrix(0.5))
+        assert np.array_equal(p_normal, np.eye(2)) and not p_cnn.any()
+
 
 class TestWilliams:
     def test_shear_example_any_radius(self):

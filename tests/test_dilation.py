@@ -780,6 +780,14 @@ class TestModelArguments:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             dilation.default_budget(f, tol=tol)
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_default_budget_validates_the_function_at_every_cap(self, cap):
+        # an outer-factor root inside the unit disk: a cap of 1 or 2 once
+        # returned the cap before anything read f
+        f = AnnulusRational(r=0.5, q1_roots=(0.5,))
+        with pytest.raises(InvalidRational):
+            dilation.default_budget(f, cap=cap)
+
     @pytest.mark.parametrize("r", [0.0, -0.5, 1.0, float("nan")])
     def test_radius_outside_the_unit_interval_is_rejected(self, r):
         with pytest.raises(BadRadius):

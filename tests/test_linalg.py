@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import warnings
@@ -90,6 +91,31 @@ class TestEigNormal:
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormal):
             eig_normal(EXAMPLE)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**-1060], ids=["1e200", "1e-200", "2^-1060"])
+    def test_refusal_at_extreme_scale_is_typed_and_reports_the_scale_free_ratio(self, scale):
+        # the refusal reads the analysis' commutator of the scaled matrix, so
+        # it neither overflows nor underflows, and its ratio is scale-free
+        with pytest.raises(NotNormal) as unscaled:
+            eig_normal(EXAMPLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormal) as scaled:
+                eig_normal(scale * EXAMPLE)
+        ratio = float(re.match(r"commutator norm (\S+) \* \|\|A\|\|\^2 exceeds", str(scaled.value)).group(1))
+        assert ratio > 0
+        assert str(scaled.value) == str(unscaled.value)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300], ids=["1e300", "1e-300"])
+    def test_unitary_at_extreme_scale_is_decomposed_within_the_bound(self, scale):
+        u = random_unitary(4, 31)
+        a = scale * u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = eig_normal(a)
+        assert eig.residual <= 10 * DEFAULT_TOLS.eig_tol * max(1.0, operator_norm(a))
+        assert_allclose(np.abs(eig.lambdas) / scale, 1.0, atol=1e-12)
+        assert operator_norm((eig.q * (eig.lambdas / scale)) @ eig.q.conj().T - u) <= 1e-12
 
 
 class TestOperatorNorm:
