@@ -204,11 +204,14 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return rational.pack(r, *_draw(r, 1, (rng, rng, rng))).function(0)
 
 
-# A quarter of calculus._CHUNK_BYTES: abs_at holds four arrays of a chunk's
+# An eighth of calculus._CHUNK_BYTES: abs_at holds four arrays of a chunk's
 # size at once (three complex work arrays and two float ones of half that
-# size), five with the sorted copy of per-row points; the traced peak of a
-# dense sup of one row of the seed-1 battery at r = 0.5 is at most 1.5 MiB.
-_SUP_CHUNK_BYTES = 1 << 18
+# size), five with the sorted copy of per-row points, six with the lower
+# bounds' node table.  At twice this size a cold certify took about 2200
+# page faults in its lower-bound pass (glibc's malloc returns each chunk's
+# freed work arrays to the system, and the next chunk faults them in
+# again), against about 550 at this size.
+_SUP_CHUNK_BYTES = 1 << 17
 # The battery's sampling: equispaced nodes per circle and nodes per pole window.
 _BASE_NODES = 4096
 _LOCAL_NODES = 512
@@ -218,9 +221,10 @@ _DENSE_NODES = (1 << 15, 4096)
 # being found (the batches grow 1, 2, 4, ... up to it).
 _REFINE_ROWS = 16
 # The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
-# per circle, 64 nodes: a subset of the nodes every sampled sup evaluates.  A
-# lower bound only prunes, so the stride changes no report.
-_LOWER_STRIDE = 64
+# per circle, 32 nodes, and the node nearest each root on its own circle: a
+# subset of the nodes every sampled sup evaluates.  A lower bound only prunes,
+# so the choice of nodes changes no report.
+_LOWER_STRIDE = 128
 
 
 def _pole_windows(stack: rational.FactoredStack) -> tuple:
@@ -249,16 +253,6 @@ def _chunks(count: int, width: int):
     """Slices of ``count`` rows of ``width`` complex values, ``_SUP_CHUNK_BYTES`` each."""
     step = max(1, _SUP_CHUNK_BYTES // (16 * width))
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _circle_values(stack: rational.FactoredStack, nodes: np.ndarray):
-    """``|f_i|`` at the points ``nodes`` of the unit circle and at ``r``
-    times them, for each row of ``stack``, one chunk of ``_SUP_CHUNK_BYTES``
-    at a time: yields the chunk's row slice and its values, of shape
-    ``(rows, 2 * nodes.size)``."""
-    z = np.concatenate([nodes, stack.r * nodes])
-    for sl in _chunks(stack.p.shape[0], z.size):
-        yield sl, stack.take(sl).abs_at(z)
 
 
 @lru_cache(maxsize=8)
@@ -299,10 +293,10 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
     ``local_nodes`` in a window around each pole near a circle.
 
     Every node is evaluated, through :meth:`rational.FactoredStack.abs_at`,
-    which is :func:`rational.evaluate` bit for bit whatever the other rows: the
-    pole windows, then the circles in pieces of ``_BASE_NODES`` nodes
-    (:func:`_circle_values`), so the dense re-check holds no more at once
-    than the battery's sampling.  The max of the pieces' maxima is the max
+    which is :func:`rational.evaluate` bit for bit whatever the other rows:
+    the pole windows, then the circles in pieces of ``_BASE_NODES`` nodes
+    each, a chunk of rows at a time, so the dense re-check holds no more at
+    once than the battery's sampling.  The max of the pieces' maxima is the max
     over all nodes.  ``base_nodes`` must be a positive multiple of
     ``_LOWER_STRIDE``.  The rows must be valid (the battery validates its
     stack once, when it is built); :class:`PoleHit` is raised first, by
@@ -316,17 +310,35 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
         vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
         np.maximum.at(sups, row[sl], vals.max(axis=1))
     for lo in range(0, base_nodes, _BASE_NODES):
-        for sl, vals in _circle_values(stack, ring[lo : lo + _BASE_NODES]):
-            sups[sl] = np.maximum(sups[sl], vals.max(axis=1))
+        nodes = ring[lo : lo + _BASE_NODES]
+        z = np.concatenate([nodes, stack.r * nodes])
+        for sl in _chunks(sups.size, z.size):
+            sups[sl] = np.maximum(sups[sl], stack.take(sl).abs_at(z).max(axis=1))
     return sups
 
 
 def _lower_bounds(stack: rational.FactoredStack) -> np.ndarray:
-    """The max of ``|f_i|`` at every ``_LOWER_STRIDE``-th of the
-    ``_BASE_NODES`` per circle, 64 nodes, for each row of ``stack``."""
-    lower = np.empty(stack.p.shape[0])
-    for sl, vals in _circle_values(stack, _ring(_BASE_NODES)[::_LOWER_STRIDE]):
-        lower[sl] = vals.max(axis=1)
+    """The max of ``|f_i|`` over two sets of the ``_BASE_NODES`` nodes per
+    circle that :func:`_sampled_sups` evaluates, ``ring[k]`` and ``r *
+    ring[k]``, for each row of ``stack``: every ``_LOWER_STRIDE``-th node
+    of each circle, 32 nodes, and for each root the node of its own circle
+    (the unit circle for a ``q1`` root, the ``r`` circle for a ``q2`` root)
+    nearest its argument, ``k = rint(angle * _BASE_NODES / 2 pi) mod
+    _BASE_NODES``.  Each chunk of rows is one :meth:`abs_at
+    <rational.FactoredStack.abs_at>` call on a per-row node table; a row
+    with fewer roots than the widest pads its table with node 1."""
+    ring = _ring(_BASE_NODES)
+    z = np.concatenate([ring, stack.r * ring])
+    outer = np.arange(stack.roots.shape[1]) < stack.counts[:, :1]
+    k = np.rint(np.angle(stack.roots) * _BASE_NODES / (2.0 * np.pi)).astype(int) % _BASE_NODES
+    aimed = z[np.where(stack.mask, np.where(outer, k, k + _BASE_NODES), 0)]
+    coarse = z[::_LOWER_STRIDE]
+    lower = np.empty(aimed.shape[0])
+    for sl in _chunks(aimed.shape[0], coarse.size + aimed.shape[1]):
+        table = np.empty((sl.stop - sl.start, coarse.size + aimed.shape[1]), dtype=complex)
+        table[:, : coarse.size] = coarse
+        table[:, coarse.size :] = aimed[sl]
+        lower[sl] = stack.take(sl).abs_at(table).max(axis=1)
     return lower
 
 
@@ -345,11 +357,12 @@ class _Battery:
     ``dense=True`` the ``_DENSE_NODES`` re-checks: a refuting row recurs
     across a corpus, so it is re-checked once per battery.  The lower bound
     of row ``i`` is the max of ``|f_i|`` at nodes that :func:`_sampled_sups`
-    evaluates too, and ``abs_at`` is :func:`rational.evaluate` bit for bit
-    whatever the other rows, so it is the value an eager pass over the
-    whole stack gives and ``lower_bounds([i])[0] <= exact_sups([i])[0]``
-    exactly.  The memos are :attr:`lower`, :attr:`memo` and :attr:`dense`,
-    NaN where not yet computed.  A memo only gains entries, each a
+    evaluates too (32 per circle and the node nearest each of its roots),
+    and ``abs_at`` is :func:`rational.evaluate` bit for bit whatever the
+    other rows, so it is the value an eager pass over the whole stack gives
+    and ``lower_bounds([i])[0] <= exact_sups([i])[0]`` exactly.  The memos
+    are :attr:`lower`, :attr:`memo` and :attr:`dense`, NaN where not yet
+    computed.  A memo only gains entries, each a
     deterministic value, so which calls filled it never changes a result.
     Readers take no lock: each memo is a read-only snapshot, replaced whole
     under ``_lock`` by a copy holding the new entries, so a reader sees
@@ -588,14 +601,15 @@ def vonneumann_stress(
     :func:`example_matrix` with ``||T|| = 1``, screens nothing.
 
     Only the ratios that can matter get an exact sampled sup
-    (:func:`_stress_ratios`): the battery's coarse lower bounds, computed
-    for the evaluated functions only (:meth:`_Battery.lower_bounds`), bound
-    every ratio from above, and a function whose bound can neither exceed
-    ``1 + verify_tol`` nor reach the largest ratio found keeps it.  The
-    sups found go into the battery's memo (:meth:`_Battery.exact_sups`);
-    once it holds what a call needs, the call makes no sup work at all.  The
-    report is the one that every norm and every sup computed would give,
-    bit for bit.
+    (:func:`_stress_ratios`): the battery's lower bounds, ``|f|`` at 32
+    of the sampled nodes per circle and at the sampled node nearest each
+    pole on its own circle, computed for the evaluated functions only
+    (:meth:`_Battery.lower_bounds`), bound every ratio from above, and a
+    function whose bound can neither exceed ``1 + verify_tol`` nor reach
+    the largest ratio found keeps it.  The sups found go into the
+    battery's memo (:meth:`_Battery.exact_sups`); once it holds what a call
+    needs, the call makes no sup work at all.  The report is the one that
+    every norm and every sup computed would give, bit for bit.
 
     For numerically normal input the operator norm is evaluated spectrally,
     as ``max |f|`` over the eigenvalues, which agrees with the factored

@@ -145,11 +145,15 @@ def _ldexp(z, exponent: int) -> np.ndarray:
 
 def _self_commutator(m: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
     """``(A*A - AA*, ||A||)`` for ``A``, ``T`` scaled by the power of two
-    that brings ``||T|| = norm`` into ``[1/2, 1)``: the scaling is exact,
-    and the commutator cannot overflow."""
-    shift = -int(np.frexp(norm)[1])
+    that brings its largest entry part into ``[1/2, 1)``, as
+    :class:`ShiftConditioning` scales it: the scaling is exact, and neither
+    the commutator nor ``||A|| <= 2n`` can overflow.  ``||A||`` is ``||T||
+    = norm`` scaled alike, or, for a finite ``T`` whose norm overflows,
+    computed from ``A``."""
+    shift = -int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
     a = _ldexp(m, shift)
-    return a.conj().T @ a - a @ a.conj().T, float(np.ldexp(norm, shift))
+    norm = float(np.ldexp(norm, shift))
+    return a.conj().T @ a - a @ a.conj().T, norm if np.isfinite(norm) else operator_norm(a)
 
 
 def _normal_within(comm: float, norm: float, tols: Tolerances) -> bool:
@@ -175,6 +179,8 @@ def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
     :func:`analysis` then serve as the eigenvector basis, and the diagonal
     of its triangle as the eigenvalues.  Eigenvalues come back sorted by
     descending modulus with ties broken by ascending argument.
+    :class:`NoConvergence` if one lies beyond the float range (a finite
+    ``A`` near the overflow threshold) or the residual is too large.
     """
     m = as_matrix(a)
     facts = analysis(m)
@@ -185,6 +191,8 @@ def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
     lams = schur.triangle.diagonal()
     perm = spectral_order(lams)
     q, lams = schur.vectors[:, perm], lams[perm]
+    if not np.isfinite(lams).all():
+        raise NoConvergence("an eigenvalue lies beyond the float range")
     residual = operator_norm(m @ q - q * lams[np.newaxis, :]) + operator_norm(
         q.conj().T @ q - np.eye(m.shape[0])
     )

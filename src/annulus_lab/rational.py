@@ -208,9 +208,12 @@ class FactoredStack:
         Horner step ``k`` runs only on the rows of degree ``k`` or more
         (``where=``), so no padding is evaluated.  numpy's complex multiply
         is not bitwise commutative (it uses FMA), so every value is formed
-        by :func:`evaluate`'s operations in its operand order.  The longer
-        axis is innermost: the work arrays are ``(points, rows)`` in memory
-        when there are more rows than points, ``(rows, points)`` otherwise.
+        by :func:`evaluate`'s operations in its operand order.  The work
+        arrays are ``(rows, points)`` in memory, so the prefix of rows that
+        a root slot multiplies is one contiguous block, unless a row has
+        fewer than 16 points and fewer points than there are rows: then
+        they are ``(points, rows)``, so the longer axis is innermost.  The
+        layout changes no arithmetic.
         """
         if points.shape[-1] == 1:
             # numpy multiplies a lone element in place by a loop without FMA:
@@ -220,7 +223,7 @@ class FactoredStack:
         lp, held, p, roots, scale = self._in_order
         z = points[np.newaxis, :] if points.ndim == 1 else points[order]
         shape = (order.size, z.shape[1])
-        layout = "F" if shape[0] > shape[1] else "C"
+        layout = "F" if shape[1] < 16 and shape[0] > shape[1] else "C"
         z = np.asarray(z, order=layout)
         num = np.zeros(shape, dtype=complex, order=layout)
         for k in range(p.shape[0] - 1, -1, -1):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 import threading
@@ -33,8 +34,10 @@ from annulus_lab.certify import (
 from annulus_lab.errors import (
     AnnulusLabError,
     BadRadius,
+    NoConvergence,
     NotContraction,
     NotInvertible,
+    NotNormal,
     NotSquare,
     PoleHit,
     RootInClosedDisk,
@@ -294,13 +297,52 @@ class TestVonNeumannStress:
 
     def test_battery_sups_keep_the_coarse_sampling_maximum(self):
         battery = _stress_battery.__wrapped__(0.5, 500, 4)
-        # the lower bounds are every 64th of the 4096 nodes per circle
-        assert battery.lower_bounds(np.arange(500)).tolist() == [
-            rational.boundary_sup_norm(f, 64) for f in _functions(battery)
-        ]
         # the 1024 nodes per circle are a subset of the 4096 _sampled_sups samples
         sups = battery.exact_sups(np.arange(500))
         assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(_functions(battery), sups)]
+
+    @staticmethod
+    def _reference_lower(f):
+        """The max of ``|evaluate(f, z)|`` over the nodes that
+        ``certify._lower_bounds`` documents: every 128th of the 4096
+        equispaced nodes of each circle, and for each root the node of its
+        own circle nearest its argument."""
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))
+        inner = f.r * ring
+        nodes = [ring[::128], inner[::128]]
+        for roots, circle in ((f.q1_roots, ring), (f.q2_roots, inner)):
+            for root in roots:
+                nodes.append(circle[[int(np.rint(np.angle(root) * 4096 / (2.0 * np.pi))) % 4096]])
+        return float(np.abs(evaluate(f, np.concatenate(nodes))).max())
+
+    def test_battery_lower_bounds_are_the_max_over_the_documented_nodes(self):
+        battery = _stress_battery.__wrapped__(0.5, 500, 4)
+        assert battery.lower_bounds(np.arange(500)).tolist() == [
+            self._reference_lower(f) for f in _functions(battery)
+        ]
+
+    def test_the_aimed_node_index_wraps_at_pi_and_below_zero(self):
+        # each pole sits 1e-3 from its circle, so the node nearest it gives
+        # its row's largest |f|: an argument of +-pi takes node 2048, one
+        # just below 0 node 0 or, past half a spacing, node 4095; the last
+        # pole lies between two of the 32 coarse nodes
+        step = 2.0 * np.pi / 4096
+        args = [-1e-9, -0.4 * step, -0.6 * step, 0.5 * step, 64.3 * step]
+        outer = [complex(-1.001, 0.0), complex(-1.001, -0.0)] + [1.001 * np.exp(1j * a) for a in args]
+        inner = [complex(-0.4995, 0.0), complex(-0.4995, -0.0)] + [0.4995 * np.exp(1j * a) for a in args]
+        functions = [AnnulusRational(r=0.5, q1_roots=(a,)) for a in outer]
+        functions += [AnnulusRational(r=0.5, p_coeffs=(0.0, 0.0, 1.0), q2_roots=(b,)) for b in inner]
+        # rows with both kinds of root, and with fewer roots than the widest
+        functions += [
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(outer[4], 3.0), q2_roots=(inner[1], 0.1j)),
+            AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0)),
+        ]
+        got = certify._lower_bounds(rational.factored_stack(functions))
+        assert got.tolist() == [self._reference_lower(f) for f in functions]
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(0, 4096, 128) / 4096))
+        coarse = np.array([np.abs(evaluate(f, np.concatenate([ring, 0.5 * ring]))).max() for f in functions])
+        assert np.all(got >= coarse) and np.all(got[[4, 6, 11, 13]] > coarse[[4, 6, 11, 13]])
+        assert np.all(got[[6, 13]] > 10 * coarse[[6, 13]])
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -665,7 +707,7 @@ class TestSampledSups:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 1.4 MiB, most of it the windows; the circles taken whole, not in
+        # 0.8 MiB, most of it the windows; the circles taken whole, not in
         # 4096-node pieces, would peak near 5 MiB
         assert peak <= 2 * 2**20
 
@@ -881,6 +923,37 @@ class TestLazyRefinement:
         assert lazy == sweep()
         assert {rep["verdict"] for rep, _ in lazy[0]} == {"PassedStress", "Refuted"}
         assert {rep["stress_route"] for rep, _ in lazy[0]} == {"spectral", "factored"}
+
+    _PRUNE_CASES = {
+        "normal": normal_annulus_matrix(4, 0.5, 11),
+        "involution": involution(normal_annulus_matrix(4, 0.5, 12), 0.5),
+        **{f"windowed{n}": windowed_matrix(n, 0.5, 13) for n in range(2, 6)},
+        "shear": example_matrix(0.5),
+    }
+
+    @pytest.mark.parametrize("kind", list(_PRUNE_CASES))
+    def test_lower_bounds_only_prune(self, kind, monkeypatch):
+        # with no lower bound (zeros) every evaluated row gets its exact sup;
+        # the report must be the one pruning gives, field by field
+        t = self._PRUNE_CASES[kind]
+        _stress_battery.cache_clear()
+        pruned = vonneumann_stress(t, 0.5, 300, 1)
+        battery = _stress_battery(0.5, 300, 1)
+        sups = np.count_nonzero(~np.isnan(battery.memo))
+        # a row with a pole within 1e-3 of a circle is among those evaluated
+        read = np.flatnonzero(~np.isnan(battery.lower))
+        stack = battery.stack.take(read)
+        outer = np.arange(stack.roots.shape[1]) < stack.counts[:, :1]
+        dist = np.where(outer, stack.moduli - 1.0, 0.5 - stack.moduli)
+        assert (stack.mask & (dist < 1e-3)).any()
+        _stress_battery.cache_clear()
+        monkeypatch.setattr(certify, "_lower_bounds", lambda stack: np.zeros(stack.p.shape[0]))
+        unpruned = vonneumann_stress(t, 0.5, 300, 1)
+        assert np.count_nonzero(~np.isnan(_stress_battery(0.5, 300, 1).memo)) == read.size > sups
+        _stress_battery.cache_clear()
+        for field in dataclasses.fields(pruned):
+            assert repr(getattr(pruned, field.name)) == repr(getattr(unpruned, field.name)), field.name
+        assert pruned.to_json() == unpruned.to_json()
 
     @pytest.mark.parametrize("kind", ["normal", "windowed"])
     def test_cold_certify_refines_few_functions(self, kind):
@@ -1586,6 +1659,25 @@ class TestOneCommutatorPerMatrix:
         monkeypatch.setattr(linalg, "_self_commutator", zero)
         p_normal, p_cnn = cnn_split(example_matrix(0.5))
         assert np.array_equal(p_normal, np.eye(2)) and not p_cnn.any()
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-310], ids=["1e308", "1e-310"])
+    @pytest.mark.parametrize("normal", [True, False], ids=["full", "jordan"])
+    def test_extreme_entries_give_a_finite_result_or_a_typed_error(self, scale, normal):
+        # ||T|| of np.full((2, 2), 1e308) overflows; the commutator is formed
+        # for T scaled by its largest entry part, so nothing reads NaN
+        t = np.full((2, 2), scale) if normal else scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.is_normal(t) is normal
+            try:
+                eig = linalg.eig_normal(t)
+            except AnnulusLabError as exc:
+                assert isinstance(exc, NotNormal if not normal else NoConvergence)
+            else:
+                assert normal and scale < 1 and np.isfinite(eig.lambdas).all() and np.isfinite(eig.residual)
+            p_normal, p_cnn = cnn_split(t)
+        assert np.isfinite(p_normal).all() and np.isfinite(p_cnn).all()
+        assert np.array_equal(p_cnn, np.zeros((2, 2)) if normal else np.eye(2))
 
 
 class TestWilliams:
