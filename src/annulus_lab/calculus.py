@@ -225,36 +225,45 @@ def factored_norms(
     A chunk of about 1 MB of stacked matrices is evaluated at a time, with
     one batched spectral norm per chunk; memory stays bounded whatever the
     number of rows.  A row whose ``f_i(R)`` has an entry that is not finite
-    (an overflow) gets ``inf``.  :func:`factored_norm_bounds` gives the same
+    (an overflow) gets ``inf``.  :class:`FactoredNorms` gives the same
     values lazily.
     """
-    return _each_chunk(_factored_chunks(stack, _check_roots(stack, t, tols)), _spectral_norms)
+    return FactoredNorms(stack, t, tols).norms(slice(None))
 
 
-def factored_norm_bounds(stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS):
-    """Upper bounds on :func:`factored_norms` of every row, and a function
-    that gives the exact norms of chosen rows.
+class FactoredNorms:
+    """:func:`factored_norms` of chosen rows of ``stack``, and cheap upper
+    bounds on them, each evaluating only the rows asked for.
 
-    One pass of :func:`factored_norms`' chunked evaluation keeps, per row,
-    only the bound of :func:`_norm_bounds`, with an SVD only where the
-    bound is not finite (there it is the norm, ``inf`` for a row with an
-    entry that is not finite); the bound is at least the norm
-    :func:`factored_norms` computes.  ``norms(rows)`` evaluates the rows
-    ``rows`` again, on the same Schur triangle with the same conditioning
-    rule, so it returns ``factored_norms(stack, t, tols)[rows]`` bit for
-    bit: a row's matrix does not depend on the rows stacked with it, and
-    the batched SVD works one matrix at a time.  The Schur form of ``T`` is
-    formed once, for both, and the roots are checked once, by
-    :func:`_check_roots` before the first pass.  Raises what
-    :func:`factored_norms` raises.
+    Built, it has checked every root of ``stack`` once
+    (:func:`_check_roots`, which raises what :func:`factored_norms`
+    raises) and keeps the conditioning whose Schur triangle ``R`` every
+    evaluation reads: :attr:`rule`, formed once per ``T``.  Nothing is
+    evaluated at build.  :meth:`norms` of the rows ``rows`` evaluates
+    ``f_i(R)`` for those rows alone, so it returns
+    ``factored_norms(stack, t, tols)[rows]`` bit for bit: a row's matrix
+    does not depend on the rows stacked with it, and the batched SVD works
+    one matrix at a time.  :meth:`bounds` is one pass of the same chunked
+    evaluation over its rows that keeps, per row, only the bound of
+    :func:`_norm_bounds`, with an SVD only where the bound is not finite
+    (there it is the norm, ``inf`` for a row with an entry that is not
+    finite); each bound is at least the norm :meth:`norms` gives.
     """
-    rule = _check_roots(stack, t, tols)
-    bounds = _each_chunk(_factored_chunks(stack, rule), _norm_bounds)
 
-    def norms(rows: np.ndarray) -> np.ndarray:
-        return _each_chunk(_factored_chunks(stack.take(rows), rule), _spectral_norms)
+    def __init__(self, stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS):
+        self.stack = stack
+        self.rule = _check_roots(stack, t, tols)
 
-    return bounds, norms
+    def _each(self, rows, reduce) -> np.ndarray:
+        return _each_chunk(_factored_chunks(self.stack.take(rows), self.rule), reduce)
+
+    def norms(self, rows) -> np.ndarray:
+        """The spectral norms of the rows ``rows`` (a slice or an index array)."""
+        return self._each(rows, _spectral_norms)
+
+    def bounds(self, rows) -> np.ndarray:
+        """Upper bounds on :meth:`norms` of the rows ``rows``."""
+        return self._each(rows, _norm_bounds)
 
 
 def _series_operands(f: AnnulusRational, t, order: int, tols: Tolerances) -> tuple:

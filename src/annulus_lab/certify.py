@@ -418,6 +418,11 @@ class _Battery:
         nodes = _DENSE_NODES if dense else ()
         return self._memoized("dense" if dense else "memo", rows, lambda stack: _sampled_sups(stack, *nodes))
 
+    def readers(self, rows: np.ndarray) -> tuple:
+        """``(sups, dense)``: :meth:`exact_sups` of ``rows[sel]``, sampled
+        and dense, each a function of ``sel``."""
+        return (lambda sel: self.exact_sups(rows[sel]), lambda sel: self.exact_sups(rows[sel], dense=True))
+
 
 # The canonical probes z and r/z as (k1, k2, len(p)) rows; packed flat, their
 # coefficients are (0, 1, r) and their one root is 0.
@@ -470,6 +475,13 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     return _Battery(stack)
 
 
+def _denominators(lower, probe, memo) -> np.ndarray:
+    """``max(bound, probe)``, ``bound`` the sup in ``memo`` where it is
+    known (not NaN) and ``lower`` elsewhere: at most each ratio's
+    denominator."""
+    return np.maximum(np.where(np.isnan(memo), lower, memo), probe)
+
+
 def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> tuple[float, int | None]:
     """``max_i norm_i / max(sup_i, probe_i)`` and the witness, asking for as
     few exact norms ``norm_i`` and exact sups ``sup_i`` as the comparisons
@@ -507,7 +519,7 @@ def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> 
     nums = np.array(nums, dtype=float)
     exact = np.full(nums.size, norms is None)
     known = ~np.isnan(memo)
-    denoms = np.maximum(np.where(known, memo, lower), probe)
+    denoms = _denominators(lower, probe, memo)
     ratios = nums / denoms
 
     def settle(rows):
@@ -549,6 +561,97 @@ def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> 
             refine(largest(rows, batch))
             batch = min(2 * batch, _REFINE_ROWS)
     return (float(ratios.max()) if ratios.size else 0.0), witness
+
+
+# The allowance mu of the eigenvector screen, a multiple of n eps (an
+# assumed constant; see _screen_factor).
+_SCREEN_ROUNDING = 256
+
+
+def _screen_factor(facts: linalg.Analysis, tols: Tolerances) -> float:
+    """``(1 + mu) kappa``, ``kappa`` the
+    :attr:`linalg.Analysis.eigenvector_condition` of ``T``: the factor by
+    which the eigenvector screen of :func:`vonneumann_stress` multiplies
+    ``max_j |f(r_jj)|``, ``|f|`` at the diagonal of ``T``'s Schur triangle
+    ``R``, to bound the norm that :func:`calculus.factored_norms` computes.
+
+    For ``Y`` the eigenvectors of ``R`` in any column scaling, ``f(R) = Y
+    f(Lambda) Y^-1`` (Higham, *Functions of Matrices*, SIAM 2008, ch. 1),
+    so ``||f(R)|| <= kappa_2(Y) max_j |f(r_jj)|``.  ``mu`` covers, to first
+    order, four differences between the computed quantities and the exact
+    ones that bound holds for:
+
+    - ``|f(r_jj)|``: ``abs_at`` forms it in under 30 complex operations
+      (4 Horner steps and 8 root factors of two each, the scale, the
+      quotient and the modulus), each within ``4 eps`` relative, so within
+      ``128 eps`` where no sum cancels;
+    - ``kappa``: the computed extreme singular values of ``Y`` (unit
+      columns, so ``sigma_1 >= 1``) lie within ``32 n eps sigma_1`` of the
+      exact ones (the assumption of :func:`calculus._norm_bounds`), which
+      moves ``kappa`` by at most ``64 n eps kappa`` relative;
+    - the eigenvector residual: each column of the computed ``Y`` is a
+      backward stable back-substitution (Higham, *Accuracy and Stability
+      of Numerical Algorithms*, 2nd ed., ch. 8), so ``R Y - Y Lambda = F``
+      with ``||F||`` of order ``n eps ||R||``, and ``Y`` is the exact
+      eigenvector matrix of ``R + G``, ``G = -F Y^-1``, ``||G|| <= ||F||
+      kappa``, where the bound holds exactly; from ``R + G`` back to ``R``
+      each factor ``(R - aI)^-1`` moves by at most ``cond(R - aI) ||G|| /
+      ||R - aI||`` relative;
+    - the forward error of the computed ``f(R)``: a Horner pass, then one
+      backward stable back-substitution per root ``a``, each adding at
+      most about ``n eps cond(R - aI)`` relative.
+
+    :func:`linalg.solve`'s conditioning rule, which the route applies to
+    every root before it evaluates any row, caps ``cond(T - aI)``, the
+    condition of ``R - aI`` up to the Schur form's backward error, at ``1 /
+    rank_tol``.  With at most 8 roots and ``||R||`` of the order of ``||R -
+    aI||``, the last two terms come to at most ``9 n eps (1 + kappa) /
+    rank_tol`` and the first two to ``128 n eps (1 + kappa)``, so ``mu =
+    256 n eps (1 + kappa) / min(rank_tol, 1)`` covers their sum.  As with
+    ``_NORM_ROUNDING``, pruning rests on an assumption rather than a
+    derivation: that these first-order terms dominate, with the rounding of
+    each ``n``-term sum of order ``n eps`` (the worst-case constants grow
+    faster) and ``||R||`` of the order of each ``||R - aI||``.  ``kappa =
+    inf`` gives ``inf``.
+    """
+    kappa = facts.eigenvector_condition
+    eps = np.finfo(float).eps
+    mu = _SCREEN_ROUNDING * facts.matrix.shape[0] * eps * (1.0 + kappa) / min(tols.rank_tol, 1.0)
+    return (1.0 + mu) * kappa
+
+
+def _screened_rows(uppers, lower, probe, memo, norms, sups, dense, tol: float) -> np.ndarray:
+    """The rows, in order, that the eigenvector screen leaves to
+    :func:`_stress_ratios`; ``uppers >= norm`` elementwise and the other
+    arguments are those of :func:`_stress_ratios`, ``norms`` given.
+
+    With ``upper = uppers / max(bound, probe)`` as there, the row with the
+    largest ``upper`` (NaN counts as largest) gets its norm and its sup, and
+    its dense re-check if its ratio then exceeds ``1 + tol``: ``best``, the
+    ratio that :func:`_stress_ratios` leaves that row, by the same
+    operations, so at most the largest ratio it returns.  The screen keeps
+    that row and every row whose ``upper`` exceeds ``1 + tol``, is not
+    finite, or reaches ``best``; when no ``upper`` is at most ``1 + tol``
+    it keeps every row and asks for nothing.  A row it drops has ``ratio
+    <= upper <= 1 + tol``, so it is never flagged, and ``ratio < best``,
+    so it is not the largest: :func:`_stress_ratios` on the kept rows gives
+    the result of all rows, witness included (its index among the kept
+    rows).
+    """
+    with np.errstate(all="ignore"):
+        ratios = uppers / _denominators(lower, probe, memo)
+    if not (ratios <= 1.0 + tol).any():
+        return np.arange(ratios.size)  # no row can be dropped
+    top = np.argmax(np.where(np.isnan(ratios), np.inf, ratios))
+    one = np.array([top])
+    num, denom = norms(one)[0], max(sups(one)[0], probe[top])
+    with np.errstate(all="ignore"):
+        best = num / denom
+        if best > 1.0 + tol:
+            best = num / max(denom, dense(one)[0])
+    keep = ~(ratios <= 1.0 + tol) | (ratios >= best)
+    keep[top] = True
+    return np.flatnonzero(keep)
 
 
 def _clamp_to_annulus(lams: np.ndarray, r: float) -> np.ndarray:
@@ -617,20 +720,28 @@ def vonneumann_stress(
     ``|f|`` at the eigenvalues and at their projections, each distinct
     point once: an eigenvalue in the closed annulus is its own projection,
     bit for bit, and is evaluated once for both.  Otherwise they go
-    through one stacked factored evaluation
-    (:func:`calculus.factored_norm_bounds`) at the Schur triangle of ``T``,
-    by back-substitution, in chunks of about 1 MB; it raises
-    :class:`Singular` as :func:`calculus.eval_direct` would on the first
-    evaluated function, in battery order, with a root on the spectrum.
-    Norms are lazy on that route as the sups are: the pass keeps a cheap
-    upper bound on each ``||f(T)||``, and :func:`_stress_ratios` asks for
-    the exact norm, the spectral norm :func:`calculus.factored_norms` gives,
-    only of a function whose ratio can still matter, before its sup.  The
-    exact norms are evaluated again on the same Schur triangle, so a call
-    forms one Schur form of ``T``.  :class:`NotContraction` names an
-    overflow: some ``||f(T)||``, or ``|f|`` at a projected eigenvalue, is
-    not finite; where a bound is not finite the pass keeps the exact norm
-    instead, so it is raised before any sup work.  :class:`BadRadius` is
+    through the factored route (:class:`calculus.FactoredNorms`), which
+    evaluates ``f(R)`` at the Schur triangle ``R`` of ``T`` by
+    back-substitution, in chunks of about 1 MB; it first checks every
+    evaluated function's roots, and raises :class:`Singular` as
+    :func:`calculus.eval_direct` would on the first, in battery order, with
+    a root on the spectrum.  Norms are lazy on that route as the sups are,
+    in two stages.  The eigenvector screen bounds each ``||f(T)||`` by
+    ``(1 + mu) kappa_2(Y) max_j |f(r_jj)|`` (:func:`_screen_factor`), from
+    ``|f|`` at ``R``'s diagonal, taken in the one ``abs_at`` call that
+    gives the probes, and drops the functions that bound rules out
+    (:func:`_screened_rows`, which settles one function first); a ``T``
+    whose triangle repeats a diagonal entry has ``kappa = inf`` and keeps
+    them all.  The functions kept get one stacked pass that keeps a cheap
+    upper bound on each norm, and :func:`_stress_ratios` asks for the exact
+    norm, the spectral norm :func:`calculus.factored_norms` gives, only of
+    a function whose ratio can still matter, before its sup.  Every
+    evaluation reads the same Schur triangle, so a call forms one Schur
+    form of ``T``.  :class:`NotContraction` names an overflow: some
+    ``||f(T)||`` of a kept function, or ``|f|`` at a projected eigenvalue,
+    is not finite; where a bound is not finite the pass keeps the exact
+    norm instead, so it is raised before any sup work but that of the
+    screen's first function.  :class:`BadRadius` is
     raised unless ``0 < r < 1``, then ``ValueError`` naming ``trials`` or
     ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
     ``>= 0``, before any other work.
@@ -652,6 +763,8 @@ def vonneumann_stress(
         rows, stack = battery.two_sided
     else:
         rows, stack = np.arange(trials), battery.stack
+    screened = trials - rows.size
+    lower = battery.lower_bounds(rows, stack)
     with np.errstate(all="ignore"):  # a value that overflows raises below
         if is_normal:
             # one pass over the stack at each distinct point: an eigenvalue
@@ -665,20 +778,40 @@ def vonneumann_stress(
             nums = vals[:, moved.sum() :].max(axis=1)
             norms = None  # nums are the norms
         else:
-            at_probes = stack.abs_at(probes).max(axis=1)
-            nums, norms = calculus.factored_norm_bounds(stack, m, tols)
+            lazy = calculus.FactoredNorms(stack, m, tols)
+            factor = _screen_factor(facts, tols)
+            screen = np.isfinite(factor) and rows.size > 0
+            diag = lazy.rule.triangle.diagonal() if screen else np.zeros(0, dtype=complex)
+            vals = stack.abs_at(np.concatenate([probes, diag]))
+            at_probes = vals[:, : probes.size].max(axis=1)
+            kept = np.arange(rows.size)
+            if screen:
+                kept = _screened_rows(
+                    factor * vals[:, probes.size :].max(axis=1),
+                    lower,
+                    at_probes,
+                    battery.memo[rows],
+                    lazy.norms,
+                    *battery.readers(rows),
+                    tols.verify_tol,
+                )
+            nums = lazy.bounds(kept if kept.size < rows.size else slice(None))
+            rows, lower, at_probes = rows[kept], lower[kept], at_probes[kept]
+
+            def norms(sel):
+                return lazy.norms(kept[sel])
+
     if not (np.isfinite(nums).all() and np.isfinite(at_probes).all()):
         raise NotContraction(
             f"overflow: ||f(T)|| or |f| at a probe is not finite (||T|| = {norm_t:.6g}, ||r T^-1|| = {norm_rtinv:.6g})"
         )
     max_ratio, witness = _stress_ratios(
         nums,
-        battery.lower_bounds(rows, stack),
+        lower,
         at_probes,
         battery.memo[rows],
         norms,
-        lambda sel: battery.exact_sups(rows[sel]),
-        lambda sel: battery.exact_sups(rows[sel], dense=True),
+        *battery.readers(rows),
         tols.verify_tol,
     )
     if witness is not None:
@@ -699,7 +832,7 @@ def vonneumann_stress(
         witness=witness,
         seed=seed,
         stress_route="spectral" if is_normal else "factored",
-        screened=trials - rows.size,
+        screened=screened,
     )
 
 

@@ -397,7 +397,8 @@ class Analysis:
     computed on first read and then kept: ``matrix``, a read-only copy of
     ``T`` in its memory order; :attr:`spectrum`; :attr:`conditioning`, the
     :class:`ShiftConditioning` (``zgees`` triangle and Schur vectors, which
-    :func:`eig_normal` reads); :attr:`singular_values`, which give
+    :func:`eig_normal` reads); :attr:`eigenvector_condition`, read off
+    that triangle; :attr:`singular_values`, which give
     :attr:`norm`, :meth:`inverse`'s conditioning test and the window below;
     the inverse; and :attr:`commutator`, the self-commutator of ``T``
     scaled by a power of two, which :meth:`is_normal`, :func:`eig_normal`'s
@@ -454,6 +455,33 @@ class Analysis:
     @cached_property
     def conditioning(self) -> ShiftConditioning:
         return ShiftConditioning(self.matrix)
+
+    @cached_property
+    def eigenvector_condition(self) -> float:
+        """``kappa_2(Y)`` for ``Y`` the eigenvectors of the Schur triangle
+        ``R`` of :attr:`conditioning`, each column scaled to unit 2-norm,
+        or ``inf`` where ``Y`` is not finite (a repeated diagonal entry).
+
+        ``Y`` is unit upper triangular, column ``j`` the solution of ``(R -
+        r_jj I) y = 0`` with ``y_j = 1``: one :func:`_back_substitute` of
+        ``I`` with ``r_kk - r_jj`` as pivot ``(k, j)`` above the diagonal and
+        1 elsewhere.  Unit columns are within ``sqrt(n)`` of the best
+        diagonal scaling (van der Sluis, *Numer. Math.* 14, 1969).  ``R``
+        is ``zgees``'s, which does not balance, and ``kappa`` feeds only the
+        stress battery's pruning bound (``certify._screen_factor``), no
+        verdict.
+        """
+        tri = self.conditioning.triangle
+        n = tri.shape[0]
+        lams = tri.diagonal()
+        pivots = np.where(np.triu(np.ones((n, n), dtype=bool), 1), lams[:, np.newaxis] - lams, 1.0)
+        with np.errstate(all="ignore"):  # a zero pivot or an overflow reads inf or NaN
+            y = _back_substitute(tri, pivots[np.newaxis], np.eye(n, dtype=complex)[np.newaxis])[0]
+            y /= np.linalg.norm(y, axis=0)
+        if not np.isfinite(y).all():
+            return np.inf
+        svals = singular_values(y)
+        return float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
 
     @cached_property
     def singular_values(self) -> np.ndarray:

@@ -183,14 +183,13 @@ class FactoredStack:
 
     @cached_property
     def _in_order(self) -> tuple:
-        """``(len(p), rows holding slot j, p.T, roots.T, scale)`` with the
-        rows in :attr:`order`, so slot ``j`` is held by the first
-        ``held[j]`` rows."""
+        """``(rows holding slot j, p.T, roots.T, scale)`` with the rows in
+        :attr:`order`, so slot ``j`` is held by the first ``held[j]``
+        rows."""
         counts = self.counts[self.order]
         k = counts[:, 0] + counts[:, 1]
         held = np.count_nonzero(k[:, np.newaxis] > np.arange(self.roots.shape[1]), axis=0)
         return (
-            counts[:, 2],
             held,
             self.p[self.order].T.copy(),
             self.roots[self.order].T.copy(),
@@ -204,11 +203,15 @@ class FactoredStack:
 
         Row ``i`` equals ``np.abs(evaluate(f_i, z))`` bit for bit, and no
         row depends on another.  The rows are worked in :attr:`order`: root
-        slot ``j`` multiplies only the prefix of rows that hold it, and
-        Horner step ``k`` runs only on the rows of degree ``k`` or more
-        (``where=``), so no padding is evaluated.  numpy's complex multiply
-        is not bitwise commutative (it uses FMA), so every value is formed
-        by :func:`evaluate`'s operations in its operand order.  The work
+        slot ``j`` multiplies only the prefix of rows that hold it, so no
+        padded root is evaluated.  Horner runs over the zero-padded
+        coefficients, every row at every step: a padded step maps ``+0`` to
+        ``0 z + 0 = +0`` (round to nearest adds a zero of either sign to
+        ``+0`` as ``+0``), so a row's first coefficient ``c`` gives ``0 z +
+        c`` as :func:`evaluate`'s first step does, and a non-finite ``z``
+        gives NaN either way.  numpy's complex multiply is not bitwise
+        commutative (it uses FMA), so every value is formed by
+        :func:`evaluate`'s operations in its operand order.  The work
         arrays are ``(rows, points)`` in memory, so the prefix of rows that
         a root slot multiplies is one contiguous block, unless a row has
         fewer than 16 points and fewer points than there are rows: then
@@ -220,16 +223,15 @@ class FactoredStack:
             # two copies of the point keep every product longer than one
             return self.abs_at(np.repeat(points, 2, axis=-1))[:, :1].copy()
         order = self.order
-        lp, held, p, roots, scale = self._in_order
+        held, p, roots, scale = self._in_order
         z = points[np.newaxis, :] if points.ndim == 1 else points[order]
         shape = (order.size, z.shape[1])
         layout = "F" if shape[1] < 16 and shape[0] > shape[1] else "C"
         z = np.asarray(z, order=layout)
         num = np.zeros(shape, dtype=complex, order=layout)
         for k in range(p.shape[0] - 1, -1, -1):
-            reach = (lp > k)[:, np.newaxis]
-            np.multiply(num, z, out=num, where=reach)
-            np.add(num, p[k, :, np.newaxis], out=num, where=reach)
+            np.multiply(num, z, out=num)
+            np.add(num, p[k, :, np.newaxis], out=num)
         den = np.empty(shape, dtype=complex, order=layout)
         den[...] = scale[:, np.newaxis]
         d = np.empty(shape, dtype=complex, order=layout)

@@ -1187,23 +1187,16 @@ class TestVonNeumannScreen:
             assert np.abs(g2 - neg).max() <= 1e-10 * max(1.0, np.abs(g2).max())
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
-    def test_evaluated_norms_keep_the_split_bound(self, r, monkeypatch):
+    def test_evaluated_norms_keep_the_split_bound(self, r):
         # ||f(T)|| <= sup_{|z|=1} |g1| + sup_{|z|=r} |g2| for a double
         # contraction: von Neumann's inequality for T and for r T^-1
-        seen = []
-        original = certify._stress_ratios
-
-        def every_norm(nums, lower, probe, memo, norms, *rest):
-            seen.append(norms(np.arange(nums.size)))  # exact norms, not nums' bounds
-            return original(nums, lower, probe, memo, norms, *rest)
-
-        monkeypatch.setattr(certify, "_stress_ratios", every_norm)
         battery = _stress_battery(r, 2000, 1)
+        rows, stack = battery.two_sided
         for seed in (3, 4):
-            rep = vonneumann_stress(windowed_matrix(4, r, seed), r, 2000, 1)
-            assert rep.stress_route == "factored" and rep.screened > 0
-        for nums in seen:
-            for i, num in zip(battery.two_sided[0], nums):
+            t = windowed_matrix(4, r, seed)
+            rep = vonneumann_stress(t, r, 2000, 1)
+            assert rep.stress_route == "factored" and rep.screened == 2000 - rows.size > 0
+            for i, num in zip(rows, calculus.factored_norms(stack, t)):
                 assert num <= _split_bound(battery.stack.function(i)) * (1.0 + 1e-6)
 
 
@@ -1382,6 +1375,25 @@ class TestAbsAtKernel:
             self._assert_bits(stack, _annulus_points(r, count, count))
         self._assert_bits(stack, _annulus_points(r, 6 * 5, 2).reshape(6, 5))
 
+    def test_a_constant_beside_a_quartic_that_overflows(self):
+        # Horner runs every row over the padded coefficients: the constant's
+        # four padded steps must leave +0, even where the quartic's z^4
+        # overflows to inf and its value to NaN
+        r = 0.5
+        functions = [
+            AnnulusRational(r=r, p_coeffs=(0.3 - 1.1j,)),
+            AnnulusRational(r=r, p_coeffs=(1.0, -0.5j, 0.25, 2.0 + 1j, -1.5 + 0.5j), q2_roots=(0.1,)),
+            AnnulusRational(r=r, p_coeffs=(complex(-0.0, 0.7),), q1_roots=(1.5j,)),
+            AnnulusRational(r=r, p_coeffs=(0.0, 0.0, 0.0, 0.0, 1.0)),
+        ]
+        stack = rational.factored_stack(functions)
+        points = np.concatenate([_annulus_points(r, 5, 4), 1e80 * np.exp(1j * np.array([0.3, -2.0, np.pi]))])
+        with np.errstate(all="ignore"):
+            got = self._assert_bits(stack, points)
+            self._assert_bits(stack, np.tile(points, (4, 1)))
+        assert np.all(got[0] == abs(0.3 - 1.1j)) and np.isfinite(got[2]).all()
+        assert not np.isfinite(got[1, 5:]).any() and not np.isfinite(got[3, 5:]).any()
+
     def test_order_is_root_count_then_numerator_length(self):
         stack = _stress_battery(0.81, 2000, 1).stack
         k1, k2, lp = stack.counts[stack.order].T
@@ -1430,9 +1442,10 @@ class TestNormBounds:
         stack = _stress_battery(0.5, 2000, 1).stack.take(slice(start, None))
         with np.errstate(all="ignore"):
             full = calculus.factored_norms(stack, t)
-            bounds, norms = calculus.factored_norm_bounds(stack, t)
+            lazy = calculus.FactoredNorms(stack, t)
+            bounds = lazy.bounds(slice(None))
             rows = np.arange(0, full.size, 7)
-            assert np.array_equal(norms(rows), full[rows])
+            assert np.array_equal(lazy.norms(rows), full[rows])
         assert np.all(bounds >= full)
 
     def test_near_rank_one_needs_the_allowance(self):
@@ -1448,7 +1461,7 @@ class TestNormBounds:
             p[np.arange(200), rng.integers(1, 5, 200)] = rng.standard_normal(200) + 1j * rng.standard_normal(200)
             stack = rational.pack(0.5, np.tile([0, 0, 5], (200, 1)), p.ravel(), np.zeros(0))
             full = calculus.factored_norms(stack, t)
-            bounds, _ = calculus.factored_norm_bounds(stack, t)
+            bounds = calculus.FactoredNorms(stack, t).bounds(slice(None))
             assert np.all(bounds >= full)
             below += np.count_nonzero(bounds / (1.0 + calculus._NORM_ROUNDING * n * np.finfo(float).eps) < full)
         assert below > 0
@@ -1511,6 +1524,128 @@ class TestNormBounds:
             tracemalloc.stop()
         # the bound of TestStackedFactoredEvaluation::test_fixed_memory_at_n40
         assert peak <= 12 * 2**20
+
+
+def _perturbed_jordan(n, delta, seed):
+    """:func:`_conjugated_jordan` plus a complex Gaussian of norm ``delta``."""
+    rng = seeded_rng(seed, 9)
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _conjugated_jordan(n) + delta * e / operator_norm(e)
+
+
+def _near_defective():
+    """A 3x3 with eigenvalues 1e-3 apart in a Jordan-like block: ``kappa >= 1e4``."""
+    q = random_unitary(3, 5)
+    return q @ (0.7 * np.exp(0.4j) * np.eye(3) + 0.3 * np.eye(3, k=1) + np.diag([0.0, 1e-3, 2e-3])) @ q.conj().T
+
+
+def _count_formed(monkeypatch) -> list:
+    """The row count of each stack ``calculus._factored_chunks`` evaluates
+    from now on, appended as it is called."""
+    formed = []
+    chunks = calculus._factored_chunks
+
+    def counting(stack, rule):
+        formed.append(stack.p.shape[0])
+        return chunks(stack, rule)
+
+    monkeypatch.setattr(calculus, "_factored_chunks", counting)
+    return formed
+
+
+class TestEigenvectorScreen:
+    """The factored route's first stage: ``(1 + mu) kappa_2(Y) max_j
+    |f(r_jj)|`` bounds the computed ``||f(T)||``, and pruning on it changes
+    no report."""
+
+    _SOUND_CASES = [
+        (t, r)
+        for n in (2, 3, 4, 6, 9, 16)
+        for r in (0.25, 0.5, 0.81)
+        for s in range(1, 6)
+        for t in (windowed_matrix(n, r, s), involution(windowed_matrix(n, r, s), r))
+    ] + [(_perturbed_jordan(n, 10.0**-k, n + k), 0.5) for n in (2, 3, 5) for k in range(2, 10)]
+
+    def test_the_screen_bounds_every_computed_norm(self):
+        worst = 0.0
+        for t, r in self._SOUND_CASES:
+            stack = _stress_battery(r, 600, 1).stack
+            facts = linalg.analysis(t)
+            bound = certify._screen_factor(facts, linalg.DEFAULT_TOLS) * stack.abs_at(
+                facts.conditioning.triangle.diagonal()
+            ).max(axis=1)
+            norms = calculus.factored_norms(stack, t)
+            assert np.all(bound >= norms)
+            worst = max(worst, float((norms / bound).max()))
+        # on well-conditioned eigenvectors the bound is nearly tight
+        assert 0.9 < worst <= 1.0
+
+    @pytest.mark.parametrize(
+        "t",
+        [example_matrix(0.5), 0.7 * np.eye(2) + 0.3 * np.eye(2, k=1)],
+        ids=["shear", "repeated"],
+    )
+    def test_a_repeated_diagonal_has_no_finite_condition(self, t):
+        assert linalg.analysis(t).eigenvector_condition == np.inf
+        assert certify._screen_factor(linalg.analysis(t), linalg.DEFAULT_TOLS) == np.inf
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_the_condition_is_that_of_the_unit_column_eigenvectors(self, n):
+        t = windowed_matrix(n, 0.5, 3)
+        tri = linalg.analysis(t).conditioning.triangle
+        y = np.eye(n, dtype=complex)
+        for j in range(n):
+            for k in range(j - 1, -1, -1):
+                y[k, j] = -(tri[k, k + 1 : j + 1] @ y[k + 1 : j + 1, j]) / (tri[k, k] - tri[j, j])
+        assert np.linalg.norm(tri @ y - y * tri.diagonal()) <= 1e-15 * np.linalg.norm(tri) * np.linalg.norm(y)
+        y /= np.linalg.norm(y, axis=0)
+        assert_allclose(linalg.analysis(t).eigenvector_condition, np.linalg.cond(y), rtol=1e-12)
+
+    _PRUNE_CASES = {
+        "normal": normal_annulus_matrix(4, 0.5, 11),
+        "involution": involution(normal_annulus_matrix(4, 0.5, 12), 0.5),
+        **{f"windowed{n}": windowed_matrix(n, 0.5, 13) for n in range(2, 7)},
+        "shear": example_matrix(0.5),
+        "near-defective": _near_defective(),
+        "outside": 1.25 * windowed_matrix(3, 0.5, 3),
+    }
+
+    @pytest.mark.parametrize("kind", list(_PRUNE_CASES))
+    def test_the_screen_only_prunes(self, kind, monkeypatch):
+        # with kappa = inf the screen keeps every row, as the route without
+        # it did; the report must be the one the screen gives, field by field
+        t = self._PRUNE_CASES[kind]
+        formed = _count_formed(monkeypatch)
+        _stress_battery.cache_clear()
+        screened = vonneumann_stress(t, 0.5, 300, 1)
+        rows_screened = sum(formed)
+        formed.clear()
+        _stress_battery.cache_clear()
+        monkeypatch.setattr(linalg.Analysis, "eigenvector_condition", property(lambda self: np.inf))
+        every = vonneumann_stress(t, 0.5, 300, 1)
+        _stress_battery.cache_clear()
+        for field in dataclasses.fields(screened):
+            assert repr(getattr(screened, field.name)) == repr(getattr(every, field.name)), field.name
+        assert screened.to_json() == every.to_json()
+        if kind.startswith("windowed"):
+            assert rows_screened < 0.5 * sum(formed)
+        if kind == "outside":
+            assert screened.verdict is Verdict.REFUTED and screened.witness is not None
+
+    def test_the_near_defective_case_is_ill_conditioned(self):
+        assert 1e4 <= linalg.analysis(_near_defective()).eigenvector_condition < np.inf
+
+    def test_a_warm_battery_forms_few_rows(self, monkeypatch):
+        formed = _count_formed(monkeypatch)
+        t = windowed_matrix(4, 0.5, 3)
+        vonneumann_stress(t, 0.5, 2000, 1)  # warms the battery
+        formed.clear()
+        rep = vonneumann_stress(t, 0.5, 2000, 1)
+        assert rep.stress_route == "factored" and 0 < sum(formed) <= 200
+        # the shear's eigenvectors are not finite: one pass over every row
+        formed.clear()
+        rep = vonneumann_stress(example_matrix(0.5), 0.5, 2000, 1)
+        assert rep.screened == 0 and 2000 in formed
 
 
 class TestCnnSplit:
