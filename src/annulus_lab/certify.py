@@ -217,8 +217,9 @@ _BASE_NODES = 4096
 _LOCAL_NODES = 512
 # The denser sampling that re-checks a candidate witness.
 _DENSE_NODES = (1 << 15, 4096)
-# The most exact sups asked for at a time while the largest ratio is still
-# being found (the batches grow 1, 2, 4, ... up to it).
+# The most exact norms, and exact sups, asked for at a time while the
+# largest ratio is still being found (sup batches grow 1, 2, 4, ... up to
+# it); a batch of at most this many rows skips the cheap rungs.
 _REFINE_ROWS = 16
 # The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
 # per circle, 32 nodes, and the node nearest each root on its own circle: a
@@ -418,11 +419,6 @@ class _Battery:
         nodes = _DENSE_NODES if dense else ()
         return self._memoized("dense" if dense else "memo", rows, lambda stack: _sampled_sups(stack, *nodes))
 
-    def readers(self, rows: np.ndarray) -> tuple:
-        """``(sups, dense)``: :meth:`exact_sups` of ``rows[sel]``, sampled
-        and dense, each a function of ``sel``."""
-        return (lambda sel: self.exact_sups(rows[sel]), lambda sel: self.exact_sups(rows[sel], dense=True))
-
 
 # The canonical probes z and r/z as (k1, k2, len(p)) rows; packed flat, their
 # coefficients are (0, 1, r) and their one root is 0.
@@ -475,72 +471,92 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     return _Battery(stack)
 
 
-def _denominators(lower, probe, memo) -> np.ndarray:
-    """``max(bound, probe)``, ``bound`` the sup in ``memo`` where it is
-    known (not NaN) and ``lower`` elsewhere: at most each ratio's
-    denominator."""
-    return np.maximum(np.where(np.isnan(memo), lower, memo), probe)
+def _stress_ratios(nums, rungs, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
+    """``max_i norm_i / max(sup_i, probe_i)`` and the witness, climbing a
+    ladder of upper bounds on each norm ``norm_i`` and asking for exact
+    sups ``sup_i`` only as far as the comparisons need.
 
+    ``nums >= norm`` elementwise is the ladder's foot; ``rungs`` are its
+    steps, each a function of the rows ``rows`` (an index array, or
+    ``slice(None)`` for every row) that returns upper bounds on their
+    norms, meant to be tighter and costlier than the one below, and the
+    last returns the norms themselves (no rungs when ``nums`` are the
+    norms).  ``lower <= sup`` elementwise; ``memo`` holds the sups already
+    known (NaN where not); ``sups(rows)`` returns the sups of ``rows`` and
+    ``dense(rows)`` a denser re-check of them.  With ``bound`` the memo
+    entry or else ``lower``, ``upper = num / max(bound, probe)``, ``num``
+    the bound of the highest rung a row has reached, bounds each ratio from
+    above (division is monotone).  A rung runs once over all of the rows it
+    advances, and a batch of at most ``_REFINE_ROWS`` rows goes straight to
+    the last rung; a row gets its norm before its sup, in this order:
 
-def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> tuple[float, int | None]:
-    """``max_i norm_i / max(sup_i, probe_i)`` and the witness, asking for as
-    few exact norms ``norm_i`` and exact sups ``sup_i`` as the comparisons
-    allow.
-
-    ``nums >= norm`` and ``lower <= sup`` elementwise; ``memo`` holds the
-    sups already known (NaN where not); ``norms(rows)`` returns the norms of
-    ``rows`` (``norms`` is None when ``nums`` are the norms), ``sups(rows)``
-    their sups and ``dense(rows)`` a denser re-check of them.  With
-    ``bound`` the memo entry or else ``lower``, ``upper = num / max(bound,
-    probe)``, ``num`` the norm once known and ``nums`` before, bounds each
-    ratio from above (division is monotone).  A row gets its norm before
-    its sup is asked for, and its sup only if ``upper``, with the norm,
-    still calls for it, in this order:
-
-    1. every row with ``upper > 1 + tol``, or not finite, gets its norm,
-       and then its sup where ``upper`` is still so; the rows whose ratio
-       then exceeds ``1 + tol`` are flagged and re-checked by ``dense``, and
-       the first still above it is the witness;
+    0. the seed: with a rung below the last and more than ``_REFINE_ROWS``
+       rows, every ``upper`` finite and some at most ``1 + tol``, the row
+       with the largest ``upper`` gets its norm and its sup, and its ratio
+       is ``best``;
+    1. every row with ``upper > 1 + tol``, not finite, or at least
+       ``best``, climbs while it is so, then every row with ``upper > 1 +
+       tol``, or not finite, gets its sup; the rows whose ratio then
+       exceeds ``1 + tol`` are flagged and re-checked by ``dense``, and the
+       first still above it is the witness;
     2. with ``best`` the largest ratio known, of a row with both its norm
-       and its sup, the ``_REFINE_ROWS`` rows with the largest
-       ``upper >= best`` that lack either get their norms, or if they have
-       them all, the largest of them get their sups, until no such row is
-       left: 1 row's sup at first, then 2, 4 and so on up to
-       ``_REFINE_ROWS`` at a time, since the first sup often settles
-       ``best`` above every other bound.
+       and its sup, the rows with ``upper >= best`` that lack either climb
+       or get their sups until no such row is left: those on their lowest
+       rung climb one rung, all at once, when there are more than
+       ``_REFINE_ROWS`` of them and the next rung is not the last;
+       otherwise the ``_REFINE_ROWS`` largest get their norms or, if they
+       have them all, the largest ``batch`` of them their sups: 1 row at
+       first (2 after a seed), then 2, 4 and so on up to ``_REFINE_ROWS``
+       at a time, since the first sup often settles ``best`` above every
+       other bound.
 
     The re-check must come first: it can lower a flagged ratio below one
-    that step 2 would have pruned against.  A row left without its norm or
-    sup at the end has ``ratio <= upper < best``, so the result is that of
-    computing every norm and every sup.  When ``memo`` holds what a call
-    needs, no sup is asked for, and with ``norms`` None the call is a few
-    passes over the arrays.
+    that step 2 would have pruned against.  A seed above ``1 + tol`` is
+    re-checked with the others; in step 1 it prunes nothing, since every
+    row that reaches it is above ``1 + tol`` too.  No row is seeded while a
+    bound is not finite, so such a row climbs before any sup is asked for,
+    and a last rung that raises on a norm that is not finite raises before
+    any sup work.  A row left without its norm or sup at the end has
+    ``ratio <= upper < best``, so the result is that of computing every
+    norm and every sup, whatever the rungs (a row's bound does not depend
+    on the rows evaluated with it).  When ``memo`` holds what a call needs,
+    no sup is asked for, and with no rungs the call is a few passes over
+    the arrays.
     """
     nums = np.array(nums, dtype=float)
-    exact = np.full(nums.size, norms is None)
+    top = len(rungs)
+    level = np.zeros(nums.size, dtype=int)
     known = ~np.isnan(memo)
-    denoms = _denominators(lower, probe, memo)
+    denoms = np.maximum(np.where(known, memo, lower), probe)
     ratios = nums / denoms
 
-    def settle(rows):
-        nums[rows] = norms(rows)
+    def climb(rows, step):
+        nums[rows] = rungs[step - 1](rows if rows.size < nums.size else slice(None))
         ratios[rows] = nums[rows] / denoms[rows]
-        exact[rows] = True
+        level[rows] = step
 
     def refine(rows):
         denoms[rows] = np.maximum(sups(rows), probe[rows])
         ratios[rows] = nums[rows] / denoms[rows]
         known[rows] = True
 
-    def suspect(mask):
-        return np.nonzero(mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol)))[0]
+    def suspect(mask, best=np.inf):
+        return np.nonzero(mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol) & (ratios < best)))[0]
 
     def largest(rows, count):
         return rows if rows.size <= count else rows[np.argpartition(ratios[rows], -count)[-count:]]
 
-    if norms is not None:
-        settle(suspect(~exact))
-    refine(suspect(~known))
+    batch, best = 1, np.inf  # with no ratio known, only the suspect rows climb
+    if top > 1 and nums.size > _REFINE_ROWS and np.isfinite(ratios).all() and (ratios <= 1.0 + tol).any():
+        seed = largest(np.arange(nums.size), 1)
+        climb(seed, top)
+        if not known[seed[0]]:
+            refine(seed)
+        best, batch = ratios[seed[0]], 2
+    while (rows := suspect(level < top, best)).size:  # all on one rung
+        climb(rows, top if rows.size <= _REFINE_ROWS else level[rows[0]] + 1)
+    if (rows := suspect(~known)).size:
+        refine(rows)
     witness = None
     flagged = np.nonzero(ratios > 1.0 + tol)[0]
     if flagged.size:
@@ -548,15 +564,19 @@ def _stress_ratios(nums, lower, probe, memo, norms, sups, dense, tol: float) -> 
             ratios[i] = nums[i] / max(denoms[i], sup)
             if witness is None and ratios[i] > 1.0 + tol:
                 witness = int(i)
-    batch = 1
     while True:
-        done = exact & known
-        rows = largest(np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0], _REFINE_ROWS)
+        done = (level == top) & known
+        rows = np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0]
         if not rows.size:
             break
-        pending = rows[~exact[rows]]
-        if pending.size:
-            settle(pending)
+        # a cheap rung, below the last, that would run over many rows
+        lowest = level[rows].min() if top > 1 else top
+        if lowest + 1 < top and (low := rows[level[rows] == lowest]).size > _REFINE_ROWS:
+            climb(low, lowest + 1)
+            continue
+        rows = largest(rows, _REFINE_ROWS)
+        if (pending := rows[level[rows] < top]).size:
+            climb(pending, top)
         else:
             refine(largest(rows, batch))
             batch = min(2 * batch, _REFINE_ROWS)
@@ -618,40 +638,6 @@ def _screen_factor(facts: linalg.Analysis, tols: Tolerances) -> float:
     eps = np.finfo(float).eps
     mu = _SCREEN_ROUNDING * facts.matrix.shape[0] * eps * (1.0 + kappa) / min(tols.rank_tol, 1.0)
     return (1.0 + mu) * kappa
-
-
-def _screened_rows(uppers, lower, probe, memo, norms, sups, dense, tol: float) -> np.ndarray:
-    """The rows, in order, that the eigenvector screen leaves to
-    :func:`_stress_ratios`; ``uppers >= norm`` elementwise and the other
-    arguments are those of :func:`_stress_ratios`, ``norms`` given.
-
-    With ``upper = uppers / max(bound, probe)`` as there, the row with the
-    largest ``upper`` (NaN counts as largest) gets its norm and its sup, and
-    its dense re-check if its ratio then exceeds ``1 + tol``: ``best``, the
-    ratio that :func:`_stress_ratios` leaves that row, by the same
-    operations, so at most the largest ratio it returns.  The screen keeps
-    that row and every row whose ``upper`` exceeds ``1 + tol``, is not
-    finite, or reaches ``best``; when no ``upper`` is at most ``1 + tol``
-    it keeps every row and asks for nothing.  A row it drops has ``ratio
-    <= upper <= 1 + tol``, so it is never flagged, and ``ratio < best``,
-    so it is not the largest: :func:`_stress_ratios` on the kept rows gives
-    the result of all rows, witness included (its index among the kept
-    rows).
-    """
-    with np.errstate(all="ignore"):
-        ratios = uppers / _denominators(lower, probe, memo)
-    if not (ratios <= 1.0 + tol).any():
-        return np.arange(ratios.size)  # no row can be dropped
-    top = np.argmax(np.where(np.isnan(ratios), np.inf, ratios))
-    one = np.array([top])
-    num, denom = norms(one)[0], max(sups(one)[0], probe[top])
-    with np.errstate(all="ignore"):
-        best = num / denom
-        if best > 1.0 + tol:
-            best = num / max(denom, dense(one)[0])
-    keep = ~(ratios <= 1.0 + tol) | (ratios >= best)
-    keep[top] = True
-    return np.flatnonzero(keep)
 
 
 def _clamp_to_annulus(lams: np.ndarray, r: float) -> np.ndarray:
@@ -725,26 +711,27 @@ def vonneumann_stress(
     back-substitution, in chunks of about 1 MB; it first checks every
     evaluated function's roots, and raises :class:`Singular` as
     :func:`calculus.eval_direct` would on the first, in battery order, with
-    a root on the spectrum.  Norms are lazy on that route as the sups are,
-    in two stages.  The eigenvector screen bounds each ``||f(T)||`` by
-    ``(1 + mu) kappa_2(Y) max_j |f(r_jj)|`` (:func:`_screen_factor`), from
-    ``|f|`` at ``R``'s diagonal, taken in the one ``abs_at`` call that
-    gives the probes, and drops the functions that bound rules out
-    (:func:`_screened_rows`, which settles one function first); a ``T``
-    whose triangle repeats a diagonal entry has ``kappa = inf`` and keeps
-    them all.  The functions kept get one stacked pass that keeps a cheap
-    upper bound on each norm, and :func:`_stress_ratios` asks for the exact
-    norm, the spectral norm :func:`calculus.factored_norms` gives, only of
-    a function whose ratio can still matter, before its sup.  Every
+    a root on the spectrum.  Norms are lazy on that route as the sups are:
+    each function's norm has a ladder of upper bounds, and
+    :func:`_stress_ratios` takes a function up a rung only while its ratio
+    can still matter.  The foot is the eigenvector screen, ``(1 + mu)
+    kappa_2(Y) max_j |f(r_jj)|`` (:func:`_screen_factor`), from ``|f|`` at
+    ``R``'s diagonal, taken in the one ``abs_at`` call that gives the
+    probes; a ``T`` whose triangle repeats a diagonal entry has ``kappa =
+    inf``, no ``|f|`` at the diagonal is taken, and every foot is ``inf``.
+    The next rung is a stacked pass that keeps a cheap upper bound on each
+    norm (:meth:`calculus.FactoredNorms.bounds`), the last the exact norm,
+    the spectral norm :func:`calculus.factored_norms` gives.  Every
     evaluation reads the same Schur triangle, so a call forms one Schur
-    form of ``T``.  :class:`NotContraction` names an overflow: some
-    ``||f(T)||`` of a kept function, or ``|f|`` at a projected eigenvalue,
-    is not finite; where a bound is not finite the pass keeps the exact
-    norm instead, so it is raised before any sup work but that of the
-    screen's first function.  :class:`BadRadius` is
-    raised unless ``0 < r < 1``, then ``ValueError`` naming ``trials`` or
-    ``seed`` unless it is an integer (numpy's too, not a ``bool``) and
-    ``>= 0``, before any other work.
+    form of ``T``.  :class:`NotContraction` names an overflow: ``|f|`` at a
+    projected eigenvalue, or some ``||f(T)||`` the ladder reaches, is not
+    finite.  A bound that is not finite leaves its ratio above ``1 +
+    verify_tol``, the stacked pass keeps the exact norm where its bound is
+    not finite, and no function is seeded while one is, so such a function
+    climbs to its norm, and the error is raised, before any sup work.
+    :class:`BadRadius` is raised unless ``0 < r < 1``, then ``ValueError``
+    naming ``trials`` or ``seed`` unless it is an integer (numpy's too, not
+    a ``bool``) and ``>= 0``, before any other work.
     """
     linalg.require_radius(r)
     trials = linalg.as_integer(trials, "trials", 0)
@@ -765,7 +752,15 @@ def vonneumann_stress(
         rows, stack = np.arange(trials), battery.stack
     screened = trials - rows.size
     lower = battery.lower_bounds(rows, stack)
-    with np.errstate(all="ignore"):  # a value that overflows raises below
+
+    def finite(values):
+        if not np.isfinite(values).all():
+            raise NotContraction(
+                f"overflow: ||f(T)|| or |f| at a probe is not finite (||T|| = {norm_t:.6g}, ||r T^-1|| = {norm_rtinv:.6g})"
+            )
+        return values
+
+    with np.errstate(all="ignore"):  # a value that overflows raises NotContraction
         if is_normal:
             # one pass over the stack at each distinct point: an eigenvalue
             # that its projection leaves bitwise in place serves as its own
@@ -775,45 +770,25 @@ def vonneumann_stress(
             vals = stack.abs_at(np.concatenate([probes[moved], lams]))
             cols = np.where(moved, np.cumsum(moved) - 1, moved.sum() + np.arange(lams.size))
             at_probes = vals[:, cols].max(axis=1)
-            nums = vals[:, moved.sum() :].max(axis=1)
-            norms = None  # nums are the norms
+            nums, rungs = finite(vals[:, moved.sum() :].max(axis=1)), ()  # the norms
         else:
             lazy = calculus.FactoredNorms(stack, m, tols)
             factor = _screen_factor(facts, tols)
-            screen = np.isfinite(factor) and rows.size > 0
-            diag = lazy.rule.triangle.diagonal() if screen else np.zeros(0, dtype=complex)
+            diag = lazy.rule.triangle.diagonal() if np.isfinite(factor) else np.zeros(0, dtype=complex)
             vals = stack.abs_at(np.concatenate([probes, diag]))
             at_probes = vals[:, : probes.size].max(axis=1)
-            kept = np.arange(rows.size)
-            if screen:
-                kept = _screened_rows(
-                    factor * vals[:, probes.size :].max(axis=1),
-                    lower,
-                    at_probes,
-                    battery.memo[rows],
-                    lazy.norms,
-                    *battery.readers(rows),
-                    tols.verify_tol,
-                )
-            nums = lazy.bounds(kept if kept.size < rows.size else slice(None))
-            rows, lower, at_probes = rows[kept], lower[kept], at_probes[kept]
-
-            def norms(sel):
-                return lazy.norms(kept[sel])
-
-    if not (np.isfinite(nums).all() and np.isfinite(at_probes).all()):
-        raise NotContraction(
-            f"overflow: ||f(T)|| or |f| at a probe is not finite (||T|| = {norm_t:.6g}, ||r T^-1|| = {norm_rtinv:.6g})"
+            nums = factor * vals[:, probes.size :].max(axis=1) if diag.size else np.full(rows.size, np.inf)
+            rungs = (lazy.bounds, lambda sel: finite(lazy.norms(sel)))
+        max_ratio, witness = _stress_ratios(
+            nums,
+            rungs,
+            lower,
+            finite(at_probes),
+            battery.memo[rows],
+            lambda sel: battery.exact_sups(rows[sel]),
+            lambda sel: battery.exact_sups(rows[sel], dense=True),
+            tols.verify_tol,
         )
-    max_ratio, witness = _stress_ratios(
-        nums,
-        lower,
-        at_probes,
-        battery.memo[rows],
-        norms,
-        *battery.readers(rows),
-        tols.verify_tol,
-    )
     if witness is not None:
         verdict = Verdict.REFUTED
         witness = battery.stack.function(int(rows[witness]))

@@ -217,9 +217,10 @@ class TestVonNeumannStress:
         seen = []
         ratios = certify._stress_ratios
 
-        def recording(nums, lower, probe, *rest):
+        def recording(nums, rungs, lower, probe, *rest):
+            assert rungs == ()  # the norms need no ladder
             seen.append((nums, probe))
-            return ratios(nums, lower, probe, *rest)
+            return ratios(nums, rungs, lower, probe, *rest)
 
         monkeypatch.setattr(certify, "_stress_ratios", recording)
         for name, t in self._normal_inputs():
@@ -399,13 +400,21 @@ class TestVonNeumannStress:
         assert np.isfinite([rep.norm_t, rep.norm_rtinv, rep.max_ratio]).all()
 
     @pytest.mark.parametrize(
-        "t", [1e300 * np.eye(2), 1e300 * example_matrix(0.5)], ids=["spectral", "factored"]
+        "t",
+        [1e300 * np.eye(2), 1e300 * example_matrix(0.5), 1e300 * windowed_matrix(3, 0.5, 3)],
+        ids=["spectral", "factored", "screened"],
     )
-    def test_overflow_raises_a_typed_error_naming_it(self, t):
+    def test_overflow_raises_a_typed_error_naming_it(self, t, monkeypatch):
+        # the screened input has kappa about 1.07, so |f| at the triangle's
+        # diagonal is taken, and overflows; no sup is sampled before the raise
+        sampled = []
+        sups = certify._sampled_sups
+        monkeypatch.setattr(certify, "_sampled_sups", lambda *args: sampled.append(1) or sups(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotContraction, match="^overflow: "):
                 vonneumann_stress(t, 0.5, 10, 1)
+        assert sampled == []
 
 
     @pytest.mark.parametrize("base", [np.eye(2), np.diag([1.0, 1.0j])], ids=["I2", "diag"])
@@ -733,10 +742,11 @@ class TestSampledSups:
             _sups_of(functions[2:])
 
 
-def _full_sup_ratios(nums, lower, probe, memo, norms, sups, dense, tol):
-    """Reference for :func:`_stress_ratios`: every norm and every sup
-    computed, then the flagged ratios re-checked."""
-    nums = nums if norms is None else norms(np.arange(nums.size))
+def _full_sup_ratios(nums, rungs, lower, probe, memo, sups, dense, tol):
+    """Reference for :func:`_stress_ratios`: every norm (the last rung's,
+    or ``nums`` with no rungs) and every sup computed, then the flagged
+    ratios re-checked."""
+    nums = rungs[-1](np.arange(nums.size)) if rungs else nums
     denoms = np.maximum(sups(np.arange(nums.size)), probe)
     ratios = nums / denoms
     witness = None
@@ -753,27 +763,34 @@ class TestStressRatios:
     """Lazy refinement gives the ratios of every norm and every sup computed."""
 
     @staticmethod
-    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms=None):
-        """:func:`_stress_ratios` on upper bounds ``nums`` of the norms
-        ``norms``, or on the norms ``nums`` by default; returns the result
-        and the rows whose norms and whose sups were asked for."""
-        asked, normed = [], []
+    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol, *ladder):
+        """:func:`_stress_ratios` on upper bounds ``nums`` of the norms,
+        then the rungs ``ladder``, arrays of tighter bounds, the last of
+        them the norms (none: ``nums`` are the norms); returns the result,
+        the rows whose sups were asked for and the rows each rung got."""
+        asked, climbed = [], [[] for _ in ladder]
 
-        def norm_of(rows):
-            normed.extend(rows.tolist())
-            return norms[rows]
+        def rung(k):
+            def bounds(rows):
+                rows = np.arange(nums.size)[rows]  # an index array or slice(None)
+                assert rows.size  # no empty call
+                climbed[k].extend(rows.tolist())
+                return ladder[k][rows]
+
+            return bounds
 
         def sups(rows):
-            assert np.all(np.isnan(memo[rows]))
-            if norms is not None:
-                assert set(rows.tolist()) <= set(normed)  # a row's norm comes first
+            assert rows.size and np.all(np.isnan(memo[rows]))
+            if ladder:
+                assert set(rows.tolist()) <= set(climbed[-1])  # a row's norm comes first
             asked.extend(rows.tolist())
             return exact[rows]
 
-        norm_of = None if norms is None else norm_of
-        got = _stress_ratios(nums, lower, probe, memo, norm_of, sups, lambda rows: dense_sups[rows], tol)
-        assert len(asked) == len(set(asked)) and len(normed) == len(set(normed))
-        return got, asked, normed
+        rungs = [rung(k) for k in range(len(ladder))]
+        got = _stress_ratios(nums, rungs, lower, probe, memo, sups, lambda rows: dense_sups[rows], tol)
+        # no row is asked for its sup twice, or climbs a rung twice
+        assert len(asked) == len(set(asked)) and all(len(rows) == len(set(rows)) for rows in climbed)
+        return got, asked, climbed
 
     @staticmethod
     def _same(got, want):
@@ -796,7 +813,11 @@ class TestStressRatios:
                 # with a tight sup, which a bound 0.1 % short of its norm prunes
                 norms = np.minimum(norms, np.maximum(exact, probe))
                 norms[0], exact[0], lower[0], probe[0] = 1.0 + 1.0 / 4096, 1.0, 1.0, 0.0
-            nums = norms + rng.integers(0, 8, n) / 16 * (rng.random(n) < 0.7)
+            steps = rng.integers(0, 8, n) * (rng.random(n) < 0.7)
+            nums = norms + steps / 16
+            # a middle rung between them, on the same grid: each rung ties
+            # with the one above or below it in some rows
+            middle = norms + rng.integers(0, steps + 1) / 16
             bad = []
             if trial % 5 == 0 and n:
                 bad = rng.integers(0, n, 2)
@@ -806,26 +827,39 @@ class TestStressRatios:
             tol = (1e-8, 0.1)[trial % 2]
             want = _full_sup_ratios(
                 nums,
+                (lambda rows: norms[rows],),
                 lower,
                 probe,
                 memo,
-                lambda rows: norms[rows],
                 lambda rows: exact[rows],
                 lambda rows: dense_sups[rows],
                 tol,
             )
-            got, _, normed = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
+            got, _, (normed,) = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
             self._same(got, want)
             assert set(np.asarray(bad).tolist()) <= set(normed)
-            # with norms=None, as on the spectral route, nums are the norms
+            # three rungs: nums, the middle rung, the norms; and with nothing
+            # known at the foot (every bound inf, as with kappa = inf)
+            got, _, (bounded, normed) = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, middle, norms)
+            self._same(got, want)
+            assert set(np.asarray(bad).tolist()) <= set(bounded + normed)
+            self._same(self._lazy(np.full(n, np.inf), lower, probe, memo, exact, dense_sups, tol, middle, norms)[0], want)
+            # a quarter of each: few rows can exceed 1 + tol, so the ratio
+            # seeded first prunes the rest
+            sups = (lambda rows: exact[rows], lambda rows: dense_sups[rows])
+            quarter = _full_sup_ratios(nums / 4, (lambda rows: norms[rows] / 4,), lower, probe, memo, *sups, tol)
+            got = self._lazy(nums / 4, lower, probe, memo, exact, dense_sups, tol, middle / 4, norms / 4)[0]
+            self._same(got, quarter)
+            # with no rungs, as on the spectral route, nums are the norms
             self._same(self._lazy(norms, lower, probe, memo, exact, dense_sups, tol)[0], want)
             # and on nums, non-finite ones included, against every sup computed
             on_nums = _full_sup_ratios(
-                nums, lower, probe, memo, None, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
+                nums, (), lower, probe, memo, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
             )
             self._same(self._lazy(nums, lower, probe, memo, exact, dense_sups, tol)[0], on_nums)
             # with a full memo no sup is asked for, and with exact norms nothing
             assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, norms)[1] == []
+            assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, middle, norms)[1] == []
             assert self._lazy(norms, lower, probe, exact, exact, dense_sups, tol)[1:] == ([], [])
 
     def test_recheck_comes_before_pruning(self):
@@ -840,7 +874,7 @@ class TestStressRatios:
     def test_non_finite_nums_are_refined(self, bad):
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact = np.array([1.0, 2.0, 1.5])
-        want = _full_sup_ratios(nums, lower, probe, None, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
+        want = _full_sup_ratios(nums, (), lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
         got, asked, _ = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8)
         self._same(got, want)
         assert 1 in asked and 2 not in asked
@@ -850,9 +884,9 @@ class TestStressRatios:
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact, norms = np.array([1.0, 2.0, 1.5]), np.array([0.5, 1.5, 0.1])
         want = _full_sup_ratios(
-            nums, lower, probe, None, lambda rows: norms[rows], lambda rows: exact[rows], lambda rows: exact[rows], 1e-8
+            nums, (lambda rows: norms[rows],), lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8
         )
-        got, asked, normed = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8, norms)
+        got, asked, (normed,) = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8, norms)
         self._same(got, want)
         assert 1 in normed and 1 in asked and 2 not in asked
 
@@ -861,13 +895,44 @@ class TestStressRatios:
         got, asked, _ = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 2 * exact, 1e-8)
         assert got == (0.9, None) and asked == []
 
+    def test_one_seed_then_one_cheap_pass(self):
+        # no ratio can exceed 1 and none is known: the largest row gets its
+        # norm and its sup first (ratio 0.9), then the middle rung runs once
+        # over the 39 others, and prunes them all
+        n = 40
+        nums = np.r_[0.96, np.full(n - 1, 0.95)]
+        middle, norms = np.r_[0.92, np.full(n - 1, 0.5)], np.r_[0.9, np.full(n - 1, 0.25)]
+        ones = np.ones(n)
+        got, asked, climbed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, ones, 1e-8, middle, norms)
+        assert got == (0.9, None) and asked == [0] and climbed == [list(range(1, n)), [0]]
+
+    def test_a_bound_that_is_not_finite_climbs_before_any_sup(self):
+        # an exact rung that raises on a norm that is not finite, as the
+        # factored route's does, raises before any sup is asked for: no
+        # row is seeded while a bound is not finite, though the NaN row,
+        # the largest, has a finite norm
+        n = 20
+        nums, norms = np.r_[np.nan, np.inf, np.full(n - 2, 0.5)], np.r_[0.5, np.inf, np.full(n - 2, 0.25)]
+
+        def exact(rows):
+            if not np.isfinite(norms[rows]).all():
+                raise OverflowError
+            return norms[rows]
+
+        def sups(rows):
+            pytest.fail("sup asked for")
+
+        rungs = (lambda rows: nums[rows], exact)
+        with pytest.raises(OverflowError):
+            _stress_ratios(nums, rungs, np.ones(n), np.zeros(n), np.full(n, np.nan), sups, sups, 1e-8)
+
     def test_bounds_prune_norms(self):
         # the first batch of rows settles at ratio 0.9, above the last row's
         # bound 0.5: that row never gets its norm or its sup
         rows = certify._REFINE_ROWS
         nums, norms = np.r_[np.full(rows, 0.95), 0.5], np.r_[np.full(rows, 0.9), 0.25]
         exact, memo = np.ones(rows + 1), np.full(rows + 1, np.nan)
-        got, asked, normed = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, exact, 1e-8, norms)
+        got, asked, (normed,) = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, exact, 1e-8, norms)
         assert got == (0.9, None) and sorted(asked) == sorted(normed) == list(range(rows))
 
 
@@ -915,9 +980,9 @@ class TestLazyRefinement:
         lazy = sweep()
         original = certify._stress_ratios
 
-        def every_norm(nums, lower, probe, memo, norms, *rest):
-            nums = nums if norms is None else norms(np.arange(nums.size))
-            return original(nums, lower, probe, memo, None, *rest)
+        def every_norm(nums, rungs, lower, *rest):
+            nums = rungs[-1](np.arange(nums.size)) if rungs else nums
+            return original(nums, (), lower, *rest)
 
         monkeypatch.setattr(certify, "_stress_ratios", every_norm)
         assert lazy == sweep()
@@ -1466,6 +1531,27 @@ class TestNormBounds:
             below += np.count_nonzero(bounds / (1.0 + calculus._NORM_ROUNDING * n * np.finfo(float).eps) < full)
         assert below > 0
 
+    @pytest.mark.parametrize(
+        "t", [windowed_matrix(4, 0.5, s) for s in range(3, 7)] + [example_matrix(0.5)],
+        ids=["s3", "s4", "s5", "s6", "shear"],
+    )
+    def test_a_warm_call_takes_each_bound_and_norm_once(self, t, monkeypatch):
+        # every stacked pass has rows, and no row is bounded or normed twice
+        vonneumann_stress(t, 0.5, 2000, 1)  # warms the battery
+        calls = []
+        each = calculus.FactoredNorms._each
+
+        def recording(self, rows, reduce):
+            calls.append((reduce, np.arange(self.stack.p.shape[0])[rows]))
+            return each(self, rows, reduce)
+
+        monkeypatch.setattr(calculus.FactoredNorms, "_each", recording)
+        assert vonneumann_stress(t, 0.5, 2000, 1).stress_route == "factored"
+        assert calls and all(rows.size for _, rows in calls)
+        for reduce in (calculus._norm_bounds, calculus._spectral_norms):
+            rows = np.concatenate([rows for r, rows in calls if r is reduce] or [np.zeros(0, dtype=int)])
+            assert rows.size == np.unique(rows).size
+
     def test_warm_stress_sends_few_rows_to_the_svd(self, monkeypatch):
         t = windowed_matrix(4, 0.5, 3)
         want = vonneumann_stress(t, 0.5, 2000, 1)
@@ -1554,9 +1640,9 @@ def _count_formed(monkeypatch) -> list:
 
 
 class TestEigenvectorScreen:
-    """The factored route's first stage: ``(1 + mu) kappa_2(Y) max_j
-    |f(r_jj)|`` bounds the computed ``||f(T)||``, and pruning on it changes
-    no report."""
+    """The foot of the factored route's norm ladder: ``(1 + mu) kappa_2(Y)
+    max_j |f(r_jj)|`` bounds the computed ``||f(T)||``, and pruning on it
+    changes no report."""
 
     _SOUND_CASES = [
         (t, r)
