@@ -58,11 +58,11 @@ def polyval_matrix(coeffs, t: np.ndarray) -> np.ndarray:
 _CHUNK_BYTES = 1 << 20
 
 
-def _chunks(count: int, n: int) -> list[slice]:
-    """Slices of ``count`` rows, each holding about ``_CHUNK_BYTES`` of
-    ``n x n`` complex matrices."""
-    step = max(1, _CHUNK_BYTES // (16 * n * n))
-    return [slice(start, start + step) for start in range(0, count, step)]
+def _chunks(count: int, width: int, budget: int = _CHUNK_BYTES) -> list[slice]:
+    """Contiguous slices of ``count`` rows of ``width`` complex values, each
+    of ``budget`` bytes or one row (the last may be shorter)."""
+    step = max(1, budget // (16 * width))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.ShiftConditioning:
@@ -76,7 +76,7 @@ def _check_roots(stack: rational.FactoredStack, t, tols: Tolerances) -> linalg.S
     here if the check did not need it.
     """
     facts = linalg.analysis(t)
-    for rows in _chunks(stack.p.shape[0], facts.matrix.shape[0]):
+    for rows in _chunks(stack.p.shape[0], facts.matrix.size):
         _check_row_roots(stack.roots[rows], stack.mask[rows], stack.moduli[rows], facts, tols)
     return facts.conditioning
 
@@ -116,7 +116,7 @@ def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioni
     chunks of ``stack.take(rows)`` hold the same matrices for those rows.
     """
     tri = rule.triangle
-    for rows in _chunks(stack.p.shape[0], tri.shape[0]):
+    for rows in _chunks(stack.p.shape[0], tri.size):
         roots, mask = stack.roots[rows], stack.mask[rows]
         out = _polyval_stack(stack.p[rows], tri)
         out /= stack.scale[rows, np.newaxis, np.newaxis]
@@ -154,11 +154,6 @@ def eval_direct(
     return out
 
 
-# The rounding allowance of _norm_bounds, a multiple of n eps (an assumed
-# constant; see there).
-_NORM_ROUNDING = 64
-
-
 def _spectral_norms(x: np.ndarray) -> np.ndarray:
     """``||X||_2`` of each matrix of the stack ``x``, one batched SVD, or
     ``inf`` where an entry is not finite (such ``X`` are zeroed in place)."""
@@ -171,9 +166,10 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     """An upper bound on what :func:`_spectral_norms` computes for each
     matrix of the stack ``x``: ``min(||X||_F, sqrt(||X||_1 ||X||_inf))``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    sec. 6.2) times ``1 + 64 n eps``, plus ``n tiny``.  Where that is not
-    finite (an entry is not, or the bound overflows), it is the spectral
-    norm itself, ``inf`` for a non-finite entry.
+    sec. 6.2) times ``1 + 64 n eps`` (``linalg._ROUNDING``), plus ``n
+    tiny``.  Where that is not finite (an entry is not, or the bound
+    overflows), it is the spectral norm itself, ``inf`` for a non-finite
+    entry.
 
     The norms are taken of ``|X|`` scaled by the power of two that brings
     its largest entry into ``[1/2, 1)``, so no square or product underflows
@@ -192,20 +188,12 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     a = np.ldexp(a, -exponent[:, np.newaxis, np.newaxis])
     fro = np.linalg.norm(a, "fro", axis=(1, 2))
     split = np.sqrt(np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(a, np.inf, axis=(1, 2)))
-    bound = np.ldexp(np.minimum(fro, split) * (1.0 + _NORM_ROUNDING * n * np.finfo(float).eps), exponent)
+    bound = np.ldexp(np.minimum(fro, split) * (1.0 + linalg._ROUNDING * n * linalg._EPS), exponent)
     bound += n * np.finfo(float).tiny
     bad = ~np.isfinite(bound)
     if bad.any():
         bound[bad] = _spectral_norms(x[bad])
     return bound
-
-
-def _each_chunk(chunks, reduce) -> np.ndarray:
-    """``reduce`` of each chunk of :func:`_factored_chunks`, joined; an
-    overflow reads ``inf``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = [reduce(out) for out in chunks]
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def factored_norms(
@@ -255,7 +243,10 @@ class FactoredNorms:
         self.rule = _check_roots(stack, t, tols)
 
     def _each(self, rows, reduce) -> np.ndarray:
-        return _each_chunk(_factored_chunks(self.stack.take(rows), self.rule), reduce)
+        """``reduce`` of each chunk of the rows ``rows``, joined; an overflow reads ``inf``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [reduce(out) for out in _factored_chunks(self.stack.take(rows), self.rule)]
+        return np.concatenate(parts) if parts else np.zeros(0)
 
     def norms(self, rows) -> np.ndarray:
         """The spectral norms of the rows ``rows`` (a slice or an index array)."""
@@ -471,7 +462,7 @@ def _circle_integral(
     for radius in (outer, inner):
         ws = radius * ring
         acc = np.zeros((n, n), dtype=complex)
-        for rows in _chunks(nodes, n):
+        for rows in _chunks(nodes, n * n):
             w = ws[rows]
             weights = w if f is None else w * rational.evaluate(f, w)
             facts.require(w, tols)

@@ -204,14 +204,14 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return rational.pack(r, *_draw(r, 1, (rng, rng, rng))).function(0)
 
 
-# An eighth of calculus._CHUNK_BYTES: abs_at holds four arrays of a chunk's
-# size at once (three complex work arrays and two float ones of half that
-# size), five with the sorted copy of per-row points, six with the lower
-# bounds' node table.  At twice this size a cold certify took about 2200
+# The chunk budget of the battery's |f| passes, an eighth of calculus's:
+# abs_at holds four arrays of a chunk's size at once (three complex work
+# arrays and two float ones of half that size), five with the sorted copy
+# of per-row points, six with the lower bounds' node table.  At twice this size a cold certify took about 2200
 # page faults in its lower-bound pass (glibc's malloc returns each chunk's
 # freed work arrays to the system, and the next chunk faults them in
 # again), against about 550 at this size.
-_SUP_CHUNK_BYTES = 1 << 17
+_SUP_CHUNK_BYTES = calculus._CHUNK_BYTES // 8
 # The battery's sampling: equispaced nodes per circle and nodes per pole window.
 _BASE_NODES = 4096
 _LOCAL_NODES = 512
@@ -233,9 +233,7 @@ def _pole_windows(stack: rational.FactoredStack) -> tuple:
     near a circle of the rows of ``stack``: ~32x the pole clearance wide,
     which keeps the relative deficit of a narrow peak at the square of the
     local spacing over the clearance."""
-    r = stack.r
-    mods = stack.moduli
-    outer = np.arange(mods.shape[1]) < stack.counts[:, :1]
+    r, mods, outer = stack.r, stack.moduli, stack.outer
     dist = np.where(outer, mods - 1.0, r - mods)
     near = stack.mask & np.where(outer, dist < 0.2, (0 < dist) & (dist < 0.2 * r))
     row, col = np.nonzero(near)
@@ -248,12 +246,6 @@ def _window_nodes(radius, theta0, half_width, local_nodes: int) -> np.ndarray:
     """The nodes of each window ``(radius, theta0, half_width)``, one row each."""
     theta = theta0[:, np.newaxis] + np.linspace(-half_width, half_width, local_nodes, axis=-1)
     return radius[:, np.newaxis] * np.exp(1j * theta)
-
-
-def _chunks(count: int, width: int):
-    """Slices of ``count`` rows of ``width`` complex values, ``_SUP_CHUNK_BYTES`` each."""
-    step = max(1, _SUP_CHUNK_BYTES // (16 * width))
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 @lru_cache(maxsize=8)
@@ -307,13 +299,13 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
     _check_poles(stack, ring, local_nodes)
     sups = np.full(stack.p.shape[0], -np.inf)
     row, *window = _pole_windows(stack)
-    for sl in _chunks(row.size, local_nodes):
+    for sl in calculus._chunks(row.size, local_nodes, _SUP_CHUNK_BYTES):
         vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
         np.maximum.at(sups, row[sl], vals.max(axis=1))
     for lo in range(0, base_nodes, _BASE_NODES):
         nodes = ring[lo : lo + _BASE_NODES]
         z = np.concatenate([nodes, stack.r * nodes])
-        for sl in _chunks(sups.size, z.size):
+        for sl in calculus._chunks(sups.size, z.size, _SUP_CHUNK_BYTES):
             sups[sl] = np.maximum(sups[sl], stack.take(sl).abs_at(z).max(axis=1))
     return sups
 
@@ -330,12 +322,11 @@ def _lower_bounds(stack: rational.FactoredStack) -> np.ndarray:
     with fewer roots than the widest pads its table with node 1."""
     ring = _ring(_BASE_NODES)
     z = np.concatenate([ring, stack.r * ring])
-    outer = np.arange(stack.roots.shape[1]) < stack.counts[:, :1]
     k = np.rint(np.angle(stack.roots) * _BASE_NODES / (2.0 * np.pi)).astype(int) % _BASE_NODES
-    aimed = z[np.where(stack.mask, np.where(outer, k, k + _BASE_NODES), 0)]
+    aimed = z[np.where(stack.mask, np.where(stack.outer, k, k + _BASE_NODES), 0)]
     coarse = z[::_LOWER_STRIDE]
     lower = np.empty(aimed.shape[0])
-    for sl in _chunks(aimed.shape[0], coarse.size + aimed.shape[1]):
+    for sl in calculus._chunks(aimed.shape[0], coarse.size + aimed.shape[1], _SUP_CHUNK_BYTES):
         table = np.empty((sl.stop - sl.start, coarse.size + aimed.shape[1]), dtype=complex)
         table[:, : coarse.size] = coarse
         table[:, coarse.size :] = aimed[sl]
@@ -432,8 +423,7 @@ def _check_rows(stack: rational.FactoredStack) -> None:
     finite, and its numerator and scale are never empty or zero);
     ``validate`` itself runs only on the rows they flag."""
     mods = stack.moduli
-    outer = np.arange(mods.shape[1]) < stack.counts[:, :1]
-    bad = (stack.mask & np.where(outer, mods <= 1.0, mods >= stack.r)).any(axis=1)
+    bad = (stack.mask & np.where(stack.outer, mods <= 1.0, mods >= stack.r)).any(axis=1)
     if not 0.0 < stack.r < 1.0:
         bad[:] = True
     for i in np.flatnonzero(bad):
@@ -628,7 +618,7 @@ def _screen_factor(facts: linalg.Analysis, tols: Tolerances) -> float:
     aI||``, the last two terms come to at most ``9 n eps (1 + kappa) /
     rank_tol`` and the first two to ``128 n eps (1 + kappa)``, so ``mu =
     256 n eps (1 + kappa) / min(rank_tol, 1)`` covers their sum.  As with
-    ``_NORM_ROUNDING``, pruning rests on an assumption rather than a
+    ``linalg._ROUNDING``, pruning rests on an assumption rather than a
     derivation: that these first-order terms dominate, with the rounding of
     each ``n``-term sum of order ``n eps`` (the worst-case constants grow
     faster) and ``||R||`` of the order of each ``||R - aI||``.  ``kappa =

@@ -409,16 +409,12 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
 
 def _model_series(model: ModelTriple, f: AnnulusRational) -> rational.LaurentSeries:
     """Laurent series of ``1/(scale q1 q2)`` at the model's budget, for an
-    ``f`` on its annulus.  Its outer factor series and tail are those of
-    ``1/(scale q1)``, its inner ones those of ``1/q2``."""
-    return rational.laurent_expand(_denominator(model, f), model.d)
-
-
-def _denominator(model: ModelTriple, f: AnnulusRational) -> AnnulusRational:
-    """``1/(scale q1 q2)`` for an ``f`` on the model's annulus."""
+    ``f`` on its annulus (:class:`InvalidRational` otherwise).  Its outer
+    factor series and tail are those of ``1/(scale q1)``, its inner ones
+    those of ``1/q2``."""
     if f.r != model.r:
         raise InvalidRational(f"mismatched radii {f.r} and {model.r}")
-    return replace(f, p_coeffs=(1.0,))
+    return rational.laurent_expand(replace(f, p_coeffs=(1.0,)), model.d)
 
 
 def _operand(model: ModelTriple, t) -> np.ndarray:

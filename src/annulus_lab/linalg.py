@@ -143,6 +143,12 @@ def _ldexp(z, exponent: int) -> np.ndarray:
     return out
 
 
+def _exponent(m: np.ndarray) -> int:
+    """The exponent of ``m``'s largest entry part: ``2**-exponent`` brings
+    it into ``[1/2, 1)``, exactly."""
+    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+
+
 def _self_commutator(m: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
     """``(A*A - AA*, ||A||)`` for ``A``, ``T`` scaled by the power of two
     that brings its largest entry part into ``[1/2, 1)``, as
@@ -150,7 +156,7 @@ def _self_commutator(m: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
     the commutator nor ``||A|| <= 2n`` can overflow.  ``||A||`` is ``||T||
     = norm`` scaled alike, or, for a finite ``T`` whose norm overflows,
     computed from ``A``."""
-    shift = -int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    shift = -_exponent(m)
     a = _ldexp(m, shift)
     norm = float(np.ldexp(norm, shift))
     return a.conj().T @ a - a @ a.conj().T, norm if np.isfinite(norm) else operator_norm(a)
@@ -249,28 +255,9 @@ def _ill_conditioned(svals: np.ndarray, tols: Tolerances):
 _SCHUR_ERROR = 1024
 _ROUNDING = 64
 _EPS = float(np.finfo(float).eps)
-# Relative allowance of band_gaps: a computed modulus or difference lies
-# within 2 eps of its exact value.
+# Relative allowance of Analysis.window's radial gap: a computed modulus or
+# difference lies within 2 eps of its exact value.
 _RADIAL = 4 * _EPS
-
-
-def band_gaps(mods, band: tuple[float, float]) -> np.ndarray:
-    """A lower bound on the gap ``max(|w| - hi, lo - |w|)`` of each shift
-    ``w`` to the band ``(lo, hi)``, from ``mods``, the computed moduli of
-    the shifts (``np.abs`` or ``np.hypot``).
-
-    Each modulus and the difference are rounded down by ``4 eps``
-    relative, which leaves room for the rounding of the moduli and of the
-    difference.  :meth:`Analysis.window` takes the band of ``T``'s extreme
-    singular values, where the gap bounds ``sigma_min(T - wI)`` from
-    below.  The bound holds where it is at least ``tiny``.  It is not
-    positive for a shift inside the band, NaN for a NaN shift and ``inf``
-    for an infinite one, so only ``> 0`` (or a larger threshold) may be
-    read from it, and only for a finite shift.
-    """
-    lo, hi = band
-    down, up = 1.0 - _RADIAL, 1.0 + _RADIAL
-    return np.maximum(mods * down - hi * up, lo * down - mods * up) * down
 
 
 def _schur_triangle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +348,7 @@ class ShiftConditioning:
     """
 
     def __init__(self, m: np.ndarray):
-        self.exponent = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        self.exponent = _exponent(m)
         scaled = _ldexp(m, -self.exponent)
         tri, self.vectors = _schur_triangle(scaled)
         n = m.shape[0]
@@ -425,9 +412,10 @@ class Analysis:
     and every eigenvalue ``lambda`` of ``T`` has ``|w - lambda| >=
     sigma_min(T - wI)``.  ``sigma_1`` and ``sigma_n`` are the computed
     extreme singular values rounded outward by ``64 n eps sigma_1 + n
-    tiny`` (the assumed backward error of the SVD, twice the ``32 n eps``
-    that :func:`calculus._norm_bounds` assumes), and ``lo`` is the radial
-    gap of :func:`band_gaps` against that band, so it is rounded down.  A
+    tiny`` (``_ROUNDING``: the assumed backward error of the SVD, twice the
+    ``32 n eps`` that :func:`calculus._norm_bounds` assumes), and ``lo`` is
+    the radial gap to that band with each modulus and the difference
+    rounded down by ``4 eps`` relative, so it is rounded down.  A
     shift is cleared for the rule where ``lo > theta hi``
     (:func:`_rule_share`), and it is farther than the touch limit from
     every computed eigenvalue where ``lo`` less ``1024 n eps sqrt(n)
@@ -441,8 +429,8 @@ class Analysis:
     than these allowances, and no spectrum, Schur form or shifted SVD is
     formed.  The window also assumes that the computed modulus of a complex
     number (``np.abs``, ``np.hypot``: the C library's ``hypot``) lies
-    within one ulp of the exact one; the ``4 eps`` of :func:`band_gaps` is
-    twice what that and the rounding of the difference need.
+    within one ulp of the exact one; the ``4 eps`` of the gap is twice what
+    that and the rounding of the difference need.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -515,10 +503,14 @@ class Analysis:
         where it proves that the rule passes, and where it proves every
         computed eigenvalue farther than :meth:`touch_limit` from the
         shift (see the class docstring)."""
-        band, error = self._window_bounds
+        (low, high), error = self._window_bounds
+        down, up = 1.0 - _RADIAL, 1.0 + _RADIAL
         with np.errstate(all="ignore"):
-            lo = band_gaps(mods, band)
-            cleared = lo > _rule_share(self.matrix.shape[0], tols) * (band[1] + mods)
+            # max(|w| - high, low - |w|) with each modulus and the difference
+            # rounded down by 4 eps, a bound where it is at least tiny; not
+            # positive inside the band, NaN or inf for a NaN or infinite w
+            lo = np.maximum(mods * down - high * up, low * down - mods * up) * down
+            cleared = lo > _rule_share(self.matrix.shape[0], tols) * (high + mods)
             return cleared, lo - error > self.touch_limit(mods, tols)
 
     def screen(

@@ -128,9 +128,10 @@ class FactoredStack:
     Row ``i`` holds the ascending numerator coefficients ``p[i]``, the
     ``q1_roots`` then the ``q2_roots`` in ``roots[i]``, and the constant
     ``scale[i]``; ``counts[i]`` is its layout ``(k1, k2, len(p))``, so
-    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]``;
-    ``moduli`` holds the modulus of every slot and ``order`` the rows by
-    root count, each computed once per stack.
+    ``mask[i]`` marks the first ``k1 + k2`` slots of ``roots[i]`` and
+    ``outer[i]`` the first ``k1``, the ``q1`` roots; ``moduli`` holds the
+    modulus of every slot and ``order`` the rows by root count, each
+    computed once per stack.
     :func:`pack` builds a stack, :meth:`function` gives a row back.  Two
     stacks are equal only when they are one object, and a stack hashes.
     """
@@ -145,6 +146,13 @@ class FactoredStack:
     def mask(self) -> np.ndarray:
         """The occupied slots of ``roots``."""
         return np.arange(self.roots.shape[1]) < (self.counts[:, 0] + self.counts[:, 1])[:, np.newaxis]
+
+    @cached_property
+    def outer(self) -> np.ndarray:
+        """The slots of ``roots`` that hold ``q1`` roots, read-only."""
+        outer = np.arange(self.roots.shape[1]) < self.counts[:, :1]
+        outer.flags.writeable = False
+        return outer
 
     @cached_property
     def moduli(self) -> np.ndarray:
@@ -459,14 +467,6 @@ def _majorant_base(length: int, kappas) -> np.ndarray:
     return base
 
 
-def _tail_model(exact, kernel, kappas, rate: float) -> _TailModel:
-    """Tail model with majorant ``kernel * (rate^n base[n])`` over ``len(exact)`` terms."""
-    length = len(exact)
-    base = _majorant_base(length, kappas)
-    major = np.convolve(kernel, rate ** np.arange(length) * base)[:length]
-    return _TailModel(exact=exact, major=major, base=base, rate=rate, lead=len(kernel) - 1)
-
-
 def _build_denominator(f: AnnulusRational, length: int) -> tuple:
     """``(inv_outer, b, b_scaled, base, geometric, neg)``, read-only, for the
     denominator ``(r, q1_roots, q2_roots)`` of ``f``, ``length`` terms
@@ -509,7 +509,9 @@ def _build_denominator(f: AnnulusRational, length: int) -> tuple:
     hi = moduli.max(initial=0.0)
     kernel = np.zeros(n_roots2 + 1)
     kernel[-1] = r ** (-n_roots2)
-    neg = _tail_model(weights, kernel, moduli / hi, hi / r)
+    rate, neg_base = hi / r, _majorant_base(length, moduli / hi)
+    major = np.convolve(kernel, rate ** np.arange(length) * neg_base)[:length]
+    neg = _TailModel(exact=weights, major=major, base=neg_base, rate=rate, lead=n_roots2)
     for array in (inv_outer, b, b_scaled, base, geometric, neg.exact, neg.major, neg.base):
         array.flags.writeable = False
     return inv_outer, b, b_scaled, base, geometric, neg
@@ -543,10 +545,11 @@ def _build_series(f: AnnulusRational, length: int) -> tuple:
     return a, b, b_scaled, pos, neg
 
 
-# A denominator is built at least this long, the reach of order 64 at a lead
-# up to 64: every order up to 64 of every function over it, 1/(scale q1 q2)
-# included, then reads one build.
-_DENOMINATOR_REACH = 64 + _MARGIN + 2
+# Every entry of the series memo, of either kind, is built at least to the
+# reach of this order (_length_for): every order up to it of a function with
+# a lead up to it, and of every function over its denominator, 1/(scale q1
+# q2) included, then reads one build.
+_REACH_ORDER = 64
 
 # The series memo holds the data of at most this many functions and
 # denominators.
@@ -566,11 +569,12 @@ def _series_memo(kind: str, key: bytes) -> list:
     A denominator entry holds 88 bytes per term (three complex and five
     real arrays), a function entry 32 of its own (one complex and two real
     arrays) and its denominator's, which it keeps while the denominator's
-    entry may be dropped.  At ``order`` an entry has ``max(order, lead) +
-    130`` terms, where ``lead`` is the numerator's degree or the inner
-    factor's root count: about 0.5 MB at order 4096, so at most
-    ``_MEMO_SIZE`` x 0.5 MB = 16 MB while no order passes 4096, the cap of
-    :func:`laurent_order_for`.  ``cache_clear`` empties the memo.
+    entry may be dropped.  At ``order`` an entry has ``max(order, 64,
+    lead) + 130`` terms (64 is ``_REACH_ORDER``), where ``lead`` is the
+    numerator's degree or the inner factor's root count: about 0.5 MB at
+    order 4096, so at most ``_MEMO_SIZE`` x 0.5 MB = 16 MB while no order
+    passes 4096, the cap of :func:`laurent_order_for`.  ``cache_clear``
+    empties the memo.
     """
     return [None]
 
@@ -582,22 +586,23 @@ def _denominator_data(f: AnnulusRational, length: int) -> tuple:
     key = np.array((f.r, len(f.q1_roots)) + f.q1_roots + f.q2_roots, dtype=complex).tobytes()
     slot = _series_memo("denominator", key)
     if slot[0] is None or len(slot[0][0]) < length:
-        slot[0] = _build_denominator(f, max(length, _DENOMINATOR_REACH))
+        slot[0] = _build_denominator(f, length)
     return slot[0]
 
 
-def _series_data(f: AnnulusRational, length: int) -> tuple:
-    """:func:`_build_series` of ``f`` with at least ``length`` terms, from
-    the memo when the data it holds is that long, else built at ``length``
-    and kept in its place.  The data may be longer than asked; every reader
-    takes a prefix, which equals a build at its own length bit for bit."""
+def _series_data(f: AnnulusRational, order: int) -> tuple:
+    """:func:`_build_series` of ``f`` with the terms that ``order`` reads
+    (:func:`_length_for`), from the memo when the data it holds is that
+    long, else built to the reach of ``max(order, _REACH_ORDER)`` and kept
+    in its place.  The data may be longer than asked; every reader takes a
+    prefix, which equals a build at its own length bit for bit."""
     # 0.0 and -0.0 can build different data, though == calls them equal
     head = (f.r, f.scale, len(f.p_coeffs), len(f.q1_roots))
     key = np.array(head + f.p_coeffs + f.q1_roots + f.q2_roots, dtype=complex).tobytes()
     with _MEMO_LOCK:
         slot = _series_memo("function", key)
-        if slot[0] is None or len(slot[0][0]) < length:
-            slot[0] = _build_series(f, length)
+        if slot[0] is None or len(slot[0][0]) < _length_for(f, order):
+            slot[0] = _build_series(f, _length_for(f, max(order, _REACH_ORDER)))
         return slot[0]
 
 
@@ -694,7 +699,7 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
     """
     m = as_integer(order, "order", 1)
     _checked(f)
-    a, b, b_scaled, pos, neg = _series_data(f, _length_for(f, m))
+    a, b, b_scaled, pos, neg = _series_data(f, m)
     tail_pos, tail_neg, tail_bound = _tail_bounds(pos, neg, m)
     alphas = np.abs(np.array(f.q1_roots, dtype=complex))
     betas = np.abs(np.array(f.q2_roots, dtype=complex))
@@ -715,7 +720,7 @@ def laurent_expand(f: AnnulusRational, order: int) -> LaurentSeries:
 
 def _tail_bound_at(f: AnnulusRational, order: int) -> float:
     """The certified remainder bound of ``f`` at ``order``, from the memo."""
-    return _tail_bounds(*_series_data(f, _length_for(f, order))[3:], order)[2]
+    return _tail_bounds(*_series_data(f, order)[3:], order)[2]
 
 
 def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
@@ -723,20 +728,19 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
 
     Doubling scan from order 8, clamped at ``cap``, followed by binary
     refinement above the last failing probe (from order 1 when the first
-    passes).  The search first asks the series memo for the reach of order
-    ``min(64, cap)``, so every probe up to order 64 reads one build, and so
-    does a :func:`laurent_expand` at the order found; a probe past it grows
-    the memo.  Each probe's bound equals ``laurent_expand(f, order).tail_bound``
-    bit for bit.  A NaN bound counts as not reaching ``tol``;
-    :class:`BudgetExceeded` is raised when no order up to ``cap`` reaches it.
-    ``tol`` must be finite and > 0, and ``cap`` an integer >= 1 (numpy's
-    too, not a ``bool``).
+    passes).  The series memo builds every entry to at least the reach of
+    order 64 (:func:`_series_data`), so every probe up to order 64 reads
+    one build, and so does a :func:`laurent_expand` at the order found; a
+    probe past it grows the memo.  Each probe's bound equals
+    ``laurent_expand(f, order).tail_bound`` bit for bit.  A NaN bound
+    counts as not reaching ``tol``; :class:`BudgetExceeded` is raised when
+    no order up to ``cap`` reaches it.  ``tol`` must be finite and > 0, and
+    ``cap`` an integer >= 1 (numpy's too, not a ``bool``).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = as_integer(cap, "cap", 1)
     _checked(f)
-    _series_data(f, _length_for(f, min(64, cap)))
     lo, hi = 1, min(8, cap)
     while not _tail_bound_at(f, hi) <= tol:
         if hi == cap:

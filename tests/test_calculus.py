@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -411,6 +412,22 @@ def _reference_circle(t, radius, nodes, f=None):
         fw = 1.0 if f is None else rational.evaluate(f, w)
         acc += fw * w * np.linalg.solve(w * eye - t, eye)
     return acc / nodes
+
+
+class TestChunks:
+    @pytest.mark.parametrize("budget", [None, 1 << 17, 16])
+    def test_contiguous_slices_of_the_budget_cover_the_rows(self, budget):
+        for count, width in itertools.product([0, 1, 7, 100, 1000], [1, 9, 144, 4096, 1 << 20]):
+            if budget is None:
+                slices, step = calculus._chunks(count, width), max(1, calculus._CHUNK_BYTES // (16 * width))
+            else:
+                slices, step = calculus._chunks(count, width, budget), max(1, budget // (16 * width))
+            assert [s.start for s in slices] == list(range(0, count, step))
+            assert [s.stop for s in slices] == [min(start + step, count) for start in range(0, count, step)]
+            assert [i for s in slices for i in range(count)[s]] == list(range(count))
+
+    def test_the_battery_chunks_are_an_eighth_of_the_matrix_chunks(self):
+        assert certify._SUP_CHUNK_BYTES == calculus._CHUNK_BYTES // 8 == 1 << 17
 
 
 class TestBatchedQuadrature:

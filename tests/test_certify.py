@@ -1528,7 +1528,7 @@ class TestNormBounds:
             full = calculus.factored_norms(stack, t)
             bounds = calculus.FactoredNorms(stack, t).bounds(slice(None))
             assert np.all(bounds >= full)
-            below += np.count_nonzero(bounds / (1.0 + calculus._NORM_ROUNDING * n * np.finfo(float).eps) < full)
+            below += np.count_nonzero(bounds / (1.0 + linalg._ROUNDING * n * np.finfo(float).eps) < full)
         assert below > 0
 
     @pytest.mark.parametrize(

@@ -460,7 +460,7 @@ class TestSeriesMemo:
         for g in others:
             laurent_expand(g, 24)
             laurent_order_for(g, 1e-10)
-        assert lengths == [rational._DENOMINATOR_REACH]
+        assert lengths == [rational._length_for(f, rational._REACH_ORDER)]
         # another denominator, or the same roots at another radius, is its own
         laurent_expand(dataclasses.replace(f, q2_roots=(0.2, -0.1j)), 24)
         laurent_expand(dataclasses.replace(f, r=0.6), 24)
@@ -528,6 +528,17 @@ class TestSeriesMemo:
         m = laurent_order_for(f, 1e-10)
         assert 1024 < m <= 2048
         assert lengths == [rational._length_for(f, order) for order in (64, 128, 256, 512, 1024, 2048)]
+
+    def test_an_expansion_below_the_reach_builds_what_the_order_search_reads(self, monkeypatch):
+        lengths = []
+        build = rational._build_series
+        monkeypatch.setattr(rational, "_build_series", lambda g, n: lengths.append(n) or build(g, n))
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+        rational._series_memo.cache_clear()
+        laurent_expand(f, 3)
+        assert laurent_order_for(f, 1e-10) == 26
+        # one build, at the reach of order 64, serves the short expansion too
+        assert lengths == [rational._length_for(f, 64)] == [194]
 
     def test_the_memo_keeps_at_most_its_bound_and_clears(self):
         rational._series_memo.cache_clear()
@@ -621,6 +632,44 @@ class TestFactoredStack:
         assert [stack.function(i) for i in range(4)] == list(self.FUNCTIONS)
         taken = stack.take(np.array([3, 0]))
         assert [taken.function(i) for i in range(2)] == [self.FUNCTIONS[3], self.FUNCTIONS[0]]
+
+    @staticmethod
+    def _assert_outer_holds_the_q1_roots(stack):
+        assert stack.outer.shape == stack.roots.shape
+        assert not (stack.outer & ~stack.mask).any()
+        for i in range(stack.p.shape[0]):
+            q1 = stack.function(i).q1_roots
+            assert np.flatnonzero(stack.outer[i]).tolist() == list(range(len(q1)))
+            assert stack.roots[i, stack.outer[i]].tolist() == list(q1)
+
+    @pytest.mark.parametrize("r", [0.25, 0.81])
+    def test_outer_marks_the_q1_slots_of_the_battery(self, r):
+        from annulus_lab import certify
+
+        self._assert_outer_holds_the_q1_roots(certify._stress_battery(r, 2000, 1).stack)
+
+    def test_outer_marks_the_q1_slots_of_a_stack_and_of_its_takes(self):
+        # rows with k1 = 0 (1, 2, 4) and with k2 = 0 (1, 3, 5)
+        functions = self.FUNCTIONS + (
+            AnnulusRational(r=0.5, q2_roots=(0.1, -0.2j, 0.0)),
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 1.0), q1_roots=(1.5, 2.0j, -3.0, 1.1)),
+        )
+        stack = rational.factored_stack(functions)
+        assert stack.outer.tolist() == [
+            [True, True, False, False],
+            [False] * 4,
+            [False] * 4,
+            [True] + [False] * 3,
+            [False] * 4,
+            [True] * 4,
+        ]
+        self._assert_outer_holds_the_q1_roots(stack)
+        self._assert_outer_holds_the_q1_roots(stack.take(np.array([5, 2, 0])))
+        for empty in (stack.take(np.zeros(0, dtype=int)), stack.take(slice(0, 0))):
+            assert empty.outer.shape == (0, 4)
+            self._assert_outer_holds_the_q1_roots(empty)
+        with pytest.raises(ValueError, match="read-only"):
+            stack.outer[0, 0] = False
 
     def test_mixed_radii_are_invalid(self):
         with pytest.raises(InvalidRational, match="mismatched radii 0.5 and 0.25"):
