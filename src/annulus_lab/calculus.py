@@ -181,13 +181,20 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     the sums carry at most ``n`` roundings per entry, fewer under numpy's
     pairwise summation; ``n tiny`` covers a scaled-back bound that leaves the
     normal range.  So ``64 n`` is a generous choice, not a derived one.
+
+    Readers: :meth:`FactoredNorms.bounds` (the stress ladder's stacked
+    rung), :func:`dilation.verify_moments` (its ladder to the exact
+    maximum) and :attr:`dilation.AndoPair.generator_bounds` (the carrier
+    check).
     """
     n = x.shape[-1]
     a = np.abs(x)
     exponent = np.frexp(a.max(axis=(1, 2)))[1]
-    a = np.ldexp(a, -exponent[:, np.newaxis, np.newaxis])
-    fro = np.linalg.norm(a, "fro", axis=(1, 2))
-    split = np.sqrt(np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(a, np.inf, axis=(1, 2)))
+    np.ldexp(a, -exponent[:, np.newaxis, np.newaxis], out=a)
+    # numpy's matrix norms of a, in place: abs(a) is a, and a * a is the
+    # real part of conj(a) * a
+    split = np.sqrt(np.add.reduce(a, axis=1).max(axis=1) * np.add.reduce(a, axis=2).max(axis=1))
+    fro = np.sqrt(np.add.reduce(np.multiply(a, a, out=a), axis=(1, 2)))
     bound = np.ldexp(np.minimum(fro, split) * (1.0 + linalg._ROUNDING * n * linalg._EPS), exponent)
     bound += n * np.finfo(float).tiny
     bad = ~np.isfinite(bound)

@@ -160,7 +160,8 @@ class AndoPair:
     ``0..M-1``, commutation on ``0..M-2``, and the compressed moments are
     exact for every word in the pair.  How far the first two hold is read off
     the generators, :attr:`generator_defects`; past the cut neither holds.
-    Two pairs are equal only when they are one object.
+    :attr:`powers` tables the compressions ``T1^j`` and ``T2^j`` that the
+    model checks read.  Two pairs are equal only when they are one object.
     """
 
     g: np.ndarray = field(repr=False)
@@ -197,18 +198,56 @@ class AndoPair:
         (``intertwining``), and the ``scale`` ``max(1, ||t1|| ||t2||)`` they
         are judged at, from the two analyses.  Their maximum bounds
         the isometry and commutation defects of ``V1``, ``V2`` on the budget
-        blocks up to a small factor."""
-        norm = linalg.operator_norm
+        blocks up to a small factor.  The check of :func:`verify_model`
+        reads :attr:`generator_bounds` and forms these only when a bound
+        exceeds its limit."""
+        terms = self._generator_terms()
+        return {name: linalg.operator_norm(x) for name, x in terms.items()} | {"scale": self._scale}
+
+    @cached_property
+    def generator_bounds(self) -> dict:
+        """Upper bounds on the five norms of :attr:`generator_defects`, and
+        the same ``scale``: one :func:`calculus._norm_bounds` call on the
+        defect matrices, zero-padded to a ``(5, 2h, 2h)`` stack, so no SVD
+        is taken."""
+        terms = self._generator_terms()
+        size = 2 * self.dim_h
+        stack = np.zeros((len(terms), size, size), dtype=complex)
+        for slot, x in zip(stack, terms.values()):
+            slot[: x.shape[0], : x.shape[1]] = x
+        return dict(zip(terms, calculus._norm_bounds(stack).tolist())) | {"scale": self._scale}
+
+    @property
+    def _scale(self) -> float:
+        return max(1.0, linalg.analysis(self.t1).norm * linalg.analysis(self.t2).norm)
+
+    def _generator_terms(self) -> dict:
+        """The five defect matrices whose norms are the generator defects."""
         eye = np.eye(self.dim_h)
         g, t1, t2, d1, d2 = self.g, self.t1, self.t2, self.d1, self.d2
         return {
-            "unitarity": norm(g.conj().T @ g - np.eye(g.shape[0])),
-            "isometry_1": norm(t1.conj().T @ t1 + d1.conj().T @ d1 - eye),
-            "isometry_2": norm(t2.conj().T @ t2 + d2.conj().T @ d2 - eye),
-            "commutation": norm(t1 @ t2 - t2 @ t1),
-            "intertwining": norm(g @ np.vstack([d1 @ t2, d2]) - np.vstack([d2 @ t1, d1])),
-            "scale": max(1.0, linalg.analysis(t1).norm * linalg.analysis(t2).norm),
+            "unitarity": g.conj().T @ g - np.eye(g.shape[0]),
+            "isometry_1": t1.conj().T @ t1 + d1.conj().T @ d1 - eye,
+            "isometry_2": t2.conj().T @ t2 + d2.conj().T @ d2 - eye,
+            "commutation": t1 @ t2 - t2 @ t1,
+            "intertwining": g @ np.vstack([d1 @ t2, d2]) - np.vstack([d2 @ t1, d1]),
         }
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """Read-only ``(2, M, h, h)`` table: ``T1^j`` in row 0 and ``T2^j``
+        in row 1, ``j = 0..d``.  Each power is the left product of
+        :func:`_chain_sum`, ``T_i`` times the power before it in one 2-D
+        product from ``I``, so a sum of a row's entries has the bits of the
+        chain from ``I``."""
+        h = self.dim_h
+        table = np.empty((2, self.m, h, h), dtype=complex)
+        for row, t in zip(table, (self.t1, self.t2)):
+            row[0] = np.eye(h)
+            for j in range(1, self.m):
+                np.matmul(t, row[j - 1], out=row[j])
+        table.flags.writeable = False
+        return table
 
     def block_slice(self, b: int) -> slice:
         """Index range of block ``b`` (block 0 is H, then M blocks of H^2)."""
@@ -268,9 +307,13 @@ _GENERATOR_ERRORS = (
 
 def _check_generators(pair: AndoPair, tols: Tolerances) -> None:
     """:class:`NotIsometric` or :class:`NotCommuting` for the first generator
-    defect above ``verify_tol`` at the pair's scale."""
+    defect above ``verify_tol`` at the pair's scale.  The defects are formed
+    only when one of :attr:`AndoPair.generator_bounds` is above that limit."""
+    bounds = pair.generator_bounds
+    limit = tols.verify_tol * bounds["scale"]
+    if all(bounds[name] <= limit for name, _ in _GENERATOR_ERRORS):
+        return
     defects = pair.generator_defects
-    limit = tols.verify_tol * defects["scale"]
     for name, error in _GENERATOR_ERRORS:
         if not defects[name] <= limit:
             raise error(f"carrier {name} defect {defects[name]:.3g} exceeds {limit:.3g}")
@@ -387,7 +430,7 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
     cap = linalg.as_integer(cap, "cap", 1)
     rational._checked(f)
     half = -(-cap // 2)
-    if half < 2 or not rational.laurent_expand(f, half - 1).tail_bound <= tol:
+    if half < 2 or not rational._tail_bound_at(f, half - 1) <= tol:
         return cap
     return min(2 * rational.laurent_order_for(f, tol), cap)
 
@@ -442,6 +485,17 @@ def _chain_sum(mat: np.ndarray, coeffs, x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _power_sum(powers: np.ndarray, coeffs) -> np.ndarray:
+    """``sum_k coeffs[k] powers[k]``, accumulated in order with zero terms
+    skipped, as :func:`_chain_sum` accumulates it on ``I`` when ``powers``
+    is a row of :attr:`AndoPair.powers`."""
+    acc = coeffs[0] * powers[0]
+    for c, power in zip(coeffs[1:], powers[1:]):
+        if c != 0:
+            acc = acc + c * power
+    return acc
+
+
 def verify_model(
     model: ModelTriple,
     t,
@@ -457,11 +511,12 @@ def verify_model(
     ``F N F`` acts on the first summand as ``V2``),
     the outer factor and numerator as
     series/polynomial in ``V1``.  Since ``P_H V_i = T_i P_H``, only the rows
-    of ``H`` are formed: ``h x h`` chains in ``T2``, then ``T1``, one product
+    of ``H`` are formed: the inner sum from the pair's table of ``T2^m``
+    (:attr:`AndoPair.powers`), then ``h x h`` chains in ``T1``, one product
     per power, each stopping at its series' last nonzero coefficient.  Those
-    rows cannot see the carrier, so the pair's
-    :attr:`AndoPair.generator_defects` are checked first:
-    :class:`NotIsometric` or :class:`NotCommuting` when one exceeds
+    rows cannot see the carrier, so the pair's generators are checked
+    first, from :attr:`AndoPair.generator_bounds`:
+    :class:`NotIsometric` or :class:`NotCommuting` when a defect exceeds
     ``verify_tol`` at the pair's scale.  :class:`InvalidRational` is raised
     when ``f.r`` is not the model's ``r``, :class:`DimensionMismatch` when
     ``T`` is not the ``T`` the model was built on.
@@ -471,32 +526,18 @@ def verify_model(
     m = _operand(model, t)
     pair = model.pair
     _check_generators(pair, tols)
-    y = _chain_sum(pair.t2, series.factor_neg_scaled, np.eye(m.shape[0], dtype=complex))
+    y = _power_sum(pair.powers[1], series.factor_neg_scaled)
     z = _chain_sum(pair.t1, series.factor_pos, y)
     w = _chain_sum(pair.t1, np.array(f.p_coeffs, dtype=complex), z)
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - w, axis=0)))
 
 
-def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
-    """Moment residuals per degree ``0 <= j <= j_max``, both power directions.
-
-    Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
-    ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The compressions
-    ``T_i^j`` are left products, as in :func:`verify_model`, after the same
-    generator check; the powers of ``T`` and ``T^-1`` are right products.
-    ``V* V_i^j V = T_i^j`` holds by construction, so a row tests only the
-    rounding of those two products of ``T`` powers (and of ``r^-j`` against
-    ``T2 = r T^-1``), never the carrier: that is checked by
-    :attr:`AndoPair.generator_defects`, whose failure raises here before
-    any row is formed.  Each direction's norms are taken in one batched
-    call.
-    :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
-    ``r^-j_max`` overflows, ``ValueError`` when ``j_max`` is not an integer
-    >= 0 and :class:`DimensionMismatch` when ``T`` is not the ``T`` the
-    model was built on.  ``T^{-1}`` comes from ``T``'s
-    :func:`linalg.analysis`.
-    """
+def _moment_stack(model: ModelTriple, t, j_max: int, tols: Tolerances) -> np.ndarray:
+    """The ``(2, j_max + 1, h, h)`` moment residual matrices of
+    :func:`moment_table`: ``T1^j - T^j`` in row 0, ``r^-j T2^j - T^-j`` in
+    row 1, with the table's errors, raised in its order; ``ValueError``
+    when an entry is not finite, as :func:`linalg.operator_norm` raises."""
     j_max = linalg.as_integer(j_max, "j_max", 0)
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
@@ -506,19 +547,43 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     h = m.shape[0]
     inv = linalg.analysis(m).inverse(tols)
     rweights = _inverse_weights(model.r, j_max)
-    forward = np.empty((j_max + 1, h, h), dtype=complex)
-    inverse = np.empty_like(forward)
-    x1 = x2 = pow_pos = pow_neg = np.eye(h, dtype=complex)
+    powers = pair.powers
+    stack = np.empty((2, j_max + 1, h, h), dtype=complex)
+    pow_pos = pow_neg = np.eye(h, dtype=complex)
     for j in range(j_max + 1):
-        forward[j] = x1 - pow_pos
-        inverse[j] = rweights[j] * x2 - pow_neg
+        np.subtract(powers[0, j], pow_pos, out=stack[0, j])
+        np.subtract(rweights[j] * powers[1, j], pow_neg, out=stack[1, j])
         if j < j_max:
-            x1, x2 = pair.t1 @ x1, pair.t2 @ x2
             pow_pos, pow_neg = pow_pos @ m, pow_neg @ inv
-    norms = zip(_operator_norms(forward), _operator_norms(inverse))
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix has NaN/Inf entries")
+    return stack
+
+
+def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
+    """Moment residuals per degree ``0 <= j <= j_max``, both power directions.
+
+    Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
+    ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The compressions
+    ``T_i^j`` are the pair's :attr:`AndoPair.powers`, the left products of
+    :func:`verify_model`, read after the same generator check; the powers
+    of ``T`` and ``T^-1`` are right products.
+    ``V* V_i^j V = T_i^j`` holds by construction, so a row tests only the
+    rounding of those two products of ``T`` powers (and of ``r^-j`` against
+    ``T2 = r T^-1``), never the carrier: that is checked by
+    :attr:`AndoPair.generator_defects`, whose failure raises here before
+    any row is formed.  The norms are taken in one batched call.
+    :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
+    ``r^-j_max`` overflows, ``ValueError`` when ``j_max`` is not an integer
+    >= 0 and :class:`DimensionMismatch` when ``T`` is not the ``T`` the
+    model was built on.  ``T^{-1}`` comes from ``T``'s
+    :func:`linalg.analysis`.
+    """
+    stack = _moment_stack(model, t, j_max, tols)
+    norms = _operator_norms(stack.reshape(-1, *stack.shape[2:])).reshape(2, -1)
     return [
         {"degree": j, "forward_residual": float(fw), "inverse_residual": float(iv)}
-        for j, (fw, iv) in enumerate(norms)
+        for j, (fw, iv) in enumerate(norms.T)
     ]
 
 
@@ -537,22 +602,32 @@ def _inverse_weights(r: float, j_max: int) -> list:
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack, in one batched call;
-    non-finite entries raise as :func:`linalg.operator_norm` does."""
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix has NaN/Inf entries")
+    """Largest singular value of each matrix of a finite stack, in one
+    batched call; each equals :func:`linalg.operator_norm` of its matrix."""
     return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
 def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Max moment residual over ``0 <= j <= j_max`` for both power directions.
+    """Max moment residual over ``0 <= j <= j_max`` for both power directions:
+    the maximum over :func:`moment_table`'s rows, the same float, with its
+    errors.
 
-    As in :func:`moment_table`, the residual measures the rounding of
-    ``T`` powers; the carrier is tested by its generator check."""
-    return max(
-        max(row["forward_residual"], row["inverse_residual"])
-        for row in moment_table(model, t, j_max, tols)
-    )
+    Every residual matrix is bounded by :func:`calculus._norm_bounds`;
+    exact norms are then taken in descending bound order, 1, 2, 4, ...
+    matrices at a time, until the largest reaches every bound left.  That
+    rests on the bounds' one assumption, that each is at least the norm
+    :func:`_operator_norms` computes.  As in :func:`moment_table`, the
+    residual measures the rounding of ``T`` powers; the carrier is tested
+    by its generator check."""
+    stack = _moment_stack(model, t, j_max, tols)
+    bounds = np.concatenate([calculus._norm_bounds(direction) for direction in stack])
+    stack = stack.reshape(-1, *stack.shape[2:])
+    order = np.argsort(bounds)[::-1]
+    best, start, size = -np.inf, 0, 1
+    while start < order.size and bounds[order[start]] > best:
+        best = max(best, float(_operator_norms(stack[order[start : start + size]]).max()))
+        start, size = start + size, 2 * size
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1552,6 +1552,37 @@ class TestNormBounds:
             rows = np.concatenate([rows for r, rows in calls if r is reduce] or [np.zeros(0, dtype=int)])
             assert rows.size == np.unique(rows).size
 
+    def test_the_bound_takes_numpy_s_matrix_norms_bit_for_bit(self):
+        # the bound forms its norms in place, to keep one temporary; they
+        # must be np.linalg.norm's, whatever the layout and the scale
+        def reference(x):
+            n = x.shape[-1]
+            a = np.abs(x)
+            exponent = np.frexp(a.max(axis=(1, 2)))[1]
+            a = np.ldexp(a, -exponent[:, np.newaxis, np.newaxis])
+            fro = np.linalg.norm(a, "fro", axis=(1, 2))
+            split = np.sqrt(np.linalg.norm(a, 1, axis=(1, 2)) * np.linalg.norm(a, np.inf, axis=(1, 2)))
+            bound = np.ldexp(np.minimum(fro, split) * (1.0 + linalg._ROUNDING * n * linalg._EPS), exponent)
+            bound += n * np.finfo(float).tiny
+            bad = ~np.isfinite(bound)
+            bound[bad] = calculus._spectral_norms(x[bad])
+            return bound
+
+        for trial in range(60):
+            rng = seeded_rng(trial, 31)
+            k, n = (int(v) for v in rng.integers(1, 24, 2))
+            x = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+            x *= 10.0 ** rng.uniform(-300, 300, (k, 1, 1))
+            x[0] *= trial % 5 != 0  # a zero matrix
+            if trial % 3 == 1:
+                x = np.asfortranarray(x)
+            elif trial % 3 == 2:
+                x = x[:, ::2, ::-1]
+            if trial % 7 == 0:
+                x[-1, 0, 0] = np.inf
+            with np.errstate(all="ignore"):
+                assert calculus._norm_bounds(x).tobytes() == reference(x).tobytes()
+
     def test_warm_stress_sends_few_rows_to_the_svd(self, monkeypatch):
         t = windowed_matrix(4, 0.5, 3)
         want = vonneumann_stress(t, 0.5, 2000, 1)

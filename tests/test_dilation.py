@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from annulus_lab import dilation, linalg, rational
+from annulus_lab import cli, dilation, linalg, rational
 from annulus_lab.calculus import eval_direct, polyval_matrix
 from annulus_lab.certify import windowed_matrix
 from annulus_lab.dilation import (
@@ -443,6 +444,18 @@ class TestVerifyModel:
             order = laurent_order_for(f, 1e-10)
             for cap in (23, 24):
                 assert default_budget(f, cap=cap) == min(2 * order, cap)
+
+    def test_default_budget_expands_nothing(self, monkeypatch):
+        # the cap probe reads the memo's tail bound, laurent_expand's bits
+        expands = []
+        monkeypatch.setattr(rational, "laurent_expand", lambda *args: expands.append(args) or laurent_expand(*args))
+        for f in (
+            AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.05,)),
+            AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(3.0,), q2_roots=(0.1,)),
+        ):
+            budget = dilation.default_budget(f)
+            assert (budget == 24) is (not laurent_expand(f, 11).tail_bound <= 1e-10)
+        assert expands == []
 
 
 def _factor_pair(f, d):
@@ -970,6 +983,178 @@ class TestVerifyMoments:
         assert table[0]["forward_residual"] <= 1e-14
         with pytest.raises(BudgetExceeded):
             moment_table(model, t, 7)
+
+
+def _generator_matrices(pair):
+    """The five generator defect matrices, written out from their definitions."""
+    h = pair.dim_h
+    g, t1, t2, d1, d2 = pair.g, pair.t1, pair.t2, pair.d1, pair.d2
+    return {
+        "unitarity": g.conj().T @ g - np.eye(2 * h),
+        "isometry_1": t1.conj().T @ t1 + d1.conj().T @ d1 - np.eye(h),
+        "isometry_2": t2.conj().T @ t2 + d2.conj().T @ d2 - np.eye(h),
+        "commutation": t1 @ t2 - t2 @ t1,
+        "intertwining": g @ np.vstack([d1 @ t2, d2]) - np.vstack([d2 @ t1, d1]),
+    }
+
+
+def _table_maximum(model, t, j_max):
+    return max(max(row["forward_residual"], row["inverse_residual"]) for row in moment_table(model, t, j_max))
+
+
+class TestMomentLadder:
+    """``verify_moments`` takes exact norms only while a bound can still
+    beat the largest one taken, and returns the table's maximum."""
+
+    @pytest.mark.parametrize("kind", ["windowed", "unitary", "r-unitary"])
+    @pytest.mark.parametrize("d", [1, 5, 24, 122])
+    @pytest.mark.parametrize("h", [1, 2, 3, 6, 16])
+    def test_the_maximum_is_the_table_s_bit_for_bit(self, h, d, kind):
+        r = 0.7
+        t = TestRowsOfH._operator(kind, h, r, 600 + 7 * h + d)
+        model = build_model(t, r, d)
+        for j_max in sorted({0, 1, d // 2, d - 1, d}):
+            got = verify_moments(model, t, j_max)
+            assert type(got) is float
+            assert got.hex() == _table_maximum(model, t, j_max).hex()
+
+    def test_dilate_reports_the_maximum_and_the_exact_unitarity_defect(self, tmp_path):
+        r, d = 0.7, 12
+        for kind, h in (("windowed", 3), ("unitary", 6), ("r-unitary", 4), ("windowed", 16)):
+            t = TestRowsOfH._operator(kind, h, r, 610 + h)
+            path, out = tmp_path / "t.json", tmp_path / "report.json"
+            path.write_text(json.dumps(linalg.matrix_to_json(t)))
+            assert cli.main(["dilate", "--r", str(r), "--matrix", str(path), "--d", str(d), "--out", str(out)]) == cli.EXIT_OK
+            result = json.loads(out.read_text())["result"]
+            model = build_model(t, r, d)
+            assert result["moment_residual"] == verify_moments(model, t, d)
+            assert result["fixup_unitarity_defect"] == operator_norm(_generator_matrices(model.pair)["unitarity"])
+
+    def test_a_handful_of_exact_norms_at_h16(self, monkeypatch):
+        taken = []
+        norms = dilation._operator_norms
+        monkeypatch.setattr(dilation, "_operator_norms", lambda stack: taken.append(len(stack)) or norms(stack))
+        for seed in range(8):
+            t = windowed_matrix(16, 0.7, seed)
+            model = build_model(t, 0.7, 24)
+            taken.clear()
+            verify_moments(model, t, 24)
+            # batches of 1, 2, 4 and 8 of the 50 matrices at most
+            assert taken[0] == 1 and sum(taken) <= 15
+
+    def test_a_bound_below_a_norm_would_prune_it(self, monkeypatch):
+        # the result rests on the bounds: one that hides the largest norm
+        # gives the next one, and exact bounds take a single norm
+        t = windowed_matrix(6, 0.7, 5)
+        model = build_model(t, 0.7, 24)
+        exact = verify_moments(model, t, 24)
+        taken = []
+        norms = dilation._operator_norms
+        monkeypatch.setattr(dilation, "_operator_norms", lambda stack: taken.append(len(stack)) or norms(stack))
+        monkeypatch.setattr(dilation.calculus, "_norm_bounds", lambda x: norms(x))
+        assert verify_moments(model, t, 24) == exact and taken == [1]
+
+        def hiding(x):
+            bounds = norms(x)
+            bounds[np.argmax(bounds)] = 0.0
+            return bounds
+
+        monkeypatch.setattr(dilation.calculus, "_norm_bounds", hiding)
+        assert verify_moments(model, t, 24) < exact
+
+
+class TestPowerTable:
+    """The pair's table of ``T1^j`` and ``T2^j`` holds the left products of
+    the chains from ``I``."""
+
+    @pytest.mark.parametrize("kind", ["windowed", "unitary", "r-unitary"])
+    @pytest.mark.parametrize("h, d", [(1, 5), (3, 12), (6, 1), (16, 24)])
+    def test_rows_are_the_chain_s_left_products(self, h, d, kind):
+        t = TestRowsOfH._operator(kind, h, 0.7, 620 + h + d)
+        pair = build_model(t, 0.7, d).pair
+        table = pair.powers
+        assert table.shape == (2, d + 1, h, h)
+        rng = seeded_rng(h, d, 621)
+        coeffs = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        coeffs[rng.random(d + 1) < 0.3] = 0.0
+        coeffs[-1] = 0.0
+        for row, mat in zip(table, (pair.t1, pair.t2)):
+            x = np.eye(h, dtype=complex)
+            for power in row:
+                assert power.tobytes() == x.tobytes()
+                x = mat @ x
+            chain = dilation._chain_sum(mat, coeffs, np.eye(h, dtype=complex))
+            assert dilation._power_sum(row, coeffs).tobytes() == chain.tobytes()
+
+    def test_the_table_is_read_only(self):
+        pair = build_model(windowed_matrix(3, 0.7, 6), 0.7, 4).pair
+        with pytest.raises(ValueError, match="read-only"):
+            pair.powers[1, 2, 0, 0] = 0.0
+
+    def test_each_pair_forms_its_table_once(self, monkeypatch):
+        formed = []
+        table = AndoPair.powers.func
+        counting = functools.cached_property(lambda self: formed.append(self) or table(self))
+        counting.__set_name__(AndoPair, "powers")
+        monkeypatch.setattr(AndoPair, "powers", counting)
+        r, d = 0.7, 12
+        t = windowed_matrix(4, r, 8)
+        model = build_model(t, r, d)
+        for k in range(3):
+            verify_model(model, t, random_function(r, 790 + k, max_roots=2, alpha_window=(2.0, 4.0)))
+        moment_table(model, t, d)
+        verify_moments(model, t, d // 2)
+        assert formed == [model.pair]
+
+
+class TestGeneratorBounds:
+    """The carrier check decides from bounds; the exact defects are formed
+    for their readers and when a bound is above the limit."""
+
+    def test_a_healthy_session_forms_no_defects(self):
+        r, d = 0.7, 24
+        t = windowed_matrix(16, r, 9)
+        model = build_model(t, r, d)
+        for k in range(4):
+            f = random_function(r, 800 + k, max_roots=2, alpha_window=(2.0, 4.0))
+            model.tail_report(f)
+            verify_model(model, t, f)
+        verify_moments(model, t, d)
+        assert "generator_bounds" in model.pair.__dict__
+        assert "generator_defects" not in model.pair.__dict__
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("part", ["g", "d1", "d2", "t1", "t2"])
+    def test_bounds_cover_the_defects(self, part, eps):
+        for h, seed in ((1, 1), (3, 12), (8, 13)):
+            pair = ando_pair(*commuting_contraction_pair(h, seed), 4)
+            rng = seeded_rng(seed, len(part), 14)
+            shape = getattr(pair, part).shape
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            moved = dataclasses.replace(pair, **{part: getattr(pair, part) + eps * noise})
+            bounds, defects = moved.generator_bounds, moved.generator_defects
+            assert bounds.keys() == defects.keys() and bounds["scale"] == defects["scale"]
+            for name, matrix in _generator_matrices(moved).items():
+                assert defects[name] == operator_norm(matrix)
+                assert defects[name] <= bounds[name] <= 4 * np.sqrt(2 * h) * defects[name] + 1e-300
+
+    def test_a_broken_pair_names_its_exact_defect(self):
+        r, d = 0.7, 6
+        t = windowed_matrix(3, r, 83)
+        model = build_model(t, r, d)
+        broken = dataclasses.replace(model, pair=dataclasses.replace(model.pair, d1=0.9 * model.pair.d1))
+        defect = operator_norm(_generator_matrices(broken.pair)["isometry_1"])
+        with pytest.raises(NotIsometric) as info:
+            verify_moments(broken, t, d)
+        limit = linalg.DEFAULT_TOLS.verify_tol * broken.pair.generator_defects["scale"]
+        assert str(info.value) == f"carrier isometry_1 defect {defect:.3g} exceeds {limit:.3g}"
+
+    def test_save_model_writes_the_exact_defects(self, tmp_path):
+        model = build_model(windowed_matrix(3, 0.6, 7), 0.6, 5)
+        save_model(model, str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        for name, matrix in _generator_matrices(model.pair).items():
+            assert meta["generator_defects"][name] == operator_norm(matrix)
 
 
 class TestSingleCarrier:
