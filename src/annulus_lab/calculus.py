@@ -183,8 +183,8 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     normal range.  So ``64 n`` is a generous choice, not a derived one.
 
     Readers: :meth:`FactoredNorms.bounds` (the stress ladder's stacked
-    rung), :func:`dilation.verify_moments` (its ladder to the exact
-    maximum) and :attr:`dilation.AndoPair.generator_bounds` (the carrier
+    rung), :func:`dilation.verify_moments` (which matrices get an exact
+    norm) and :attr:`dilation.AndoPair.generator_bounds` (the carrier
     check).
     """
     n = x.shape[-1]

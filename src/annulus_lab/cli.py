@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ar_unitary, calculus, certify, dilation, linalg, rational
 from ._version import __version__
-from .errors import AnnulusLabError
+from .errors import AnnulusLabError, SeriesDivergent
 from .linalg import Tolerances
 
 EXIT_OK = 0
@@ -131,6 +131,8 @@ def _cmd_model_verify(args: argparse.Namespace, tols: Tolerances) -> int:
     ok = True
     for path, f in zip(args.f, functions):
         report = model.tail_report(f)
+        if not np.isfinite(report["bound"]):
+            raise SeriesDivergent(f"{path}: a factor's tail has no certified bound")
         residual = dilation.verify_model(model, t, f, tols)
         passed = residual <= report["bound"] + tols.verify_tol
         ok = ok and passed
@@ -152,6 +154,8 @@ def _cmd_model_verify(args: argparse.Namespace, tols: Tolerances) -> int:
 def _cmd_laurent(args: argparse.Namespace, tols: Tolerances) -> int:
     f = _load_function(args.f)
     series = rational.laurent_expand(f, args.order)
+    if not np.isfinite(series.tail_bound):
+        raise SeriesDivergent(f"{args.f}: a factor's tail has no certified bound")
     js = np.arange(-series.order, series.order + 1)
     payload = {
         "r": series.r,

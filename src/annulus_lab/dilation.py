@@ -47,6 +47,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -160,8 +161,8 @@ class AndoPair:
     ``0..M-1``, commutation on ``0..M-2``, and the compressed moments are
     exact for every word in the pair.  How far the first two hold is read off
     the generators, :attr:`generator_defects`; past the cut neither holds.
-    :attr:`powers` tables the compressions ``T1^j`` and ``T2^j`` that the
-    model checks read.  Two pairs are equal only when they are one object.
+    :attr:`powers` tables the compressions ``T2^j`` that the model checks
+    read.  Two pairs are equal only when they are one object.
     """
 
     g: np.ndarray = field(repr=False)
@@ -235,17 +236,10 @@ class AndoPair:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """Read-only ``(2, M, h, h)`` table: ``T1^j`` in row 0 and ``T2^j``
-        in row 1, ``j = 0..d``.  Each power is the left product of
-        :func:`_chain_sum`, ``T_i`` times the power before it in one 2-D
-        product from ``I``, so a sum of a row's entries has the bits of the
-        chain from ``I``."""
-        h = self.dim_h
-        table = np.empty((2, self.m, h, h), dtype=complex)
-        for row, t in zip(table, (self.t1, self.t2)):
-            row[0] = np.eye(h)
-            for j in range(1, self.m):
-                np.matmul(t, row[j - 1], out=row[j])
+        """Read-only ``(M, h, h)`` table of ``T2^j``, ``j = 0..d``: the left
+        products of :func:`_chain` from ``I``, so a :func:`_power_sum` of its
+        entries has the bits of that sum on the chain itself."""
+        table = np.array(list(islice(_chain(self.t2, np.eye(self.dim_h, dtype=complex)), self.m)))
         table.flags.writeable = False
         return table
 
@@ -256,42 +250,34 @@ class AndoPair:
             return slice(0, h)
         return slice(h + (b - 1) * 2 * h, h + b * 2 * h)
 
-    def _cell_end(self, s: int) -> int:
-        """Row ``s`` rounded up to the end of its block, capped at ``dim``."""
-        h = self.dim_h
-        cells = -(-max(s - h, 0) // (2 * h))
-        return min(h + 2 * h * cells, self.dim)
-
-    # The applies take and return the leading rows a column stack occupies;
-    # every row past them is zero.  ``V1`` maps rows ``[0, s)`` into
-    # ``[0, cell_end(s) + h)`` and ``V2`` into ``[0, cell_end(s + h))``, so a
-    # power chain started on ``H`` fills one more copy of ``H`` per step and
-    # a full-length stack maps to a full-length stack.
+    def _full(self, x: np.ndarray) -> np.ndarray:
+        if np.ndim(x) != 2 or np.shape(x)[0] != self.dim:
+            raise DimensionMismatch(f"the carrier acts on {self.dim}-row stacks, got shape {np.shape(x)}")
+        return x
 
     def _stair(self, t, defect, x: np.ndarray) -> np.ndarray:
         h = self.dim_h
-        out = np.zeros((min(x.shape[0] + h, self.dim), x.shape[1]), dtype=complex)
+        out = np.zeros(x.shape, dtype=complex)
         out[:h] = t @ x[:h]
         out[h : 2 * h] = defect @ x[:h]
-        out[2 * h :] = x[h : out.shape[0] - h]
+        out[2 * h :] = x[h:-h]
         return out
 
     def _ghat(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         h = self.dim_h
         gg = self.g.conj().T if adjoint else self.g
-        out = np.zeros((self._cell_end(x.shape[0]), x.shape[1]), dtype=complex)
-        out[: x.shape[0]] = x
+        out = np.array(x, dtype=complex, order="C")
         blocks = out[h:].reshape(-1, 2 * h, x.shape[1])
         out[h:] = np.matmul(gg, blocks).reshape(-1, x.shape[1])
         return out
 
     def apply_v1(self, x: np.ndarray) -> np.ndarray:
-        """``V1 @ x = S1 Ghat x`` for a column stack given by its leading rows."""
-        return self._stair(self.t1, self.d1, self._ghat(x))
+        """``V1 @ x = S1 Ghat x`` for a stack of ``dim`` rows."""
+        return self._stair(self.t1, self.d1, self._ghat(self._full(x)))
 
     def apply_v2(self, x: np.ndarray) -> np.ndarray:
-        """``V2 @ x = Ghat* S2 x`` for a column stack given by its leading rows."""
-        return self._ghat(self._stair(self.t2, self.d2, x), adjoint=True)
+        """``V2 @ x = Ghat* S2 x`` for a stack of ``dim`` rows."""
+        return self._ghat(self._stair(self.t2, self.d2, self._full(x)), adjoint=True)
 
 
 # In check order: a pair that does not commute is named so before the fix-up
@@ -407,7 +393,7 @@ class ModelTriple:
         cp = float(np.sum(np.abs(f.p_coeffs)))
         sa = float(np.sum(np.abs(series.factor_pos)))
         sb = float(np.sum(series.tail_models[1].exact[: self.d + 1]))
-        bound = cp * (ut * (sb + bt) + sa * bt + ut * bt)
+        bound = cp * (ut * (sb + bt) + sa * bt + ut * bt) if np.isfinite(series.tail_bound) else np.inf
         return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
 
 
@@ -421,16 +407,18 @@ def default_budget(f: AnnulusRational, tol: float = 1e-10, cap: int = BUDGET_CAP
 
     No order search runs when the cap binds: if the bound at order
     ``ceil(cap/2) - 1`` is above ``tol`` (or NaN), every order that certifies
-    ``tol`` doubles to at least ``cap``.  ``tol`` must be finite and > 0, and
-    ``cap`` an integer >= 1 (numpy's too, not a ``bool``), and ``f`` is
-    validated at every cap (:class:`InvalidRational`).
+    ``tol`` doubles to at least ``cap``.  From ``cap = 8195`` the probe would
+    pass order ``rational._ORDER_CAP``, so none runs, and a function that
+    needs a longer order raises :class:`BudgetExceeded`.
+    ``tol`` must be finite and > 0, and ``cap`` an integer >= 1 (numpy's too,
+    not a ``bool``), and ``f`` is validated at every cap (:class:`InvalidRational`).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = linalg.as_integer(cap, "cap", 1)
     rational._checked(f)
-    half = -(-cap // 2)
-    if half < 2 or not rational._tail_bound_at(f, half - 1) <= tol:
+    probe = -(-cap // 2) - 1
+    if probe < 1 or probe <= rational._ORDER_CAP and not rational._tail_bound_at(f, probe) <= tol:
         return cap
     return min(2 * rational.laurent_order_for(f, tol), cap)
 
@@ -472,25 +460,23 @@ def _operand(model: ModelTriple, t) -> np.ndarray:
     return m
 
 
-def _chain_sum(mat: np.ndarray, coeffs, x: np.ndarray) -> np.ndarray:
-    """``sum_k coeffs[k] mat^k x`` up to the last nonzero coefficient,
-    accumulated in order, one product with ``mat`` per power; zero terms
-    are skipped."""
-    nonzero = np.flatnonzero(coeffs)
-    acc = coeffs[0] * x
-    for c in coeffs[1 : nonzero[-1] + 1 if nonzero.size else 1]:
+def _chain(mat: np.ndarray, x: np.ndarray):
+    """``x``, ``mat @ x``, ``mat @ (mat @ x)``, ...: one product per power,
+    formed when the next power is read."""
+    while True:
+        yield x
         x = mat @ x
-        if c != 0:
-            acc = acc + c * x
-    return acc
 
 
-def _power_sum(powers: np.ndarray, coeffs) -> np.ndarray:
-    """``sum_k coeffs[k] powers[k]``, accumulated in order with zero terms
-    skipped, as :func:`_chain_sum` accumulates it on ``I`` when ``powers``
-    is a row of :attr:`AndoPair.powers`."""
-    acc = coeffs[0] * powers[0]
-    for c, power in zip(coeffs[1:], powers[1:]):
+def _power_sum(powers, coeffs) -> np.ndarray:
+    """``sum_k coeffs[k] powers[k]`` up to the last nonzero coefficient,
+    accumulated in order with zero terms skipped; ``powers`` is read only
+    that far, so a :func:`_chain` stops there too."""
+    nonzero = np.flatnonzero(coeffs)
+    terms = zip(coeffs[: nonzero[-1] + 1 if nonzero.size else 1], powers)
+    c, power = next(terms)
+    acc = c * power
+    for c, power in terms:
         if c != 0:
             acc = acc + c * power
     return acc
@@ -526,18 +512,18 @@ def verify_model(
     m = _operand(model, t)
     pair = model.pair
     _check_generators(pair, tols)
-    y = _power_sum(pair.powers[1], series.factor_neg_scaled)
-    z = _chain_sum(pair.t1, series.factor_pos, y)
-    w = _chain_sum(pair.t1, np.array(f.p_coeffs, dtype=complex), z)
+    y = _power_sum(pair.powers, series.factor_neg_scaled)
+    z = _power_sum(_chain(pair.t1, y), series.factor_pos)
+    w = _power_sum(_chain(pair.t1, z), np.array(f.p_coeffs, dtype=complex))
     lhs = calculus.eval_direct(f, m, tols)
     return float(np.max(np.linalg.norm(lhs - w, axis=0)))
 
 
 def _moment_stack(model: ModelTriple, t, j_max: int, tols: Tolerances) -> np.ndarray:
-    """The ``(2, j_max + 1, h, h)`` moment residual matrices of
-    :func:`moment_table`: ``T1^j - T^j`` in row 0, ``r^-j T2^j - T^-j`` in
-    row 1, with the table's errors, raised in its order; ``ValueError``
-    when an entry is not finite, as :func:`linalg.operator_norm` raises."""
+    """The ``2 (j_max + 1)`` moment residual matrices of :func:`moment_table`,
+    ``T1^j - T^j`` then ``r^-j T2^j - T^-j``, with the table's errors, raised
+    in its order; ``ValueError`` when an entry is not finite, as
+    :func:`linalg.operator_norm` raises."""
     j_max = linalg.as_integer(j_max, "j_max", 0)
     if j_max > model.d:
         raise BudgetExceeded(f"j_max {j_max} exceeds budget d = {model.d}")
@@ -547,17 +533,17 @@ def _moment_stack(model: ModelTriple, t, j_max: int, tols: Tolerances) -> np.nda
     h = m.shape[0]
     inv = linalg.analysis(m).inverse(tols)
     rweights = _inverse_weights(model.r, j_max)
-    powers = pair.powers
     stack = np.empty((2, j_max + 1, h, h), dtype=complex)
     pow_pos = pow_neg = np.eye(h, dtype=complex)
-    for j in range(j_max + 1):
-        np.subtract(powers[0, j], pow_pos, out=stack[0, j])
-        np.subtract(rweights[j] * powers[1, j], pow_neg, out=stack[1, j])
+    compressions = zip(rweights, _chain(pair.t1, pow_pos), pair.powers)
+    for j, (weight, t1_power, t2_power) in enumerate(compressions):
+        np.subtract(t1_power, pow_pos, out=stack[0, j])
+        np.subtract(weight * t2_power, pow_neg, out=stack[1, j])
         if j < j_max:
             pow_pos, pow_neg = pow_pos @ m, pow_neg @ inv
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix has NaN/Inf entries")
-    return stack
+    return stack.reshape(-1, h, h)
 
 
 def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> list:
@@ -565,9 +551,10 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
 
     Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
     ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The compressions
-    ``T_i^j`` are the pair's :attr:`AndoPair.powers`, the left products of
-    :func:`verify_model`, read after the same generator check; the powers
-    of ``T`` and ``T^-1`` are right products.
+    ``T1^j`` are walked by :func:`_chain` and the ``T2^j`` read from the
+    pair's :attr:`AndoPair.powers`, the left products of :func:`verify_model`,
+    after the same generator check; the powers of ``T`` and ``T^-1`` are
+    right products.
     ``V* V_i^j V = T_i^j`` holds by construction, so a row tests only the
     rounding of those two products of ``T`` powers (and of ``r^-j`` against
     ``T2 = r T^-1``), never the carrier: that is checked by
@@ -579,8 +566,7 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     model was built on.  ``T^{-1}`` comes from ``T``'s
     :func:`linalg.analysis`.
     """
-    stack = _moment_stack(model, t, j_max, tols)
-    norms = _operator_norms(stack.reshape(-1, *stack.shape[2:])).reshape(2, -1)
+    norms = calculus._spectral_norms(_moment_stack(model, t, j_max, tols)).reshape(2, -1)
     return [
         {"degree": j, "forward_residual": float(fw), "inverse_residual": float(iv)}
         for j, (fw, iv) in enumerate(norms.T)
@@ -601,33 +587,27 @@ def _inverse_weights(r: float, j_max: int) -> list:
     return weights
 
 
-def _operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a finite stack, in one
-    batched call; each equals :func:`linalg.operator_norm` of its matrix."""
-    return np.linalg.norm(stack, 2, axis=(1, 2))
-
-
 def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Max moment residual over ``0 <= j <= j_max`` for both power directions:
     the maximum over :func:`moment_table`'s rows, the same float, with its
     errors.
 
-    Every residual matrix is bounded by :func:`calculus._norm_bounds`;
-    exact norms are then taken in descending bound order, 1, 2, 4, ...
-    matrices at a time, until the largest reaches every bound left.  That
-    rests on the bounds' one assumption, that each is at least the norm
-    :func:`_operator_norms` computes.  As in :func:`moment_table`, the
-    residual measures the rounding of ``T`` powers; the carrier is tested
-    by its generator check."""
+    Every residual matrix is bounded by :func:`calculus._norm_bounds`.  The
+    exact norm of the matrix with the largest bound is taken first, then, in
+    one batched call, those of the matrices whose bound exceeds it, if any.
+    That rests on the bounds' one assumption, that each is at least the norm
+    :func:`calculus._spectral_norms` computes.  As in :func:`moment_table`,
+    the residual measures the rounding of ``T`` powers; the carrier is
+    tested by its generator check."""
     stack = _moment_stack(model, t, j_max, tols)
-    bounds = np.concatenate([calculus._norm_bounds(direction) for direction in stack])
-    stack = stack.reshape(-1, *stack.shape[2:])
-    order = np.argsort(bounds)[::-1]
-    best, start, size = -np.inf, 0, 1
-    while start < order.size and bounds[order[start]] > best:
-        best = max(best, float(_operator_norms(stack[order[start : start + size]]).max()))
-        start, size = start + size, 2 * size
-    return best
+    bounds = calculus._norm_bounds(stack)
+    top = int(np.argmax(bounds))
+    best = calculus._spectral_norms(stack[top : top + 1])[0]
+    above = bounds > best
+    above[top] = False
+    if above.any():
+        best = max(best, calculus._spectral_norms(stack[above]).max())
+    return float(best)
 
 
 # ---------------------------------------------------------------------------

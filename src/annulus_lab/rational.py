@@ -337,13 +337,11 @@ def involute(f: AnnulusRational) -> AnnulusRational:
     new_q2 = [r / a for a in f.q1_roots]
     new_q1 = []
     scale = f.scale
-    zero_shift = 0
     for a in f.q1_roots:
         scale *= -a
     for b in f.q2_roots:
         if b == 0:
             scale *= r
-            zero_shift += 1
         else:
             scale *= -b
             new_q1.append(r / b)
@@ -555,6 +553,7 @@ _REACH_ORDER = 64
 # denominators.
 _MEMO_SIZE = 32
 _MEMO_LOCK = threading.Lock()
+_ORDER_CAP = 4096  # the default cap of laurent_order_for
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -573,8 +572,8 @@ def _series_memo(kind: str, key: bytes) -> list:
     lead) + 130`` terms (64 is ``_REACH_ORDER``), where ``lead`` is the
     numerator's degree or the inner factor's root count: about 0.5 MB at
     order 4096, so at most ``_MEMO_SIZE`` x 0.5 MB = 16 MB while no order
-    passes 4096, the cap of :func:`laurent_order_for`.  ``cache_clear``
-    empties the memo.
+    passes ``_ORDER_CAP = 4096``, the cap of :func:`laurent_order_for`.
+    ``cache_clear`` empties the memo.
     """
     return [None]
 
@@ -613,6 +612,8 @@ def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, f
     """
     tail_pos = pos.tail(order)
     tail_neg = neg.tail(order)
+    if not np.isfinite(tail_pos + tail_neg):  # no certified bound, where inf * 0 would read NaN
+        return tail_pos, tail_neg, np.inf
     sa_cap = float(pos.exact[: order + 1].sum()) + tail_pos
     sb_cap = float(neg.exact[: order + 1].sum()) + tail_neg
     return tail_pos, tail_neg, tail_pos * sb_cap + sa_cap * tail_neg + tail_pos * tail_neg
@@ -723,7 +724,7 @@ def _tail_bound_at(f: AnnulusRational, order: int) -> float:
     return _tail_bounds(*_series_data(f, order)[3:], order)[2]
 
 
-def laurent_order_for(f: AnnulusRational, tol: float, cap: int = 4096) -> int:
+def laurent_order_for(f: AnnulusRational, tol: float, cap: int = _ORDER_CAP) -> int:
     """Smallest truncation order whose certified tail bound is at most ``tol``.
 
     Doubling scan from order 8, clamped at ``cap``, followed by binary

@@ -129,6 +129,28 @@ class TestLaurentCommand:
         assert result["tail_bound"] > 0
 
 
+class TestUnboundedTail:
+    """A function whose factor tail has no certified bound is refused with
+    exit 1, not reported with a NaN or infinite bound."""
+
+    F = AnnulusRational(r=0.5, q1_roots=(1 + 1e-12,) * 6)
+
+    def test_laurent(self, tmp_path, capsys):
+        fn = write_function(tmp_path / "f.json", self.F)
+        out = tmp_path / "report.json"
+        assert cli.main(["laurent", "--f", fn, "--order", "10", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: SeriesDivergent: {fn}: a factor's tail has no certified bound\n" and not out.exists()
+
+    def test_model_verify(self, tmp_path, capsys):
+        mat = write_matrix(tmp_path / "t.json", windowed_matrix(3, 0.5, 7))
+        fn = write_function(tmp_path / "f.json", self.F)
+        out = tmp_path / "report.json"
+        assert cli.main(["model-verify", "--r", "0.5", "--matrix", mat, "--f", fn, "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: SeriesDivergent: {fn}: a factor's tail has no certified bound\n" and not out.exists()
+
+
 class TestDemoExampleCommand:
     def test_reproduction(self, tmp_path):
         out = tmp_path / "report.json"

@@ -232,34 +232,41 @@ class TestAndoPair:
         assert_allclose(_dense_v1(pair) @ x, pair.apply_v1(x), atol=1e-13)
         assert_allclose(_dense_v2(pair) @ x, pair.apply_v2(x), atol=1e-13)
 
-    def test_occupied_row_chains_match_full_length_applies(self):
-        # the applies keep only the rows a power chain occupies: at most one
-        # more block per step from H, capped at dim, and no content is lost.
-        # A dense fix-up unitary fills every row of each cell it touches.
-        t1, t2 = commuting_contraction_pair(3, 5)
-        h = 3
-        pair = dataclasses.replace(ando_pair(t1, t2, 4), g=random_unitary(2 * h, 6))
-        for step in (pair.apply_v1, pair.apply_v2):
-            lean, full = pair.embed[:h], pair.embed
-            for k in range(1, pair.m + 2):
-                lean, full = step(lean), step(full)
-                assert lean.shape[0] <= min(pair.block_slice(k).stop, pair.dim)
-                assert np.array_equal(full[lean.shape[0] :], np.zeros_like(full[lean.shape[0] :]))
-                assert np.array_equal(lean, full[: lean.shape[0]])
-            assert lean.shape[0] == pair.dim
-
     def test_chains_from_h_fill_every_occupied_block(self):
         # each cell holds only the two copies of H that the defects reach:
-        # no h-row block a chain occupies stays zero
+        # k steps from H fill 2kh rows under V1 and (2k + 1)h under V2,
+        # capped at dim, with no zero h-row block among them
         for seed in range(3):
             t1, t2 = commuting_contraction_pair(3, 60 + seed)
             pair = ando_pair(t1, t2, 5)
-            for step in (pair.apply_v1, pair.apply_v2):
-                lean = pair.embed[:3]
-                for _ in range(pair.m + 1):
-                    lean = step(lean)
-                    norms = np.linalg.norm(lean.reshape(-1, 3 * lean.shape[1]), axis=1)
-                    assert np.all(norms > 1e-8)
+            for step, extra in ((pair.apply_v1, 0), (pair.apply_v2, 3)):
+                x = pair.embed
+                for k in range(1, pair.m + 2):
+                    x = step(x)
+                    assert x.shape == (pair.dim, 3)
+                    norms = np.linalg.norm(x.reshape(-1, 9), axis=1)
+                    occupied = np.flatnonzero(norms)[-1] + 1
+                    assert 3 * occupied == min(6 * k + extra, pair.dim)
+                    assert np.all(norms[:occupied] > 1e-8)
+                assert 3 * occupied == pair.dim
+
+    @pytest.mark.parametrize("rows", ["vector", "h", "dim + 5"])
+    def test_applies_take_stacks_of_dim_rows(self, rows):
+        pair = ando_pair(*commuting_contraction_pair(3, 5), 4)
+        x = {"vector": np.ones(pair.dim), "h": np.ones((3, 2)), "dim + 5": np.ones((pair.dim + 5, 2))}[rows]
+        for step in (pair.apply_v1, pair.apply_v2):
+            with pytest.raises(DimensionMismatch, match=f"^the carrier acts on {pair.dim}-row stacks"):
+                step(x)
+
+    def test_a_column_major_stack_gives_the_row_major_bits(self):
+        t1, t2 = commuting_contraction_pair(4, 6)
+        pair = ando_pair(t1, t2, 5)
+        rng = seeded_rng(35)
+        x = rng.standard_normal((pair.dim, 7)) + 1j * rng.standard_normal((pair.dim, 7))
+        for step in (pair.apply_v1, pair.apply_v2):
+            for image in (step(x), step(np.asfortranarray(x))):
+                assert image.flags.c_contiguous
+            assert step(np.asfortranarray(x)).tobytes() == step(x).tobytes()
 
     def test_fixup_unitary_intertwines_defect_families(self):
         t1, t2 = commuting_contraction_pair(3, 8)
@@ -457,6 +464,28 @@ class TestVerifyModel:
             assert (budget == 24) is (not laurent_expand(f, 11).tail_bound <= 1e-10)
         assert expands == []
 
+    def test_a_cap_past_the_order_search_s_leaves_the_answer_to_it(self):
+        # the cap probe would build the series to order 5 * 10**8 - 1
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+        assert dilation.default_budget(f, 1e-10, 10**9) == 52
+        assert dilation.default_budget(f, 1e-10, 100) == 52 == 2 * rational.laurent_order_for(f, 1e-10)
+        slow = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1 + 1e-12,))
+        with pytest.raises(BudgetExceeded, match="within order 4096"):
+            dilation.default_budget(slow, 1e-10, 10**9)
+        # a function that needs an order near 30000: the probe at order 4096
+        # still returns the cap; one order further, the search raises
+        mid = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.001,))
+        assert dilation.default_budget(mid, 1e-10, 8194) == 8194
+        for cap in (8195, 10000):
+            with pytest.raises(BudgetExceeded, match="within order 4096"):
+                dilation.default_budget(mid, 1e-10, cap)
+
+    def test_an_unbounded_tail_reports_an_infinite_bound(self):
+        # a sixfold root at 1 + 1e-12: the outer tail is inf, the inner 0
+        f = AnnulusRational(r=0.5, q1_roots=(1 + 1e-12,) * 6)
+        model = build_model(windowed_matrix(3, 0.5, 3), 0.5, 4)
+        assert model.tail_report(f) == {"q1_tail": np.inf, "q2_tail": 0.0, "bound": np.inf}
+
 
 def _factor_pair(f, d):
     """Laurent series of ``1/(scale q1)`` and of ``1/q2`` at order ``d``,
@@ -539,8 +568,7 @@ def _reference_series_apply(apply_op, coeffs, x):
     for c in coeffs[1 : last + 1]:
         cur = apply_op(cur)
         if c != 0:
-            pad = np.zeros((cur.shape[0] - acc.shape[0], acc.shape[1]), dtype=complex)
-            acc = np.vstack([acc, pad]) + c * cur
+            acc = acc + c * cur
     return acc
 
 
@@ -548,12 +576,12 @@ def _reference_residual(model, t, f):
     """:func:`verify_model` on the carrier: power chains of the structured
     ``V1``/``V2`` applies, compressed to ``H`` at the end, and the two factor
     series expanded on their own."""
-    pair, h = model.pair, model.pair.dim_h
+    pair = model.pair
     s1, s2 = _factor_pair(f, model.d)
-    y = _reference_series_apply(pair.apply_v2, s2.factor_neg_scaled, pair.embed[:h])
+    y = _reference_series_apply(pair.apply_v2, s2.factor_neg_scaled, pair.embed)
     z = _reference_series_apply(pair.apply_v1, s1.factor_pos, y)
     w = _reference_series_apply(pair.apply_v1, np.array(f.p_coeffs, dtype=complex), z)
-    rhs = pair.embed[: w.shape[0]].conj().T @ w
+    rhs = pair.embed.conj().T @ w
     return float(np.max(np.linalg.norm(eval_direct(f, t) - rhs, axis=0)))
 
 
@@ -562,14 +590,14 @@ def _reference_moment_rows(model, t, j_max):
     one :func:`operator_norm` per entry."""
     pair, h = model.pair, model.pair.dim_h
     e, inv = pair.embed, inverse(t)
-    x1 = x2 = e[:h]
+    x1 = x2 = e
     pow_pos = pow_neg = np.eye(h, dtype=complex)
     rows = []
     for j in range(j_max + 1):
         rows.append(
             (
-                operator_norm(e[: x1.shape[0]].conj().T @ x1 - pow_pos),
-                operator_norm(model.r ** (-j) * (e[: x2.shape[0]].conj().T @ x2) - pow_neg),
+                operator_norm(e.conj().T @ x1 - pow_pos),
+                operator_norm(model.r ** (-j) * (e.conj().T @ x2) - pow_neg),
             )
         )
         x1, x2 = pair.apply_v1(x1), pair.apply_v2(x2)
@@ -1030,17 +1058,36 @@ class TestMomentLadder:
             assert result["moment_residual"] == verify_moments(model, t, d)
             assert result["fixup_unitarity_defect"] == operator_norm(_generator_matrices(model.pair)["unitarity"])
 
-    def test_a_handful_of_exact_norms_at_h16(self, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record the rows of each :func:`calculus._spectral_norms` call;
+        return the list and the unpatched function."""
         taken = []
-        norms = dilation._operator_norms
-        monkeypatch.setattr(dilation, "_operator_norms", lambda stack: taken.append(len(stack)) or norms(stack))
+        norms = dilation.calculus._spectral_norms
+        monkeypatch.setattr(dilation.calculus, "_spectral_norms", lambda x: taken.append(len(x)) or norms(x))
+        return taken, norms
+
+    def test_a_handful_of_exact_norms_at_h16(self, monkeypatch):
+        taken, _ = self._counting(monkeypatch)
         for seed in range(8):
             t = windowed_matrix(16, 0.7, seed)
             model = build_model(t, 0.7, 24)
             taken.clear()
             verify_moments(model, t, 24)
-            # batches of 1, 2, 4 and 8 of the 50 matrices at most
-            assert taken[0] == 1 and sum(taken) <= 15
+            # the largest bound's norm, then at most one batch of the 50
+            assert taken[0] == 1 and len(taken) <= 2 and sum(taken) <= 15
+
+    def test_at_most_two_calls_on_a_unitary_t(self, monkeypatch):
+        # rounding noise of full rank: every bound sits about sqrt(h) above
+        # its norm, and the second call takes what the first cannot settle
+        taken, _ = self._counting(monkeypatch)
+        for seed in range(10):
+            t = random_unitary(16, seed)
+            model = build_model(t, 0.7, 24)
+            taken.clear()
+            got = verify_moments(model, t, 24)
+            assert taken[0] == 1 and len(taken) <= 2
+            assert got.hex() == _table_maximum(model, t, 24).hex()
 
     def test_a_bound_below_a_norm_would_prune_it(self, monkeypatch):
         # the result rests on the bounds: one that hides the largest norm
@@ -1048,9 +1095,7 @@ class TestMomentLadder:
         t = windowed_matrix(6, 0.7, 5)
         model = build_model(t, 0.7, 24)
         exact = verify_moments(model, t, 24)
-        taken = []
-        norms = dilation._operator_norms
-        monkeypatch.setattr(dilation, "_operator_norms", lambda stack: taken.append(len(stack)) or norms(stack))
+        taken, norms = self._counting(monkeypatch)
         monkeypatch.setattr(dilation.calculus, "_norm_bounds", lambda x: norms(x))
         assert verify_moments(model, t, 24) == exact and taken == [1]
 
@@ -1064,8 +1109,8 @@ class TestMomentLadder:
 
 
 class TestPowerTable:
-    """The pair's table of ``T1^j`` and ``T2^j`` holds the left products of
-    the chains from ``I``."""
+    """The pair's table of ``T2^j`` holds the left products of the chain
+    from ``I``."""
 
     @pytest.mark.parametrize("kind", ["windowed", "unitary", "r-unitary"])
     @pytest.mark.parametrize("h, d", [(1, 5), (3, 12), (6, 1), (16, 24)])
@@ -1073,23 +1118,35 @@ class TestPowerTable:
         t = TestRowsOfH._operator(kind, h, 0.7, 620 + h + d)
         pair = build_model(t, 0.7, d).pair
         table = pair.powers
-        assert table.shape == (2, d + 1, h, h)
+        assert table.shape == (d + 1, h, h)
         rng = seeded_rng(h, d, 621)
         coeffs = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
         coeffs[rng.random(d + 1) < 0.3] = 0.0
         coeffs[-1] = 0.0
-        for row, mat in zip(table, (pair.t1, pair.t2)):
-            x = np.eye(h, dtype=complex)
-            for power in row:
-                assert power.tobytes() == x.tobytes()
-                x = mat @ x
-            chain = dilation._chain_sum(mat, coeffs, np.eye(h, dtype=complex))
-            assert dilation._power_sum(row, coeffs).tobytes() == chain.tobytes()
+        x = np.eye(h, dtype=complex)
+        for power in table:
+            assert power.tobytes() == x.tobytes()
+            x = pair.t2 @ x
+        chain = dilation._power_sum(dilation._chain(pair.t2, np.eye(h, dtype=complex)), coeffs)
+        assert dilation._power_sum(table, coeffs).tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("coeffs, read", [((1.0, 0.0, 2.0, 0.0, 0.0), 3), ((0.0, 0.0), 1), ((0.0, 3.0), 2)])
+    def test_a_power_sum_reads_the_chain_to_its_last_nonzero_coefficient(self, coeffs, read):
+        mat, coeffs = windowed_matrix(3, 0.7, 7), np.array(coeffs, dtype=complex)
+        powers = []
+        chain = (powers.append(p) or p for p in dilation._chain(mat, np.eye(3, dtype=complex)))
+        got = dilation._power_sum(chain, coeffs)
+        assert len(powers) == read
+        expected = coeffs[0] * powers[0]
+        for c, power in zip(coeffs[1:], powers[1:]):
+            if c != 0:
+                expected = expected + c * power
+        assert got.tobytes() == expected.tobytes()
 
     def test_the_table_is_read_only(self):
         pair = build_model(windowed_matrix(3, 0.7, 6), 0.7, 4).pair
         with pytest.raises(ValueError, match="read-only"):
-            pair.powers[1, 2, 0, 0] = 0.0
+            pair.powers[2, 0, 0] = 0.0
 
     def test_each_pair_forms_its_table_once(self, monkeypatch):
         formed = []

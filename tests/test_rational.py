@@ -121,6 +121,11 @@ class TestLaurentExpand:
         with pytest.raises(ValueError, match="^order must be"):
             laurent_expand(f, order)
 
+    def test_an_unbounded_factor_tail_gives_an_infinite_bound(self):
+        # inf * 0 would read NaN: the outer tail is inf, the inner one 0
+        s = laurent_expand(AnnulusRational(r=0.5, q1_roots=(1 + 1e-12,) * 6), 10)
+        assert (s.tail_pos, s.tail_neg, s.tail_bound) == (np.inf, 0.0, np.inf)
+
     def test_numpy_integer_order(self):
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(2.0,))
         assert laurent_expand(f, np.int64(3)).order == 3
