@@ -515,7 +515,7 @@ class SpectralPart(enum.Enum):
 
 def riesz_projection(
     t,
-    part: SpectralPart,
+    part: SpectralPart | str,
     spec: ContourSpec,
     r: float,
     tols: Tolerances = DEFAULT_TOLS,
@@ -526,8 +526,10 @@ def riesz_projection(
     of ``delta`` on each side, stay inside ``|w| = 1 + delta`` and outside
     ``|w| = r - delta`` by ``1e-12`` relative to the radius, and the inner
     circle must have a positive radius for either part: ``ValueError`` when
-    ``delta >= r``.
+    ``delta >= r``. ``part`` is a :class:`SpectralPart` or its value;
+    anything else is a ``ValueError``.
     """
+    part = SpectralPart(part)
     linalg.require_radius(r)
     if r - spec.delta <= 0:
         raise ValueError("delta leaves no inner circle")

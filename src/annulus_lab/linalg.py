@@ -31,7 +31,7 @@ from .errors import (
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared across the toolkit (all dimensionless,
-    each finite and > 0)."""
+    each a finite real number > 0, not a ``bool``)."""
 
     eig_tol: float = 1e-10
     rank_tol: float = 1e-9
@@ -40,6 +40,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eig_tol", "rank_tol", "verify_tol"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive")
 
@@ -162,19 +164,15 @@ def _self_commutator(m: np.ndarray, norm: float) -> tuple[np.ndarray, float]:
     return a.conj().T @ a - a @ a.conj().T, norm if np.isfinite(norm) else operator_norm(a)
 
 
-def _normal_within(comm: float, norm: float, tols: Tolerances) -> bool:
-    return comm <= tols.eig_tol * max(norm**2, np.finfo(float).tiny)
-
-
-def is_normal(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``.
+def is_normal(m, tols: Tolerances = DEFAULT_TOLS) -> bool:
+    """``||A*A - AA*|| <= eig_tol * max(||A||^2, tiny)``, read from ``A``'s
+    :func:`analysis` (:class:`NotSquare` unless ``A`` is square).
 
     Both sides are formed for ``A`` scaled by a power of two
     (:func:`_self_commutator`), so the verdict is that of the unscaled test
     wherever that one neither overflows nor underflows.
     """
-    comm, norm = _self_commutator(m, operator_norm(m))
-    return _normal_within(operator_norm(comm), norm, tols)
+    return analysis(m).is_normal(tols)
 
 
 def eig_normal(a, tols: Tolerances = DEFAULT_TOLS) -> EigDecomposition:
@@ -592,7 +590,7 @@ class Analysis:
 
     def is_normal(self, tols: Tolerances = DEFAULT_TOLS) -> bool:
         """:func:`is_normal` of ``T`` at ``tols``."""
-        return _normal_within(self.commutator_norm, self.commutator[1], tols)
+        return self.commutator_norm <= tols.eig_tol * max(self.commutator[1] ** 2, np.finfo(float).tiny)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -266,6 +266,7 @@ class TestOneAnalysisPerMatrix:
         assert counts == {"eigvals": 1, "zgees": 1, "svd of T": 1}
 
 
+@pytest.mark.oldest_pins
 class TestSingularValueWindow:
     """On a double contraction the root check reads only the singular
     values of ``T``; elsewhere its verdicts do not depend on ``T``'s scale."""
@@ -350,6 +351,15 @@ class TestRieszProjection:
         ) <= 1e-10
         assert operator_norm(riesz_projection(u, SpectralPart.INNER, spec, 0.5)) <= 1e-10
 
+    def test_a_part_s_value_names_the_part(self):
+        t, spec = 0.9 * np.eye(2), ContourSpec(delta=0.01)
+        outer = riesz_projection(t, SpectralPart.OUTER, spec, 0.5)
+        assert_allclose(outer, np.eye(2), atol=1e-10)
+        for part in SpectralPart:
+            assert np.array_equal(riesz_projection(t, part.value, spec, 0.5), riesz_projection(t, part, spec, 0.5))
+        with pytest.raises(ValueError, match="bogus"):
+            riesz_projection(t, "bogus", spec, 0.5)
+
     def test_conjugated_mixed_spectrum(self):
         r = 0.5
         q = random_unitary(4, 23)
@@ -430,7 +440,9 @@ class TestChunks:
         assert certify._SUP_CHUNK_BYTES == calculus._CHUNK_BYTES // 8 == 1 << 17
 
 
+@pytest.mark.oldest_pins
 class TestBatchedQuadrature:
+    """The contour routes, which solve on one zgees triangle and its Schur vectors, against a per-node loop."""
     NODES = 512
 
     def test_chunk_boundary_is_crossed(self):
@@ -525,6 +537,7 @@ def _non_normal(kind, n):
     return q @ _jordan_block(n, 0.7 * np.exp(0.4j), 1.0) @ q.conj().T
 
 
+@pytest.mark.oldest_pins
 class TestTriangularQuadrature:
     """The contour routes solve for the resolvents on the Schur triangle
     ``R`` of ``T`` and return ``Q S Q*``."""
@@ -653,6 +666,7 @@ def _with_roots(stack, edits):
     return rational.FactoredStack(r=stack.r, counts=stack.counts, p=stack.p, roots=roots, scale=stack.scale)
 
 
+@pytest.mark.oldest_pins
 class TestCheckRoots:
     """``_check_roots`` decides most roots from the window of ``T``'s
     singular values; its exceptions are those of the check written out
@@ -737,6 +751,7 @@ def _jordan_block(n, lam, step):
     return lam * np.eye(n, dtype=complex) + step * np.eye(n, k=1)
 
 
+@pytest.mark.oldest_pins
 class TestSchurRoute:
     """factored_norms evaluates ``f_i(R)`` on the Schur triangle of ``T`` by
     back-substitution; its norms are those of ``f_i(T)``."""

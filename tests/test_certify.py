@@ -316,12 +316,15 @@ class TestVonNeumannStress:
                 nodes.append(circle[[int(np.rint(np.angle(root) * 4096 / (2.0 * np.pi))) % 4096]])
         return float(np.abs(evaluate(f, np.concatenate(nodes))).max())
 
+    @pytest.mark.oldest_pins
     def test_battery_lower_bounds_are_the_max_over_the_documented_nodes(self):
+        """The per-row node table goes through one abs_at call per chunk, which must give evaluate's bits."""
         battery = _stress_battery.__wrapped__(0.5, 500, 4)
         assert battery.lower_bounds(np.arange(500)).tolist() == [
             self._reference_lower(f) for f in _functions(battery)
         ]
 
+    @pytest.mark.oldest_pins
     def test_the_aimed_node_index_wraps_at_pi_and_below_zero(self):
         # each pole sits 1e-3 from its circle, so the node nearest it gives
         # its row's largest |f|: an argument of +-pi takes node 2048, one
@@ -568,6 +571,7 @@ _ROUNDED_ONE = ((1, 0, 0), (1.0, 0.9350724237877682))
 _ROUNDED_R = ((0, 1, 0), (1.0, 0.5118216247002567))
 
 
+@pytest.mark.oldest_pins
 class TestBatteryDraw:
     """The array draw gives the functions of the scalar one, bit for bit."""
 
@@ -759,6 +763,7 @@ def _full_sup_ratios(nums, rungs, lower, probe, memo, sups, dense, tol):
     return (float(ratios.max()) if ratios.size else 0.0), witness
 
 
+@pytest.mark.oldest_pins
 class TestStressRatios:
     """Lazy refinement gives the ratios of every norm and every sup computed."""
 
@@ -956,7 +961,9 @@ _LAZY_CASES = {
 }
 
 
+@pytest.mark.oldest_pins
 class TestLazyRefinement:
+    """Pruning changes no report field, so a re-evaluated subset of rows must give the full stack's bits."""
     @pytest.mark.parametrize("kind", sorted(_LAZY_CASES))
     def test_reports_equal_full_sups(self, kind, monkeypatch):
         t = _LAZY_CASES[kind]
@@ -1291,7 +1298,9 @@ class TestStackedFactoredEvaluation:
         ref = np.array([operator_norm(_reference_direct(f, t)) for f in _functions(battery)])
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
+    @pytest.mark.oldest_pins
     def test_abs_at_matches_evaluate_bit_for_bit(self):
+        """numpy must give the same bits with sliced out= and transposed operands as with whole arrays."""
         battery = _stress_battery(0.5, self.TRIALS, 1)
         ring = np.exp(2j * np.pi * np.arange(4096) / 4096)
         radii = np.linspace(0.5, 1.0, 100)
@@ -1306,8 +1315,10 @@ class TestStackedFactoredEvaluation:
             ref = np.array([np.abs(evaluate(f, rho * ring)) for f, rho in zip(functions, radii)])
             assert np.array_equal(stack.abs_at(radii[:, np.newaxis] * ring), ref)
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_eval_direct_is_the_per_root_route_bit_for_bit(self, n):
+        """Horner, then numpy's 2-D solve once per root."""
         t = windowed_matrix(n, 0.5, 4)
         for f in _functions(_stress_battery(0.5, self.TRIALS, 1))[2:400]:
             assert calculus.eval_direct(f, t).tobytes() == _reference_direct(f, t).tobytes()
@@ -1371,6 +1382,7 @@ def _annulus_points(r, count, seed):
     return rho * np.exp(2j * np.pi * rng.random(count))
 
 
+@pytest.mark.oldest_pins
 class TestAbsAtKernel:
     """``FactoredStack.abs_at`` against ``np.abs(evaluate(f_i, z))`` bit for
     bit, in both layouts of its work arrays."""
@@ -1490,6 +1502,7 @@ def _conjugated_jordan(n):
 _NP_LINALG = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
 
 
+@pytest.mark.oldest_pins
 class TestNormBounds:
     """The lazy norms of the factored stress route: bounds that cover the
     computed norm, exact norms for few rows, one Schur form per call."""
@@ -1683,7 +1696,9 @@ class TestEigenvectorScreen:
         for t in (windowed_matrix(n, r, s), involution(windowed_matrix(n, r, s), r))
     ] + [(_perturbed_jordan(n, 10.0**-k, n + k), 0.5) for n in (2, 3, 5) for k in range(2, 10)]
 
+    @pytest.mark.oldest_pins
     def test_the_screen_bounds_every_computed_norm(self):
+        """kappa_2 times max|f(r_jj)| must stay above every norm, with the pinned numpy's SVD and matmul."""
         worst = 0.0
         for t, r in self._SOUND_CASES:
             stack = _stress_battery(r, 600, 1).stack
@@ -1727,6 +1742,7 @@ class TestEigenvectorScreen:
         "outside": 1.25 * windowed_matrix(3, 0.5, 3),
     }
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("kind", list(_PRUNE_CASES))
     def test_the_screen_only_prunes(self, kind, monkeypatch):
         # with kappa = inf the screen keeps every row, as the route without
@@ -1806,6 +1822,7 @@ class TestCnnSplit:
         ("normal", lambda: normal_annulus_matrix(4, 0.5, 3)),
     ]
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("scale", [2.0**40, 2.0**-40, 1e200, 1e300], ids=["2^40", "2^-40", "1e200", "1e300"])
     @pytest.mark.parametrize("name, make", _SCALED, ids=[name for name, _ in _SCALED])
     def test_a_scaled_matrix_splits_as_the_matrix(self, name, make, scale):
@@ -1842,7 +1859,9 @@ class TestCnnSplit:
                 break
         return np.eye(n) - basis @ basis.conj().T, basis @ basis.conj().T
 
+    @pytest.mark.oldest_pins
     def test_equals_the_unscaled_commutator_route_bit_for_bit(self):
+        """Rests on LAPACK's SVD scaling exactly by a power of two."""
         # general, normal, normal-plus-triangular and windowed T, 2 <= n <= 6,
         # with ||T|| spread over [0.2, 1.7], across both sides of 1
         rng = seeded_rng(39)

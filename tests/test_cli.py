@@ -439,8 +439,10 @@ class TestOneParserPerCall:
 
     CORPUS = _parser_corpus()
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("argv", CORPUS.values(), ids=CORPUS.keys())
     def test_main_answers_as_the_full_parser(self, argv, monkeypatch, capsys):
+        """Byte for byte, also on Python 3.10, whose argparse formats help and usage errors itself."""
         seen = []
         _stub_handlers(monkeypatch, seen)
         fast = (cli.main(argv), *capsys.readouterr())

@@ -1034,10 +1034,12 @@ class TestMomentLadder:
     """``verify_moments`` takes exact norms only while a bound can still
     beat the largest one taken, and returns the table's maximum."""
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("kind", ["windowed", "unitary", "r-unitary"])
     @pytest.mark.parametrize("d", [1, 5, 24, 122])
     @pytest.mark.parametrize("h", [1, 2, 3, 6, 16])
     def test_the_maximum_is_the_table_s_bit_for_bit(self, h, d, kind):
+        """Batched SVD norms must equal the 2-D ones, whatever rows are batched together."""
         r = 0.7
         t = TestRowsOfH._operator(kind, h, r, 600 + 7 * h + d)
         model = build_model(t, r, d)
@@ -1112,9 +1114,11 @@ class TestPowerTable:
     """The pair's table of ``T2^j`` holds the left products of the chain
     from ``I``."""
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("kind", ["windowed", "unitary", "r-unitary"])
     @pytest.mark.parametrize("h, d", [(1, 5), (3, 12), (6, 1), (16, 24)])
     def test_rows_are_the_chain_s_left_products(self, h, d, kind):
+        """A sum of entries gives the bits of that sum on the chain, with numpy's matmul and complex multiply-add."""
         t = TestRowsOfH._operator(kind, h, 0.7, 620 + h + d)
         pair = build_model(t, 0.7, d).pair
         table = pair.powers

@@ -51,6 +51,15 @@ class TestTolerances:
         with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
             Tolerances(**{name: value})
 
+    @pytest.mark.parametrize("value", [True, np.True_, "1e-3", 1e-3j], ids=["True", "np.True_", "str", "complex"])
+    @pytest.mark.parametrize("name", ["eig_tol", "rank_tol", "verify_tol"])
+    def test_rejects_a_bool_or_a_non_real(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            Tolerances(**{name: value})
+
+    def test_keeps_a_numpy_float_as_given(self):
+        assert type(Tolerances(eig_tol=np.float64(1e-3)).eig_tol) is np.float64
+
 
 class TestEigNormal:
     def test_identity(self):
@@ -165,6 +174,13 @@ class TestIsNormal:
             assert linalg.is_normal(m) == want
             verdicts.append(want)
         assert any(verdicts) and not all(verdicts)
+
+    def test_reads_the_analysis_and_rejects_a_non_square_matrix(self):
+        linalg._analysis_memo.cache_clear()
+        assert linalg.is_normal(EXAMPLE) is linalg.analysis(EXAMPLE).is_normal() is False
+        assert linalg._analysis_memo.cache_info().currsize == 1
+        with pytest.raises(NotSquare):
+            linalg.is_normal(np.ones((2, 3)))
 
 
 class TestSolve:
@@ -294,6 +310,7 @@ def _first_draws(rng):
     return rng.integers(0, 5), rng.random(3), rng.standard_normal(5), rng.integers(0, 2**40, 2)
 
 
+@pytest.mark.oldest_pins
 class TestSeededRng:
     """``seeded_rng(seed, stream, i)`` is Philox keyed by the first two words
     of ``SeedSequence(seed, spawn_key=(stream, i))``, counter zero, so a
@@ -444,7 +461,9 @@ def _hard_shifts(t):
     return np.concatenate([near, lams, circles])
 
 
+@pytest.mark.oldest_pins
 class TestShiftConditioning:
+    """The comparison-matrix bound rests on numpy's broadcast matmul of a row against a stack in its substitutions."""
     @pytest.mark.parametrize("rank_tol", [1e-9, 1e-15, 0.5, 1.5])
     @pytest.mark.parametrize("name", sorted(_hard_matrices()))
     def test_agrees_with_the_svd_rule(self, name, rank_tol):
@@ -713,6 +732,7 @@ def _window_shifts(t, seed, scale):
     return ws, mods
 
 
+@pytest.mark.oldest_pins
 class TestShiftWindow:
     """The singular-value window of :class:`linalg.Analysis` clears only
     shifts that the rule passes on an explicit SVD of ``T - wI`` and that
@@ -918,7 +938,9 @@ def _analysed_matrices() -> dict:
     }
 
 
+@pytest.mark.oldest_pins
 class TestAnalysisMemo:
+    """A warm read gives a cold one's bits, which needs the read-only copy of T, in T's memory order, to give T's."""
     @pytest.mark.parametrize("name", sorted(_analysed_matrices()))
     def test_warm_reads_equal_cold_reads_bit_for_bit(self, name):
         t = _analysed_matrices()[name]

@@ -405,8 +405,10 @@ def _entry_bits(f, order, cold=False):
 
 
 class TestSeriesMemo:
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("r", [1e-3, 0.25, 0.5, 0.81, 0.95])
     def test_warm_reads_equal_cold_builds_bit_for_bit(self, r):
+        """This needs np.convolve and float ** np.arange(L) to give bits that do not depend on the length."""
         functions = [shaped_function(r, 6100 + k, shape) for k, shape in enumerate(SHAPES)]
         functions += [
             # repeated roots, zero roots, a pole near the inner circle
@@ -431,8 +433,10 @@ class TestSeriesMemo:
                 assert _entry_bits(f, first) == cold[first]
                 assert laurent_order_for(f, 1e-10) == cold_order
 
+    @pytest.mark.oldest_pins
     @pytest.mark.parametrize("r", [1e-3, 0.5, 0.95])
     def test_a_function_and_its_denominator_equal_cold_builds_in_either_order(self, r):
+        """A function's data reads its denominator's, built at another length, as a prefix."""
         functions = [shaped_function(r, 6200 + k, shape) for k, shape in enumerate(SHAPES)]
         functions += [
             AnnulusRational(r=r, p_coeffs=(1.0, 0.5j, 0.0, 2.0), q1_roots=(1.5, 1.5), q2_roots=(0.4 * r, 0.0), scale=0.5j),

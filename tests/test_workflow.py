@@ -1,55 +1,37 @@
-"""The CI workflow names tests by node id; check that each one still exists."""
+"""The CI job that runs under the oldest pins selects its tests by marker."""
 
-import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-import pytest
+import test_linalg
+import test_rational
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
-def _job(name):
-    """The text of job ``name`` in the workflow: from its key to the next
-    job key at the same indent."""
-    text = WORKFLOW.read_text()
-    match = re.search(rf"^  {re.escape(name)}:\n(.*?)(?=^  \S|\Z)", text, re.M | re.S)
-    assert match, f"no job {name} in {WORKFLOW.name}"
-    return match.group(1)
+def test_the_oldest_pins_job_selects_by_marker_alone():
+    text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    job = re.search(r"^  oldest-pins:\n(.*?)(?=^  \S|\Z)", text, re.M | re.S).group(1)
+    assert "python -m pytest -q -m oldest_pins\n" in job
+    assert not re.search(r"\btests/[\w/]+\.py::", job)
 
 
-def _node_ids(job):
-    return re.findall(r"\btests/[\w/]+\.py(?:::[\w\[\].-]+)+", job)
+def test_the_memo_tests_carry_the_marker():
+    memo = test_rational.TestSeriesMemo
+    for obj in (
+        memo.test_warm_reads_equal_cold_builds_bit_for_bit,
+        memo.test_a_function_and_its_denominator_equal_cold_builds_in_either_order,
+        test_linalg.TestAnalysisMemo,
+    ):
+        assert "oldest_pins" in {mark.name for mark in obj.pytestmark}
 
 
-def _resolve(node_id):
-    """The test class or function that ``node_id`` names, or ``None``."""
-    path, *names = node_id.split("::")
-    if not (ROOT / path).is_file():
-        return None
-    obj = importlib.import_module(Path(path).stem)
-    for name in names:
-        obj = getattr(obj, name.split("[")[0], None)
-        if obj is None:
-            return None
-    return obj
-
-
-def test_the_oldest_pins_job_names_tests():
-    ids = _node_ids(_job("oldest-pins"))
-    assert len(ids) >= 10
-    assert "tests/test_rational.py::TestSeriesMemo::test_warm_reads_equal_cold_builds_bit_for_bit" in ids
-    assert "tests/test_rational.py::TestSeriesMemo::test_a_function_and_its_denominator_equal_cold_builds_in_either_order" in ids
-    assert "tests/test_linalg.py::TestAnalysisMemo" in ids
-
-
-@pytest.mark.parametrize("node_id", _node_ids(_job("oldest-pins")))
-def test_each_node_id_of_the_oldest_pins_job_resolves(node_id):
-    assert _resolve(node_id) is not None, f"{node_id} names no test"
-
-
-def test_a_renamed_test_does_not_resolve():
-    assert _resolve("tests/test_rational.py::TestSeriesMemo::test_no_such_test") is None
-    assert _resolve("tests/test_no_such_file.py::TestSeriesMemo") is None
-    assert _resolve("tests/test_rational.py::TestNoSuchClass") is None
+def test_a_misspelled_marker_fails_collection(tmp_path):
+    (tmp_path / "pyproject.toml").write_text((ROOT / "pyproject.toml").read_text())
+    for name, status in (("oldest_pins", 0), ("oldest_pin", 2)):
+        (tmp_path / "test_mark.py").write_text(f"import pytest\n\n\n@pytest.mark.{name}\ndef test_mark():\n    pass\n")
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_mark.py"]
+        run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+        assert run.returncode == status, run.stdout
