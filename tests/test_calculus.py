@@ -351,14 +351,20 @@ class TestRieszProjection:
         ) <= 1e-10
         assert operator_norm(riesz_projection(u, SpectralPart.INNER, spec, 0.5)) <= 1e-10
 
-    def test_a_part_s_value_names_the_part(self):
+    @pytest.mark.parametrize("part", list(SpectralPart), ids=lambda part: part.value)
+    def test_a_part_s_value_names_the_part(self, part):
+        # 0.9 I lies wholly in the outer part, so its projector there is I
         t, spec = 0.9 * np.eye(2), ContourSpec(delta=0.01)
-        outer = riesz_projection(t, SpectralPart.OUTER, spec, 0.5)
-        assert_allclose(outer, np.eye(2), atol=1e-10)
-        for part in SpectralPart:
-            assert np.array_equal(riesz_projection(t, part.value, spec, 0.5), riesz_projection(t, part, spec, 0.5))
-        with pytest.raises(ValueError, match="bogus"):
-            riesz_projection(t, "bogus", spec, 0.5)
+        p = riesz_projection(t, part.value, spec, 0.5)
+        assert_allclose(p, np.eye(2) if part is SpectralPart.OUTER else np.zeros((2, 2)), atol=1e-10)
+        assert np.array_equal(p, riesz_projection(t, part, spec, 0.5))
+
+    @pytest.mark.parametrize("part", ["bogus", "OUTER", "Outer", "", None, 1])
+    def test_anything_else_is_a_value_error_before_any_work(self, part):
+        # the part is read first, so a bad radius does not mask it
+        for r in (0.5, 2.0):
+            with pytest.raises(ValueError, match="is not a valid SpectralPart"):
+                riesz_projection(0.9 * np.eye(2), part, ContourSpec(delta=0.01), r)
 
     def test_conjugated_mixed_spectrum(self):
         r = 0.5

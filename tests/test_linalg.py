@@ -57,8 +57,10 @@ class TestTolerances:
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             Tolerances(**{name: value})
 
-    def test_keeps_a_numpy_float_as_given(self):
-        assert type(Tolerances(eig_tol=np.float64(1e-3)).eig_tol) is np.float64
+    @pytest.mark.parametrize("value", [np.float64(1e-3), np.float32(1e-3), 1, np.int64(2)], ids=repr)
+    def test_keeps_a_real_number_as_given(self, value):
+        kept = Tolerances(eig_tol=value).eig_tol
+        assert type(kept) is type(value) and kept == value
 
 
 class TestEigNormal:
@@ -175,12 +177,19 @@ class TestIsNormal:
             verdicts.append(want)
         assert any(verdicts) and not all(verdicts)
 
-    def test_reads_the_analysis_and_rejects_a_non_square_matrix(self):
+    def test_reads_the_analysis(self):
         linalg._analysis_memo.cache_clear()
         assert linalg.is_normal(EXAMPLE) is linalg.analysis(EXAMPLE).is_normal() is False
         assert linalg._analysis_memo.cache_info().currsize == 1
-        with pytest.raises(NotSquare):
-            linalg.is_normal(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "shape, error",
+        [((2, 3), NotSquare), ((3, 2), NotSquare), ((1, 4), NotSquare), ((2, 2, 2), DimensionMismatch)],
+        ids=["2x3", "3x2", "1x4", "3-d"],
+    )
+    def test_rejects_a_non_square_matrix(self, shape, error):
+        with pytest.raises(error):
+            linalg.is_normal(np.ones(shape))
 
 
 class TestSolve:
