@@ -204,14 +204,6 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return rational.pack(r, *_draw(r, 1, (rng, rng, rng))).function(0)
 
 
-# The chunk budget of the battery's |f| passes, an eighth of calculus's:
-# abs_at holds four arrays of a chunk's size at once (three complex work
-# arrays and two float ones of half that size), five with the sorted copy
-# of per-row points, six with the lower bounds' node table.  At twice this size a cold certify took about 2200
-# page faults in its lower-bound pass (glibc's malloc returns each chunk's
-# freed work arrays to the system, and the next chunk faults them in
-# again), against about 550 at this size.
-_SUP_CHUNK_BYTES = calculus._CHUNK_BYTES // 8
 # The battery's sampling: equispaced nodes per circle and nodes per pole window.
 _BASE_NODES = 4096
 _LOCAL_NODES = 512
@@ -285,12 +277,12 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
     over ``base_nodes`` equispaced nodes on each boundary circle and over
     ``local_nodes`` in a window around each pole near a circle.
 
-    Every node is evaluated, through :meth:`rational.FactoredStack.abs_at`,
+    Every node is evaluated, through :meth:`rational.FactoredStack.max_abs_at`,
     which is :func:`rational.evaluate` bit for bit whatever the other rows:
     the pole windows, then the circles in pieces of ``_BASE_NODES`` nodes
-    each, a chunk of rows at a time, so the dense re-check holds no more at
-    once than the battery's sampling.  The max of the pieces' maxima is the max
-    over all nodes.  ``base_nodes`` must be a positive multiple of
+    each, so the dense re-check evaluates no more nodes at once than the
+    battery's sampling.  The max of the pieces' maxima is the max over all
+    nodes.  ``base_nodes`` must be a positive multiple of
     ``_LOWER_STRIDE``.  The rows must be valid (the battery validates its
     stack once, when it is built); :class:`PoleHit` is raised first, by
     :func:`_check_poles` on this call's own nodes.
@@ -299,14 +291,10 @@ def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, 
     _check_poles(stack, ring, local_nodes)
     sups = np.full(stack.p.shape[0], -np.inf)
     row, *window = _pole_windows(stack)
-    for sl in calculus._chunks(row.size, local_nodes, _SUP_CHUNK_BYTES):
-        vals = stack.take(row[sl]).abs_at(_window_nodes(*(w[sl] for w in window), local_nodes))
-        np.maximum.at(sups, row[sl], vals.max(axis=1))
+    np.maximum.at(sups, row, stack.take(row).max_abs_at(_window_nodes(*window, local_nodes)))
     for lo in range(0, base_nodes, _BASE_NODES):
         nodes = ring[lo : lo + _BASE_NODES]
-        z = np.concatenate([nodes, stack.r * nodes])
-        for sl in calculus._chunks(sups.size, z.size, _SUP_CHUNK_BYTES):
-            sups[sl] = np.maximum(sups[sl], stack.take(sl).abs_at(z).max(axis=1))
+        np.maximum(sups, stack.max_abs_at(np.concatenate([nodes, stack.r * nodes])), out=sups)
     return sups
 
 
@@ -317,21 +305,15 @@ def _lower_bounds(stack: rational.FactoredStack) -> np.ndarray:
     of each circle, 32 nodes, and for each root the node of its own circle
     (the unit circle for a ``q1`` root, the ``r`` circle for a ``q2`` root)
     nearest its argument, ``k = rint(angle * _BASE_NODES / 2 pi) mod
-    _BASE_NODES``.  Each chunk of rows is one :meth:`abs_at
-    <rational.FactoredStack.abs_at>` call on a per-row node table; a row
-    with fewer roots than the widest pads its table with node 1."""
+    _BASE_NODES``.  The shared nodes are one :meth:`max_abs_at
+    <rational.FactoredStack.max_abs_at>` call, the aimed nodes a second on
+    a per-row node table; a row with fewer roots than the widest pads its
+    table with node 1, a shared node."""
     ring = _ring(_BASE_NODES)
     z = np.concatenate([ring, stack.r * ring])
     k = np.rint(np.angle(stack.roots) * _BASE_NODES / (2.0 * np.pi)).astype(int) % _BASE_NODES
     aimed = z[np.where(stack.mask, np.where(stack.outer, k, k + _BASE_NODES), 0)]
-    coarse = z[::_LOWER_STRIDE]
-    lower = np.empty(aimed.shape[0])
-    for sl in calculus._chunks(aimed.shape[0], coarse.size + aimed.shape[1], _SUP_CHUNK_BYTES):
-        table = np.empty((sl.stop - sl.start, coarse.size + aimed.shape[1]), dtype=complex)
-        table[:, : coarse.size] = coarse
-        table[:, coarse.size :] = aimed[sl]
-        lower[sl] = stack.take(sl).abs_at(table).max(axis=1)
-    return lower
+    return np.maximum(stack.max_abs_at(z[::_LOWER_STRIDE]), stack.max_abs_at(aimed))
 
 
 class _Battery:

@@ -19,6 +19,7 @@ import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.polynomial.polynomial as poly  # selftest's Horner reference, loaded at start-up
 
 from . import ar_unitary, calculus, certify, dilation, linalg, rational
 from ._version import __version__
@@ -244,7 +245,6 @@ def _selftest_cases(seed: int, tols: Tolerances):
         return linalg.operator_norm(a - rec), 1e-10
 
     def laurent_tail():
-        poly = np.polynomial.polynomial
         worst = 0.0
         for k in range(10):
             rng = linalg.seeded_rng(seed, 3, k)

@@ -9,13 +9,16 @@ basis doubles as an orthonormal eigenbasis.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import numbers
+import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import (
     BadRadius,
@@ -28,10 +31,33 @@ from .errors import (
 )
 
 
+def _load_lapack():
+    """scipy's compiled LAPACK wrapper module ``scipy.linalg._flapack``,
+    loaded without ``scipy.linalg``'s package ``__init__``, which takes
+    about half of a fresh process's start-up; ``scipy.linalg.lapack``, which
+    calls the same Fortran routines, where the extension is not found."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")]
+    )
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The one LAPACK module that this module and rational call: zgees, ztbtrs.
+lapack = _load_lapack()
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared across the toolkit (all dimensionless,
-    each a finite real number > 0, not a ``bool``)."""
+    each a finite number > 0: an ``int``, a ``float`` or a numpy real
+    scalar, kept as given; not a ``bool``, and no other real type, such as
+    ``Fraction``, which would make object arrays)."""
 
     eig_tol: float = 1e-10
     rank_tol: float = 1e-9
@@ -40,7 +66,7 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eig_tol", "rank_tol", "verify_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and strictly positive")

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     BadRadius,
@@ -35,9 +34,18 @@ from .errors import (
     RootInClosedDisk,
     RootOutsideInnerDisk,
 )
-from .linalg import as_integer, complex_from_pair, json_number, require_radius
+from .linalg import as_integer, complex_from_pair, json_number, lapack, require_radius
 
 _POLE_TOL = 1e-14
+# Bytes of each of FactoredStack.abs_at's four work arrays for one chunk of
+# rows; one allocation per call holds them.  glibc's malloc serves a block
+# past its mmap threshold (128 KiB until a larger mmapped block is freed) by
+# mmap and hands it back to the kernel when freed, so the page faults of a
+# pass depended on what the process had freed before it, not on the pass:
+# with an allocation per chunk, a cold certify's lower-bound pass faulted
+# each chunk's pages in again.  At this size that pass takes about 300
+# faults, whatever was imported.
+_ABS_CHUNK_BYTES = 1 << 16
 
 
 def _as_ctuple(values) -> tuple:
@@ -210,45 +218,84 @@ class FactoredStack:
         ``(rows, points)``, in the stack's row order.
 
         Row ``i`` equals ``np.abs(evaluate(f_i, z))`` bit for bit, and no
-        row depends on another.  The rows are worked in :attr:`order`: root
-        slot ``j`` multiplies only the prefix of rows that hold it, so no
-        padded root is evaluated.  Horner runs over the zero-padded
-        coefficients, every row at every step: a padded step maps ``+0`` to
-        ``0 z + 0 = +0`` (round to nearest adds a zero of either sign to
-        ``+0`` as ``+0``), so a row's first coefficient ``c`` gives ``0 z +
-        c`` as :func:`evaluate`'s first step does, and a non-finite ``z``
-        gives NaN either way.  numpy's complex multiply is not bitwise
-        commutative (it uses FMA), so every value is formed by
-        :func:`evaluate`'s operations in its operand order.  The work
-        arrays are ``(rows, points)`` in memory, so the prefix of rows that
-        a root slot multiplies is one contiguous block, unless a row has
-        fewer than 16 points and fewer points than there are rows: then
-        they are ``(points, rows)``, so the longer axis is innermost.  The
-        layout changes no arithmetic.
+        row depends on another.  The rows are worked in :attr:`order`, a
+        chunk at a time (:meth:`_abs_chunks`): root slot ``j`` multiplies
+        only the prefix of rows that hold it, so no padded root is
+        evaluated.  Horner runs over the zero-padded coefficients, every row
+        at every step: a padded step maps ``+0`` to ``0 z + 0 = +0`` (round
+        to nearest adds a zero of either sign to ``+0`` as ``+0``), so a
+        row's first coefficient ``c`` gives ``0 z + c`` as
+        :func:`evaluate`'s first step does, and a non-finite ``z`` gives NaN
+        either way.  numpy's complex multiply is not bitwise commutative (it
+        uses FMA), so every value is formed by :func:`evaluate`'s operations
+        in its operand order.  A chunk's work arrays are ``(rows, points)``
+        in memory, so the prefix of rows that a root slot multiplies is one
+        contiguous block, unless a row has fewer than 16 points and fewer
+        points than the stack has rows: then they are ``(points, rows)``,
+        so the longer axis is innermost.  Neither the layout nor the chunks
+        change any arithmetic.
         """
+        points = np.asarray(points, dtype=complex)
+        out = np.empty((self.order.size, points.shape[-1]))
+        for rows, vals in self._abs_chunks(points):
+            out[rows] = vals[:, : out.shape[1]]
+        return out
+
+    def max_abs_at(self, points: np.ndarray) -> np.ndarray:
+        """``abs_at(points).max(axis=1)``, one value per row (``-inf`` for
+        no points), without holding the ``(rows, points)`` values."""
+        out = np.full(self.order.size, -np.inf)
+        for rows, vals in self._abs_chunks(np.asarray(points, dtype=complex)):
+            out[rows] = vals.max(axis=1)
+        return out
+
+    def _abs_chunks(self, points: np.ndarray):
+        """``(rows, |f_rows(z)|)`` for consecutive chunks of :attr:`order`,
+        each of about ``_ABS_CHUNK_BYTES`` per work array; the values are a
+        view that the next chunk overwrites.  One allocation holds every
+        chunk's work arrays, each chunk's contiguous in its layout.  A lone
+        point is evaluated twice over."""
         if points.shape[-1] == 1:
             # numpy multiplies a lone element in place by a loop without FMA:
             # two copies of the point keep every product longer than one
-            return self.abs_at(np.repeat(points, 2, axis=-1))[:, :1].copy()
-        order = self.order
+            points = np.repeat(points, 2, axis=-1)
+        rows, width = self.order.size, points.shape[-1]
+        if not rows or not width:
+            return
         held, p, roots, scale = self._in_order
-        z = points[np.newaxis, :] if points.ndim == 1 else points[order]
-        shape = (order.size, z.shape[1])
-        layout = "F" if shape[1] < 16 and shape[0] > shape[1] else "C"
-        z = np.asarray(z, order=layout)
-        num = np.zeros(shape, dtype=complex, order=layout)
-        for k in range(p.shape[0] - 1, -1, -1):
-            np.multiply(num, z, out=num)
-            np.add(num, p[k, :, np.newaxis], out=num)
-        den = np.empty(shape, dtype=complex, order=layout)
-        den[...] = scale[:, np.newaxis]
-        d = np.empty(shape, dtype=complex, order=layout)
-        for j, m in enumerate(held):
-            np.subtract(z[:m], roots[j, :m, np.newaxis], out=d[:m])
-            np.multiply(den[:m], d[:m], out=den[:m])
-        out = np.empty(shape)
-        out[order] = np.abs(np.divide(num, den, out=num))
-        return out
+        layout = "F" if width < 16 and rows > width else "C"
+        step = max(1, _ABS_CHUNK_BYTES // (16 * width))
+        if points.ndim == 2:
+            if points.shape[0] != rows:
+                raise ValueError(f"need one row of points per row, got {points.shape[0]} for {rows}")
+            # take gathers into a C-ordered block without a copy of its input
+            points = np.ascontiguousarray(points)
+        work = np.empty((4, min(step, rows) * width), dtype=complex)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            shape, size = (hi - lo, width), (hi - lo) * width
+            num, den, d, z = (w[:size].reshape(shape, order=layout) for w in work)
+            # z holds each row's points, so that every operand of a step has
+            # one layout and numpy runs the step as one loop
+            if points.ndim == 2:
+                # d's memory holds the rows' points until z takes them in its layout
+                block = work[2, :size].reshape(shape)
+                np.take(points, self.order[lo:hi], axis=0, out=block, mode="clip")
+                z[...] = block
+            else:
+                z[...] = points
+            num[...] = 0
+            for k in range(p.shape[0] - 1, -1, -1):
+                np.multiply(num, z, out=num)
+                np.add(num, p[k, lo:hi, np.newaxis], out=num)
+            den[...] = scale[lo:hi, np.newaxis]
+            for j, m in enumerate(np.minimum(held, hi) - lo):
+                if m <= 0:
+                    break
+                np.subtract(z[:m], roots[j, lo : lo + m, np.newaxis], out=d[:m])
+                np.multiply(den[:m], d[:m], out=den[:m])
+            vals = work[2, :size].view(float)[:size].reshape(shape, order=layout)
+            yield self.order[lo:hi], np.abs(np.divide(num, den, out=num), out=vals)
 
 
 def _slots(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -442,8 +442,24 @@ class TestChunks:
             assert [s.stop for s in slices] == [min(start + step, count) for start in range(0, count, step)]
             assert [i for s in slices for i in range(count)[s]] == list(range(count))
 
-    def test_the_battery_chunks_are_an_eighth_of_the_matrix_chunks(self):
-        assert certify._SUP_CHUNK_BYTES == calculus._CHUNK_BYTES // 8 == 1 << 17
+    def test_a_battery_pass_holds_one_chunk_of_work_arrays(self):
+        # FactoredStack.max_abs_at works a chunk of rows at a time in one
+        # workspace and keeps one value per row, so its peak memory grows
+        # by that value per row, not by the rows' (rows, points) values
+        battery = certify._stress_battery(0.5, 2000, 1).stack
+        ring = certify._ring(4096)
+        z = np.concatenate([ring, 0.5 * ring])
+        # past one chunk of rows (at most 512 here), at 8192, 64 and 8 points
+        for points in (z, z[::128], np.tile(z[:8], (1800, 1))):
+            peaks = []
+            for rows in (600, 1800):
+                stack = battery.take(slice(0, rows))
+                stack._in_order  # cached per stack, formed outside the trace
+                tracemalloc.start()
+                stack.max_abs_at(points[:rows] if points.ndim == 2 else points)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= 16 * 1200 + 4096
 
 
 @pytest.mark.oldest_pins

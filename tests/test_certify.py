@@ -1479,6 +1479,16 @@ class TestAbsAtKernel:
         assert keys == sorted(keys, reverse=True)
         assert not stack.order.flags.writeable
 
+    def test_the_row_maximum_is_the_max_of_the_values(self):
+        # 700 rows take several chunks of rows at 64 points and two at 6
+        stack = _stress_battery(0.5, 2000, 1).stack.take(slice(0, 700))
+        per_row = _annulus_points(0.5, 700 * 6, 4).reshape(700, 6)
+        for points in (_annulus_points(0.5, 1, 2), _annulus_points(0.5, 64, 3), per_row):
+            assert stack.max_abs_at(points).tobytes() == stack.abs_at(points).max(axis=1).tobytes()
+        assert np.array_equal(stack.max_abs_at(np.empty((700, 0), complex)), np.full(700, -np.inf))
+        with pytest.raises(ValueError, match="one row of points per row"):
+            stack.max_abs_at(per_row[1:])
+
     def test_empty_stacks_and_points_keep_their_shapes(self):
         battery = _stress_battery(0.5, 2000, 1).stack
         points = _annulus_points(0.5, 5, 1)

@@ -298,6 +298,81 @@ class TestExitCodes:
         assert cli.main(args + ["--verify-tol", "1e-30"]) == cli.EXIT_REFUTED
 
 
+# A fresh process that imports the CLI and runs the commands given as JSON in
+# argv[2], one report each; with argv[1] == "hidden" the package's own
+# lookup of scipy's LAPACK extension finds nothing.  It prints, after the
+# import and after each command, whether scipy.linalg's package is loaded,
+# and the name of the LAPACK module the package calls.
+_FRESH_SESSION = """
+import importlib.machinery, json, sys
+
+if sys.argv[1] == "hidden":
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def hiding(name, path=None, target=None):
+        if sys._getframe(1).f_globals.get("__name__") == "annulus_lab.linalg":
+            return None
+        return find_spec(name, path, target)
+
+    importlib.machinery.PathFinder.find_spec = hiding
+
+from annulus_lab import cli, linalg
+
+loaded = {"import": "scipy.linalg" in sys.modules, "numpy.polynomial": "numpy.polynomial" in sys.modules}
+for args in json.loads(sys.argv[2]):
+    if cli.main(args) != cli.EXIT_OK:
+        sys.exit(f"{args[0]} failed")
+    loaded[args[0]] = "scipy.linalg" in sys.modules
+print(json.dumps({"loaded": loaded, "lapack": linalg.lapack.__name__}))
+"""
+
+
+class TestLeanStart:
+    """The CLI loads scipy's LAPACK wrappers without ``scipy.linalg``'s
+    package, and ``scipy.linalg.lapack`` where the extension is not found,
+    with the same reports."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("lean")
+        mat = write_matrix(tmp / "t.json", certify.normal_annulus_matrix(4, 0.5, 3))
+        f = AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0j), q1_roots=(1.1, -2.5j), q2_roots=(0.2, 0.2))
+        fn = write_function(tmp / "f.json", f)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
+        runs = {}
+        for mode in ("lean", "hidden"):
+            commands = [
+                ["certify", "--r", "0.5", "--matrix", mat, "--trials", "2000", "--seed", "3"],
+                ["laurent", "--f", fn, "--order", "24"],
+                ["selftest"],
+            ]
+            outs = [tmp / f"{mode}-{args[0]}.json" for args in commands]
+            commands = [args + ["--out", str(out)] for args, out in zip(commands, outs)]
+            argv = [sys.executable, "-c", _FRESH_SESSION, mode, json.dumps(commands)]
+            run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            runs[mode] = json.loads(run.stdout), [strip(out.read_text()) for out in outs]
+        return runs
+
+    def test_a_fresh_session_never_loads_scipy_linalg(self, sessions):
+        state, _ = sessions["lean"]
+        assert state["lapack"] == "scipy.linalg._flapack"
+        assert state["loaded"] == {
+            "import": False,
+            "numpy.polynomial": True,
+            "certify": False,
+            "laurent": False,
+            "selftest": False,
+        }
+
+    def test_without_the_extension_scipy_linalg_lapack_gives_the_same_reports(self, sessions):
+        state, reports = sessions["hidden"]
+        assert state["lapack"] == "scipy.linalg.lapack" and state["loaded"]["import"]
+        assert reports == sessions["lean"][1]
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, tmp_path):
         mat = write_matrix(tmp_path / "t.json", example_matrix(0.25))

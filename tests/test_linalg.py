@@ -51,7 +51,9 @@ class TestTolerances:
         with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive"):
             Tolerances(**{name: value})
 
-    @pytest.mark.parametrize("value", [True, np.True_, "1e-3", 1e-3j], ids=["True", "np.True_", "str", "complex"])
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, "1e-3", 1e-3j, Fraction(1, 1000)], ids=["True", "np.True_", "str", "complex", "Fraction"]
+    )
     @pytest.mark.parametrize("name", ["eig_tol", "rank_tol", "verify_tol"])
     def test_rejects_a_bool_or_a_non_real(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
@@ -692,12 +694,12 @@ class TestShiftConditioning:
         assert cleared[:9].all() and not cleared[9:].any()
 
     def test_a_zgees_failure_raises_no_convergence(self, monkeypatch):
-        zgees = sla.lapack.zgees
+        zgees = linalg.lapack.zgees
 
         def failing(*args, **kwargs):
             return (*zgees(*args, **kwargs)[:-1], 1)
 
-        monkeypatch.setattr(sla.lapack, "zgees", failing)
+        monkeypatch.setattr(linalg.lapack, "zgees", failing)
         t = certify.windowed_matrix(3, 0.5, 4)
         with pytest.raises(NoConvergence, match="info = 1"):
             linalg.ShiftConditioning(t)
@@ -706,6 +708,38 @@ class TestShiftConditioning:
             calculus.factored_norms(rational.factored_stack([f]), t)
         with pytest.raises(NoConvergence):
             calculus.eval_contour(f, t, calculus.ContourSpec(delta=0.05, nodes=64))
+
+
+@pytest.mark.oldest_pins
+class TestLapackModule:
+    """The LAPACK module that ``linalg`` loads without ``scipy.linalg``'s
+    package must be scipy's ``_flapack`` at every pinned scipy, and give
+    ``scipy.linalg.lapack``'s bits."""
+
+    @staticmethod
+    def _assert_bits(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_the_module_is_scipys_wrapper_extension(self):
+        assert linalg.lapack.__name__ == "scipy.linalg._flapack"
+
+    @pytest.mark.parametrize("name", sorted(_hard_matrices()))
+    def test_zgees_matches_scipy_linalg_lapack(self, name):
+        t = _hard_matrices()[name]
+        got = linalg.lapack.zgees(lambda w: None, t, compute_v=1)
+        self._assert_bits(got, sla.lapack.zgees(lambda w: None, t, compute_v=1))
+
+    @pytest.mark.parametrize("uplo", ["L", "U"])
+    def test_ztbtrs_matches_scipy_linalg_lapack(self, uplo):
+        rng = linalg.seeded_rng(11)
+        band = rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40))
+        band[0 if uplo == "L" else -1] += 4.0
+        rhs = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        got = linalg.lapack.ztbtrs(band, rhs, uplo=uplo)
+        self._assert_bits(got, sla.lapack.ztbtrs(band, rhs, uplo=uplo))
 
 
 def _window_matrices() -> dict:

@@ -24,6 +24,7 @@ def test_the_memo_tests_carry_the_marker():
         memo.test_warm_reads_equal_cold_builds_bit_for_bit,
         memo.test_a_function_and_its_denominator_equal_cold_builds_in_either_order,
         test_linalg.TestAnalysisMemo,
+        test_linalg.TestLapackModule,
     ):
         assert "oldest_pins" in {mark.name for mark in obj.pytestmark}
 
