@@ -182,8 +182,8 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     pairwise summation; ``n tiny`` covers a scaled-back bound that leaves the
     normal range.  So ``64 n`` is a generous choice, not a derived one.
 
-    Readers: :meth:`FactoredNorms.bounds` (the stress ladder's stacked
-    rung), :func:`dilation.verify_moments` (which matrices get an exact
+    Readers: :meth:`FactoredNorms.bounds` (the stress route's bound where
+    the eigenvector screen prunes nothing), :func:`dilation.verify_moments` (which matrices get an exact
     norm) and :attr:`dilation.AndoPair.generator_bounds` (the carrier
     check).
     """
@@ -242,7 +242,8 @@ class FactoredNorms:
     evaluation over its rows that keeps, per row, only the bound of
     :func:`_norm_bounds`, with an SVD only where the bound is not finite
     (there it is the norm, ``inf`` for a row with an entry that is not
-    finite); each bound is at least the norm :meth:`norms` gives.
+    finite); each bound is at least the norm :meth:`norms` gives.  The
+    stress route takes :meth:`bounds` only where its screen prunes nothing.
     """
 
     def __init__(self, stack: rational.FactoredStack, t, tols: Tolerances = DEFAULT_TOLS):

@@ -211,7 +211,7 @@ _LOCAL_NODES = 512
 _DENSE_NODES = (1 << 15, 4096)
 # The most exact norms, and exact sups, asked for at a time while the
 # largest ratio is still being found (sup batches grow 1, 2, 4, ... up to
-# it); a batch of at most this many rows skips the cheap rungs.
+# it); the stress ratios seed no row in a call over at most this many.
 _REFINE_ROWS = 16
 # The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
 # per circle, 32 nodes, and the node nearest each root on its own circle: a
@@ -443,91 +443,79 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     return _Battery(stack)
 
 
-def _stress_ratios(nums, rungs, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
-    """``max_i norm_i / max(sup_i, probe_i)`` and the witness, climbing a
-    ladder of upper bounds on each norm ``norm_i`` and asking for exact
-    sups ``sup_i`` only as far as the comparisons need.
+def _stress_ratios(nums, norms, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
+    """``max_i norm_i / max(sup_i, probe_i)`` and the witness, from upper
+    bounds ``nums`` on the norms, asking for norms and sups only as far as
+    the comparisons need.
 
-    ``nums >= norm`` elementwise is the ladder's foot; ``rungs`` are its
-    steps, each a function of the rows ``rows`` (an index array, or
-    ``slice(None)`` for every row) that returns upper bounds on their
-    norms, meant to be tighter and costlier than the one below, and the
-    last returns the norms themselves (no rungs when ``nums`` are the
-    norms).  ``lower <= sup`` elementwise; ``memo`` holds the sups already
-    known (NaN where not); ``sups(rows)`` returns the sups of ``rows`` and
-    ``dense(rows)`` a denser re-check of them.  With ``bound`` the memo
-    entry or else ``lower``, ``upper = num / max(bound, probe)``, ``num``
-    the bound of the highest rung a row has reached, bounds each ratio from
-    above (division is monotone).  A rung runs once over all of the rows it
-    advances, and a batch of at most ``_REFINE_ROWS`` rows goes straight to
-    the last rung; a row gets its norm before its sup, in this order:
+    ``norms(rows)`` returns the norms of the rows ``rows`` (an index array,
+    or ``slice(None)`` for every row), and is ``None`` when ``nums`` are
+    the norms.  ``lower <= sup`` elementwise; ``memo`` holds the sups
+    already known (NaN where not); ``sups(rows)`` returns the sups of
+    ``rows`` and ``dense(rows)`` a denser re-check of them.  ``upper = num
+    / max(bound, probe)``, ``num`` the row's norm or else its entry of
+    ``nums`` and ``bound`` its memo entry or else ``lower``, bounds its
+    ratio from above (division is monotone); ``best`` is the largest ratio
+    of a row with both its norm and its sup.  A row gets its norm first:
 
-    0. the seed: with a rung below the last and more than ``_REFINE_ROWS``
-       rows, every ``upper`` finite and some at most ``1 + tol``, the row
-       with the largest ``upper`` gets its norm and its sup, and its ratio
-       is ``best``;
-    1. every row with ``upper > 1 + tol``, not finite, or at least
-       ``best``, climbs while it is so, then every row with ``upper > 1 +
-       tol``, or not finite, gets its sup; the rows whose ratio then
-       exceeds ``1 + tol`` are flagged and re-checked by ``dense``, and the
-       first still above it is the witness;
-    2. with ``best`` the largest ratio known, of a row with both its norm
-       and its sup, the rows with ``upper >= best`` that lack either climb
-       or get their sups until no such row is left: those on their lowest
-       rung climb one rung, all at once, when there are more than
-       ``_REFINE_ROWS`` of them and the next rung is not the last;
-       otherwise the ``_REFINE_ROWS`` largest get their norms or, if they
-       have them all, the largest ``batch`` of them their sups: 1 row at
-       first (2 after a seed), then 2, 4 and so on up to ``_REFINE_ROWS``
-       at a time, since the first sup often settles ``best`` above every
-       other bound.
+    1. the rows with ``upper > 1 + tol``, or not finite, get their norms,
+       in one call with the seed: with ``norms`` and more than
+       ``_REFINE_ROWS`` rows, every ``upper`` finite and some at most ``1 +
+       tol``, the row with the largest ``upper``; the rows still above ``1
+       + tol`` get their sups, and those whose ratio then exceeds it are
+       flagged and re-checked by ``dense``, the first still above it being
+       the witness;
+    2. the seed gets its sup if it lacks it and its ``upper`` exceeds
+       ``best``, then every row with ``upper >= best`` its norm, in one call;
+    3. the rows with ``upper >= best`` that lack their norm or their sup
+       get them until no such row is left: of the ``_REFINE_ROWS`` largest,
+       those without their norms get them, or, if they have them all, the
+       largest ``batch`` of them their sups: 1 row at first (2 after the
+       seed's), then 2, 4 and so on up to ``_REFINE_ROWS`` at a time, since
+       the first sup often settles ``best`` above every other bound.
 
     The re-check must come first: it can lower a flagged ratio below one
-    that step 2 would have pruned against.  A seed above ``1 + tol`` is
-    re-checked with the others; in step 1 it prunes nothing, since every
-    row that reaches it is above ``1 + tol`` too.  No row is seeded while a
-    bound is not finite, so such a row climbs before any sup is asked for,
-    and a last rung that raises on a norm that is not finite raises before
-    any sup work.  A row left without its norm or sup at the end has
+    that steps 2 and 3 would have pruned against.  The seed's sup waits for
+    step 1, so a refuted ``T``'s witness leaves it unasked.  No sup is
+    asked for before every bound that is not finite is replaced by its
+    norm, so a ``norms`` that raises on a norm that is not finite raises
+    before any sup work.  A row left without its norm or sup at the end has
     ``ratio <= upper < best``, so the result is that of computing every
-    norm and every sup, whatever the rungs (a row's bound does not depend
+    norm and every sup, whatever the bounds (a row's norm does not depend
     on the rows evaluated with it).  When ``memo`` holds what a call needs,
-    no sup is asked for, and with no rungs the call is a few passes over
-    the arrays.
+    no sup is asked for, and without ``norms`` the call is a few passes
+    over the arrays.
     """
     nums = np.array(nums, dtype=float)
-    top = len(rungs)
-    level = np.zeros(nums.size, dtype=int)
+    exact = np.full(nums.size, norms is None)
     known = ~np.isnan(memo)
     denoms = np.maximum(np.where(known, memo, lower), probe)
     ratios = nums / denoms
 
-    def climb(rows, step):
-        nums[rows] = rungs[step - 1](rows if rows.size < nums.size else slice(None))
+    def climb(rows):
+        nums[rows] = norms(rows if rows.size < nums.size else slice(None))
         ratios[rows] = nums[rows] / denoms[rows]
-        level[rows] = step
+        exact[rows] = True
 
     def refine(rows):
         denoms[rows] = np.maximum(sups(rows), probe[rows])
         ratios[rows] = nums[rows] / denoms[rows]
         known[rows] = True
 
-    def suspect(mask, best=np.inf):
-        return np.nonzero(mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol) & (ratios < best)))[0]
+    def suspect(mask):
+        return mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol))
 
     def largest(rows, count):
         return rows if rows.size <= count else rows[np.argpartition(ratios[rows], -count)[-count:]]
 
-    batch, best = 1, np.inf  # with no ratio known, only the suspect rows climb
-    if top > 1 and nums.size > _REFINE_ROWS and np.isfinite(ratios).all() and (ratios <= 1.0 + tol).any():
+    seed = np.zeros(0, dtype=int)
+    if norms is not None and nums.size > _REFINE_ROWS and np.isfinite(ratios).all() and (ratios <= 1.0 + tol).any():
         seed = largest(np.arange(nums.size), 1)
-        climb(seed, top)
-        if not known[seed[0]]:
-            refine(seed)
-        best, batch = ratios[seed[0]], 2
-    while (rows := suspect(level < top, best)).size:  # all on one rung
-        climb(rows, top if rows.size <= _REFINE_ROWS else level[rows[0]] + 1)
-    if (rows := suspect(~known)).size:
+    first = suspect(~exact)
+    first[seed] = True
+    if (rows := np.flatnonzero(first)).size:
+        climb(rows)
+    if (rows := np.flatnonzero(suspect(~known))).size:
         refine(rows)
     witness = None
     flagged = np.nonzero(ratios > 1.0 + tol)[0]
@@ -536,19 +524,21 @@ def _stress_ratios(nums, rungs, lower, probe, memo, sups, dense, tol: float) -> 
             ratios[i] = nums[i] / max(denoms[i], sup)
             if witness is None and ratios[i] > 1.0 + tol:
                 witness = int(i)
+    batch = 1
+    if seed.size and not known[seed[0]] and ratios[seed[0]] > ratios[exact & known].max(initial=-np.inf):
+        refine(seed)
+        batch = 2
+    done = exact & known
+    if done.any() and (rows := np.nonzero(~exact & (ratios >= ratios[done].max()))[0]).size:
+        climb(rows)
     while True:
-        done = (level == top) & known
+        done = exact & known
         rows = np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0]
         if not rows.size:
             break
-        # a cheap rung, below the last, that would run over many rows
-        lowest = level[rows].min() if top > 1 else top
-        if lowest + 1 < top and (low := rows[level[rows] == lowest]).size > _REFINE_ROWS:
-            climb(low, lowest + 1)
-            continue
         rows = largest(rows, _REFINE_ROWS)
-        if (pending := rows[level[rows] < top]).size:
-            climb(pending, top)
+        if (pending := rows[~exact[rows]]).size:
+            climb(pending)
         else:
             refine(largest(rows, batch))
             batch = min(2 * batch, _REFINE_ROWS)
@@ -684,23 +674,23 @@ def vonneumann_stress(
     evaluated function's roots, and raises :class:`Singular` as
     :func:`calculus.eval_direct` would on the first, in battery order, with
     a root on the spectrum.  Norms are lazy on that route as the sups are:
-    each function's norm has a ladder of upper bounds, and
-    :func:`_stress_ratios` takes a function up a rung only while its ratio
-    can still matter.  The foot is the eigenvector screen, ``(1 + mu)
-    kappa_2(Y) max_j |f(r_jj)|`` (:func:`_screen_factor`), from ``|f|`` at
-    ``R``'s diagonal, taken in the one ``abs_at`` call that gives the
-    probes; a ``T`` whose triangle repeats a diagonal entry has ``kappa =
-    inf``, no ``|f|`` at the diagonal is taken, and every foot is ``inf``.
-    The next rung is a stacked pass that keeps a cheap upper bound on each
-    norm (:meth:`calculus.FactoredNorms.bounds`), the last the exact norm,
-    the spectral norm :func:`calculus.factored_norms` gives.  Every
-    evaluation reads the same Schur triangle, so a call forms one Schur
-    form of ``T``.  :class:`NotContraction` names an overflow: ``|f|`` at a
-    projected eigenvalue, or some ``||f(T)||`` the ladder reaches, is not
-    finite.  A bound that is not finite leaves its ratio above ``1 +
-    verify_tol``, the stacked pass keeps the exact norm where its bound is
-    not finite, and no function is seeded while one is, so such a function
-    climbs to its norm, and the error is raised, before any sup work.
+    each function's norm has one upper bound, and :func:`_stress_ratios`
+    takes the norm itself only while its ratio can still matter.  The bound
+    is the eigenvector screen, ``(1 + mu) kappa_2(Y) max_j |f(r_jj)|``
+    (:func:`_screen_factor`), from ``|f|`` at ``R``'s diagonal, taken in the
+    one ``abs_at`` call that gives the probes.  Where it leaves no ratio at
+    or below ``1 + verify_tol`` it would prune nothing, and the bound is
+    the stacked pass's (:meth:`calculus.FactoredNorms.bounds`), taken once
+    over every evaluated function: so at ``kappa = inf``, where the
+    triangle repeats a diagonal entry (the shear, a Jordan block) and no
+    ``|f|`` at the diagonal is taken, and at a ``kappa`` too large to prune.
+    Every evaluation reads the same Schur triangle, so a call forms one
+    Schur form of ``T``.  :class:`NotContraction` names an overflow: ``|f|``
+    at a projected eigenvalue, or some ``||f(T)||`` the route computes, is
+    not finite.  A bound that is not finite leaves its ratio above ``1 +
+    verify_tol``, and the stacked pass keeps the norm where its bound is
+    not finite, so such a function gets its norm, and the error is raised,
+    before any sup work.
     :class:`BadRadius` is raised unless ``0 < r < 1``, then ``ValueError``
     naming ``trials`` or ``seed`` unless it is an integer (numpy's too, not
     a ``bool``) and ``>= 0``, before any other work.
@@ -732,6 +722,7 @@ def vonneumann_stress(
             )
         return values
 
+    memo = battery.memo[rows]
     with np.errstate(all="ignore"):  # a value that overflows raises NotContraction
         if is_normal:
             # one pass over the stack at each distinct point: an eigenvalue
@@ -741,22 +732,25 @@ def vonneumann_stress(
             moved = (probes.view(np.int64) != lams.view(np.int64)).reshape(-1, 2).any(axis=1)
             vals = stack.abs_at(np.concatenate([probes[moved], lams]))
             cols = np.where(moved, np.cumsum(moved) - 1, moved.sum() + np.arange(lams.size))
-            at_probes = vals[:, cols].max(axis=1)
-            nums, rungs = finite(vals[:, moved.sum() :].max(axis=1)), ()  # the norms
+            at_probes = finite(vals[:, cols].max(axis=1))
+            nums = finite(vals[:, moved.sum() :].max(axis=1))  # the norms
         else:
             lazy = calculus.FactoredNorms(stack, m, tols)
             factor = _screen_factor(facts, tols)
             diag = lazy.rule.triangle.diagonal() if np.isfinite(factor) else np.zeros(0, dtype=complex)
             vals = stack.abs_at(np.concatenate([probes, diag]))
-            at_probes = vals[:, : probes.size].max(axis=1)
+            at_probes = finite(vals[:, : probes.size].max(axis=1))
             nums = factor * vals[:, probes.size :].max(axis=1) if diag.size else np.full(rows.size, np.inf)
-            rungs = (lazy.bounds, lambda sel: finite(lazy.norms(sel)))
+            # a screen that prunes nothing gives way to the stacked bounds
+            denoms = np.maximum(np.where(np.isnan(memo), lower, memo), at_probes)
+            if rows.size and not (nums / denoms <= 1.0 + tols.verify_tol).any():
+                nums = lazy.bounds(slice(None))
         max_ratio, witness = _stress_ratios(
             nums,
-            rungs,
+            None if is_normal else lambda sel: finite(lazy.norms(sel)),
             lower,
-            finite(at_probes),
-            battery.memo[rows],
+            at_probes,
+            memo,
             lambda sel: battery.exact_sups(rows[sel]),
             lambda sel: battery.exact_sups(rows[sel], dense=True),
             tols.verify_tol,

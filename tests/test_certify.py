@@ -217,10 +217,10 @@ class TestVonNeumannStress:
         seen = []
         ratios = certify._stress_ratios
 
-        def recording(nums, rungs, lower, probe, *rest):
-            assert rungs == ()  # the norms need no ladder
+        def recording(nums, norms, lower, probe, *rest):
+            assert norms is None  # the values are the norms
             seen.append((nums, probe))
-            return ratios(nums, rungs, lower, probe, *rest)
+            return ratios(nums, norms, lower, probe, *rest)
 
         monkeypatch.setattr(certify, "_stress_ratios", recording)
         for name, t in self._normal_inputs():
@@ -746,11 +746,11 @@ class TestSampledSups:
             _sups_of(functions[2:])
 
 
-def _full_sup_ratios(nums, rungs, lower, probe, memo, sups, dense, tol):
-    """Reference for :func:`_stress_ratios`: every norm (the last rung's,
-    or ``nums`` with no rungs) and every sup computed, then the flagged
-    ratios re-checked."""
-    nums = rungs[-1](np.arange(nums.size)) if rungs else nums
+def _full_sup_ratios(nums, norms, lower, probe, memo, sups, dense, tol):
+    """Reference for :func:`_stress_ratios`: every norm (those of
+    ``norms``, or ``nums`` without it) and every sup computed, then the
+    flagged ratios re-checked."""
+    nums = norms(np.arange(nums.size)) if norms is not None else nums
     denoms = np.maximum(sups(np.arange(nums.size)), probe)
     ratios = nums / denoms
     witness = None
@@ -768,34 +768,30 @@ class TestStressRatios:
     """Lazy refinement gives the ratios of every norm and every sup computed."""
 
     @staticmethod
-    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol, *ladder):
-        """:func:`_stress_ratios` on upper bounds ``nums`` of the norms,
-        then the rungs ``ladder``, arrays of tighter bounds, the last of
-        them the norms (none: ``nums`` are the norms); returns the result,
-        the rows whose sups were asked for and the rows each rung got."""
-        asked, climbed = [], [[] for _ in ladder]
+    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms=None):
+        """:func:`_stress_ratios` on upper bounds ``nums`` of the norms
+        ``norms`` (none: ``nums`` are the norms); returns the result, the
+        rows whose sups were asked for and the rows that got their norms."""
+        asked, normed = [], []
 
-        def rung(k):
-            def bounds(rows):
-                rows = np.arange(nums.size)[rows]  # an index array or slice(None)
-                assert rows.size  # no empty call
-                climbed[k].extend(rows.tolist())
-                return ladder[k][rows]
-
-            return bounds
+        def exact_norms(rows):
+            rows = np.arange(nums.size)[rows]  # an index array or slice(None)
+            assert rows.size  # no empty call
+            normed.extend(rows.tolist())
+            return norms[rows]
 
         def sups(rows):
             assert rows.size and np.all(np.isnan(memo[rows]))
-            if ladder:
-                assert set(rows.tolist()) <= set(climbed[-1])  # a row's norm comes first
+            if norms is not None:
+                assert set(rows.tolist()) <= set(normed)  # a row's norm comes first
             asked.extend(rows.tolist())
             return exact[rows]
 
-        rungs = [rung(k) for k in range(len(ladder))]
-        got = _stress_ratios(nums, rungs, lower, probe, memo, sups, lambda rows: dense_sups[rows], tol)
-        # no row is asked for its sup twice, or climbs a rung twice
-        assert len(asked) == len(set(asked)) and all(len(rows) == len(set(rows)) for rows in climbed)
-        return got, asked, climbed
+        by_row = None if norms is None else exact_norms
+        got = _stress_ratios(nums, by_row, lower, probe, memo, sups, lambda rows: dense_sups[rows], tol)
+        # no row is asked for its sup twice, or for its norm twice
+        assert len(asked) == len(set(asked)) and len(normed) == len(set(normed))
+        return got, asked, normed
 
     @staticmethod
     def _same(got, want):
@@ -820,8 +816,9 @@ class TestStressRatios:
                 norms[0], exact[0], lower[0], probe[0] = 1.0 + 1.0 / 4096, 1.0, 1.0, 0.0
             steps = rng.integers(0, 8, n) * (rng.random(n) < 0.7)
             nums = norms + steps / 16
-            # a middle rung between them, on the same grid: each rung ties
-            # with the one above or below it in some rows
+            # tighter bounds between them, on the same grid, as the stacked
+            # bounds are when the screen prunes nothing: each ties with
+            # nums or with the norms in some rows
             middle = norms + rng.integers(0, steps + 1) / 16
             bad = []
             if trial % 5 == 0 and n:
@@ -832,7 +829,7 @@ class TestStressRatios:
             tol = (1e-8, 0.1)[trial % 2]
             want = _full_sup_ratios(
                 nums,
-                (lambda rows: norms[rows],),
+                lambda rows: norms[rows],
                 lower,
                 probe,
                 memo,
@@ -840,31 +837,28 @@ class TestStressRatios:
                 lambda rows: dense_sups[rows],
                 tol,
             )
-            got, _, (normed,) = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
+            got, _, normed = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
             self._same(got, want)
             assert set(np.asarray(bad).tolist()) <= set(normed)
-            # three rungs: nums, the middle rung, the norms; and with nothing
-            # known at the foot (every bound inf, as with kappa = inf)
-            got, _, (bounded, normed) = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, middle, norms)
-            self._same(got, want)
-            assert set(np.asarray(bad).tolist()) <= set(bounded + normed)
-            self._same(self._lazy(np.full(n, np.inf), lower, probe, memo, exact, dense_sups, tol, middle, norms)[0], want)
+            # on the tighter bounds, and with nothing known (every bound
+            # inf, as a screen with kappa = inf would give)
+            self._same(self._lazy(middle, lower, probe, memo, exact, dense_sups, tol, norms)[0], want)
+            self._same(self._lazy(np.full(n, np.inf), lower, probe, memo, exact, dense_sups, tol, norms)[0], want)
             # a quarter of each: few rows can exceed 1 + tol, so the ratio
             # seeded first prunes the rest
             sups = (lambda rows: exact[rows], lambda rows: dense_sups[rows])
-            quarter = _full_sup_ratios(nums / 4, (lambda rows: norms[rows] / 4,), lower, probe, memo, *sups, tol)
-            got = self._lazy(nums / 4, lower, probe, memo, exact, dense_sups, tol, middle / 4, norms / 4)[0]
+            quarter = _full_sup_ratios(nums / 4, lambda rows: norms[rows] / 4, lower, probe, memo, *sups, tol)
+            got = self._lazy(nums / 4, lower, probe, memo, exact, dense_sups, tol, norms / 4)[0]
             self._same(got, quarter)
-            # with no rungs, as on the spectral route, nums are the norms
+            # without a norm call, as on the spectral route, nums are the norms
             self._same(self._lazy(norms, lower, probe, memo, exact, dense_sups, tol)[0], want)
             # and on nums, non-finite ones included, against every sup computed
             on_nums = _full_sup_ratios(
-                nums, (), lower, probe, memo, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
+                nums, None, lower, probe, memo, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
             )
             self._same(self._lazy(nums, lower, probe, memo, exact, dense_sups, tol)[0], on_nums)
             # with a full memo no sup is asked for, and with exact norms nothing
             assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, norms)[1] == []
-            assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, middle, norms)[1] == []
             assert self._lazy(norms, lower, probe, exact, exact, dense_sups, tol)[1:] == ([], [])
 
     def test_recheck_comes_before_pruning(self):
@@ -879,7 +873,7 @@ class TestStressRatios:
     def test_non_finite_nums_are_refined(self, bad):
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact = np.array([1.0, 2.0, 1.5])
-        want = _full_sup_ratios(nums, (), lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
+        want = _full_sup_ratios(nums, None, lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
         got, asked, _ = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8)
         self._same(got, want)
         assert 1 in asked and 2 not in asked
@@ -889,9 +883,9 @@ class TestStressRatios:
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact, norms = np.array([1.0, 2.0, 1.5]), np.array([0.5, 1.5, 0.1])
         want = _full_sup_ratios(
-            nums, (lambda rows: norms[rows],), lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8
+            nums, lambda rows: norms[rows], lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8
         )
-        got, asked, (normed,) = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8, norms)
+        got, asked, normed = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8, norms)
         self._same(got, want)
         assert 1 in normed and 1 in asked and 2 not in asked
 
@@ -900,19 +894,28 @@ class TestStressRatios:
         got, asked, _ = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 2 * exact, 1e-8)
         assert got == (0.9, None) and asked == []
 
-    def test_one_seed_then_one_cheap_pass(self):
+    def test_one_seed_then_the_rest_pruned_without_norms(self):
         # no ratio can exceed 1 and none is known: the largest row gets its
-        # norm and its sup first (ratio 0.9), then the middle rung runs once
-        # over the 39 others, and prunes them all
+        # norm and its sup first (ratio 0.9), which prunes the 39 others
+        # on their bounds alone
         n = 40
-        nums = np.r_[0.96, np.full(n - 1, 0.95)]
-        middle, norms = np.r_[0.92, np.full(n - 1, 0.5)], np.r_[0.9, np.full(n - 1, 0.25)]
+        nums, norms = np.r_[0.96, np.full(n - 1, 0.85)], np.r_[0.9, np.full(n - 1, 0.25)]
         ones = np.ones(n)
-        got, asked, climbed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, ones, 1e-8, middle, norms)
-        assert got == (0.9, None) and asked == [0] and climbed == [list(range(1, n)), [0]]
+        got, asked, normed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, ones, 1e-8, norms)
+        assert got == (0.9, None) and asked == normed == [0]
+
+    def test_a_witness_leaves_the_seeds_sup_unasked(self):
+        # the seed, row 0, gets its norm with the rows above 1 + tol and
+        # falls to 0.5; row 1 stays at 1.2 with its sup, above every other
+        # bound, so the seed's sup and every other norm would prune nothing
+        n = 40
+        nums, norms = np.r_[1.5, 1.4, np.full(n - 2, 0.9)], np.r_[0.5, 1.2, np.full(n - 2, 0.25)]
+        ones = np.ones(n)
+        got, asked, normed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, ones, 1e-8, norms)
+        assert got == (1.2, 1) and asked == [1] and normed == [0, 1]
 
     def test_a_bound_that_is_not_finite_climbs_before_any_sup(self):
-        # an exact rung that raises on a norm that is not finite, as the
+        # a norm call that raises on a norm that is not finite, as the
         # factored route's does, raises before any sup is asked for: no
         # row is seeded while a bound is not finite, though the NaN row,
         # the largest, has a finite norm
@@ -927,9 +930,8 @@ class TestStressRatios:
         def sups(rows):
             pytest.fail("sup asked for")
 
-        rungs = (lambda rows: nums[rows], exact)
         with pytest.raises(OverflowError):
-            _stress_ratios(nums, rungs, np.ones(n), np.zeros(n), np.full(n, np.nan), sups, sups, 1e-8)
+            _stress_ratios(nums, exact, np.ones(n), np.zeros(n), np.full(n, np.nan), sups, sups, 1e-8)
 
     def test_bounds_prune_norms(self):
         # the first batch of rows settles at ratio 0.9, above the last row's
@@ -937,7 +939,7 @@ class TestStressRatios:
         rows = certify._REFINE_ROWS
         nums, norms = np.r_[np.full(rows, 0.95), 0.5], np.r_[np.full(rows, 0.9), 0.25]
         exact, memo = np.ones(rows + 1), np.full(rows + 1, np.nan)
-        got, asked, (normed,) = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, exact, 1e-8, norms)
+        got, asked, normed = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, exact, 1e-8, norms)
         assert got == (0.9, None) and sorted(asked) == sorted(normed) == list(range(rows))
 
 
@@ -953,11 +955,29 @@ def _corpus_matrix(i, seed):
     return involution(t, 0.5) if j % 2 else t
 
 
+def _conjugated(triangle):
+    """``triangle`` conjugated by ``random_unitary(3, 5)``."""
+    q = random_unitary(3, 5)
+    return q @ np.array(triangle) @ q.conj().T
+
+
 _LAZY_CASES = {
     "normal": normal_annulus_matrix(4, 0.5, 11),
     "involution": involution(normal_annulus_matrix(4, 0.5, 12), 0.5),
     "windowed": windowed_matrix(3, 0.5, 13),
     "shear": example_matrix(0.5),
+    # hard inputs whose eigenvector screen prunes nothing: a Jordan block
+    # (kappa = inf) and two near-defective 3x3s (kappa near 1e10)
+    "jordan": np.array([[0.7, 0.2], [0.0, 0.7]]),
+    "split-jordan": _conjugated([[0.6, 0.1, 0], [0, 0.6 + 1e-6, 0.1], [0, 0, 0.6 - 1e-6]]),
+    "jordan3": _conjugated([[0.6, 0.3, 0], [0, 0.6, 0.2], [0, 0, 0.6]]),
+}
+# (kappa_2(Y) range, verdict, max_ratio or None) of the hard inputs at r =
+# 0.5, 2000 trials, seed 1
+_HARD_CASES = {
+    "jordan": ((np.inf, np.inf), Verdict.PASSED_STRESS, 0.9132514796835192),
+    "split-jordan": ((8e9, 9e9), Verdict.PASSED_STRESS, None),
+    "jordan3": ((7e9, 8e9), Verdict.REFUTED, 1.619852909011471),
 }
 
 
@@ -973,6 +993,38 @@ class TestLazyRefinement:
         full = full_certification(t, 0.5, 2000, 1)
         assert lazy[0].to_json() == full[0].to_json() and lazy[1] == full[1]
 
+    @pytest.mark.parametrize("kind", sorted(_HARD_CASES))
+    def test_hard_inputs_keep_their_reports(self, kind):
+        (low, high), verdict, ratio = _HARD_CASES[kind]
+        t = _LAZY_CASES[kind]
+        assert low <= linalg.analysis(t).eigenvector_condition <= high
+        rep = vonneumann_stress(t, 0.5, 2000, 1)
+        assert rep.verdict is verdict and rep.stress_route == "factored"
+        if ratio is not None:
+            assert_allclose(rep.max_ratio, ratio, rtol=1e-12)
+        if kind == "jordan":
+            assert rep.screened == 603
+
+    @pytest.mark.parametrize("kind", [*sorted(_HARD_CASES), "shear", "windowed4"])
+    def test_the_stacked_bound_runs_only_where_the_screen_prunes_nothing(self, kind, monkeypatch):
+        # once over every evaluated row where no screened ratio is at most
+        # 1 + verify_tol, on a cold battery and a warm one; never otherwise
+        sizes = []
+        bounds = calculus.FactoredNorms.bounds
+
+        def counting(self, rows):
+            out = bounds(self, rows)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(calculus.FactoredNorms, "bounds", counting)
+        t = windowed_matrix(4, 0.5, 3) if kind == "windowed4" else _LAZY_CASES[kind]
+        _stress_battery.cache_clear()
+        for _ in range(2):
+            sizes.clear()
+            rep = vonneumann_stress(t, 0.5, 2000, 1)
+            assert sizes == ([] if kind == "windowed4" else [2000 - rep.screened])
+
     def test_reports_equal_every_norm(self, monkeypatch):
         inputs = [_corpus_matrix(i, 7) for i in range(20)] + [windowed_matrix(4, 0.5, 3), example_matrix(0.5)]
 
@@ -987,9 +1039,9 @@ class TestLazyRefinement:
         lazy = sweep()
         original = certify._stress_ratios
 
-        def every_norm(nums, rungs, lower, *rest):
-            nums = rungs[-1](np.arange(nums.size)) if rungs else nums
-            return original(nums, (), lower, *rest)
+        def every_norm(nums, norms, lower, *rest):
+            nums = norms(np.arange(nums.size)) if norms is not None else nums
+            return original(nums, None, lower, *rest)
 
         monkeypatch.setattr(certify, "_stress_ratios", every_norm)
         assert lazy == sweep()
@@ -1095,7 +1147,7 @@ class TestLazyRefinement:
         assert 1 <= np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) <= 2
 
     def test_threads_on_one_cold_battery_match_a_sequential_run(self, monkeypatch):
-        kinds = sorted(_LAZY_CASES)
+        kinds = ["involution", "normal", "shear", "windowed"]  # one per worker
         _stress_battery.cache_clear()
         expected = [full_certification(_LAZY_CASES[k], 0.5, 2000, 2)[0].to_json() for k in kinds]
         _stress_battery.cache_clear()

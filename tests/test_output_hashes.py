@@ -39,6 +39,15 @@ def test_digests_repeat_and_see_a_perturbed_result(tool, tmp_path, monkeypatch):
     }
 
 
+def test_digests_do_not_depend_on_the_working_directory(tool, tmp_path):
+    # model-verify reports embed their input paths; each run's directory
+    # is hashed under one fixed name, so runs in two directories (two at
+    # once, say) agree
+    first = tool.digests(count=2, workdir=str(tmp_path / "a"))
+    assert tool.digests(count=2, workdir=str(tmp_path / "second-directory")) == first
+    assert not (tmp_path / "a").exists() and not (tmp_path / "second-directory").exists()
+
+
 def test_the_encoding_tells_values_apart(tool):
     import hashlib
 

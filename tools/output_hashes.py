@@ -20,8 +20,10 @@ run in index order on emptied caches, as in a fresh benchmark process, and
 ``cli-session`` empties them before each command, as the workload does.  A
 call that raises contributes its error's type and message.  Floats are
 hashed by ``float.hex``, arrays by dtype, shape and bytes, a witness by
-``rational_to_json``.  Input files go to one fixed directory, because
-``model-verify`` reports embed their ``--f`` paths.
+``rational_to_json``.  Input files go to a fresh directory per run, and
+its path is hashed as ``WORKDIR``, a fixed name, because ``model-verify``
+reports embed their ``--f`` paths: so runs at once, of one checkout or of
+two, print the same digests.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from annulus_lab import ar_unitary, certify, cli, linalg, rational  # noqa: E402
 
-WORKDIR = os.path.join(tempfile.gettempdir(), "annulus-lab-output-hashes")
+# The name every run's working directory is hashed as, whatever the host's
+# temporary directory: a name only, no run writes there.
+WORKDIR = "/tmp/annulus-lab-output-hashes"
 # (workload, seeds, instances per seed)
 RUNS = (
     ("certify-corpus", (3, 1009), 160),
@@ -72,12 +76,12 @@ _load("spans")  # workloads.py imports it by name
 workloads = _load("workloads")
 
 
-def _feed(h, value) -> None:
+def _feed(h, value, workdir: str = WORKDIR) -> None:
     """Update ``h`` with a tagged encoding of ``value`` that no other value
-    shares."""
+    shares, with ``workdir`` read as ``WORKDIR`` in its strings."""
     if isinstance(value, rational.AnnulusRational):
         h.update(b"R")
-        _feed(h, rational.rational_to_json(value))
+        _feed(h, rational.rational_to_json(value), workdir)
     elif isinstance(value, np.ndarray):
         h.update(f"A{value.dtype.str}{value.shape}:".encode())
         h.update(np.ascontiguousarray(value).tobytes())
@@ -88,17 +92,17 @@ def _feed(h, value) -> None:
     elif isinstance(value, int):
         h.update(f"I{value};".encode())
     elif isinstance(value, str):
-        data = value.encode()
+        data = value.replace(workdir, WORKDIR).encode()
         h.update(f"S{len(data)}:".encode() + data)
     elif isinstance(value, dict):
         h.update(f"D{len(value)}:".encode())
         for key in sorted(value):
-            _feed(h, key)
-            _feed(h, value[key])
+            _feed(h, key, workdir)
+            _feed(h, value[key], workdir)
     elif isinstance(value, (list, tuple)):
         h.update(f"L{len(value)}:".encode())
         for item in value:
-            _feed(h, item)
+            _feed(h, item, workdir)
     else:
         raise TypeError(f"cannot hash a {type(value).__name__}")
 
@@ -167,20 +171,22 @@ def _smoke_reports(workdir: str):
         yield args, code, report
 
 
-def digests(count: int | None = None, workdir: str = WORKDIR) -> dict:
+def digests(count: int | None = None, workdir: str | None = None) -> dict:
     """``{name: sha256}`` for each workload, over its first ``count``
     instances per seed (all of ``RUNS``' if ``None``), and for ``smoke``.
-    ``workdir`` is emptied and removed afterwards."""
+    The input files go to ``workdir``, a fresh directory if ``None``, which
+    is emptied and removed afterwards."""
+    workdir = os.path.normpath(workdir or tempfile.mkdtemp(prefix="annulus-lab-output-hashes-"))
     out = {}
     try:
         for name, seeds, total in RUNS:
             h = hashlib.sha256()
             for item in _calls(name, seeds, total if count is None else count, workdir):
-                _feed(h, item)
+                _feed(h, item, workdir)
             out[name] = h.hexdigest()
         h = hashlib.sha256()
         for item in _smoke_reports(os.path.join(workdir, "smoke")):
-            _feed(h, item)
+            _feed(h, item, workdir)
         out["smoke"] = h.hexdigest()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
