@@ -149,7 +149,7 @@ def membership_subspaces(
     m = linalg.as_matrix(n)
     if not is_ar_unitary(m, r, tols):
         raise NotArUnitary("input is not normal with spectrum on the two circles")
-    s = r * linalg.analysis(m).inverse(tols)
+    s = linalg.involution(m, r, tols)
     return _norm_kernel(m, n_max, tols), _norm_kernel(s, n_max, tols)
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import calculus, linalg, rational
 from ._version import __version__
-from .errors import NotContraction, NotInvertible, Singular
-from .linalg import DEFAULT_TOLS, Tolerances
+from .errors import NotContraction
+from .linalg import DEFAULT_TOLS, Tolerances, involution
 from .rational import AnnulusRational
 
 
@@ -60,16 +60,6 @@ def norm_window(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> tuple[bool, flo
     norm_t = linalg.analysis(t).norm
     passes = (r - tols.verify_tol) <= norm_t <= (1.0 + tols.verify_tol)
     return passes, norm_t
-
-
-def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The annulus involution ``T -> r T^{-1}``; applying it twice returns T.
-    :class:`BadRadius` unless ``0 < r < 1``, before any other check."""
-    linalg.require_radius(r)
-    try:
-        return r * linalg.analysis(t).inverse(tols)
-    except Singular as exc:
-        raise NotInvertible(str(exc)) from exc
 
 
 def double_contraction_check(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> bool:

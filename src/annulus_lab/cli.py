@@ -165,8 +165,8 @@ def _cmd_laurent(args: argparse.Namespace, tols: Tolerances) -> int:
             {"j": int(j), "re": float(c.real), "im": float(c.imag)}
             for j, c in zip(js, series.coeffs)
         ],
-        "factor_pos": [[float(c.real), float(c.imag)] for c in series.factor_pos],
-        "factor_neg": [[float(c.real), float(c.imag)] for c in series.factor_neg],
+        "factor_pos": [linalg.complex_to_pair(c) for c in series.factor_pos],
+        "factor_neg": [linalg.complex_to_pair(c) for c in series.factor_neg],
         "rho1": series.rho1,
         "rho2": series.rho2,
         "tail_bound": series.tail_bound,
@@ -213,7 +213,7 @@ def demo_example(r: float, tols: Tolerances = linalg.DEFAULT_TOLS) -> dict:
             ),
         },
         "spectrum": {
-            "measured": [[float(z.real), float(z.imag)] for z in spec_t],
+            "measured": [linalg.complex_to_pair(z) for z in spec_t],
             "expected": [[sqrt_r, 0.0], [sqrt_r, 0.0]],
             "ok": bool(np.all(np.abs(spec_t - sqrt_r) <= 1e-10)),
         },

@@ -61,8 +61,6 @@ from .errors import (
     NotIsometric,
     NotContraction,
     NotContractions,
-    NotInvertible,
-    Singular,
 )
 from .linalg import DEFAULT_TOLS, Tolerances
 from .rational import AnnulusRational
@@ -385,16 +383,13 @@ class ModelTriple:
         return np.eye(2 * self.pair.dim, self.pair.dim_h, dtype=complex)
 
     def tail_report(self, f: AnnulusRational) -> dict:
-        """Certified truncation bounds for verifying ``f`` at budget ``d``,
-        from one expansion of ``1/(scale q1 q2)`` at ``d``; the series memo
-        keeps its data, which :func:`verify_model` then reads as a prefix."""
+        """Certified truncation bounds for verifying ``f`` at budget ``d``:
+        the tails of one expansion of ``1/(scale q1 q2)`` at ``d`` and its
+        ``tail_bound`` times ``sum |p_k|``; the series memo keeps its data,
+        which :func:`verify_model` then reads as a prefix."""
         series = _model_series(self, f)
-        ut, bt = series.tail_pos, series.tail_neg
         cp = float(np.sum(np.abs(f.p_coeffs)))
-        sa = float(np.sum(np.abs(series.factor_pos)))
-        sb = float(np.sum(series.tail_models[1].exact[: self.d + 1]))
-        bound = cp * (ut * (sb + bt) + sa * bt + ut * bt) if np.isfinite(series.tail_bound) else np.inf
-        return {"q1_tail": ut, "q2_tail": bt, "bound": bound}
+        return {"q1_tail": series.tail_pos, "q2_tail": series.tail_neg, "bound": cp * series.tail_bound}
 
 
 BUDGET_CAP = 24
@@ -430,11 +425,7 @@ def build_model(t, r: float, d: int, tols: Tolerances = DEFAULT_TOLS) -> ModelTr
     m = linalg.as_matrix(t)
     linalg.require_radius(r)
     d = linalg.as_integer(d, "degree budget", 1)
-    try:
-        t2 = r * linalg.analysis(m).inverse(tols)
-    except Singular as exc:
-        raise NotInvertible(str(exc)) from exc
-    pair = ando_pair(m, t2, m_depth=d + 1, tols=tols)
+    pair = ando_pair(m, linalg.involution(m, r, tols), m_depth=d + 1, tols=tols)
     return ModelTriple(pair=pair, r=float(r))
 
 
@@ -625,7 +616,8 @@ def single_carrier_residual(
     no outer roots) the carrier is ``r U*`` built on ``r T^{-1}``, whose
     negative powers compress to negative powers of ``T`` up to degree ``d``.
     ``f`` must live on the annulus of radius ``r``, and ``d`` be an integer.
-    :class:`NotSquare` unless ``T`` is square.
+    :class:`NotSquare` unless ``T`` is square; on the ``c/q2`` branch a
+    singular ``T`` is :class:`NotInvertible`, as in :func:`build_model`.
     """
     rational.validate(f)
     if f.r != r:
@@ -637,7 +629,7 @@ def single_carrier_residual(
         u, e = egervary_dilation(m, d, tols)
         carrier = u
     elif not f.q1_roots and len(f.p_coeffs) == 1:
-        u2, e = egervary_dilation(r * linalg.analysis(m).inverse(tols), d, tols)
+        u2, e = egervary_dilation(linalg.involution(m, r, tols), d, tols)
         carrier = r * u2.conj().T
     else:
         raise ValueError("single-carrier verification needs f = p/q1 or f = c/q2")

@@ -24,6 +24,7 @@ from .errors import (
     BadRadius,
     DimensionMismatch,
     NoConvergence,
+    NotInvertible,
     NotIsometric,
     NotNormal,
     NotSquare,
@@ -655,6 +656,18 @@ def analysis(t) -> Analysis:
         return slot[0]
 
 
+def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """The annulus involution ``T -> r T^{-1}``; applying it twice returns T.
+    :class:`BadRadius` unless ``0 < r < 1``, before any other check, and
+    :class:`NotInvertible`, with :class:`Singular`'s message, for a singular
+    ``T``."""
+    require_radius(r)
+    try:
+        return r * analysis(t).inverse(tols)
+    except Singular as exc:
+        raise NotInvertible(str(exc)) from exc
+
+
 def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Matrix inverse through :func:`solve`."""
     m = as_matrix(a)
@@ -746,7 +759,7 @@ def matrix_to_json(a) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": [complex_to_pair(z) for z in flat],
     }
 
 
@@ -762,6 +775,11 @@ def json_number(value, integral: bool = False):
         return float(value)
     except OverflowError:
         raise ValueError(f"{value!r} does not fit a double") from None
+
+
+def complex_to_pair(z) -> list:
+    """The wire-format ``[re, im]`` pair of the number ``z``, two floats."""
+    return [float(z.real), float(z.imag)]
 
 
 def complex_from_pair(pair) -> complex:

@@ -34,7 +34,7 @@ from .errors import (
     RootInClosedDisk,
     RootOutsideInnerDisk,
 )
-from .linalg import as_integer, complex_from_pair, json_number, lapack, require_radius
+from .linalg import as_integer, complex_from_pair, complex_to_pair, json_number, lapack, require_radius
 
 _POLE_TOL = 1e-14
 # Bytes of each of FactoredStack.abs_at's four work arrays for one chunk of
@@ -652,18 +652,22 @@ def _series_data(f: AnnulusRational, order: int) -> tuple:
         return slot[0]
 
 
-def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int) -> tuple[float, float, float]:
-    """``(tail_pos, tail_neg, tail_bound)`` at ``order`` from the two models.
-
-    Reads only the first ``_length_for(f, order)`` terms of each model.
+def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int, s: float = 1.0, t: float = 1.0) -> tuple:
+    """``(tp, tn, bound)`` at ``order``: the two factor tails, terms grown by
+    ``s^j`` and ``t^j``, and the one product-tail bound
+    ``||A B - A_o B_o|| <= tp (Sb + tn) + Sa tn`` (``A_o (B - B_o) +
+    (A - A_o) B``), where ``Sa``, ``Sb`` sum the grown moduli of each
+    factor's first ``order + 1`` terms.  ``bound`` is ``inf`` when a tail or
+    a sum is not finite, where ``inf * 0`` would read NaN.  Reads only the
+    first ``_length_for(f, order)`` terms of each model.
     """
-    tail_pos = pos.tail(order)
-    tail_neg = neg.tail(order)
-    if not np.isfinite(tail_pos + tail_neg):  # no certified bound, where inf * 0 would read NaN
-        return tail_pos, tail_neg, np.inf
-    sa_cap = float(pos.exact[: order + 1].sum()) + tail_pos
-    sb_cap = float(neg.exact[: order + 1].sum()) + tail_neg
-    return tail_pos, tail_neg, tail_pos * sb_cap + sa_cap * tail_neg + tail_pos * tail_neg
+    tp, tn = pos.tail(order, s), neg.tail(order, t)
+    n = np.arange(order + 1)
+    sa = float(_grown(pos.exact[: order + 1], n, s).sum())
+    sb = float(_grown(neg.exact[: order + 1], n, t).sum())
+    if not np.isfinite(tp + tn + sa + sb):
+        return tp, tn, np.inf
+    return tp, tn, tp * (sb + tn) + sa * tn
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,10 +683,11 @@ class LaurentSeries:
     ``b_m r^-m`` of its series in ``r/z``, formed without ``r^-m``: they stay
     finite and nonzero where ``b_m`` underflows and ``r^-m`` overflows.
     ``tail_pos`` and ``tail_neg`` bound what each factor series drops,
-    ``tail_bound`` the sup-norm remainder of the truncated product on the
-    closed annulus; all three hold for repeated roots as they stand.  ``rho1, rho2`` are the geometric rates of the two
-    factors: the largest ``1/|alpha_j|`` and ``|beta_i|``.  Two series are
-    equal only when they are one object, and a series hashes.
+    ``tail_bound`` (:func:`_tail_bounds` at growth 1) the sup-norm remainder
+    of the truncated product on the closed annulus; all three hold for
+    repeated roots as they stand.  ``rho1, rho2`` are the geometric rates of
+    the two factors: the largest ``1/|alpha_j|`` and ``|beta_i|``.  Two
+    series are equal only when they are one object, and a series hashes.
     """
 
     r: float
@@ -709,21 +714,11 @@ class LaurentSeries:
 
     def operator_tail_bound(self, norm_t: float, norm_rtinv: float) -> float:
         """Certified bound on the dropped terms when the series is applied to
-        an operator with ``||T|| <= norm_t`` and ``||r T^{-1}|| <= norm_rtinv``.
-
-        Returns ``inf`` when the inflated majorant ratios reach 1.
-        """
-        pos, neg = self.tail_models
-        order = self.order
-        s = max(1.0, float(norm_t))
-        t = max(1.0, float(norm_rtinv))
-        weights_pos = np.abs(self.factor_pos) * s ** np.arange(order + 1)
-        weights_neg = _grown(neg.exact[: order + 1], np.arange(order + 1), t)
-        tp = pos.tail(order, s)
-        tn = neg.tail(order, t)
-        sa = float(weights_pos.sum()) + tp
-        sb = float(weights_neg.sum()) + tn
-        return tp * sb + sa * tn
+        an operator with ``||T|| <= norm_t`` and ``||r T^{-1}|| <= norm_rtinv``:
+        :func:`_tail_bounds` at growths ``max(1, norm_t)`` and
+        ``max(1, norm_rtinv)``, ``tail_bound`` at ``(1, 1)`` bit for bit."""
+        s, t = max(1.0, float(norm_t)), max(1.0, float(norm_rtinv))
+        return _tail_bounds(*self.tail_models, self.order, s, t)[2]
 
 
 def _length_for(f: AnnulusRational, order: int) -> int:
@@ -808,17 +803,13 @@ def laurent_order_for(f: AnnulusRational, tol: float, cap: int = _ORDER_CAP) -> 
 # ---------------------------------------------------------------------------
 
 
-def _pairs(values) -> list:
-    return [[float(np.real(v)), float(np.imag(v))] for v in values]
-
-
 def rational_to_json(f: AnnulusRational) -> dict:
     return {
         "r": float(f.r),
-        "p": _pairs(f.p_coeffs),
-        "q1_roots": _pairs(f.q1_roots),
-        "q2_roots": _pairs(f.q2_roots),
-        "scale": [float(f.scale.real), float(f.scale.imag)],
+        "p": [complex_to_pair(c) for c in f.p_coeffs],
+        "q1_roots": [complex_to_pair(z) for z in f.q1_roots],
+        "q2_roots": [complex_to_pair(z) for z in f.q2_roots],
+        "scale": complex_to_pair(f.scale),
     }
 
 

@@ -116,6 +116,26 @@ class TestEvalLaurent:
         with pytest.raises(SeriesDivergent):
             eval_laurent(f, 0.1 * np.eye(2), 8)  # ||r T^-1|| = 5
 
+    @pytest.mark.parametrize(
+        "f, t",
+        [
+            (AnnulusRational(r=0.5, q1_roots=(1.01,)), 1.02 * np.eye(2)),
+            (AnnulusRational(r=0.5, q2_roots=(0.45,)), 0.5 / 1.2 * np.eye(2)),
+        ],
+        ids=["outer", "inner"],
+    )
+    def test_an_infinite_grown_tail_is_an_infinite_bound_and_divergent(self, f, t):
+        # growth (1.02, 1) and (1, 1.2): one grown tail is inf, the other 0,
+        # and inf * 0 would read NaN
+        series = rational.laurent_expand(f, 8)
+        norm_rtinv = 0.5 * operator_norm(linalg.inverse(t))
+        pos, neg = series.tail_models
+        tails = pos.tail(8, max(1.0, operator_norm(t))), neg.tail(8, max(1.0, norm_rtinv))
+        assert sorted(tails) == [0.0, np.inf]
+        assert series.operator_tail_bound(operator_norm(t), norm_rtinv) == np.inf
+        with pytest.raises(SeriesDivergent, match="no certified bound"):
+            laurent_remainder_bound(f, t, 8)
+
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
     def test_remainder_bound_is_the_expansion_bound_bit_for_bit(self, r):
         # the bound on an empty memo equals that of a warm expansion

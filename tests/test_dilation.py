@@ -34,13 +34,14 @@ from annulus_lab.errors import (
     NotCommuting,
     NotContraction,
     NotContractions,
+    NotInvertible,
     NotIsometric,
     NotSquare,
 )
 from annulus_lab.ar_unitary import is_ar_unitary
 from annulus_lab.linalg import inverse, matrix_from_json, operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, laurent_expand
-from conftest import commuting_contraction_pair, random_function
+from conftest import SHAPES, commuting_contraction_pair, random_function, shaped_function
 
 
 def word_residual(pair, t1, t2, max_degree):
@@ -336,6 +337,19 @@ class TestModelStructure:
 
 
 class TestVerifyModel:
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_the_report_bound_is_the_denominator_bound_times_the_numerator_sum(self, r):
+        # one product-tail formula: the expansion of 1/(scale q1 q2) at d,
+        # times sum |p_k|, bit for bit
+        t = windowed_matrix(3, r, 3)
+        for d in (1, 8, 64):
+            model = build_model(t, r, d)
+            for k, shape in enumerate(SHAPES):
+                f = shaped_function(r, 6600 + k, shape)
+                denominator = laurent_expand(dataclasses.replace(f, p_coeffs=(1.0,)), d)
+                want = float(np.sum(np.abs(f.p_coeffs))) * denominator.tail_bound
+                assert model.tail_report(f)["bound"] == want, (shape, d)
+
     def test_identity_function(self):
         t = windowed_matrix(3, 0.5, 11)
         model = build_model(t, 0.5, 4)
@@ -1245,6 +1259,15 @@ class TestSingleCarrier:
     def test_a_non_square_matrix_is_not_square(self, f):
         with pytest.raises(NotSquare):
             single_carrier_residual(np.zeros((2, 3)), 0.5, f, 8)
+
+    def test_a_singular_t_is_not_invertible_as_in_build_model(self):
+        t = np.array([[0.0, 0.0], [0.0, 0.6]])
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q2_roots=(0.1,))
+        with pytest.raises(NotInvertible) as built:
+            build_model(t, 0.5, 8)
+        with pytest.raises(NotInvertible) as single:
+            single_carrier_residual(t, 0.5, f, 8)
+        assert str(single.value) == str(built.value)
 
     def test_rejects_mixed_function(self):
         t = windowed_matrix(2, 0.5, 19)

@@ -394,6 +394,16 @@ class TestJson:
         a = np.array([[1 + 2j, 0.5], [0, -1j]])
         assert_allclose(matrix_from_json(json.loads(json.dumps(matrix_to_json(a)))), a)
 
+    def test_a_pair_round_trips_every_double_bit_for_bit(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        values = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny), complex(2.5e-310, -0.0),
+                  complex(1e308, -1e308), complex(-1e308, 1e308), np.complex128(-0.0 - 1e308j), -0.0, np.float64(tiny)]
+        for z in values:
+            pair = linalg.complex_to_pair(z)
+            assert [type(x) for x in pair] == [float, float]
+            back = linalg.complex_from_pair(json.loads(json.dumps(pair)))
+            assert (back.real.hex(), back.imag.hex()) == (float(np.real(z)).hex(), float(np.imag(z)).hex()), z
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]})

@@ -342,6 +342,22 @@ class TestLaurentExpand:
             for k in {0, 1, len(c) - 1, m // 3, m // 2, m - 1}:
                 assert np.array_equal(rational._inverse_series(c, k), full[: k + 1])
 
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_the_operator_bound_at_growth_one_is_the_tail_bound_bit_for_bit(self, r):
+        # one product-tail formula gives both
+        for k, shape in enumerate(SHAPES):
+            f = shaped_function(r, 6500 + k, shape)
+            for order in (1, 8, 64):
+                series = laurent_expand(f, order)
+                assert series.operator_tail_bound(1.0, 1.0) == series.tail_bound, (shape, order)
+
+    def test_an_overflowing_partial_sum_gives_an_infinite_operator_bound(self):
+        # a polynomial drops nothing past its degree, but grown by 1e300 its
+        # partial sum overflows: the bound is inf, where inf * 0 would read NaN
+        series = laurent_expand(QUADRATIC, 8)
+        assert series.tail_pos == series.tail_neg == 0.0
+        assert series.operator_tail_bound(1e300, 1.0) == np.inf
+
     @pytest.mark.parametrize("r, beta, order", [(1e-3, 9e-4, 200), (0.25, 0.2, 500)])
     def test_bound_holds_once_inner_coefficients_underflow(self, r, beta, order):
         # 1/(z - beta) drops sum_{k > m} beta^(k-1) z^-k, largest on |z| = r:

@@ -10,7 +10,7 @@ The program hashed is the one under this checkout's ``src/``.  Digests:
   and 1009;
 - ``spectral-routes``, ``dilation-model``, ``cli-session``: instances 0-44,
   0-59 and 0-35 at seed 3;
-- ``smoke``: the commands of the CLI smoke step in
+- ``smoke``: ``SMOKE_COMMANDS``, the commands of the CLI smoke step in
   ``.github/workflows/tier1.yml``, each command's arguments, exit code and
   JSON report with ``timestamp`` removed (its stderr where it prints no
   report).
@@ -124,41 +124,46 @@ def _calls(name: str, seeds, count: int, workdir: str):
             w.close()
 
 
+# The commands of the CI smoke step, ``.github/workflows/tier1.yml``'s
+# ``annulus-lab`` lines in order, without ``--help``, redirections and
+# ``--out``; a ``.json`` argument names an input file by its basename.
+SMOKE_COMMANDS = [
+    ["selftest"],
+    ["certify", "--r", "0.5", "--trials", "2000", "--matrix", "smoke_T.json"],
+    ["certify", "--matrix", "smoke_T.json", "--bogus", "1"],
+    ["certify", "--r", "0.5", "--trials", "2000", "--matrix", "smoke_W.json"],
+    ["certify", "--r", "0.5", "--trials", "2000", "--matrix", "smoke_S.json"],
+    ["certify", "--r", "0.5", "--trials", "50", "--verify-tol", "nan", "--matrix", "smoke_W.json"],
+    ["dilate", "--r", "0.5", "--matrix", "smoke_W.json"],
+    ["model-verify", "--r", "0.5", "--matrix", "smoke_W.json", "--f", "smoke_f.json"],
+    ["decompose", "--r", "0.5", "--matrix", "smoke_N.json"],
+    ["laurent", "--f", "smoke_f.json"],
+    ["demo-example", "--r", "0.25"],
+    ["certify", "--r", "0.5", "--trials", "2000", "--matrix", "smoke_tiny.json"],
+]
+
+
 def _smoke_reports(workdir: str):
-    """``(args, exit code, report or stderr)`` of each CI smoke command, on
-    emptied caches, as in a fresh process."""
+    """``(args, exit code, report or stderr)`` of each of
+    ``SMOKE_COMMANDS``, its input files in ``workdir``, on emptied caches,
+    as in a fresh process."""
     os.makedirs(workdir, exist_ok=True)
-
-    def write(name: str, obj) -> str:
-        path = os.path.join(workdir, name)
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        return path
-
     q = linalg.random_unitary(5, 3)
     n = ar_unitary.make_ar_unitary(linalg.random_unitary(3, 1), linalg.random_unitary(2, 2), 0.5)
     f = rational.AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
-    t_path = write("smoke_T.json", linalg.matrix_to_json(certify.normal_annulus_matrix(4, 0.5, 3)))
-    w_path = write("smoke_W.json", linalg.matrix_to_json(certify.windowed_matrix(4, 0.5, 3)))
-    s_path = write("smoke_S.json", linalg.matrix_to_json(certify.example_matrix(0.5)))
-    f_path = write("smoke_f.json", rational.rational_to_json(f))
-    n_path = write("smoke_N.json", linalg.matrix_to_json(q @ n @ q.conj().T))
-    tiny_path = write("smoke_tiny.json", linalg.matrix_to_json(1e-310 * np.eye(2)))
-    commands = [
-        ["selftest"],
-        ["certify", "--r", "0.5", "--trials", "2000", "--matrix", t_path],
-        ["certify", "--matrix", t_path, "--bogus", "1"],
-        ["certify", "--r", "0.5", "--trials", "2000", "--matrix", w_path],
-        ["certify", "--r", "0.5", "--trials", "2000", "--matrix", s_path],
-        ["certify", "--r", "0.5", "--trials", "50", "--verify-tol", "nan", "--matrix", w_path],
-        ["dilate", "--r", "0.5", "--matrix", w_path],
-        ["model-verify", "--r", "0.5", "--matrix", w_path, "--f", f_path],
-        ["decompose", "--r", "0.5", "--matrix", n_path],
-        ["laurent", "--f", f_path],
-        ["demo-example", "--r", "0.25"],
-        ["certify", "--r", "0.5", "--trials", "2000", "--matrix", tiny_path],
-    ]
-    for args in commands:
+    inputs = {
+        "smoke_T.json": linalg.matrix_to_json(certify.normal_annulus_matrix(4, 0.5, 3)),
+        "smoke_W.json": linalg.matrix_to_json(certify.windowed_matrix(4, 0.5, 3)),
+        "smoke_S.json": linalg.matrix_to_json(certify.example_matrix(0.5)),
+        "smoke_f.json": rational.rational_to_json(f),
+        "smoke_N.json": linalg.matrix_to_json(q @ n @ q.conj().T),
+        "smoke_tiny.json": linalg.matrix_to_json(1e-310 * np.eye(2)),
+    }
+    for name, obj in inputs.items():
+        with open(os.path.join(workdir, name), "w") as fh:
+            json.dump(obj, fh)
+    for command in SMOKE_COMMANDS:
+        args = [os.path.join(workdir, a) if a.endswith(".json") else a for a in command]
         workloads._clear_caches()
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
