@@ -22,7 +22,6 @@ import numpy as np
 from . import linalg, rational
 from .errors import (
     NoSpectralGap,
-    NotInvertible,
     PoleInsideContour,
     SeriesDivergent,
     Singular,
@@ -270,15 +269,12 @@ def _series_operands(f: AnnulusRational, t, order: int, tols: Tolerances) -> tup
     ``laurent_expand(f, order)``, ``T`` as a matrix, its inverse and the
     norms ``||T||`` and ``||r T^{-1}||``, the last three from ``T``'s
     :func:`linalg.analysis`; :class:`NotInvertible` when ``T`` is
-    singular."""
+    singular (:meth:`linalg.Analysis.inverse`)."""
     order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
     series = rational.laurent_expand(f, order)
     facts = linalg.analysis(m)
-    try:
-        inv = facts.inverse(tols)
-    except Singular as exc:
-        raise NotInvertible("series route needs invertible T") from exc
+    inv = facts.inverse(tols)
     return series, m, inv, facts.norm, f.r * facts.inverse_norm
 
 

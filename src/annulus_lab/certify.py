@@ -4,9 +4,10 @@ The necessary conditions (spectrum location, norm window, simultaneous
 contractivity of ``T`` and ``r T^{-1}``) are decidable; membership itself is
 not, so :func:`vonneumann_stress` samples random rational test functions and
 reports either a violation witness or survival of the battery.  A witness's
-ratio divides by a *sampled* sup of ``|f|``, a lower bound on the true sup,
-so a stress ``Refuted`` verdict is strong evidence but not a proof: it
-becomes one only once that denominator is an upper bound.  The
+ratio divides by the sup of ``|f|`` taken at the computed critical points of
+``|f|`` on the boundary, which carry rounding, so a stress ``Refuted``
+verdict is strong evidence but not a proof: it becomes one only once that
+denominator is an upper bound.  The
 normal / completely-non-normal splitting powers an independent refutation
 route for norm-one completely-non-normal matrices, for which the closed unit
 disk is already a minimal spectral set.
@@ -85,12 +86,13 @@ class Verdict(str, enum.Enum):
 class CertificationReport:
     """Outcome of a certification run.
 
-    ``max_ratio`` is the largest observed ``||f(T)|| / sup|f|`` against the
-    sampled lower bound of the sup norm, over the evaluated functions (0.0
-    when none is); a ``Refuted`` verdict always carries
-    a witness function whose re-checked ratio exceeds ``1 + verify_tol``.
-    The re-check samples more densely but still from below, so the witness
-    is not a proof that the annulus fails to be a spectral set.
+    ``max_ratio`` is the largest observed ``||f(T)|| / sup|f|``, over the
+    evaluated functions (0.0 when none is), with the sup taken at the
+    computed critical points of ``|f|`` on the boundary circles; a
+    ``Refuted`` verdict always carries a witness function whose ratio
+    exceeds ``1 + verify_tol``.  The sup is exact only up to the rounding
+    of those points, so the witness is not a proof that the annulus fails
+    to be a spectral set.
     ``stress_route`` records how ``||f(T)||`` was evaluated: ``"spectral"``
     for numerically normal ``T``, ``"factored"`` otherwise.  ``screened``
     counts the battery functions not evaluated because von Neumann's
@@ -194,140 +196,131 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return rational.pack(r, *_draw(r, 1, (rng, rng, rng))).function(0)
 
 
-# The battery's sampling: equispaced nodes per circle and nodes per pole window.
-_BASE_NODES = 4096
-_LOCAL_NODES = 512
-# The denser sampling that re-checks a candidate witness.
-_DENSE_NODES = (1 << 15, 4096)
 # The most exact norms, and exact sups, asked for at a time while the
 # largest ratio is still being found (sup batches grow 1, 2, 4, ... up to
 # it); the stress ratios seed no row in a call over at most this many.
 _REFINE_ROWS = 16
-# The battery's lower bounds read every _LOWER_STRIDE-th of the _BASE_NODES
-# per circle, 32 nodes, and the node nearest each root on its own circle: a
-# subset of the nodes every sampled sup evaluates.  A lower bound only prunes,
-# so the choice of nodes changes no report.
+# The battery's lower bounds read 32 of the _BASE_NODES equispaced nodes per
+# circle, _RING (read-only) and r _RING, and the node nearest each root on its
+# own circle.  A lower bound only prunes, so the choice changes no report.
+_BASE_NODES = 4096
 _LOWER_STRIDE = 128
+_RING = np.exp(1j * (2.0 * np.pi * np.arange(_BASE_NODES) / _BASE_NODES))
+_RING.flags.writeable = False
 
 
-def _pole_windows(stack: rational.FactoredStack) -> tuple:
-    """``(row, radius, theta0, half_width)`` of the window around each pole
-    near a circle of the rows of ``stack``: ~32x the pole clearance wide,
-    which keeps the relative deficit of a narrow peak at the square of the
-    local spacing over the clearance."""
-    r, mods, outer = stack.r, stack.moduli, stack.outer
-    dist = np.where(outer, mods - 1.0, r - mods)
-    near = stack.mask & np.where(outer, dist < 0.2, (0 < dist) & (dist < 0.2 * r))
-    row, col = np.nonzero(near)
-    dist, outer = dist[row, col], outer[row, col]
-    half_width = np.minimum(np.where(outer, 32.0 * dist, 32.0 * dist / r), np.pi / 4)
-    return row, np.where(outer, 1.0, r), np.angle(stack.roots[row, col]), half_width
-
-
-def _window_nodes(radius, theta0, half_width, local_nodes: int) -> np.ndarray:
-    """The nodes of each window ``(radius, theta0, half_width)``, one row each."""
-    theta = theta0[:, np.newaxis] + np.linspace(-half_width, half_width, local_nodes, axis=-1)
-    return radius[:, np.newaxis] * np.exp(1j * theta)
-
-
-@lru_cache(maxsize=8)
-def _ring(base_nodes: int) -> np.ndarray:
-    """``base_nodes`` equispaced points of the unit circle, from 1, as a
-    read-only array cached per node count."""
-    if base_nodes < _LOWER_STRIDE or base_nodes % _LOWER_STRIDE:
-        raise ValueError(f"need a positive multiple of {_LOWER_STRIDE} nodes per circle")
-    ring = np.exp(1j * (2.0 * np.pi * np.arange(base_nodes) / base_nodes))
-    ring.flags.writeable = False
-    return ring
-
-
-# A node z has ||z| - rho| <= 4u rho, so only a root this close to a circle
-# can come within 1e-14 |z| of one.
-_NEAR_CIRCLE = 1e-12
-
-
-def _check_poles(stack: rational.FactoredStack, ring: np.ndarray, local_nodes: int) -> None:
+def _check_poles(stack: rational.FactoredStack) -> None:
     """:class:`PoleHit`, as :func:`rational.evaluate` would raise it, for
-    the first row of ``stack`` with a node ``z`` within ``1e-14 |z|`` of a
-    root: a node of ``ring`` on either circle, or one of ``local_nodes`` in a
-    pole window of the row.  Only rows with a root within ``_NEAR_CIRCLE`` of a circle can
-    have one."""
-    mods = stack.moduli
-    near = stack.mask & ((np.abs(mods - 1.0) <= _NEAR_CIRCLE) | (np.abs(mods - stack.r) <= _NEAR_CIRCLE))
-    for i in np.flatnonzero(near.any(axis=1)):
-        _, *window = _pole_windows(stack.take(slice(i, i + 1)))
-        for zz in [ring, stack.r * ring, *_window_nodes(*window, local_nodes)]:
-            for root in stack.roots[i, stack.mask[i]]:
-                rational.check_clearance(zz - root, complex(root), zz)
+    the first row of ``stack`` with a root ``a`` within ``1e-14 rho`` of a
+    circle ``|z| = rho``: :func:`rational.check_clearance` at ``rho a /
+    |a|``, the point of each circle nearest each root."""
+    mods, roots = stack.moduli, stack.roots
+    units = np.where(mods > 0, roots / np.where(mods > 0, mods, 1.0), 1.0)
+    circles = (units, stack.r * units)
+    near = [np.abs(z - roots) <= rational._POLE_TOL * np.abs(z) for z in circles]
+    for i in np.flatnonzero((stack.mask & (near[0] | near[1])).any(axis=1))[:1]:
+        for j in np.flatnonzero(stack.mask[i]):
+            for z in circles:
+                rational.check_clearance(z[i, j] - roots[i, j], complex(roots[i, j]), z[i, j])
 
 
-def _sampled_sups(stack: rational.FactoredStack, base_nodes: int = _BASE_NODES, local_nodes: int = _LOCAL_NODES):
-    """Sampled sup-norm lower bounds of the rows of ``stack``, with extra
-    nodes clustered near poles: for each, the max of ``|evaluate(f, z)|``
-    over ``base_nodes`` equispaced nodes on each boundary circle and over
-    ``local_nodes`` in a window around each pole near a circle.
+def _critical_points(p: np.ndarray, q: np.ndarray, roots: np.ndarray, rho: float) -> np.ndarray:
+    """Where ``|f| = |p / q|``, ``q = scale prod (z - a)`` over the poles
+    ``a`` in ``roots``, can peak on the circle ``|z| = rho``: the roots of
+    ``G`` (none if the eigensolve fails) and the poles, projected onto it,
+    0 and non-finite ones dropped.
 
-    Every node is evaluated, through :meth:`rational.FactoredStack.max_abs_at`,
-    which is :func:`rational.evaluate` bit for bit whatever the other rows:
-    the pole windows, then the circles in pieces of ``_BASE_NODES`` nodes
-    each, so the dense re-check evaluates no more nodes at once than the
-    battery's sampling.  The max of the pieces' maxima is the max over all
-    nodes.  ``base_nodes`` must be a positive multiple of
-    ``_LOWER_STRIDE``.  The rows must be valid (the battery validates its
-    stack once, when it is built); :class:`PoleHit` is raised first, by
-    :func:`_check_poles` on this call's own nodes.
-    """
-    ring = _ring(base_nodes)
-    _check_poles(stack, ring, local_nodes)
-    sups = np.full(stack.p.shape[0], -np.inf)
-    row, *window = _pole_windows(stack)
-    np.maximum.at(sups, row, stack.take(row).max_abs_at(_window_nodes(*window, local_nodes)))
-    for lo in range(0, base_nodes, _BASE_NODES):
-        nodes = ring[lo : lo + _BASE_NODES]
-        np.maximum(sups, stack.max_abs_at(np.concatenate([nodes, stack.r * nodes])), out=sups)
-    return sups
+    With ``z = rho w``, ``P(w) = p(rho w)``, ``Q(w) = q(rho w)``, ``A = P *
+    reversed(conj P)``, ``B`` the same from ``Q`` and ``m = deg Q - deg
+    P``, ``|f|^2 = w^m A / B`` on ``|w| = 1``, whose derivative in the
+    angle vanishes at the roots of ``G = w (A' B - A B') + m A B``,
+    ``G_j = sum_i (m + 2i - j) A_i B_(j-i)``.  Each ``A_i B_l`` gets its
+    integer weight once, so ``G_0 = m A_0 B_0`` and ``G_top = -m A_top
+    B_top`` are exactly 0 when ``m = 0``, and :func:`numpy.roots` strips
+    them before it builds the companion matrix.  A pole near the circle
+    clusters roots of ``G`` that the eigensolve places less accurately;
+    ``|f|`` at the point nearest the pole misses its peak there by about
+    the square of the clearance.  ``p`` and ``q`` are ascending
+    coefficients, ``p`` with no trailing zeros."""
+    aw, bw = (np.convolve(c, c[::-1].conj()) for c in (c * rho ** np.arange(c.size) for c in (p, q)))
+    i, l = np.arange(aw.size)[:, np.newaxis], np.arange(bw.size)
+    terms = ((q.size - p.size + i - l) * np.multiply.outer(aw, bw)).ravel()
+    at = (i + l).ravel()
+    with np.errstate(all="ignore"):  # a G that is not finite fails the eigensolve
+        g = np.bincount(at, terms.real) + 1j * np.bincount(at, terms.imag)
+    try:
+        w = np.roots(g[::-1])
+    except np.linalg.LinAlgError:
+        w = np.zeros(0, dtype=complex)
+    w = np.concatenate([w, roots])
+    w = w[np.isfinite(w) & (w != 0)]
+    return rho * (w / np.abs(w))
+
+
+def _critical_sups(stack: rational.FactoredStack) -> np.ndarray:
+    """The sup of ``|f_i|`` on the two boundary circles, for each row of
+    ``stack``: the max of ``|f_i|`` at the nodes of :func:`_lower_bounds`
+    and at the :func:`_critical_points` of both circles, in one
+    :meth:`max_abs_at <rational.FactoredStack.max_abs_at>` call on a
+    per-row table padded with node 1.  Every value is
+    :func:`rational.evaluate`'s, bit for bit, so ``lower <= sup`` exactly,
+    and a failed eigensolve leaves the lower bound.  The computed roots
+    carry rounding, so the sup is not an upper bound.
+    The rows must be valid and clear of the circles, as :func:`_check_poles`
+    checks (the battery checks both once, when it is built)."""
+    coarse, aimed = _lower_nodes(stack)
+    points = []
+    for i, (k1, k2, lp) in enumerate(stack.counts):
+        p = rational._trim_trailing_zeros(stack.p[i, :lp])
+        roots = stack.roots[i, : k1 + k2]
+        q = stack.scale[i] * rational._poly_from_roots(roots)
+        critical = [_critical_points(p, q, roots, rho) for rho in (1.0, stack.r)]
+        points.append(np.concatenate([coarse, aimed[i], *critical]))
+    table = np.ones((len(points), max((z.size for z in points), default=0)), dtype=complex)
+    for row, z in zip(table, points):
+        row[: z.size] = z
+    return stack.max_abs_at(table)
+
+
+def _lower_nodes(stack: rational.FactoredStack) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``_RING[k]`` and ``r * _RING[k]`` for the rows of ``stack``:
+    every ``_LOWER_STRIDE``-th node of each circle, shared, and a per-row
+    table holding, for each root, the node of its own circle (unit for a
+    ``q1`` root, ``r`` for a ``q2`` root) nearest its argument, ``k =
+    rint(angle * _BASE_NODES / 2 pi) mod _BASE_NODES``, padded with node 1,
+    a shared node."""
+    coarse = _RING[::_LOWER_STRIDE]
+    near = _RING[np.rint(np.angle(stack.roots) * _BASE_NODES / (2.0 * np.pi)).astype(int) % _BASE_NODES]
+    aimed = np.where(stack.mask, np.where(stack.outer, near, stack.r * near), 1.0)
+    return np.concatenate([coarse, stack.r * coarse]), aimed
 
 
 def _lower_bounds(stack: rational.FactoredStack) -> np.ndarray:
-    """The max of ``|f_i|`` over two sets of the ``_BASE_NODES`` nodes per
-    circle that :func:`_sampled_sups` evaluates, ``ring[k]`` and ``r *
-    ring[k]``, for each row of ``stack``: every ``_LOWER_STRIDE``-th node
-    of each circle, 32 nodes, and for each root the node of its own circle
-    (the unit circle for a ``q1`` root, the ``r`` circle for a ``q2`` root)
-    nearest its argument, ``k = rint(angle * _BASE_NODES / 2 pi) mod
-    _BASE_NODES``.  The shared nodes are one :meth:`max_abs_at
-    <rational.FactoredStack.max_abs_at>` call, the aimed nodes a second on
-    a per-row node table; a row with fewer roots than the widest pads its
-    table with node 1, a shared node."""
-    ring = _ring(_BASE_NODES)
-    z = np.concatenate([ring, stack.r * ring])
-    k = np.rint(np.angle(stack.roots) * _BASE_NODES / (2.0 * np.pi)).astype(int) % _BASE_NODES
-    aimed = z[np.where(stack.mask, np.where(stack.outer, k, k + _BASE_NODES), 0)]
-    return np.maximum(stack.max_abs_at(z[::_LOWER_STRIDE]), stack.max_abs_at(aimed))
+    """The max of ``|f_i|`` over the :func:`_lower_nodes` of each row of
+    ``stack``: one :meth:`max_abs_at <rational.FactoredStack.max_abs_at>`
+    call at the shared nodes and one on the table of aimed nodes."""
+    coarse, aimed = _lower_nodes(stack)
+    return np.maximum(stack.max_abs_at(coarse), stack.max_abs_at(aimed))
 
 
 class _Battery:
     """Test-function battery as arrays: the padded factored stack and memos
-    of cheap lower bounds on its sampled sups, of the exact sups and of
-    their dense re-checks.
+    of cheap lower bounds on its sups and of the sups.
 
     The stack is validated and pole-checked once, at build, and every sup is
-    read from it by :func:`_sampled_sups`; ``stack.function(i)`` builds row
+    read from it by :func:`_critical_sups`; ``stack.function(i)`` builds row
     ``i`` as a function (the witness).  :attr:`two_sided` selects the rows
     the von Neumann screen evaluates.  :meth:`lower_bounds` gives the lower
     bounds of the rows a call reads, each computed on first read
     (:func:`_lower_bounds`, so a screened call computes none of the
-    one-sided rows'), and :meth:`exact_sups` the sups, or with
-    ``dense=True`` the ``_DENSE_NODES`` re-checks: a refuting row recurs
-    across a corpus, so it is re-checked once per battery.  The lower bound
-    of row ``i`` is the max of ``|f_i|`` at nodes that :func:`_sampled_sups`
-    evaluates too (32 per circle and the node nearest each of its roots),
-    and ``abs_at`` is :func:`rational.evaluate` bit for bit whatever the
-    other rows, so it is the value an eager pass over the whole stack gives
-    and ``lower_bounds([i])[0] <= exact_sups([i])[0]`` exactly.  The memos
-    are :attr:`lower`, :attr:`memo` and :attr:`dense`, NaN where not yet
-    computed.  A memo only gains entries, each a
-    deterministic value, so which calls filled it never changes a result.
+    one-sided rows'), and :meth:`exact_sups` the sups.  ``abs_at`` is
+    :func:`rational.evaluate` bit for bit whatever the other rows, so a
+    lower bound is the value an eager pass over the whole stack gives, and
+    the sup evaluates the same nodes, so ``lower_bounds([i])[0] <=
+    exact_sups([i])[0]`` exactly.  The memos are :attr:`lower` and
+    :attr:`memo`, NaN where not yet computed.  A memo only gains entries,
+    each a deterministic value, so which calls filled it never changes a
+    result.
     Readers take no lock: each memo is a read-only snapshot, replaced whole
     under ``_lock`` by a copy holding the new entries, so a reader sees
     some earlier snapshot and no update is lost.
@@ -337,7 +330,7 @@ class _Battery:
         self.stack = stack
         memo = np.full(stack.p.shape[0], np.nan)
         memo.flags.writeable = False
-        self.lower = self.memo = self.dense = memo
+        self.lower = self.memo = memo
         self._lock = threading.Lock()
 
     @cached_property
@@ -375,12 +368,10 @@ class _Battery:
         if given), from :attr:`lower` where it holds them."""
         return self._memoized("lower", rows, _lower_bounds, stack)
 
-    def exact_sups(self, rows: np.ndarray, dense: bool = False) -> np.ndarray:
-        """:func:`_sampled_sups` of the rows ``rows``, at ``_DENSE_NODES`` if
-        ``dense``, from :attr:`dense` or else :attr:`memo` where it holds
-        them."""
-        nodes = _DENSE_NODES if dense else ()
-        return self._memoized("dense" if dense else "memo", rows, lambda stack: _sampled_sups(stack, *nodes))
+    def exact_sups(self, rows: np.ndarray) -> np.ndarray:
+        """:func:`_critical_sups` of the rows ``rows``, from :attr:`memo`
+        where it holds them."""
+        return self._memoized("memo", rows, _critical_sups)
 
 
 # The canonical probes z and r/z as (k1, k2, len(p)) rows; packed flat, their
@@ -413,10 +404,9 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     of a battery are those of any longer one.  The draws are written
     straight into the padded stack (:func:`rational.pack`), so no
     :class:`AnnulusRational` is built here.  Every row is validated
-    (:func:`_check_rows`), then :class:`PoleHit` is raised as
-    :func:`_sampled_sups` would on the battery's sampling
-    (:func:`_check_poles`).  The build evaluates no
-    ``|f|``: the lower bounds and the exact sups are computed for the rows
+    (:func:`_check_rows`), then :class:`PoleHit` is raised for a root
+    within ``1e-14 rho`` of a circle (:func:`_check_poles`).  The build
+    evaluates no ``|f|``: the lower bounds and the exact sups are computed for the rows
     a call reads (:meth:`_Battery.lower_bounds`,
     :meth:`_Battery.exact_sups`).  Cached so repeated certifications
     against the same battery (e.g. a corpus sweep) share the draws and the
@@ -429,11 +419,11 @@ def _stress_battery(r: float, trials: int, seed: int) -> _Battery:
     roots = np.concatenate([np.zeros(counts[:probes, 1].sum(), dtype=complex), roots])
     stack = rational.pack(r, counts, p, roots)
     _check_rows(stack)
-    _check_poles(stack, _ring(_BASE_NODES), _LOCAL_NODES)
+    _check_poles(stack)
     return _Battery(stack)
 
 
-def _stress_ratios(nums, norms, lower, probe, memo, sups, dense, tol: float) -> tuple[float, int | None]:
+def _stress_ratios(nums, norms, lower, probe, memo, sups, tol: float) -> tuple[float, int | None]:
     """``max_i norm_i / max(sup_i, probe_i)`` and the witness, from upper
     bounds ``nums`` on the norms, asking for norms and sups only as far as
     the comparisons need.
@@ -442,19 +432,18 @@ def _stress_ratios(nums, norms, lower, probe, memo, sups, dense, tol: float) -> 
     or ``slice(None)`` for every row), and is ``None`` when ``nums`` are
     the norms.  ``lower <= sup`` elementwise; ``memo`` holds the sups
     already known (NaN where not); ``sups(rows)`` returns the sups of
-    ``rows`` and ``dense(rows)`` a denser re-check of them.  ``upper = num
-    / max(bound, probe)``, ``num`` the row's norm or else its entry of
-    ``nums`` and ``bound`` its memo entry or else ``lower``, bounds its
-    ratio from above (division is monotone); ``best`` is the largest ratio
-    of a row with both its norm and its sup.  A row gets its norm first:
+    ``rows``.  ``upper = num / max(bound, probe)``, ``num`` the row's norm
+    or else its entry of ``nums`` and ``bound`` its memo entry or else
+    ``lower``, bounds its ratio from above (division is monotone); ``best``
+    is the largest ratio of a row with both its norm and its sup.  A row
+    gets its norm first:
 
     1. the rows with ``upper > 1 + tol``, or not finite, get their norms,
        in one call with the seed: with ``norms`` and more than
        ``_REFINE_ROWS`` rows, every ``upper`` finite and some at most ``1 +
        tol``, the row with the largest ``upper``; the rows still above ``1
-       + tol`` get their sups, and those whose ratio then exceeds it are
-       flagged and re-checked by ``dense``, the first still above it being
-       the witness;
+       + tol`` get their sups, and the first whose ratio still exceeds it
+       is the witness;
     2. the seed gets its sup if it lacks it and its ``upper`` exceeds
        ``best``, then every row with ``upper >= best`` its norm, in one call;
     3. the rows with ``upper >= best`` that lack their norm or their sup
@@ -464,13 +453,11 @@ def _stress_ratios(nums, norms, lower, probe, memo, sups, dense, tol: float) -> 
        seed's), then 2, 4 and so on up to ``_REFINE_ROWS`` at a time, since
        the first sup often settles ``best`` above every other bound.
 
-    The re-check must come first: it can lower a flagged ratio below one
-    that steps 2 and 3 would have pruned against.  The seed's sup waits for
-    step 1, so a refuted ``T``'s witness leaves it unasked.  No sup is
-    asked for before every bound that is not finite is replaced by its
-    norm, so a ``norms`` that raises on a norm that is not finite raises
-    before any sup work.  A row left without its norm or sup at the end has
-    ``ratio <= upper < best``, so the result is that of computing every
+    The seed's sup waits for step 1, so a refuted ``T``'s witness leaves it
+    unasked.  No sup is asked for before every bound that is not finite is
+    replaced by its norm, so a ``norms`` that raises on a norm that is not
+    finite raises before any sup work.  A row left without its norm or sup
+    at the end has ``ratio <= upper < best``, so the result is that of computing every
     norm and every sup, whatever the bounds (a row's norm does not depend
     on the rows evaluated with it).  When ``memo`` holds what a call needs,
     no sup is asked for, and without ``norms`` the call is a few passes
@@ -507,13 +494,8 @@ def _stress_ratios(nums, norms, lower, probe, memo, sups, dense, tol: float) -> 
         climb(rows)
     if (rows := np.flatnonzero(suspect(~known))).size:
         refine(rows)
-    witness = None
-    flagged = np.nonzero(ratios > 1.0 + tol)[0]
-    if flagged.size:
-        for i, sup in zip(flagged, dense(flagged)):
-            ratios[i] = nums[i] / max(denoms[i], sup)
-            if witness is None and ratios[i] > 1.0 + tol:
-                witness = int(i)
+    flagged = np.flatnonzero(ratios > 1.0 + tol)
+    witness = int(flagged[0]) if flagged.size else None
     batch = 1
     if seed.size and not known[seed[0]] and ratios[seed[0]] > ratios[exact & known].max(initial=-np.inf):
         refine(seed)
@@ -611,23 +593,19 @@ def vonneumann_stress(
     The functions are the ``trials`` rows of the battery of ``(r, trials,
     seed)`` (:func:`_stress_battery`): the probes ``z`` and ``r/z``, then
     draws from the three streams of ``seed``.  The denominator of each
-    ratio is a lower bound on the true sup norm, which is the wrong
-    direction for a proof of a violation: the
-    node-sampled boundary maximum, improved by pole-adaptive
-    refinement and by ``|f|`` at the spectrum projected into the annulus
-    (interior values never exceed the boundary sup).  The sampled maxima are
-    those of 4096 equispaced nodes per circle plus 512 per pole window, each
-    node evaluated by :func:`_sampled_sups` on the battery's packed stack,
-    which was validated once when it was built; each sampling pole-checks its own nodes.  Candidate violations
-    are re-checked together, through the same routine, against a denser
-    sampling (``_DENSE_NODES``: ``1 << 15`` nodes plus 4096 per window)
-    before one is accepted as a witness, so ``Refuted`` reports replay
-    deterministically; the battery memoizes the re-checks as it does the
-    sups (:meth:`_Battery.exact_sups`).  That re-check still
-    samples, so a witness is not a proof: on the 2000-function batteries
-    of seed 1 at r = 0.25 and 0.5, the re-checked sups fall short of a
-    refined sup (three 2001-point zooms around each circle's densest
-    maximum) by up to 3.0e-5 relative.
+    ratio is the boundary maximum of ``|f|`` taken at its critical points
+    (:func:`_critical_sups`), or ``|f|`` at the spectrum projected into the
+    annulus where that is larger (interior values never exceed the boundary
+    sup).  On each circle ``|f|^2`` is a quotient of Laurent polynomials,
+    so its maximum lies at a root of one polynomial; ``|f|`` is taken at
+    each computed root projected onto the circle, on the battery's packed
+    stack, which was validated and pole-checked once when it was built.
+    The computed roots carry rounding, so the denominator is the sup up to
+    that rounding, not an upper bound on it, and a witness is not yet a
+    proof.  On the 2000-function batteries of seed 1 at r = 0.25, 0.5 and
+    0.81 these sups exceed those of ``1 << 15`` equispaced nodes per
+    circle plus 4096 per pole window by up to 3.0e-5 relative, and are
+    never below them by more than one ulp.
 
     Von Neumann screen: when ``T`` is a strict double contraction
     (:meth:`linalg.Analysis.double_contraction`: its singular values within
@@ -641,9 +619,9 @@ def vonneumann_stress(
     none is).  A ``T`` on the boundary of the window, such as
     :func:`example_matrix` with ``||T|| = 1``, screens nothing.
 
-    Only the ratios that can matter get an exact sampled sup
+    Only the ratios that can matter get an exact sup
     (:func:`_stress_ratios`): the battery's lower bounds, ``|f|`` at 32
-    of the sampled nodes per circle and at the sampled node nearest each
+    equispaced nodes per circle and at the one of 4096 nearest each
     pole on its own circle, computed for the evaluated functions only
     (:meth:`_Battery.lower_bounds`), bound every ratio from above, and a
     function whose bound can neither exceed ``1 + verify_tol`` nor reach
@@ -742,7 +720,6 @@ def vonneumann_stress(
             at_probes,
             memo,
             lambda sel: battery.exact_sups(rows[sel]),
-            lambda sel: battery.exact_sups(rows[sel], dense=True),
             tols.verify_tol,
         )
     if witness is not None:

@@ -19,7 +19,6 @@ import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
-import numpy.polynomial.polynomial as poly  # selftest's Horner reference, loaded at start-up
 
 from . import ar_unitary, calculus, certify, dilation, linalg, rational
 from ._version import __version__
@@ -255,8 +254,8 @@ def _selftest_cases(seed: int, tols: Tolerances):
             for radius in (1.0, 0.5):
                 z = radius * np.exp(1j * theta)
                 # Horner in z for the powers j >= 0 and in 1/z for j < 0
-                approx = poly.polyval(z, series.coeffs[series.order :]) + poly.polyval(
-                    1.0 / z, np.r_[0.0, series.coeffs[: series.order][::-1]]
+                approx = np.polyval(series.coeffs[series.order :][::-1], z) + np.polyval(
+                    np.r_[0.0, series.coeffs[: series.order][::-1]][::-1], 1.0 / z
                 )
                 worst_f = max(worst_f, float(np.max(np.abs(rational.evaluate(f, z) - approx))))
             worst = max(worst, worst_f - series.tail_bound)

@@ -385,11 +385,14 @@ class ModelTriple:
     def tail_report(self, f: AnnulusRational) -> dict:
         """Certified truncation bounds for verifying ``f`` at budget ``d``:
         the tails of one expansion of ``1/(scale q1 q2)`` at ``d`` and its
-        ``tail_bound`` times ``sum |p_k|``; the series memo keeps its data,
-        which :func:`verify_model` then reads as a prefix."""
+        ``tail_bound`` times ``sum |p_k|``, ``inf`` when either is not
+        finite, where ``inf * 0`` would read NaN; the series memo keeps its
+        data, which :func:`verify_model` then reads as a prefix."""
         series = _model_series(self, f)
-        cp = float(np.sum(np.abs(f.p_coeffs)))
-        return {"q1_tail": series.tail_pos, "q2_tail": series.tail_neg, "bound": cp * series.tail_bound}
+        with np.errstate(over="ignore"):  # a sum that overflows gives inf
+            cp = float(np.sum(np.abs(f.p_coeffs)))
+        bound = cp * series.tail_bound if np.isfinite(cp + series.tail_bound) else np.inf
+        return {"q1_tail": series.tail_pos, "q2_tail": series.tail_neg, "bound": bound}
 
 
 BUDGET_CAP = 24

@@ -594,10 +594,15 @@ class Analysis:
         return _read_only(np.linalg.solve(self.matrix, np.eye(self.matrix.shape[0], dtype=complex)))
 
     def inverse(self, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-        """``T^-1`` as :func:`inverse` gives it, with its :class:`Singular`
-        at ``tols``; the one array, read-only."""
-        _require_conditioned(self.singular_values, tols)
-        return _require_finite(self._solved)
+        """``T^-1`` as :func:`inverse` gives it, the one array, read-only;
+        where :func:`inverse` raises :class:`Singular` at ``tols``, this
+        raises :class:`NotInvertible` with its message.  Every route that
+        needs ``T^-1`` or ``r T^-1`` reads it here."""
+        try:
+            _require_conditioned(self.singular_values, tols)
+            return _require_finite(self._solved)
+        except Singular as exc:
+            raise NotInvertible(str(exc)) from exc
 
     @cached_property
     def inverse_norm(self) -> float:
@@ -659,13 +664,10 @@ def analysis(t) -> Analysis:
 def involution(t, r: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """The annulus involution ``T -> r T^{-1}``; applying it twice returns T.
     :class:`BadRadius` unless ``0 < r < 1``, before any other check, and
-    :class:`NotInvertible`, with :class:`Singular`'s message, for a singular
-    ``T``."""
+    :class:`NotInvertible` for a singular ``T``
+    (:meth:`Analysis.inverse`)."""
     require_radius(r)
-    try:
-        return r * analysis(t).inverse(tols)
-    except Singular as exc:
-        raise NotInvertible(str(exc)) from exc
+    return r * analysis(t).inverse(tols)
 
 
 def inverse(a, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

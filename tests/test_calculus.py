@@ -153,7 +153,7 @@ class TestEvalLaurent:
         # a singular T is not invertible before its norm is compared
         for route in (eval_laurent, laurent_remainder_bound):
             for t in (np.diag([0.7, 0.0]), np.diag([2.0, 0.0])):
-                with pytest.raises(NotInvertible, match="needs invertible T"):
+                with pytest.raises(NotInvertible, match=r"^condition estimate exceeds 1\.0e\+09$"):
                     route(f, t, 8)
 
 
@@ -467,7 +467,7 @@ class TestChunks:
         # workspace and keeps one value per row, so its peak memory grows
         # by that value per row, not by the rows' (rows, points) values
         battery = certify._stress_battery(0.5, 2000, 1).stack
-        ring = certify._ring(4096)
+        ring = certify._RING
         z = np.concatenate([ring, 0.5 * ring])
         # past one chunk of rows (at most 512 here), at 8192, 64 and 8 points
         for points in (z, z[::128], np.tile(z[:8], (1800, 1))):

@@ -27,7 +27,7 @@ from annulus_lab.certify import (
     windowed_matrix,
     sample_test_function,
     _clamp_to_annulus,
-    _sampled_sups,
+    _critical_sups,
     _stress_battery,
     _stress_ratios,
 )
@@ -247,9 +247,9 @@ class TestVonNeumannStress:
         f = rep.witness
         t = example_matrix(0.25)
         num = operator_norm(calculus.eval_direct(f, t))
-        # the recorded ratio uses a sampled sup lower bound, so replaying with
-        # any denser lower bound still certifies a violation
-        denom = _sups_of((f,), base_nodes=1 << 15, local_nodes=4096)[0]
+        # a sampled sup is a lower bound on the sup, so replaying with one
+        # still certifies a violation
+        denom = _reference_sup(f, 1 << 15, 4096)
         assert num / denom > 1.0 + 1e-8
 
     def test_deterministic_per_seed(self):
@@ -295,12 +295,6 @@ class TestVonNeumannStress:
         rep = vonneumann_stress(example_matrix(0.25), 0.25, 20, 1)
         assert rep.stress_route == "factored"
         assert rep.to_json()["stress_route"] == "factored"
-
-    def test_battery_sups_keep_the_coarse_sampling_maximum(self):
-        battery = _stress_battery.__wrapped__(0.5, 500, 4)
-        # the 1024 nodes per circle are a subset of the 4096 _sampled_sups samples
-        sups = battery.exact_sups(np.arange(500))
-        assert sups.tolist() == [max(rational.boundary_sup_norm(f, 1024), s) for f, s in zip(_functions(battery), sups)]
 
     @staticmethod
     def _reference_lower(f):
@@ -411,8 +405,8 @@ class TestVonNeumannStress:
         # the screened input has kappa about 1.07, so |f| at the triangle's
         # diagonal is taken, and overflows; no sup is sampled before the raise
         sampled = []
-        sups = certify._sampled_sups
-        monkeypatch.setattr(certify, "_sampled_sups", lambda *args: sampled.append(1) or sups(*args))
+        sups = certify._critical_sups
+        monkeypatch.setattr(certify, "_critical_sups", lambda *args: sampled.append(1) or sups(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotContraction, match="^overflow: "):
@@ -434,10 +428,13 @@ class TestVonNeumannStress:
                     full_certification(s * base, 0.5, 2000, 1)
 
 
-def _sups_of(functions, *args, **kwargs):
-    """:func:`_sampled_sups` of ``functions`` on one annulus, packed by
-    :func:`rational.factored_stack`, which validates every function first."""
-    return _sampled_sups(rational.factored_stack(functions), *args, **kwargs)
+def _sups_of(functions):
+    """:func:`_critical_sups` of ``functions`` on one annulus, packed by
+    :func:`rational.factored_stack`, which validates every function first,
+    after the pole check the battery makes when it is built."""
+    stack = rational.factored_stack(functions)
+    certify._check_poles(stack)
+    return _critical_sups(stack)
 
 
 def _functions(battery):
@@ -680,55 +677,85 @@ def _adversarial_functions(r, count, seed):
     return out
 
 
-class TestSampledSups:
-    """Sampled sups are the full sampling's maxima, bit for bit."""
+def _dense_sups(stack):
+    """A sampled reference for the sups of the rows of ``stack``: the max
+    of ``|f|`` over ``1 << 15`` equispaced nodes per circle, taken 4096 at
+    a time, and over 4096 equispaced nodes across a window around each pole
+    near a circle, about 32 times its clearance wide (capped at ``pi / 4``
+    each side), as :func:`_reference_sup` takes them; the windows go 64 at
+    a time."""
+    nodes = 1 << 15
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    sups = np.full(stack.p.shape[0], -np.inf)
+    for lo in range(0, nodes, 4096):
+        z = ring[lo : lo + 4096]
+        np.maximum(sups, stack.max_abs_at(np.concatenate([z, stack.r * z])), out=sups)
+    r, mods, outer = stack.r, stack.moduli, stack.outer
+    dist = np.where(outer, mods - 1.0, r - mods)
+    row, col = np.nonzero(stack.mask & np.where(outer, dist < 0.2, (0 < dist) & (dist < 0.2 * r)))
+    dist, outer = dist[row, col], outer[row, col]
+    half = np.minimum(np.where(outer, 32.0 * dist, 32.0 * dist / r), np.pi / 4)
+    theta = np.angle(stack.roots[row, col])[:, np.newaxis] + np.linspace(-half, half, 4096, axis=-1)
+    windows = np.where(outer, 1.0, r)[:, np.newaxis] * np.exp(1j * theta)
+    for lo in range(0, row.size, 64):
+        sl = slice(lo, lo + 64)
+        np.maximum.at(sups, row[sl], stack.take(row[sl]).max_abs_at(windows[sl]))
+    return sups
+
+
+class TestCriticalSups:
+    """One sup per row, from the critical points of ``|f|``: the memo's
+    bits, a known answer and the pole check."""
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
-    def test_battery_matches_full_sampling(self, r):
+    def test_battery_memo_matches_one_pass(self, r):
         battery = _stress_battery.__wrapped__(r, 2000, 1)
-        ref = np.array([_reference_sup(f) for f in _functions(battery)])
+        ref = _critical_sups(battery.stack)
         rows = np.arange(2000)
         # half the memo first, then the rest around it
         assert np.array_equal(battery.exact_sups(rows[::2]), ref[::2])
         assert np.array_equal(battery.exact_sups(rows), ref)
         assert np.array_equal(battery.memo, ref)
+        # a row's sup does not depend on the rows beside it
+        assert [_critical_sups(battery.stack.take(rows[i : i + 1]))[0] for i in rows[::97]] == ref[::97].tolist()
+
+    @pytest.mark.oldest_pins
+    def test_sups_reach_the_dense_sampling_on_three_batteries(self):
+        """Rests on LAPACK's zgeev, through numpy's eigvals, for the critical points."""
+        eps = np.finfo(float).eps
+        for r in (0.25, 0.5, 0.81):
+            battery = _stress_battery.__wrapped__(r, 2000, 1)
+            sups, ref = _critical_sups(battery.stack), _dense_sups(battery.stack)
+            excess = (sups - ref) / ref
+            assert excess.min() >= -4 * eps, r
+            # the sampling's shortfall, recovered
+            assert excess.max() >= 2.5e-5, r
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
-    def test_adversarial_matches_full_sampling(self, r):
+    def test_adversarial_sups_reach_the_dense_sampling(self, r):
+        # poles within 10^-k of a circle, k <= 6, where a pole's own
+        # direction gives the peak that the roots of G place less accurately
         functions = _adversarial_functions(r, 300, 3)
-        ref = np.array([_reference_sup(f) for f in functions])
-        assert np.array_equal(_sups_of(functions), ref)
-
-    def test_dense_recheck_matches_full_sampling(self):
-        functions = _sampled_functions(0.5, 100, 2)
         ref = np.array([_reference_sup(f, 1 << 15, 4096) for f in functions])
-        assert np.array_equal(_sups_of(functions, 1 << 15, 4096), ref)
-        assert _sups_of((functions[7],), 1 << 15, 4096)[0] == ref[7]
+        assert np.all(_sups_of(functions) >= ref * (1.0 - 4 * np.finfo(float).eps))
 
-    def test_one_dense_sup_stays_in_fixed_memory(self):
-        # a row with four poles near the circles, so four 4096-node windows too
-        f = AnnulusRational(
-            r=0.5,
-            p_coeffs=(1.0, 0.5, 0.25, 0.125, 0.0625),
-            q1_roots=(1.01, 1.05j),
-            q2_roots=(-0.49, -0.45j),
-        )
-        certify._ring(1 << 15)
-        tracemalloc.start()
-        try:
-            _sups_of((f,), 1 << 15, 4096)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # 0.8 MiB, most of it the windows; the circles taken whole, not in
-        # 4096-node pieces, would peak near 5 MiB
-        assert peak <= 2 * 2**20
+    def test_a_failed_eigensolve_keeps_the_lower_bound(self, monkeypatch):
+        # the critical points of a failed eigensolve drop out, the lower
+        # bound's nodes and the poles' directions stay, with their bits
+        battery = _stress_battery.__wrapped__(0.5, 200, 1)
+        solved = _critical_sups(battery.stack)
 
-    def test_rings_are_cached_read_only(self):
-        ring = certify._ring(4096)
-        assert certify._ring(4096) is ring and not ring.flags.writeable
-        assert np.array_equal(ring, np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096)))
-        assert np.array_equal(certify._ring(1 << 15), np.exp(1j * (2.0 * np.pi * np.arange(1 << 15) / (1 << 15))))
+        def failing(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np, "roots", failing)
+        sups = _critical_sups(battery.stack)
+        assert np.all(battery.lower_bounds(np.arange(200)) <= sups) and np.all(sups <= solved)
+        assert np.any(sups < solved)
+
+    def test_the_ring_is_read_only(self):
+        assert not certify._RING.flags.writeable
+        assert np.array_equal(certify._RING, np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096)))
 
     def test_pole_hit_is_raised(self):
         f = AnnulusRational(r=0.5, q1_roots=(1.0 + 1e-15,))
@@ -745,22 +772,32 @@ class TestSampledSups:
         with pytest.raises(PoleHit, match=re.escape(str(fifth.q2_roots[0]))):
             _sups_of(functions[2:])
 
+    @pytest.mark.parametrize("circle", ["outer", "inner"])
+    @pytest.mark.parametrize("angle", [0.0, 1.0, -2.5, np.pi])
+    def test_a_root_within_1e_15_of_a_circle_names_the_first_row(self, circle, angle):
+        # on its allowed side: outside the unit circle, inside the r circle
+        r = 0.5
+        root = (1.0 + 1e-15 if circle == "outer" else r * (1.0 - 1e-15)) * np.exp(1j * angle)
+        clear = (1.0 + 1e-13 if circle == "outer" else r * (1.0 - 1e-13)) * np.exp(1j * angle)
+        make = (lambda a: AnnulusRational(r=r, p_coeffs=(1.0, 0.5), q1_roots=(2.0, a))) if circle == "outer" else (
+            lambda a: AnnulusRational(r=r, p_coeffs=(1.0, 0.5), q1_roots=(2.0,), q2_roots=(0.1, a))
+        )
+        functions = _sampled_functions(r, 5, 2) + [make(clear), make(root), make(-root)]
+        assert np.isfinite(_sups_of(functions[:6])).all()
+        with pytest.raises(PoleHit, match=re.escape(str(complex(root)))):
+            _sups_of(functions)
+        with pytest.raises(PoleHit, match=re.escape(str(complex(-root)))):
+            _sups_of(functions[:6] + functions[7:])
 
-def _full_sup_ratios(nums, norms, lower, probe, memo, sups, dense, tol):
+
+def _full_sup_ratios(nums, norms, lower, probe, memo, sups, tol):
     """Reference for :func:`_stress_ratios`: every norm (those of
-    ``norms``, or ``nums`` without it) and every sup computed, then the
-    flagged ratios re-checked."""
+    ``norms``, or ``nums`` without it) and every sup computed; the witness
+    is the first row above ``1 + tol``."""
     nums = norms(np.arange(nums.size)) if norms is not None else nums
-    denoms = np.maximum(sups(np.arange(nums.size)), probe)
-    ratios = nums / denoms
-    witness = None
-    flagged = np.nonzero(ratios > 1.0 + tol)[0]
-    if flagged.size:
-        for i, sup in zip(flagged, dense(flagged)):
-            ratios[i] = nums[i] / max(denoms[i], sup)
-            if witness is None and ratios[i] > 1.0 + tol:
-                witness = int(i)
-    return (float(ratios.max()) if ratios.size else 0.0), witness
+    ratios = nums / np.maximum(sups(np.arange(nums.size)), probe)
+    flagged = np.flatnonzero(ratios > 1.0 + tol)
+    return (float(ratios.max()) if ratios.size else 0.0), (int(flagged[0]) if flagged.size else None)
 
 
 @pytest.mark.oldest_pins
@@ -768,7 +805,7 @@ class TestStressRatios:
     """Lazy refinement gives the ratios of every norm and every sup computed."""
 
     @staticmethod
-    def _lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms=None):
+    def _lazy(nums, lower, probe, memo, exact, tol, norms=None):
         """:func:`_stress_ratios` on upper bounds ``nums`` of the norms
         ``norms`` (none: ``nums`` are the norms); returns the result, the
         rows whose sups were asked for and the rows that got their norms."""
@@ -788,7 +825,7 @@ class TestStressRatios:
             return exact[rows]
 
         by_row = None if norms is None else exact_norms
-        got = _stress_ratios(nums, by_row, lower, probe, memo, sups, lambda rows: dense_sups[rows], tol)
+        got = _stress_ratios(nums, by_row, lower, probe, memo, sups, tol)
         # no row is asked for its sup twice, or for its norm twice
         assert len(asked) == len(set(asked)) and len(normed) == len(set(normed))
         return got, asked, normed
@@ -825,7 +862,6 @@ class TestStressRatios:
                 bad = rng.integers(0, n, 2)
                 nums[bad] = (np.nan, np.inf)[trial % 2]
             memo = np.where(rng.random(n) < 0.3 * (trial % 3), exact, np.nan)
-            dense_sups = exact * rng.choice([1.0, 1.05, 3.0], n)
             tol = (1e-8, 0.1)[trial % 2]
             want = _full_sup_ratios(
                 nums,
@@ -834,47 +870,44 @@ class TestStressRatios:
                 probe,
                 memo,
                 lambda rows: exact[rows],
-                lambda rows: dense_sups[rows],
                 tol,
             )
-            got, _, normed = self._lazy(nums, lower, probe, memo, exact, dense_sups, tol, norms)
+            got, _, normed = self._lazy(nums, lower, probe, memo, exact, tol, norms)
             self._same(got, want)
             assert set(np.asarray(bad).tolist()) <= set(normed)
             # on the tighter bounds, and with nothing known (every bound
             # inf, as a screen with kappa = inf would give)
-            self._same(self._lazy(middle, lower, probe, memo, exact, dense_sups, tol, norms)[0], want)
-            self._same(self._lazy(np.full(n, np.inf), lower, probe, memo, exact, dense_sups, tol, norms)[0], want)
+            self._same(self._lazy(middle, lower, probe, memo, exact, tol, norms)[0], want)
+            self._same(self._lazy(np.full(n, np.inf), lower, probe, memo, exact, tol, norms)[0], want)
             # a quarter of each: few rows can exceed 1 + tol, so the ratio
             # seeded first prunes the rest
-            sups = (lambda rows: exact[rows], lambda rows: dense_sups[rows])
-            quarter = _full_sup_ratios(nums / 4, lambda rows: norms[rows] / 4, lower, probe, memo, *sups, tol)
-            got = self._lazy(nums / 4, lower, probe, memo, exact, dense_sups, tol, norms / 4)[0]
+            sups = lambda rows: exact[rows]  # noqa: E731
+            quarter = _full_sup_ratios(nums / 4, lambda rows: norms[rows] / 4, lower, probe, memo, sups, tol)
+            got = self._lazy(nums / 4, lower, probe, memo, exact, tol, norms / 4)[0]
             self._same(got, quarter)
             # without a norm call, as on the spectral route, nums are the norms
-            self._same(self._lazy(norms, lower, probe, memo, exact, dense_sups, tol)[0], want)
+            self._same(self._lazy(norms, lower, probe, memo, exact, tol)[0], want)
             # and on nums, non-finite ones included, against every sup computed
-            on_nums = _full_sup_ratios(
-                nums, None, lower, probe, memo, lambda rows: exact[rows], lambda rows: dense_sups[rows], tol
-            )
-            self._same(self._lazy(nums, lower, probe, memo, exact, dense_sups, tol)[0], on_nums)
+            on_nums = _full_sup_ratios(nums, None, lower, probe, memo, sups, tol)
+            self._same(self._lazy(nums, lower, probe, memo, exact, tol)[0], on_nums)
             # with a full memo no sup is asked for, and with exact norms nothing
-            assert self._lazy(nums, lower, probe, exact, exact, dense_sups, tol, norms)[1] == []
-            assert self._lazy(norms, lower, probe, exact, exact, dense_sups, tol)[1:] == ([], [])
+            assert self._lazy(nums, lower, probe, exact, exact, tol, norms)[1] == []
+            assert self._lazy(norms, lower, probe, exact, exact, tol)[1:] == ([], [])
 
-    def test_recheck_comes_before_pruning(self):
-        # row 0 is flagged at ratio 2 and re-checked down to 0.02; row 1,
-        # ratio 0.5 / 0.55, has upper bound 1 < 2 and must still be refined
-        nums, lower, probe = np.array([2.0, 0.5]), np.array([1.0, 0.5]), np.zeros(2)
-        exact, dense_sups = np.array([1.0, 0.55]), np.array([100.0, 0.55])
-        got, asked, _ = self._lazy(nums, lower, probe, np.full(2, np.nan), exact, dense_sups, 1e-8)
-        assert got == (0.5 / 0.55, None) and sorted(asked) == [0, 1]
+    def test_the_witness_is_the_first_row_above_one_plus_tol(self):
+        # rows 1 and 3 exceed 1 + tol with their sups, row 3 by more; row
+        # 0's bound exceeds it too, but not its ratio
+        nums, lower, probe = np.array([2.0, 1.5, 0.5, 3.0]), np.ones(4), np.zeros(4)
+        exact = np.array([4.0, 1.0, 1.0, 1.0])
+        got, asked, _ = self._lazy(nums, lower, probe, np.full(4, np.nan), exact, 1e-8)
+        assert got == (3.0, 1) and sorted(asked) == [0, 1, 3]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_nums_are_refined(self, bad):
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact = np.array([1.0, 2.0, 1.5])
-        want = _full_sup_ratios(nums, None, lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8)
-        got, asked, _ = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8)
+        want = _full_sup_ratios(nums, None, lower, probe, None, lambda rows: exact[rows], 1e-8)
+        got, asked, _ = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, 1e-8)
         self._same(got, want)
         assert 1 in asked and 2 not in asked
 
@@ -882,17 +915,15 @@ class TestStressRatios:
     def test_non_finite_bounds_get_their_norms(self, bad):
         nums, lower, probe = np.array([0.5, bad, 0.1]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         exact, norms = np.array([1.0, 2.0, 1.5]), np.array([0.5, 1.5, 0.1])
-        want = _full_sup_ratios(
-            nums, lambda rows: norms[rows], lower, probe, None, lambda rows: exact[rows], lambda rows: exact[rows], 1e-8
-        )
-        got, asked, normed = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, exact, 1e-8, norms)
+        want = _full_sup_ratios(nums, lambda rows: norms[rows], lower, probe, None, lambda rows: exact[rows], 1e-8)
+        got, asked, normed = self._lazy(nums, lower, probe, np.full(3, np.nan), exact, 1e-8, norms)
         self._same(got, want)
         assert 1 in normed and 1 in asked and 2 not in asked
 
     def test_a_full_memo_asks_for_nothing(self):
         nums, exact = np.array([0.5, 0.9, 1.2]), np.array([1.0, 1.0, 1.0])
-        got, asked, _ = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 2 * exact, 1e-8)
-        assert got == (0.9, None) and asked == []
+        got, asked, _ = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 1e-8)
+        assert got == (1.2, 2) and asked == []
 
     def test_one_seed_then_the_rest_pruned_without_norms(self):
         # no ratio can exceed 1 and none is known: the largest row gets its
@@ -901,7 +932,7 @@ class TestStressRatios:
         n = 40
         nums, norms = np.r_[0.96, np.full(n - 1, 0.85)], np.r_[0.9, np.full(n - 1, 0.25)]
         ones = np.ones(n)
-        got, asked, normed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, ones, 1e-8, norms)
+        got, asked, normed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, 1e-8, norms)
         assert got == (0.9, None) and asked == normed == [0]
 
     def test_a_witness_leaves_the_seeds_sup_unasked(self):
@@ -911,7 +942,7 @@ class TestStressRatios:
         n = 40
         nums, norms = np.r_[1.5, 1.4, np.full(n - 2, 0.9)], np.r_[0.5, 1.2, np.full(n - 2, 0.25)]
         ones = np.ones(n)
-        got, asked, normed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, ones, 1e-8, norms)
+        got, asked, normed = self._lazy(nums, ones, np.zeros(n), np.full(n, np.nan), ones, 1e-8, norms)
         assert got == (1.2, 1) and asked == [1] and normed == [0, 1]
 
     def test_a_bound_that_is_not_finite_climbs_before_any_sup(self):
@@ -931,7 +962,7 @@ class TestStressRatios:
             pytest.fail("sup asked for")
 
         with pytest.raises(OverflowError):
-            _stress_ratios(nums, exact, np.ones(n), np.zeros(n), np.full(n, np.nan), sups, sups, 1e-8)
+            _stress_ratios(nums, exact, np.ones(n), np.zeros(n), np.full(n, np.nan), sups, 1e-8)
 
     def test_bounds_prune_norms(self):
         # the first batch of rows settles at ratio 0.9, above the last row's
@@ -939,7 +970,7 @@ class TestStressRatios:
         rows = certify._REFINE_ROWS
         nums, norms = np.r_[np.full(rows, 0.95), 0.5], np.r_[np.full(rows, 0.9), 0.25]
         exact, memo = np.ones(rows + 1), np.full(rows + 1, np.nan)
-        got, asked, normed = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, exact, 1e-8, norms)
+        got, asked, normed = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, 1e-8, norms)
         assert got == (0.9, None) and sorted(asked) == sorted(normed) == list(range(rows))
 
 
@@ -975,9 +1006,9 @@ _LAZY_CASES = {
 # (kappa_2(Y) range, verdict, max_ratio or None) of the hard inputs at r =
 # 0.5, 2000 trials, seed 1
 _HARD_CASES = {
-    "jordan": ((np.inf, np.inf), Verdict.PASSED_STRESS, 0.9132514796835192),
+    "jordan": ((np.inf, np.inf), Verdict.PASSED_STRESS, 0.9132514708022987),
     "split-jordan": ((8e9, 9e9), Verdict.PASSED_STRESS, None),
-    "jordan3": ((7e9, 8e9), Verdict.REFUTED, 1.619852909011471),
+    "jordan3": ((7e9, 8e9), Verdict.REFUTED, 1.6198529039052085),
 }
 
 
@@ -1032,7 +1063,7 @@ class TestLazyRefinement:
             _stress_battery.cache_clear()
             reports = [full_certification(t, 0.5, 2000, 2) for t in inputs[:20]]
             battery = _stress_battery(0.5, 2000, 2)
-            counts = [np.count_nonzero(~np.isnan(memo)) for memo in (battery.memo, battery.dense)]
+            counts = np.count_nonzero(~np.isnan(battery.memo))
             reports += [full_certification(t, 0.5, 2000, 2) for t in inputs[20:]]
             return [(rep.to_json(), details) for rep, details in reports], counts
 
@@ -1096,24 +1127,24 @@ class TestLazyRefinement:
         assert np.count_nonzero(~np.isnan(_stress_battery(0.5, 2000, 1).memo)) > 0
         assert built == []
 
-    def test_warm_battery_rechecks_no_witness_twice(self, monkeypatch):
+    def test_warm_battery_computes_no_witness_sup_twice(self, monkeypatch):
         _stress_battery.cache_clear()
         first = vonneumann_stress(example_matrix(0.5), 0.5, 2000, 2)
         assert first.verdict is Verdict.REFUTED
         battery = _stress_battery(0.5, 2000, 2)
-        rows = np.flatnonzero(~np.isnan(battery.dense))
-        assert rows.size and np.array_equal(battery.dense[rows], _sampled_sups(battery.stack.take(rows), 1 << 15, 4096))
-        monkeypatch.setattr(certify, "_sampled_sups", lambda *args: pytest.fail("sup computed"))
+        rows = np.flatnonzero(~np.isnan(battery.memo))
+        assert rows.size and np.array_equal(battery.memo[rows], _critical_sups(battery.stack.take(rows)))
+        monkeypatch.setattr(certify, "_critical_sups", lambda *args: pytest.fail("sup computed"))
         assert vonneumann_stress(example_matrix(0.5), 0.5, 2000, 2).to_json() == first.to_json()
 
-    def test_threads_lose_no_dense_recheck(self):
+    def test_threads_lose_no_sup(self):
         battery = _stress_battery.__wrapped__(0.5, 200, 2)
         parts = [np.arange(k, 24, 6) for k in range(6)]
         start = threading.Barrier(6)
 
         def worker(rows):
             start.wait()
-            return battery.exact_sups(rows, dense=True)
+            return battery.exact_sups(rows)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1122,10 +1153,10 @@ class TestLazyRefinement:
                 got = [future.result(timeout=120) for future in [pool.submit(worker, rows) for rows in parts]]
         finally:
             sys.setswitchinterval(interval)
-        want = _sampled_sups(battery.stack.take(np.arange(24)), 1 << 15, 4096)
+        want = _critical_sups(battery.stack.take(np.arange(24)))
         assert all(np.array_equal(g, want[rows]) for g, rows in zip(got, parts))
-        assert np.array_equal(battery.dense[:24], want) and np.isnan(battery.dense[24:]).all()
-        assert np.isnan(battery.memo).all()
+        assert np.array_equal(battery.memo[:24], want) and np.isnan(battery.memo[24:]).all()
+        assert np.isnan(battery.lower).all()
 
     @pytest.mark.parametrize("kind", ["normal", "windowed", "shear"])
     def test_lower_bounds_only_for_the_rows_read(self, kind):
@@ -1155,10 +1186,10 @@ class TestLazyRefinement:
         computed = []
         original = certify._Battery.exact_sups
 
-        def recording(self, rows, dense=False):
-            if self is battery and not dense:
+        def recording(self, rows):
+            if self is battery:
                 computed.extend(rows[np.isnan(self.memo[rows])].tolist())
-            return original(self, rows, dense)
+            return original(self, rows)
 
         monkeypatch.setattr(certify._Battery, "exact_sups", recording)
         start = threading.Barrier(4)
@@ -1703,7 +1734,8 @@ class TestNormBounds:
         linalg._analysis_memo.cache_clear()
         report, _ = full_certification(windowed_matrix(32, 0.5, 3), 0.5, 2000, 1)
         assert sent == []
-        assert report.verdict is Verdict.PASSED_STRESS and report.max_ratio == 0.9642425091161526
+        assert report.verdict is Verdict.PASSED_STRESS
+        assert_allclose(report.max_ratio, 0.964242499739053, rtol=1e-12)
 
     def test_fixed_memory_at_n40(self):
         t = windowed_matrix(40, 0.5, 3)

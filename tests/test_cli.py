@@ -142,9 +142,12 @@ class TestUnboundedTail:
         err = capsys.readouterr().err
         assert err == f"error: SeriesDivergent: {fn}: a factor's tail has no certified bound\n" and not out.exists()
 
-    def test_model_verify(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "f", [F, AnnulusRational(r=0.5, p_coeffs=(1e308, 1e308))], ids=["tail", "numerator-overflow"]
+    )
+    def test_model_verify(self, f, tmp_path, capsys):
         mat = write_matrix(tmp_path / "t.json", windowed_matrix(3, 0.5, 7))
-        fn = write_function(tmp_path / "f.json", self.F)
+        fn = write_function(tmp_path / "f.json", f)
         out = tmp_path / "report.json"
         assert cli.main(["model-verify", "--r", "0.5", "--matrix", mat, "--f", fn, "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -361,7 +364,7 @@ class TestLeanStart:
         assert state["lapack"] == "scipy.linalg._flapack"
         assert state["loaded"] == {
             "import": False,
-            "numpy.polynomial": True,
+            "numpy.polynomial": False,
             "certify": False,
             "laurent": False,
             "selftest": False,

@@ -500,6 +500,14 @@ class TestVerifyModel:
         model = build_model(windowed_matrix(3, 0.5, 3), 0.5, 4)
         assert model.tail_report(f) == {"q1_tail": np.inf, "q2_tail": 0.0, "bound": np.inf}
 
+    def test_a_numerator_whose_modulus_sum_overflows_reports_an_infinite_bound(self):
+        # sum |p| is inf and the tails are 0, where the product reads NaN
+        f = AnnulusRational(r=0.5, p_coeffs=(1e308, 1e308))
+        model = build_model(windowed_matrix(3, 0.5, 3), 0.5, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.tail_report(f) == {"q1_tail": 0.0, "q2_tail": 0.0, "bound": np.inf}
+
 
 def _factor_pair(f, d):
     """Laurent series of ``1/(scale q1)`` and of ``1/q2`` at order ``d``,

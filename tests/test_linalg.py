@@ -1053,17 +1053,40 @@ class TestAnalysisMemo:
             assert np.array_equal(facts.conditioning.triangle, rule.triangle)
             assert np.array_equal(facts.conditioning.vectors, rule.vectors)
 
-    def test_singular_is_raised_at_each_call_s_tolerance(self):
+    def test_not_invertible_is_raised_at_each_call_s_tolerance(self):
         t = np.diag([1.0, 1e-6]).astype(complex)
         linalg._analysis_memo.cache_clear()
         facts = linalg.analysis(t)
-        with pytest.raises(Singular, match="condition estimate exceeds 1.0e"):
+        with pytest.raises(NotInvertible, match="condition estimate exceeds 1.0e"):
             facts.inverse(Tolerances(rank_tol=1e-5))
         assert np.array_equal(facts.inverse(DEFAULT_TOLS), linalg.inverse(t))
-        with pytest.raises(Singular, match="condition estimate exceeds"):
+        with pytest.raises(NotInvertible, match="condition estimate exceeds"):
             facts.inverse(Tolerances(rank_tol=1e-5))
-        with pytest.raises(Singular, match="overflows"):
+        with pytest.raises(NotInvertible, match="overflows"):
             linalg.analysis(1e-310 * np.eye(2)).inverse()
+        # linalg.inverse and linalg.solve keep Singular, with the same message
+        with pytest.raises(Singular, match="^condition estimate exceeds 1.0e\\+05$"):
+            linalg.inverse(t, Tolerances(rank_tol=1e-5))
+        with pytest.raises(Singular, match="^the solution overflows$"):
+            linalg.solve(1e-310 * np.eye(2), np.eye(2))
+
+    def test_every_route_that_needs_an_inverse_refuses_a_singular_t_alike(self):
+        t, r = np.array([[0.0, 0.0], [0.0, 0.6]]), 0.5
+        f = AnnulusRational(r=r, p_coeffs=(0.3, 1.0), q1_roots=(2.5,), q2_roots=(0.1,))
+        inner = AnnulusRational(r=r, p_coeffs=(0.7,), q2_roots=(0.1 * r,))
+        routes = {
+            "Analysis.inverse": lambda: linalg.analysis(t).inverse(),
+            "involution": lambda: linalg.involution(t, r),
+            "eval_laurent": lambda: calculus.eval_laurent(f, t, 20),
+            "laurent_remainder_bound": lambda: calculus.laurent_remainder_bound(f, t, 20),
+            "build_model": lambda: dilation.build_model(t, r, 8),
+            "single_carrier_residual": lambda: dilation.single_carrier_residual(t, r, inner, 8),
+        }
+        for name, route in routes.items():
+            with pytest.raises(NotInvertible) as raised:
+                route()
+            assert type(raised.value) is NotInvertible, name
+            assert str(raised.value) == "condition estimate exceeds 1.0e+09", name
         with pytest.raises(NotSquare):
             linalg.analysis(np.ones((2, 3)))
 
