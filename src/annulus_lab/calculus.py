@@ -90,7 +90,10 @@ def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Toleranc
     whose ``T - aI`` fails :func:`linalg.solve`'s conditioning rule fails.
     :meth:`linalg.Analysis.screen` decides both for every root at once.
     The error names the first row in stack order with either, and within
-    it a touching root before a failing one, each in slot order.
+    it a touching root before a failing one, each in slot order, in the
+    words of its test: "spectrum touches denominator root a", or
+    "denominator root a fails the conditioning rule: condition estimate
+    exceeds 1/rank_tol".
     """
     ws = roots[mask]
     touch, failed = facts.screen(ws, tols, moduli[mask])
@@ -99,8 +102,12 @@ def _check_row_roots(roots, mask, moduli, facts: linalg.Analysis, tols: Toleranc
         # ws runs row by row, each row in slot order
         rows = np.nonzero(mask)[0]
         row = rows == rows[np.argmax(hit)]
-        slots = touch & row if (touch & row).any() else failed & row
-        raise Singular(f"spectrum touches denominator root {complex(ws[np.argmax(slots)])}")
+        if (touch & row).any():
+            raise Singular(f"spectrum touches denominator root {complex(ws[np.argmax(touch & row)])}")
+        raise Singular(
+            f"denominator root {complex(ws[np.argmax(failed & row)])} fails the conditioning rule: "
+            f"condition estimate exceeds {1.0 / tols.rank_tol:.1e}"
+        )
 
 
 def _factored_chunks(stack: rational.FactoredStack, rule: linalg.ShiftConditioning):

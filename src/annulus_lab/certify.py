@@ -196,27 +196,29 @@ def sample_test_function(r: float, rng: np.random.Generator) -> AnnulusRational:
     return rational.pack(r, *_draw(r, 1, (rng, rng, rng))).function(0)
 
 
-# The most exact norms, and exact sups, asked for at a time while the
-# largest ratio is still being found (sup batches grow 1, 2, 4, ... up to
-# it); the stress ratios seed no row in a call over at most this many.
-_REFINE_ROWS = 16
-# The battery's lower bounds read 32 of the _BASE_NODES equispaced nodes per
-# circle, _RING (read-only) and r _RING, and the node nearest each root on its
-# own circle.  A lower bound only prunes, so the choice changes no report.
-_BASE_NODES = 4096
-_LOWER_STRIDE = 128
-_RING = np.exp(1j * (2.0 * np.pi * np.arange(_BASE_NODES) / _BASE_NODES))
+# The battery's lower bounds read the 32 equispaced nodes of each circle,
+# _RING (read-only) and r _RING, and the point of each root's own circle
+# nearest it.  A lower bound only prunes, so the choice changes no report.
+_RING = np.exp(1j * (2.0 * np.pi * np.arange(32) / 32))
 _RING.flags.writeable = False
+
+
+def _toward(roots: np.ndarray, rho) -> np.ndarray:
+    """``rho a / |a|`` for each ``a`` in ``roots``, the point of the circle
+    ``|z| = rho`` nearest it (``rho`` for ``a = 0``); ``rho`` broadcasts.
+    :func:`_check_poles`, :func:`_lower_nodes` and :func:`_critical_points`
+    all project with it, so they share these floats bit for bit."""
+    mods = np.abs(roots)
+    return rho * np.where(mods > 0, roots / np.where(mods > 0, mods, 1.0), 1.0)
 
 
 def _check_poles(stack: rational.FactoredStack) -> None:
     """:class:`PoleHit`, as :func:`rational.evaluate` would raise it, for
     the first row of ``stack`` with a root ``a`` within ``1e-14 rho`` of a
-    circle ``|z| = rho``: :func:`rational.check_clearance` at ``rho a /
-    |a|``, the point of each circle nearest each root."""
-    mods, roots = stack.moduli, stack.roots
-    units = np.where(mods > 0, roots / np.where(mods > 0, mods, 1.0), 1.0)
-    circles = (units, stack.r * units)
+    circle ``|z| = rho``: :func:`rational.check_clearance` at
+    :func:`_toward`, the point of each circle nearest each root."""
+    roots = stack.roots
+    circles = (_toward(roots, 1.0), _toward(roots, stack.r))
     near = [np.abs(z - roots) <= rational._POLE_TOL * np.abs(z) for z in circles]
     for i in np.flatnonzero((stack.mask & (near[0] | near[1])).any(axis=1))[:1]:
         for j in np.flatnonzero(stack.mask[i]):
@@ -253,29 +255,28 @@ def _critical_points(p: np.ndarray, q: np.ndarray, roots: np.ndarray, rho: float
     except np.linalg.LinAlgError:
         w = np.zeros(0, dtype=complex)
     w = np.concatenate([w, roots])
-    w = w[np.isfinite(w) & (w != 0)]
-    return rho * (w / np.abs(w))
+    return _toward(w[np.isfinite(w) & (w != 0)], rho)
 
 
 def _critical_sups(stack: rational.FactoredStack) -> np.ndarray:
     """The sup of ``|f_i|`` on the two boundary circles, for each row of
-    ``stack``: the max of ``|f_i|`` at the nodes of :func:`_lower_bounds`
-    and at the :func:`_critical_points` of both circles, in one
-    :meth:`max_abs_at <rational.FactoredStack.max_abs_at>` call on a
-    per-row table padded with node 1.  Every value is
-    :func:`rational.evaluate`'s, bit for bit, so ``lower <= sup`` exactly,
-    and a failed eigensolve leaves the lower bound.  The computed roots
-    carry rounding, so the sup is not an upper bound.
+    ``stack``: the max of ``|f_i|`` at ``_RING`` and ``r * _RING``, the
+    shared nodes of :func:`_lower_nodes`, and at the
+    :func:`_critical_points` of both circles, the poles' projections among
+    them, in one :meth:`max_abs_at <rational.FactoredStack.max_abs_at>`
+    call on a per-row table padded with node 1.  Every value is :func:`rational.evaluate`'s, bit for bit,
+    and each node of :func:`_lower_nodes` is among them, so ``lower <=
+    sup`` exactly, and a failed eigensolve leaves the lower bound.  The
+    computed roots carry rounding, so the sup is not an upper bound.
     The rows must be valid and clear of the circles, as :func:`_check_poles`
     checks (the battery checks both once, when it is built)."""
-    coarse, aimed = _lower_nodes(stack)
+    coarse = np.concatenate([_RING, stack.r * _RING])
     points = []
     for i, (k1, k2, lp) in enumerate(stack.counts):
         p = rational._trim_trailing_zeros(stack.p[i, :lp])
         roots = stack.roots[i, : k1 + k2]
         q = stack.scale[i] * rational._poly_from_roots(roots)
-        critical = [_critical_points(p, q, roots, rho) for rho in (1.0, stack.r)]
-        points.append(np.concatenate([coarse, aimed[i], *critical]))
+        points.append(np.concatenate([coarse, *(_critical_points(p, q, roots, rho) for rho in (1.0, stack.r))]))
     table = np.ones((len(points), max((z.size for z in points), default=0)), dtype=complex)
     for row, z in zip(table, points):
         row[: z.size] = z
@@ -283,16 +284,12 @@ def _critical_sups(stack: rational.FactoredStack) -> np.ndarray:
 
 
 def _lower_nodes(stack: rational.FactoredStack) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes ``_RING[k]`` and ``r * _RING[k]`` for the rows of ``stack``:
-    every ``_LOWER_STRIDE``-th node of each circle, shared, and a per-row
-    table holding, for each root, the node of its own circle (unit for a
-    ``q1`` root, ``r`` for a ``q2`` root) nearest its argument, ``k =
-    rint(angle * _BASE_NODES / 2 pi) mod _BASE_NODES``, padded with node 1,
-    a shared node."""
-    coarse = _RING[::_LOWER_STRIDE]
-    near = _RING[np.rint(np.angle(stack.roots) * _BASE_NODES / (2.0 * np.pi)).astype(int) % _BASE_NODES]
-    aimed = np.where(stack.mask, np.where(stack.outer, near, stack.r * near), 1.0)
-    return np.concatenate([coarse, stack.r * coarse]), aimed
+    """Nodes for the rows of ``stack``: ``_RING`` and ``r * _RING``, shared,
+    and a per-row table holding, for each root, the point of its own circle
+    (unit for a ``q1`` root, ``r`` for a ``q2`` root) nearest it,
+    :func:`_toward`, padded with node 1, a shared node."""
+    aimed = np.where(stack.mask, _toward(stack.roots, np.where(stack.outer, 1.0, stack.r)), 1.0)
+    return np.concatenate([_RING, stack.r * _RING]), aimed
 
 
 def _lower_bounds(stack: rational.FactoredStack) -> np.ndarray:
@@ -316,8 +313,9 @@ class _Battery:
     one-sided rows'), and :meth:`exact_sups` the sups.  ``abs_at`` is
     :func:`rational.evaluate` bit for bit whatever the other rows, so a
     lower bound is the value an eager pass over the whole stack gives, and
-    the sup evaluates the same nodes, so ``lower_bounds([i])[0] <=
-    exact_sups([i])[0]`` exactly.  The memos are :attr:`lower` and
+    the sup evaluates each of its nodes, the poles' projections among its
+    critical points, so ``lower_bounds([i])[0] <= exact_sups([i])[0]``
+    exactly.  The memos are :attr:`lower` and
     :attr:`memo`, NaN where not yet computed.  A memo only gains entries,
     each a deterministic value, so which calls filled it never changes a
     result.
@@ -439,19 +437,17 @@ def _stress_ratios(nums, norms, lower, probe, memo, sups, tol: float) -> tuple[f
     gets its norm first:
 
     1. the rows with ``upper > 1 + tol``, or not finite, get their norms,
-       in one call with the seed: with ``norms`` and more than
-       ``_REFINE_ROWS`` rows, every ``upper`` finite and some at most ``1 +
-       tol``, the row with the largest ``upper``; the rows still above ``1
+       in one call with the seed: with ``norms`` and every ``upper``
+       finite, the row with the largest ``upper``; the rows still above ``1
        + tol`` get their sups, and the first whose ratio still exceeds it
        is the witness;
     2. the seed gets its sup if it lacks it and its ``upper`` exceeds
-       ``best``, then every row with ``upper >= best`` its norm, in one call;
-    3. the rows with ``upper >= best`` that lack their norm or their sup
-       get them until no such row is left: of the ``_REFINE_ROWS`` largest,
-       those without their norms get them, or, if they have them all, the
-       largest ``batch`` of them their sups: 1 row at first (2 after the
-       seed's), then 2, 4 and so on up to ``_REFINE_ROWS`` at a time, since
-       the first sup often settles ``best`` above every other bound.
+       ``best``;
+    3. while some row lacking its norm or its sup has ``upper >= best``,
+       every such row without its norm gets it, in one call, or, if they
+       all have them, the largest of them gets its sup: one sup per call,
+       since a sup costs the same alone as in a batch, and the first often
+       settles ``best`` above every other bound.
 
     The seed's sup waits for step 1, so a refuted ``T``'s witness leaves it
     unasked.  No sup is asked for before every bound that is not finite is
@@ -482,38 +478,27 @@ def _stress_ratios(nums, norms, lower, probe, memo, sups, tol: float) -> tuple[f
     def suspect(mask):
         return mask & ~(np.isfinite(ratios) & (ratios <= 1.0 + tol))
 
-    def largest(rows, count):
-        return rows if rows.size <= count else rows[np.argpartition(ratios[rows], -count)[-count:]]
-
-    seed = np.zeros(0, dtype=int)
-    if norms is not None and nums.size > _REFINE_ROWS and np.isfinite(ratios).all() and (ratios <= 1.0 + tol).any():
-        seed = largest(np.arange(nums.size), 1)
+    seed = np.argmax(ratios) if norms is not None and np.isfinite(ratios).all() and ratios.size else None
     first = suspect(~exact)
-    first[seed] = True
+    if seed is not None:
+        first[seed] = True
     if (rows := np.flatnonzero(first)).size:
         climb(rows)
     if (rows := np.flatnonzero(suspect(~known))).size:
         refine(rows)
     flagged = np.flatnonzero(ratios > 1.0 + tol)
     witness = int(flagged[0]) if flagged.size else None
-    batch = 1
-    if seed.size and not known[seed[0]] and ratios[seed[0]] > ratios[exact & known].max(initial=-np.inf):
-        refine(seed)
-        batch = 2
-    done = exact & known
-    if done.any() and (rows := np.nonzero(~exact & (ratios >= ratios[done].max()))[0]).size:
-        climb(rows)
+    if seed is not None and not known[seed] and ratios[seed] > ratios[exact & known].max(initial=-np.inf):
+        refine(np.array([seed]))
     while True:
         done = exact & known
-        rows = np.nonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))[0]
+        rows = np.flatnonzero(~done & (ratios >= ratios[done].max(initial=-np.inf)))
         if not rows.size:
             break
-        rows = largest(rows, _REFINE_ROWS)
         if (pending := rows[~exact[rows]]).size:
             climb(pending)
         else:
-            refine(largest(rows, batch))
-            batch = min(2 * batch, _REFINE_ROWS)
+            refine(rows[[np.argmax(ratios[rows])]])
     return (float(ratios.max()) if ratios.size else 0.0), witness
 
 
@@ -621,12 +606,14 @@ def vonneumann_stress(
 
     Only the ratios that can matter get an exact sup
     (:func:`_stress_ratios`): the battery's lower bounds, ``|f|`` at 32
-    equispaced nodes per circle and at the one of 4096 nearest each
-    pole on its own circle, computed for the evaluated functions only
+    equispaced nodes per circle and at the point of its own circle nearest
+    each pole, computed for the evaluated functions only
     (:meth:`_Battery.lower_bounds`), bound every ratio from above, and a
     function whose bound can neither exceed ``1 + verify_tol`` nor reach
-    the largest ratio found keeps it.  The sups found go into the
-    battery's memo (:meth:`_Battery.exact_sups`); once it holds what a call
+    the largest ratio found keeps it.  Past the functions whose bound
+    exceeds ``1 + verify_tol``, sups are asked for one at a time: a sup
+    costs the same alone as in a batch, and the first often prunes the
+    rest.  The sups found go into the battery's memo (:meth:`_Battery.exact_sups`); once it holds what a call
     needs, the call makes no sup work at all.  The report is the one that
     every norm and every sup computed would give, bit for bit.
 

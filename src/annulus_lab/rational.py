@@ -663,8 +663,9 @@ def _tail_bounds(pos: _TailModel, neg: _TailModel, order: int, s: float = 1.0, t
     """
     tp, tn = pos.tail(order, s), neg.tail(order, t)
     n = np.arange(order + 1)
-    sa = float(_grown(pos.exact[: order + 1], n, s).sum())
-    sb = float(_grown(neg.exact[: order + 1], n, t).sum())
+    with np.errstate(over="ignore"):  # a sum that overflows gives inf
+        sa = float(_grown(pos.exact[: order + 1], n, s).sum())
+        sb = float(_grown(neg.exact[: order + 1], n, t).sum())
     if not np.isfinite(tp + tn + sa + sb):
         return tp, tn, np.inf
     return tp, tn, tp * (sb + tn) + sa * tn

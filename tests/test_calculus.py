@@ -58,13 +58,19 @@ class TestEvalDirect:
         assert operator_norm(lhs - rhs) <= 1e-9 * max(1.0, operator_norm(lhs))
 
     def test_far_root_on_a_non_normal_matrix_is_singular(self):
-        # gap 0.1 from the spectrum, yet sigma_min ~ 1e-8 against sigma_max ~ 1e6
+        # gap 0.1 from the spectrum, yet sigma_min ~ 1e-8 against sigma_max ~ 1e6:
+        # the root fails the conditioning rule without touching the
+        # spectrum, and the error says so in the rule's words
         f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.3,))
-        with pytest.raises(Singular, match=r"^spectrum touches denominator root \(1\.3\+0j\)$"):
+        fails = r"^denominator root \(1\.3\+0j\) fails the conditioning rule: condition estimate exceeds 1\.0e\+09$"
+        with pytest.raises(Singular, match=fails):
             eval_direct(f, [[1.2, 1e6], [0.0, 1.2]])
         # eight rows take the bound, which must leave this root to the SVD
-        with pytest.raises(Singular, match=r"^spectrum touches denominator root \(1\.3\+0j\)$"):
+        with pytest.raises(Singular, match=fails):
             calculus.factored_norms(rational.factored_stack([f] * 8), [[1.2, 1e6], [0.0, 1.2]])
+        # 0.6 from the spectrum, sigma_min(T - 1.5 I) = 3.6e-6 against sigma_max = 1e5
+        with pytest.raises(Singular, match=fails.replace("1\\.3", "1\\.5")):
+            eval_direct(AnnulusRational(r=0.5, q1_roots=(1.5,)), [[0.9, 1e5], [0, 0.9]])
 
     def test_spectrum_touching_root(self):
         f = AnnulusRational(r=0.25, p_coeffs=(1.0,), q1_roots=(1.0 + 1e-12,))
@@ -467,7 +473,7 @@ class TestChunks:
         # workspace and keeps one value per row, so its peak memory grows
         # by that value per row, not by the rows' (rows, points) values
         battery = certify._stress_battery(0.5, 2000, 1).stack
-        ring = certify._RING
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))
         z = np.concatenate([ring, 0.5 * ring])
         # past one chunk of rows (at most 512 here), at 8192, 64 and 8 points
         for points in (z, z[::128], np.tile(z[:8], (1800, 1))):
@@ -688,8 +694,12 @@ def _one_stage_check(stack, t, tols):
     hit = touch | failed
     if hit.any():
         i = int(np.argmax(hit.any(axis=1)))
-        slots = touch[i] if touch[i].any() else failed[i]
-        raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(slots)])}")
+        if touch[i].any():
+            raise Singular(f"spectrum touches denominator root {complex(roots[i, np.argmax(touch[i])])}")
+        raise Singular(
+            f"denominator root {complex(roots[i, np.argmax(failed[i])])} fails the conditioning rule: "
+            f"condition estimate exceeds {1.0 / tols.rank_tol:.1e}"
+        )
 
 
 def _outcome(check, stack, t):
@@ -764,17 +774,19 @@ class TestCheckRoots:
         stack = _with_roots(stack, edits)
         want = _outcome(_one_stage_check, stack, t)
         assert _outcome(calculus._check_roots, stack, t) == want
+        touches = "spectrum touches denominator root {}".format
+        fails = "denominator root {} fails the conditioning rule: condition estimate exceeds 1.0e+09".format
         named = {
-            "shear-fails": "(0.700005+0j)",
-            "shear-touch-first": "(0.6+0j)",
-            "shear-rows": "(0.700003+0j)",
-            "shear-relative-touch": "(0.70000002+0j)",
-            "singular": "0j",
+            "shear-fails": fails("(0.700005+0j)"),
+            "shear-touch-first": touches("(0.6+0j)"),
+            "shear-rows": fails("(0.700003+0j)"),
+            "shear-relative-touch": touches("(0.70000002+0j)"),
+            "singular": touches("0j"),
         }
         if name in ("windowed", "1e-7", "padded", "shear", "n1"):
             assert want is None
         elif name in named:
-            assert want == (Singular, f"spectrum touches denominator root {named[name]}")
+            assert want == (Singular, named[name])
         else:
             assert want[0] is Singular
 

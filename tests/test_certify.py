@@ -299,15 +299,14 @@ class TestVonNeumannStress:
     @staticmethod
     def _reference_lower(f):
         """The max of ``|evaluate(f, z)|`` over the nodes that
-        ``certify._lower_bounds`` documents: every 128th of the 4096
-        equispaced nodes of each circle, and for each root the node of its
-        own circle nearest its argument."""
-        ring = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))
-        inner = f.r * ring
-        nodes = [ring[::128], inner[::128]]
-        for roots, circle in ((f.q1_roots, ring), (f.q2_roots, inner)):
-            for root in roots:
-                nodes.append(circle[[int(np.rint(np.angle(root) * 4096 / (2.0 * np.pi))) % 4096]])
+        ``certify._lower_bounds`` documents: the 32 equispaced nodes of
+        each circle, and for each root ``a`` the point ``rho a / |a|`` of
+        its own circle ``|z| = rho`` (``rho`` for ``a = 0``)."""
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(32) / 32))
+        nodes = [ring, f.r * ring]
+        for roots, rho in ((f.q1_roots, 1.0), (f.q2_roots, f.r)):
+            for root in np.array(roots, dtype=complex):
+                nodes.append(np.array([rho * (root / np.abs(root)) if root != 0 else rho]))
         return float(np.abs(evaluate(f, np.concatenate(nodes))).max())
 
     @pytest.mark.oldest_pins
@@ -319,25 +318,25 @@ class TestVonNeumannStress:
         ]
 
     @pytest.mark.oldest_pins
-    def test_the_aimed_node_index_wraps_at_pi_and_below_zero(self):
-        # each pole sits 1e-3 from its circle, so the node nearest it gives
-        # its row's largest |f|: an argument of +-pi takes node 2048, one
-        # just below 0 node 0 or, past half a spacing, node 4095; the last
-        # pole lies between two of the 32 coarse nodes
+    def test_poles_near_a_circle_lift_the_lower_bound(self):
+        # each pole sits 1e-3 from its circle, so the point nearest it gives
+        # its row's largest |f|: at an argument of +-pi, just below 0, off
+        # a coarse node by 0.6 of 1/4096 of a turn, and between two of the
+        # 32 coarse nodes (the last)
         step = 2.0 * np.pi / 4096
         args = [-1e-9, -0.4 * step, -0.6 * step, 0.5 * step, 64.3 * step]
         outer = [complex(-1.001, 0.0), complex(-1.001, -0.0)] + [1.001 * np.exp(1j * a) for a in args]
         inner = [complex(-0.4995, 0.0), complex(-0.4995, -0.0)] + [0.4995 * np.exp(1j * a) for a in args]
         functions = [AnnulusRational(r=0.5, q1_roots=(a,)) for a in outer]
         functions += [AnnulusRational(r=0.5, p_coeffs=(0.0, 0.0, 1.0), q2_roots=(b,)) for b in inner]
-        # rows with both kinds of root, and with fewer roots than the widest
+        # rows with both kinds of root, a root at 0, and fewer roots than the widest
         functions += [
-            AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(outer[4], 3.0), q2_roots=(inner[1], 0.1j)),
+            AnnulusRational(r=0.5, p_coeffs=(1.0, 0.5), q1_roots=(outer[4], 3.0), q2_roots=(inner[1], 0.1j, 0.0)),
             AnnulusRational(r=0.5, p_coeffs=(0.3, 1.0)),
         ]
         got = certify._lower_bounds(rational.factored_stack(functions))
         assert got.tolist() == [self._reference_lower(f) for f in functions]
-        ring = np.exp(1j * (2.0 * np.pi * np.arange(0, 4096, 128) / 4096))
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(32) / 32))
         coarse = np.array([np.abs(evaluate(f, np.concatenate([ring, 0.5 * ring]))).max() for f in functions])
         assert np.all(got >= coarse) and np.all(got[[4, 6, 11, 13]] > coarse[[4, 6, 11, 13]])
         assert np.all(got[[6, 13]] > 10 * coarse[[6, 13]])
@@ -753,9 +752,19 @@ class TestCriticalSups:
         assert np.all(battery.lower_bounds(np.arange(200)) <= sups) and np.all(sups <= solved)
         assert np.any(sups < solved)
 
+    @pytest.mark.xfail(strict=True, reason="open defect: clustered poles put the computed critical points off the peak")
+    def test_clustered_poles_reach_the_peak_between_them(self):
+        # two poles 1e-6 from the unit circle and 2e-6 apart: |f| peaks
+        # near e^{1e-6 i}, but the eigensolve places the roots of G there
+        # poorly and the sup falls 10.6 % short (4.472e11 against 5.000e11);
+        # polishing the roots should make this pass
+        f = AnnulusRational(r=0.5, q1_roots=(1 + 1e-6, (1 + 1e-6) * np.exp(2e-6j)))
+        assert _sups_of((f,))[0] >= abs(evaluate(f, np.exp(1e-6j)))
+
     def test_the_ring_is_read_only(self):
+        # the 32 nodes per circle, with the bits of every 128th of 4096
         assert not certify._RING.flags.writeable
-        assert np.array_equal(certify._RING, np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096)))
+        assert certify._RING.tobytes() == np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))[::128].tobytes()
 
     def test_pole_hit_is_raised(self):
         f = AnnulusRational(r=0.5, q1_roots=(1.0 + 1e-15,))
@@ -925,6 +934,20 @@ class TestStressRatios:
         got, asked, _ = self._lazy(nums, 0.5 * exact, np.zeros(3), exact, exact, 1e-8)
         assert got == (1.2, 2) and asked == []
 
+    def test_one_sup_per_request(self):
+        # row 0's sup drops it to 0.5; row 1's, asked for alone, settles
+        # best at 0.935, above row 2's bound 0.93, which is never asked for
+        nums = np.array([0.95, 0.94, 0.93, 0.1])
+        exact = np.array([1.9, 0.94 / 0.935, 1.0, 1.0])
+        calls = []
+
+        def sups(rows):
+            calls.append(rows.tolist())
+            return exact[rows]
+
+        got = _stress_ratios(nums, None, np.ones(4), np.zeros(4), np.full(4, np.nan), sups, 1e-8)
+        assert got == (0.94 / exact[1], None) and calls == [[0], [1]]
+
     def test_one_seed_then_the_rest_pruned_without_norms(self):
         # no ratio can exceed 1 and none is known: the largest row gets its
         # norm and its sup first (ratio 0.9), which prunes the 39 others
@@ -967,7 +990,7 @@ class TestStressRatios:
     def test_bounds_prune_norms(self):
         # the first batch of rows settles at ratio 0.9, above the last row's
         # bound 0.5: that row never gets its norm or its sup
-        rows = certify._REFINE_ROWS
+        rows = 16
         nums, norms = np.r_[np.full(rows, 0.95), 0.5], np.r_[np.full(rows, 0.9), 0.25]
         exact, memo = np.ones(rows + 1), np.full(rows + 1, np.nan)
         got, asked, normed = self._lazy(nums, exact, np.zeros(rows + 1), memo, exact, 1e-8, norms)

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from annulus_lab import certify, cli, rational
+from annulus_lab import certify, cli, dilation, rational
 from annulus_lab.calculus import default_contour
 from annulus_lab.certify import example_matrix, windowed_matrix
 from annulus_lab.errors import Singular
@@ -152,6 +153,17 @@ class TestUnboundedTail:
         assert cli.main(["model-verify", "--r", "0.5", "--matrix", mat, "--f", fn, "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: SeriesDivergent: {fn}: a factor's tail has no certified bound\n" and not out.exists()
+
+    def test_an_overflowing_numerator_warns_nowhere(self, tmp_path, capsys):
+        # the tail guard returns inf for the sums that overflow, silently
+        f = AnnulusRational(r=0.5, p_coeffs=(1e308, 1e308))
+        mat = write_matrix(tmp_path / "t.json", windowed_matrix(3, 0.5, 7))
+        fn = write_function(tmp_path / "f.json", f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dilation.default_budget(f) > 0
+            assert cli.main(["model-verify", "--r", "0.5", "--matrix", mat, "--f", fn]) == cli.EXIT_USAGE
+        assert "SeriesDivergent" in capsys.readouterr().err
 
 
 class TestDemoExampleCommand:
