@@ -52,8 +52,9 @@ def polyval_matrix(coeffs, t: np.ndarray) -> np.ndarray:
 
 
 # Byte budget of one stacked batch of n x n complex matrices: of f_i(R) in
-# _factored_chunks, of resolvents in _circle_integral.  It bounds their
-# memory whatever the number of rows or nodes.
+# _factored_chunks, of resolvents in _circle_integral, of powers in
+# _power_blocks.  It bounds their memory whatever the number of rows, nodes
+# or powers.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -189,9 +190,9 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     normal range.  So ``64 n`` is a generous choice, not a derived one.
 
     Readers: :meth:`FactoredNorms.bounds` (the stress route's bound where
-    the eigenvector screen prunes nothing), :func:`dilation.verify_moments` (which matrices get an exact
-    norm) and :attr:`dilation.AndoPair.generator_bounds` (the carrier
-    check).
+    the eigenvector screen prunes nothing), :func:`dilation.verify_moments` (which matrices go on to
+    :func:`_gram_bounds`) and :attr:`dilation.AndoPair.generator_bounds`
+    (the carrier check).
     """
     n = x.shape[-1]
     a = np.abs(x)
@@ -207,6 +208,39 @@ def _norm_bounds(x: np.ndarray) -> np.ndarray:
     if bad.any():
         bound[bad] = _spectral_norms(x[bad])
     return bound
+
+
+def _gram_bounds(x: np.ndarray) -> np.ndarray:
+    """Upper bounds on what :func:`_spectral_norms` computes for each
+    matrix of the finite stack ``x``, tighter than :func:`_norm_bounds`
+    where the singular values are spread, as in rounding noise: about 1.07
+    times the norm there, against 2.1.
+
+    ``X`` is scaled by the power of two that brings its largest entry into
+    ``[1/2, 1)``, so nothing overflows and ``||X|| >= 1/2``; then ``G =
+    fl(X* X)`` and ``H = fl(G G)``.  Since ``||X||^4 = ||(X* X)^2||``, and
+    each product errs by at most ``gamma_n |A| |B|`` entrywise (complex
+    products by a few times that; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 3.5-3.6),
+
+        ``||X||^4 <= ||H||_F + 64 n eps ||X||_F^4``,
+
+    a generous constant on the first-order error ``~ 4 gamma_n ||X||_F^4``,
+    which is at most ``n^2`` times ``||X||^4`` and so moves the fourth root
+    by about ``16 n^3 eps`` relative.  The fourth root is taken, times
+    ``1 + 64 n eps`` (``linalg._ROUNDING``), the allowance
+    :func:`_norm_bounds` makes for the computed norm and bound, scaled
+    back, plus ``n tiny``.  Two batched products per matrix: the reader,
+    :func:`dilation.verify_moments`, takes it only on the matrices that
+    :func:`_norm_bounds` leaves, in place of an SVD each.
+    """
+    n = x.shape[-1]
+    allowance = linalg._ROUNDING * n * linalg._EPS
+    exponent = np.frexp(np.abs(x).max(axis=(1, 2)))[1]
+    y = x * np.ldexp(1.0, -exponent)[:, np.newaxis, np.newaxis]
+    g = np.conj(y.transpose(0, 2, 1)) @ y
+    quartic = np.linalg.norm(g @ g, "fro", axis=(1, 2)) + allowance * np.linalg.norm(y, "fro", axis=(1, 2)) ** 4
+    return np.ldexp(np.sqrt(np.sqrt(quartic)) * (1.0 + allowance), exponent) + n * np.finfo(float).tiny
 
 
 def factored_norms(
@@ -271,18 +305,60 @@ class FactoredNorms:
         return self._each(rows, _norm_bounds)
 
 
+def _power_blocks(m: np.ndarray, k: int, budget: int = _CHUNK_BYTES):
+    """Yield the powers ``m^0 .. m^k`` in index order as ``(b, n, n)``
+    stacks of consecutive powers, each of ``budget`` bytes or one power
+    (the last may be shorter), so memory stays bounded whatever ``k``.
+
+    The first block is filled by doubling: with ``s`` powers formed,
+    ``m^s = m^(s-1) m`` and one product ``m^i m^s`` over the stacked
+    ``m^i`` gives the next ``s``.  Each later block is the one before it
+    times ``m^B``, ``B`` the block length.  Each of those products is one
+    ``(rows * n, n) @ (n, n)`` GEMM.  A yielded block is the generator's
+    own array; read it, do not write it.
+    """
+    n = m.shape[0]
+    first, *rest = _chunks(k + 1, m.size, budget)
+    block = np.empty((first.stop, n, n), dtype=complex)
+    block[0] = np.eye(n)
+    s = 1
+    while s < len(block):
+        step = min(s, len(block) - s)
+        np.matmul(block[:step].reshape(-1, n), block[s - 1] @ m, out=block[s : s + step].reshape(-1, n))
+        s += step
+    yield block
+    if rest:
+        jump = block[-1] @ m
+    for rows in rest:
+        block = (block[: rows.stop - rows.start].reshape(-1, n) @ jump).reshape(-1, n, n)
+        yield block
+
+
+def _power_series(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_j coeffs[j] m^j``: one contraction of each block of
+    :func:`_power_blocks` with its coefficients, accumulated in order."""
+    n = m.shape[0]
+    out = np.zeros(n * n, dtype=complex)
+    lo = 0
+    for block in _power_blocks(m, len(coeffs) - 1):
+        out += coeffs[lo : lo + len(block)] @ block.reshape(len(block), n * n)
+        lo += len(block)
+    return out.reshape(n, n)
+
+
 def _series_operands(f: AnnulusRational, t, order: int, tols: Tolerances) -> tuple:
-    """``(series, m, inv, norm_t, norm_rtinv)`` for the series routes:
-    ``laurent_expand(f, order)``, ``T`` as a matrix, its inverse and the
-    norms ``||T||`` and ``||r T^{-1}||``, the last three from ``T``'s
-    :func:`linalg.analysis`; :class:`NotInvertible` when ``T`` is
-    singular (:meth:`linalg.Analysis.inverse`)."""
+    """``(series, m, t2, norm_t, norm_rtinv)`` for the series routes:
+    ``laurent_expand(f, order)``, ``T`` as a matrix, ``T2 = r T^{-1}``
+    (:func:`linalg.involution`) and the norms ``||T||`` and ``||r T^{-1}||``,
+    the last three from ``T``'s :func:`linalg.analysis`;
+    :class:`NotInvertible` when ``T`` is singular
+    (:meth:`linalg.Analysis.inverse`)."""
     order = linalg.as_integer(order, "order", 1)
     m = linalg.as_matrix(t)
     series = rational.laurent_expand(f, order)
     facts = linalg.analysis(m)
-    inv = facts.inverse(tols)
-    return series, m, inv, facts.norm, f.r * facts.inverse_norm
+    t2 = linalg.involution(m, f.r, tols)
+    return series, m, t2, facts.norm, f.r * facts.inverse_norm
 
 
 def eval_laurent(
@@ -297,22 +373,34 @@ def eval_laurent(
     ``1 + verify_tol``; the certified remainder for this route is available
     from :func:`laurent_remainder_bound`.  A singular ``T`` raises
     :class:`NotInvertible` before its norm is compared.
+
+    The two sides are summed on the two contractions of the annulus, each
+    as one contraction of its coefficients with a table of powers
+    (:func:`_power_series`, blocks of about ``_CHUNK_BYTES``, so memory
+    stays bounded whatever the order): ``sum_{j >= 0} c_j T^j`` from the
+    powers of ``T``, and ``sum_{j >= 1} (c_-j r^-j) T2^j`` from those of
+    ``T2 = r T^{-1}`` (:func:`linalg.involution`), so no power of
+    ``T^{-1}``, whose norm may grow as ``r^-j``, is formed.  With
+    ``a_k`` = ``factor_pos``, ``b_m`` = ``factor_neg`` and ``bs_m = b_m
+    r^-m`` = ``factor_neg_scaled`` (each ``k, m <= order``), the product
+    series has ``c_-j = sum_k a_k b_(k+j)``, hence
+
+        ``c_-j r^-j = sum_k a_k b_(k+j) r^-(k+j) r^k
+                    = sum_k (a_k r^k) bs_(k+j)``,
+
+    the convolution of ``(a_k r^k)`` with the reversed ``bs``: the weights
+    are formed with no ``r^-j``, which overflows where ``b_m`` underflows.
     """
-    series, m, inv, norm_t, norm_rtinv = _series_operands(f, t, order, tols)
+    series, m, t2, norm_t, norm_rtinv = _series_operands(f, t, order, tols)
     if norm_t > 1.0 + tols.verify_tol:
         raise SeriesDivergent(f"||T|| = {norm_t} exceeds 1 + verify_tol")
     if norm_rtinv > 1.0 + tols.verify_tol:
         raise SeriesDivergent(f"||r T^-1|| = {norm_rtinv} exceeds 1 + verify_tol")
-    n = m.shape[0]
-    out = series.coefficient(0) * np.eye(n)
-    pow_pos = np.eye(n)
-    pow_neg = np.eye(n)
-    for j in range(1, series.order + 1):
-        pow_pos = pow_pos @ m
-        pow_neg = pow_neg @ inv
-        out = out + series.coefficient(j) * pow_pos
-        out = out + series.coefficient(-j) * pow_neg
-    return out
+    k = series.order
+    a = series.factor_pos * f.r ** np.arange(k + 1)
+    weights = np.convolve(a, series.factor_neg_scaled[::-1])[k::-1]
+    weights[0] = 0.0  # j = 0 is the positive side's
+    return _power_series(m, series.coeffs[k:]) + _power_series(t2, weights)
 
 
 def laurent_remainder_bound(
@@ -455,11 +543,15 @@ def _circle_integral(
 
     ``f`` defaults to 1.  The :class:`linalg.ShiftConditioning` of ``T``'s
     :func:`linalg.analysis` serves both circles with its one Schur form
-    ``T + E = Q R Q*``.  Nodes are taken in chunks whose stacked resolvents
-    fit ``_CHUNK_BYTES``; each chunk gets one vectorized evaluation of ``f``
-    (with its :class:`PoleHit` check), the conditioning rule at its nodes
-    (:meth:`linalg.Analysis.require`, whose :class:`Singular` counts the
-    failures) and the weighted sum of its resolvents of ``R`` by
+    ``T + E = Q R Q*``.  One ring of unit nodes is formed per call and
+    ``f`` is evaluated once over both circles' nodes (one vectorized
+    :func:`rational.evaluate`, with its :class:`PoleHit` check; the callers'
+    pole margins keep every node clear of it), elementwise, so the weights
+    have the bits of a per-chunk evaluation.  Nodes are then taken in
+    chunks whose stacked resolvents fit ``_CHUNK_BYTES``; each chunk gets
+    the conditioning rule at its nodes (:meth:`linalg.Analysis.require`,
+    whose :class:`Singular` counts the failures among the chunk's points)
+    and the weighted sum of its resolvents of ``R`` by
     :func:`_weighted_resolvents`, back-substitution with no LU.  The
     result is ``Q (S_outer - S_inner) Q*``.  Chunks depend only on ``n``
     and ``nodes`` (:func:`_chunks`) and are accumulated in index order, so
@@ -469,15 +561,15 @@ def _circle_integral(
     facts = linalg.analysis(m)
     rule = facts.conditioning
     ring = np.exp(1j * (2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
+    ws = np.stack((outer * ring, inner * ring))
+    weights = ws if f is None else ws * rational.evaluate(f, ws)
     integrals = []
-    for radius in (outer, inner):
-        ws = radius * ring
+    for w_circle, weights_circle in zip(ws, weights):
         acc = np.zeros((n, n), dtype=complex)
         for rows in _chunks(nodes, n * n):
-            w = ws[rows]
-            weights = w if f is None else w * rational.evaluate(f, w)
+            w = w_circle[rows]
             facts.require(w, tols)
-            acc += _weighted_resolvents(rule.triangle, w, weights)
+            acc += _weighted_resolvents(rule.triangle, w, weights_circle[rows])
         integrals.append(acc / nodes)
     return rule.vectors @ (integrals[0] - integrals[1]) @ rule.vectors.conj().T
 

@@ -219,11 +219,12 @@ def _check_poles(stack: rational.FactoredStack) -> None:
     :func:`_toward`, the point of each circle nearest each root."""
     roots = stack.roots
     circles = (_toward(roots, 1.0), _toward(roots, stack.r))
-    near = [np.abs(z - roots) <= rational._POLE_TOL * np.abs(z) for z in circles]
+    limits = [rational._POLE_TOL * np.abs(z) for z in circles]
+    near = [np.abs(z - roots) <= limit for z, limit in zip(circles, limits)]
     for i in np.flatnonzero((stack.mask & (near[0] | near[1])).any(axis=1))[:1]:
         for j in np.flatnonzero(stack.mask[i]):
-            for z in circles:
-                rational.check_clearance(z[i, j] - roots[i, j], complex(roots[i, j]), z[i, j])
+            for z, limit in zip(circles, limits):
+                rational.check_clearance(z[i, j] - roots[i, j], complex(roots[i, j]), limit[i, j])
 
 
 def _critical_points(p: np.ndarray, q: np.ndarray, roots: np.ndarray, rho: float) -> np.ndarray:

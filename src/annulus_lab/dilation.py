@@ -515,8 +515,8 @@ def verify_model(
 
 def _moment_stack(model: ModelTriple, t, j_max: int, tols: Tolerances) -> np.ndarray:
     """The ``2 (j_max + 1)`` moment residual matrices of :func:`moment_table`,
-    ``T1^j - T^j`` then ``r^-j T2^j - T^-j``, with the table's errors, raised
-    in its order; ``ValueError`` when an entry is not finite, as
+    ``T1^j - T^j`` then ``T2^j - (r T^-1)^j``, with the table's errors,
+    raised in its order; ``ValueError`` when an entry is not finite, as
     :func:`linalg.operator_norm` raises."""
     j_max = linalg.as_integer(j_max, "j_max", 0)
     if j_max > model.d:
@@ -526,15 +526,14 @@ def _moment_stack(model: ModelTriple, t, j_max: int, tols: Tolerances) -> np.nda
     _check_generators(pair, tols)
     h = m.shape[0]
     inv = linalg.analysis(m).inverse(tols)
-    rweights = _inverse_weights(model.r, j_max)
     stack = np.empty((2, j_max + 1, h, h), dtype=complex)
     pow_pos = pow_neg = np.eye(h, dtype=complex)
-    compressions = zip(rweights, _chain(pair.t1, pow_pos), pair.powers)
-    for j, (weight, t1_power, t2_power) in enumerate(compressions):
+    compressions = zip(_chain(pair.t1, pow_pos), pair.powers[: j_max + 1])
+    for j, (t1_power, t2_power) in enumerate(compressions):
         np.subtract(t1_power, pow_pos, out=stack[0, j])
-        np.subtract(weight * t2_power, pow_neg, out=stack[1, j])
+        np.subtract(t2_power, pow_neg, out=stack[1, j])
         if j < j_max:
-            pow_pos, pow_neg = pow_pos @ m, pow_neg @ inv
+            pow_pos, pow_neg = pow_pos @ m, model.r * (pow_neg @ inv)
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix has NaN/Inf entries")
     return stack.reshape(-1, h, h)
@@ -544,21 +543,22 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     """Moment residuals per degree ``0 <= j <= j_max``, both power directions.
 
     Row ``j`` holds ``forward_residual = ||V* V1^j V - T^j||`` and
-    ``inverse_residual = ||r^-j V* V2^j V - T^-j||``.  The compressions
+    ``inverse_residual = ||V* V2^j V - (r T^-1)^j||``.  The compressions
     ``T1^j`` are walked by :func:`_chain` and the ``T2^j`` read from the
     pair's :attr:`AndoPair.powers`, the left products of :func:`verify_model`,
-    after the same generator check; the powers of ``T`` and ``T^-1`` are
-    right products.
+    after the same generator check; the powers of ``T`` and of ``r T^-1``
+    are right products, the latter formed step by step as ``P <- r (P
+    T^-1)``.
     ``V* V_i^j V = T_i^j`` holds by construction, so a row tests only the
-    rounding of those two products of ``T`` powers (and of ``r^-j`` against
-    ``T2 = r T^-1``), never the carrier: that is checked by
-    :attr:`AndoPair.generator_defects`, whose failure raises here before
-    any row is formed.  The norms are taken in one batched call.
-    :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d`` or
-    ``r^-j_max`` overflows, ``ValueError`` when ``j_max`` is not an integer
-    >= 0 and :class:`DimensionMismatch` when ``T`` is not the ``T`` the
-    model was built on.  ``T^{-1}`` comes from ``T``'s
-    :func:`linalg.analysis`.
+    rounding of those two products of powers, never the carrier: that is
+    checked by :attr:`AndoPair.generator_defects`, whose failure raises
+    here before any row is formed.  Both sides of an inverse row stay at
+    the scale of ``T2 = r T^-1``: no ``r^-j``, which would multiply their
+    rounding, is formed.  The norms are taken in one batched call.
+    :class:`BudgetExceeded` is raised when ``j_max`` exceeds ``d``,
+    ``ValueError`` when ``j_max`` is not an integer >= 0 and
+    :class:`DimensionMismatch` when ``T`` is not the ``T`` the model was
+    built on.  ``T^{-1}`` comes from ``T``'s :func:`linalg.analysis`.
     """
     norms = calculus._spectral_norms(_moment_stack(model, t, j_max, tols)).reshape(2, -1)
     return [
@@ -567,31 +567,21 @@ def moment_table(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_T
     ]
 
 
-def _inverse_weights(r: float, j_max: int) -> list:
-    """``r^-j`` for ``j = 0..j_max``; :class:`BudgetExceeded` names the first
-    degree whose weight overflows a double."""
-    weights = []
-    for j in range(j_max + 1):
-        try:
-            weights.append(r ** (-j))
-        except OverflowError:
-            raise BudgetExceeded(
-                f"r^-j overflows at degree {j} (r = {r}); inverse moments reach at most degree {j - 1}"
-            ) from None
-    return weights
-
-
 def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Max moment residual over ``0 <= j <= j_max`` for both power directions:
     the maximum over :func:`moment_table`'s rows, the same float, with its
     errors.
 
     Every residual matrix is bounded by :func:`calculus._norm_bounds`.  The
-    exact norm of the matrix with the largest bound is taken first, then, in
-    one batched call, those of the matrices whose bound exceeds it, if any.
-    That rests on the bounds' one assumption, that each is at least the norm
-    :func:`calculus._spectral_norms` computes.  As in :func:`moment_table`,
-    the residual measures the rounding of ``T`` powers; the carrier is
+    exact norm of the matrix with the largest bound is taken first.  The
+    matrices whose bound exceeds it get the tighter
+    :func:`calculus._gram_bounds` (the rows are rounding noise, where the
+    first bound sits about 2.1 times above the norm and the second 1.07),
+    and those whose second bound still exceeds it their exact norms, in one
+    batched call, if any.  That rests on the bounds' one assumption, that
+    each is at least the norm :func:`calculus._spectral_norms` computes.  As in :func:`moment_table`,
+    the residual measures the rounding of two product orders of the powers
+    of ``T`` and of ``r T^-1``, each at its own scale; the carrier is
     tested by its generator check."""
     stack = _moment_stack(model, t, j_max, tols)
     bounds = calculus._norm_bounds(stack)
@@ -599,8 +589,11 @@ def verify_moments(model: ModelTriple, t, j_max: int, tols: Tolerances = DEFAULT
     best = calculus._spectral_norms(stack[top : top + 1])[0]
     above = bounds > best
     above[top] = False
-    if above.any():
-        best = max(best, calculus._spectral_norms(stack[above]).max())
+    rows = np.flatnonzero(above)
+    if rows.size:
+        rows = rows[calculus._gram_bounds(stack[rows]) > best]
+    if rows.size:
+        best = max(best, calculus._spectral_norms(stack[rows]).max())
     return float(best)
 
 

@@ -101,11 +101,12 @@ def _checked(f: AnnulusRational) -> None:
         raise InvalidRational(str(exc)) from exc
 
 
-def check_clearance(d, root, z) -> None:
+def check_clearance(d, root, limit) -> None:
     """Raise :class:`PoleHit` if some offset ``d = z - root`` is within
-    ``1e-14 |z|`` of 0: relative to the modulus of the point, so a contour
-    at any radius can pass."""
-    if np.any(np.abs(d) <= _POLE_TOL * np.abs(z)):
+    ``limit = 1e-14 |z|`` of 0 (``_POLE_TOL * np.abs(z)``, taken once by
+    the caller for every root): relative to the modulus of the point, so a
+    contour at any radius can pass."""
+    if np.any(np.abs(d) <= limit):
         raise PoleHit(f"evaluation point within {_POLE_TOL} |z| of root {root}")
 
 
@@ -113,14 +114,15 @@ def evaluate(f: AnnulusRational, z):
     """Evaluate ``f`` at a complex point (or array of points).
 
     Raises :class:`PoleHit` if any point ``z`` is within ``1e-14 |z|`` of a
-    denominator root.
+    denominator root; ``|z|`` is taken once, not once per root.
     """
     zz = np.asarray(z, dtype=complex)
     num = np.polyval(np.array(f.p_coeffs)[::-1], zz)
     den = np.full_like(zz, f.scale)
+    limit = _POLE_TOL * np.abs(zz)
     for root in f.q1_roots + f.q2_roots:
         d = zz - root
-        check_clearance(d, root, zz)
+        check_clearance(d, root, limit)
         den = den * d
     out = num / den
     if np.isscalar(z) or np.ndim(z) == 0:

@@ -28,7 +28,7 @@ from annulus_lab.errors import (
     Singular,
     SpectrumOnContour,
 )
-from annulus_lab.linalg import DEFAULT_TOLS, operator_norm, random_unitary
+from annulus_lab.linalg import DEFAULT_TOLS, operator_norm, random_unitary, seeded_rng
 from annulus_lab.rational import AnnulusRational, laurent_order_for, multiply
 from conftest import SHAPES, normal_with_moduli, open_annulus_normal, random_function, shaped_function
 
@@ -161,6 +161,114 @@ class TestEvalLaurent:
             for t in (np.diag([0.7, 0.0]), np.diag([2.0, 0.0])):
                 with pytest.raises(NotInvertible, match=r"^condition estimate exceeds 1\.0e\+09$"):
                     route(f, t, 8)
+
+
+def _reference_laurent(f, t, order):
+    """The series route as a loop over orders: ``c_j T^j`` and ``c_-j
+    T^-j`` from sequential products of ``T`` and of ``T^-1``."""
+    series = rational.laurent_expand(f, order)
+    inv = linalg.inverse(t)
+    out = series.coefficient(0) * np.eye(len(t))
+    pow_pos = pow_neg = np.eye(len(t))
+    for j in range(1, order + 1):
+        pow_pos, pow_neg = pow_pos @ t, pow_neg @ inv
+        out = out + series.coefficient(j) * pow_pos + series.coefficient(-j) * pow_neg
+    return out
+
+
+class TestSeriesPowerTables:
+    """``eval_laurent`` sums each side from a blocked table of powers, of
+    ``T`` and of ``r T^-1``."""
+
+    @staticmethod
+    def _sequential(m, k):
+        powers = [np.eye(len(m), dtype=complex)]
+        for _ in range(k):
+            powers.append(powers[-1] @ m)
+        return np.array(powers)
+
+    # default budget: one block; a budget of 5 matrices: the block edges
+    @pytest.mark.parametrize(
+        "k, budget",
+        [(k, calculus._CHUNK_BYTES) for k in (0, 1, 2, 3, 7, 9, 15, 17, 63, 65)]
+        + [(k, 5 * 16 * 9) for k in (3, 4, 5, 6, 9, 10, 11, 31)],
+    )
+    def test_the_blocks_are_the_powers_in_order(self, k, budget):
+        m = windowed_matrix(3, 0.5, 7)
+        n, eps = len(m), np.finfo(float).eps
+        blocks = list(calculus._power_blocks(m, k, budget))
+        sizes = [s.stop - s.start for s in calculus._chunks(k + 1, m.size, budget)]
+        assert [len(b) for b in blocks] == sizes
+        got, want = np.concatenate(blocks), self._sequential(m, k)
+        assert np.array_equal(got[:2], want[:2])
+        # ||m|| <= 1: each product of the two orders errs by at most about
+        # n^2 eps, componentwise bounds taken in the 2-norm, per factor
+        j = np.arange(k + 1)
+        assert np.all(np.linalg.norm(got - want, 2, axis=(1, 2)) <= 2 * j * n * n * eps)
+
+    def test_a_long_table_holds_at_most_two_blocks(self):
+        # n = 64 at order 4096 is 268 MB of powers; a block is 16 of them
+        m = 0.99 * random_unitary(64, 5)
+        tracemalloc.start()
+        try:
+            count = sum(len(block) for block in calculus._power_blocks(m, 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 4097
+        # the block read and the next one, formed from it
+        assert peak <= 2 * calculus._CHUNK_BYTES + 4 * m.nbytes
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.81])
+    def test_the_tables_match_the_loop_over_orders(self, r):
+        for k, shape in enumerate(SHAPES):
+            f = shaped_function(r, 6400 + k, shape)
+            t = open_annulus_normal(2 + k % 4, r, 60 + k)
+            order = laurent_order_for(f, 1e-10)
+            want = _reference_laurent(f, t, order)
+            got = eval_laurent(f, t, order)
+            assert operator_norm(got - want) <= 1e-13 * operator_norm(want), shape
+
+    def test_a_long_order_stays_finite_within_its_bound(self):
+        # ||r T^-1|| = 0.898 and ||T^-1|| = 1.8: T^-2897 overflows, while the
+        # powers of r T^-1 shrink
+        f = AnnulusRational(r=0.5, p_coeffs=(1.0,), q1_roots=(1.01,), q2_roots=(0.2,))
+        t = certify.normal_annulus_matrix(3, 0.5, 1)
+        order = laurent_order_for(f, 1e-10)
+        assert order == 2897
+        bound = laurent_remainder_bound(f, t, order)
+        assert bound <= 1e-10
+        got = eval_laurent(f, t, order)  # a RuntimeWarning fails the test
+        assert np.isfinite(got).all()
+        assert operator_norm(got - eval_direct(f, t)) <= bound
+
+
+class TestGramBounds:
+    """``calculus._gram_bounds`` bounds the computed spectral norm from
+    above, at any scale and rank, and is tighter than ``_norm_bounds`` on
+    rounding noise."""
+
+    def test_every_bound_is_at_least_the_computed_norm(self):
+        for trial in range(60):
+            rng = seeded_rng(trial, 37)
+            k, n = (int(v) for v in rng.integers(1, 24, 2))
+            x = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+            if trial % 4 == 1:  # rank one: the bound is tight, up to its allowance
+                x = x[:, :, :1] @ x[:, :1, :]
+            elif trial % 4 == 2:  # spread singular values
+                x = x * np.logspace(0, -12, n)
+            x *= 10.0 ** rng.uniform(-300, 300, (k, 1, 1))
+            x[0] *= trial % 5 != 0  # a zero matrix
+            norms = calculus._spectral_norms(x.copy())
+            assert np.all(calculus._gram_bounds(x) >= norms), trial
+
+    def test_rounding_noise_gets_a_tighter_bound(self):
+        rng = seeded_rng(5, 37)
+        x = 1e-16 * (rng.standard_normal((40, 16, 16)) + 1j * rng.standard_normal((40, 16, 16)))
+        norms = calculus._spectral_norms(x.copy())
+        gram, split = calculus._gram_bounds(x), calculus._norm_bounds(x)
+        assert np.all(gram < split)
+        assert np.all(gram <= 1.25 * norms)
 
 
 class TestContourSpec:

@@ -116,6 +116,15 @@ class TestDilateCommand:
         assert "embed_isometry_defect" not in result
         assert result["fixup_unitarity_defect"] <= 1e-10
 
+    def test_an_r_unitary_passes_at_the_default_budget(self, tmp_path):
+        # the model is exact; rows scaled by r^-j read 3.2e-7 here and failed it
+        mat = write_matrix(tmp_path / "t.json", 0.3 * random_unitary(4, 6))
+        out = tmp_path / "report.json"
+        code = cli.main(["dilate", "--r", "0.3", "--matrix", mat, "--out", str(out)])
+        result = read_report(out)["result"]
+        assert code == cli.EXIT_OK and result["d"] == 16
+        assert result["moment_residual"] <= 1e-14
+
 
 class TestLaurentCommand:
     def test_dump(self, tmp_path):

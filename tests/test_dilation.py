@@ -609,7 +609,8 @@ def _reference_residual(model, t, f):
 
 def _reference_moment_rows(model, t, j_max):
     """``(forward, inverse)`` moment residuals from carrier power chains and
-    one :func:`operator_norm` per entry."""
+    one :func:`operator_norm` per entry; the inverse row compares ``V2^j``
+    with the right products ``P <- r (P T^-1)``."""
     pair, h = model.pair, model.pair.dim_h
     e, inv = pair.embed, inverse(t)
     x1 = x2 = e
@@ -619,11 +620,11 @@ def _reference_moment_rows(model, t, j_max):
         rows.append(
             (
                 operator_norm(e.conj().T @ x1 - pow_pos),
-                operator_norm(model.r ** (-j) * (e.conj().T @ x2) - pow_neg),
+                operator_norm(e.conj().T @ x2 - pow_neg),
             )
         )
         x1, x2 = pair.apply_v1(x1), pair.apply_v2(x2)
-        pow_pos, pow_neg = pow_pos @ t, pow_neg @ inv
+        pow_pos, pow_neg = pow_pos @ t, model.r * (pow_neg @ inv)
     return rows
 
 
@@ -1015,13 +1016,30 @@ class TestVerifyMoments:
         with pytest.raises(BudgetExceeded):
             verify_moments(model, t, 4)
 
-    def test_overflowing_inverse_weight_is_a_typed_error(self):
-        # 0.01^-154 = 1e308 is the last power of 1/r below the largest double
+    def test_inverse_rows_reach_past_the_overflow_of_r_to_the_minus_j(self):
+        # 0.01^-155 overflows a double; the inverse rows compare powers of
+        # r T^-1 and form no r^-j, so every degree up to the budget is read
         t = windowed_matrix(2, 0.01, 3)
         model = build_model(t, 0.01, 160)
-        with pytest.raises(BudgetExceeded, match="overflows at degree 155"):
-            verify_moments(model, t, 160)
-        assert len(moment_table(model, t, 154)) == 155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = moment_table(model, t, 160)
+            worst = verify_moments(model, t, 160)
+        assert len(table) == 161
+        assert worst == max(max(row["forward_residual"], row["inverse_residual"]) for row in table)
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("d", [16, 60])
+    def test_an_exact_r_unitary_model_keeps_its_inverse_rows_at_rounding(self, d):
+        # T2 = r T^-1 is unitary: r^-j T2^j - T^-j multiplied the rounding of
+        # both sides by 0.3^-j (3.2e-7 at d = 16); the rows compare the two
+        # product orders of the powers of T2 at its own scale
+        r = 0.3
+        t = r * random_unitary(4, 6)
+        model = build_model(t, r, d)
+        table = moment_table(model, t, d)
+        assert max(row["inverse_residual"] for row in table) <= 1e-14
+        assert verify_moments(model, t, d) <= 1e-14
 
     def test_table_has_one_row_per_degree_and_verify_takes_its_max(self):
         t = windowed_matrix(3, 0.5, 19)

@@ -135,6 +135,7 @@ SMOKE_COMMANDS = [
     ["certify", "--r", "0.5", "--trials", "2000", "--matrix", "smoke_S.json"],
     ["certify", "--r", "0.5", "--trials", "50", "--verify-tol", "nan", "--matrix", "smoke_W.json"],
     ["dilate", "--r", "0.5", "--matrix", "smoke_W.json"],
+    ["dilate", "--r", "0.3", "--matrix", "smoke_R.json"],
     ["model-verify", "--r", "0.5", "--matrix", "smoke_W.json", "--f", "smoke_f.json"],
     ["decompose", "--r", "0.5", "--matrix", "smoke_N.json"],
     ["laurent", "--f", "smoke_f.json"],
@@ -155,6 +156,7 @@ def _smoke_reports(workdir: str):
         "smoke_T.json": linalg.matrix_to_json(certify.normal_annulus_matrix(4, 0.5, 3)),
         "smoke_W.json": linalg.matrix_to_json(certify.windowed_matrix(4, 0.5, 3)),
         "smoke_S.json": linalg.matrix_to_json(certify.example_matrix(0.5)),
+        "smoke_R.json": linalg.matrix_to_json(0.3 * linalg.random_unitary(4, 6)),
         "smoke_f.json": rational.rational_to_json(f),
         "smoke_N.json": linalg.matrix_to_json(q @ n @ q.conj().T),
         "smoke_tiny.json": linalg.matrix_to_json(1e-310 * np.eye(2)),
